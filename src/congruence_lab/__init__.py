@@ -38,7 +38,7 @@ from .filtered_sums import (
     stirling_product_sum,
 )
 from .identities import IdentityCheckResult
-from .triangles import Family, Triangle, build, load_or_build
+from .triangles import Family, Triangle, build
 from .verifier import (
     ClaimRecord,
     GridResult,
@@ -82,7 +82,6 @@ __all__ = [
     "eulerian_wan_sum",
     "fleck_sum",
     "is_prime",
-    "load_or_build",
     "ord_p",
     "ord_p_factorial",
     "poly_eval",

@@ -2,27 +2,29 @@
 
 Subcommands
 -----------
-    triangle   write one number triangle in the cache file format
+    triangle   write one number triangle in the triangle text format
     sum        evaluate one filtered sum and print its value and p-adic order
     verify     sweep a parameter grid for one theorem and write a report
     identity   run identity/lemma check suites
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
-error, 3 capacity (triangle row limit) error.
+error, 3 capacity (triangle row limit) error, 130 interrupted (Ctrl-C), 141
+stdout closed by its reader (broken pipe).
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
 accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
-The environment variable CONGRUENCE_LAB_CACHE names a default triangle cache
-directory (overridden by --cache-dir); without either, tables live only in
-memory.
+Claims are evaluated serially; --workers is accepted and ignored.  Every
+--out file is written under a temporary name in its directory and renamed
+into place when complete, so an interrupted run never leaves a truncated file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -30,7 +32,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, identities, triangles, verifier
 from .bounds import REQUIRED_PARAMS, TheoremId
@@ -53,6 +55,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 CSV_COLUMNS = (
     "theorem",
@@ -129,12 +133,29 @@ def _now_stamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text, encoding="utf-8")
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Stdout, or a file that replaces ``path`` atomically.
+
+    The file is written under a temporary name in the target directory and
+    renamed over ``path`` only when the block completes.  If the block raises
+    (Ctrl-C included), the temporary file is removed and ``path`` is left as
+    it was.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _json_text(obj: Any) -> str:
@@ -146,32 +167,10 @@ def _json_text(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cache_dir(args: argparse.Namespace) -> Path | None:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get("CONGRUENCE_LAB_CACHE")
-    return Path(env) if env else None
-
-
 def cmd_triangle(args: argparse.Namespace) -> int:
-    family = Family(args.family)
-    cache_dir = _cache_dir(args)
-    if cache_dir is not None:
-        path = cache_dir / triangles.cache_file_name(family, args.n_max)
-        tri = triangles.load_or_build(family, args.n_max, path)
-    else:
-        tri = triangles.build(family, args.n_max)
-    if args.out:
-        triangles.write_cache(tri, args.out)
-    else:
-        header = {
-            "format_version": triangles.FORMAT_VERSION,
-            "family": family.value,
-            "max_n": tri.max_n,
-        }
-        sys.stdout.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in tri.rows:
-            sys.stdout.write(" ".join(str(v) for v in row) + "\n")
+    tri = triangles.build(args.family, args.n_max)
+    with _output(args.out) as out:
+        out.writelines(triangles.format_lines(tri))
     return EXIT_OK
 
 
@@ -314,21 +313,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     theorem = TheoremId(args.theorem)
     grids = _build_grids(theorem, args)
 
-    cache_dir = _cache_dir(args)
-    if cache_dir is not None:
-        for family, top in verifier.required_tables(grids).items():
-            path = cache_dir / triangles.cache_file_name(family, top)
-            triangles.install_shared(triangles.load_or_build(family, top, path))
-
     result = verifier.run_grids(
         grids,
-        workers=args.workers,
         probe_inapplicable=args.probe_inapplicable,
         fail_fast=args.fail_fast,
     )
 
-    # worker count is execution detail, not run identity: reports must be
-    # byte-identical for any worker count
     run: dict[str, Any] = {
         "command": "verify",
         "theorem": theorem.value,
@@ -342,7 +332,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = render_json_report(run, result.records, result.summary)
     else:
         text = render_csv_report(result.records)
-    _write_text(args.out, text)
+    with _output(args.out) as out:
+        out.write(text)
 
     if args.out:
         counts = result.summary.verdicts
@@ -423,7 +414,8 @@ def cmd_identity(args: argparse.Namespace) -> int:
                 )
                 writer.writerow(row)
             text = buf.getvalue()
-        _write_text(args.out, text)
+        with _output(args.out) as out:
+            out.write(text)
     return EXIT_VIOLATION if failed_total else EXIT_OK
 
 
@@ -441,11 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tri = sub.add_parser("triangle", help="write a number triangle in the cache format")
+    tri = sub.add_parser("triangle", help="write a number triangle in the triangle text format")
     tri.add_argument("family", choices=[f.value for f in Family])
     tri.add_argument("--n-max", type=int, required=True)
     tri.add_argument("--out", default=None, help="output file (default: stdout)")
-    tri.add_argument("--cache-dir", default=None)
     tri.set_defaults(func=cmd_triangle)
 
     sm = sub.add_parser("sum", help="evaluate one filtered sum")
@@ -476,12 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--f", action="append", default=None, help="SC2 polynomial (repeatable)")
     ver.add_argument("--out", default=None, help="report file (default: stdout)")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--workers", type=int, default=1,
+                     help="accepted and ignored: claims are evaluated serially")
     ver.add_argument("--no-timestamp", action="store_true")
     ver.add_argument("--probe-inapplicable", action="store_true",
                      help="compute sums and orders even for NOT-APPLICABLE tuples")
     ver.add_argument("--fail-fast", action="store_true")
-    ver.add_argument("--cache-dir", default=None)
     ver.set_defaults(func=cmd_verify)
 
     ident = sub.add_parser("identity", help="run identity check suites")
@@ -511,6 +502,19 @@ def _cmd_sum_checked(args: argparse.Namespace) -> int:
     return cmd_sum(args)
 
 
+def _stdout_to_devnull() -> None:
+    """Point the stdout file descriptor at devnull, so that flushing what is
+    still buffered at interpreter exit cannot raise BrokenPipeError again (the
+    recipe in the Python ``signal`` module docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stream has no descriptor to redirect
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -519,7 +523,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

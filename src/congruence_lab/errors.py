@@ -15,4 +15,4 @@ class CapacityError(CongruenceLabError):
 
 
 class CacheError(CongruenceLabError):
-    """A triangle cache file is unreadable or fails validation."""
+    """A triangle fails its invariant checks (row sums, generating identity)."""

@@ -1,5 +1,5 @@
 """Memoized exact triangles: unsigned first-kind Stirling, second-kind
-Stirling, and Eulerian numbers, with an optional on-disk cache.
+Stirling, and Eulerian numbers, built in memory from their recurrences.
 
 Conventions
 -----------
@@ -9,26 +9,21 @@ Conventions
   has a base).
 * A Triangle is immutable after construction and safe for concurrent reads.
 
-Cache file format (UTF-8)
--------------------------
-Line 1 is a JSON header ``{"format_version": 1, "family": ..., "max_n": ...}``;
-each following line is one row, entries space-separated decimal strings.
-One file per (family, max_n).  Writes go to a temp file in the same directory
-followed by an atomic rename.  On load, rows are re-validated through row-sum
-invariants (factorials for the Stirling-1 and Eulerian triangles, Bell numbers
-for Stirling-2); a file that fails any check is rebuilt with a warning.
+Triangle format (UTF-8)
+-----------------------
+:func:`format_lines` renders a triangle as text, the output of the
+``triangle`` subcommand.  Line 1 is a JSON header
+``{"family": ..., "format_version": 1, "max_n": ...}``; each following line
+is one row, entries space-separated decimal strings.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from typing import Iterator
 
 from . import kernels
 from .errors import CacheError, CapacityError, ParameterError
@@ -103,6 +98,18 @@ def build(family: Family, max_n: int) -> Triangle:
     return Triangle(family, max_n, tuple(tuple(r) for r in rows))
 
 
+def format_lines(tri: Triangle) -> Iterator[str]:
+    """The triangle in the text format, one newline-terminated line at a time."""
+    header = {
+        "format_version": FORMAT_VERSION,
+        "family": tri.family.value,
+        "max_n": tri.max_n,
+    }
+    yield json.dumps(header, sort_keys=True) + "\n"
+    for row in tri.rows:
+        yield " ".join(str(v) for v in row) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Row-sum validation helpers
 # ---------------------------------------------------------------------------
@@ -137,115 +144,6 @@ def _check_row_sums(tri: Triangle) -> None:
 
 
 # ---------------------------------------------------------------------------
-# On-disk cache
-# ---------------------------------------------------------------------------
-
-
-def write_cache(tri: Triangle, path: str | Path) -> Path:
-    """Write a triangle in the cache format (temp file + atomic rename)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "family": tri.family.value,
-        "max_n": tri.max_n,
-    }
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for row in tri.rows:
-                fh.write(" ".join(str(v) for v in row) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def _read_cache(path: Path, family: Family, max_n: int) -> Triangle | None:
-    """Parse and validate a cache file.
-
-    Returns None for a clean incompatibility (other family/max_n/version);
-    raises CacheError for a corrupt file.
-    """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CacheError(f"unreadable cache file: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise CacheError("empty cache file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"bad cache header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CacheError("bad cache header: not an object")
-    if (
-        header.get("format_version") != FORMAT_VERSION
-        or header.get("family") != family.value
-        or header.get("max_n") != max_n
-    ):
-        return None
-    if len(lines) != max_n + 2:
-        raise CacheError(f"expected {max_n + 1} rows, found {len(lines) - 1}")
-    rows = []
-    for n, line in enumerate(lines[1:]):
-        parts = line.split()
-        expected = _row_length(family, n)
-        if len(parts) != expected:
-            raise CacheError(f"row {n} has {len(parts)} entries, expected {expected}")
-        try:
-            rows.append(tuple(int(v) for v in parts))
-        except ValueError as exc:
-            raise CacheError(f"row {n} holds a non-integer entry") from exc
-    tri = Triangle(family, max_n, tuple(rows))
-    _check_row_sums(tri)
-    return tri
-
-
-def _row_length(family: Family, n: int) -> int:
-    if family is Family.EULERIAN:
-        return max(n, 1)
-    return n + 1
-
-
-def load_or_build(family: Family, max_n: int, cache_path: str | Path | None) -> Triangle:
-    """Return a triangle, reading ``cache_path`` when it holds a compatible
-    copy, otherwise building from scratch and (re)writing the cache.
-
-    A corrupt cache file is never trusted: it triggers a rebuild with a
-    warning.  With ``cache_path=None`` this is just :func:`build`.
-    """
-    family = Family(family)
-    if cache_path is None:
-        return build(family, max_n)
-    path = Path(cache_path)
-    if path.exists():
-        try:
-            tri = _read_cache(path, family, max_n)
-            if tri is not None:
-                return tri
-        except CacheError as exc:
-            warnings.warn(
-                f"triangle cache {path} is unusable ({exc}); rebuilding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    tri = build(family, max_n)
-    write_cache(tri, path)
-    return tri
-
-
-def cache_file_name(family: Family, max_n: int) -> str:
-    return f"{Family(family).value}-{max_n}.tri"
-
-
-# ---------------------------------------------------------------------------
 # Shared in-process tables
 # ---------------------------------------------------------------------------
 
@@ -273,15 +171,6 @@ def reset_shared() -> None:
     with _lock:
         _shared.clear()
         _row_limit = DEFAULT_ROW_LIMIT
-
-
-def install_shared(tri: Triangle) -> None:
-    """Adopt a prebuilt (e.g. cache-loaded) triangle as the shared table if it
-    is larger than the current one."""
-    with _lock:
-        cur = _shared.get(tri.family)
-        if cur is None or cur.max_n < tri.max_n:
-            _shared[tri.family] = tri
 
 
 def ensure_rows(family: Family, n: int) -> Triangle:

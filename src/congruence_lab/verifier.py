@@ -9,14 +9,13 @@ A claim is one theorem id plus a complete parameter tuple.  Its verdict:
     HOLDS                nonzero sum with order strictly above the bound
     VIOLATION            nonzero sum with order below the bound
 
-Grid sweeps evaluate every tuple of a finite parameter product in sorted
-order; the record sequence (and hence any rendered report) is deterministic
-regardless of the worker count.
+Grid sweeps evaluate every tuple of a finite parameter product serially, in
+sorted order, so the record sequence (and hence any rendered report) is
+deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping
@@ -420,47 +419,33 @@ def summarize(records: Iterable[ClaimRecord]) -> GridSummary:
 
 def run_grids(
     grids: Iterable[GridSpec],
-    workers: int = 1,
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> GridResult:
-    """Evaluate every tuple of every grid, in deterministic order.
+    """Evaluate every tuple of every grid serially, in deterministic order.
 
-    Worker threads share the immutable triangles; results are assembled in
-    generation order, so reports do not depend on the worker count.  Raises
-    :class:`CapacityError` up front when a grid needs rows above the limit.
+    With ``fail_fast`` the sweep stops right after the first VIOLATION, so
+    that record is the last one.  Raises :class:`CapacityError` up front when
+    a grid needs rows above the limit.
     """
     grids = list(grids)
     for family, top in required_tables(grids).items():
         triangles.ensure_rows(family, top)
 
-    jobs = [(grid.theorem, params) for grid in grids for params in grid_params(grid)]
-
-    def evaluate(job: tuple[TheoremId, dict[str, Any]]) -> ClaimRecord:
-        theorem, params = job
-        return check_claim(theorem, params, probe_inapplicable=probe_inapplicable)
-
     records: list[ClaimRecord] = []
-    if workers <= 1:
-        for job in jobs:
-            rec = evaluate(job)
+    for grid in grids:
+        for params in grid_params(grid):
+            rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
             records.append(rec)
             if fail_fast and rec.verdict is Verdict.VIOLATION:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(evaluate, jobs):
-                records.append(rec)
-                if fail_fast and rec.verdict is Verdict.VIOLATION:
-                    break
+                return GridResult(records, summarize(records))
     return GridResult(records, summarize(records))
 
 
 def run_grid(
     grid: GridSpec,
-    workers: int = 1,
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> GridResult:
     """Single-grid convenience wrapper around :func:`run_grids`."""
-    return run_grids([grid], workers, probe_inapplicable, fail_fast)
+    return run_grids([grid], probe_inapplicable, fail_fast)

@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import errno
 import io
 import json
+import os
+import time
 
 import pytest
 
-from congruence_lab import cli, triangles
+from congruence_lab import cli, triangles, verifier
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
 from congruence_lab.errors import ParameterError
 
@@ -50,11 +54,16 @@ class TestTriangleCommand:
         assert main(["triangle", "eulerian", "--n-max", "3", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[-1] == "1 4 1"
 
-    def test_cache_dir_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CONGRUENCE_LAB_CACHE", str(tmp_path))
-        assert main(["triangle", "eulerian", "--n-max", "5"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "eulerian-5.tri").exists()
+    def test_file_format(self, tmp_path, capsys):
+        path = tmp_path / "s1.tri"
+        assert main(["triangle", "stirling1", "--n-max", "4", "--out", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert header == {"format_version": 1, "family": "stirling1", "max_n": 4}
+        assert lines[1] == "1"
+        assert lines[-1] == "0 6 11 6 1"
+        assert main(["triangle", "stirling1", "--n-max", "4"]) == 0
+        assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
 class TestSumCommand:
@@ -187,13 +196,38 @@ class TestVerifyCommand:
         assert (1, 1) in pairs and (6, 6) in pairs
         assert not any(m > n for n, m in pairs)
 
-    def test_cache_dir_flag(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        code = main(["verify", "ec1", "--p", "2", "--alpha", "1", "--l", "0",
-                     "--n", "1..8", "--no-timestamp", "--cache-dir", str(cache)])
-        assert code == 0
-        capsys.readouterr()
-        assert (cache / "eulerian-8.tri").exists()
+    def test_fail_fast_stops_at_the_first_violation(self, tmp_path, monkeypatch):
+        # claim 616 of this grid, (n, p, alpha, l, r) = (12, 3, 1, 1, 0), is the
+        # first one of its tuple with a nonzero sum; an unreachable bound for
+        # the tuple turns it into a VIOLATION.  The pause on that claim gives
+        # any concurrent evaluator time to run ahead of it.
+        real_bound, real_check = verifier.bound_exponent, verifier.check_claim
+        calls = []
+
+        def forced_bound(spec):
+            if (spec.n, spec.p, spec.alpha, spec.l) == (12, 3, 1, 1):
+                time.sleep(0.2)
+                return 10**6
+            return real_bound(spec)
+
+        def counted_check(*args, **kwargs):
+            calls.append(args)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "bound_exponent", forced_bound)
+        monkeypatch.setattr(verifier, "check_claim", counted_check)
+        out = tmp_path / "report.json"
+        code = main(["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
+                     "--l", "0..2", "--workers", "2", "--fail-fast", "--no-timestamp",
+                     "--out", str(out)])
+        assert code == 1
+        assert len(calls) == 616
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["summary"]["total"] == len(report["records"]) == 616
+        last = report["records"][-1]
+        assert last["verdict"] == "VIOLATION"
+        assert last["params"] == {"n": 12, "p": 3, "alpha": 1, "l": 1, "d": 3, "r": 0}
+        assert report["summary"]["first_violation"] == last["params"]
 
 
 class TestIdentityCommand:
@@ -239,6 +273,59 @@ class TestIdentityCommand:
             rows = list(csv.DictReader(fh))
         assert rows[0]["identity"] == "S3"
         assert rows[0]["failed"] == "0"
+
+
+OUT_COMMANDS = {
+    "triangle": ["triangle", "eulerian", "--n-max", "5"],
+    "verify": ["verify", "fleck", "--p", "2", "--n", "1..5", "--no-timestamp"],
+    "identity": ["identity", "e2", "--n-max", "4", "--no-timestamp"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_interrupted_out_keeps_the_old_file(command, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"an earlier run\n")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    assert main(OUT_COMMANDS[command] + ["--out", str(out)]) == 130
+    assert out.read_bytes() == b"an earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    assert capsys.readouterr().err == "interrupted\n"
+
+    monkeypatch.undo()
+    assert main(OUT_COMMANDS[command] + ["--out", str(out)]) == 0
+    assert out.read_bytes() != b"an earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+class TestExitCodes:
+    def test_ctrl_c_exits_130(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verifier, "run_grids", interrupted)
+        assert main(["verify", "fleck", "--p", "2", "--n", "1..5"]) == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+    def test_closed_stdout_exits_141(self, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        with contextlib.redirect_stdout(ClosedPipe()):
+            assert main(["triangle", "stirling1", "--n-max", "200"]) == 141
+        assert capsys.readouterr() == ("", "")
+
+    def test_closed_stdout_descriptor_moves_to_devnull(self, tmp_path):
+        path = tmp_path / "stdout"
+        with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            cli._stdout_to_devnull()
+            print("written after the reader left")
+        assert path.read_text(encoding="utf-8") == ""
 
 
 def test_version_flag(capsys):

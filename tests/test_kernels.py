@@ -1,82 +1,30 @@
-import os
-import random
-
 import pytest
 
-from congruence_lab import _pykernels, kernels
-
-try:
-    from congruence_lab import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-
-
-def test_backend_is_reported():
-    assert kernels.BACKEND in ("pure", "compiled")
-    if os.environ.get("CONGRUENCE_LAB_PURE", "") not in ("", "0"):
-        assert kernels.BACKEND == "pure"
-    elif _speedups is not None:
-        assert kernels.BACKEND == "compiled"
+from congruence_lab import kernels
 
 
 class TestPureKernels:
     def test_dot2(self):
-        assert _pykernels.dot2([], []) == 0
-        assert _pykernels.dot2([2, 3], [5, 7]) == 31
+        assert kernels.dot2([], []) == 0
+        assert kernels.dot2([2, 3], [5, 7]) == 31
         with pytest.raises(ValueError):
-            _pykernels.dot2([1], [])
+            kernels.dot2([1], [])
 
     def test_dot3(self):
-        assert _pykernels.dot3([2, 3], [1, -1], [5, 7]) == -11
+        assert kernels.dot3([2, 3], [1, -1], [5, 7]) == -11
         with pytest.raises(ValueError):
-            _pykernels.dot3([1], [1], [])
+            kernels.dot3([1], [1], [])
 
     def test_power_steps(self):
-        assert _pykernels.power_steps(3, 0, 2, 4) == [1, 9, 81, 729]
-        assert _pykernels.power_steps(5, 2, 1, 1) == [25]
-        assert _pykernels.power_steps(7, 0, 1, 0) == []
-        assert _pykernels.power_steps(0, 0, 3, 3) == [1, 0, 0]  # 0**0 = 1
-        assert _pykernels.power_steps(-2, 1, 2, 3) == [-2, -8, -32]
+        assert kernels.power_steps(3, 0, 2, 4) == [1, 9, 81, 729]
+        assert kernels.power_steps(5, 2, 1, 1) == [25]
+        assert kernels.power_steps(7, 0, 1, 0) == []
+        assert kernels.power_steps(0, 0, 3, 3) == [1, 0, 0]  # 0**0 = 1
+        assert kernels.power_steps(-2, 1, 2, 3) == [-2, -8, -32]
         with pytest.raises(ValueError):
-            _pykernels.power_steps(2, -1, 1, 2)
+            kernels.power_steps(2, -1, 1, 2)
 
     def test_triangle_seeds(self):
-        assert _pykernels.stirling1_rows(2) == [[1], [0, 1], [0, 1, 1]]
-        assert _pykernels.stirling2_rows(3) == [[1], [0, 1], [0, 1, 1], [0, 1, 3, 1]]
-        assert _pykernels.eulerian_rows(4) == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
-
-
-@needs_speedups
-class TestParity:
-    def test_triangle_rows_agree(self):
-        for name in ("stirling1_rows", "stirling2_rows", "eulerian_rows"):
-            assert getattr(_speedups, name)(25) == getattr(_pykernels, name)(25)
-
-    def test_dots_agree_on_big_ints(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(0, 40)
-            xs = [rng.getrandbits(220) - rng.getrandbits(200) for _ in range(n)]
-            ys = [rng.getrandbits(180) for _ in range(n)]
-            ws = [rng.getrandbits(64) - rng.getrandbits(64) for _ in range(n)]
-            assert _speedups.dot2(xs, ws) == _pykernels.dot2(xs, ws)
-            assert _speedups.dot3(xs, ys, ws) == _pykernels.dot3(xs, ys, ws)
-
-    def test_power_steps_agree(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            base = rng.randint(-9, 9)
-            first = rng.randint(0, 6)
-            step = rng.randint(0, 5)
-            count = rng.randint(0, 12)
-            assert _speedups.power_steps(base, first, step, count) == _pykernels.power_steps(
-                base, first, step, count
-            )
-
-    def test_compiled_raises_like_pure(self):
-        with pytest.raises(ValueError):
-            _speedups.dot2([1, 2], [1])
-        with pytest.raises(ValueError):
-            _speedups.power_steps(2, -1, 1, 2)
+        assert kernels.stirling1_rows(2) == [[1], [0, 1], [0, 1, 1]]
+        assert kernels.stirling2_rows(3) == [[1], [0, 1], [0, 1, 1], [0, 1, 3, 1]]
+        assert kernels.eulerian_rows(4) == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from congruence_lab import triangles
 from congruence_lab.errors import CacheError, CapacityError, ParameterError
 from congruence_lab.exactmath import binom
-from congruence_lab.triangles import Family, Triangle, build, load_or_build
+from congruence_lab.triangles import Family, Triangle, build
 
 from oracles import (
     eulerian_by_enumeration,
@@ -103,6 +102,12 @@ class TestBruteForce:
 
 
 class TestTriangleObject:
+    def test_build_examples(self):
+        tri = build(Family.EULERIAN, 3)
+        assert [list(r) for r in tri.rows] == [[1], [1], [1, 1], [1, 4, 1]]
+        tri = build(Family.STIRLING2, 0)
+        assert [list(r) for r in tri.rows] == [[1]]
+
     def test_capacity_error(self):
         tri = build(Family.STIRLING2, 5)
         with pytest.raises(CapacityError):
@@ -127,73 +132,3 @@ class TestTriangleObject:
         bad = Triangle(Family.STIRLING1, 6, tuple(tuple(r) for r in rows))
         with pytest.raises(CacheError):
             bad.verify_invariants()
-
-
-class TestCache:
-    def test_build_examples(self):
-        tri = load_or_build(Family.EULERIAN, 3, None)
-        assert [list(r) for r in tri.rows] == [[1], [1], [1, 1], [1, 4, 1]]
-        tri = load_or_build(Family.STIRLING2, 0, None)
-        assert [list(r) for r in tri.rows] == [[1]]
-
-    def test_round_trip_skips_rebuild(self, tmp_path, monkeypatch):
-        path = tmp_path / "eulerian-8.tri"
-        first = load_or_build(Family.EULERIAN, 8, path)
-        assert path.exists()
-
-        calls = []
-        real_build = triangles.build
-
-        def counting_build(family, max_n):
-            calls.append((family, max_n))
-            return real_build(family, max_n)
-
-        monkeypatch.setattr(triangles, "build", counting_build)
-        second = load_or_build(Family.EULERIAN, 8, path)
-        assert calls == []
-        assert second == first
-
-    def test_file_format(self, tmp_path):
-        path = tmp_path / "s1.tri"
-        load_or_build(Family.STIRLING1, 4, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        assert header == {"format_version": 1, "family": "stirling1", "max_n": 4}
-        assert lines[1] == "1"
-        assert lines[-1] == "0 6 11 6 1"
-
-    def test_corrupt_header_warns_and_rebuilds(self, tmp_path):
-        path = tmp_path / "bad.tri"
-        path.write_text("this is not a header\n1\n", encoding="utf-8")
-        with pytest.warns(RuntimeWarning):
-            tri = load_or_build(Family.STIRLING2, 3, path)
-        assert tri.value(3, 2) == 3
-        # the rebuilt file is now clean
-        assert json.loads(path.read_text(encoding="utf-8").splitlines()[0])["max_n"] == 3
-
-    def test_tampered_entry_warns_and_rebuilds(self, tmp_path):
-        path = tmp_path / "tampered.tri"
-        load_or_build(Family.STIRLING1, 5, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        row = lines[4].split()
-        row[2] = str(int(row[2]) + 1)  # break the factorial row sum
-        lines[4] = " ".join(row)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.warns(RuntimeWarning):
-            tri = load_or_build(Family.STIRLING1, 5, path)
-        assert tri.value(3, 2) == 3
-
-    def test_incompatible_max_n_rebuilds_silently(self, tmp_path):
-        path = tmp_path / "shared.tri"
-        load_or_build(Family.EULERIAN, 6, path)
-        tri = load_or_build(Family.EULERIAN, 4, path)
-        assert tri.max_n == 4
-        header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header["max_n"] == 4
-
-    def test_wrong_family_rebuilds(self, tmp_path):
-        path = tmp_path / "family.tri"
-        load_or_build(Family.STIRLING1, 4, path)
-        tri = load_or_build(Family.STIRLING2, 4, path)
-        assert tri.family is Family.STIRLING2
-        assert tri.value(4, 2) == 7

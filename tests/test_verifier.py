@@ -145,18 +145,6 @@ class TestRunGrid:
         assert result.summary.total == 2
         assert result.summary.verdicts[Verdict.HOLDS_VACUOUS.value] == 2
 
-    def test_worker_counts_agree(self):
-        grids = [
-            GridSpec(TheoremId.EC1, ns=range(1, 21), primes=(2, 3), alphas=(1, 2), ls=(0, 1)),
-            GridSpec(TheoremId.EC1, ns=range(21, 26), primes=(2,), alphas=(1,), ls=(0,)),
-        ]
-        serial = run_grids(grids, workers=1)
-        threaded = run_grids(grids, workers=4)
-        assert [r.to_json_dict() for r in serial.records] == [
-            r.to_json_dict() for r in threaded.records
-        ]
-        assert serial.summary == threaded.summary
-
     def test_capacity_error(self):
         triangles.set_row_limit(20)
         grid = GridSpec(TheoremId.SC1, ns=(30,), primes=(2,), ms=(1,), a_values=(1,))
