@@ -15,7 +15,12 @@ from .bounds import (
     sc2_comparison,
     sc2_holds,
 )
-from .errors import CacheError, CapacityError, CongruenceLabError, ParameterError
+from .errors import (
+    CapacityError,
+    CongruenceLabError,
+    ParameterError,
+    TriangleInvariantError,
+)
 from .exactmath import (
     INFINITY,
     IntPolynomial,
@@ -54,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundSpec",
-    "CacheError",
     "CapacityError",
     "ClaimRecord",
     "CongruenceLabError",
@@ -70,6 +74,7 @@ __all__ = [
     "ResidueClass",
     "TheoremId",
     "Triangle",
+    "TriangleInvariantError",
     "Variant",
     "Verdict",
     "binom",

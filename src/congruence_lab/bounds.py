@@ -38,6 +38,7 @@ from .exactmath import IntPolynomial, check_prime, ord_p, ord_p_factorial
 
 __all__ = [
     "BoundSpec",
+    "PARAM_MINIMUM",
     "TheoremId",
     "bound_exponent",
     "binom_power_inferred_exponent",
@@ -78,6 +79,12 @@ REQUIRED_PARAMS: dict[TheoremId, tuple[str, ...]] = {
 }
 
 
+#: Smallest allowed value of each integer parameter that has one (p must be
+#: prime; a, r and f may be anything).  BoundSpec checks these per claim,
+#: GridSpec once per grid axis.
+PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
+
+
 def _ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
@@ -107,6 +114,7 @@ class BoundSpec:
                 continue
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
+        # PARAM_MINIMUM spelled out: this runs once per claim
         if "alpha" in needed and self.alpha is not None and self.alpha < 1:
             raise ParameterError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta is not None and self.beta < 0:

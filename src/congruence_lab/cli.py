@@ -8,17 +8,23 @@ Subcommands
     identity   run identity/lemma check suites
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
-error, 3 capacity (triangle row limit) error, 130 interrupted (Ctrl-C), 141
-stdout closed by its reader (broken pipe).
+error or an --out file that cannot be written, 3 capacity (triangle row
+limit) error, 130 interrupted (Ctrl-C), 141 stdout closed by its reader
+(broken pipe).
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
 accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
-Claims are evaluated serially; --workers is accepted and ignored.  Every
---out file is written under a temporary name in its directory and renamed
-into place when complete, so an interrupted run never leaves a truncated file.
+Claims are evaluated serially; --workers is accepted and ignored.  `verify`
+streams its report: records are written as they are evaluated (JSON in
+chunks of ``JSON_CHUNK``, CSV row by row) and the JSON summary last, so
+memory does not depend on the grid size.  Every grid value is checked before
+the first byte is written.  Every --out file is written under a temporary
+name in its directory and renamed into place when complete, so an interrupted
+run never leaves a truncated file; an interrupted run to stdout may leave a
+partial report there.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -49,7 +56,7 @@ from .filtered_sums import (
     stirling_product_sum,
 )
 from .triangles import Family
-from .verifier import GridSpec, Verdict
+from .verifier import ClaimRecord, GridSpec, GridSummary, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,6 +64,10 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+# records per json.dumps call: with indent, json runs its pure-Python encoder
+# and builds it anew on every call, so one call per record is much slower
+JSON_CHUNK = 512
 
 CSV_COLUMNS = (
     "theorem",
@@ -140,21 +151,24 @@ def _output(path: str | None) -> Iterator[TextIO]:
     The file is written under a temporary name in the target directory and
     renamed over ``path`` only when the block completes.  If the block raises
     (Ctrl-C included), the temporary file is removed and ``path`` is left as
-    it was.
+    it was.  An OSError from creating, writing or renaming the file becomes a
+    :class:`CongruenceLabError` naming ``path``.
     """
     if not path:
         yield sys.stdout
         return
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     try:
+        target.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
+        if isinstance(exc, OSError):
+            raise CongruenceLabError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -276,22 +290,45 @@ def _grid_echo(theorem: TheoremId, args: argparse.Namespace) -> dict[str, Any]:
     return echo
 
 
+_RECORDS_OPEN = '{\n  "records": ['
+
+
 def render_json_report(
-    run: dict[str, Any], records: Iterable[verifier.ClaimRecord], summary: verifier.GridSummary
-) -> str:
-    payload = {
-        "run": run,
-        "records": [rec.to_json_dict() for rec in records],
-        "summary": summary.to_json_dict(),
-    }
-    return _json_text(payload)
+    out: TextIO, run: dict[str, Any], records: Iterable[ClaimRecord]
+) -> GridSummary:
+    """Write ``_json_text({"run": run, "records": ..., "summary": ...})`` to
+    ``out`` as the records arrive, and return the summary.
+
+    Sorted keys put "records" first, so each chunk of ``JSON_CHUNK`` records is
+    rendered as a list, stripped of its brackets, indented one level deeper
+    and written; the run and the summary follow the last record.  Nothing is
+    written before the first chunk is complete.
+    """
+    summary = verifier.RunningSummary()
+    started = False
+    records = iter(records)
+    while chunk := list(itertools.islice(records, JSON_CHUNK)):
+        for rec in chunk:
+            summary.add(rec)
+        items = json.dumps([rec.to_json_dict() for rec in chunk], indent=2, sort_keys=True)
+        out.write((",\n" if started else _RECORDS_OPEN + "\n")
+                  + "  " + items[2:-2].replace("\n", "\n  "))
+        started = True
+    result = summary.summary()
+    # the report with no records, from the "]" that closes them on
+    rest = _json_text({"records": [], "run": run, "summary": result.to_json_dict()})
+    out.write(("\n  " if started else _RECORDS_OPEN) + rest[len(_RECORDS_OPEN):])
+    return result
 
 
-def render_csv_report(records: Iterable[verifier.ClaimRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+def render_csv_report(out: TextIO, records: Iterable[ClaimRecord]) -> GridSummary:
+    """Write the records to ``out`` as CSV rows as they arrive, and return
+    their summary."""
+    summary = verifier.RunningSummary()
+    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for rec in records:
+        summary.add(rec)
         data = rec.to_json_dict()
         row = {key: "" for key in CSV_COLUMNS}
         row["theorem"] = data["theorem"]
@@ -306,14 +343,13 @@ def render_csv_report(records: Iterable[verifier.ClaimRecord]) -> str:
             row["sc2_rhs"] = data["sc2"]["rhs"]
             row["sc2_satisfied"] = data["sc2"]["satisfied"]
         writer.writerow(row)
-    return buf.getvalue()
+    return summary.summary()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     theorem = TheoremId(args.theorem)
     grids = _build_grids(theorem, args)
-
-    result = verifier.run_grids(
+    records = verifier.iter_records(
         grids,
         probe_inapplicable=args.probe_inapplicable,
         fail_fast=args.fail_fast,
@@ -328,18 +364,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.no_timestamp:
         run["timestamp"] = _now_stamp()
 
-    if args.format == "json":
-        text = render_json_report(run, result.records, result.summary)
-    else:
-        text = render_csv_report(result.records)
     with _output(args.out) as out:
-        out.write(text)
+        if args.format == "json":
+            summary = render_json_report(out, run, records)
+        else:
+            summary = render_csv_report(out, records)
 
     if args.out:
-        counts = result.summary.verdicts
+        counts = summary.verdicts
         brief = ", ".join(f"{name}={counts[name]}" for name in sorted(counts) if counts[name])
-        print(f"{theorem.value}: {result.summary.total} claims ({brief or 'none'})")
-    return EXIT_VIOLATION if result.violations else EXIT_OK
+        print(f"{theorem.value}: {summary.total} claims ({brief or 'none'})")
+    return EXIT_VIOLATION if summary.verdicts[Verdict.VIOLATION.value] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -14,5 +14,5 @@ class CapacityError(CongruenceLabError):
     """A triangle row above the configured row limit was requested."""
 
 
-class CacheError(CongruenceLabError):
+class TriangleInvariantError(CongruenceLabError):
     """A triangle fails its invariant checks (row sums, generating identity)."""

@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import kernels
-from .errors import CacheError, CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, TriangleInvariantError
 
 FORMAT_VERSION = 1
 
@@ -84,7 +84,7 @@ class Triangle:
                         rising *= x + i
                     value = sum(c * x**k for k, c in enumerate(row))
                     if value != rising:
-                        raise CacheError(
+                        raise TriangleInvariantError(
                             f"stirling1 row {n} violates the rising-factorial identity at x={x}"
                         )
 
@@ -133,14 +133,14 @@ def _check_row_sums(tri: Triangle) -> None:
         bells = _bell_numbers(tri.max_n)
         for n, row in enumerate(tri.rows):
             if sum(row) != bells[n]:
-                raise CacheError(f"stirling2 row {n} fails the Bell-number row sum")
+                raise TriangleInvariantError(f"stirling2 row {n} fails the Bell-number row sum")
         return
     factorial = 1
     for n, row in enumerate(tri.rows):
         if n >= 1:
             factorial *= n
         if sum(row) != factorial:
-            raise CacheError(f"{tri.family.value} row {n} fails the factorial row sum")
+            raise TriangleInvariantError(f"{tri.family.value} row {n} fails the factorial row sum")
 
 
 # ---------------------------------------------------------------------------

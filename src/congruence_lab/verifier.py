@@ -11,7 +11,9 @@ A claim is one theorem id plus a complete parameter tuple.  Its verdict:
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
-deterministic.
+deterministic.  :func:`iter_records` yields the records one at a time and
+:class:`RunningSummary` tallies them as they pass, so a sweep's memory does
+not depend on its size; :func:`run_grids` collects them into a list.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from . import filtered_sums, triangles
 from .bounds import (
+    PARAM_MINIMUM,
     REQUIRED_PARAMS,
     BoundSpec,
     TheoremId,
@@ -29,7 +32,7 @@ from .bounds import (
     sc2_comparison,
 )
 from .errors import ParameterError
-from .exactmath import INFINITY, IntPolynomial, PAdicOrder, ord_p
+from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p
 from .filtered_sums import ResidueClass, Variant
 from .triangles import Family
 
@@ -38,10 +41,12 @@ __all__ = [
     "GridResult",
     "GridSpec",
     "GridSummary",
+    "RunningSummary",
     "Sc2Comparison",
     "Verdict",
     "check_claim",
     "grid_params",
+    "iter_records",
     "required_tables",
     "run_grid",
     "run_grids",
@@ -183,7 +188,8 @@ def check_claim(
     ``params`` must hold every required parameter of the theorem plus the
     residue ``r``.  Tuples outside the theorem's hypotheses come back as
     NOT-APPLICABLE; with ``probe_inapplicable`` the sum, order and raw bound
-    are still computed for inspection (the verdict stays NOT-APPLICABLE).
+    are still computed for inspection (the verdict stays NOT-APPLICABLE).  A
+    SUN tuple with beta > alpha has no FLOOR sum, so it gets only the bound.
     """
     theorem = _coerce_theorem(theorem)
     needed = REQUIRED_PARAMS[theorem] + ("r",)
@@ -204,8 +210,9 @@ def check_claim(
     if not spec.hypotheses_hold():
         total = order = bound = None
         if probe_inapplicable:
-            total = _evaluate(theorem, params, cls)
-            order = ord_p(total, params["p"])
+            if not (theorem is TheoremId.SUN and params["beta"] > params["alpha"]):
+                total = _evaluate(theorem, params, cls)
+                order = ord_p(total, params["p"])
             if theorem is not TheoremId.SC2:
                 bound = bound_exponent(spec)
         return ClaimRecord(
@@ -260,7 +267,9 @@ class GridSpec:
 
     ``residues`` is either the string "all" (one full period 0..d-1, with d
     derived from the other parameters) or an explicit collection of residues.
-    Unused axes must stay empty; used axes must be nonempty.
+    Unused axes must stay empty; used axes must be nonempty.  Every value is
+    checked here (primes, and the minimum of each of n, alpha, beta, l, m),
+    so that a sweep over a constructed grid raises no parameter error.
     """
 
     theorem: TheoremId
@@ -304,6 +313,13 @@ class GridSpec:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
             if name not in needed and values:
                 raise ParameterError(f"{self.theorem.value} grid does not take a {name} axis")
+        for p in self.primes:
+            check_prime(p)
+        values_of = {"n": self.ns, **axes}
+        for name, low in PARAM_MINIMUM.items():
+            values = values_of[name]
+            if values and values[0] < low:  # axes are sorted
+                raise ParameterError(f"{name} must be >= {low}, got {values[0]}")
         if self.theorem is TheoremId.SC2:
             if not self.polys:
                 raise ParameterError("sc2 grid needs at least one polynomial")
@@ -402,19 +418,61 @@ class GridResult:
         return self.summary.verdicts[Verdict.VIOLATION.value]
 
 
+class RunningSummary:
+    """The :class:`GridSummary` of the records passed to :meth:`add` so far."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.verdicts = {v.value: 0 for v in Verdict}
+        self.min_margin: int | None = None
+        self.first_violation: dict[str, Any] | None = None
+
+    def add(self, rec: ClaimRecord) -> None:
+        self.total += 1
+        self.verdicts[rec.verdict.value] += 1
+        if rec.margin is not None and (self.min_margin is None or rec.margin < self.min_margin):
+            self.min_margin = rec.margin
+        if rec.verdict is Verdict.VIOLATION and self.first_violation is None:
+            self.first_violation = dict(rec.params)
+
+    def summary(self) -> GridSummary:
+        return GridSummary(self.total, dict(self.verdicts), self.min_margin, self.first_violation)
+
+
 def summarize(records: Iterable[ClaimRecord]) -> GridSummary:
-    counts = {v.value: 0 for v in Verdict}
-    min_margin: int | None = None
-    first_violation: dict[str, Any] | None = None
-    total = 0
+    running = RunningSummary()
     for rec in records:
-        total += 1
-        counts[rec.verdict.value] += 1
-        if rec.margin is not None and (min_margin is None or rec.margin < min_margin):
-            min_margin = rec.margin
-        if rec.verdict is Verdict.VIOLATION and first_violation is None:
-            first_violation = dict(rec.params)
-    return GridSummary(total, counts, min_margin, first_violation)
+        running.add(rec)
+    return running.summary()
+
+
+def iter_records(
+    grids: Iterable[GridSpec],
+    probe_inapplicable: bool = False,
+    fail_fast: bool = False,
+) -> Iterator[ClaimRecord]:
+    """The record of every tuple of every grid, evaluated serially and lazily,
+    in deterministic order.
+
+    The triangles the grids need are built before this returns, so a
+    :class:`CapacityError` is raised here, before the first record.  With
+    ``fail_fast`` the records stop right after the first VIOLATION.
+    """
+    grids = list(grids)
+    for family, top in required_tables(grids).items():
+        triangles.ensure_rows(family, top)
+    return _records(grids, probe_inapplicable, fail_fast)
+
+
+def _records(
+    grids: list[GridSpec], probe_inapplicable: bool, fail_fast: bool
+) -> Iterator[ClaimRecord]:
+    for grid in grids:
+        for params in grid_params(grid):
+            rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
+            yield rec
+            if fail_fast and rec.verdict is Verdict.VIOLATION:
+                return
 
 
 def run_grids(
@@ -422,23 +480,9 @@ def run_grids(
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> GridResult:
-    """Evaluate every tuple of every grid serially, in deterministic order.
-
-    With ``fail_fast`` the sweep stops right after the first VIOLATION, so
-    that record is the last one.  Raises :class:`CapacityError` up front when
-    a grid needs rows above the limit.
-    """
-    grids = list(grids)
-    for family, top in required_tables(grids).items():
-        triangles.ensure_rows(family, top)
-
-    records: list[ClaimRecord] = []
-    for grid in grids:
-        for params in grid_params(grid):
-            rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
-            records.append(rec)
-            if fail_fast and rec.verdict is Verdict.VIOLATION:
-                return GridResult(records, summarize(records))
+    """Every record of :func:`iter_records`, collected in a list, and their
+    summary."""
+    records = list(iter_records(grids, probe_inapplicable, fail_fast))
     return GridResult(records, summarize(records))
 
 

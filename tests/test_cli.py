@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import time
@@ -9,8 +10,11 @@ import time
 import pytest
 
 from congruence_lab import cli, triangles, verifier
+from congruence_lab.bounds import TheoremId
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
 from congruence_lab.errors import ParameterError
+from congruence_lab.exactmath import IntPolynomial
+from congruence_lab.verifier import GridSpec
 
 
 class TestFlagParsing:
@@ -122,6 +126,37 @@ class TestVerifyCommand:
         assert main(["verify", "sun", "--p", "2", "--n", "1..5"]) == 2  # missing --beta
         assert main(["verify", "sc2", "--p", "2", "--n", "1..5"]) == 2  # missing --f
 
+    @pytest.mark.parametrize("bad", [
+        ["fleck", "--n", "1..3", "--p", "2,4"],
+        ["fleck", "--n", "0..3", "--p", "2"],
+        ["weisman", "--n", "1..3", "--p", "2", "--alpha", "0..1"],
+        ["sun", "--n", "1..3", "--p", "2", "--alpha", "1", "--beta=-1..1", "--l", "0"],
+        ["wan", "--n", "1..3", "--p", "2", "--l=-1..1"],
+        ["sc1", "--n", "1..3", "--p", "2", "--m", "0..2", "--a", "1"],
+    ])
+    def test_bad_grid_value_writes_nothing(self, bad, capsys):
+        assert main(["verify", *bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_probe_inapplicable_sun_beta_above_alpha(self, capsys):
+        args = ["verify", "sun", "--n", "1..3", "--p", "2", "--alpha", "1", "--beta", "0..2",
+                "--l", "0", "--no-timestamp"]
+        assert main(args) == 0
+        plain = json.loads(capsys.readouterr().out)["records"]
+        assert main(args + ["--probe-inapplicable"]) == 0
+        probed = json.loads(capsys.readouterr().out)["records"]
+        assert [r for r in probed if r["params"]["beta"] <= 1] == [
+            r for r in plain if r["params"]["beta"] <= 1
+        ]
+        beyond = [r for r in probed if r["params"]["beta"] == 2]
+        assert len(beyond) == 3 * 4
+        for rec in beyond:
+            assert rec["verdict"] == "NOT-APPLICABLE"
+            assert rec["sum"] is None and rec["ord"] is None
+            assert isinstance(rec["bound"], int)
+
     def test_capacity_exits_3(self, capsys):
         triangles.set_row_limit(20)
         assert main(["verify", "sc1", "--p", "2", "--n", "25..30", "--a", "1", "--m", "1..2"]) == 3
@@ -230,6 +265,122 @@ class TestVerifyCommand:
         assert report["summary"]["first_violation"] == last["params"]
 
 
+def _reference_json(run, records):
+    records = list(records)
+    return json.dumps({
+        "run": run,
+        "records": [rec.to_json_dict() for rec in records],
+        "summary": verifier.summarize(records).to_json_dict(),
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def _wide_records():
+    grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 31), primes=(2, 3), alphas=(1, 2),
+                    ls=(0, 1, 2))
+    return verifier.run_grid(grid).records  # 1620 records
+
+
+def _sc2_records():
+    polys = (IntPolynomial((1,)), IntPolynomial((0, -1, 0, 3)))
+    grid = GridSpec(TheoremId.SC2, ns=range(1, 13), primes=(2, 3), a_values=(-1, 2), polys=polys)
+    return verifier.run_grid(grid).records
+
+
+def _not_applicable_records():
+    grid = GridSpec(TheoremId.EC2, ns=range(1, 9), primes=(2, 3), alphas=(1, 2),
+                    a_values=(-5, 1, 3))
+    return verifier.run_grid(grid).records + verifier.run_grid(grid, True).records
+
+
+RECORD_CASES = {
+    "none": lambda: [],
+    "one chunk": lambda: _wide_records()[:cli.JSON_CHUNK],
+    "one chunk plus one": lambda: _wide_records()[:cli.JSON_CHUNK + 1],
+    "several chunks": _wide_records,
+    "sc2": _sc2_records,
+    "not applicable": _not_applicable_records,
+}
+
+RUN = {"command": "verify", "theorem": "test", "grid": {"n": "1..2"}, "tool_version": "0"}
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_json_equals_one_dumps(self, case):
+        records = RECORD_CASES[case]()
+        out = io.StringIO()
+        summary = cli.render_json_report(out, RUN, iter(records))
+        assert out.getvalue() == _reference_json(RUN, records)
+        assert summary == verifier.summarize(records)
+
+    def test_json_fail_fast_truncation(self, monkeypatch):
+        # the forced violation is claim 616, in the second chunk
+        real_bound = verifier.bound_exponent
+
+        def forced_bound(spec):
+            if (spec.n, spec.p, spec.alpha, spec.l) == (12, 3, 1, 1):
+                return 10**6
+            return real_bound(spec)
+
+        monkeypatch.setattr(verifier, "bound_exponent", forced_bound)
+        grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 21), primes=(2, 3), alphas=(1, 2),
+                        ls=(0, 1, 2))
+        records = list(verifier.iter_records([grid], fail_fast=True))
+        assert len(records) == 616 and records[-1].verdict is verifier.Verdict.VIOLATION
+        out = io.StringIO()
+        cli.render_json_report(out, RUN, verifier.iter_records([grid], fail_fast=True))
+        assert out.getvalue() == _reference_json(RUN, records)
+
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_csv_equals_one_dictwriter(self, case):
+        records = RECORD_CASES[case]()
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=cli.CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for rec in records:
+            data = rec.to_json_dict()
+            row = {"theorem": data["theorem"], **data["params"]}
+            row.update((k, data[k]) for k in ("sum", "ord", "bound", "verdict", "margin")
+                       if data[k] is not None)
+            if "sc2" in data:
+                sc2 = data["sc2"]
+                row.update(sc2_l=sc2["l"], sc2_lhs="" if sc2["lhs"] is None else sc2["lhs"],
+                           sc2_rhs=sc2["rhs"], sc2_satisfied=sc2["satisfied"])
+            writer.writerow(row)
+        out = io.StringIO()
+        summary = cli.render_csv_report(out, iter(records))
+        assert out.getvalue() == want.getvalue()
+        assert summary == verifier.summarize(records)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writes_before_the_records_run_out(self, fmt):
+        records = list(itertools.islice(itertools.cycle(_wide_records()), 3 * cli.JSON_CHUNK + 5))
+        written = []  # records in the output when the writer pulls each record
+
+        class Out:
+            def __init__(self):
+                self.parts, self.records = [], 0
+
+            def write(self, text):
+                self.parts.append(text)
+                self.records += text.count("wan-strong")
+
+        out = Out()
+
+        def watched():
+            for rec in records:
+                written.append(out.records)
+                yield rec
+
+        if fmt == "json":
+            cli.render_json_report(out, RUN, watched())
+            assert "".join(out.parts) == _reference_json(RUN, records)
+        else:
+            cli.render_csv_report(out, watched())
+        assert written[-1] > 0
+        assert max(i - w for i, w in enumerate(written)) < cli.JSON_CHUNK
+
+
 class TestIdentityCommand:
     def test_single_identity(self, capsys):
         assert main(["identity", "e2", "--n-max", "12"]) == 0
@@ -302,12 +453,34 @@ def test_interrupted_out_keeps_the_old_file(command, tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
+@pytest.mark.parametrize("command", ["triangle", "verify"])
+def test_directory_as_out_exits_2(command, tmp_path, capsys):
+    target = tmp_path / "report"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    assert main(OUT_COMMANDS[command] + ["--out", str(target)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]  # no *.tmp
+    assert sorted(p.name for p in target.iterdir()) == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_out_below_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(OUT_COMMANDS["verify"] + ["--out", str(tmp_path / "file" / "r.json")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 class TestExitCodes:
     def test_ctrl_c_exits_130(self, monkeypatch, capsys):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(verifier, "run_grids", interrupted)
+        # the streamed report: interrupted while evaluating its first chunk
+        monkeypatch.setattr(verifier, "check_claim", interrupted)
         assert main(["verify", "fleck", "--p", "2", "--n", "1..5"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from congruence_lab import triangles
-from congruence_lab.errors import CacheError, CapacityError, ParameterError
+from congruence_lab.errors import CapacityError, ParameterError, TriangleInvariantError
 from congruence_lab.exactmath import binom
 from congruence_lab.triangles import Family, Triangle, build
 
@@ -130,5 +130,5 @@ class TestTriangleObject:
         rows = [list(r) for r in good.rows]
         rows[4][2] += 1
         bad = Triangle(Family.STIRLING1, 6, tuple(tuple(r) for r in rows))
-        with pytest.raises(CacheError):
+        with pytest.raises(TriangleInvariantError):
             bad.verify_invariants()

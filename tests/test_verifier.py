@@ -102,6 +102,17 @@ class TestGridSpec:
             GridSpec(TheoremId.SC2, ns=(1,), primes=(2,), a_values=(1,))  # no polynomials
         with pytest.raises(ParameterError):
             GridSpec(TheoremId.FLECK, ns=(1,), primes=(2,), residues="evens")
+        # every value is checked up front, before a sweep writes anything
+        for bad in (
+            dict(theorem=TheoremId.FLECK, ns=(1, 2), primes=(2, 4)),
+            dict(theorem=TheoremId.FLECK, ns=(0, 1), primes=(2,)),
+            dict(theorem=TheoremId.WEISMAN, ns=(1,), primes=(2,), alphas=(0, 1)),
+            dict(theorem=TheoremId.SUN, ns=(1,), primes=(2,), alphas=(1,), betas=(-1, 0), ls=(0,)),
+            dict(theorem=TheoremId.WAN, ns=(1,), primes=(2,), ls=(-1,)),
+            dict(theorem=TheoremId.SC1, ns=(3,), primes=(2,), ms=(0, 1), a_values=(1,)),
+        ):
+            with pytest.raises(ParameterError):
+                GridSpec(**bad)
 
     def test_grid_params_order_and_residues(self):
         grid = GridSpec(TheoremId.WEISMAN, ns=(1, 2), primes=(2,), alphas=(1, 2))
