@@ -24,7 +24,8 @@ memory does not depend on the grid size.  Every grid value is checked before
 the first byte is written.  Every --out file is written under a temporary
 name in its directory and renamed into place when complete, so an interrupted
 run never leaves a truncated file; an interrupted run to stdout may leave a
-partial report there.
+partial report there.  An existing directory at --out is refused before any
+claim or identity check runs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -152,7 +154,9 @@ def _output(path: str | None) -> Iterator[TextIO]:
     renamed over ``path`` only when the block completes.  If the block raises
     (Ctrl-C included), the temporary file is removed and ``path`` is left as
     it was.  An OSError from creating, writing or renaming the file becomes a
-    :class:`CongruenceLabError` naming ``path``.
+    :class:`CongruenceLabError` naming ``path``.  An existing directory at
+    ``path``, which the rename could not replace, is refused before the block
+    runs, so no work is wasted on a report that cannot be written.
     """
     if not path:
         yield sys.stdout
@@ -160,6 +164,9 @@ def _output(path: str | None) -> Iterator[TextIO]:
     target = Path(path)
     tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     try:
+        # os.replace would refuse a directory only after the block has run
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         target.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             yield fh
@@ -382,6 +389,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _identity_report(args: argparse.Namespace, ids: Sequence[str], aggregates: list) -> str:
+    run: dict[str, Any] = {
+        "command": "identity",
+        "ids": list(ids),
+        "tool_version": __version__,
+    }
+    if not args.no_timestamp:
+        run["timestamp"] = _now_stamp()
+    if args.format == "json":
+        return _json_text({"run": run, "checks": aggregates})
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf,
+        fieldnames=("identity", "total", "passed", "failed", "first_failure"),
+        lineterminator="\n",
+    )
+    writer.writeheader()
+    for agg in aggregates:
+        row = dict(agg)
+        row["first_failure"] = (
+            "" if row["first_failure"] is None else json.dumps(row["first_failure"], sort_keys=True)
+        )
+        writer.writerow(row)
+    return buf.getvalue()
+
+
 def cmd_identity(args: argparse.Namespace) -> int:
     ids = identities.IDENTITY_IDS if args.identity == "all" else (args.identity.upper(),)
     kwargs: dict[str, Any] = {}
@@ -399,58 +432,35 @@ def cmd_identity(args: argparse.Namespace) -> int:
     kwargs["seed"] = args.seed
     kwargs["scl3e_limit"] = args.scl3e_limit
 
-    aggregates = []
-    failed_total = 0
-    for identity_id in ids:
-        total = passed = 0
-        first_failure: dict[str, Any] | None = None
-        for result in identities.suite(identity_id, **kwargs):
-            total += 1
-            if result.passed:
-                passed += 1
-            elif first_failure is None:
-                first_failure = {"params": result.params, "witness": result.witness}
-        failed = total - passed
-        failed_total += failed
-        aggregates.append(
-            {
-                "identity": identity_id,
-                "total": total,
-                "passed": passed,
-                "failed": failed,
-                "first_failure": first_failure,
-            }
-        )
-        status = "all passed" if failed == 0 else f"{failed} FAILED"
-        print(f"{identity_id}: {total} checks, {status}")
-
-    if args.out:
-        run: dict[str, Any] = {
-            "command": "identity",
-            "ids": list(ids),
-            "tool_version": __version__,
-        }
-        if not args.no_timestamp:
-            run["timestamp"] = _now_stamp()
-        if args.format == "json":
-            text = _json_text({"run": run, "checks": aggregates})
-        else:
-            buf = io.StringIO()
-            writer = csv.DictWriter(
-                buf,
-                fieldnames=("identity", "total", "passed", "failed", "first_failure"),
-                lineterminator="\n",
+    # the --out file is opened first, so an unwritable path fails before any suite runs
+    with _output(args.out) if args.out else contextlib.nullcontext() as out:
+        aggregates = []
+        failed_total = 0
+        for identity_id in ids:
+            total = passed = 0
+            first_failure: dict[str, Any] | None = None
+            for result in identities.suite(identity_id, **kwargs):
+                total += 1
+                if result.passed:
+                    passed += 1
+                elif first_failure is None:
+                    first_failure = {"params": result.params, "witness": result.witness}
+            failed = total - passed
+            failed_total += failed
+            aggregates.append(
+                {
+                    "identity": identity_id,
+                    "total": total,
+                    "passed": passed,
+                    "failed": failed,
+                    "first_failure": first_failure,
+                }
             )
-            writer.writeheader()
-            for agg in aggregates:
-                row = dict(agg)
-                row["first_failure"] = (
-                    "" if row["first_failure"] is None else json.dumps(row["first_failure"], sort_keys=True)
-                )
-                writer.writerow(row)
-            text = buf.getvalue()
-        with _output(args.out) as out:
-            out.write(text)
+            status = "all passed" if failed == 0 else f"{failed} FAILED"
+            print(f"{identity_id}: {total} checks, {status}")
+
+        if out is not None:
+            out.write(_identity_report(args, ids, aggregates))
     return EXIT_VIOLATION if failed_total else EXIT_OK
 
 

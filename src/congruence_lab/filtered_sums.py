@@ -4,10 +4,15 @@ Every sum here restricts its index k to one residue class and attaches an
 exact integer weight.  No roots-of-unity arithmetic is involved anywhere: the
 classical unity-filter representation is an identity about these sums, not an
 implementation requirement.
+
+The binomial values C(n, k) come from one memoized row per n, built by
+:func:`kernels.binomial_row`, not from ``math.comb`` per claim: a grid runs n
+outermost, so one row serves every (p, alpha, l) tuple and residue of that n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +71,13 @@ def _check_positive(name: str, value: int, minimum: int = 1) -> int:
     return value
 
 
+# typed: a float n gets no row from the cache, so it still fails as math.comb did
+@functools.lru_cache(maxsize=1, typed=True)
+def _binomial_row(n: int) -> tuple:
+    """Row n of Pascal's triangle, kept until a sum asks for another n."""
+    return tuple(kernels.binomial_row(n))
+
+
 def _alternating_weights(cls: ResidueClass, quotients, l: int) -> list:
     """Weights (-1)**k * C(q_j, l) along the members of ``cls``."""
     sign = -1 if cls.residue % 2 else 1
@@ -121,7 +133,7 @@ def fleck_sum(
     else:
         raise ParameterError(f"unknown variant {variant!r}")
     ks = cls.members(n)
-    values = [math.comb(n, k) for k in ks]
+    values = _binomial_row(n)[cls.residue :: cls.modulus]
     if variant is Variant.EXACT:
         # k = r + j * p**alpha, so the exact quotient is the stride index j
         assert (len(values) == 0) or (ks[0] - cls.residue) % p_alpha == 0
@@ -145,8 +157,7 @@ def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> in
         raise ParameterError(
             f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
         )
-    ks = cls.members(n)
-    values = [math.comb(n, k) for k in ks]
+    values = _binomial_row(n)[cls.residue :: cls.modulus]
     weights = kernels.power_steps(-a, cls.residue, cls.modulus, len(values))
     return kernels.dot2(values, weights)
 

@@ -1,5 +1,5 @@
-"""The hot loops of the package: triangle recurrences and exact
-multiply-accumulate over lists.
+"""The hot loops of the package: triangle recurrences, the binomial row and
+exact multiply-accumulate over lists.
 
 All arithmetic stays on Python ints, so results are exact.
 """
@@ -45,6 +45,22 @@ def power_steps(base: int, first_exponent: int, exponent_step: int, count: int) 
             acc = acc * ratio
             out.append(acc)
     return out
+
+
+def binomial_row(n: int) -> list:
+    """Row n of Pascal's triangle: [C(n, 0), ..., C(n, n)] for n >= 0.
+
+    Built from C(n, k+1) = C(n, k) * (n-k) // (k+1); the division is exact,
+    because C(n, k) * (n-k) = C(n, k+1) * (k+1).
+    """
+    if n < 0:
+        raise ValueError("binomial_row: n must be nonnegative")
+    row = [1]
+    c = 1
+    for k in range(n):
+        c = c * (n - k) // (k + 1)
+        row.append(c)
+    return row
 
 
 def stirling1_rows(max_n: int) -> list:

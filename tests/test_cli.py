@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from congruence_lab import cli, triangles, verifier
+from congruence_lab import cli, identities, triangles, verifier
 from congruence_lab.bounds import TheoremId
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
 from congruence_lab.errors import ParameterError
@@ -465,6 +465,32 @@ def test_directory_as_out_exits_2(command, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "identity"])
+def test_directory_as_out_fails_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # a directory at --out is refused before the first claim or suite, not at
+    # the final rename after all of them
+    argv, module, attr = {
+        "verify": (["verify", "wan-strong", "--n", "1..60", "--p", "2,3", "--alpha", "1,2",
+                    "--l", "0..3"], verifier, "check_claim"),
+        "identity": (["identity", "all"], identities, "suite"),
+    }[command]
+    real, calls = getattr(module, attr), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    target = tmp_path / "report"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    assert main(argv + ["--out", str(target)]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", f"error: cannot write {target}: Is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
+    assert [(p.name, p.read_text()) for p in target.iterdir()] == [("kept.txt", "kept\n")]
 
 
 def test_out_below_a_file_exits_2(tmp_path, capsys):

@@ -257,3 +257,26 @@ class TestNaiveOracle:
             n, p, rc, lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - rc) // p, l)
         )
         assert got == want
+
+    def test_revisited_n_gets_its_own_row(self):
+        # the binomial sums keep one row; every change of n, back to an earlier
+        # value included, must replace it
+        for n in (7, 600, 7, 1, 600):
+            for p, alpha, r, l in ((2, 1, 1, 2), (3, 2, 4, 1), (5, 1, 0, 3)):
+                d = p**alpha
+                got = fleck_sum(n, p, alpha, ResidueClass(d, r), l)
+                want = naive_filtered_sum(
+                    n, d, r, lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - r) // d, l)
+                )
+                assert got == want, ("exact", n, p, alpha, r, l)
+                beta = alpha - 1
+                rb = r % p**beta
+                got = fleck_sum(n, p, alpha, ResidueClass(p**beta, rb), l, Variant.FLOOR, beta)
+                want = naive_filtered_sum(
+                    n, p**beta, rb,
+                    lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - rb) // d, l),
+                )
+                assert got == want, ("floor", n, p, alpha, r, l)
+                got = binom_power_sum(n, p, alpha, ResidueClass(d, r), l - 2)
+                want = naive_filtered_sum(n, d, r, lambda k: math.comb(n, k) * (2 - l) ** k)
+                assert got == want, ("power", n, p, alpha, r, l)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from congruence_lab import kernels
@@ -28,3 +30,9 @@ class TestPureKernels:
         assert kernels.stirling1_rows(2) == [[1], [0, 1], [0, 1, 1]]
         assert kernels.stirling2_rows(3) == [[1], [0, 1], [0, 1, 1], [0, 1, 3, 1]]
         assert kernels.eulerian_rows(4) == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
+
+    def test_binomial_row(self):
+        for n in [*range(301), 599, 650, 1000]:
+            assert kernels.binomial_row(n) == [math.comb(n, k) for k in range(n + 1)], n
+        with pytest.raises(ValueError):
+            kernels.binomial_row(-1)
