@@ -1,44 +1,42 @@
-"""Lower-bound exponents for every congruence family, as exact integers.
+"""Every theorem's wiring, one table entry each, and its lower-bound exponent.
 
 Each theorem id names one claim of the form
 
-    ord_p(filtered sum) >= E(parameters)
+    ord_p(sum of the theorem's weighted terms over k = r (mod d)) >= E
 
-with E given below (q abbreviates p**(alpha-1)):
-
-    FLECK          floor((n - 1) / (p - 1))
-    WEISMAN        floor((n - q) / (q (p - 1)))
-    WAN            floor((n - l p - 1) / (p - 1))             [needs n > l p]
-    SUN            floor((n - q - l) / (q (p - 1))) - (l - 1) alpha - beta
-                                                              [needs alpha >= beta >= 0, n >= q]
-    WAN_STRONG     floor((n - q - l p**alpha) / (q (p - 1)))
-    DAVIS_SUN_A    ord_p(floor(n / p**alpha)!) - ord_p(l!)
-    DAVIS_SUN_B    ord_p(floor(n / q)!) - l - ord_p(l!)
-    EC1            ord_p(floor(n / q)!) - ceil((q + l p**alpha) / (q (p - 1)))
-    EC2            ord_p(floor(n / q)!) - 1                   [needs n >= p**alpha, a = 1 (mod p)]
-    SC1            ord_p(n!) - ord_p(m!)
-    SC3            floor((n - p**alpha) / (p**alpha (p - 1))) - ord_p(m!)
+Its entry in :data:`THEOREMS` holds everything the verifier needs: the
+parameters the theorem takes, the class modulus d, the filtered sum, the
+exponent E, the hypotheses (a tuple outside them is NOT-APPLICABLE) and the
+triangle families the sum reads.  Adding a theorem means adding one entry.
 
 SC2 has a real-valued bound, ord_p(n!) - log_p C(n, l) with
-l = min(deg f, floor(n / p)); it is decided exactly through the equivalent
-integer comparison in :func:`sc2_holds`, never through floating point.
+l = min(deg f, floor(n / p)); its entry has no exponent, and the claim is
+decided exactly through the equivalent integer comparison in
+:func:`sc2_holds`, never through floating point.
 
-Bounds may be negative and are returned as-is; interpreting a negative bound
-as trivially satisfied is the verifier's business.
+Exponents may be negative and are returned as-is; interpreting a negative
+bound as trivially satisfied is the verifier's business.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
+from . import filtered_sums
 from .errors import ParameterError
 from .exactmath import IntPolynomial, check_prime, ord_p, ord_p_factorial
+from .filtered_sums import Variant
+from .triangles import Family
 
 __all__ = [
     "BoundSpec",
     "PARAM_MINIMUM",
+    "THEOREMS",
+    "Theorem",
     "TheoremId",
     "bound_exponent",
     "binom_power_inferred_exponent",
@@ -62,20 +60,135 @@ class TheoremId(str, Enum):
     SC3 = "sc3"
 
 
-#: Parameters (besides the residue) each theorem needs.
-REQUIRED_PARAMS: dict[TheoremId, tuple[str, ...]] = {
-    TheoremId.FLECK: ("n", "p"),
-    TheoremId.WEISMAN: ("n", "p", "alpha"),
-    TheoremId.WAN: ("n", "p", "l"),
-    TheoremId.SUN: ("n", "p", "alpha", "beta", "l"),
-    TheoremId.WAN_STRONG: ("n", "p", "alpha", "l"),
-    TheoremId.DAVIS_SUN_A: ("n", "p", "alpha", "l"),
-    TheoremId.DAVIS_SUN_B: ("n", "p", "alpha", "l"),
-    TheoremId.EC1: ("n", "p", "alpha", "l"),
-    TheoremId.EC2: ("n", "p", "alpha", "a"),
-    TheoremId.SC1: ("n", "p", "m", "a"),
-    TheoremId.SC2: ("n", "p", "a", "f"),
-    TheoremId.SC3: ("n", "p", "alpha", "m", "a"),
+def _named(fn: Callable | None) -> tuple[str, ...]:
+    """The parameters a table function names (its ``**_`` takes the rest)."""
+    return fn.__code__.co_varnames[: fn.__code__.co_argcount] if fn else ()
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """What one theorem id means.
+
+    Every function takes the claim's parameters as keywords, names those it
+    reads and takes the rest with ``**_``; ``sum`` also takes the residue
+    class first.  A sum calls its kernel through the :mod:`filtered_sums`
+    module, so the kernel is looked up at call time.
+    """
+
+    params: tuple[str, ...]  # besides the residue r, in the order of verifier.AXIS_FIELDS
+    modulus: Callable[..., int]  # the class modulus d
+    sum: Callable[..., int | None]  # None where the sum is undefined
+    bound: Callable[..., int] | None  # the exponent E; None for SC2
+    hypotheses: Callable[..., bool] | None = None  # None: they always hold
+    tables: tuple[Family, ...] = ()  # the triangle families the sum reads
+
+    @functools.cached_property
+    def spec_params(self) -> tuple[str, ...]:
+        """The parameters the bound and the hypotheses read, which a
+        :class:`BoundSpec` must hold."""
+        return tuple(dict.fromkeys(_named(self.bound) + _named(self.hypotheses)))
+
+
+def _q(p: int, alpha: int) -> int:
+    return p ** (alpha - 1)
+
+
+def _ceil_div(num: int, den: int) -> int:
+    return -((-num) // den)
+
+
+THEOREMS: dict[TheoremId, Theorem] = {
+    TheoremId.FLECK: Theorem(
+        params=("n", "p"),
+        modulus=lambda p, **_: p,
+        sum=lambda cls, n, p, **_: filtered_sums.fleck_sum(n, p, 1, cls, 0),
+        bound=lambda n, p, **_: (n - 1) // (p - 1),
+    ),
+    TheoremId.WEISMAN: Theorem(
+        params=("n", "p", "alpha"),
+        modulus=lambda p, alpha, **_: p**alpha,
+        sum=lambda cls, n, p, alpha, **_: filtered_sums.fleck_sum(n, p, alpha, cls, 0),
+        bound=lambda n, p, alpha, **_: (n - _q(p, alpha)) // (_q(p, alpha) * (p - 1)),
+    ),
+    TheoremId.WAN: Theorem(
+        params=("n", "p", "l"),
+        modulus=lambda p, **_: p,
+        sum=lambda cls, n, p, l, **_: filtered_sums.fleck_sum(n, p, 1, cls, l),
+        bound=lambda n, p, l, **_: (n - l * p - 1) // (p - 1),
+        hypotheses=lambda n, p, l, **_: n > l * p,
+    ),
+    TheoremId.SUN: Theorem(
+        params=("n", "p", "alpha", "beta", "l"),
+        modulus=lambda p, beta, **_: p**beta,
+        # the FLOOR sum needs beta <= alpha; beyond it a probe gets only the bound
+        sum=lambda cls, n, p, alpha, beta, l, **_: None if beta > alpha else (
+            filtered_sums.fleck_sum(n, p, alpha, cls, l, Variant.FLOOR, beta)),
+        bound=lambda n, p, alpha, beta, l, **_: (
+            (n - _q(p, alpha) - l) // (_q(p, alpha) * (p - 1)) - (l - 1) * alpha - beta),
+        hypotheses=lambda n, p, alpha, beta, **_: beta <= alpha and n >= _q(p, alpha),
+    ),
+    TheoremId.WAN_STRONG: Theorem(
+        params=("n", "p", "alpha", "l"),
+        modulus=lambda p, alpha, **_: p**alpha,
+        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
+        bound=lambda n, p, alpha, l, **_: (
+            (n - _q(p, alpha) - l * p**alpha) // (_q(p, alpha) * (p - 1))),
+    ),
+    # the ord_p(l!) correction is required: without it the claim fails
+    # already at n=4, p=2, alpha=1, l=2, r=0 (sum 1, claimed order 1)
+    TheoremId.DAVIS_SUN_A: Theorem(
+        params=("n", "p", "alpha", "l"),
+        modulus=lambda p, alpha, **_: p**alpha,
+        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
+        bound=lambda n, p, alpha, l, **_: (
+            ord_p_factorial(n // p**alpha, p) - ord_p_factorial(l, p)),
+    ),
+    TheoremId.DAVIS_SUN_B: Theorem(
+        params=("n", "p", "alpha", "l"),
+        modulus=lambda p, alpha, **_: p**alpha,
+        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
+        bound=lambda n, p, alpha, l, **_: (
+            ord_p_factorial(n // _q(p, alpha), p) - l - ord_p_factorial(l, p)),
+    ),
+    TheoremId.EC1: Theorem(
+        params=("n", "p", "alpha", "l"),
+        modulus=lambda p, alpha, **_: p**alpha,
+        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.eulerian_wan_sum(n, p, alpha, cls, l),
+        bound=lambda n, p, alpha, l, **_: ord_p_factorial(n // _q(p, alpha), p) - _ceil_div(
+            _q(p, alpha) + l * p**alpha, _q(p, alpha) * (p - 1)),
+        tables=(Family.EULERIAN,),
+    ),
+    TheoremId.EC2: Theorem(
+        params=("n", "p", "alpha", "a"),
+        modulus=lambda p, alpha, **_: p**alpha,
+        sum=lambda cls, n, p, alpha, a, **_: (
+            filtered_sums.eulerian_power_sum(n, p, alpha, cls, a)),
+        bound=lambda n, p, alpha, **_: ord_p_factorial(n // _q(p, alpha), p) - 1,
+        hypotheses=lambda n, p, alpha, a, **_: n >= p**alpha and (a - 1) % p == 0,
+        tables=(Family.EULERIAN,),
+    ),
+    TheoremId.SC1: Theorem(
+        params=("n", "p", "m", "a"),
+        modulus=lambda p, **_: p - 1,
+        sum=lambda cls, n, m, a, **_: filtered_sums.stirling_product_sum(n, m, cls, a),
+        bound=lambda n, p, m, **_: ord_p_factorial(n, p) - ord_p_factorial(m, p),
+        tables=(Family.STIRLING1, Family.STIRLING2),
+    ),
+    TheoremId.SC2: Theorem(
+        params=("n", "p", "a", "f"),
+        modulus=lambda p, **_: p - 1,
+        sum=lambda cls, n, a, f, **_: filtered_sums.stirling_poly_sum(n, f, cls, a),
+        bound=None,
+        tables=(Family.STIRLING1,),
+    ),
+    TheoremId.SC3: Theorem(
+        params=("n", "p", "alpha", "m", "a"),
+        modulus=lambda p, alpha, **_: p**alpha * (p - 1),
+        sum=lambda cls, n, m, a, **_: filtered_sums.stirling_product_sum(n, m, cls, a),
+        bound=lambda n, p, alpha, m, **_: (
+            (n - p**alpha) // (p**alpha * (p - 1)) - ord_p_factorial(m, p)),
+        tables=(Family.STIRLING1, Family.STIRLING2),
+    ),
 }
 
 
@@ -83,10 +196,6 @@ REQUIRED_PARAMS: dict[TheoremId, tuple[str, ...]] = {
 #: prime; a, r and f may be anything).  BoundSpec checks these per claim,
 #: GridSpec once per grid axis.
 PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -((-num) // den)
 
 
 @dataclass(frozen=True)
@@ -107,15 +216,12 @@ class BoundSpec:
         check_prime(self.p)
         if self.n < 1:
             raise ParameterError(f"n must be positive, got {self.n}")
-        needed = REQUIRED_PARAMS[self.theorem]
-        for name in needed:
-            # f never enters a bound formula; a only via the EC2 hypothesis
-            if name == "f" or (name == "a" and self.theorem is not TheoremId.EC2):
-                continue
+        theorem = THEOREMS[self.theorem]
+        for name in theorem.spec_params:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
         # PARAM_MINIMUM spelled out: this runs once per claim
-        if "alpha" in needed and self.alpha is not None and self.alpha < 1:
+        if "alpha" in theorem.params and self.alpha is not None and self.alpha < 1:
             raise ParameterError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta is not None and self.beta < 0:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
@@ -130,14 +236,8 @@ class BoundSpec:
         A failing tuple is NOT-APPLICABLE for verification purposes, while the
         raw formula of :func:`bound_exponent` stays evaluable for probing.
         """
-        t = self.theorem
-        if t is TheoremId.WAN:
-            return self.n > self.l * self.p
-        if t is TheoremId.SUN:
-            return self.beta <= self.alpha and self.n >= self.p ** (self.alpha - 1)
-        if t is TheoremId.EC2:
-            return self.n >= self.p**self.alpha and (self.a - 1) % self.p == 0
-        return True
+        hypotheses = THEOREMS[self.theorem].hypotheses
+        return hypotheses is None or hypotheses(**vars(self))
 
 
 def bound_exponent(spec: BoundSpec) -> int:
@@ -146,38 +246,10 @@ def bound_exponent(spec: BoundSpec) -> int:
     SC2 is the one formula without an integer exponent; asking for it here is
     a parameter error (use :func:`sc2_holds`).
     """
-    t = spec.theorem
-    n, p = spec.n, spec.p
-    if t is TheoremId.FLECK:
-        return (n - 1) // (p - 1)
-    if t is TheoremId.WEISMAN:
-        q = p ** (spec.alpha - 1)
-        return (n - q) // (q * (p - 1))
-    if t is TheoremId.WAN:
-        return (n - spec.l * p - 1) // (p - 1)
-    if t is TheoremId.SUN:
-        q = p ** (spec.alpha - 1)
-        return (n - q - spec.l) // (q * (p - 1)) - (spec.l - 1) * spec.alpha - spec.beta
-    if t is TheoremId.WAN_STRONG:
-        q = p ** (spec.alpha - 1)
-        return (n - q - spec.l * p**spec.alpha) // (q * (p - 1))
-    if t is TheoremId.DAVIS_SUN_A:
-        # the ord_p(l!) correction is required: without it the claim fails
-        # already at n=4, p=2, alpha=1, l=2, r=0 (sum 1, claimed order 1)
-        return ord_p_factorial(n // p**spec.alpha, p) - ord_p_factorial(spec.l, p)
-    if t is TheoremId.DAVIS_SUN_B:
-        return ord_p_factorial(n // p ** (spec.alpha - 1), p) - spec.l - ord_p_factorial(spec.l, p)
-    if t is TheoremId.EC1:
-        q = p ** (spec.alpha - 1)
-        return ord_p_factorial(n // q, p) - _ceil_div(q + spec.l * p**spec.alpha, q * (p - 1))
-    if t is TheoremId.EC2:
-        return ord_p_factorial(n // p ** (spec.alpha - 1), p) - 1
-    if t is TheoremId.SC1:
-        return ord_p_factorial(n, p) - ord_p_factorial(spec.m, p)
-    if t is TheoremId.SC3:
-        pa = p**spec.alpha
-        return (n - pa) // (pa * (p - 1)) - ord_p_factorial(spec.m, p)
-    raise ParameterError(f"{t.value} has no single integer exponent")
+    bound = THEOREMS[spec.theorem].bound
+    if bound is None:
+        raise ParameterError(f"{spec.theorem.value} has no single integer exponent")
+    return bound(**vars(spec))
 
 
 def binom_power_inferred_exponent(n: int, p: int, alpha: int) -> int:

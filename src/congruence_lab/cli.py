@@ -20,11 +20,12 @@ comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 Claims are evaluated serially; --workers is accepted and ignored.  `verify`
 streams its report: records are written as they are evaluated (JSON in
 chunks of ``JSON_CHUNK``, CSV row by row) and the JSON summary last, so
-memory does not depend on the grid size.  Every grid value is checked before
-the first byte is written.  Every --out file is written under a temporary
-name in its directory and renamed into place when complete, so an interrupted
-run never leaves a truncated file; an interrupted run to stdout may leave a
-partial report there.  An existing directory at --out is refused before any
+memory does not depend on the grid size.  Every grid value is checked, and a
+grid flag the theorem does not take is refused, before the first byte is
+written.  Every --out file is written under a temporary name in its
+directory and renamed into place when complete, so an interrupted run never
+leaves a truncated file; an interrupted run to stdout may leave a partial
+report there.  An existing directory at --out is refused before any
 claim or identity check runs.
 """
 
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, identities, triangles, verifier
-from .bounds import REQUIRED_PARAMS, TheoremId
+from .bounds import THEOREMS, TheoremId
 from .errors import CapacityError, CongruenceLabError, ParameterError
 from .exactmath import IntPolynomial, ord_p
 from .filtered_sums import (
@@ -241,60 +242,53 @@ def cmd_sum(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_grids(theorem: TheoremId, args: argparse.Namespace) -> list[GridSpec]:
-    needed = REQUIRED_PARAMS[theorem]
+#: The verify flags that give a parameter's axis, and the value a theorem that
+#: takes the parameter gets when its flag is not given (None: it must be).
+_GRID_FLAGS: dict[str, str | None] = {
+    "alpha": "1", "beta": None, "l": "0", "m": "1..n", "a": "1", "f": None,
+}
+
+
+def _grid_flags(theorem: TheoremId, args: argparse.Namespace) -> dict[str, Any]:
+    """The grid flag text of each parameter the theorem takes (besides n and
+    p), defaults filled in.  A flag for a parameter it does not take is an
+    error, so that no flag is silently dropped."""
+    taken = THEOREMS[theorem].params
+    flags: dict[str, Any] = {}
+    for name, default in _GRID_FLAGS.items():
+        value = getattr(args, name)
+        if name not in taken:
+            if value is not None:
+                raise ParameterError(f"{theorem.value} does not take --{name}")
+        elif value is None and default is None:
+            raise ParameterError(f"{theorem.value} needs --{name}")
+        else:
+            flags[name] = default if value is None else value
+    return flags
+
+
+def _build_grids(
+    theorem: TheoremId, args: argparse.Namespace, flags: dict[str, Any]
+) -> list[GridSpec]:
     ns = parse_int_set(args.n)
-    primes = parse_int_set(args.p)
-    residues = parse_residues(args.r)
-    alphas = parse_int_set(args.alpha) if "alpha" in needed else ()
-    ls = parse_int_set(args.l) if "l" in needed else ()
-    a_values = parse_int_set(args.a) if "a" in needed else ()
-    polys: tuple[IntPolynomial, ...] = ()
-    if theorem is TheoremId.SC2:
-        if not args.f:
-            raise ParameterError("sc2 needs at least one --f polynomial")
-        polys = tuple(IntPolynomial.from_coeff_string(t) for t in args.f)
-
-    common = dict(
-        theorem=theorem,
-        primes=primes,
-        alphas=alphas,
-        ls=ls,
-        a_values=a_values,
-        residues=residues,
-        polys=polys,
+    common: dict[str, Any] = dict(
+        theorem=theorem, primes=parse_int_set(args.p), residues=parse_residues(args.r)
     )
+    for name, text in flags.items():
+        if name == "f":
+            common["polys"] = tuple(IntPolynomial.from_coeff_string(t) for t in text)
+        elif name != "m":
+            common[verifier.AXIS_FIELDS[name]] = parse_int_set(text)
+    if "m" not in flags:
+        return [GridSpec(ns=ns, **common)]
 
-    if "beta" in needed:
-        if args.beta is None:
-            raise ParameterError(f"{theorem.value} needs --beta")
-        return [GridSpec(ns=ns, betas=parse_int_set(args.beta), **common)]
-
-    if "m" in needed:
-        mode, spec = parse_m_axis(args.m)
-        if mode == "static":
-            return [GridSpec(ns=ns, ms=spec, **common)]
-        lo = spec
-        grids = []
-        for n in ns:
-            if n >= lo:
-                grids.append(GridSpec(ns=(n,), ms=tuple(range(lo, n + 1)), **common))
-        if not grids:
-            raise ParameterError(f"--m {args.m!r} matches no n in {args.n!r}")
-        return grids
-
-    return [GridSpec(ns=ns, **common)]
-
-
-def _grid_echo(theorem: TheoremId, args: argparse.Namespace) -> dict[str, Any]:
-    needed = REQUIRED_PARAMS[theorem]
-    echo: dict[str, Any] = {"n": args.n, "p": args.p, "r": args.r}
-    for name, flag in (("alpha", "alpha"), ("beta", "beta"), ("l", "l"), ("m", "m"), ("a", "a")):
-        if name in needed:
-            echo[name] = getattr(args, flag)
-    if theorem is TheoremId.SC2:
-        echo["f"] = list(args.f or ())
-    return echo
+    mode, spec = parse_m_axis(flags["m"])
+    if mode == "static":
+        return [GridSpec(ns=ns, ms=spec, **common)]
+    grids = [GridSpec(ns=(n,), ms=range(spec, n + 1), **common) for n in ns if n >= spec]
+    if not grids:
+        raise ParameterError(f"--m {flags['m']!r} matches no n in {args.n!r}")
+    return grids
 
 
 _RECORDS_OPEN = '{\n  "records": ['
@@ -355,7 +349,8 @@ def render_csv_report(out: TextIO, records: Iterable[ClaimRecord]) -> GridSummar
 
 def cmd_verify(args: argparse.Namespace) -> int:
     theorem = TheoremId(args.theorem)
-    grids = _build_grids(theorem, args)
+    flags = _grid_flags(theorem, args)
+    grids = _build_grids(theorem, args, flags)
     records = verifier.iter_records(
         grids,
         probe_inapplicable=args.probe_inapplicable,
@@ -365,7 +360,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run: dict[str, Any] = {
         "command": "verify",
         "theorem": theorem.value,
-        "grid": _grid_echo(theorem, args),
+        "grid": {"n": args.n, "p": args.p, "r": args.r, **flags},
         "tool_version": __version__,
     }
     if not args.no_timestamp:
@@ -503,11 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("theorem", choices=[t.value for t in TheoremId])
     ver.add_argument("--n", required=True, help='n range, e.g. "1..80"')
     ver.add_argument("--p", required=True, help='prime set, e.g. "2,3,5"')
-    ver.add_argument("--alpha", default="1")
-    ver.add_argument("--beta", default=None)
-    ver.add_argument("--l", default="0")
-    ver.add_argument("--m", default="1..n", help='m range; "1..n" couples the top to n')
-    ver.add_argument("--a", default="1")
+    # the defaults of the axis flags are in _GRID_FLAGS
+    ver.add_argument("--alpha", help='default "1"')
+    ver.add_argument("--beta")
+    ver.add_argument("--l", help='default "0"')
+    ver.add_argument("--m", help='m range, default "1..n"; "1..n" couples the top to n')
+    ver.add_argument("--a", help='default "1"')
     ver.add_argument("--r", default="all", help='residues: "all" or a range/list')
     ver.add_argument("--f", action="append", default=None, help="SC2 polynomial (repeatable)")
     ver.add_argument("--out", default=None, help="report file (default: stdout)")

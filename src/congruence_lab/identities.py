@@ -231,6 +231,10 @@ def scl3e_cases(limit: int = 100) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def suite(
     identity: str,
     *,
@@ -242,43 +246,51 @@ def suite(
     count: int = 200,
     seed: int = 20210,
 ) -> Iterator[IdentityCheckResult]:
-    """Yield the named identity's checks over its default (or overridden) grid."""
+    """Yield the named identity's checks over its default (or overridden) grid.
+
+    A negative bound or count is a parameter error, raised before the first
+    check.
+    """
+    for name, value in (("n_max", n_max), ("l_max", l_max),
+                        ("scl3e_limit", scl3e_limit), ("count", count)):
+        if value is not None and value < 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
     identity = identity.upper()
     if identity == "E1":
-        for n in range(1, (n_max or 12) + 1):
-            for l in range(0, (l_max if l_max is not None else 4) + 1):
+        for n in range(1, _given(n_max, 12) + 1):
+            for l in range(0, _given(l_max, 4) + 1):
                 yield check_e1(n, l)
     elif identity == "E2":
-        for n in range(1, (n_max or 12) + 1):
+        for n in range(1, _given(n_max, 12) + 1):
             yield check_e2(n)
     elif identity == "S3":
-        for n in range(1, (n_max or 20) + 1):
+        for n in range(1, _given(n_max, 20) + 1):
             for k in range(1, n + 1):
                 yield check_s3(n, k)
     elif identity == "SS3":
-        for n in range(1, (n_max or 20) + 1):
+        for n in range(1, _given(n_max, 20) + 1):
             for k in range(1, n + 1):
                 yield check_ss3(n, k)
     elif identity == "S4":
-        for n in range(0, (n_max or 40) + 1):
+        for n in range(0, _given(n_max, 40) + 1):
             for k in range(0, n + 1):
-                for p in primes or (2, 3, 5):
-                    for alpha in alphas or (1, 2):
+                for p in _given(primes, (2, 3, 5)):
+                    for alpha in _given(alphas, (1, 2)):
                         yield check_s4(n, k, p, alpha)
     elif identity == "SCL3E":
         for p, alpha in scl3e_cases(scl3e_limit):
-            if primes and p not in primes:
+            if primes is not None and p not in primes:
                 continue
-            if alphas and alpha not in alphas:
+            if alphas is not None and alpha not in alphas:
                 continue
             yield check_scl3e(p, alpha)
     elif identity == "L31":
         rng = random.Random(seed)
         for _ in range(count):
-            n, p, x, x_prime = random_l31_tuple(rng, n_max or 12, primes or (2, 3, 5))
+            n, p, x, x_prime = random_l31_tuple(rng, _given(n_max, 12), _given(primes, (2, 3, 5)))
             yield check_l31(n, p, x, x_prime)
     elif identity == "L32":
-        for n in range(0, (n_max or 60) + 1):
+        for n in range(0, _given(n_max, 60) + 1):
             for l in range(0, n + 1):
                 for i in range(0, n + 1):
                     yield check_l32(n, l, i)

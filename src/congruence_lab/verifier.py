@@ -9,6 +9,11 @@ A claim is one theorem id plus a complete parameter tuple.  Its verdict:
     HOLDS                nonzero sum with order strictly above the bound
     VIOLATION            nonzero sum with order below the bound
 
+What a theorem means (its parameters, class modulus, sum, bound, hypotheses
+and triangle tables) is looked up in :data:`bounds.THEOREMS`; this module
+holds no per-theorem code except SC2's exact comparison, and
+:func:`check_claim` is the reference evaluation of one claim.
+
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
 deterministic.  :func:`iter_records` yields the records one at a time and
@@ -18,14 +23,15 @@ not depend on its size; :func:`run_grids` collects them into a list.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping
 
-from . import filtered_sums, triangles
+from . import triangles
 from .bounds import (
     PARAM_MINIMUM,
-    REQUIRED_PARAMS,
+    THEOREMS,
     BoundSpec,
     TheoremId,
     bound_exponent,
@@ -33,10 +39,11 @@ from .bounds import (
 )
 from .errors import ParameterError
 from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p
-from .filtered_sums import ResidueClass, Variant
+from .filtered_sums import ResidueClass
 from .triangles import Family
 
 __all__ = [
+    "AXIS_FIELDS",
     "ClaimRecord",
     "GridResult",
     "GridSpec",
@@ -115,49 +122,6 @@ class ClaimRecord:
         return out
 
 
-# --------------------------------------------------------------------------
-# Per-theorem wiring: class modulus and sum evaluation
-# --------------------------------------------------------------------------
-
-
-def _modulus(theorem: TheoremId, params: Mapping[str, Any]) -> int:
-    p = params["p"]
-    if theorem is TheoremId.FLECK or theorem is TheoremId.WAN:
-        return p
-    if theorem is TheoremId.SUN:
-        return p ** params["beta"]
-    if theorem in (TheoremId.SC1, TheoremId.SC2):
-        return p - 1
-    if theorem is TheoremId.SC3:
-        return p ** params["alpha"] * (p - 1)
-    return p ** params["alpha"]
-
-
-def _evaluate(theorem: TheoremId, params: Mapping[str, Any], cls: ResidueClass) -> int:
-    n, p = params["n"], params["p"]
-    if theorem is TheoremId.FLECK:
-        return filtered_sums.fleck_sum(n, p, 1, cls, 0)
-    if theorem is TheoremId.WEISMAN:
-        return filtered_sums.fleck_sum(n, p, params["alpha"], cls, 0)
-    if theorem is TheoremId.WAN:
-        return filtered_sums.fleck_sum(n, p, 1, cls, params["l"])
-    if theorem is TheoremId.SUN:
-        return filtered_sums.fleck_sum(
-            n, p, params["alpha"], cls, params["l"], Variant.FLOOR, params["beta"]
-        )
-    if theorem in (TheoremId.WAN_STRONG, TheoremId.DAVIS_SUN_A, TheoremId.DAVIS_SUN_B):
-        return filtered_sums.fleck_sum(n, p, params["alpha"], cls, params["l"])
-    if theorem is TheoremId.EC1:
-        return filtered_sums.eulerian_wan_sum(n, p, params["alpha"], cls, params["l"])
-    if theorem is TheoremId.EC2:
-        return filtered_sums.eulerian_power_sum(n, p, params["alpha"], cls, params["a"])
-    if theorem in (TheoremId.SC1, TheoremId.SC3):
-        return filtered_sums.stirling_product_sum(n, params["m"], cls, params["a"])
-    if theorem is TheoremId.SC2:
-        return filtered_sums.stirling_poly_sum(n, params["f"], cls, params["a"])
-    raise ParameterError(f"unknown theorem id {theorem!r}")
-
-
 _PARAM_ORDER = ("n", "p", "alpha", "beta", "l", "m", "a", "d", "r", "f")
 
 
@@ -192,36 +156,33 @@ def check_claim(
     SUN tuple with beta > alpha has no FLOOR sum, so it gets only the bound.
     """
     theorem = _coerce_theorem(theorem)
-    needed = REQUIRED_PARAMS[theorem] + ("r",)
-    missing = [name for name in needed if name not in params]
+    wiring = THEOREMS[theorem]
+    missing = [name for name in wiring.params + ("r",) if name not in params]
     if missing:
         raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
-    if theorem is TheoremId.SC2 and not isinstance(params["f"], IntPolynomial):
+    if "f" in wiring.params and not isinstance(params["f"], IntPolynomial):
         raise ParameterError("parameter f must be an IntPolynomial")
 
-    cls = ResidueClass(_modulus(theorem, params), params["r"])
+    cls = ResidueClass(wiring.modulus(**params), params["r"])
     record_params = _record_params(theorem, params, cls)
 
-    spec_kwargs = {
-        name: params[name] for name in REQUIRED_PARAMS[theorem] if name not in ("f",)
-    }
-    spec = BoundSpec(theorem=theorem, **spec_kwargs)
+    spec = BoundSpec(theorem=theorem, **{k: params[k] for k in wiring.params if k != "f"})
 
     if not spec.hypotheses_hold():
         total = order = bound = None
         if probe_inapplicable:
-            if not (theorem is TheoremId.SUN and params["beta"] > params["alpha"]):
-                total = _evaluate(theorem, params, cls)
+            total = wiring.sum(cls, **params)
+            if total is not None:
                 order = ord_p(total, params["p"])
-            if theorem is not TheoremId.SC2:
+            if wiring.bound is not None:
                 bound = bound_exponent(spec)
         return ClaimRecord(
             theorem, record_params, total, order, bound, Verdict.NOT_APPLICABLE, None
         )
 
-    total = _evaluate(theorem, params, cls)
+    total = wiring.sum(cls, **params)
 
-    if theorem is TheoremId.SC2:
+    if wiring.bound is None:  # SC2: decided by the exact integer comparison
         l, lhs, rhs, satisfied = sc2_comparison(
             params["n"], params["p"], params["f"], total
         )
@@ -261,15 +222,31 @@ def _axis(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(v) for v in values)))
 
 
+#: The :class:`GridSpec` field that holds each parameter's axis.  The keys are
+#: in canonical order, which every theorem's ``params`` follows, so the
+#: product of a grid's axes runs in sorted record order.
+AXIS_FIELDS: dict[str, str] = {
+    "n": "ns",
+    "p": "primes",
+    "alpha": "alphas",
+    "beta": "betas",
+    "l": "ls",
+    "m": "ms",
+    "a": "a_values",
+    "f": "polys",
+}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A finite parameter product for one theorem.
 
     ``residues`` is either the string "all" (one full period 0..d-1, with d
     derived from the other parameters) or an explicit collection of residues.
-    Unused axes must stay empty; used axes must be nonempty.  Every value is
-    checked here (primes, and the minimum of each of n, alpha, beta, l, m),
-    so that a sweep over a constructed grid raises no parameter error.
+    The axes of the parameters the theorem takes must be nonempty, the others
+    empty.  Every value is checked here (primes, and the minimum of each of n,
+    alpha, beta, l, m), so that a sweep over a constructed grid raises no
+    parameter error.
     """
 
     theorem: TheoremId
@@ -285,110 +262,46 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theorem", _coerce_theorem(self.theorem))
-        object.__setattr__(self, "ns", _axis(self.ns))
-        object.__setattr__(self, "primes", _axis(self.primes))
-        object.__setattr__(self, "alphas", _axis(self.alphas))
-        object.__setattr__(self, "betas", _axis(self.betas))
-        object.__setattr__(self, "ls", _axis(self.ls))
-        object.__setattr__(self, "ms", _axis(self.ms))
-        object.__setattr__(self, "a_values", _axis(self.a_values))
         if isinstance(self.residues, str):
             if self.residues != "all":
                 raise ParameterError(f"residues must be 'all' or a collection, got {self.residues!r}")
         else:
             object.__setattr__(self, "residues", _axis(self.residues))
-        object.__setattr__(self, "polys", tuple(self.polys))
-        needed = REQUIRED_PARAMS[self.theorem]
-        axes = {
-            "alpha": self.alphas,
-            "beta": self.betas,
-            "l": self.ls,
-            "m": self.ms,
-            "a": self.a_values,
-        }
-        if not self.ns or not self.primes:
-            raise ParameterError("grid needs nonempty n and p axes")
-        for name, values in axes.items():
-            if name in needed and not values:
+        taken = THEOREMS[self.theorem].params
+        for name, field in AXIS_FIELDS.items():
+            values = tuple(getattr(self, field)) if name == "f" else _axis(getattr(self, field))
+            object.__setattr__(self, field, values)
+            if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
-            if name not in needed and values:
+            if name not in taken and values:
                 raise ParameterError(f"{self.theorem.value} grid does not take a {name} axis")
         for p in self.primes:
             check_prime(p)
-        values_of = {"n": self.ns, **axes}
         for name, low in PARAM_MINIMUM.items():
-            values = values_of[name]
+            values = getattr(self, AXIS_FIELDS[name])
             if values and values[0] < low:  # axes are sorted
                 raise ParameterError(f"{name} must be >= {low}, got {values[0]}")
-        if self.theorem is TheoremId.SC2:
-            if not self.polys:
-                raise ParameterError("sc2 grid needs at least one polynomial")
-        elif self.polys:
-            raise ParameterError(f"{self.theorem.value} grid does not take polynomials")
 
 
 def grid_params(grid: GridSpec) -> Iterator[dict[str, Any]]:
-    """All parameter tuples of the grid in sorted (deterministic) order."""
-    theorem = grid.theorem
-    needed = REQUIRED_PARAMS[theorem]
-
-    def axis(name: str) -> tuple:
-        if name not in needed:
-            return (None,)
-        return {
-            "alpha": grid.alphas,
-            "beta": grid.betas,
-            "l": grid.ls,
-            "m": grid.ms,
-            "a": grid.a_values,
-        }[name]
-
-    polys = grid.polys if theorem is TheoremId.SC2 else (None,)
-    for n in grid.ns:
-        for p in grid.primes:
-            for alpha in axis("alpha"):
-                for beta in axis("beta"):
-                    for l in axis("l"):
-                        for m in axis("m"):
-                            for a in axis("a"):
-                                for f in polys:
-                                    params: dict[str, Any] = {"n": n, "p": p}
-                                    if alpha is not None:
-                                        params["alpha"] = alpha
-                                    if beta is not None:
-                                        params["beta"] = beta
-                                    if l is not None:
-                                        params["l"] = l
-                                    if m is not None:
-                                        params["m"] = m
-                                    if a is not None:
-                                        params["a"] = a
-                                    if f is not None:
-                                        params["f"] = f
-                                    d = _modulus(theorem, params)
-                                    if grid.residues == "all":
-                                        rs: Iterable[int] = range(d)
-                                    else:
-                                        rs = sorted({r % d for r in grid.residues})
-                                    for r in rs:
-                                        yield {**params, "r": r}
+    """All parameter tuples of the grid in sorted (deterministic) order: the
+    product of the theorem's axes, each tuple followed by its residues."""
+    wiring = THEOREMS[grid.theorem]
+    axes = [getattr(grid, AXIS_FIELDS[name]) for name in wiring.params]
+    for values in itertools.product(*axes):
+        params = dict(zip(wiring.params, values))
+        d = wiring.modulus(**params)
+        rs = range(d) if grid.residues == "all" else sorted({r % d for r in grid.residues})
+        for r in rs:
+            yield {**params, "r": r}
 
 
 def required_tables(grids: Iterable[GridSpec]) -> dict[Family, int]:
     """Triangle families (with the largest row needed) for a set of grids."""
     needs: dict[Family, int] = {}
     for grid in grids:
-        top = max(grid.ns)
-        if grid.theorem in (TheoremId.EC1, TheoremId.EC2):
-            fams: tuple[Family, ...] = (Family.EULERIAN,)
-        elif grid.theorem in (TheoremId.SC1, TheoremId.SC3):
-            fams = (Family.STIRLING1, Family.STIRLING2)
-        elif grid.theorem is TheoremId.SC2:
-            fams = (Family.STIRLING1,)
-        else:
-            fams = ()
-        for fam in fams:
-            needs[fam] = max(needs.get(fam, 0), top)
+        for family in THEOREMS[grid.theorem].tables:
+            needs[family] = max(needs.get(family, 0), max(grid.ns))
     return needs
 
 

@@ -1,8 +1,10 @@
 import pytest
 
 from congruence_lab.bounds import (
+    THEOREMS,
     BoundSpec,
     TheoremId,
+    _named,
     binom_power_inferred_exponent,
     bound_exponent,
     sc2_comparison,
@@ -11,10 +13,37 @@ from congruence_lab.bounds import (
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import IntPolynomial, ord_p, ord_p_factorial
 from congruence_lab.filtered_sums import ResidueClass, binom_power_sum, stirling_poly_sum
+from congruence_lab.verifier import AXIS_FIELDS
 
 
 def exponent(theorem, **kwargs):
     return bound_exponent(BoundSpec(theorem=theorem, **kwargs))
+
+
+class TestTable:
+    def test_one_entry_per_theorem_id(self):
+        assert len(THEOREMS) == len(TheoremId)
+        assert all(type(key) is TheoremId for key in THEOREMS)
+        assert set(THEOREMS) == set(TheoremId)
+
+    def test_params_follow_the_canonical_order(self):
+        # grid_params takes the product of the axes in this order, which is
+        # the record order of every report
+        canonical = ("n", "p", "alpha", "beta", "l", "m", "a", "f")
+        assert tuple(AXIS_FIELDS) == canonical
+        for theorem, entry in THEOREMS.items():
+            assert entry.params[:2] == ("n", "p"), theorem
+            assert entry.params == tuple(name for name in canonical if name in entry.params)
+
+    def test_functions_read_only_the_theorem_params(self):
+        for theorem, entry in THEOREMS.items():
+            params = set(entry.params)
+            assert set(_named(entry.modulus)) <= params, theorem
+            assert set(_named(entry.sum)) <= params | {"cls"}, theorem
+            assert set(entry.spec_params) <= params - {"f"}, theorem
+
+    def test_only_sc2_has_no_exponent(self):
+        assert [t for t, entry in THEOREMS.items() if entry.bound is None] == [TheoremId.SC2]
 
 
 class TestFormulas:

@@ -133,6 +133,15 @@ class TestVerifyCommand:
         ["sun", "--n", "1..3", "--p", "2", "--alpha", "1", "--beta=-1..1", "--l", "0"],
         ["wan", "--n", "1..3", "--p", "2", "--l=-1..1"],
         ["sc1", "--n", "1..3", "--p", "2", "--m", "0..2", "--a", "1"],
+        # a flag for a parameter the theorem does not take
+        ["fleck", "--n", "1..3", "--p", "2", "--alpha", "1,2", "--beta", "4"],
+        ["wan", "--n", "1..3", "--p", "2", "--alpha", "1"],
+        ["weisman", "--n", "1..3", "--p", "2", "--beta", "0"],
+        ["weisman", "--n", "1..3", "--p", "2", "--l", "0"],
+        ["wan-strong", "--n", "1..3", "--p", "2", "--m", "1..n"],
+        ["ec1", "--n", "1..3", "--p", "2", "--a", "1"],
+        ["sc3", "--n", "1..3", "--p", "2", "--f", "0,1"],
+        ["sc2", "--n", "1..3", "--p", "2", "--f", "1", "--alpha", "1"],
     ])
     def test_bad_grid_value_writes_nothing(self, bad, capsys):
         assert main(["verify", *bad]) == 2
@@ -415,6 +424,33 @@ class TestIdentityCommand:
             ("E1", "E2", "S3", "SS3", "S4", "SCL3E", "L31", "L32")
         )
         assert all(c["failed"] == 0 for c in payload["checks"])
+
+    @pytest.mark.parametrize("argv, line", [
+        (["e2", "--n-max", "0"], "E2: 0 checks, all passed"),
+        (["e2", "--n", "0"], "E2: 0 checks, all passed"),
+        (["l32", "--n-max", "0"], "L32: 1 checks, all passed"),  # n = l = i = 0
+        (["e1", "--n-max", "3", "--l-max", "0"], "E1: 3 checks, all passed"),
+        (["l31", "--count", "0"], "L31: 0 checks, all passed"),
+        (["scl3e", "--scl3e-limit", "0"], "SCL3E: 0 checks, all passed"),
+    ])
+    def test_zero_bound_is_not_the_default(self, argv, line, capsys):
+        assert main(["identity", *argv]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["e2", "--n-max", "-1"],
+        ["e2", "--n=-3..-1"],
+        ["e1", "--l-max", "-1"],
+        ["l31", "--count", "-1"],
+        ["scl3e", "--scl3e-limit", "-1"],
+        ["all", "--n-max", "-1"],
+    ])
+    def test_negative_bound_exits_2(self, argv, tmp_path, capsys):
+        report = tmp_path / "ident.json"
+        assert main(["identity", *argv, "--out", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not report.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "ident.csv"

@@ -135,6 +135,14 @@ class TestResultType:
         assert sum(1 for _ in suite("SCL3E")) == 12
         assert sum(1 for _ in suite("L31", count=17)) == 17
 
+    def test_suite_zero_and_negative_bounds(self):
+        assert list(suite("E2", n_max=0)) == []
+        assert list(suite("E1", n_max=2, l_max=0)) == [check_e1(1, 0), check_e1(2, 0)]
+        assert list(suite("S4", n_max=3, primes=())) == []
+        for kwargs in (dict(n_max=-1), dict(l_max=-1), dict(count=-1), dict(scl3e_limit=-1)):
+            with pytest.raises(ParameterError):
+                next(suite("E2", **kwargs))  # raised before the first check
+
     def test_suite_unknown_id(self):
         with pytest.raises(ParameterError):
             list(suite("nope"))

@@ -1,7 +1,7 @@
 import pytest
 
-from congruence_lab import triangles, verifier
-from congruence_lab.bounds import TheoremId
+from congruence_lab import filtered_sums, triangles, verifier
+from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.errors import CapacityError, ParameterError
 from congruence_lab.exactmath import IntPolynomial
 from congruence_lab.verifier import GridSpec, Verdict, check_claim, grid_params, run_grid, run_grids
@@ -81,6 +81,26 @@ class TestCheckClaim:
             check_claim("nonsense", {"n": 3, "p": 2, "r": 0})
         with pytest.raises(ParameterError):
             GridSpec("nonsense", ns=(1,), primes=(2,))
+
+    def test_sums_are_looked_up_at_call_time(self, monkeypatch):
+        # tracing patches the filtered_sums functions; every theorem must see it
+        called = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("fleck_sum", "eulerian_wan_sum", "eulerian_power_sum",
+                     "stirling_product_sum", "stirling_poly_sum"):
+            monkeypatch.setattr(filtered_sums, name, counted(name, getattr(filtered_sums, name)))
+        params = {"n": 6, "p": 2, "alpha": 1, "beta": 1, "l": 1, "m": 2, "a": 1,
+                  "f": IntPolynomial((0, 1)), "r": 0}
+        for theorem in TheoremId:
+            del called[:]
+            check_claim(theorem, {k: params[k] for k in THEOREMS[theorem].params + ("r",)})
+            assert len(called) == 1, theorem
 
     def test_residue_canonicalized_into_params(self):
         rec = check_claim(TheoremId.FLECK, {"n": 3, "p": 2, "r": -1})
