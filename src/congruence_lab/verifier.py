@@ -11,8 +11,8 @@ A claim is one theorem id plus a complete parameter tuple.  Its verdict:
 
 What a theorem means (its parameters, class modulus, sum, bound, hypotheses
 and triangle tables) is looked up in :data:`bounds.THEOREMS`; this module
-holds no per-theorem code except SC2's exact comparison, and
-:func:`check_claim` is the reference evaluation of one claim.
+holds no per-theorem code except SC2's exact comparison and its record
+fields, and :func:`check_claim` is the reference evaluation of one claim.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
