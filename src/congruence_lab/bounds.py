@@ -71,8 +71,14 @@ class Theorem:
 
     Every function takes the claim's parameters as keywords, names those it
     reads and takes the rest with ``**_``; ``sum`` also takes the residue
-    class first.  A sum calls its kernel through the :mod:`filtered_sums`
-    module, so the kernel is looked up at call time.
+    class first, and ``sums`` may name the modulus ``d``.  A sum calls its
+    kernel through the :mod:`filtered_sums` module, so the kernel is looked
+    up at call time.
+
+    ``sums``, where a theorem has it, returns the sums of all d residue
+    classes in residue order, each equal to what ``sum`` gives for that
+    class; the verifier's per-tuple path uses it, and falls back to one
+    ``sum`` per residue without it.
     """
 
     params: tuple[str, ...]  # besides the residue r, in the order of verifier.AXIS_FIELDS
@@ -81,6 +87,7 @@ class Theorem:
     bound: Callable[..., int] | None  # the exponent E; None for SC2
     hypotheses: Callable[..., bool] | None = None  # None: they always hold
     tables: tuple[Family, ...] = ()  # the triangle families the sum reads
+    sums: Callable[..., list[int]] | None = None  # every residue's sum at once
 
     @functools.cached_property
     def spec_params(self) -> tuple[str, ...]:
@@ -103,12 +110,14 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, **_: p,
         sum=lambda cls, n, p, **_: filtered_sums.fleck_sum(n, p, 1, cls, 0),
         bound=lambda n, p, **_: (n - 1) // (p - 1),
+        sums=lambda n, p, **_: filtered_sums.fleck_sums(n, p, 1, 0),
     ),
     TheoremId.WEISMAN: Theorem(
         params=("n", "p", "alpha"),
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, p, alpha, **_: filtered_sums.fleck_sum(n, p, alpha, cls, 0),
         bound=lambda n, p, alpha, **_: (n - _q(p, alpha)) // (_q(p, alpha) * (p - 1)),
+        sums=lambda n, p, alpha, **_: filtered_sums.fleck_sums(n, p, alpha, 0),
     ),
     TheoremId.WAN: Theorem(
         params=("n", "p", "l"),
@@ -116,6 +125,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, p, l, **_: filtered_sums.fleck_sum(n, p, 1, cls, l),
         bound=lambda n, p, l, **_: (n - l * p - 1) // (p - 1),
         hypotheses=lambda n, p, l, **_: n > l * p,
+        sums=lambda n, p, l, **_: filtered_sums.fleck_sums(n, p, 1, l),
     ),
     TheoremId.SUN: Theorem(
         params=("n", "p", "alpha", "beta", "l"),
@@ -133,6 +143,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             (n - _q(p, alpha) - l * p**alpha) // (_q(p, alpha) * (p - 1))),
+        sums=lambda n, p, alpha, l, **_: filtered_sums.fleck_sums(n, p, alpha, l),
     ),
     # the ord_p(l!) correction is required: without it the claim fails
     # already at n=4, p=2, alpha=1, l=2, r=0 (sum 1, claimed order 1)
@@ -142,6 +153,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // p**alpha, p) - ord_p_factorial(l, p)),
+        sums=lambda n, p, alpha, l, **_: filtered_sums.fleck_sums(n, p, alpha, l),
     ),
     TheoremId.DAVIS_SUN_B: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -149,6 +161,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // _q(p, alpha), p) - l - ord_p_factorial(l, p)),
+        sums=lambda n, p, alpha, l, **_: filtered_sums.fleck_sums(n, p, alpha, l),
     ),
     TheoremId.EC1: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -173,6 +186,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, m, a, **_: filtered_sums.stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, m, **_: ord_p_factorial(n, p) - ord_p_factorial(m, p),
         tables=(Family.STIRLING1, Family.STIRLING2),
+        sums=lambda n, m, a, d, **_: filtered_sums.stirling_product_sums(n, m, d, a),
     ),
     TheoremId.SC2: Theorem(
         params=("n", "p", "a", "f"),
@@ -188,6 +202,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         bound=lambda n, p, alpha, m, **_: (
             (n - p**alpha) // (p**alpha * (p - 1)) - ord_p_factorial(m, p)),
         tables=(Family.STIRLING1, Family.STIRLING2),
+        sums=lambda n, m, a, d, **_: filtered_sums.stirling_product_sums(n, m, d, a),
     ),
 }
 

@@ -17,12 +17,17 @@ residues also accept "all".  The --m axis of the Stirling sweeps additionally
 accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
-Claims are evaluated serially; --workers is accepted and ignored.  `verify`
-streams its report: records are written as they are evaluated (JSON in
-chunks of ``JSON_CHUNK``, CSV row by row) and the JSON summary last, so
-memory does not depend on the grid size.  Every grid value is checked, and a
-grid flag the theorem does not take is refused, before the first byte is
-written.  Every --out file is written under a temporary name in its
+Claims are evaluated serially, one parameter tuple (all its residue
+classes) at a time through ``verifier.check_tuple``, or one claim at a time
+through ``verifier.check_claim`` with --fail-fast; --workers must be at
+least 1 and is otherwise ignored.  `verify` streams its report: records are
+written as they are evaluated (JSON in chunks of ``JSON_CHUNK``, CSV row by
+row) and the JSON summary last, so memory does not depend on the grid size.
+Each record is rendered from a fixed layout (``_record_json``, one
+``csv.writer`` row from ``_record_csv``) that gives the bytes ``json.dumps``
+with indent=2 and sorted keys, and ``csv.DictWriter``, gave.  Every grid
+value is checked, and a grid flag the theorem does not take is refused,
+before the first byte is written.  Every --out file is written under a temporary name in its
 directory and renamed into place when complete, so an interrupted run never
 leaves a truncated file; an interrupted run to stdout may leave a partial
 report there.  An existing directory at --out is refused before any
@@ -35,12 +40,14 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import io
 import itertools
 import json
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
@@ -68,8 +75,7 @@ EXIT_CAPACITY = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
-# records per json.dumps call: with indent, json runs its pure-Python encoder
-# and builds it anew on every call, so one call per record is much slower
+# JSON records rendered per write
 JSON_CHUNK = 512
 
 CSV_COLUMNS = (
@@ -294,26 +300,89 @@ def _build_grids(
 _RECORDS_OPEN = '{\n  "records": ['
 
 
+@functools.lru_cache(maxsize=None)
+def _params_layout(keys: tuple[str, ...]) -> str:
+    """The ``str.format`` template of a record's params object with these
+    keys: sorted, at report indentation.  A theorem's records share one key
+    set, so the cache holds at most one entry per theorem."""
+    if not keys:
+        return "{{}}"
+    lines = ",\n".join(f'        "{key}": {{{key}}}' for key in sorted(keys))
+    return "{{\n" + lines + "\n      }}"
+
+
+def _record_json(rec: ClaimRecord) -> str:
+    """``_json_text`` of ``rec.to_json_dict()`` as one item of the report's
+    records list: the same bytes, from a fixed layout.  Params are integers
+    except SC2's coefficient string ``f``.  (``_value_`` is an enum member's
+    value without the ``value`` property's descriptor call.)"""
+    params = rec.params
+    if "f" in params:
+        params = {**params, "f": encode_basestring_ascii(params["f"])}
+    if rec.theorem is TheoremId.SC2:
+        bound = '"sc2"'
+    else:
+        bound = "null" if rec.bound is None else rec.bound
+    order = rec.order
+    if order is not None:
+        order = '"inf"' if order.is_infinite else order.value
+    total = "null" if rec.total is None else f'"{rec.total}"'
+    sc2 = ""
+    if rec.sc2 is not None:
+        lhs = "null" if rec.sc2.lhs is None else f'"{rec.sc2.lhs}"'
+        satisfied = "true" if rec.sc2.satisfied else "false"
+        sc2 = (f'      "sc2": {{\n        "l": {rec.sc2.l},\n        "lhs": {lhs},\n'
+               f'        "rhs": "{rec.sc2.rhs}",\n        "satisfied": {satisfied}\n      }},\n')
+    return (
+        f'    {{\n      "bound": {bound},\n'
+        f'      "margin": {"null" if rec.margin is None else rec.margin},\n'
+        f'      "ord": {"null" if order is None else order},\n'
+        f'      "params": {_params_layout(tuple(params)).format_map(params)},\n{sc2}'
+        f'      "sum": {total},\n'
+        f'      "theorem": "{rec.theorem._value_}",\n'
+        f'      "verdict": "{rec.verdict._value_}"\n    }}'
+    )
+
+
+def _record_csv(rec: ClaimRecord) -> list[Any]:
+    """The CSV row of ``rec``, in ``CSV_COLUMNS`` order (csv writes None as
+    an empty field)."""
+    order = rec.order
+    if order is not None:
+        order = "inf" if order.is_infinite else order.value
+    sc2 = rec.sc2
+    return [
+        rec.theorem._value_, *map(rec.params.get, CSV_COLUMNS[1:11]), rec.total, order,
+        "sc2" if rec.theorem is TheoremId.SC2 else rec.bound, rec.verdict._value_, rec.margin,
+        *((None,) * 4 if sc2 is None else (sc2.l, sc2.lhs, sc2.rhs, sc2.satisfied)),
+    ]
+
+
+def _tallied(
+    records: Iterable[ClaimRecord], summary: verifier.RunningSummary
+) -> Iterator[ClaimRecord]:
+    """The records, each added to ``summary`` as it passes."""
+    for rec in records:
+        summary.add(rec)
+        yield rec
+
+
 def render_json_report(
     out: TextIO, run: dict[str, Any], records: Iterable[ClaimRecord]
 ) -> GridSummary:
     """Write ``_json_text({"run": run, "records": ..., "summary": ...})`` to
     ``out`` as the records arrive, and return the summary.
 
-    Sorted keys put "records" first, so each chunk of ``JSON_CHUNK`` records is
-    rendered as a list, stripped of its brackets, indented one level deeper
-    and written; the run and the summary follow the last record.  Nothing is
-    written before the first chunk is complete.
+    Sorted keys put "records" first, so each record is rendered by
+    :func:`_record_json` as it arrives and written ``JSON_CHUNK`` at a time;
+    the run and the summary follow the last record.  Nothing is written
+    before the first chunk is complete.
     """
     summary = verifier.RunningSummary()
+    texts = map(_record_json, _tallied(records, summary))
     started = False
-    records = iter(records)
-    while chunk := list(itertools.islice(records, JSON_CHUNK)):
-        for rec in chunk:
-            summary.add(rec)
-        items = json.dumps([rec.to_json_dict() for rec in chunk], indent=2, sort_keys=True)
-        out.write((",\n" if started else _RECORDS_OPEN + "\n")
-                  + "  " + items[2:-2].replace("\n", "\n  "))
+    while chunk := list(itertools.islice(texts, JSON_CHUNK)):
+        out.write((",\n" if started else _RECORDS_OPEN + "\n") + ",\n".join(chunk))
         started = True
     result = summary.summary()
     # the report with no records, from the "]" that closes them on
@@ -326,28 +395,15 @@ def render_csv_report(out: TextIO, records: Iterable[ClaimRecord]) -> GridSummar
     """Write the records to ``out`` as CSV rows as they arrive, and return
     their summary."""
     summary = verifier.RunningSummary()
-    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        summary.add(rec)
-        data = rec.to_json_dict()
-        row = {key: "" for key in CSV_COLUMNS}
-        row["theorem"] = data["theorem"]
-        for key, value in data["params"].items():
-            row[key] = value
-        for key in ("sum", "ord", "bound", "verdict", "margin"):
-            if data[key] is not None:
-                row[key] = data[key]
-        if "sc2" in data:
-            row["sc2_l"] = data["sc2"]["l"]
-            row["sc2_lhs"] = "" if data["sc2"]["lhs"] is None else data["sc2"]["lhs"]
-            row["sc2_rhs"] = data["sc2"]["rhs"]
-            row["sc2_satisfied"] = data["sc2"]["satisfied"]
-        writer.writerow(row)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(_record_csv, _tallied(records, summary)))
     return summary.summary()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     theorem = TheoremId(args.theorem)
     flags = _grid_flags(theorem, args)
     grids = _build_grids(theorem, args, flags)
@@ -509,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None, help="report file (default: stdout)")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored: claims are evaluated serially")
+                     help="at least 1, otherwise ignored: claims are evaluated serially")
     ver.add_argument("--no-timestamp", action="store_true")
     ver.add_argument("--probe-inapplicable", action="store_true",
                      help="compute sums and orders even for NOT-APPLICABLE tuples")

@@ -8,6 +8,11 @@ implementation requirement.
 The binomial values C(n, k) come from one memoized row per n, built by
 :func:`kernels.binomial_row`, not from ``math.comb`` per claim: a grid runs n
 outermost, so one row serves every (p, alpha, l) tuple and residue of that n.
+
+:func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
+residue class of one modulus at once, in residue order, equal to one call of
+:func:`fleck_sum` (EXACT) or :func:`stirling_product_sum` per residue: the
+verifier evaluates a parameter tuple's d claims with one of them.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ __all__ = [
     "eulerian_power_sum",
     "eulerian_wan_sum",
     "fleck_sum",
+    "fleck_sums",
     "stirling_poly_sum",
     "stirling_product_sum",
+    "stirling_product_sums",
 ]
 
 
@@ -144,6 +151,31 @@ def fleck_sum(
     return kernels.dot2(values, weights)
 
 
+def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
+    """The EXACT :func:`fleck_sum` of every residue r = 0..p**alpha - 1.
+
+    Member j of class r is k = r + j * p**alpha, with weight
+    (-1)**k C(j, l) = (-1)**r (-1)**(j * p**alpha) C(j, l), so one binomial
+    row and one weight list serve every residue.
+    """
+    check_prime(p)
+    _check_positive("n", n)
+    _check_positive("alpha", alpha)
+    if l < 0:
+        raise ParameterError(f"l must be >= 0, got {l}")
+    d = p**alpha
+    row = _binomial_row(n)
+    weights = [math.comb(j, l) for j in range(n // d + 1)]
+    if d % 2:
+        weights[1::2] = [-w for w in weights[1::2]]
+    totals = []
+    for r in range(d):
+        values = row[r::d]
+        totals.append(kernels.dot2(values, weights[: len(values)]))
+    totals[1::2] = [-t for t in totals[1::2]]
+    return totals
+
+
 def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> int:
     """Filtered binomial power sum:
     sum over k = r (mod p**alpha), 0 <= k <= n, of C(n, k) (-a)**k.
@@ -215,6 +247,22 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
     ys = [tri2.value(k, m) for k in ks]
     weights = kernels.power_steps(a, cls.residue, cls.modulus, len(xs))
     return kernels.dot3(xs, ys, weights)
+
+
+def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
+    """The :func:`stirling_product_sum` of every residue r = 0..d-1, from one
+    pass over k that adds each term to the total of k mod d."""
+    _check_positive("n", n)
+    _check_positive("m", m)
+    _check_positive("d", d)
+    srow = triangles.stirling1_row(n)
+    rows2 = triangles.ensure_rows(Family.STIRLING2, n).rows
+    totals = [0] * d
+    power = a**m  # S(k, m) = 0 for k < m
+    for k in range(m, n + 1):
+        totals[k % d] += srow[k] * rows2[k][m] * power
+        power *= a
+    return totals
 
 
 def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> int:

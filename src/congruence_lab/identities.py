@@ -248,13 +248,19 @@ def suite(
 ) -> Iterator[IdentityCheckResult]:
     """Yield the named identity's checks over its default (or overridden) grid.
 
-    A negative bound or count is a parameter error, raised before the first
-    check.
+    A negative bound or count, a prime that is not one and an alpha below 1
+    are parameter errors, raised before the first check, whether or not the
+    identity reads them.
     """
     for name, value in (("n_max", n_max), ("l_max", l_max),
                         ("scl3e_limit", scl3e_limit), ("count", count)):
         if value is not None and value < 0:
             raise ParameterError(f"{name} must be >= 0, got {value}")
+    for p in primes or ():
+        check_prime(p)
+    for alpha in alphas or ():
+        if alpha < 1:
+            raise ParameterError(f"alpha must be >= 1, got {alpha}")
     identity = identity.upper()
     if identity == "E1":
         for n in range(1, _given(n_max, 12) + 1):

@@ -20,7 +20,6 @@ is one row, entries space-separated decimal strings.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -147,7 +146,6 @@ def _check_row_sums(tri: Triangle) -> None:
 # Shared in-process tables
 # ---------------------------------------------------------------------------
 
-_lock = threading.Lock()
 _shared: dict[Family, Triangle] = {}
 _row_limit = DEFAULT_ROW_LIMIT
 
@@ -161,16 +159,14 @@ def set_row_limit(limit: int) -> None:
     global _row_limit
     if limit < 0:
         raise ParameterError(f"row limit must be >= 0, got {limit}")
-    with _lock:
-        _row_limit = limit
+    _row_limit = limit
 
 
 def reset_shared() -> None:
     """Drop the shared tables and restore the default row limit (tests)."""
     global _row_limit
-    with _lock:
-        _shared.clear()
-        _row_limit = DEFAULT_ROW_LIMIT
+    _shared.clear()
+    _row_limit = DEFAULT_ROW_LIMIT
 
 
 def ensure_rows(family: Family, n: int) -> Triangle:
@@ -182,15 +178,11 @@ def ensure_rows(family: Family, n: int) -> Triangle:
     if n > _row_limit:
         raise CapacityError(f"row {n} exceeds the configured row limit {_row_limit}")
     tri = _shared.get(family)
-    if tri is not None and tri.max_n >= n:
-        return tri
-    with _lock:
-        tri = _shared.get(family)
-        if tri is None or tri.max_n < n:
-            grown = max(n, 16, 2 * tri.max_n if tri is not None else 0)
-            tri = build(family, min(grown, _row_limit))
-            _shared[family] = tri
-        return tri
+    if tri is None or tri.max_n < n:
+        grown = max(n, 16, 2 * tri.max_n if tri is not None else 0)
+        tri = build(family, min(grown, _row_limit))
+        _shared[family] = tri
+    return tri
 
 
 def stirling1(n: int, k: int) -> int:

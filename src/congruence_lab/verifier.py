@@ -12,11 +12,21 @@ A claim is one theorem id plus a complete parameter tuple.  Its verdict:
 What a theorem means (its parameters, class modulus, sum, bound, hypotheses
 and triangle tables) is looked up in :data:`bounds.THEOREMS`; this module
 holds no per-theorem code except SC2's exact comparison and its record
-fields, and :func:`check_claim` is the reference evaluation of one claim.
+fields.
+
+Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
+the reference evaluation, the library call and the ``fail_fast`` path.
+:func:`check_tuple` evaluates all residue classes of one parameter tuple,
+with one bound spec, one hypotheses check and one bound, and with one pass
+for all d sums where the theorem has a ``sums``; it gives the same records as
+one :func:`check_claim` per residue, and sweeps use it unless ``fail_fast``
+is set.  Both look up ``BoundSpec``, ``bound_exponent`` and ``ord_p`` as
+globals of this module, so that a patch of one of them reaches either path.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
-deterministic.  :func:`iter_records` yields the records one at a time and
+deterministic.  :func:`iter_records` yields the records one at a time (a
+tuple's records at a time, without ``fail_fast``) and
 :class:`RunningSummary` tallies them as they pass, so a sweep's memory does
 not depend on its size; :func:`run_grids` collects them into a list.
 """
@@ -52,6 +62,7 @@ __all__ = [
     "Sc2Comparison",
     "Verdict",
     "check_claim",
+    "check_tuple",
     "grid_params",
     "iter_records",
     "required_tables",
@@ -213,6 +224,85 @@ def check_claim(
     return ClaimRecord(theorem, record_params, total, order, bound, verdict, margin)
 
 
+def _residues(residues: str | Iterable[int], d: int) -> range | list[int]:
+    """Every residue modulo d ("all"), or the given ones reduced modulo d,
+    sorted and deduplicated."""
+    return range(d) if residues == "all" else sorted({r % d for r in residues})
+
+
+def check_tuple(
+    theorem: TheoremId | str,
+    params: Mapping[str, Any],
+    residues: str | Iterable[int] = "all",
+    probe_inapplicable: bool = False,
+) -> list[ClaimRecord]:
+    """The records of one parameter tuple, one per residue class, in residue
+    order: ``[check_claim(theorem, {**params, "r": r}, probe_inapplicable)
+    for r in rs]``, where rs is every residue modulo the class modulus d
+    ("all") or the given residues reduced modulo d, sorted and deduplicated.
+    ``params`` holds the theorem's parameters; any ``r`` in it is ignored.
+
+    The bound spec, the hypotheses and the bound are evaluated once for the
+    tuple, and a theorem with a one-pass ``sums`` computes all d sums at once.
+    """
+    theorem = _coerce_theorem(theorem)
+    wiring = THEOREMS[theorem]
+    missing = [name for name in wiring.params if name not in params]
+    if missing:
+        raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
+    if "f" in wiring.params and not isinstance(params["f"], IntPolynomial):
+        raise ParameterError("parameter f must be an IntPolynomial")
+    params = {name: params[name] for name in wiring.params}
+
+    p = params["p"]
+    d = wiring.modulus(**params)
+    rs = _residues(residues, d)
+    base = _record_params(theorem, params, ResidueClass(d, 0))
+    spec = BoundSpec(theorem=theorem, **{k: v for k, v in params.items() if k != "f"})
+    applicable = spec.hypotheses_hold()
+    if not (applicable or probe_inapplicable):
+        return [ClaimRecord(theorem, {**base, "r": r}, None, None, None,
+                            Verdict.NOT_APPLICABLE, None) for r in rs]
+
+    if wiring.sums is not None:
+        every = wiring.sums(d=d, **params)
+        totals = [every[r] for r in rs]
+    else:
+        totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
+    bound = None if wiring.bound is None else bound_exponent(spec)
+
+    records = []
+    for r, total in zip(rs, totals):
+        if total is None:  # probed sun with beta > alpha: the bound only
+            order = None
+        else:
+            order = INFINITY if total == 0 else ord_p(total, p)
+        margin = comparison = None
+        if not applicable:  # probed: sums, orders and the raw bound, for inspection
+            verdict = Verdict.NOT_APPLICABLE
+        elif bound is None:  # SC2: decided by the exact integer comparison
+            comparison = Sc2Comparison(*sc2_comparison(params["n"], p, params["f"], total))
+            if total == 0:
+                verdict = Verdict.HOLDS_VACUOUS
+            else:
+                verdict = Verdict.HOLDS if comparison.satisfied else Verdict.VIOLATION
+        elif total == 0:
+            verdict = Verdict.HOLDS_VACUOUS
+        else:
+            margin = order.value - bound
+            if bound < 0:
+                verdict = Verdict.HOLDS_TRIVIAL_BOUND
+            elif margin == 0:
+                verdict = Verdict.TIGHT
+            elif margin > 0:
+                verdict = Verdict.HOLDS
+            else:
+                verdict = Verdict.VIOLATION
+        records.append(ClaimRecord(theorem, {**base, "r": r}, total, order, bound, verdict,
+                                   margin, comparison))
+    return records
+
+
 # --------------------------------------------------------------------------
 # Grids
 # --------------------------------------------------------------------------
@@ -283,16 +373,20 @@ class GridSpec:
                 raise ParameterError(f"{name} must be >= {low}, got {values[0]}")
 
 
+def _grid_tuples(grid: GridSpec) -> Iterator[dict[str, Any]]:
+    """The parameter tuples of the grid, without residues, in sorted order:
+    the product of the theorem's axes."""
+    names = THEOREMS[grid.theorem].params
+    for values in itertools.product(*(getattr(grid, AXIS_FIELDS[name]) for name in names)):
+        yield dict(zip(names, values))
+
+
 def grid_params(grid: GridSpec) -> Iterator[dict[str, Any]]:
-    """All parameter tuples of the grid in sorted (deterministic) order: the
-    product of the theorem's axes, each tuple followed by its residues."""
+    """All claims' parameters of the grid in sorted (deterministic) order:
+    each tuple of :func:`_grid_tuples` followed by its residues."""
     wiring = THEOREMS[grid.theorem]
-    axes = [getattr(grid, AXIS_FIELDS[name]) for name in wiring.params]
-    for values in itertools.product(*axes):
-        params = dict(zip(wiring.params, values))
-        d = wiring.modulus(**params)
-        rs = range(d) if grid.residues == "all" else sorted({r % d for r in grid.residues})
-        for r in rs:
+    for params in _grid_tuples(grid):
+        for r in _residues(grid.residues, wiring.modulus(**params)):
             yield {**params, "r": r}
 
 
@@ -342,7 +436,7 @@ class RunningSummary:
 
     def add(self, rec: ClaimRecord) -> None:
         self.total += 1
-        self.verdicts[rec.verdict.value] += 1
+        self.verdicts[rec.verdict._value_] += 1  # .value is a slower descriptor
         if rec.margin is not None and (self.min_margin is None or rec.margin < self.min_margin):
             self.min_margin = rec.margin
         if rec.verdict is Verdict.VIOLATION and self.first_violation is None:
@@ -368,8 +462,10 @@ def iter_records(
     in deterministic order.
 
     The triangles the grids need are built before this returns, so a
-    :class:`CapacityError` is raised here, before the first record.  With
-    ``fail_fast`` the records stop right after the first VIOLATION.
+    :class:`CapacityError` is raised here, before the first record.  Each
+    tuple is evaluated by :func:`check_tuple`; with ``fail_fast`` each claim
+    is evaluated by :func:`check_claim` instead, and the records stop right
+    after the first VIOLATION.
     """
     grids = list(grids)
     for family, top in required_tables(grids).items():
@@ -381,11 +477,15 @@ def _records(
     grids: list[GridSpec], probe_inapplicable: bool, fail_fast: bool
 ) -> Iterator[ClaimRecord]:
     for grid in grids:
-        for params in grid_params(grid):
-            rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
-            yield rec
-            if fail_fast and rec.verdict is Verdict.VIOLATION:
-                return
+        if fail_fast:  # claim by claim, so that the work stops at the violation
+            for params in grid_params(grid):
+                rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
+                yield rec
+                if rec.verdict is Verdict.VIOLATION:
+                    return
+        else:
+            for params in _grid_tuples(grid):
+                yield from check_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
 
 
 def run_grids(

@@ -40,7 +40,15 @@ class TestTable:
             params = set(entry.params)
             assert set(_named(entry.modulus)) <= params, theorem
             assert set(_named(entry.sum)) <= params | {"cls"}, theorem
+            assert set(_named(entry.sums)) <= params | {"d"}, theorem
             assert set(entry.spec_params) <= params - {"f"}, theorem
+
+    def test_one_pass_sums(self):
+        # the binomial EXACT sums and the Stirling product sums; the rest
+        # fall back to one sum per residue
+        assert {t.value for t, entry in THEOREMS.items() if entry.sums is not None} == {
+            "fleck", "weisman", "wan", "wan-strong", "davis-sun-a", "davis-sun-b", "sc1", "sc3",
+        }
 
     def test_only_sc2_has_no_exponent(self):
         assert [t for t, entry in THEOREMS.items() if entry.bound is None] == [TheoremId.SC2]

@@ -8,13 +8,15 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab import cli, identities, triangles, verifier
 from congruence_lab.bounds import TheoremId
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
 from congruence_lab.errors import ParameterError
-from congruence_lab.exactmath import IntPolynomial
-from congruence_lab.verifier import GridSpec
+from congruence_lab.exactmath import INFINITY, IntPolynomial, PAdicOrder
+from congruence_lab.verifier import ClaimRecord, GridSpec, Sc2Comparison, Verdict
 
 
 class TestFlagParsing:
@@ -142,6 +144,9 @@ class TestVerifyCommand:
         ["ec1", "--n", "1..3", "--p", "2", "--a", "1"],
         ["sc3", "--n", "1..3", "--p", "2", "--f", "0,1"],
         ["sc2", "--n", "1..3", "--p", "2", "--f", "1", "--alpha", "1"],
+        # no worker count below 1, although the count is otherwise ignored
+        ["fleck", "--n", "1..3", "--p", "2", "--workers", "0"],
+        ["fleck", "--n", "1..3", "--p", "2", "--workers=-2"],
     ])
     def test_bad_grid_value_writes_nothing(self, bad, capsys):
         assert main(["verify", *bad]) == 2
@@ -390,6 +395,57 @@ class TestStreamedReport:
         assert max(i - w for i, w in enumerate(written)) < cli.JSON_CHUNK
 
 
+def _big(limit=10**90):
+    return st.integers(-5, 5) | st.integers(-limit, limit)
+
+
+@st.composite
+def records(draw):
+    """Any record shape the verifier writes, with values beyond any it does."""
+    theorem = draw(st.sampled_from(list(TheoremId)))
+    keys = draw(st.lists(st.sampled_from(("n", "p", "alpha", "beta", "l", "m", "a", "d", "r")),
+                         unique=True))
+    params = {key: draw(_big()) for key in keys}
+    if draw(st.booleans()):  # SC2's polynomial; any text must be escaped as json does
+        coeffs = st.lists(_big(), max_size=5).map(tuple).map(IntPolynomial)
+        params["f"] = draw(coeffs.map(IntPolynomial.coeff_string) | st.text())
+    order = draw(st.none() | st.just(INFINITY) | st.integers(0, 10**30).map(PAdicOrder))
+    sc2 = draw(st.none() | st.builds(Sc2Comparison, st.integers(0, 99), st.none() | _big(),
+                                     _big(), st.booleans()))
+    return ClaimRecord(theorem, params, draw(st.none() | _big()), order,
+                       draw(st.none() | _big()), draw(st.sampled_from(list(Verdict))),
+                       draw(st.none() | _big()), sc2)
+
+
+class TestRecordLayout:
+    """One record rendered from the fixed layout against the encoders that
+    rendered it before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records())
+    def test_json_record_equals_dumps(self, rec):
+        text = json.dumps(rec.to_json_dict(), indent=2, sort_keys=True)
+        assert cli._record_json(rec) == "    " + text.replace("\n", "\n    ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(records())
+    def test_csv_row_equals_dictwriter(self, rec):
+        data = rec.to_json_dict()
+        row = {key: "" for key in cli.CSV_COLUMNS}
+        row["theorem"] = data["theorem"]
+        row.update(data["params"])
+        row.update((key, data[key]) for key in ("sum", "ord", "bound", "verdict", "margin")
+                   if data[key] is not None)
+        if "sc2" in data:
+            sc2 = data["sc2"]
+            row.update(sc2_l=sc2["l"], sc2_lhs="" if sc2["lhs"] is None else sc2["lhs"],
+                       sc2_rhs=sc2["rhs"], sc2_satisfied=sc2["satisfied"])
+        want, got = io.StringIO(), io.StringIO()
+        csv.DictWriter(want, fieldnames=cli.CSV_COLUMNS, lineterminator="\n").writerow(row)
+        csv.writer(got, lineterminator="\n").writerow(cli._record_csv(rec))
+        assert got.getvalue() == want.getvalue()
+
+
 class TestIdentityCommand:
     def test_single_identity(self, capsys):
         assert main(["identity", "e2", "--n-max", "12"]) == 0
@@ -452,6 +508,20 @@ class TestIdentityCommand:
         assert out == "" and not report.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, error", [
+        (["--p", "4"], "error: p must be a prime >= 2, got 4\n"),
+        (["--p", "2,4"], "error: p must be a prime >= 2, got 4\n"),
+        (["--alpha", "0"], "error: alpha must be >= 1, got 0\n"),
+    ])
+    def test_bad_prime_or_alpha_fails_before_the_first_suite(self, flag, error, tmp_path,
+                                                             capsys):
+        # E1, E2, S3 and SS3 read neither flag; S4 is the first suite that does
+        report = tmp_path / "ident.json"
+        argv = ["identity", "all", "--n-max", "3", "--count", "2", "--scl3e-limit", "5"]
+        assert main(argv + flag + ["--out", str(report)]) == 2
+        assert capsys.readouterr() == ("", error)
+        assert not report.exists()
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "ident.csv"
         assert main(["identity", "s3", "--n-max", "6", "--format", "csv",
@@ -509,7 +579,7 @@ def test_directory_as_out_fails_before_any_work(command, tmp_path, monkeypatch, 
     # the final rename after all of them
     argv, module, attr = {
         "verify": (["verify", "wan-strong", "--n", "1..60", "--p", "2,3", "--alpha", "1,2",
-                    "--l", "0..3"], verifier, "check_claim"),
+                    "--l", "0..3"], verifier, "check_tuple"),
         "identity": (["identity", "all"], identities, "suite"),
     }[command]
     real, calls = getattr(module, attr), []
@@ -542,7 +612,7 @@ class TestExitCodes:
             raise KeyboardInterrupt
 
         # the streamed report: interrupted while evaluating its first chunk
-        monkeypatch.setattr(verifier, "check_claim", interrupted)
+        monkeypatch.setattr(verifier, "check_tuple", interrupted)
         assert main(["verify", "fleck", "--p", "2", "--n", "1..5"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 

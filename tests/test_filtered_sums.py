@@ -15,8 +15,10 @@ from congruence_lab.filtered_sums import (
     eulerian_power_sum,
     eulerian_wan_sum,
     fleck_sum,
+    fleck_sums,
     stirling_poly_sum,
     stirling_product_sum,
+    stirling_product_sums,
 )
 
 from oracles import naive_filtered_sum
@@ -280,3 +282,39 @@ class TestNaiveOracle:
                 got = binom_power_sum(n, p, alpha, ResidueClass(d, r), l - 2)
                 want = naive_filtered_sum(n, d, r, lambda k: math.comb(n, k) * (2 - l) ** k)
                 assert got == want, ("power", n, p, alpha, r, l)
+
+
+class TestOnePassSums:
+    """Every residue's sum at once equals one per-residue sum per residue."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([2, 3, 5]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_fleck_sums(self, n, p, alpha, l):
+        d = p**alpha
+        want = [fleck_sum(n, p, alpha, ResidueClass(d, r), l) for r in range(d)]
+        assert fleck_sums(n, p, alpha, l) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=34),  # m > n: every sum is zero
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=-4, max_value=4),
+    )
+    def test_stirling_product_sums(self, n, m, d, a):
+        want = [stirling_product_sum(n, m, ResidueClass(d, r), a) for r in range(d)]
+        assert stirling_product_sums(n, m, d, a) == want
+
+    def test_bad_arguments(self):
+        for bad in (lambda: fleck_sums(4, 4, 1), lambda: fleck_sums(0, 2, 1),
+                    lambda: fleck_sums(4, 2, 0), lambda: fleck_sums(4, 2, 1, -1),
+                    lambda: stirling_product_sums(0, 1, 2, 1),
+                    lambda: stirling_product_sums(3, 0, 2, 1),
+                    lambda: stirling_product_sums(3, 1, 0, 1)):
+            with pytest.raises(ParameterError):
+                bad()

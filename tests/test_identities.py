@@ -139,7 +139,9 @@ class TestResultType:
         assert list(suite("E2", n_max=0)) == []
         assert list(suite("E1", n_max=2, l_max=0)) == [check_e1(1, 0), check_e1(2, 0)]
         assert list(suite("S4", n_max=3, primes=())) == []
-        for kwargs in (dict(n_max=-1), dict(l_max=-1), dict(count=-1), dict(scl3e_limit=-1)):
+        for kwargs in (dict(n_max=-1), dict(l_max=-1), dict(count=-1), dict(scl3e_limit=-1),
+                       # E2 reads no prime or alpha, but they are checked as well
+                       dict(primes=(2, 4)), dict(alphas=(0, 1))):
             with pytest.raises(ParameterError):
                 next(suite("E2", **kwargs))  # raised before the first check
 

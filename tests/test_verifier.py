@@ -1,10 +1,22 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congruence_lab import filtered_sums, triangles, verifier
 from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.errors import CapacityError, ParameterError
 from congruence_lab.exactmath import IntPolynomial
-from congruence_lab.verifier import GridSpec, Verdict, check_claim, grid_params, run_grid, run_grids
+from congruence_lab.verifier import (
+    AXIS_FIELDS,
+    GridSpec,
+    Verdict,
+    check_claim,
+    check_tuple,
+    grid_params,
+    iter_records,
+    run_grid,
+    run_grids,
+)
 
 
 class TestCheckClaim:
@@ -199,3 +211,87 @@ class TestRunGrid:
         assert all(r.total is None for r in plain.records)
         assert all(r.total is not None for r in probed.records)
         assert probed.summary.verdicts[Verdict.NOT_APPLICABLE.value] == 2
+
+
+def _axis(values, max_size=3):
+    return st.lists(values, min_size=1, max_size=max_size)
+
+
+#: Small axes that reach every verdict: m > n and empty classes give zero
+#: sums, beta > alpha has no sun sum, a runs negative and through 0.
+AXES = {
+    "n": _axis(st.integers(1, 14)),
+    "p": _axis(st.sampled_from((2, 3, 5)), max_size=2),
+    "alpha": _axis(st.integers(1, 3)),
+    "beta": _axis(st.integers(0, 4)),
+    "l": _axis(st.integers(0, 3)),
+    "m": _axis(st.integers(1, 16)),
+    "a": _axis(st.integers(-3, 3)),
+    "f": st.lists(st.lists(st.integers(-3, 3), max_size=4).map(tuple).map(IntPolynomial),
+                  min_size=1, max_size=2),
+}
+
+
+@st.composite
+def grids(draw):
+    theorem = draw(st.sampled_from(list(TheoremId)))
+    axes = {AXIS_FIELDS[name]: draw(AXES[name]) for name in THEOREMS[theorem].params}
+    residues = draw(st.just("all") | st.lists(st.integers(-10, 30), min_size=1, max_size=4))
+    return GridSpec(theorem, residues=residues, **axes)
+
+
+class TestCheckTuple:
+    @settings(max_examples=300, deadline=None)
+    @given(grids(), st.booleans())
+    @example(GridSpec(TheoremId.SUN, ns=(1, 5, 9), primes=(2, 3), alphas=(1,), betas=(0, 1, 2),
+                      ls=(0, 1)), True)
+    @example(GridSpec(TheoremId.EC2, ns=(2, 8), primes=(2, 3), alphas=(1, 2), a_values=(-5, 0, 4)),
+             True)
+    @example(GridSpec(TheoremId.SC3, ns=(4, 9), primes=(3,), alphas=(1, 2), ms=(2, 12),
+                      a_values=(-2, 0), residues=(17, -1, 5, 5)), False)
+    @example(GridSpec(TheoremId.SC2, ns=(3, 6), primes=(2, 5), a_values=(-1, 2),
+                      polys=(IntPolynomial(()), IntPolynomial((0, -1, 0, 3)))), False)
+    def test_equals_check_claim_per_residue(self, grid, probe):
+        got = list(iter_records([grid], probe))
+        want = [check_claim(grid.theorem, params, probe) for params in grid_params(grid)]
+        assert got == want
+        # the parameter order too, although no report depends on it
+        assert [list(rec.params.items()) for rec in got] == [
+            list(rec.params.items()) for rec in want]
+
+    def test_one_tuple_and_its_residues(self):
+        params = {"n": 9, "p": 3, "alpha": 1, "m": 2, "a": -2}
+        d = 3**1 * 2
+        assert check_tuple("sc3", params) == [
+            check_claim("sc3", {**params, "r": r}) for r in range(d)]
+        assert check_tuple(TheoremId.SC3, params, (7, 1, -5, 3)) == [
+            check_claim("sc3", {**params, "r": r}) for r in (1, 3)]
+        with pytest.raises(ParameterError):
+            check_tuple("sc3", {"n": 9, "p": 3})
+        with pytest.raises(ParameterError):
+            check_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
+
+    def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
+        # fail_fast off: one check_tuple call and one bound per tuple, and no
+        # check_claim; fail_fast on: the reverse
+        calls = {"check_tuple": 0, "check_claim": 0, "bound_exponent": 0}
+
+        def counted(name):
+            real = getattr(verifier, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verifier, name, counted(name))
+        grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 11), primes=(2, 3), alphas=(1, 2),
+                        ls=(0, 1))
+        tuples = 10 * 2 * 2 * 2
+        assert len(list(iter_records([grid]))) == 10 * 2 * (2 + 4 + 3 + 9)
+        assert calls == {"check_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
+        calls.update(dict.fromkeys(calls, 0))
+        records = list(iter_records([grid], fail_fast=True))
+        assert calls == {"check_tuple": 0, "check_claim": len(records),
+                         "bound_exponent": len(records)}
