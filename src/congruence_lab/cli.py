@@ -17,10 +17,18 @@ residues also accept "all".  The --m axis of the Stirling sweeps additionally
 accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
-Claims are evaluated serially, one parameter tuple (all its residue
-classes) at a time through ``verifier.check_tuple``, or one claim at a time
-through ``verifier.check_claim`` with --fail-fast; --workers must be at
-least 1 and is otherwise ignored.  `verify` streams its report: records are
+Claims are evaluated one parameter tuple (all its residue classes) at a
+time through ``verifier.check_tuple``, or one claim at a time through
+``verifier.check_claim`` with --fail-fast.  `verify --workers N` (N >= 2)
+forks a pool of worker processes (:class:`_Pool`): the records are cut into
+chunks of at least ``JSON_CHUNK`` claims at tuple boundaries, worker i
+evaluates and renders chunks i, i + W, i + 2W, ... of the W workers, and
+the parent writes the chunks in order and merges their summaries, so the
+report's bytes are those of a serial run.  The pool is capped at the CPUs
+the process may use and at the number of chunks; the run is serial when
+that leaves fewer than two workers, with --fail-fast, where ``os.fork`` is
+missing, or when another thread is running.  A worker that fails or dies
+makes the run exit 2.  `verify` streams its report: records are
 written as they are evaluated (JSON in chunks of ``JSON_CHUNK``, CSV row by
 row) and the JSON summary last, so memory does not depend on the grid size.
 Each record is rendered from a fixed layout (``_record_json``, one
@@ -46,10 +54,11 @@ import itertools
 import json
 import os
 import sys
+import threading
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, identities, triangles, verifier
 from .bounds import THEOREMS, TheoremId
@@ -380,9 +389,20 @@ def render_json_report(
     """
     summary = verifier.RunningSummary()
     texts = map(_record_json, _tallied(records, summary))
+    chunks = iter(lambda: ",\n".join(itertools.islice(texts, JSON_CHUNK)), "")
+    return _write_json(out, run, chunks, summary)
+
+
+def _write_json(
+    out: TextIO, run: dict[str, Any], chunks: Iterable[str], summary: verifier.RunningSummary
+) -> GridSummary:
+    """Write the JSON report whose records list is the chunks, in order, to
+    ``out``, one write per chunk, and return ``summary``'s result once they
+    are written.  A chunk is one or more :func:`_record_json` texts, joined
+    as in the report."""
     started = False
-    while chunk := list(itertools.islice(texts, JSON_CHUNK)):
-        out.write((",\n" if started else _RECORDS_OPEN + "\n") + ",\n".join(chunk))
+    for chunk in chunks:
+        out.write((",\n" if started else _RECORDS_OPEN + "\n") + chunk)
         started = True
     result = summary.summary()
     # the report with no records, from the "]" that closes them on
@@ -401,17 +421,218 @@ def render_csv_report(out: TextIO, records: Iterable[ClaimRecord]) -> GridSummar
     return summary.summary()
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, grids: list[GridSpec]) -> int:
+    """How many worker processes ``verify --workers workers`` forks for the
+    grids; 0 means the run is serial.
+
+    The pool is capped at the usable CPUs and at the number of chunks of
+    the grids' records, and a pool of fewer than two is not started, so
+    that more workers never make a run slower.  Without ``os.fork``, or
+    with another thread running (which a fork would not copy), the run is
+    serial too.
+    """
+    cap = min(workers, _usable_cpus())
+    if cap < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    size = verifier.count_chunks(grids, JSON_CHUNK, cap)
+    return size if size >= 2 else 0
+
+
+#: A worker's share of a sweep: ``chunks(first, step)`` gives the summary and
+#: text of chunks ``first``, ``first + step``, ``first + 2 step``, ...
+_ChunkSource = Callable[[int, int], Iterator[tuple[GridSummary, str]]]
+
+
+def _rendered_chunks(
+    grids: list[GridSpec], probe_inapplicable: bool, fmt: str, first: int, step: int
+) -> Iterator[tuple[GridSummary, str]]:
+    """A :data:`_ChunkSource` over :func:`verifier.iter_chunks` (chunks of at
+    least ``JSON_CHUNK`` claims): each chunk's summary and its records'
+    text, JSON as :func:`_write_json` takes it or CSV rows."""
+    for _, records in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step):
+        summary = verifier.RunningSummary()
+        tallied = _tallied(records, summary)
+        if fmt == "json":
+            text = ",\n".join(map(_record_json, tallied))
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(map(_record_csv, tallied))
+            text = buf.getvalue()
+        yield summary.summary(), text
+
+
+class _Pool:
+    """``size`` forked worker processes that evaluate and render a sweep.
+
+    Worker i sends the chunks of ``chunks(i, size)`` through its own pipe,
+    each as one frame: a JSON line with the chunk's summary and the byte
+    length of its text, then the text.  A full pipe blocks the worker until
+    the parent reads, so it holds at most one rendered chunk.  On failure it
+    sends one line instead, ``{"error": message}`` or
+    ``{"interrupted": true}``, and exits 1.  A worker ends with
+    ``os._exit``, so it never flushes the output buffers it inherited or
+    runs the parent's clean-up.
+
+    Leaving the ``with`` block, however it is left, closes the pipes and
+    reaps every worker, killing any that has not exited.
+    """
+
+    def __init__(self, size: int, chunks: _ChunkSource):
+        self.size = size
+        self._chunks = chunks
+        self._pids: list[int] = []
+        self._pipes: list[BinaryIO] = []
+        self._running: set[int] = set()
+
+    def __enter__(self) -> "_Pool":
+        try:
+            for i in range(self.size):
+                self._fork(i)
+        except BaseException:
+            self._close()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._close()
+
+    def _fork(self, i: int) -> None:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:  # the worker: leaves only through os._exit
+            code = 1
+            try:
+                os.close(r)
+                for pipe in self._pipes:  # so that a dead parent's pipes break
+                    pipe.close()
+                code = self._work(i, w)
+            finally:
+                os._exit(code)
+        os.close(w)
+        self._pids.append(pid)
+        self._running.add(pid)
+        self._pipes.append(open(r, "rb"))
+
+    def _work(self, i: int, fd: int) -> int:
+        with open(fd, "wb") as pipe:
+            try:
+                for summary, text in self._chunks(i, self.size):
+                    body = text.encode()
+                    head = {"bytes": len(body), "summary": summary.to_json_dict()}
+                    pipe.write(json.dumps(head).encode() + b"\n")
+                    pipe.write(body)
+                    pipe.flush()
+                return 0
+            except KeyboardInterrupt:
+                failure: dict[str, Any] = {"interrupted": True}
+            except Exception as exc:
+                failure = {"error": f"{type(exc).__name__}: {exc}".replace("\n", " ")}
+            pipe.write(json.dumps(failure).encode() + b"\n")
+            return 1
+
+    def texts(self, summary: verifier.RunningSummary) -> Iterator[str]:
+        """Every chunk's text in chunk order, each chunk's summary merged
+        into ``summary`` as it passes.  A failed worker raises
+        :class:`CongruenceLabError`, or :class:`KeyboardInterrupt` if it was
+        interrupted."""
+        for number in itertools.count():
+            chunk = self._read(number % self.size)
+            if chunk is None:  # there is no chunk `number`
+                if any(self._read(i) is not None for i in range(self.size)):
+                    raise CongruenceLabError("a verify worker sent a chunk past the last")
+                return
+            part, text = chunk
+            summary.merge(part)
+            yield text
+
+    def _read(self, i: int) -> tuple[GridSummary, str] | None:
+        """Worker i's next chunk, or None once it has exited 0 with no more."""
+        pipe = self._pipes[i]
+        line = pipe.readline()
+        if not line.endswith(b"\n"):  # the worker has exited
+            self._reap(i)
+            if line:
+                raise CongruenceLabError("a verify worker exited in the middle of a chunk")
+            return None
+        head = json.loads(line)
+        if "error" in head:
+            raise CongruenceLabError(f"a verify worker failed: {head['error']}")
+        if "interrupted" in head:
+            raise KeyboardInterrupt
+        body = pipe.read(head["bytes"])
+        if len(body) < head["bytes"]:
+            self._reap(i)
+            raise CongruenceLabError("a verify worker exited in the middle of a chunk")
+        return GridSummary(**head["summary"]), body.decode()
+
+    def _reap(self, i: int) -> None:
+        """Wait for worker i, which has closed its pipe; raise unless it
+        exited 0."""
+        pid = self._pids[i]
+        if pid not in self._running:
+            return
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self._running.discard(pid)
+        if code:
+            how = f"exit code {code}" if code > 0 else f"signal {-code}"
+            raise CongruenceLabError(f"a verify worker ended early ({how})")
+
+    def _close(self) -> None:
+        for pipe in self._pipes:
+            pipe.close()
+        if self._running:  # left early: an error, Ctrl-C or a closed output
+            import signal  # only here, so that a run that ends normally never loads it
+
+            for pid in self._running:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            self._running.clear()
+
+
+def _pool_report(
+    out: TextIO, run: dict[str, Any], fmt: str, size: int, chunks: _ChunkSource
+) -> GridSummary:
+    """Write the report of a sweep that ``size`` workers evaluate and render
+    (:class:`_Pool`) to ``out``, chunk by chunk, and return its summary."""
+    summary = verifier.RunningSummary()
+    with _Pool(size, chunks) as pool:
+        texts = pool.texts(summary)
+        if fmt == "json":
+            return _write_json(out, run, texts, summary)
+        csv.writer(out, lineterminator="\n").writerow(CSV_COLUMNS)
+        out.writelines(texts)
+    return summary.summary()
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     theorem = TheoremId(args.theorem)
     flags = _grid_flags(theorem, args)
     grids = _build_grids(theorem, args, flags)
-    records = verifier.iter_records(
-        grids,
-        probe_inapplicable=args.probe_inapplicable,
-        fail_fast=args.fail_fast,
-    )
+    size = 0 if args.fail_fast else _pool_size(args.workers, grids)
+    if size:  # the triangles are built before the fork, so every worker shares them
+        verifier.ensure_tables(grids)
+    else:
+        records = verifier.iter_records(
+            grids,
+            probe_inapplicable=args.probe_inapplicable,
+            fail_fast=args.fail_fast,
+        )
 
     run: dict[str, Any] = {
         "command": "verify",
@@ -423,7 +644,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         run["timestamp"] = _now_stamp()
 
     with _output(args.out) as out:
-        if args.format == "json":
+        if size:
+            chunks = functools.partial(_rendered_chunks, grids, args.probe_inapplicable,
+                                       args.format)
+            summary = _pool_report(out, run, args.format, size, chunks)
+        elif args.format == "json":
             summary = render_json_report(out, run, records)
         else:
             summary = render_csv_report(out, records)
@@ -565,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None, help="report file (default: stdout)")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--workers", type=int, default=1,
-                     help="at least 1, otherwise ignored: claims are evaluated serially")
+                     help="worker processes, at most one per usable CPU (default 1: serial)")
     ver.add_argument("--no-timestamp", action="store_true")
     ver.add_argument("--probe-inapplicable", action="store_true",
                      help="compute sums and orders even for NOT-APPLICABLE tuples")

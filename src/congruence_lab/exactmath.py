@@ -23,6 +23,7 @@ __all__ = [
     "is_prime",
     "ord_p",
     "ord_p_factorial",
+    "ord_p_unchecked",
     "poly_eval",
     "rising_factorial",
 ]
@@ -143,6 +144,13 @@ def ord_p(x: int, p: int) -> PAdicOrder:
     True
     """
     check_prime(p)
+    return ord_p_unchecked(x, p)
+
+
+def ord_p_unchecked(x: int, p: int) -> PAdicOrder:
+    """:func:`ord_p` without the check that ``p`` is prime, for a caller that
+    has already checked it (``verifier.check_tuple`` checks ``p`` once per
+    tuple and takes the order of each of its residue classes' sums)."""
     if x == 0:
         return INFINITY
     x = abs(x)

@@ -20,8 +20,10 @@ the reference evaluation, the library call and the ``fail_fast`` path.
 with one bound spec, one hypotheses check and one bound, and with one pass
 for all d sums where the theorem has a ``sums``; it gives the same records as
 one :func:`check_claim` per residue, and sweeps use it unless ``fail_fast``
-is set.  Both look up ``BoundSpec``, ``bound_exponent`` and ``ord_p`` as
-globals of this module, so that a patch of one of them reaches either path.
+is set.  Both look up ``BoundSpec`` and ``bound_exponent`` as globals of
+this module, so that a patch of one of them reaches either path;
+``check_claim`` takes orders with ``ord_p``, and ``check_tuple``, whose
+bound spec has checked ``p`` for the tuple, with ``ord_p_unchecked``.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -29,6 +31,11 @@ deterministic.  :func:`iter_records` yields the records one at a time (a
 tuple's records at a time, without ``fail_fast``) and
 :class:`RunningSummary` tallies them as they pass, so a sweep's memory does
 not depend on its size; :func:`run_grids` collects them into a list.
+:func:`iter_chunks` cuts the same records into numbered chunks at tuple
+boundaries and evaluates only every ``step``-th chunk, so that several
+processes can share a sweep (``verify --workers``); the summaries of the
+chunks merge in chunk order (:meth:`RunningSummary.merge`) into the
+sweep's.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .bounds import (
     sc2_comparison,
 )
 from .errors import ParameterError
-from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p
+from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p, ord_p_unchecked
 from .filtered_sums import ResidueClass
 from .triangles import Family
 
@@ -63,7 +70,10 @@ __all__ = [
     "Verdict",
     "check_claim",
     "check_tuple",
+    "count_chunks",
+    "ensure_tables",
     "grid_params",
+    "iter_chunks",
     "iter_records",
     "required_tables",
     "run_grid",
@@ -276,7 +286,7 @@ def check_tuple(
         if total is None:  # probed sun with beta > alpha: the bound only
             order = None
         else:
-            order = INFINITY if total == 0 else ord_p(total, p)
+            order = INFINITY if total == 0 else ord_p_unchecked(total, p)  # spec checked p
         margin = comparison = None
         if not applicable:  # probed: sums, orders and the raw bound, for inspection
             verdict = Verdict.NOT_APPLICABLE
@@ -442,6 +452,18 @@ class RunningSummary:
         if rec.verdict is Verdict.VIOLATION and self.first_violation is None:
             self.first_violation = dict(rec.params)
 
+    def merge(self, part: GridSummary) -> None:
+        """Add the summary of records that came after those added so far."""
+        self.total += part.total
+        for name, count in part.verdicts.items():
+            self.verdicts[name] += count
+        if part.min_margin is not None and (
+            self.min_margin is None or part.min_margin < self.min_margin
+        ):
+            self.min_margin = part.min_margin
+        if self.first_violation is None:
+            self.first_violation = part.first_violation
+
     def summary(self) -> GridSummary:
         return GridSummary(self.total, dict(self.verdicts), self.min_margin, self.first_violation)
 
@@ -468,9 +490,14 @@ def iter_records(
     after the first VIOLATION.
     """
     grids = list(grids)
+    ensure_tables(grids)
+    return _records(grids, probe_inapplicable, fail_fast)
+
+
+def ensure_tables(grids: Iterable[GridSpec]) -> None:
+    """Build the triangle rows the grids need (:func:`required_tables`)."""
     for family, top in required_tables(grids).items():
         triangles.ensure_rows(family, top)
-    return _records(grids, probe_inapplicable, fail_fast)
 
 
 def _records(
@@ -486,6 +513,64 @@ def _records(
         else:
             for params in _grid_tuples(grid):
                 yield from check_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
+
+
+def _numbered_tuples(
+    grids: Iterable[GridSpec], size: int
+) -> Iterator[tuple[int, GridSpec, dict[str, Any]]]:
+    """Every tuple of the grids, in record order, with the number of its
+    chunk: the records are cut into chunks of at least ``size`` claims, at
+    tuple boundaries, numbered from 0.  Only each tuple's residue count is
+    worked out, not its records."""
+    number = claims = 0
+    for grid in grids:
+        modulus = THEOREMS[grid.theorem].modulus
+        for params in _grid_tuples(grid):
+            if claims >= size:
+                number, claims = number + 1, 0
+            yield number, grid, params
+            claims += len(_residues(grid.residues, modulus(**params)))
+
+
+def count_chunks(grids: Iterable[GridSpec], size: int, at_most: int) -> int:
+    """The number of chunks of :func:`iter_chunks`, or ``at_most`` if there
+    are more; only the tuples up to the first of chunk ``at_most`` are read."""
+    count = 0
+    for number, _, _ in _numbered_tuples(grids, size):
+        if number == at_most:
+            break
+        count = number + 1
+    return count
+
+
+def iter_chunks(
+    grids: Iterable[GridSpec],
+    size: int,
+    probe_inapplicable: bool = False,
+    first: int = 0,
+    step: int = 1,
+) -> Iterator[tuple[int, list[ClaimRecord]]]:
+    """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
+    the grids' records, as (number, records), one chunk held at a time.
+
+    The records are those of :func:`iter_records` without ``fail_fast``, cut
+    into chunks of at least ``size`` claims at tuple boundaries and numbered
+    from 0.  Only the tuples of these chunks are evaluated, so ``step``
+    callers with ``first`` = 0 .. step-1 share the work of one sweep.  The
+    triangles must have been built (:func:`ensure_tables`).
+    """
+    chunk: list[ClaimRecord] = []
+    current = first
+    for number, grid, params in _numbered_tuples(grids, size):
+        if number % step != first:
+            continue
+        if number != current:
+            if chunk:
+                yield current, chunk
+            chunk, current = [], number
+        chunk += check_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
+    if chunk:
+        yield current, chunk
 
 
 def run_grids(

@@ -5,17 +5,22 @@ from hypothesis import strategies as st
 from congruence_lab import filtered_sums, triangles, verifier
 from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.errors import CapacityError, ParameterError
-from congruence_lab.exactmath import IntPolynomial
+from congruence_lab.exactmath import IntPolynomial, ord_p
 from congruence_lab.verifier import (
     AXIS_FIELDS,
+    ClaimRecord,
     GridSpec,
+    RunningSummary,
     Verdict,
     check_claim,
     check_tuple,
+    count_chunks,
     grid_params,
+    iter_chunks,
     iter_records,
     run_grid,
     run_grids,
+    summarize,
 )
 
 
@@ -295,3 +300,73 @@ class TestCheckTuple:
         records = list(iter_records([grid], fail_fast=True))
         assert calls == {"check_tuple": 0, "check_claim": len(records),
                          "bound_exponent": len(records)}
+
+    def test_p_is_still_checked(self, monkeypatch):
+        # check_tuple takes each residue's order unchecked, after its bound
+        # spec has checked p once for the tuple
+        with pytest.raises(ParameterError, match="p must be a prime"):
+            check_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
+        with pytest.raises(ParameterError, match="p must be a prime"):
+            ord_p(8, 4)
+        checks = []
+        real = verifier.BoundSpec
+
+        def counted(*args, **kwargs):
+            checks.append(kwargs["p"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "BoundSpec", counted)
+        records = check_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0})
+        assert len(records) == 9 and checks == [3]
+
+
+class TestChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(grids(), st.integers(1, 40), st.integers(1, 4))
+    def test_chunks_cut_the_records_at_tuple_boundaries(self, grid, size, step):
+        records = list(iter_records([grid]))
+        chunks = list(iter_chunks([grid], size))
+        assert [rec for _, chunk in chunks for rec in chunk] == records
+        assert [number for number, _ in chunks] == list(range(len(chunks)))
+        # a chunk takes whole tuples until it holds at least size claims
+        want = []
+        for params in verifier._grid_tuples(grid):
+            if not want or want[-1] >= size:
+                want.append(0)
+            want[-1] += len(check_tuple(grid.theorem, params, grid.residues))
+        assert [len(chunk) for _, chunk in chunks] == want
+        assert count_chunks([grid], size, 10**6) == len(chunks)
+        assert count_chunks([grid], size, step) == min(step, len(chunks))
+        # step callers, from first = 0 .. step-1, share out the same chunks
+        shared = sorted(item for first in range(step)
+                        for item in iter_chunks([grid], size, False, first, step))
+        assert shared == chunks
+
+    def test_chunks_span_grids(self):
+        grids = [GridSpec(TheoremId.SC3, ns=(n,), primes=(2,), alphas=(1,), ms=range(1, n + 1),
+                          a_values=(1,)) for n in range(1, 9)]
+        # 2 claims per tuple, n tuples for each n: 72 claims
+        chunks = list(iter_chunks(grids, 10))
+        assert [len(chunk) for _, chunk in chunks] == [10] * 7 + [2]
+        assert [rec for _, chunk in chunks for rec in chunk] == list(iter_records(grids))
+
+
+VERDICTS = list(Verdict)
+
+
+@st.composite
+def record_lists(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(VERDICTS), st.none() | st.integers(-9, 9)),
+                         max_size=30))
+    return [ClaimRecord(TheoremId.FLECK, {"n": i}, None, None, None, verdict, margin)
+            for i, (verdict, margin) in enumerate(rows)]
+
+
+class TestRunningSummary:
+    @given(record_lists(), st.lists(st.integers(0, 30), max_size=5))
+    def test_merged_parts_equal_one_summary(self, records, cuts):
+        cuts = sorted({min(c, len(records)) for c in cuts} | {0, len(records)})
+        merged = RunningSummary()
+        for lo, hi in zip(cuts, cuts[1:]):
+            merged.merge(summarize(records[lo:hi]))
+        assert merged.summary() == summarize(records)
