@@ -41,6 +41,7 @@ __all__ = [
     "bound_exponent",
     "binom_power_inferred_exponent",
     "sc2_comparison",
+    "sc2_constants",
     "sc2_holds",
 ]
 
@@ -281,6 +282,14 @@ def binom_power_inferred_exponent(n: int, p: int, alpha: int) -> int:
     return (n - q) // (q * (p - 1))
 
 
+def sc2_constants(n: int, p: int, f: IntPolynomial) -> tuple[int, int, int]:
+    """The parts of :func:`sc2_comparison` that depend only on the tuple:
+    (l, C(n, l), rhs) with l = min(deg f, floor(n / p)) and rhs =
+    p**ord_p(n!)."""
+    l = min(f.degree, n // p)
+    return l, math.comb(n, l), p ** ord_p_factorial(n, p)
+
+
 def sc2_comparison(
     n: int, p: int, f: IntPolynomial, total: int
 ) -> tuple[int, int | None, int, bool]:
@@ -294,11 +303,10 @@ def sc2_comparison(
     check_prime(p)
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    l = min(f.degree, n // p)
-    rhs = p ** ord_p_factorial(n, p)
+    l, comb, rhs = sc2_constants(n, p, f)
     if total == 0:
         return l, None, rhs, True
-    lhs = math.comb(n, l) * p ** ord_p(total, p).value
+    lhs = comb * p ** ord_p(total, p).value
     return l, lhs, rhs, lhs >= rhs
 
 

@@ -18,7 +18,7 @@ accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
 Claims are evaluated one parameter tuple (all its residue classes) at a
-time through ``verifier.check_tuple``, or one claim at a time through
+time through ``verifier.evaluate_tuple``, or one claim at a time through
 ``verifier.check_claim`` with --fail-fast.  `verify --workers N` (N >= 2)
 forks a pool of worker processes (:class:`_Pool`): the records are cut into
 chunks of at least ``JSON_CHUNK`` claims at tuple boundaries, worker i
@@ -29,12 +29,14 @@ the process may use and at the number of chunks; the run is serial when
 that leaves fewer than two workers, with --fail-fast, where ``os.fork`` is
 missing, or when another thread is running.  A worker that fails or dies
 makes the run exit 2.  `verify` streams its report: records are
-written as they are evaluated (JSON in chunks of ``JSON_CHUNK``, CSV row by
-row) and the JSON summary last, so memory does not depend on the grid size.
-Each record is rendered from a fixed layout (``_record_json``, one
-``csv.writer`` row from ``_record_csv``) that gives the bytes ``json.dumps``
-with indent=2 and sorted keys, and ``csv.DictWriter``, gave.  Every grid
-value is checked, and a grid flag the theorem does not take is refused,
+written as they are evaluated (JSON in chunks of at least ``JSON_CHUNK``
+claims, CSV row by row) and the JSON summary last, so memory does not
+depend on the grid size.  Each tuple's ``verifier.TupleResult`` is tallied
+whole and rendered from a fixed layout (``_result_json``, ``csv.writer``
+rows from ``_result_csv``) that formats what its records share once and
+gives the bytes ``json.dumps`` with indent=2 and sorted keys, and
+``csv.DictWriter``, gave; a --fail-fast record renders as a one-residue
+result.  Every grid value is checked, and a grid flag the theorem does not take is refused,
 before the first byte is written.  Every --out file is written under a temporary name in its
 directory and renamed into place when complete, so an interrupted run never
 leaves a truncated file; an interrupted run to stdout may leave a partial
@@ -75,7 +77,7 @@ from .filtered_sums import (
     stirling_product_sum,
 )
 from .triangles import Family
-from .verifier import ClaimRecord, GridSpec, GridSummary, Verdict
+from .verifier import ClaimRecord, GridSpec, GridSummary, TupleResult, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -310,87 +312,133 @@ _RECORDS_OPEN = '{\n  "records": ['
 
 
 @functools.lru_cache(maxsize=None)
-def _params_layout(keys: tuple[str, ...]) -> str:
-    """The ``str.format`` template of a record's params object with these
-    keys: sorted, at report indentation.  A theorem's records share one key
-    set, so the cache holds at most one entry per theorem."""
-    if not keys:
-        return "{{}}"
+def _params_layout(keys: tuple[str, ...]) -> tuple[str, str]:
+    """The ``str.format`` template of a params object with these keys
+    (sorted, at report indentation) up to the value of "r", and the text
+    after it: "r" sorts last among the parameter names.  A theorem's records
+    share one key set, so the cache holds at most one entry per theorem."""
     lines = ",\n".join(f'        "{key}": {{{key}}}' for key in sorted(keys))
-    return "{{\n" + lines + "\n      }}"
+    text = "{{\n" + lines + "\n      }}" if keys else "{{}}"
+    head, _, tail = text.partition("{r}")
+    return head, tail.format()
 
 
-def _record_json(rec: ClaimRecord) -> str:
-    """``_json_text`` of ``rec.to_json_dict()`` as one item of the report's
-    records list: the same bytes, from a fixed layout.  Params are integers
-    except SC2's coefficient string ``f``.  (``_value_`` is an enum member's
-    value without the ``value`` property's descriptor call.)"""
-    params = rec.params
+def _sc2_json(sc2: verifier.Sc2Comparison) -> str:
+    lhs = "null" if sc2.lhs is None else f'"{sc2.lhs}"'
+    satisfied = "true" if sc2.satisfied else "false"
+    return (f'      "sc2": {{\n        "l": {sc2.l},\n        "lhs": {lhs},\n'
+            f'        "rhs": "{sc2.rhs}",\n        "satisfied": {satisfied}\n      }},\n')
+
+
+def _result_json(res: TupleResult) -> str:
+    """``_json_text`` of each record's ``to_json_dict()``, as items of the
+    report's records list joined as in the report: the same bytes, from a
+    fixed layout.  The params object is formatted once for the tuple, and
+    only each record's "r" is written into it.  Params are integers except
+    SC2's coefficient string ``f``.  (``_value_`` is an enum member's value
+    without the ``value`` property's descriptor call.)"""
+    params = res.params
     if "f" in params:
         params = {**params, "f": encode_basestring_ascii(params["f"])}
-    if rec.theorem is TheoremId.SC2:
+    head, tail = _params_layout(tuple(params))
+    head = head.format_map(params)
+    residues = res.residues if "r" in params else ("",)
+    if res.theorem is TheoremId.SC2:
         bound = '"sc2"'
     else:
-        bound = "null" if rec.bound is None else rec.bound
-    order = rec.order
-    if order is not None:
-        order = '"inf"' if order.is_infinite else order.value
-    total = "null" if rec.total is None else f'"{rec.total}"'
-    sc2 = ""
-    if rec.sc2 is not None:
-        lhs = "null" if rec.sc2.lhs is None else f'"{rec.sc2.lhs}"'
-        satisfied = "true" if rec.sc2.satisfied else "false"
-        sc2 = (f'      "sc2": {{\n        "l": {rec.sc2.l},\n        "lhs": {lhs},\n'
-               f'        "rhs": "{rec.sc2.rhs}",\n        "satisfied": {satisfied}\n      }},\n')
-    return (
-        f'    {{\n      "bound": {bound},\n'
-        f'      "margin": {"null" if rec.margin is None else rec.margin},\n'
-        f'      "ord": {"null" if order is None else order},\n'
-        f'      "params": {_params_layout(tuple(params)).format_map(params)},\n{sc2}'
-        f'      "sum": {total},\n'
-        f'      "theorem": "{rec.theorem._value_}",\n'
-        f'      "verdict": "{rec.verdict._value_}"\n    }}'
-    )
+        bound = "null" if res.bound is None else res.bound
+    theorem = res.theorem._value_
+    texts = []
+    for r, total, order, verdict, margin, sc2 in zip(
+            residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2):
+        if order is None:
+            order = "null"
+        elif order == "inf":
+            order = '"inf"'
+        total = "null" if total is None else f'"{total}"'
+        texts.append(
+            f'    {{\n      "bound": {bound},\n'
+            f'      "margin": {"null" if margin is None else margin},\n'
+            f'      "ord": {order},\n'
+            f'      "params": {head}{r}{tail},\n{"" if sc2 is None else _sc2_json(sc2)}'
+            f'      "sum": {total},\n'
+            f'      "theorem": "{theorem}",\n'
+            f'      "verdict": "{verdict._value_}"\n    }}'
+        )
+    return ",\n".join(texts)
 
 
-def _record_csv(rec: ClaimRecord) -> list[Any]:
-    """The CSV row of ``rec``, in ``CSV_COLUMNS`` order (csv writes None as
-    an empty field)."""
-    order = rec.order
-    if order is not None:
-        order = "inf" if order.is_infinite else order.value
-    sc2 = rec.sc2
+_NO_SC2 = (None,) * 4
+
+
+def _result_csv(res: TupleResult) -> list[list[Any]]:
+    """The CSV rows of the records, in ``CSV_COLUMNS`` order (csv writes
+    None as an empty field); they share the columns before "r"."""
+    params = res.params
+    head = [res.theorem._value_, *map(params.get, CSV_COLUMNS[1:9])]
+    f = params.get("f")
+    bound = "sc2" if res.theorem is TheoremId.SC2 else res.bound
     return [
-        rec.theorem._value_, *map(rec.params.get, CSV_COLUMNS[1:11]), rec.total, order,
-        "sc2" if rec.theorem is TheoremId.SC2 else rec.bound, rec.verdict._value_, rec.margin,
-        *((None,) * 4 if sc2 is None else (sc2.l, sc2.lhs, sc2.rhs, sc2.satisfied)),
+        head + [r, f, total, order, bound, verdict._value_, margin,
+                *(_NO_SC2 if sc2 is None else (sc2.l, sc2.lhs, sc2.rhs, sc2.satisfied))]
+        for r, total, order, verdict, margin, sc2 in zip(
+            res.residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2)
     ]
 
 
+def _record_json(rec: ClaimRecord) -> str:
+    """:func:`_result_json` of one record."""
+    return _result_json(TupleResult.of_record(rec))
+
+
+def _record_csv(rec: ClaimRecord) -> list[Any]:
+    """The :func:`_result_csv` row of one record."""
+    return _result_csv(TupleResult.of_record(rec))[0]
+
+
 def _tallied(
-    records: Iterable[ClaimRecord], summary: verifier.RunningSummary
-) -> Iterator[ClaimRecord]:
-    """The records, each added to ``summary`` as it passes."""
-    for rec in records:
-        summary.add(rec)
-        yield rec
+    records: Iterable[ClaimRecord | TupleResult], summary: verifier.RunningSummary
+) -> Iterator[TupleResult]:
+    """Tuple results as they are and records as one-residue results, each
+    added to ``summary`` as it passes."""
+    for item in records:
+        res = item if isinstance(item, TupleResult) else TupleResult.of_record(item)
+        summary.add(res)
+        yield res
 
 
 def render_json_report(
-    out: TextIO, run: dict[str, Any], records: Iterable[ClaimRecord]
+    out: TextIO, run: dict[str, Any], records: Iterable[ClaimRecord | TupleResult]
 ) -> GridSummary:
     """Write ``_json_text({"run": run, "records": ..., "summary": ...})`` to
     ``out`` as the records arrive, and return the summary.
 
-    Sorted keys put "records" first, so each record is rendered by
-    :func:`_record_json` as it arrives and written ``JSON_CHUNK`` at a time;
-    the run and the summary follow the last record.  Nothing is written
-    before the first chunk is complete.
+    ``records`` are records or tuple results.  Sorted keys put "records"
+    first, so they are rendered by :func:`_result_json` as they arrive and
+    written once a chunk holds ``JSON_CHUNK`` claims or more; the run and the
+    summary follow the last record.  Nothing is written before the first
+    chunk is complete.
     """
     summary = verifier.RunningSummary()
-    texts = map(_record_json, _tallied(records, summary))
-    chunks = iter(lambda: ",\n".join(itertools.islice(texts, JSON_CHUNK)), "")
-    return _write_json(out, run, chunks, summary)
+    return _write_json(out, run, _json_chunks(records, summary), summary)
+
+
+def _json_chunks(
+    records: Iterable[ClaimRecord | TupleResult], summary: verifier.RunningSummary
+) -> Iterator[str]:
+    """The :func:`_result_json` texts of the records, joined as in the report
+    into chunks of at least ``JSON_CHUNK`` claims, each result added to
+    ``summary`` as it passes."""
+    texts: list[str] = []
+    claims = 0
+    for res in _tallied(records, summary):
+        texts.append(_result_json(res))
+        claims += len(res.residues)
+        if claims >= JSON_CHUNK:  # the texts are let go before the chunk is written
+            chunk, texts, claims = ",\n".join(texts), [], 0
+            yield chunk
+    if texts:
+        yield ",\n".join(texts)
 
 
 def _write_json(
@@ -398,7 +446,7 @@ def _write_json(
 ) -> GridSummary:
     """Write the JSON report whose records list is the chunks, in order, to
     ``out``, one write per chunk, and return ``summary``'s result once they
-    are written.  A chunk is one or more :func:`_record_json` texts, joined
+    are written.  A chunk is one or more :func:`_result_json` texts, joined
     as in the report."""
     started = False
     for chunk in chunks:
@@ -411,13 +459,13 @@ def _write_json(
     return result
 
 
-def render_csv_report(out: TextIO, records: Iterable[ClaimRecord]) -> GridSummary:
-    """Write the records to ``out`` as CSV rows as they arrive, and return
-    their summary."""
+def render_csv_report(out: TextIO, records: Iterable[ClaimRecord | TupleResult]) -> GridSummary:
+    """Write the records (records or tuple results) to ``out`` as CSV rows as
+    they arrive, and return their summary."""
     summary = verifier.RunningSummary()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(_record_csv, _tallied(records, summary)))
+    writer.writerows(itertools.chain.from_iterable(map(_result_csv, _tallied(records, summary))))
     return summary.summary()
 
 
@@ -457,14 +505,15 @@ def _rendered_chunks(
     """A :data:`_ChunkSource` over :func:`verifier.iter_chunks` (chunks of at
     least ``JSON_CHUNK`` claims): each chunk's summary and its records'
     text, JSON as :func:`_write_json` takes it or CSV rows."""
-    for _, records in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step):
+    for _, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step):
         summary = verifier.RunningSummary()
-        tallied = _tallied(records, summary)
+        tallied = _tallied(results, summary)
         if fmt == "json":
-            text = ",\n".join(map(_record_json, tallied))
+            text = ",\n".join(map(_result_json, tallied))
         else:
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(map(_record_csv, tallied))
+            rows = itertools.chain.from_iterable(map(_result_csv, tallied))
+            csv.writer(buf, lineterminator="\n").writerows(rows)
             text = buf.getvalue()
         yield summary.summary(), text
 
@@ -628,7 +677,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if size:  # the triangles are built before the fork, so every worker shares them
         verifier.ensure_tables(grids)
     else:
-        records = verifier.iter_records(
+        results = verifier.iter_results(
             grids,
             probe_inapplicable=args.probe_inapplicable,
             fail_fast=args.fail_fast,
@@ -649,9 +698,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                        args.format)
             summary = _pool_report(out, run, args.format, size, chunks)
         elif args.format == "json":
-            summary = render_json_report(out, run, records)
+            summary = render_json_report(out, run, results)
         else:
-            summary = render_csv_report(out, records)
+            summary = render_csv_report(out, results)
 
     if args.out:
         counts = summary.verdicts

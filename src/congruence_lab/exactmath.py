@@ -23,7 +23,7 @@ __all__ = [
     "is_prime",
     "ord_p",
     "ord_p_factorial",
-    "ord_p_unchecked",
+    "ord_p_nonzero",
     "poly_eval",
     "rising_factorial",
 ]
@@ -144,23 +144,24 @@ def ord_p(x: int, p: int) -> PAdicOrder:
     True
     """
     check_prime(p)
-    return ord_p_unchecked(x, p)
+    return INFINITY if x == 0 else PAdicOrder(ord_p_nonzero(x, p))
 
 
-def ord_p_unchecked(x: int, p: int) -> PAdicOrder:
-    """:func:`ord_p` without the check that ``p`` is prime, for a caller that
-    has already checked it (``verifier.check_tuple`` checks ``p`` once per
-    tuple and takes the order of each of its residue classes' sums)."""
+def ord_p_nonzero(x: int, p: int) -> int:
+    """The finite :func:`ord_p` of a nonzero ``x``, as an int, without the
+    check that ``p`` is prime, for a caller that has already checked it
+    (``verifier.evaluate_tuple`` checks ``p`` once per tuple and takes the
+    order of each of its residue classes' nonzero sums)."""
     if x == 0:
-        return INFINITY
+        raise ValueError("the order of zero has no finite value")
     x = abs(x)
     if p == 2:
-        return PAdicOrder((x & -x).bit_length() - 1)
+        return (x & -x).bit_length() - 1
     e = 0
     while True:
         q, r = divmod(x, p)
         if r:
-            return PAdicOrder(e)
+            return e
         x = q
         e += 1
 

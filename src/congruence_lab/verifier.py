@@ -16,26 +16,25 @@ fields.
 
 Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
 the reference evaluation, the library call and the ``fail_fast`` path.
-:func:`check_tuple` evaluates all residue classes of one parameter tuple,
-with one bound spec, one hypotheses check and one bound, and with one pass
-for all d sums where the theorem has a ``sums``; it gives the same records as
-one :func:`check_claim` per residue, and sweeps use it unless ``fail_fast``
-is set.  Both look up ``BoundSpec`` and ``bound_exponent`` as globals of
-this module, so that a patch of one of them reaches either path;
-``check_claim`` takes orders with ``ord_p``, and ``check_tuple``, whose
-bound spec has checked ``p`` for the tuple, with ``ord_p_unchecked``.
+:func:`evaluate_tuple` evaluates all residue classes of one parameter tuple
+into one :class:`TupleResult`, with one bound spec, one hypotheses check and
+one bound, and with one pass for all d sums where the theorem has a
+``sums``; :func:`check_tuple` gives its records, the same as one
+:func:`check_claim` per residue.  Both look up ``BoundSpec`` and
+``bound_exponent`` as globals of this module, so that a patch of one of them
+reaches either path; ``evaluate_tuple``, whose bound spec has checked ``p``,
+takes orders with ``ord_p_nonzero``.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
-deterministic.  :func:`iter_records` yields the records one at a time (a
-tuple's records at a time, without ``fail_fast``) and
-:class:`RunningSummary` tallies them as they pass, so a sweep's memory does
-not depend on its size; :func:`run_grids` collects them into a list.
-:func:`iter_chunks` cuts the same records into numbered chunks at tuple
-boundaries and evaluates only every ``step``-th chunk, so that several
-processes can share a sweep (``verify --workers``); the summaries of the
-chunks merge in chunk order (:meth:`RunningSummary.merge`) into the
-sweep's.
+deterministic.  :func:`iter_results` yields one tuple result at a time
+(:func:`iter_records` their records) and :class:`RunningSummary` tallies
+each whole as it passes, so a sweep's memory does not depend on its size;
+:func:`run_grids` collects the records into a list.  :func:`iter_chunks`
+cuts the same results into numbered chunks and evaluates only every
+``step``-th chunk, so that several processes can share a sweep (``verify
+--workers``); the summaries of the chunks merge in chunk order
+(:meth:`RunningSummary.merge`) into the sweep's.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import triangles
 from .bounds import (
@@ -53,9 +52,10 @@ from .bounds import (
     TheoremId,
     bound_exponent,
     sc2_comparison,
+    sc2_constants,
 )
 from .errors import ParameterError
-from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p, ord_p_unchecked
+from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p, ord_p_nonzero
 from .filtered_sums import ResidueClass
 from .triangles import Family
 
@@ -67,14 +67,17 @@ __all__ = [
     "GridSummary",
     "RunningSummary",
     "Sc2Comparison",
+    "TupleResult",
     "Verdict",
     "check_claim",
     "check_tuple",
     "count_chunks",
     "ensure_tables",
+    "evaluate_tuple",
     "grid_params",
     "iter_chunks",
     "iter_records",
+    "iter_results",
     "required_tables",
     "run_grid",
     "run_grids",
@@ -240,6 +243,49 @@ def _residues(residues: str | Iterable[int], d: int) -> range | list[int]:
     return range(d) if residues == "all" else sorted({r % d for r in residues})
 
 
+@dataclass(slots=True)
+class TupleResult:
+    """The records of one parameter tuple: what they share, and a column per
+    field that differs, in residue order.  The record of ``residues[i]`` has
+    the params ``{**params, "r": residues[i]}``; ``orders`` are as a report
+    writes them: an int, "inf" for a zero sum, None without a sum."""
+
+    theorem: TheoremId
+    params: dict[str, Any]
+    bound: int | None
+    residues: Sequence[int | None]
+    totals: Sequence[int | None]
+    orders: Sequence[int | str | None]
+    verdicts: Sequence[Verdict]
+    margins: Sequence[int | None]
+    sc2: Sequence[Sc2Comparison | None]
+
+    @classmethod
+    def of_record(cls, rec: ClaimRecord) -> "TupleResult":
+        """``rec`` as a one-residue result; its params lack "r" if the
+        record's do."""
+        order: int | str | None = None
+        if rec.order is not None:
+            order = "inf" if rec.order.is_infinite else rec.order.value
+        return cls(rec.theorem, rec.params, rec.bound, (rec.params.get("r"),), (rec.total,),
+                   (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
+
+    def params_of(self, r: int | None) -> dict[str, Any]:
+        """The params of the record of residue ``r``."""
+        return {**self.params, "r": r} if "r" in self.params else dict(self.params)
+
+    def records(self) -> list[ClaimRecord]:
+        return [
+            ClaimRecord(self.theorem, self.params_of(r), total,
+                        None if order is None else INFINITY if order == "inf"
+                        else PAdicOrder(order),
+                        self.bound, verdict, margin, comparison)
+            for r, total, order, verdict, margin, comparison in zip(
+                self.residues, self.totals, self.orders, self.verdicts, self.margins,
+                self.sc2)
+        ]
+
+
 def check_tuple(
     theorem: TheoremId | str,
     params: Mapping[str, Any],
@@ -251,9 +297,23 @@ def check_tuple(
     for r in rs]``, where rs is every residue modulo the class modulus d
     ("all") or the given residues reduced modulo d, sorted and deduplicated.
     ``params`` holds the theorem's parameters; any ``r`` in it is ignored.
+    They are the records of :func:`evaluate_tuple`.
+    """
+    return evaluate_tuple(theorem, params, residues, probe_inapplicable).records()
+
+
+def evaluate_tuple(
+    theorem: TheoremId | str,
+    params: Mapping[str, Any],
+    residues: str | Iterable[int] = "all",
+    probe_inapplicable: bool = False,
+) -> TupleResult:
+    """The :func:`check_tuple` records of one parameter tuple as one
+    :class:`TupleResult`.
 
     The bound spec, the hypotheses and the bound are evaluated once for the
-    tuple, and a theorem with a one-pass ``sums`` computes all d sums at once.
+    tuple, a theorem with a one-pass ``sums`` computes all d sums at once,
+    and SC2's l, C(n, l) and p**ord_p(n!) are worked out once.
     """
     theorem = _coerce_theorem(theorem)
     wiring = THEOREMS[theorem]
@@ -271,8 +331,9 @@ def check_tuple(
     spec = BoundSpec(theorem=theorem, **{k: v for k, v in params.items() if k != "f"})
     applicable = spec.hypotheses_hold()
     if not (applicable or probe_inapplicable):
-        return [ClaimRecord(theorem, {**base, "r": r}, None, None, None,
-                            Verdict.NOT_APPLICABLE, None) for r in rs]
+        nones = [None] * len(rs)
+        return TupleResult(theorem, base, None, rs, nones, nones,
+                           [Verdict.NOT_APPLICABLE] * len(rs), nones, nones)
 
     if wiring.sums is not None:
         every = wiring.sums(d=d, **params)
@@ -280,18 +341,21 @@ def check_tuple(
     else:
         totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
     bound = None if wiring.bound is None else bound_exponent(spec)
+    if applicable and bound is None:  # SC2: decided by the exact integer comparison
+        l, comb, rhs = sc2_constants(params["n"], p, params["f"])
 
-    records = []
-    for r, total in zip(rs, totals):
-        if total is None:  # probed sun with beta > alpha: the bound only
-            order = None
-        else:
-            order = INFINITY if total == 0 else ord_p_unchecked(total, p)  # spec checked p
-        margin = comparison = None
+    orders, verdicts, margins, comparisons = [], [], [], []
+    for total in totals:
+        order = margin = comparison = None
+        if total == 0:
+            order = "inf"
+        elif total is not None:  # None: probed sun with beta > alpha, the bound only
+            order = ord_p_nonzero(total, p)  # spec checked p
         if not applicable:  # probed: sums, orders and the raw bound, for inspection
             verdict = Verdict.NOT_APPLICABLE
-        elif bound is None:  # SC2: decided by the exact integer comparison
-            comparison = Sc2Comparison(*sc2_comparison(params["n"], p, params["f"], total))
+        elif bound is None:
+            lhs = None if total == 0 else comb * p**order
+            comparison = Sc2Comparison(l, lhs, rhs, lhs is None or lhs >= rhs)
             if total == 0:
                 verdict = Verdict.HOLDS_VACUOUS
             else:
@@ -299,7 +363,7 @@ def check_tuple(
         elif total == 0:
             verdict = Verdict.HOLDS_VACUOUS
         else:
-            margin = order.value - bound
+            margin = order - bound
             if bound < 0:
                 verdict = Verdict.HOLDS_TRIVIAL_BOUND
             elif margin == 0:
@@ -308,9 +372,11 @@ def check_tuple(
                 verdict = Verdict.HOLDS
             else:
                 verdict = Verdict.VIOLATION
-        records.append(ClaimRecord(theorem, {**base, "r": r}, total, order, bound, verdict,
-                                   margin, comparison))
-    return records
+        orders.append(order)
+        verdicts.append(verdict)
+        margins.append(margin)
+        comparisons.append(comparison)
+    return TupleResult(theorem, base, bound, rs, totals, orders, verdicts, margins, comparisons)
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +435,9 @@ class GridSpec:
             object.__setattr__(self, "residues", _axis(self.residues))
         taken = THEOREMS[self.theorem].params
         for name, field in AXIS_FIELDS.items():
-            values = tuple(getattr(self, field)) if name == "f" else _axis(getattr(self, field))
+            # polynomials keep their first-occurrence order, without repeats
+            values = (tuple(dict.fromkeys(getattr(self, field))) if name == "f"
+                      else _axis(getattr(self, field)))
             object.__setattr__(self, field, values)
             if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
@@ -436,7 +504,8 @@ class GridResult:
 
 
 class RunningSummary:
-    """The :class:`GridSummary` of the records passed to :meth:`add` so far."""
+    """The :class:`GridSummary` of the records of the tuple results passed to
+    :meth:`add` so far."""
 
     def __init__(self) -> None:
         self.total = 0
@@ -444,13 +513,18 @@ class RunningSummary:
         self.min_margin: int | None = None
         self.first_violation: dict[str, Any] | None = None
 
-    def add(self, rec: ClaimRecord) -> None:
-        self.total += 1
-        self.verdicts[rec.verdict._value_] += 1  # .value is a slower descriptor
-        if rec.margin is not None and (self.min_margin is None or rec.margin < self.min_margin):
-            self.min_margin = rec.margin
-        if rec.verdict is Verdict.VIOLATION and self.first_violation is None:
-            self.first_violation = dict(rec.params)
+    def add(self, res: TupleResult) -> None:
+        verdicts = res.verdicts
+        self.total += len(verdicts)
+        counts = self.verdicts
+        for verdict in verdicts:
+            counts[verdict._value_] += 1  # .value is a slower descriptor
+        low = min((margin for margin in res.margins if margin is not None), default=None)
+        if low is not None and (self.min_margin is None or low < self.min_margin):
+            self.min_margin = low
+        if self.first_violation is None and Verdict.VIOLATION in verdicts:
+            self.first_violation = res.params_of(
+                res.residues[verdicts.index(Verdict.VIOLATION)])
 
     def merge(self, part: GridSummary) -> None:
         """Add the summary of records that came after those added so far."""
@@ -471,8 +545,27 @@ class RunningSummary:
 def summarize(records: Iterable[ClaimRecord]) -> GridSummary:
     running = RunningSummary()
     for rec in records:
-        running.add(rec)
+        running.add(TupleResult.of_record(rec))
     return running.summary()
+
+
+def iter_results(
+    grids: Iterable[GridSpec],
+    probe_inapplicable: bool = False,
+    fail_fast: bool = False,
+) -> Iterator[TupleResult]:
+    """The result of every tuple of every grid, evaluated serially and lazily,
+    in deterministic order.
+
+    The triangles the grids need are built before this returns, so a
+    :class:`CapacityError` is raised here, before the first result.  Each
+    tuple is evaluated by :func:`evaluate_tuple`; with ``fail_fast`` each
+    claim is evaluated by :func:`check_claim` instead, as a one-residue
+    result, and the results stop right after the first VIOLATION.
+    """
+    grids = list(grids)
+    ensure_tables(grids)
+    return _results(grids, probe_inapplicable, fail_fast)
 
 
 def iter_records(
@@ -480,18 +573,9 @@ def iter_records(
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> Iterator[ClaimRecord]:
-    """The record of every tuple of every grid, evaluated serially and lazily,
-    in deterministic order.
-
-    The triangles the grids need are built before this returns, so a
-    :class:`CapacityError` is raised here, before the first record.  Each
-    tuple is evaluated by :func:`check_tuple`; with ``fail_fast`` each claim
-    is evaluated by :func:`check_claim` instead, and the records stop right
-    after the first VIOLATION.
-    """
-    grids = list(grids)
-    ensure_tables(grids)
-    return _records(grids, probe_inapplicable, fail_fast)
+    """The records of :func:`iter_results`, one at a time."""
+    results = iter_results(grids, probe_inapplicable, fail_fast)
+    return (rec for res in results for rec in res.records())
 
 
 def ensure_tables(grids: Iterable[GridSpec]) -> None:
@@ -500,19 +584,19 @@ def ensure_tables(grids: Iterable[GridSpec]) -> None:
         triangles.ensure_rows(family, top)
 
 
-def _records(
+def _results(
     grids: list[GridSpec], probe_inapplicable: bool, fail_fast: bool
-) -> Iterator[ClaimRecord]:
+) -> Iterator[TupleResult]:
     for grid in grids:
         if fail_fast:  # claim by claim, so that the work stops at the violation
             for params in grid_params(grid):
                 rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
-                yield rec
+                yield TupleResult.of_record(rec)
                 if rec.verdict is Verdict.VIOLATION:
                     return
         else:
             for params in _grid_tuples(grid):
-                yield from check_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
+                yield evaluate_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
 
 
 def _numbered_tuples(
@@ -549,17 +633,17 @@ def iter_chunks(
     probe_inapplicable: bool = False,
     first: int = 0,
     step: int = 1,
-) -> Iterator[tuple[int, list[ClaimRecord]]]:
+) -> Iterator[tuple[int, list[TupleResult]]]:
     """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
-    the grids' records, as (number, records), one chunk held at a time.
+    the grids' tuple results, as (number, results), one chunk held at a time.
 
-    The records are those of :func:`iter_records` without ``fail_fast``, cut
-    into chunks of at least ``size`` claims at tuple boundaries and numbered
-    from 0.  Only the tuples of these chunks are evaluated, so ``step``
-    callers with ``first`` = 0 .. step-1 share the work of one sweep.  The
-    triangles must have been built (:func:`ensure_tables`).
+    The results are those of :func:`iter_results` without ``fail_fast``, cut
+    into chunks of at least ``size`` claims and numbered from 0.  Only the
+    tuples of these chunks are evaluated, so ``step`` callers with ``first``
+    = 0 .. step-1 share the work of one sweep.  The triangles must have been
+    built (:func:`ensure_tables`).
     """
-    chunk: list[ClaimRecord] = []
+    chunk: list[TupleResult] = []
     current = first
     for number, grid, params in _numbered_tuples(grids, size):
         if number % step != first:
@@ -568,7 +652,7 @@ def iter_chunks(
             if chunk:
                 yield current, chunk
             chunk, current = [], number
-        chunk += check_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
+        chunk.append(evaluate_tuple(grid.theorem, params, grid.residues, probe_inapplicable))
     if chunk:
         yield current, chunk
 

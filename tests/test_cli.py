@@ -154,6 +154,22 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_repeated_polynomials_are_one_axis_value(self, capsys):
+        # one claim per distinct polynomial (trailing zeros stripped), in the
+        # order the --f flags first give them
+        def report(*polys):
+            argv = ["verify", "sc2", "--n", "1..3", "--p", "2", "--format", "csv"]
+            assert main(argv + [f"--f={f}" for f in polys]) == 0
+            return capsys.readouterr().out
+
+        once = report("0,0,1")
+        assert report("0,0,1", "0,0,1") == once
+        assert report("0,0,1", "0,0,1,0") == once
+        both = report("0,1", "0,0,1")
+        assert report("0,1", "0,0,1", "0,1,0", "0,0,1") == both
+        assert report("0,0,1", "0,1") != both
+        assert len(both.splitlines()) == 1 + 2 * len(once.splitlines()[1:])
+
     def test_probe_inapplicable_sun_beta_above_alpha(self, capsys):
         args = ["verify", "sun", "--n", "1..3", "--p", "2", "--alpha", "1", "--beta", "0..2",
                 "--l", "0", "--no-timestamp"]
@@ -579,7 +595,7 @@ def test_directory_as_out_fails_before_any_work(command, tmp_path, monkeypatch, 
     # the final rename after all of them
     argv, module, attr = {
         "verify": (["verify", "wan-strong", "--n", "1..60", "--p", "2,3", "--alpha", "1,2",
-                    "--l", "0..3"], verifier, "check_tuple"),
+                    "--l", "0..3"], verifier, "evaluate_tuple"),
         "identity": (["identity", "all"], identities, "suite"),
     }[command]
     real, calls = getattr(module, attr), []
@@ -612,7 +628,7 @@ class TestExitCodes:
             raise KeyboardInterrupt
 
         # the streamed report: interrupted while evaluating its first chunk
-        monkeypatch.setattr(verifier, "check_tuple", interrupted)
+        monkeypatch.setattr(verifier, "evaluate_tuple", interrupted)
         assert main(["verify", "fleck", "--p", "2", "--n", "1..5"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 

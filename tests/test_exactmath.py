@@ -13,6 +13,7 @@ from congruence_lab.exactmath import (
     is_prime,
     ord_p,
     ord_p_factorial,
+    ord_p_nonzero,
     poly_eval,
     rising_factorial,
 )
@@ -30,6 +31,11 @@ class TestOrdP:
         for p in (-3, 0, 1, 4, 6, 9, 15):
             with pytest.raises(ParameterError):
                 ord_p(10, p)
+
+    def test_nonzero_order_is_an_int(self):
+        assert [ord_p_nonzero(x, p) for x, p in ((12, 2), (-18, 3), (7, 5))] == [2, 2, 0]
+        with pytest.raises(ValueError):  # zero has no finite order
+            ord_p_nonzero(0, 3)
 
     def test_against_division_oracle(self):
         for p in (2, 3, 5, 7):

@@ -125,14 +125,14 @@ FAILING_GRID = ["verify", "fleck", "--p", "2", "--n", "1..20", "--no-timestamp",
 
 def fail_in_the_second_chunk(monkeypatch, failure):
     # chunks of 16 claims: n = 1..8, 9..16 and 17..20; n = 10 is the second's
-    real_check = verifier.check_tuple
+    real_evaluate = verifier.evaluate_tuple
 
-    def check(theorem, params, *args):
+    def evaluate(theorem, params, *args):
         if params["n"] == 10:
             failure()
-        return real_check(theorem, params, *args)
+        return real_evaluate(theorem, params, *args)
 
-    monkeypatch.setattr(verifier, "check_tuple", check)
+    monkeypatch.setattr(verifier, "evaluate_tuple", evaluate)
 
 
 def boom():
@@ -160,7 +160,7 @@ def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(verifier, "check_tuple", interrupted)
+    monkeypatch.setattr(verifier, "evaluate_tuple", interrupted)
     monkeypatch.setattr(cli, "JSON_CHUNK", 2)
     assert main(["verify", "fleck", "--p", "2", "--n", "1..5", "--workers", "2"]) == 130
     assert capsys.readouterr() == ("", "interrupted\n")

@@ -1,0 +1,156 @@
+"""`verify` reports, which render and tally one tuple result at a time,
+against the reference: one ``check_claim`` record per claim, rendered by
+``_json_text`` or ``csv.DictWriter``, and a summary worked out from those
+records.
+
+The grids are drawn over all twelve theorems.  Some draws raise the bound of
+a few tuples out of reach, so that the summary has a ``first_violation`` and
+a negative ``min_margin`` to get right.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from congruence_lab import bounds, cli, verifier
+from congruence_lab.bounds import THEOREMS, TheoremId
+from congruence_lab.cli import main
+from congruence_lab.verifier import Verdict, check_claim, grid_params
+from test_golden_reports import GRIDS
+
+
+def _values(low, high, max_size=2):
+    return st.lists(st.integers(low, high), min_size=1, max_size=max_size, unique=True).map(
+        lambda vs: ",".join(map(str, vs)))
+
+
+@st.composite
+def verify_argv(draw):
+    """The grid flags of a small random `verify` run."""
+    theorem = draw(st.sampled_from(sorted(TheoremId, key=lambda t: t.value)))
+    taken = THEOREMS[theorem].params
+    low = draw(st.integers(1, 5))
+    argv = ["verify", theorem.value, f"--n={low}..{draw(st.integers(low, 6))}",
+            "--p=" + draw(_values(2, 3) | st.just("5") | st.just("2,5"))]
+    axes = {"alpha": _values(1, 2), "beta": _values(0, 2), "l": _values(0, 2),
+            "m": st.just("1..n") | _values(1, 4), "a": _values(-2, 3)}
+    for name, values in axes.items():
+        if name in taken:
+            argv.append(f"--{name}={draw(values)}")
+    if "f" in taken:
+        coeffs = st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(
+            lambda cs: ",".join(map(str, cs)))
+        argv += [f"--f={text}" for text in draw(st.lists(coeffs, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        argv.append("--r=" + draw(_values(-3, 30, max_size=4)))
+    return argv
+
+
+def _reference_records(argv, probe):
+    args = cli.build_parser().parse_args(argv)
+    theorem = TheoremId(args.theorem)
+    grids = cli._build_grids(theorem, args, cli._grid_flags(theorem, args))
+    return [check_claim(theorem, params, probe) for grid in grids for params in grid_params(grid)]
+
+
+def _reference_summary(records):
+    verdicts = {v.value: 0 for v in Verdict}
+    for rec in records:
+        verdicts[rec.verdict.value] += 1
+    margins = [rec.margin for rec in records if rec.margin is not None]
+    violations = [rec.params for rec in records if rec.verdict is Verdict.VIOLATION]
+    return {"total": len(records), "verdicts": verdicts, "min_margin": min(margins, default=None),
+            "first_violation": violations[0] if violations else None}
+
+
+def _dictwriter_csv(records):
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=cli.CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for rec in records:
+        data = rec.to_json_dict()
+        row = {"theorem": data["theorem"], **data["params"]}
+        row.update((k, data[k]) for k in ("sum", "ord", "bound", "verdict", "margin")
+                   if data[k] is not None)
+        if "sc2" in data:
+            sc2 = data["sc2"]
+            row.update(sc2_l=sc2["l"], sc2_lhs="" if sc2["lhs"] is None else sc2["lhs"],
+                       sc2_rhs=sc2["rhs"], sc2_satisfied=sc2["satisfied"])
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@contextlib.contextmanager
+def _bounds_raised(ns):
+    """Bounds out of reach for the tuples with n in ``ns``: each integer
+    bound goes up by 50, and SC2's p**ord_p(n!) is multiplied by p**50, on
+    the per-claim and the per-tuple path alike."""
+    real_bound, real_constants = verifier.bound_exponent, bounds.sc2_constants
+
+    def bound(spec):
+        return real_bound(spec) + (50 if spec.n in ns else 0)
+
+    def constants(n, p, f):
+        l, comb, rhs = real_constants(n, p, f)
+        return l, comb, rhs * p**50 if n in ns else rhs
+
+    with mock.patch.object(verifier, "bound_exponent", bound), \
+            mock.patch.object(bounds, "sc2_constants", constants), \
+            mock.patch.object(verifier, "sc2_constants", constants):
+        yield
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(verify_argv(), st.sampled_from(["json", "csv"]), st.booleans(), st.sampled_from([1, 2]),
+       st.sets(st.integers(1, 6), max_size=2))
+def test_report_equals_one_check_claim_per_claim(tmp_path_factory, argv, fmt, probe, workers,
+                                                 raised):
+    argv = argv + ["--format", fmt] + (["--probe-inapplicable"] if probe else [])
+    out = tmp_path_factory.mktemp("report") / f"report.{fmt}"
+    # chunks of 16 claims on two CPUs, so that --workers 2 forks a pool
+    # whenever the records span two chunks
+    with _bounds_raised(raised), mock.patch.object(cli, "JSON_CHUNK", 16), \
+            mock.patch.object(cli, "_usable_cpus", lambda: 2), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--no-timestamp", "--workers", str(workers), "--out", str(out)])
+        records = _reference_records(argv, probe)
+    summary = _reference_summary(records)
+    assert code == (1 if summary["first_violation"] else 0)
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        run = json.loads(text)["run"]
+        want = cli._json_text({"records": [rec.to_json_dict() for rec in records], "run": run,
+                               "summary": summary})
+    else:
+        want = _dictwriter_csv(records)
+    assert text == want
+    with pytest.raises(ChildProcessError):  # every worker reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_report_path_builds_no_claim_record(fmt, workers, monkeypatch, tmp_path, capsys):
+    # the report renders and tallies tuple results: a ClaimRecord built
+    # anywhere on its path (in a worker too) fails the run
+    def no_record(*args, **kwargs):
+        raise AssertionError("a ClaimRecord was built")
+
+    monkeypatch.setattr(cli, "JSON_CHUNK", 16)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verifier, "ClaimRecord", no_record)
+    for theorem, grid in GRIDS.items():
+        argv = ["verify", theorem, *grid, "--format", fmt, "--workers", str(workers),
+                "--out", str(tmp_path / theorem)]
+        assert main(argv) == 0
+        assert main(argv + ["--probe-inapplicable"]) == 0
+    # --fail-fast evaluates claim by claim through check_claim, which builds them
+    with pytest.raises(AssertionError, match="a ClaimRecord was built"):
+        main(["verify", "fleck", *GRIDS["fleck"], "--fail-fast"])

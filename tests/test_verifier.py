@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import filtered_sums, triangles, verifier
+from congruence_lab import bounds, exactmath, filtered_sums, triangles, verifier
 from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.errors import CapacityError, ParameterError
 from congruence_lab.exactmath import IntPolynomial, ord_p
@@ -277,9 +277,9 @@ class TestCheckTuple:
             check_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
 
     def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
-        # fail_fast off: one check_tuple call and one bound per tuple, and no
-        # check_claim; fail_fast on: the reverse
-        calls = {"check_tuple": 0, "check_claim": 0, "bound_exponent": 0}
+        # fail_fast off: one evaluate_tuple call and one bound per tuple, and
+        # no check_claim; fail_fast on: the reverse
+        calls = {"evaluate_tuple": 0, "check_claim": 0, "bound_exponent": 0}
 
         def counted(name):
             real = getattr(verifier, name)
@@ -295,10 +295,10 @@ class TestCheckTuple:
                         ls=(0, 1))
         tuples = 10 * 2 * 2 * 2
         assert len(list(iter_records([grid]))) == 10 * 2 * (2 + 4 + 3 + 9)
-        assert calls == {"check_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
+        assert calls == {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
         calls.update(dict.fromkeys(calls, 0))
         records = list(iter_records([grid], fail_fast=True))
-        assert calls == {"check_tuple": 0, "check_claim": len(records),
+        assert calls == {"evaluate_tuple": 0, "check_claim": len(records),
                          "bound_exponent": len(records)}
 
     def test_p_is_still_checked(self, monkeypatch):
@@ -319,6 +319,29 @@ class TestCheckTuple:
         records = check_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0})
         assert len(records) == 9 and checks == [3]
 
+    def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
+        # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
+        # 270 claims.  Each tuple checks p in its bound spec and in ord_p(n!)
+        # for p**ord_p(n!), which it works out once with l and C(n, l); the
+        # grid checks each prime once.  (A comparison per claim, as
+        # check_claim makes, checked p three more times: 988 checks.)
+        checks = []
+        real = exactmath.check_prime
+
+        def counted(p):
+            checks.append(p)
+            return real(p)
+
+        for module in (exactmath, bounds, verifier):
+            monkeypatch.setattr(module, "check_prime", counted)
+        grid = GridSpec(TheoremId.SC2, ns=range(1, 31), primes=(2, 3), a_values=(-1, 1, 2),
+                        polys=(IntPolynomial((0, 0, 1)),))
+        results = list(verifier.iter_results([grid]))
+        assert sum(len(res.residues) for res in results) == 270
+        assert len(results) == 180 and len(checks) == 2 + 2 * 180
+        records = [rec for res in results for rec in res.records()]
+        assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
+
 
 class TestChunks:
     @settings(max_examples=200, deadline=None)
@@ -326,7 +349,7 @@ class TestChunks:
     def test_chunks_cut_the_records_at_tuple_boundaries(self, grid, size, step):
         records = list(iter_records([grid]))
         chunks = list(iter_chunks([grid], size))
-        assert [rec for _, chunk in chunks for rec in chunk] == records
+        assert [rec for _, chunk in chunks for res in chunk for rec in res.records()] == records
         assert [number for number, _ in chunks] == list(range(len(chunks)))
         # a chunk takes whole tuples until it holds at least size claims
         want = []
@@ -334,7 +357,7 @@ class TestChunks:
             if not want or want[-1] >= size:
                 want.append(0)
             want[-1] += len(check_tuple(grid.theorem, params, grid.residues))
-        assert [len(chunk) for _, chunk in chunks] == want
+        assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == want
         assert count_chunks([grid], size, 10**6) == len(chunks)
         assert count_chunks([grid], size, step) == min(step, len(chunks))
         # step callers, from first = 0 .. step-1, share out the same chunks
@@ -347,8 +370,9 @@ class TestChunks:
                           a_values=(1,)) for n in range(1, 9)]
         # 2 claims per tuple, n tuples for each n: 72 claims
         chunks = list(iter_chunks(grids, 10))
-        assert [len(chunk) for _, chunk in chunks] == [10] * 7 + [2]
-        assert [rec for _, chunk in chunks for rec in chunk] == list(iter_records(grids))
+        assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == [10] * 7 + [2]
+        assert [rec for _, chunk in chunks for res in chunk
+                for rec in res.records()] == list(iter_records(grids))
 
 
 VERDICTS = list(Verdict)
