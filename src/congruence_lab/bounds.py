@@ -209,8 +209,8 @@ THEOREMS: dict[TheoremId, Theorem] = {
 
 
 #: Smallest allowed value of each integer parameter that has one (p must be
-#: prime; a, r and f may be anything).  BoundSpec checks these per claim,
-#: GridSpec once per grid axis.
+#: prime; a, r and f may be anything).  BoundSpec checks these once per
+#: tuple on a sweep (per claim in ``check_claim``), GridSpec once per grid axis.
 PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
 
 
@@ -236,7 +236,7 @@ class BoundSpec:
         for name in theorem.spec_params:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
-        # PARAM_MINIMUM spelled out: this runs once per claim
+        # PARAM_MINIMUM spelled out: this runs once per tuple
         if "alpha" in theorem.params and self.alpha is not None and self.alpha < 1:
             raise ParameterError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta is not None and self.beta < 0:

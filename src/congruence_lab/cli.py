@@ -18,25 +18,24 @@ accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
 Claims are evaluated one parameter tuple (all its residue classes) at a
-time through ``verifier.evaluate_tuple``, or one claim at a time through
-``verifier.check_claim`` with --fail-fast.  `verify --workers N` (N >= 2)
-forks a pool of worker processes (:class:`_Pool`): the records are cut into
-chunks of at least ``JSON_CHUNK`` claims at tuple boundaries, worker i
-evaluates and renders chunks i, i + W, i + 2W, ... of the W workers, and
-the parent writes the chunks in order and merges their summaries, so the
-report's bytes are those of a serial run.  The pool is capped at the CPUs
-the process may use and at the number of chunks; the run is serial when
-that leaves fewer than two workers, with --fail-fast, where ``os.fork`` is
-missing, or when another thread is running.  A worker that fails or dies
-makes the run exit 2.  `verify` streams its report: records are
-written as they are evaluated (JSON in chunks of at least ``JSON_CHUNK``
-claims, CSV row by row) and the JSON summary last, so memory does not
-depend on the grid size.  Each tuple's ``verifier.TupleResult`` is tallied
-whole and rendered from a fixed layout (``_result_json``, ``csv.writer``
-rows from ``_result_csv``) that formats what its records share once and
-gives the bytes ``json.dumps`` with indent=2 and sorted keys, and
-``csv.DictWriter``, gave; a --fail-fast record renders as a one-residue
-result.  Every grid value is checked, and a grid flag the theorem does not take is refused,
+time through ``verifier.evaluate_tuple``, in chunks of at least
+``JSON_CHUNK`` claims cut at tuple boundaries (``verifier.iter_chunks``);
+with --fail-fast the chunks stop right after the first VIOLATION, cutting
+its tuple's records there.  Each chunk's tuple results are tallied whole and
+rendered from a fixed layout (``_result_json``, ``csv.writer`` rows from
+``_result_csv``) that formats what a tuple's records share once and gives
+the bytes ``json.dumps`` with indent=2 and sorted keys, and
+``csv.DictWriter``, gave.  Every run streams its report through
+``_write_report``, one write per chunk and the JSON summary last, so memory
+does not depend on the grid size.  `verify --workers N` (N >= 2) forks a
+pool of worker processes (:class:`_Pool`): worker i evaluates and renders
+chunks i, i + W, i + 2W, ... of the W workers, and the parent writes the
+chunks in order and merges their summaries, so the report's bytes are those
+of a serial run.  The pool is capped at the CPUs the process may use and at
+the number of chunks; the run is serial when that leaves fewer than two
+workers, with --fail-fast, where ``os.fork`` is missing, or when another
+thread is running.  A worker that fails or dies makes the run exit 2.
+Every grid value is checked, and a grid flag the theorem does not take is refused,
 before the first byte is written.  Every --out file is written under a temporary name in its
 directory and renamed into place when complete, so an interrupted run never
 leaves a truncated file; an interrupted run to stdout may leave a partial
@@ -77,7 +76,7 @@ from .filtered_sums import (
     stirling_product_sum,
 )
 from .triangles import Family
-from .verifier import ClaimRecord, GridSpec, GridSummary, TupleResult, Verdict
+from .verifier import GridSpec, GridSummary, TupleResult, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -342,7 +341,6 @@ def _result_json(res: TupleResult) -> str:
         params = {**params, "f": encode_basestring_ascii(params["f"])}
     head, tail = _params_layout(tuple(params))
     head = head.format_map(params)
-    residues = res.residues if "r" in params else ("",)
     if res.theorem is TheoremId.SC2:
         bound = '"sc2"'
     else:
@@ -350,7 +348,7 @@ def _result_json(res: TupleResult) -> str:
     theorem = res.theorem._value_
     texts = []
     for r, total, order, verdict, margin, sc2 in zip(
-            residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2):
+            res.residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2):
         if order is None:
             order = "null"
         elif order == "inf":
@@ -386,87 +384,31 @@ def _result_csv(res: TupleResult) -> list[list[Any]]:
     ]
 
 
-def _record_json(rec: ClaimRecord) -> str:
-    """:func:`_result_json` of one record."""
-    return _result_json(TupleResult.of_record(rec))
-
-
-def _record_csv(rec: ClaimRecord) -> list[Any]:
-    """The :func:`_result_csv` row of one record."""
-    return _result_csv(TupleResult.of_record(rec))[0]
-
-
-def _tallied(
-    records: Iterable[ClaimRecord | TupleResult], summary: verifier.RunningSummary
-) -> Iterator[TupleResult]:
-    """Tuple results as they are and records as one-residue results, each
-    added to ``summary`` as it passes."""
-    for item in records:
-        res = item if isinstance(item, TupleResult) else TupleResult.of_record(item)
-        summary.add(res)
-        yield res
-
-
-def render_json_report(
-    out: TextIO, run: dict[str, Any], records: Iterable[ClaimRecord | TupleResult]
+def _write_report(
+    out: TextIO, run: dict[str, Any], fmt: str, chunks: Iterable[tuple[GridSummary, str]]
 ) -> GridSummary:
-    """Write ``_json_text({"run": run, "records": ..., "summary": ...})`` to
-    ``out`` as the records arrive, and return the summary.
-
-    ``records`` are records or tuple results.  Sorted keys put "records"
-    first, so they are rendered by :func:`_result_json` as they arrive and
-    written once a chunk holds ``JSON_CHUNK`` claims or more; the run and the
-    summary follow the last record.  Nothing is written before the first
-    chunk is complete.
-    """
+    """Write the report whose records are the chunks' texts, in order, to
+    ``out``, one write per chunk, and return the merge of the chunks'
+    summaries once they are written.  A chunk (a :data:`_ChunkSource` item)
+    is one or more :func:`_result_json` texts, joined as in the report, or
+    CSV rows.  Sorted keys put the JSON "records" first, so the run and the
+    summary follow the last chunk."""
     summary = verifier.RunningSummary()
-    return _write_json(out, run, _json_chunks(records, summary), summary)
-
-
-def _json_chunks(
-    records: Iterable[ClaimRecord | TupleResult], summary: verifier.RunningSummary
-) -> Iterator[str]:
-    """The :func:`_result_json` texts of the records, joined as in the report
-    into chunks of at least ``JSON_CHUNK`` claims, each result added to
-    ``summary`` as it passes."""
-    texts: list[str] = []
-    claims = 0
-    for res in _tallied(records, summary):
-        texts.append(_result_json(res))
-        claims += len(res.residues)
-        if claims >= JSON_CHUNK:  # the texts are let go before the chunk is written
-            chunk, texts, claims = ",\n".join(texts), [], 0
-            yield chunk
-    if texts:
-        yield ",\n".join(texts)
-
-
-def _write_json(
-    out: TextIO, run: dict[str, Any], chunks: Iterable[str], summary: verifier.RunningSummary
-) -> GridSummary:
-    """Write the JSON report whose records list is the chunks, in order, to
-    ``out``, one write per chunk, and return ``summary``'s result once they
-    are written.  A chunk is one or more :func:`_result_json` texts, joined
-    as in the report."""
+    if fmt == "csv":
+        out.write(",".join(CSV_COLUMNS) + "\n")
     started = False
-    for chunk in chunks:
-        out.write((",\n" if started else _RECORDS_OPEN + "\n") + chunk)
+    for part, text in chunks:
+        summary.merge(part)
+        if fmt == "json":
+            text = (",\n" if started else _RECORDS_OPEN + "\n") + text
+        out.write(text)
         started = True
     result = summary.summary()
-    # the report with no records, from the "]" that closes them on
-    rest = _json_text({"records": [], "run": run, "summary": result.to_json_dict()})
-    out.write(("\n  " if started else _RECORDS_OPEN) + rest[len(_RECORDS_OPEN):])
+    if fmt == "json":
+        # the report with no records, from the "]" that closes them on
+        rest = _json_text({"records": [], "run": run, "summary": result.to_json_dict()})
+        out.write(("\n  " if started else _RECORDS_OPEN) + rest[len(_RECORDS_OPEN):])
     return result
-
-
-def render_csv_report(out: TextIO, records: Iterable[ClaimRecord | TupleResult]) -> GridSummary:
-    """Write the records (records or tuple results) to ``out`` as CSV rows as
-    they arrive, and return their summary."""
-    summary = verifier.RunningSummary()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(itertools.chain.from_iterable(map(_result_csv, _tallied(records, summary))))
-    return summary.summary()
 
 
 def _usable_cpus() -> int:
@@ -494,25 +436,29 @@ def _pool_size(workers: int, grids: list[GridSpec]) -> int:
     return size if size >= 2 else 0
 
 
-#: A worker's share of a sweep: ``chunks(first, step)`` gives the summary and
-#: text of chunks ``first``, ``first + step``, ``first + 2 step``, ...
+#: A share of a sweep: ``chunks(first, step)`` gives the summary and text of
+#: chunks ``first``, ``first + step``, ``first + 2 step``, ...; a worker of the
+#: pool takes ``chunks(i, size)``, a serial run ``chunks(0, 1)``.
 _ChunkSource = Callable[[int, int], Iterator[tuple[GridSummary, str]]]
 
 
 def _rendered_chunks(
-    grids: list[GridSpec], probe_inapplicable: bool, fmt: str, first: int, step: int
+    grids: list[GridSpec], fmt: str, probe_inapplicable: bool, fail_fast: bool,
+    first: int, step: int,
 ) -> Iterator[tuple[GridSummary, str]]:
     """A :data:`_ChunkSource` over :func:`verifier.iter_chunks` (chunks of at
     least ``JSON_CHUNK`` claims): each chunk's summary and its records'
-    text, JSON as :func:`_write_json` takes it or CSV rows."""
-    for _, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step):
+    text, as :func:`_write_report` takes them."""
+    for _, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step,
+                                           fail_fast):
         summary = verifier.RunningSummary()
-        tallied = _tallied(results, summary)
+        for res in results:
+            summary.add(res)
         if fmt == "json":
-            text = ",\n".join(map(_result_json, tallied))
+            text = ",\n".join(map(_result_json, results))
         else:
             buf = io.StringIO()
-            rows = itertools.chain.from_iterable(map(_result_csv, tallied))
+            rows = itertools.chain.from_iterable(map(_result_csv, results))
             csv.writer(buf, lineterminator="\n").writerows(rows)
             text = buf.getvalue()
         yield summary.summary(), text
@@ -592,20 +538,17 @@ class _Pool:
             pipe.write(json.dumps(failure).encode() + b"\n")
             return 1
 
-    def texts(self, summary: verifier.RunningSummary) -> Iterator[str]:
-        """Every chunk's text in chunk order, each chunk's summary merged
-        into ``summary`` as it passes.  A failed worker raises
-        :class:`CongruenceLabError`, or :class:`KeyboardInterrupt` if it was
-        interrupted."""
+    def chunks(self) -> Iterator[tuple[GridSummary, str]]:
+        """Every chunk's summary and text, in chunk order.  A failed worker
+        raises :class:`CongruenceLabError`, or :class:`KeyboardInterrupt` if
+        it was interrupted."""
         for number in itertools.count():
             chunk = self._read(number % self.size)
             if chunk is None:  # there is no chunk `number`
                 if any(self._read(i) is not None for i in range(self.size)):
                     raise CongruenceLabError("a verify worker sent a chunk past the last")
                 return
-            part, text = chunk
-            summary.merge(part)
-            yield text
+            yield chunk
 
     def _read(self, i: int) -> tuple[GridSummary, str] | None:
         """Worker i's next chunk, or None once it has exited 0 with no more."""
@@ -652,21 +595,6 @@ class _Pool:
             self._running.clear()
 
 
-def _pool_report(
-    out: TextIO, run: dict[str, Any], fmt: str, size: int, chunks: _ChunkSource
-) -> GridSummary:
-    """Write the report of a sweep that ``size`` workers evaluate and render
-    (:class:`_Pool`) to ``out``, chunk by chunk, and return its summary."""
-    summary = verifier.RunningSummary()
-    with _Pool(size, chunks) as pool:
-        texts = pool.texts(summary)
-        if fmt == "json":
-            return _write_json(out, run, texts, summary)
-        csv.writer(out, lineterminator="\n").writerow(CSV_COLUMNS)
-        out.writelines(texts)
-    return summary.summary()
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {args.workers}")
@@ -674,14 +602,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     flags = _grid_flags(theorem, args)
     grids = _build_grids(theorem, args, flags)
     size = 0 if args.fail_fast else _pool_size(args.workers, grids)
-    if size:  # the triangles are built before the fork, so every worker shares them
-        verifier.ensure_tables(grids)
-    else:
-        results = verifier.iter_results(
-            grids,
-            probe_inapplicable=args.probe_inapplicable,
-            fail_fast=args.fail_fast,
-        )
+    # the triangles, before the first byte and before any fork: every worker shares them
+    verifier.ensure_tables(grids)
+    chunks = functools.partial(_rendered_chunks, grids, args.format, args.probe_inapplicable,
+                               args.fail_fast)
 
     run: dict[str, Any] = {
         "command": "verify",
@@ -694,13 +618,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     with _output(args.out) as out:
         if size:
-            chunks = functools.partial(_rendered_chunks, grids, args.probe_inapplicable,
-                                       args.format)
-            summary = _pool_report(out, run, args.format, size, chunks)
-        elif args.format == "json":
-            summary = render_json_report(out, run, results)
+            with _Pool(size, chunks) as pool:
+                summary = _write_report(out, run, args.format, pool.chunks())
         else:
-            summary = render_csv_report(out, results)
+            summary = _write_report(out, run, args.format, chunks(0, 1))
 
     if args.out:
         counts = summary.verdicts

@@ -15,25 +15,26 @@ holds no per-theorem code except SC2's exact comparison and its record
 fields.
 
 Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
-the reference evaluation, the library call and the ``fail_fast`` path.
-:func:`evaluate_tuple` evaluates all residue classes of one parameter tuple
-into one :class:`TupleResult`, with one bound spec, one hypotheses check and
-one bound, and with one pass for all d sums where the theorem has a
-``sums``; :func:`check_tuple` gives its records, the same as one
-:func:`check_claim` per residue.  Both look up ``BoundSpec`` and
-``bound_exponent`` as globals of this module, so that a patch of one of them
-reaches either path; ``evaluate_tuple``, whose bound spec has checked ``p``,
-takes orders with ``ord_p_nonzero``.
+the reference evaluation and the library call.  :func:`evaluate_tuple`
+evaluates all residue classes of one parameter tuple into one
+:class:`TupleResult`, with one bound spec, one hypotheses check and one
+bound, and with one pass for all d sums where the theorem has a ``sums``;
+:func:`check_tuple` gives its records, the same as one :func:`check_claim`
+per residue.  Both look up ``BoundSpec`` and ``bound_exponent`` as globals
+of this module, so that a patch of one of them reaches either path;
+``evaluate_tuple``, whose bound spec has checked ``p``, takes orders with
+``ord_p_nonzero``.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
-deterministic.  :func:`iter_results` yields one tuple result at a time
-(:func:`iter_records` their records) and :class:`RunningSummary` tallies
-each whole as it passes, so a sweep's memory does not depend on its size;
-:func:`run_grids` collects the records into a list.  :func:`iter_chunks`
-cuts the same results into numbered chunks and evaluates only every
-``step``-th chunk, so that several processes can share a sweep (``verify
---workers``); the summaries of the chunks merge in chunk order
+deterministic.  :func:`iter_chunks` drives every sweep: it cuts the tuple
+results into numbered chunks and evaluates only every ``step``-th chunk, so
+that several processes can share a sweep (``verify --workers``), and with
+``fail_fast`` it stops right after the first VIOLATION.  :func:`iter_results`
+yields its results one tuple at a time (:func:`iter_records` their records)
+and :class:`RunningSummary` tallies each whole as it passes, so a sweep's
+memory does not depend on its size; :func:`run_grids` collects the records
+into a list.  The summaries of the chunks merge in chunk order
 (:meth:`RunningSummary.merge`) into the sweep's.
 """
 
@@ -260,23 +261,15 @@ class TupleResult:
     margins: Sequence[int | None]
     sc2: Sequence[Sc2Comparison | None]
 
-    @classmethod
-    def of_record(cls, rec: ClaimRecord) -> "TupleResult":
-        """``rec`` as a one-residue result; its params lack "r" if the
-        record's do."""
-        order: int | str | None = None
-        if rec.order is not None:
-            order = "inf" if rec.order.is_infinite else rec.order.value
-        return cls(rec.theorem, rec.params, rec.bound, (rec.params.get("r"),), (rec.total,),
-                   (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
-
-    def params_of(self, r: int | None) -> dict[str, Any]:
-        """The params of the record of residue ``r``."""
-        return {**self.params, "r": r} if "r" in self.params else dict(self.params)
+    def head(self, count: int) -> "TupleResult":
+        """The result of the first ``count`` residues."""
+        return TupleResult(self.theorem, self.params, self.bound, self.residues[:count],
+                           self.totals[:count], self.orders[:count], self.verdicts[:count],
+                           self.margins[:count], self.sc2[:count])
 
     def records(self) -> list[ClaimRecord]:
         return [
-            ClaimRecord(self.theorem, self.params_of(r), total,
+            ClaimRecord(self.theorem, {**self.params, "r": r}, total,
                         None if order is None else INFINITY if order == "inf"
                         else PAdicOrder(order),
                         self.bound, verdict, margin, comparison)
@@ -523,8 +516,8 @@ class RunningSummary:
         if low is not None and (self.min_margin is None or low < self.min_margin):
             self.min_margin = low
         if self.first_violation is None and Verdict.VIOLATION in verdicts:
-            self.first_violation = res.params_of(
-                res.residues[verdicts.index(Verdict.VIOLATION)])
+            self.first_violation = {
+                **res.params, "r": res.residues[verdicts.index(Verdict.VIOLATION)]}
 
     def merge(self, part: GridSummary) -> None:
         """Add the summary of records that came after those added so far."""
@@ -542,30 +535,21 @@ class RunningSummary:
         return GridSummary(self.total, dict(self.verdicts), self.min_margin, self.first_violation)
 
 
-def summarize(records: Iterable[ClaimRecord]) -> GridSummary:
-    running = RunningSummary()
-    for rec in records:
-        running.add(TupleResult.of_record(rec))
-    return running.summary()
-
-
 def iter_results(
     grids: Iterable[GridSpec],
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> Iterator[TupleResult]:
-    """The result of every tuple of every grid, evaluated serially and lazily,
-    in deterministic order.
+    """The results of :func:`iter_chunks`, one tuple at a time, evaluated
+    serially and lazily, in deterministic order.
 
     The triangles the grids need are built before this returns, so a
-    :class:`CapacityError` is raised here, before the first result.  Each
-    tuple is evaluated by :func:`evaluate_tuple`; with ``fail_fast`` each
-    claim is evaluated by :func:`check_claim` instead, as a one-residue
-    result, and the results stop right after the first VIOLATION.
+    :class:`CapacityError` is raised here, before the first result.
     """
     grids = list(grids)
     ensure_tables(grids)
-    return _results(grids, probe_inapplicable, fail_fast)
+    chunks = iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast)
+    return (res for _, chunk in chunks for res in chunk)
 
 
 def iter_records(
@@ -582,21 +566,6 @@ def ensure_tables(grids: Iterable[GridSpec]) -> None:
     """Build the triangle rows the grids need (:func:`required_tables`)."""
     for family, top in required_tables(grids).items():
         triangles.ensure_rows(family, top)
-
-
-def _results(
-    grids: list[GridSpec], probe_inapplicable: bool, fail_fast: bool
-) -> Iterator[TupleResult]:
-    for grid in grids:
-        if fail_fast:  # claim by claim, so that the work stops at the violation
-            for params in grid_params(grid):
-                rec = check_claim(grid.theorem, params, probe_inapplicable=probe_inapplicable)
-                yield TupleResult.of_record(rec)
-                if rec.verdict is Verdict.VIOLATION:
-                    return
-        else:
-            for params in _grid_tuples(grid):
-                yield evaluate_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
 
 
 def _numbered_tuples(
@@ -633,15 +602,18 @@ def iter_chunks(
     probe_inapplicable: bool = False,
     first: int = 0,
     step: int = 1,
+    fail_fast: bool = False,
 ) -> Iterator[tuple[int, list[TupleResult]]]:
     """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
     the grids' tuple results, as (number, results), one chunk held at a time.
 
-    The results are those of :func:`iter_results` without ``fail_fast``, cut
-    into chunks of at least ``size`` claims and numbered from 0.  Only the
-    tuples of these chunks are evaluated, so ``step`` callers with ``first``
-    = 0 .. step-1 share the work of one sweep.  The triangles must have been
-    built (:func:`ensure_tables`).
+    Each tuple is evaluated whole by :func:`evaluate_tuple`, and the results
+    are cut into chunks of at least ``size`` claims, at tuple boundaries,
+    numbered from 0.  Only the tuples of these chunks are evaluated, so
+    ``step`` callers with ``first`` = 0 .. step-1 share the work of one
+    sweep.  With ``fail_fast`` the results stop at the first VIOLATION: its
+    tuple's result is cut right after it, and no later tuple is evaluated.
+    The triangles must have been built (:func:`ensure_tables`).
     """
     chunk: list[TupleResult] = []
     current = first
@@ -652,7 +624,11 @@ def iter_chunks(
             if chunk:
                 yield current, chunk
             chunk, current = [], number
-        chunk.append(evaluate_tuple(grid.theorem, params, grid.residues, probe_inapplicable))
+        res = evaluate_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
+        if fail_fast and Verdict.VIOLATION in res.verdicts:
+            chunk.append(res.head(res.verdicts.index(Verdict.VIOLATION) + 1))
+            break
+        chunk.append(res)
     if chunk:
         yield current, chunk
 
@@ -664,8 +640,12 @@ def run_grids(
 ) -> GridResult:
     """Every record of :func:`iter_records`, collected in a list, and their
     summary."""
-    records = list(iter_records(grids, probe_inapplicable, fail_fast))
-    return GridResult(records, summarize(records))
+    summary = RunningSummary()
+    records = []
+    for res in iter_results(grids, probe_inapplicable, fail_fast):
+        summary.add(res)
+        records += res.records()
+    return GridResult(records, summary.summary())
 
 
 def run_grid(

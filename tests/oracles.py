@@ -6,6 +6,8 @@ products) and shares no code path with the package implementation.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import permutations
 
@@ -97,3 +99,36 @@ def naive_filtered_sum(upper: int, d: int, r: int, term) -> int:
         if (k - r) % d == 0:
             total += term(k)
     return total
+
+
+def report_summary(records) -> dict:
+    """A report's summary object, tallied claim by claim from ``records``
+    (``ClaimRecord``s): the verdict counts, the least margin and the params
+    of the first VIOLATION."""
+    verdicts = {name: 0 for name in ("HOLDS", "HOLDS-VACUOUS", "HOLDS-TRIVIAL-BOUND",
+                                     "TIGHT", "VIOLATION", "NOT-APPLICABLE")}
+    for rec in records:
+        verdicts[rec.verdict.value] += 1
+    margins = [rec.margin for rec in records if rec.margin is not None]
+    violations = [rec.params for rec in records if rec.verdict.value == "VIOLATION"]
+    return {"total": len(records), "verdicts": verdicts, "min_margin": min(margins, default=None),
+            "first_violation": violations[0] if violations else None}
+
+
+def dictwriter_csv(records, columns) -> str:
+    """A CSV report of ``records`` as ``csv.DictWriter`` writes each
+    record's ``to_json_dict()``, flattened into ``columns``."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for rec in records:
+        data = rec.to_json_dict()
+        row = {"theorem": data["theorem"], **data["params"]}
+        row.update((k, data[k]) for k in ("sum", "ord", "bound", "verdict", "margin")
+                   if data[k] is not None)
+        if "sc2" in data:
+            sc2 = data["sc2"]
+            row.update(sc2_l=sc2["l"], sc2_lhs="" if sc2["lhs"] is None else sc2["lhs"],
+                       sc2_rhs=sc2["rhs"], sc2_satisfied=sc2["satisfied"])
+        writer.writerow(row)
+    return out.getvalue()

@@ -16,7 +16,16 @@ from congruence_lab.bounds import TheoremId
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import INFINITY, IntPolynomial, PAdicOrder
-from congruence_lab.verifier import ClaimRecord, GridSpec, Sc2Comparison, Verdict
+from congruence_lab.verifier import (
+    ClaimRecord,
+    GridSpec,
+    Sc2Comparison,
+    TupleResult,
+    Verdict,
+    check_claim,
+    grid_params,
+)
+from oracles import dictwriter_csv, report_summary
 
 
 class TestFlagParsing:
@@ -264,9 +273,9 @@ class TestVerifyCommand:
     def test_fail_fast_stops_at_the_first_violation(self, tmp_path, monkeypatch):
         # claim 616 of this grid, (n, p, alpha, l, r) = (12, 3, 1, 1, 0), is the
         # first one of its tuple with a nonzero sum; an unreachable bound for
-        # the tuple turns it into a VIOLATION.  The pause on that claim gives
+        # the tuple turns it into a VIOLATION.  The pause on that tuple gives
         # any concurrent evaluator time to run ahead of it.
-        real_bound, real_check = verifier.bound_exponent, verifier.check_claim
+        real_bound, real_evaluate = verifier.bound_exponent, verifier.evaluate_tuple
         calls = []
 
         def forced_bound(spec):
@@ -275,18 +284,20 @@ class TestVerifyCommand:
                 return 10**6
             return real_bound(spec)
 
-        def counted_check(*args, **kwargs):
-            calls.append(args)
-            return real_check(*args, **kwargs)
+        def counted_evaluate(theorem, params, *args):
+            calls.append(tuple(params.values()))
+            return real_evaluate(theorem, params, *args)
 
         monkeypatch.setattr(verifier, "bound_exponent", forced_bound)
-        monkeypatch.setattr(verifier, "check_claim", counted_check)
+        monkeypatch.setattr(verifier, "evaluate_tuple", counted_evaluate)
         out = tmp_path / "report.json"
         code = main(["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
                      "--l", "0..2", "--workers", "2", "--fail-fast", "--no-timestamp",
                      "--out", str(out)])
         assert code == 1
-        assert len(calls) == 616
+        # every tuple up to and including the violating one, each once, in order
+        tuples = list(itertools.product(range(1, 21), (2, 3), (1, 2), range(3)))
+        assert calls == tuples[:tuples.index((12, 3, 1, 1)) + 1]
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["summary"]["total"] == len(report["records"]) == 616
         last = report["records"][-1]
@@ -300,48 +311,62 @@ def _reference_json(run, records):
     return json.dumps({
         "run": run,
         "records": [rec.to_json_dict() for rec in records],
-        "summary": verifier.summarize(records).to_json_dict(),
+        "summary": report_summary(records),
     }, indent=2, sort_keys=True) + "\n"
 
 
-def _wide_records():
-    grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 31), primes=(2, 3), alphas=(1, 2),
-                    ls=(0, 1, 2))
-    return verifier.run_grid(grid).records  # 1620 records
+def _one_claim_grid(ns, primes=(2, 3), alphas=(1, 2), ls=range(4)):
+    """A wan-strong grid with one claim per tuple."""
+    return GridSpec(TheoremId.WAN_STRONG, ns=ns, primes=primes, alphas=alphas, ls=ls,
+                    residues=(0,))
 
 
-def _sc2_records():
-    polys = (IntPolynomial((1,)), IntPolynomial((0, -1, 0, 3)))
-    grid = GridSpec(TheoremId.SC2, ns=range(1, 13), primes=(2, 3), a_values=(-1, 2), polys=polys)
-    return verifier.run_grid(grid).records
+def _wide_grid():
+    return GridSpec(TheoremId.WAN_STRONG, ns=range(1, 31), primes=(2, 3), alphas=(1, 2),
+                    ls=(0, 1, 2))  # 1620 claims
 
 
-def _not_applicable_records():
-    grid = GridSpec(TheoremId.EC2, ns=range(1, 9), primes=(2, 3), alphas=(1, 2),
-                    a_values=(-5, 1, 3))
-    return verifier.run_grid(grid).records + verifier.run_grid(grid, True).records
-
-
-RECORD_CASES = {
-    "none": lambda: [],
-    "one chunk": lambda: _wide_records()[:cli.JSON_CHUNK],
-    "one chunk plus one": lambda: _wide_records()[:cli.JSON_CHUNK + 1],
-    "several chunks": _wide_records,
-    "sc2": _sc2_records,
-    "not applicable": _not_applicable_records,
+# each case: the (grids, probe) of one or more serial chunk sources, one after
+# the other in the report
+GRID_CASES = {
+    "none": [([], False)],
+    "one chunk": [([_one_claim_grid(range(1, 33))], False)],  # JSON_CHUNK claims
+    "one chunk plus one": [([_one_claim_grid(range(1, 33)),
+                             _one_claim_grid((33,), (2,), (1,), (0,))], False)],
+    "several chunks": [([_wide_grid()], False)],
+    "sc2": [([GridSpec(TheoremId.SC2, ns=range(1, 13), primes=(2, 3), a_values=(-1, 2),
+                       polys=(IntPolynomial((1,)), IntPolynomial((0, -1, 0, 3))))], False)],
+    "not applicable": [([GridSpec(TheoremId.EC2, ns=range(1, 9), primes=(2, 3), alphas=(1, 2),
+                                  a_values=(-5, 1, 3))], probe) for probe in (False, True)],
 }
+
+
+def _serial_chunks(case, fmt, fail_fast=False):
+    """The chunks of the case's serial chunk sources, one source after the other."""
+    for grids, probe in GRID_CASES[case]:
+        verifier.ensure_tables(grids)
+        yield from cli._rendered_chunks(grids, fmt, probe, fail_fast, 0, 1)
+
+
+def _case_records(case):
+    """The reference: one check_claim record per claim of the case."""
+    return [check_claim(grid.theorem, params, probe) for grids, probe in GRID_CASES[case]
+            for grid in grids for params in grid_params(grid)]
+
 
 RUN = {"command": "verify", "theorem": "test", "grid": {"n": "1..2"}, "tool_version": "0"}
 
 
 class TestStreamedReport:
-    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    """``_write_report`` over the serial chunk source."""
+
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
     def test_json_equals_one_dumps(self, case):
-        records = RECORD_CASES[case]()
         out = io.StringIO()
-        summary = cli.render_json_report(out, RUN, iter(records))
+        summary = cli._write_report(out, RUN, "json", _serial_chunks(case, "json"))
+        records = _case_records(case)
         assert out.getvalue() == _reference_json(RUN, records)
-        assert summary == verifier.summarize(records)
+        assert summary.to_json_dict() == report_summary(records)
 
     def test_json_fail_fast_truncation(self, monkeypatch):
         # the forced violation is claim 616, in the second chunk
@@ -355,37 +380,28 @@ class TestStreamedReport:
         monkeypatch.setattr(verifier, "bound_exponent", forced_bound)
         grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 21), primes=(2, 3), alphas=(1, 2),
                         ls=(0, 1, 2))
-        records = list(verifier.iter_records([grid], fail_fast=True))
-        assert len(records) == 616 and records[-1].verdict is verifier.Verdict.VIOLATION
+        records = [check_claim(grid.theorem, params) for params in grid_params(grid)]
+        verdicts = [rec.verdict for rec in records]
+        records = records[:verdicts.index(Verdict.VIOLATION) + 1]
+        assert len(records) == 616
         out = io.StringIO()
-        cli.render_json_report(out, RUN, verifier.iter_records([grid], fail_fast=True))
+        chunks = cli._rendered_chunks([grid], "json", False, True, 0, 1)
+        summary = cli._write_report(out, RUN, "json", chunks)
         assert out.getvalue() == _reference_json(RUN, records)
+        assert summary.to_json_dict() == report_summary(records)
 
-    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
     def test_csv_equals_one_dictwriter(self, case):
-        records = RECORD_CASES[case]()
-        want = io.StringIO()
-        writer = csv.DictWriter(want, fieldnames=cli.CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            data = rec.to_json_dict()
-            row = {"theorem": data["theorem"], **data["params"]}
-            row.update((k, data[k]) for k in ("sum", "ord", "bound", "verdict", "margin")
-                       if data[k] is not None)
-            if "sc2" in data:
-                sc2 = data["sc2"]
-                row.update(sc2_l=sc2["l"], sc2_lhs="" if sc2["lhs"] is None else sc2["lhs"],
-                           sc2_rhs=sc2["rhs"], sc2_satisfied=sc2["satisfied"])
-            writer.writerow(row)
         out = io.StringIO()
-        summary = cli.render_csv_report(out, iter(records))
-        assert out.getvalue() == want.getvalue()
-        assert summary == verifier.summarize(records)
+        summary = cli._write_report(out, RUN, "csv", _serial_chunks(case, "csv"))
+        records = _case_records(case)
+        assert out.getvalue() == dictwriter_csv(records, cli.CSV_COLUMNS)
+        assert summary.to_json_dict() == report_summary(records)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_writes_before_the_records_run_out(self, fmt):
-        records = list(itertools.islice(itertools.cycle(_wide_records()), 3 * cli.JSON_CHUNK + 5))
-        written = []  # records in the output when the writer pulls each record
+    def test_writes_before_the_records_run_out(self, fmt, monkeypatch):
+        # (claims evaluated, claims in the output) when each tuple is evaluated
+        seen = []
 
         class Out:
             def __init__(self):
@@ -396,19 +412,20 @@ class TestStreamedReport:
                 self.records += text.count("wan-strong")
 
         out = Out()
+        real_evaluate = verifier.evaluate_tuple
+        evaluated = []
 
-        def watched():
-            for rec in records:
-                written.append(out.records)
-                yield rec
+        def watched(*args):
+            seen.append((sum(len(res.residues) for res in evaluated), out.records))
+            evaluated.append(real_evaluate(*args))
+            return evaluated[-1]
 
+        monkeypatch.setattr(verifier, "evaluate_tuple", watched)
+        cli._write_report(out, RUN, fmt, _serial_chunks("several chunks", fmt))
         if fmt == "json":
-            cli.render_json_report(out, RUN, watched())
-            assert "".join(out.parts) == _reference_json(RUN, records)
-        else:
-            cli.render_csv_report(out, watched())
-        assert written[-1] > 0
-        assert max(i - w for i, w in enumerate(written)) < cli.JSON_CHUNK
+            assert "".join(out.parts) == _reference_json(RUN, _case_records("several chunks"))
+        assert seen[-1][1] > 0
+        assert max(done - written for done, written in seen) < cli.JSON_CHUNK
 
 
 def _big(limit=10**90):
@@ -419,9 +436,9 @@ def _big(limit=10**90):
 def records(draw):
     """Any record shape the verifier writes, with values beyond any it does."""
     theorem = draw(st.sampled_from(list(TheoremId)))
-    keys = draw(st.lists(st.sampled_from(("n", "p", "alpha", "beta", "l", "m", "a", "d", "r")),
+    keys = draw(st.lists(st.sampled_from(("n", "p", "alpha", "beta", "l", "m", "a", "d")),
                          unique=True))
-    params = {key: draw(_big()) for key in keys}
+    params = {key: draw(_big()) for key in keys + ["r"]}
     if draw(st.booleans()):  # SC2's polynomial; any text must be escaped as json does
         coeffs = st.lists(_big(), max_size=5).map(tuple).map(IntPolynomial)
         params["f"] = draw(coeffs.map(IntPolynomial.coeff_string) | st.text())
@@ -433,33 +450,30 @@ def records(draw):
                        draw(st.none() | _big()), sc2)
 
 
+def _one_residue(rec):
+    """``rec`` as a one-residue tuple result."""
+    order = None if rec.order is None else "inf" if rec.order.is_infinite else rec.order.value
+    return TupleResult(rec.theorem, rec.params, rec.bound, (rec.params["r"],), (rec.total,),
+                       (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
+
+
 class TestRecordLayout:
-    """One record rendered from the fixed layout against the encoders that
-    rendered it before."""
+    """One record rendered from the fixed layout, as a one-residue tuple
+    result, against the encoders that rendered it before."""
 
     @settings(max_examples=200, deadline=None)
     @given(records())
     def test_json_record_equals_dumps(self, rec):
         text = json.dumps(rec.to_json_dict(), indent=2, sort_keys=True)
-        assert cli._record_json(rec) == "    " + text.replace("\n", "\n    ")
+        assert cli._result_json(_one_residue(rec)) == "    " + text.replace("\n", "\n    ")
 
     @settings(max_examples=200, deadline=None)
     @given(records())
     def test_csv_row_equals_dictwriter(self, rec):
-        data = rec.to_json_dict()
-        row = {key: "" for key in cli.CSV_COLUMNS}
-        row["theorem"] = data["theorem"]
-        row.update(data["params"])
-        row.update((key, data[key]) for key in ("sum", "ord", "bound", "verdict", "margin")
-                   if data[key] is not None)
-        if "sc2" in data:
-            sc2 = data["sc2"]
-            row.update(sc2_l=sc2["l"], sc2_lhs="" if sc2["lhs"] is None else sc2["lhs"],
-                       sc2_rhs=sc2["rhs"], sc2_satisfied=sc2["satisfied"])
-        want, got = io.StringIO(), io.StringIO()
-        csv.DictWriter(want, fieldnames=cli.CSV_COLUMNS, lineterminator="\n").writerow(row)
-        csv.writer(got, lineterminator="\n").writerow(cli._record_csv(rec))
-        assert got.getvalue() == want.getvalue()
+        got = io.StringIO()
+        got.write(",".join(cli.CSV_COLUMNS) + "\n")
+        csv.writer(got, lineterminator="\n").writerows(cli._result_csv(_one_residue(rec)))
+        assert got.getvalue() == dictwriter_csv([rec], cli.CSV_COLUMNS)
 
 
 class TestIdentityCommand:

@@ -10,6 +10,7 @@ from congruence_lab.verifier import (
     AXIS_FIELDS,
     ClaimRecord,
     GridSpec,
+    GridSummary,
     RunningSummary,
     Verdict,
     check_claim,
@@ -20,8 +21,8 @@ from congruence_lab.verifier import (
     iter_records,
     run_grid,
     run_grids,
-    summarize,
 )
+from oracles import report_summary
 
 
 class TestCheckClaim:
@@ -277,8 +278,8 @@ class TestCheckTuple:
             check_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
 
     def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
-        # fail_fast off: one evaluate_tuple call and one bound per tuple, and
-        # no check_claim; fail_fast on: the reverse
+        # one evaluate_tuple call and one bound per tuple, and no check_claim,
+        # with fail_fast off and on
         calls = {"evaluate_tuple": 0, "check_claim": 0, "bound_exponent": 0}
 
         def counted(name):
@@ -297,9 +298,8 @@ class TestCheckTuple:
         assert len(list(iter_records([grid]))) == 10 * 2 * (2 + 4 + 3 + 9)
         assert calls == {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
         calls.update(dict.fromkeys(calls, 0))
-        records = list(iter_records([grid], fail_fast=True))
-        assert calls == {"evaluate_tuple": 0, "check_claim": len(records),
-                         "bound_exponent": len(records)}
+        assert len(list(iter_records([grid], fail_fast=True))) == 10 * 2 * (2 + 4 + 3 + 9)
+        assert calls == {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
 
     def test_p_is_still_checked(self, monkeypatch):
         # check_tuple takes each residue's order unchecked, after its bound
@@ -392,5 +392,5 @@ class TestRunningSummary:
         cuts = sorted({min(c, len(records)) for c in cuts} | {0, len(records)})
         merged = RunningSummary()
         for lo, hi in zip(cuts, cuts[1:]):
-            merged.merge(summarize(records[lo:hi]))
-        assert merged.summary() == summarize(records)
+            merged.merge(GridSummary(**report_summary(records[lo:hi])))
+        assert merged.summary().to_json_dict() == report_summary(records)
