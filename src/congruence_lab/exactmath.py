@@ -8,6 +8,7 @@ results are exact regardless of magnitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -151,19 +152,45 @@ def ord_p_nonzero(x: int, p: int) -> int:
     """The finite :func:`ord_p` of a nonzero ``x``, as an int, without the
     check that ``p`` is prime, for a caller that has already checked it
     (``verifier.evaluate_tuple`` checks ``p`` once per tuple and takes the
-    order of each of its residue classes' nonzero sums)."""
+    order of each of its residue classes' nonzero sums).
+
+    For odd p, ``x`` is divided by p**k, the largest power of p that fits in
+    one int digit (:func:`_digit_power`), so CPython divides by a single
+    digit and each division strips k factors of p.  The first division
+    that leaves a remainder r != 0 ends the loop: x = r (mod p**k) and
+    0 < r < p**k, so the order still to add is the order of the small r.
+    That is about e/k + 1 divisions of the big x for an order e, not e + 1.
+    For p = 2 the order is the number of trailing zero bits.
+    """
     if x == 0:
         raise ValueError("the order of zero has no finite value")
     x = abs(x)
     if p == 2:
         return (x & -x).bit_length() - 1
+    q, k = _digit_power(p)
     e = 0
     while True:
-        q, r = divmod(x, p)
+        x, r = divmod(x, q)
         if r:
-            return e
-        x = q
+            break
+        e += k
+    while r % p == 0:
+        r //= p
         e += 1
+    return e
+
+
+@lru_cache(maxsize=None)
+def _digit_power(p: int) -> tuple[int, int]:
+    """``(p**k, k)`` for the largest k >= 1 with p**k below the int digit
+    base ``1 << sys.int_info.bits_per_digit``; ``(p, 1)`` for a p that does
+    not fit in one digit, and for p < 2, whose powers never reach the base."""
+    base = 1 << sys.int_info.bits_per_digit
+    q, k = p, 1
+    while p > 1 and q * p < base:
+        q *= p
+        k += 1
+    return q, k
 
 
 def ord_p_factorial(n: int, p: int) -> int:

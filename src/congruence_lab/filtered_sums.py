@@ -13,11 +13,16 @@ outermost, so one row serves every (p, alpha, l) tuple and residue of that n.
 residue class of one modulus at once, in residue order, equal to one call of
 :func:`fleck_sum` (EXACT) or :func:`stirling_product_sum` per residue: the
 verifier evaluates a parameter tuple's d claims with one of them.
+:func:`fleck_sums` reads the signed row (-1)**k C(n, k) and builds its sums
+from repeated suffix sums of each class, by additions only, keeping those of
+the last (n, p**alpha) for the next l; :func:`fleck_sum` keeps its
+multiply-accumulate over ``math.comb`` weights and is the reference for it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -151,29 +156,52 @@ def fleck_sum(
     return kernels.dot2(values, weights)
 
 
+# typed, as _binomial_row
+@functools.lru_cache(maxsize=1, typed=True)
+def _signed_row(n: int) -> tuple:
+    """The signed row (-1)**k C(n, k), k = 0..n, kept until another n."""
+    row = kernels.binomial_row(n)
+    row[1::2] = [-c for c in row[1::2]]
+    return tuple(row)
+
+
+# The suffix sums of the last (signed row, d) that fleck_sums was asked for:
+# (row, d, folds, classes), where classes[r] holds the folds-fold suffix sums
+# of class r's terms, highest k first.  Replaced whole, never changed in place,
+# so a thread that reads it sees one whole state.
+_suffixes: tuple = (None, 0, 0, ())
+
+
 def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
     """The EXACT :func:`fleck_sum` of every residue r = 0..p**alpha - 1.
 
     Member j of class r is k = r + j * p**alpha, with weight
-    (-1)**k C(j, l) = (-1)**r (-1)**(j * p**alpha) C(j, l), so one binomial
-    row and one weight list serve every residue.
+    (-1)**k C(j, l).  With v_k = (-1)**k C(n, k), the sum over j of
+    v_(r + j p**alpha) C(j, l) is entry l of the (l + 1)-fold suffix sums of
+    the class's terms, since t-fold suffix sums put weight C(j - i + t - 1,
+    t - 1) on term j at entry i.  So the sums take additions only (no
+    multiplications) and a class of at most l members sums to 0.
+
+    A grid runs l innermost, so the suffix sums of the last (n, p**alpha)
+    are kept and extended by one pass per fold asked for; a smaller l, or
+    another (n, p**alpha), starts again from the signed row.
     """
+    global _suffixes
     check_prime(p)
     _check_positive("n", n)
     _check_positive("alpha", alpha)
     if l < 0:
         raise ParameterError(f"l must be >= 0, got {l}")
     d = p**alpha
-    row = _binomial_row(n)
-    weights = [math.comb(j, l) for j in range(n // d + 1)]
-    if d % 2:
-        weights[1::2] = [-w for w in weights[1::2]]
-    totals = []
-    for r in range(d):
-        values = row[r::d]
-        totals.append(kernels.dot2(values, weights[: len(values)]))
-    totals[1::2] = [-t for t in totals[1::2]]
-    return totals
+    row = _signed_row(n)
+    kept_row, kept_d, folds, classes = _suffixes
+    if kept_row is not row or kept_d != d or folds > l + 1:
+        folds, classes = 0, [row[r::d][::-1] for r in range(d)]
+    while folds <= l:
+        classes = [list(itertools.accumulate(c)) for c in classes]
+        folds += 1
+    _suffixes = (row, d, folds, classes)
+    return [c[-1 - l] if len(c) > l else 0 for c in classes]
 
 
 def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> int:

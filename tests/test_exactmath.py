@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_lab.errors import ParameterError
@@ -9,6 +10,7 @@ from congruence_lab.exactmath import (
     INFINITY,
     IntPolynomial,
     PAdicOrder,
+    _digit_power,
     binom,
     is_prime,
     ord_p,
@@ -56,6 +58,41 @@ class TestOrdP:
             quotient, remainder = divmod(x, p**e)
             assert remainder == 0
             assert quotient % p != 0
+
+
+# 32749 and 65537 lie just under and over 2**15 (a digit with 15-bit digits);
+# 2**31 - 1 and 2**30 + 3 do not fit in a 30-bit digit
+DIGIT_PRIMES = (2, 3, 5, 7, 32749, 65537, 2**31 - 1, 2**30 + 3)
+
+
+class TestOrdPByDigits:
+    """``ord_p_nonzero`` divides by p**k, one int digit, at a time; the
+    oracle divides by p."""
+
+    def test_digit_power_bounds(self):
+        base = 1 << sys.int_info.bits_per_digit
+        for p in DIGIT_PRIMES + (11, 31, 1021, 46337, 46349):
+            q, k = _digit_power(p)
+            assert k >= 1 and q == p**k, p
+            if p < base:
+                assert q < base <= q * p, p
+            else:
+                assert k == 1, p
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(DIGIT_PRIMES),
+        st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 0), (3, 1)]),  # e = a*k + b
+        st.one_of(st.integers(min_value=1, max_value=10**6),
+                  st.integers(min_value=10**300, max_value=10**700)),
+        st.sampled_from([1, -1]),
+    )
+    def test_orders_around_multiples_of_k(self, p, ab, cofactor, sign):
+        e = ab[0] * _digit_power(p)[1] + ab[1]
+        if cofactor % p == 0:
+            cofactor += 1
+        x = sign * cofactor * p**e
+        assert ord_p_nonzero(x, p) == ord_by_division(x, p) == e
 
 
 class TestPAdicOrder:

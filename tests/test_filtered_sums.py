@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import triangles
+from congruence_lab import filtered_sums, triangles
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import IntPolynomial, ord_p
 from congruence_lab.filtered_sums import (
@@ -298,6 +298,40 @@ class TestOnePassSums:
         d = p**alpha
         want = [fleck_sum(n, p, alpha, ResidueClass(d, r), l) for r in range(d)]
         assert fleck_sums(n, p, alpha, l) == want
+
+    @staticmethod
+    def _check_calls(calls):
+        """Each fleck_sums call of the sequence equals one fleck_sum and one
+        naive sum per residue, and the kept suffix sums hold one (n, d)."""
+        for n, p, alpha, l in calls:
+            d = p**alpha
+            got = fleck_sums(n, p, alpha, l)
+            assert got == [fleck_sum(n, p, alpha, ResidueClass(d, r), l) for r in range(d)]
+            assert got == [naive_filtered_sum(
+                n, d, r, lambda k: (-1) ** k * math.comb(n, k) * math.comb((k - r) // d, l))
+                for r in range(d)], (n, p, alpha, l)
+            classes = filtered_sums._suffixes[3]
+            assert len(classes) == d and sum(map(len, classes)) == n + 1
+
+    def test_fleck_sums_sequence(self):
+        # l ascending, repeated and descending, (n, d) interleaved, and
+        # classes with at most l members (n = 2, d = 2, l = 3 gives 0)
+        self._check_calls([(9, 3, 1, 0), (9, 3, 1, 1), (9, 3, 1, 1), (9, 3, 1, 3),
+                           (9, 3, 2, 1), (9, 3, 1, 2), (10, 3, 1, 2), (9, 3, 1, 0),
+                           (2, 2, 1, 3), (2, 2, 1, 0), (2, 2, 1, 3), (7, 2, 2, 2)])
+        assert fleck_sums(2, 2, 1, 3) == [0, 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(min_value=1, max_value=30), st.sampled_from([2, 3, 5]),
+                           st.integers(min_value=1, max_value=2)), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                           st.integers(min_value=0, max_value=8)), min_size=1, max_size=16),
+    )
+    def test_fleck_sums_kept_state(self, keys, picks):
+        """A drawn call sequence over a few (n, p, alpha): l goes up, down
+        and repeats, and the (n, d) interleave."""
+        self._check_calls([(*keys[i % len(keys)], l) for i, l in picks])
 
     @settings(max_examples=80, deadline=None)
     @given(

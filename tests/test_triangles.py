@@ -121,6 +121,25 @@ class TestTriangleObject:
             triangles.stirling1(11, 2)
         assert triangles.stirling1(10, 2) > 0
 
+    def test_a_built_row_is_looked_up(self, monkeypatch):
+        tri = triangles.ensure_rows(Family.STIRLING2, 30)
+
+        def no_build(family, max_n):
+            raise AssertionError("a built row was built again")
+
+        monkeypatch.setattr(triangles, "build", no_build)
+        assert triangles.ensure_rows(Family.STIRLING2, 30) is tri
+        assert triangles.ensure_rows(Family.STIRLING2, 0) is tri
+        assert triangles.ensure_rows("stirling2", 7) is tri
+        with pytest.raises(ParameterError):
+            triangles.ensure_rows(Family.STIRLING2, -1)
+        with pytest.raises(ValueError):
+            triangles.ensure_rows("stirling3", 7)
+        triangles.set_row_limit(20)  # a built row above the limit is refused
+        with pytest.raises(CapacityError):
+            triangles.ensure_rows(Family.STIRLING2, 21)
+        assert triangles.ensure_rows(Family.STIRLING2, 20) is tri
+
     def test_verify_invariants_accepts_built(self):
         for family in Family:
             build(family, 12).verify_invariants()
