@@ -184,10 +184,10 @@ def ord_p_nonzero(x: int, p: int) -> int:
 def _digit_power(p: int) -> tuple[int, int]:
     """``(p**k, k)`` for the largest k >= 1 with p**k below the int digit
     base ``1 << sys.int_info.bits_per_digit``; ``(p, 1)`` for a p that does
-    not fit in one digit, and for p < 2, whose powers never reach the base."""
+    not fit in one digit."""
     base = 1 << sys.int_info.bits_per_digit
     q, k = p, 1
-    while p > 1 and q * p < base:
+    while q * p < base:
         q *= p
         k += 1
     return q, k

@@ -156,20 +156,11 @@ def fleck_sum(
     return kernels.dot2(values, weights)
 
 
-# typed, as _binomial_row
-@functools.lru_cache(maxsize=1, typed=True)
-def _signed_row(n: int) -> tuple:
-    """The signed row (-1)**k C(n, k), k = 0..n, kept until another n."""
-    row = kernels.binomial_row(n)
-    row[1::2] = [-c for c in row[1::2]]
-    return tuple(row)
-
-
-# The suffix sums of the last (signed row, d) that fleck_sums was asked for:
-# (row, d, folds, classes), where classes[r] holds the folds-fold suffix sums
-# of class r's terms, highest k first.  Replaced whole, never changed in place,
-# so a thread that reads it sees one whole state.
-_suffixes: tuple = (None, 0, 0, ())
+# The suffix sums of the last (n, d) that fleck_sums was asked for:
+# ((n, d), folds, classes), where classes[r] holds the folds-fold suffix sums
+# of class r's signed terms, highest k first.  Replaced whole, never changed
+# in place, so a thread that reads it sees one whole state.
+_suffixes: tuple = (None, 0, ())
 
 
 def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
@@ -193,14 +184,16 @@ def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
     if l < 0:
         raise ParameterError(f"l must be >= 0, got {l}")
     d = p**alpha
-    row = _signed_row(n)
-    kept_row, kept_d, folds, classes = _suffixes
-    if kept_row is not row or kept_d != d or folds > l + 1:
-        folds, classes = 0, [row[r::d][::-1] for r in range(d)]
+    row = _binomial_row(n)  # also refuses a float n, as math.comb did
+    kept, folds, classes = _suffixes
+    if kept != (n, d) or folds > l + 1:
+        signed = list(row)
+        signed[1::2] = [-c for c in signed[1::2]]
+        folds, classes = 0, [signed[r::d][::-1] for r in range(d)]
     while folds <= l:
         classes = [list(itertools.accumulate(c)) for c in classes]
         folds += 1
-    _suffixes = (row, d, folds, classes)
+    _suffixes = ((n, d), folds, classes)
     return [c[-1 - l] if len(c) > l else 0 for c in classes]
 
 

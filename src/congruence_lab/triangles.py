@@ -172,11 +172,9 @@ def reset_shared() -> None:
 def ensure_rows(family: Family, n: int) -> Triangle:
     """Shared triangle with row ``n`` available; grows geometrically up to the
     configured row limit, then raises :class:`CapacityError`."""
-    # a row already built is a lookup: a sweep asks for one on every tuple
-    tri = _shared.get(family) if isinstance(family, Family) else None
-    if tri is not None and 0 <= n <= tri.max_n and n <= _row_limit:
-        return tri
-    family = Family(family)
+    # a sweep asks for a row on every tuple: skip the Enum call for a member
+    if not isinstance(family, Family):
+        family = Family(family)
     if n < 0:
         raise ParameterError(f"row index must be >= 0, got {n}")
     if n > _row_limit:

@@ -310,7 +310,7 @@ class TestOnePassSums:
             assert got == [naive_filtered_sum(
                 n, d, r, lambda k: (-1) ** k * math.comb(n, k) * math.comb((k - r) // d, l))
                 for r in range(d)], (n, p, alpha, l)
-            classes = filtered_sums._suffixes[3]
+            classes = filtered_sums._suffixes[2]
             assert len(classes) == d and sum(map(len, classes)) == n + 1
 
     def test_fleck_sums_sequence(self):
