@@ -209,8 +209,9 @@ THEOREMS: dict[TheoremId, Theorem] = {
 
 
 #: Smallest allowed value of each integer parameter that has one (p must be
-#: prime; a, r and f may be anything).  BoundSpec checks these once per
-#: tuple on a sweep (per claim in ``check_claim``), GridSpec once per grid axis.
+#: prime; a, r and f may be anything).  GridSpec checks every axis value
+#: against these, and BoundSpec every field it has set: once per tuple on a
+#: sweep, once per claim in ``check_claim``.
 PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
 
 
@@ -230,21 +231,13 @@ class BoundSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theorem", TheoremId(self.theorem))
         check_prime(self.p)
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
-        theorem = THEOREMS[self.theorem]
-        for name in theorem.spec_params:
+        for name in THEOREMS[self.theorem].spec_params:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
-        # PARAM_MINIMUM spelled out: this runs once per tuple
-        if "alpha" in theorem.params and self.alpha is not None and self.alpha < 1:
-            raise ParameterError(f"alpha must be >= 1, got {self.alpha}")
-        if self.beta is not None and self.beta < 0:
-            raise ParameterError(f"beta must be >= 0, got {self.beta}")
-        if self.l is not None and self.l < 0:
-            raise ParameterError(f"l must be >= 0, got {self.l}")
-        if self.m is not None and self.m < 1:
-            raise ParameterError(f"m must be positive, got {self.m}")
+        for name, low in PARAM_MINIMUM.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ParameterError(f"{name} must be >= {low}, got {value}")
 
     def hypotheses_hold(self) -> bool:
         """Whether this parameter tuple satisfies the theorem's hypotheses.

@@ -219,6 +219,10 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 
 def cmd_sum(args: argparse.Namespace) -> int:
     kind = args.kind
+    if kind in ("fleck", "bpow", "ewan", "epow") and args.p is None:
+        raise ParameterError(f"sum {kind} needs --p")
+    if kind == "fleck" and args.variant == "floor" and args.beta is None:
+        raise ParameterError("floor variant needs --beta")
     p: int | None = args.p
     if kind == "fleck":
         variant = Variant(args.variant)
@@ -743,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--d", type=int, default=1, help="class modulus for cdr/spoly")
     sm.add_argument("--f", default=None, help="polynomial coefficients, low to high")
     sm.add_argument("--variant", choices=["exact", "floor"], default="exact")
-    sm.set_defaults(func=_cmd_sum_checked)
+    sm.set_defaults(func=cmd_sum)
 
     ver = sub.add_parser("verify", help="sweep a parameter grid for one theorem")
     ver.add_argument("theorem", choices=[t.value for t in TheoremId])
@@ -784,14 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident.set_defaults(func=cmd_identity)
 
     return parser
-
-
-def _cmd_sum_checked(args: argparse.Namespace) -> int:
-    if args.kind in ("fleck", "bpow", "ewan", "epow") and args.p is None:
-        raise ParameterError(f"sum {args.kind} needs --p")
-    if args.kind == "fleck" and args.variant == "floor" and args.beta is None:
-        raise ParameterError("floor variant needs --beta")
-    return cmd_sum(args)
 
 
 def _stdout_to_devnull() -> None:

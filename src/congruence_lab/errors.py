@@ -11,7 +11,7 @@ class ParameterError(CongruenceLabError, ValueError):
 
 
 class CapacityError(CongruenceLabError):
-    """A triangle row above the configured row limit was requested."""
+    """A triangle row above ``triangles.ROW_LIMIT`` was requested."""
 
 
 class TriangleInvariantError(CongruenceLabError):

@@ -29,8 +29,8 @@ from .errors import CapacityError, ParameterError, TriangleInvariantError
 
 FORMAT_VERSION = 1
 
-#: Default hard limit for the shared in-process tables.
-DEFAULT_ROW_LIMIT = 200
+#: Hard limit for the shared in-process tables.
+ROW_LIMIT = 200
 
 
 class Family(str, Enum):
@@ -147,42 +147,22 @@ def _check_row_sums(tri: Triangle) -> None:
 # ---------------------------------------------------------------------------
 
 _shared: dict[Family, Triangle] = {}
-_row_limit = DEFAULT_ROW_LIMIT
-
-
-def row_limit() -> int:
-    return _row_limit
-
-
-def set_row_limit(limit: int) -> None:
-    """Raise or lower the shared-table capacity (affects new growth only)."""
-    global _row_limit
-    if limit < 0:
-        raise ParameterError(f"row limit must be >= 0, got {limit}")
-    _row_limit = limit
-
-
-def reset_shared() -> None:
-    """Drop the shared tables and restore the default row limit (tests)."""
-    global _row_limit
-    _shared.clear()
-    _row_limit = DEFAULT_ROW_LIMIT
 
 
 def ensure_rows(family: Family, n: int) -> Triangle:
-    """Shared triangle with row ``n`` available; grows geometrically up to the
-    configured row limit, then raises :class:`CapacityError`."""
+    """Shared triangle with row ``n`` available; grows geometrically up to
+    :data:`ROW_LIMIT`, then raises :class:`CapacityError`."""
     # a sweep asks for a row on every tuple: skip the Enum call for a member
     if not isinstance(family, Family):
         family = Family(family)
     if n < 0:
         raise ParameterError(f"row index must be >= 0, got {n}")
-    if n > _row_limit:
-        raise CapacityError(f"row {n} exceeds the configured row limit {_row_limit}")
+    if n > ROW_LIMIT:
+        raise CapacityError(f"row {n} exceeds the row limit {ROW_LIMIT}")
     tri = _shared.get(family)
     if tri is None or tri.max_n < n:
         grown = max(n, 16, 2 * tri.max_n if tri is not None else 0)
-        tri = build(family, min(grown, _row_limit))
+        tri = build(family, min(grown, ROW_LIMIT))
         _shared[family] = tri
     return tri
 
@@ -206,10 +186,6 @@ def eulerian(n: int, k: int) -> int:
 
 def stirling1_row(n: int) -> tuple[int, ...]:
     return ensure_rows(Family.STIRLING1, n).row(n)
-
-
-def stirling2_row(n: int) -> tuple[int, ...]:
-    return ensure_rows(Family.STIRLING2, n).row(n)
 
 
 def eulerian_row(n: int) -> tuple[int, ...]:

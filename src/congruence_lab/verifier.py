@@ -19,23 +19,23 @@ the reference evaluation and the library call.  :func:`evaluate_tuple`
 evaluates all residue classes of one parameter tuple into one
 :class:`TupleResult`, with one bound spec, one hypotheses check and one
 bound, and with one pass for all d sums where the theorem has a ``sums``;
-:func:`check_tuple` gives its records, the same as one :func:`check_claim`
-per residue.  Both look up ``BoundSpec`` and ``bound_exponent`` as globals
-of this module, so that a patch of one of them reaches either path;
-``evaluate_tuple``, whose bound spec has checked ``p``, takes orders with
-``ord_p_nonzero``.
+its records (:meth:`TupleResult.records`) are the same as one
+:func:`check_claim` per residue.  Both check a claim's parameters in
+:func:`_checked_theorem`, and both look up ``BoundSpec`` and
+``bound_exponent`` as globals of this module, so that a patch of one of them
+reaches either path; ``evaluate_tuple``, whose bound spec has checked ``p``,
+takes orders with ``ord_p_nonzero``.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
 deterministic.  :func:`iter_chunks` drives every sweep: it cuts the tuple
 results into numbered chunks and evaluates only every ``step``-th chunk, so
 that several processes can share a sweep (``verify --workers``), and with
-``fail_fast`` it stops right after the first VIOLATION.  :func:`iter_results`
-yields its results one tuple at a time (:func:`iter_records` their records)
-and :class:`RunningSummary` tallies each whole as it passes, so a sweep's
-memory does not depend on its size; :func:`run_grids` collects the records
-into a list.  The summaries of the chunks merge in chunk order
-(:meth:`RunningSummary.merge`) into the sweep's.
+``fail_fast`` it stops right after the first VIOLATION.  It holds one chunk
+at a time and :class:`RunningSummary` tallies each tuple result as it
+passes, so a sweep's memory does not depend on its size; :func:`run_grids`
+collects the records into a list.  The summaries of the chunks merge in
+chunk order (:meth:`RunningSummary.merge`) into the sweep's.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .bounds import (
     PARAM_MINIMUM,
     THEOREMS,
     BoundSpec,
+    Theorem,
     TheoremId,
     bound_exponent,
     sc2_comparison,
@@ -71,14 +72,11 @@ __all__ = [
     "TupleResult",
     "Verdict",
     "check_claim",
-    "check_tuple",
     "count_chunks",
     "ensure_tables",
     "evaluate_tuple",
     "grid_params",
     "iter_chunks",
-    "iter_records",
-    "iter_results",
     "required_tables",
     "run_grid",
     "run_grids",
@@ -99,6 +97,24 @@ def _coerce_theorem(theorem: TheoremId | str) -> TheoremId:
         return TheoremId(theorem)
     except ValueError as exc:
         raise ParameterError(f"unknown theorem id {theorem!r}") from exc
+
+
+def _checked_theorem(
+    theorem: TheoremId | str, params: Mapping[str, Any], extra: tuple[str, ...] = ()
+) -> tuple[TheoremId, Theorem]:
+    """The theorem id and its wiring, once ``params`` holds every parameter
+    the theorem takes and those in ``extra``, and ``f``, where the theorem
+    takes it, is an :class:`IntPolynomial`.  A member is taken as it is; a
+    string goes through :func:`_coerce_theorem`."""
+    if not isinstance(theorem, TheoremId):
+        theorem = _coerce_theorem(theorem)
+    wiring = THEOREMS[theorem]
+    missing = [name for name in wiring.params + extra if name not in params]
+    if missing:
+        raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
+    if "f" in wiring.params and not isinstance(params["f"], IntPolynomial):
+        raise ParameterError("parameter f must be an IntPolynomial")
+    return theorem, wiring
 
 
 @dataclass(frozen=True)
@@ -180,13 +196,7 @@ def check_claim(
     are still computed for inspection (the verdict stays NOT-APPLICABLE).  A
     SUN tuple with beta > alpha has no FLOOR sum, so it gets only the bound.
     """
-    theorem = _coerce_theorem(theorem)
-    wiring = THEOREMS[theorem]
-    missing = [name for name in wiring.params + ("r",) if name not in params]
-    if missing:
-        raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
-    if "f" in wiring.params and not isinstance(params["f"], IntPolynomial):
-        raise ParameterError("parameter f must be an IntPolynomial")
+    theorem, wiring = _checked_theorem(theorem, params, ("r",))
 
     cls = ResidueClass(wiring.modulus(**params), params["r"])
     record_params = _record_params(theorem, params, cls)
@@ -279,42 +289,24 @@ class TupleResult:
         ]
 
 
-def check_tuple(
-    theorem: TheoremId | str,
-    params: Mapping[str, Any],
-    residues: str | Iterable[int] = "all",
-    probe_inapplicable: bool = False,
-) -> list[ClaimRecord]:
-    """The records of one parameter tuple, one per residue class, in residue
-    order: ``[check_claim(theorem, {**params, "r": r}, probe_inapplicable)
-    for r in rs]``, where rs is every residue modulo the class modulus d
-    ("all") or the given residues reduced modulo d, sorted and deduplicated.
-    ``params`` holds the theorem's parameters; any ``r`` in it is ignored.
-    They are the records of :func:`evaluate_tuple`.
-    """
-    return evaluate_tuple(theorem, params, residues, probe_inapplicable).records()
-
-
 def evaluate_tuple(
     theorem: TheoremId | str,
     params: Mapping[str, Any],
     residues: str | Iterable[int] = "all",
     probe_inapplicable: bool = False,
 ) -> TupleResult:
-    """The :func:`check_tuple` records of one parameter tuple as one
-    :class:`TupleResult`.
+    """The records of one parameter tuple as one :class:`TupleResult`: its
+    :meth:`~TupleResult.records` are ``[check_claim(theorem, {**params,
+    "r": r}, probe_inapplicable) for r in rs]``, where rs is every residue
+    modulo the class modulus d ("all") or the given residues reduced modulo
+    d, sorted and deduplicated.  ``params`` holds the theorem's parameters;
+    any ``r`` in it is ignored.
 
     The bound spec, the hypotheses and the bound are evaluated once for the
     tuple, a theorem with a one-pass ``sums`` computes all d sums at once,
     and SC2's l, C(n, l) and p**ord_p(n!) are worked out once.
     """
-    theorem = _coerce_theorem(theorem)
-    wiring = THEOREMS[theorem]
-    missing = [name for name in wiring.params if name not in params]
-    if missing:
-        raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
-    if "f" in wiring.params and not isinstance(params["f"], IntPolynomial):
-        raise ParameterError("parameter f must be an IntPolynomial")
+    theorem, wiring = _checked_theorem(theorem, params)
     params = {name: params[name] for name in wiring.params}
 
     p = params["p"]
@@ -535,33 +527,6 @@ class RunningSummary:
         return GridSummary(self.total, dict(self.verdicts), self.min_margin, self.first_violation)
 
 
-def iter_results(
-    grids: Iterable[GridSpec],
-    probe_inapplicable: bool = False,
-    fail_fast: bool = False,
-) -> Iterator[TupleResult]:
-    """The results of :func:`iter_chunks`, one tuple at a time, evaluated
-    serially and lazily, in deterministic order.
-
-    The triangles the grids need are built before this returns, so a
-    :class:`CapacityError` is raised here, before the first result.
-    """
-    grids = list(grids)
-    ensure_tables(grids)
-    chunks = iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast)
-    return (res for _, chunk in chunks for res in chunk)
-
-
-def iter_records(
-    grids: Iterable[GridSpec],
-    probe_inapplicable: bool = False,
-    fail_fast: bool = False,
-) -> Iterator[ClaimRecord]:
-    """The records of :func:`iter_results`, one at a time."""
-    results = iter_results(grids, probe_inapplicable, fail_fast)
-    return (rec for res in results for rec in res.records())
-
-
 def ensure_tables(grids: Iterable[GridSpec]) -> None:
     """Build the triangle rows the grids need (:func:`required_tables`)."""
     for family, top in required_tables(grids).items():
@@ -638,13 +603,20 @@ def run_grids(
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> GridResult:
-    """Every record of :func:`iter_records`, collected in a list, and their
-    summary."""
+    """Every record of the grids' sweep (:func:`iter_chunks`), collected in a
+    list, and their summary.
+
+    The triangles the grids need are built first, so a
+    :class:`CapacityError` is raised before any tuple is evaluated.
+    """
+    grids = list(grids)
+    ensure_tables(grids)
     summary = RunningSummary()
     records = []
-    for res in iter_results(grids, probe_inapplicable, fail_fast):
-        summary.add(res)
-        records += res.records()
+    for _, chunk in iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast):
+        for res in chunk:
+            summary.add(res)
+            records += res.records()
     return GridResult(records, summary.summary())
 
 

@@ -124,6 +124,10 @@ class TestHypotheses:
             BoundSpec(TheoremId.SC1, n=0, p=2, m=1, a=1)
         with pytest.raises(ParameterError):
             BoundSpec(TheoremId.SC1, n=5, p=2, m=0, a=1)
+        # every field that is set, whether or not the theorem takes it
+        for fields in (dict(alpha=0), dict(beta=-1), dict(l=-1)):
+            with pytest.raises(ParameterError):
+                BoundSpec(TheoremId.FLECK, n=5, p=2, **fields)
         with pytest.raises(ParameterError):
             bound_exponent(BoundSpec(TheoremId.SC2, n=5, p=2, a=1))
 

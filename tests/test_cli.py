@@ -197,8 +197,8 @@ class TestVerifyCommand:
             assert isinstance(rec["bound"], int)
 
     def test_capacity_exits_3(self, capsys):
-        triangles.set_row_limit(20)
-        assert main(["verify", "sc1", "--p", "2", "--n", "25..30", "--a", "1", "--m", "1..2"]) == 3
+        n = str(triangles.ROW_LIMIT + 1)
+        assert main(["verify", "sc1", "--p", "2", "--n", n, "--a", "1", "--m", "1..2"]) == 3
 
     def test_report_file_and_summary_line(self, tmp_path, capsys):
         out = tmp_path / "report.json"

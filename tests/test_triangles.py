@@ -116,10 +116,9 @@ class TestTriangleObject:
             tri.row(-1)
 
     def test_shared_limit(self):
-        triangles.set_row_limit(10)
         with pytest.raises(CapacityError):
-            triangles.stirling1(11, 2)
-        assert triangles.stirling1(10, 2) > 0
+            triangles.stirling1(triangles.ROW_LIMIT + 1, 2)
+        assert triangles.stirling1(triangles.ROW_LIMIT, 2) > 0
 
     def test_a_built_row_is_looked_up(self, monkeypatch):
         tri = triangles.ensure_rows(Family.STIRLING2, 30)
@@ -135,9 +134,6 @@ class TestTriangleObject:
             triangles.ensure_rows(Family.STIRLING2, -1)
         with pytest.raises(ValueError):
             triangles.ensure_rows("stirling3", 7)
-        triangles.set_row_limit(20)  # a built row above the limit is refused
-        with pytest.raises(CapacityError):
-            triangles.ensure_rows(Family.STIRLING2, 21)
         assert triangles.ensure_rows(Family.STIRLING2, 20) is tri
 
     def test_verify_invariants_accepts_built(self):

@@ -14,11 +14,10 @@ from congruence_lab.verifier import (
     RunningSummary,
     Verdict,
     check_claim,
-    check_tuple,
     count_chunks,
+    evaluate_tuple,
     grid_params,
     iter_chunks,
-    iter_records,
     run_grid,
     run_grids,
 )
@@ -97,6 +96,8 @@ class TestCheckClaim:
     def test_unknown_theorem(self):
         with pytest.raises(ParameterError):
             check_claim("nonsense", {"n": 3, "p": 2, "r": 0})
+        with pytest.raises(ParameterError):
+            evaluate_tuple("nonsense", {"n": 3, "p": 2})
         with pytest.raises(ParameterError):
             GridSpec("nonsense", ns=(1,), primes=(2,))
 
@@ -195,14 +196,14 @@ class TestRunGrid:
         assert result.summary.verdicts[Verdict.HOLDS_VACUOUS.value] == 2
 
     def test_capacity_error(self):
-        triangles.set_row_limit(20)
-        grid = GridSpec(TheoremId.SC1, ns=(30,), primes=(2,), ms=(1,), a_values=(1,))
+        grid = GridSpec(TheoremId.SC1, ns=(triangles.ROW_LIMIT + 1,), primes=(2,), ms=(1,),
+                        a_values=(1,))
         with pytest.raises(CapacityError):
             run_grid(grid)
 
     def test_binomial_theorems_do_not_need_tables(self):
-        triangles.set_row_limit(10)
-        grid = GridSpec(TheoremId.WEISMAN, ns=(40,), primes=(2,), alphas=(1,))
+        grid = GridSpec(TheoremId.WEISMAN, ns=(triangles.ROW_LIMIT + 1,), primes=(2,),
+                        alphas=(1,))
         assert run_grid(grid).violations == 0
 
     def test_fail_fast_without_violation_keeps_everything(self):
@@ -258,7 +259,7 @@ class TestCheckTuple:
     @example(GridSpec(TheoremId.SC2, ns=(3, 6), primes=(2, 5), a_values=(-1, 2),
                       polys=(IntPolynomial(()), IntPolynomial((0, -1, 0, 3)))), False)
     def test_equals_check_claim_per_residue(self, grid, probe):
-        got = list(iter_records([grid], probe))
+        got = run_grid(grid, probe).records
         want = [check_claim(grid.theorem, params, probe) for params in grid_params(grid)]
         assert got == want
         # the parameter order too, although no report depends on it
@@ -268,19 +269,23 @@ class TestCheckTuple:
     def test_one_tuple_and_its_residues(self):
         params = {"n": 9, "p": 3, "alpha": 1, "m": 2, "a": -2}
         d = 3**1 * 2
-        assert check_tuple("sc3", params) == [
+        assert evaluate_tuple("sc3", params).records() == [
             check_claim("sc3", {**params, "r": r}) for r in range(d)]
-        assert check_tuple(TheoremId.SC3, params, (7, 1, -5, 3)) == [
+        assert evaluate_tuple(TheoremId.SC3, params, (7, 1, -5, 3)).records() == [
             check_claim("sc3", {**params, "r": r}) for r in (1, 3)]
         with pytest.raises(ParameterError):
-            check_tuple("sc3", {"n": 9, "p": 3})
+            evaluate_tuple("sc3", {"n": 9, "p": 3})
         with pytest.raises(ParameterError):
-            check_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
+            evaluate_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
 
     def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
-        # one evaluate_tuple call and one bound per tuple, and no check_claim,
+        # one evaluate_tuple call and one bound per tuple, and no check_claim
+        # and no theorem coercion (a tuple takes the grid's member as it is),
         # with fail_fast off and on
-        calls = {"evaluate_tuple": 0, "check_claim": 0, "bound_exponent": 0}
+        grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 11), primes=(2, 3), alphas=(1, 2),
+                        ls=(0, 1))
+        calls = {"evaluate_tuple": 0, "check_claim": 0, "bound_exponent": 0,
+                 "_coerce_theorem": 0}
 
         def counted(name):
             real = getattr(verifier, name)
@@ -292,20 +297,20 @@ class TestCheckTuple:
 
         for name in calls:
             monkeypatch.setattr(verifier, name, counted(name))
-        grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 11), primes=(2, 3), alphas=(1, 2),
-                        ls=(0, 1))
         tuples = 10 * 2 * 2 * 2
-        assert len(list(iter_records([grid]))) == 10 * 2 * (2 + 4 + 3 + 9)
-        assert calls == {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
+        want = {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples,
+                "_coerce_theorem": 0}
+        assert len(run_grid(grid).records) == 10 * 2 * (2 + 4 + 3 + 9)
+        assert calls == want
         calls.update(dict.fromkeys(calls, 0))
-        assert len(list(iter_records([grid], fail_fast=True))) == 10 * 2 * (2 + 4 + 3 + 9)
-        assert calls == {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples}
+        assert len(run_grid(grid, fail_fast=True).records) == 10 * 2 * (2 + 4 + 3 + 9)
+        assert calls == want
 
     def test_p_is_still_checked(self, monkeypatch):
-        # check_tuple takes each residue's order unchecked, after its bound
+        # evaluate_tuple takes each residue's order unchecked, after its bound
         # spec has checked p once for the tuple
         with pytest.raises(ParameterError, match="p must be a prime"):
-            check_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
+            evaluate_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
         with pytest.raises(ParameterError, match="p must be a prime"):
             ord_p(8, 4)
         checks = []
@@ -316,7 +321,7 @@ class TestCheckTuple:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(verifier, "BoundSpec", counted)
-        records = check_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0})
+        records = evaluate_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0}).records()
         assert len(records) == 9 and checks == [3]
 
     def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
@@ -336,7 +341,8 @@ class TestCheckTuple:
             monkeypatch.setattr(module, "check_prime", counted)
         grid = GridSpec(TheoremId.SC2, ns=range(1, 31), primes=(2, 3), a_values=(-1, 1, 2),
                         polys=(IntPolynomial((0, 0, 1)),))
-        results = list(verifier.iter_results([grid]))
+        verifier.ensure_tables([grid])
+        results = [res for _, chunk in iter_chunks([grid], 1) for res in chunk]
         assert sum(len(res.residues) for res in results) == 270
         assert len(results) == 180 and len(checks) == 2 + 2 * 180
         records = [rec for res in results for rec in res.records()]
@@ -347,7 +353,7 @@ class TestChunks:
     @settings(max_examples=200, deadline=None)
     @given(grids(), st.integers(1, 40), st.integers(1, 4))
     def test_chunks_cut_the_records_at_tuple_boundaries(self, grid, size, step):
-        records = list(iter_records([grid]))
+        records = run_grid(grid).records
         chunks = list(iter_chunks([grid], size))
         assert [rec for _, chunk in chunks for res in chunk for rec in res.records()] == records
         assert [number for number, _ in chunks] == list(range(len(chunks)))
@@ -356,7 +362,7 @@ class TestChunks:
         for params in verifier._grid_tuples(grid):
             if not want or want[-1] >= size:
                 want.append(0)
-            want[-1] += len(check_tuple(grid.theorem, params, grid.residues))
+            want[-1] += len(evaluate_tuple(grid.theorem, params, grid.residues).residues)
         assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == want
         assert count_chunks([grid], size, 10**6) == len(chunks)
         assert count_chunks([grid], size, step) == min(step, len(chunks))
@@ -372,7 +378,7 @@ class TestChunks:
         chunks = list(iter_chunks(grids, 10))
         assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == [10] * 7 + [2]
         assert [rec for _, chunk in chunks for res in chunk
-                for rec in res.records()] == list(iter_records(grids))
+                for rec in res.records()] == run_grids(grids).records
 
 
 VERDICTS = list(Verdict)
