@@ -85,7 +85,8 @@ EXIT_CAPACITY = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
-# JSON records rendered per write
+# the least number of claims in a report chunk, in JSON and CSV alike: the unit
+# of a write and of the --workers pool
 JSON_CHUNK = 512
 
 CSV_COLUMNS = (
@@ -682,14 +683,16 @@ def cmd_identity(args: argparse.Namespace) -> int:
     kwargs["seed"] = args.seed
     kwargs["scl3e_limit"] = args.scl3e_limit
 
-    # the --out file is opened first, so an unwritable path fails before any suite runs
+    # the --out file is opened first, so an unwritable path fails before any suite runs;
+    # then every suite checks its parameters and builds its triangle rows before any check
     with _output(args.out) if args.out else contextlib.nullcontext() as out:
+        suites = [identities.suite(identity_id, **kwargs) for identity_id in ids]
         aggregates = []
         failed_total = 0
-        for identity_id in ids:
+        for identity_id, checks in zip(ids, suites):
             total = passed = 0
             first_failure: dict[str, Any] | None = None
-            for result in identities.suite(identity_id, **kwargs):
+            for result in checks:
                 total += 1
                 if result.passed:
                     passed += 1

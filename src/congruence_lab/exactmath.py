@@ -11,7 +11,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import ParameterError
 
@@ -246,10 +245,6 @@ class IntPolynomial:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_coeffs(cls, values: Iterable[int]) -> "IntPolynomial":
-        return cls(tuple(values))
 
     @classmethod
     def from_coeff_string(cls, text: str) -> "IntPolynomial":

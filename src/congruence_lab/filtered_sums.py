@@ -6,8 +6,14 @@ classical unity-filter representation is an identity about these sums, not an
 implementation requirement.
 
 The binomial values C(n, k) come from one memoized row per n, built by
-:func:`kernels.binomial_row`, not from ``math.comb`` per claim: a grid runs n
+:func:`binomial_row`, not from ``math.comb`` per claim: a grid runs n
 outermost, so one row serves every (p, alpha, l) tuple and residue of that n.
+
+The per-residue sums (:func:`fleck_sum`, :func:`binom_power_sum`, the
+Eulerian and the Stirling sums) multiply each term by its weight in place,
+with exact ``math.comb`` weights or one running power of the base.  They are
+``check_claim``'s reference, and the sweep path of the theorems that have no
+one-pass sums (``sun``, ``ec1``, ``ec2`` and ``sc2``).
 
 :func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
 residue class of one modulus at once, in residue order, equal to one call of
@@ -27,7 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import kernels, triangles
+from . import triangles
 from .errors import ParameterError
 from .exactmath import IntPolynomial, check_prime
 from .triangles import Family
@@ -83,11 +89,27 @@ def _check_positive(name: str, value: int, minimum: int = 1) -> int:
     return value
 
 
+def binomial_row(n: int) -> list:
+    """Row n of Pascal's triangle: [C(n, 0), ..., C(n, n)] for n >= 0.
+
+    Built from C(n, k+1) = C(n, k) * (n-k) // (k+1); the division is exact,
+    because C(n, k) * (n-k) = C(n, k+1) * (k+1).
+    """
+    if n < 0:
+        raise ValueError("binomial_row: n must be nonnegative")
+    row = [1]
+    c = 1
+    for k in range(n):
+        c = c * (n - k) // (k + 1)
+        row.append(c)
+    return row
+
+
 # typed: a float n gets no row from the cache, so it still fails as math.comb did
 @functools.lru_cache(maxsize=1, typed=True)
 def _binomial_row(n: int) -> tuple:
     """Row n of Pascal's triangle, kept until a sum asks for another n."""
-    return tuple(kernels.binomial_row(n))
+    return tuple(binomial_row(n))
 
 
 def _alternating_weights(cls: ResidueClass, quotients, l: int) -> list:
@@ -144,22 +166,20 @@ def fleck_sum(
             )
     else:
         raise ParameterError(f"unknown variant {variant!r}")
-    ks = cls.members(n)
     values = _binomial_row(n)[cls.residue :: cls.modulus]
     if variant is Variant.EXACT:
         # k = r + j * p**alpha, so the exact quotient is the stride index j
-        assert (len(values) == 0) or (ks[0] - cls.residue) % p_alpha == 0
         quotients: list | range = range(len(values))
     else:
-        quotients = [(k - cls.residue) // p_alpha for k in ks]
+        quotients = [(k - cls.residue) // p_alpha for k in cls.members(n)]
     weights = _alternating_weights(cls, quotients, l)
-    return kernels.dot2(values, weights)
+    return sum(v * w for v, w in zip(values, weights))
 
 
 # The suffix sums of the last (n, d) that fleck_sums was asked for:
 # ((n, d), folds, classes), where classes[r] holds the folds-fold suffix sums
 # of class r's signed terms, highest k first.  Replaced whole, never changed
-# in place, so a thread that reads it sees one whole state.
+# in place, so a call interrupted part-way leaves the last whole state.
 _suffixes: tuple = (None, 0, ())
 
 
@@ -197,6 +217,16 @@ def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
     return [c[-1 - l] if len(c) > l else 0 for c in classes]
 
 
+def _power_sum(terms, cls: ResidueClass, base: int) -> int:
+    """Sum of terms[j] * base**(r + j d) along the members r + j d of ``cls``,
+    with one running power (so 0**0 is 1)."""
+    total, power, step = 0, base**cls.residue, base**cls.modulus
+    for term in terms:
+        total += term * power
+        power *= step
+    return total
+
+
 def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> int:
     """Filtered binomial power sum:
     sum over k = r (mod p**alpha), 0 <= k <= n, of C(n, k) (-a)**k.
@@ -210,9 +240,7 @@ def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> in
         raise ParameterError(
             f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
         )
-    values = _binomial_row(n)[cls.residue :: cls.modulus]
-    weights = kernels.power_steps(-a, cls.residue, cls.modulus, len(values))
-    return kernels.dot2(values, weights)
+    return _power_sum(_binomial_row(n)[cls.residue :: cls.modulus], cls, -a)
 
 
 def eulerian_wan_sum(n: int, p: int, alpha: int, cls: ResidueClass, l: int) -> int:
@@ -229,10 +257,7 @@ def eulerian_wan_sum(n: int, p: int, alpha: int, cls: ResidueClass, l: int) -> i
             f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
         )
     row = triangles.eulerian_row(n)
-    ks = cls.members(n - 1)
-    values = [row[k] for k in ks]
-    weights = [math.comb(j, l) for j in range(len(values))]
-    return kernels.dot2(values, weights)
+    return sum(row[k] * math.comb(j, l) for j, k in enumerate(cls.members(n - 1)))
 
 
 def eulerian_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> int:
@@ -247,10 +272,7 @@ def eulerian_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) ->
             f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
         )
     row = triangles.eulerian_row(n)
-    ks = cls.members(n - 1)
-    values = [row[k] for k in ks]
-    weights = kernels.power_steps(a, cls.residue, cls.modulus, len(values))
-    return kernels.dot2(values, weights)
+    return _power_sum((row[k] for k in cls.members(n - 1)), cls, a)
 
 
 def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
@@ -263,11 +285,7 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
     _check_positive("m", m)
     srow = triangles.stirling1_row(n)
     tri2 = triangles.ensure_rows(Family.STIRLING2, n)
-    ks = cls.members(n)
-    xs = [srow[k] for k in ks]
-    ys = [tri2.value(k, m) for k in ks]
-    weights = kernels.power_steps(a, cls.residue, cls.modulus, len(xs))
-    return kernels.dot3(xs, ys, weights)
+    return _power_sum((srow[k] * tri2.value(k, m) for k in cls.members(n)), cls, a)
 
 
 def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
@@ -292,8 +310,4 @@ def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> in
     """
     _check_positive("n", n)
     srow = triangles.stirling1_row(n)
-    ks = cls.members(n)
-    xs = [srow[k] for k in ks]
-    ys = [f(k) for k in ks]
-    weights = kernels.power_steps(a, cls.residue, cls.modulus, len(xs))
-    return kernels.dot3(xs, ys, weights)
+    return _power_sum((srow[k] * f(k) for k in cls.members(n)), cls, a)

@@ -29,6 +29,7 @@ from typing import Any, Iterator
 from . import triangles
 from .errors import ParameterError
 from .exactmath import binom, check_prime, is_prime, ord_p, ord_p_factorial
+from .triangles import Family
 
 __all__ = [
     "IDENTITY_IDS",
@@ -235,6 +236,19 @@ def _given(value, default):
     return default if value is None else value
 
 
+# the n_max of each suite when none is given; SCL3E reads scl3e_limit instead
+_N_MAX = {"E1": 12, "E2": 12, "S3": 20, "SS3": 20, "S4": 40, "L31": 12, "L32": 60}
+
+# the triangles whose rows 0..n_max each suite reads; L31 and L32 read none
+_READS = {
+    "E1": (Family.EULERIAN, Family.STIRLING2),
+    "E2": (Family.EULERIAN, Family.STIRLING2),
+    "S3": (Family.STIRLING2,),
+    "SS3": (Family.STIRLING1,),
+    "S4": (Family.STIRLING2,),
+}
+
+
 def suite(
     identity: str,
     *,
@@ -246,11 +260,14 @@ def suite(
     count: int = 200,
     seed: int = 20210,
 ) -> Iterator[IdentityCheckResult]:
-    """Yield the named identity's checks over its default (or overridden) grid.
+    """The named identity's checks over its default (or overridden) grid.
 
     A negative bound or count, a prime that is not one and an alpha below 1
-    are parameter errors, raised before the first check, whether or not the
-    identity reads them.
+    are parameter errors, whether or not the identity reads them.  This call
+    raises them before the first check.  It then builds every triangle row
+    the checks read, in the order they read them, so a row past
+    :data:`triangles.ROW_LIMIT` raises :class:`CapacityError` before the
+    first check too.
     """
     for name, value in (("n_max", n_max), ("l_max", l_max),
                         ("scl3e_limit", scl3e_limit), ("count", count)):
@@ -262,43 +279,52 @@ def suite(
         if alpha < 1:
             raise ParameterError(f"alpha must be >= 1, got {alpha}")
     identity = identity.upper()
+    if identity not in IDENTITY_IDS:
+        raise ParameterError(f"unknown identity id {identity!r}")
+    if identity == "SCL3E":
+        cases = [(p, alpha) for p, alpha in scl3e_cases(scl3e_limit)
+                 if (primes is None or p in primes) and (alphas is None or alpha in alphas)]
+        for p, alpha in cases:
+            triangles.ensure_rows(Family.STIRLING1, p**alpha * (p - 1))
+        return (check_scl3e(p, alpha) for p, alpha in cases)
+    n_max = _given(n_max, _N_MAX[identity])
+    for family in _READS.get(identity, ()):
+        for n in range(n_max + 1):
+            triangles.ensure_rows(family, n)
+    return _checks(identity, n_max, _given(l_max, 4), _given(primes, (2, 3, 5)),
+                   _given(alphas, (1, 2)), count, seed)
+
+
+def _checks(identity: str, n_max: int, l_max: int, primes: tuple[int, ...],
+            alphas: tuple[int, ...], count: int, seed: int) -> Iterator[IdentityCheckResult]:
     if identity == "E1":
-        for n in range(1, _given(n_max, 12) + 1):
-            for l in range(0, _given(l_max, 4) + 1):
+        for n in range(1, n_max + 1):
+            for l in range(0, l_max + 1):
                 yield check_e1(n, l)
     elif identity == "E2":
-        for n in range(1, _given(n_max, 12) + 1):
+        for n in range(1, n_max + 1):
             yield check_e2(n)
     elif identity == "S3":
-        for n in range(1, _given(n_max, 20) + 1):
+        for n in range(1, n_max + 1):
             for k in range(1, n + 1):
                 yield check_s3(n, k)
     elif identity == "SS3":
-        for n in range(1, _given(n_max, 20) + 1):
+        for n in range(1, n_max + 1):
             for k in range(1, n + 1):
                 yield check_ss3(n, k)
     elif identity == "S4":
-        for n in range(0, _given(n_max, 40) + 1):
+        for n in range(0, n_max + 1):
             for k in range(0, n + 1):
-                for p in _given(primes, (2, 3, 5)):
-                    for alpha in _given(alphas, (1, 2)):
+                for p in primes:
+                    for alpha in alphas:
                         yield check_s4(n, k, p, alpha)
-    elif identity == "SCL3E":
-        for p, alpha in scl3e_cases(scl3e_limit):
-            if primes is not None and p not in primes:
-                continue
-            if alphas is not None and alpha not in alphas:
-                continue
-            yield check_scl3e(p, alpha)
     elif identity == "L31":
         rng = random.Random(seed)
         for _ in range(count):
-            n, p, x, x_prime = random_l31_tuple(rng, _given(n_max, 12), _given(primes, (2, 3, 5)))
+            n, p, x, x_prime = random_l31_tuple(rng, n_max, primes)
             yield check_l31(n, p, x, x_prime)
-    elif identity == "L32":
-        for n in range(0, _given(n_max, 60) + 1):
+    else:  # L32
+        for n in range(0, n_max + 1):
             for l in range(0, n + 1):
                 for i in range(0, n + 1):
                     yield check_l32(n, l, i)
-    else:
-        raise ParameterError(f"unknown identity id {identity!r}")

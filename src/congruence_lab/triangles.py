@@ -7,7 +7,7 @@ Conventions
 * Rows are ragged.  Stirling row n holds k = 0..n.  Eulerian row n holds
   k = 0..n-1 for n >= 1 (row 0 is the single seed entry, so the recurrence
   has a base).
-* A Triangle is immutable after construction and safe for concurrent reads.
+* A Triangle is immutable after construction.
 
 Triangle format (UTF-8)
 -----------------------
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from . import kernels
 from .errors import CapacityError, ParameterError, TriangleInvariantError
+from .exactmath import rising_factorial
 
 FORMAT_VERSION = 1
 
@@ -39,10 +39,67 @@ class Family(str, Enum):
     EULERIAN = "eulerian"
 
 
+def _stirling1_rows(max_n: int) -> list:
+    """Rows 0..max_n of the unsigned first-kind Stirling triangle.
+
+    Row n holds s(n, k) for k = 0..n, built from
+    s(n, k) = s(n-1, k-1) + (n-1) * s(n-1, k).
+    """
+    rows = [[1]]
+    for n in range(1, max_n + 1):
+        prev = rows[n - 1]
+        nm1 = n - 1
+        row = [nm1 * prev[0]]
+        for k in range(1, n):
+            row.append(prev[k - 1] + nm1 * prev[k])
+        row.append(prev[n - 1])
+        rows.append(row)
+    return rows
+
+
+def _stirling2_rows(max_n: int) -> list:
+    """Rows 0..max_n of the second-kind Stirling triangle.
+
+    Row n holds S(n, k) for k = 0..n, built from
+    S(n, k) = S(n-1, k-1) + k * S(n-1, k).
+    """
+    rows = [[1]]
+    for n in range(1, max_n + 1):
+        prev = rows[n - 1]
+        row = [0]
+        for k in range(1, n):
+            row.append(prev[k - 1] + k * prev[k])
+        row.append(prev[n - 1])
+        rows.append(row)
+    return rows
+
+
+def _eulerian_rows(max_n: int) -> list:
+    """Rows 0..max_n of the Eulerian triangle.
+
+    Row 0 is the seed [1]; row n (n >= 1) holds the ascent counts for
+    k = 0..n-1, built from A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
+    """
+    rows = [[1]]
+    for n in range(1, max_n + 1):
+        prev = rows[n - 1]
+        plen = len(prev)
+        row = []
+        for k in range(n):
+            acc = 0
+            if k < plen:
+                acc += (k + 1) * prev[k]
+            if 0 <= k - 1 < plen:
+                acc += (n - k) * prev[k - 1]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
 _BUILDERS = {
-    Family.STIRLING1: kernels.stirling1_rows,
-    Family.STIRLING2: kernels.stirling2_rows,
-    Family.EULERIAN: kernels.eulerian_rows,
+    Family.STIRLING1: _stirling1_rows,
+    Family.STIRLING2: _stirling2_rows,
+    Family.EULERIAN: _eulerian_rows,
 }
 
 
@@ -78,11 +135,8 @@ class Triangle:
             for n in range(self.max_n + 1):
                 row = self.rows[n]
                 for x in sample_points:
-                    rising = 1
-                    for i in range(n):
-                        rising *= x + i
                     value = sum(c * x**k for k, c in enumerate(row))
-                    if value != rising:
+                    if value != rising_factorial(x, n):
                         raise TriangleInvariantError(
                             f"stirling1 row {n} violates the rising-factorial identity at x={x}"
                         )

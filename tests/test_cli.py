@@ -538,6 +538,29 @@ class TestIdentityCommand:
         assert out == "" and not report.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, error", [
+        (["all", "--n-max", "3", "--count", "2", "--scl3e-limit", "300"],
+         "error: row 256 exceeds the row limit 200\n"),  # SCL3E's case (2, 8)
+        (["e1", "--n-max", "250"], "error: row 201 exceeds the row limit 200\n"),
+    ])
+    def test_a_row_past_the_limit_fails_before_the_first_suite(self, argv, error, tmp_path,
+                                                               capsys):
+        report = tmp_path / "ident.json"
+        assert main(["identity", *argv, "--out", str(report)]) == 3
+        assert capsys.readouterr() == ("", error)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_row_past_the_limit_runs_no_check(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(identities, "check_s3", lambda *args: calls.append(args))
+        assert main(["identity", "s3", "--n-max", "201"]) == 3
+        assert calls == []
+        assert capsys.readouterr().out == ""
+
+    def test_a_suite_that_reads_no_triangle_has_no_row_limit(self, capsys):
+        assert main(["identity", "l31", "--n-max", "300", "--count", "3"]) == 0
+        assert capsys.readouterr().out == "L31: 3 checks, all passed\n"
+
     @pytest.mark.parametrize("flag, error", [
         (["--p", "4"], "error: p must be a prime >= 2, got 4\n"),
         (["--p", "2,4"], "error: p must be a prime >= 2, got 4\n"),

@@ -83,6 +83,14 @@ class TestFleckSum:
             fleck_sum(5, 2, 1, ResidueClass(4, 0), 0, Variant.FLOOR, 2)  # beta > alpha
 
 
+class TestBinomialRow:
+    def test_binomial_row(self):
+        for n in [*range(301), 599, 650, 1000]:
+            assert filtered_sums.binomial_row(n) == [math.comb(n, k) for k in range(n + 1)], n
+        with pytest.raises(ValueError):
+            filtered_sums.binomial_row(-1)
+
+
 class TestBinomPowerSum:
     def test_reduces_to_fleck_at_a_one(self):
         assert binom_power_sum(3, 2, 1, ResidueClass(2, 0), 1) == 4
@@ -243,6 +251,26 @@ class TestNaiveOracle:
                     n, dd, rd, lambda k: triangles.stirling1(n, k) * f(k) * a**k
                 )
             assert got == want, (family, n, p, alpha, l, a, r)
+
+    @pytest.mark.parametrize("a, p, alpha, r", [
+        (0, 3, 1, 0),  # 0**0 = 1
+        (0, 3, 1, 2),  # every other power of 0 is 0
+        (-2, 2, 2, 1),
+        (4, 3, 2, 8),  # r > n: an empty class
+    ])
+    def test_power_sums_at_the_edges(self, a, p, alpha, r):
+        n, m, d = 6, 2, p**alpha
+        f = IntPolynomial((1, -2, 3))
+        cls = ResidueClass(d, r)
+        assert binom_power_sum(n, p, alpha, cls, a) == naive_filtered_sum(
+            n, d, r, lambda k: math.comb(n, k) * (-a) ** k
+        )
+        assert stirling_product_sum(n, m, cls, a) == naive_filtered_sum(
+            n, d, r, lambda k: triangles.stirling1(n, k) * triangles.stirling2(k, m) * a**k
+        )
+        assert stirling_poly_sum(n, f, cls, a) == naive_filtered_sum(
+            n, d, r, lambda k: triangles.stirling1(n, k) * f(k) * a**k
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from congruence_lab import identities, triangles
-from congruence_lab.errors import ParameterError
+from congruence_lab.errors import CapacityError, ParameterError
 from congruence_lab.identities import (
     IdentityCheckResult,
     check_e1,
@@ -144,6 +144,17 @@ class TestResultType:
                        dict(primes=(2, 4)), dict(alphas=(0, 1))):
             with pytest.raises(ParameterError):
                 next(suite("E2", **kwargs))  # raised before the first check
+
+    def test_suite_builds_its_rows_before_the_first_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(identities, "check_scl3e", lambda *args: calls.append(args))
+        # (2, 8) needs row 256; (17, 1) needs row 272 but comes later
+        with pytest.raises(CapacityError, match="^row 256 exceeds the row limit 200$"):
+            suite("SCL3E", scl3e_limit=300)
+        with pytest.raises(CapacityError, match="^row 201 exceeds the row limit 200$"):
+            suite("S4", n_max=250)
+        assert calls == []
+        assert len(list(suite("L32", n_max=0))) == 1  # L32 reads no triangle
 
     def test_suite_unknown_id(self):
         with pytest.raises(ParameterError):

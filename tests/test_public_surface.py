@@ -1,12 +1,17 @@
 """The package's public surface: the README's library example gives the
-results its comments show, and every name a module exports exists."""
+results its comments show, its CLI examples exit 0 with the output it shows,
+and every name a module exports exists."""
 
 import ast
 import importlib
 import pkgutil
+import shlex
 from pathlib import Path
 
+import pytest
+
 import congruence_lab
+from congruence_lab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,6 +38,39 @@ def test_readme_library_example_gives_the_commented_results():
         assert repr(value) == comment.strip()
         checked.append(comment.strip())
     assert checked == ["60", "PAdicOrder(2)", "<Verdict.TIGHT: 'TIGHT'>", "0"]
+
+
+def _cli_examples() -> list[tuple[list[str], list[str]]]:
+    """The arguments of every `congruence-lab` line in the README's shell
+    blocks, each with the output lines the README shows under it."""
+    examples: list = []
+    fence = shown = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fence, shown = (line[3:] if fence is None else None), None
+        elif fence == "" and line.startswith("congruence-lab "):
+            shown = []
+            examples.append((shlex.split(line)[1:], shown))
+        elif fence == "" and line and shown is not None:
+            shown.append(line)
+    return examples
+
+
+@pytest.mark.parametrize("argv, shown", [
+    pytest.param(argv, shown, id=" ".join(argv[:2])) for argv, shown in _cli_examples()
+])
+def test_readme_cli_example_exits_0_with_the_shown_output(argv, shown, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)  # the examples' --out files land here
+    assert cli.main(argv) == 0
+    if shown:
+        assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_readme_cli_examples_are_found():
+    examples = _cli_examples()
+    assert len(examples) == 9
+    assert [shown for _, shown in examples if shown] == [["4 / ord_2 = 2"], ["18 / ord_3 = 2"]]
 
 
 def test_every_exported_name_resolves():

@@ -108,6 +108,11 @@ class TestTriangleObject:
         tri = build(Family.STIRLING2, 0)
         assert [list(r) for r in tri.rows] == [[1]]
 
+    def test_triangle_seeds(self):
+        assert build(Family.STIRLING1, 2).rows == ((1,), (0, 1), (0, 1, 1))
+        assert build(Family.STIRLING2, 3).rows == ((1,), (0, 1), (0, 1, 1), (0, 1, 3, 1))
+        assert build(Family.EULERIAN, 4).rows == ((1,), (1,), (1, 1), (1, 4, 1), (1, 11, 11, 1))
+
     def test_capacity_error(self):
         tri = build(Family.STIRLING2, 5)
         with pytest.raises(CapacityError):
