@@ -219,11 +219,14 @@ def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:
     """Sum of terms[j] * base**(r + j d) along the members r + j d of ``cls``,
-    with one running power (so 0**0 is 1)."""
-    total, power, step = 0, base**cls.residue, base**cls.modulus
-    for term in terms:
+    with one running power (so 0**0 is 1).  It takes no power a term does not
+    use: none for an empty class, and the step only from the second term on."""
+    total = 0
+    for j, term in enumerate(terms):
+        if j == 1:
+            step = base**cls.modulus
+        power = power * step if j else base**cls.residue
         total += term * power
-        power *= step
     return total
 
 

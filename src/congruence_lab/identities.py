@@ -289,8 +289,7 @@ def suite(
         return (check_scl3e(p, alpha) for p, alpha in cases)
     n_max = _given(n_max, _N_MAX[identity])
     for family in _READS.get(identity, ()):
-        for n in range(n_max + 1):
-            triangles.ensure_rows(family, n)
+        triangles.ensure_rows(family, min(n_max, triangles.ROW_LIMIT + 1))
     return _checks(identity, n_max, _given(l_max, 4), _given(primes, (2, 3, 5)),
                    _given(alphas, (1, 2)), count, seed)
 

@@ -257,6 +257,9 @@ class TestNaiveOracle:
         (0, 3, 1, 2),  # every other power of 0 is 0
         (-2, 2, 2, 1),
         (4, 3, 2, 8),  # r > n: an empty class
+        # a modulus far above n: a**(2**40) must never be taken
+        (7, 2, 40, 3),  # one member
+        (7, 2, 40, 9),  # no member
     ])
     def test_power_sums_at_the_edges(self, a, p, alpha, r):
         n, m, d = 6, 2, p**alpha
@@ -264,6 +267,9 @@ class TestNaiveOracle:
         cls = ResidueClass(d, r)
         assert binom_power_sum(n, p, alpha, cls, a) == naive_filtered_sum(
             n, d, r, lambda k: math.comb(n, k) * (-a) ** k
+        )
+        assert eulerian_power_sum(n, p, alpha, cls, a) == naive_filtered_sum(
+            n - 1, d, r, lambda k: triangles.eulerian(n, k) * a**k
         )
         assert stirling_product_sum(n, m, cls, a) == naive_filtered_sum(
             n, d, r, lambda k: triangles.stirling1(n, k) * triangles.stirling2(k, m) * a**k

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -155,6 +156,20 @@ class TestResultType:
             suite("S4", n_max=250)
         assert calls == []
         assert len(list(suite("L32", n_max=0))) == 1  # L32 reads no triangle
+
+    @pytest.mark.parametrize("identity", sorted(identities._READS))
+    def test_suite_checks_read_only_the_rows_it_built(self, identity, monkeypatch):
+        # the prebuild follows _READS: a check that read another triangle
+        # would build it in the middle of the suite
+        monkeypatch.setattr(triangles, "_shared", {})
+        checks = suite(identity, n_max=triangles.ROW_LIMIT)
+
+        def no_build(family, n_max):
+            raise AssertionError(f"a check built {family} up to row {n_max}")
+
+        monkeypatch.setattr(triangles, "build", no_build)
+        results = list(itertools.islice(checks, 30))
+        assert len(results) == 30 and all(r.passed for r in results)
 
     def test_suite_unknown_id(self):
         with pytest.raises(ParameterError):
