@@ -210,14 +210,14 @@ THEOREMS: dict[TheoremId, Theorem] = {
 
 #: Smallest allowed value of each integer parameter that has one (p must be
 #: prime; a, r and f may be anything).  GridSpec checks every axis value
-#: against these, and BoundSpec every field it has set: once per tuple on a
-#: sweep, once per claim in ``check_claim``.
+#: against these, the verifier every parameter a claim's theorem takes (once
+#: per tuple on a sweep), and BoundSpec every field it has set.
 PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
 
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """Parameter bundle for one bound formula."""
+    """Parameter bundle for one bound formula: library API, built on no claim path."""
 
     theorem: TheoremId
     n: int

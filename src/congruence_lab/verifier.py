@@ -17,14 +17,14 @@ fields.
 Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
 the reference evaluation and the library call.  :func:`evaluate_tuple`
 evaluates all residue classes of one parameter tuple into one
-:class:`TupleResult`, with one bound spec, one hypotheses check and one
-bound, and with one pass for all d sums where the theorem has a ``sums``;
-its records (:meth:`TupleResult.records`) are the same as one
-:func:`check_claim` per residue.  Both check a claim's parameters in
-:func:`_checked_theorem`, and both look up ``BoundSpec`` and
-``bound_exponent`` as globals of this module, so that a patch of one of them
-reaches either path; ``evaluate_tuple``, whose bound spec has checked ``p``,
-takes orders with ``ord_p_nonzero``.
+:class:`TupleResult`, with one hypotheses check and one bound, and with one
+pass for all d sums where the theorem has a ``sums``; its records
+(:meth:`TupleResult.records`) are the same as one :func:`check_claim` per
+residue.  Both check a claim's parameters once, in :func:`_checked_theorem`,
+before anything reads them, and both call the ``hypotheses`` and ``bound`` of
+the theorem's :data:`THEOREMS` entry, so that a patched entry reaches either
+path; ``evaluate_tuple`` takes orders of the checked ``p`` with
+``ord_p_nonzero``.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -49,10 +49,8 @@ from . import triangles
 from .bounds import (
     PARAM_MINIMUM,
     THEOREMS,
-    BoundSpec,
     Theorem,
     TheoremId,
-    bound_exponent,
     sc2_comparison,
     sc2_constants,
 )
@@ -101,20 +99,27 @@ def _coerce_theorem(theorem: TheoremId | str) -> TheoremId:
 
 def _checked_theorem(
     theorem: TheoremId | str, params: Mapping[str, Any], extra: tuple[str, ...] = ()
-) -> tuple[TheoremId, Theorem]:
-    """The theorem id and its wiring, once ``params`` holds every parameter
-    the theorem takes and those in ``extra``, and ``f``, where the theorem
-    takes it, is an :class:`IntPolynomial`.  A member is taken as it is; a
-    string goes through :func:`_coerce_theorem`."""
+) -> tuple[TheoremId, Theorem, dict[str, Any]]:
+    """The theorem id, its wiring and the parameters it takes, in canonical
+    order, once ``params`` holds those and the names in ``extra``, ``f``
+    (where the theorem takes it) is an :class:`IntPolynomial`, ``p`` is prime
+    and no parameter is below its :data:`PARAM_MINIMUM`, with the messages of
+    :class:`GridSpec`.  A member is taken as it is; a string goes through
+    :func:`_coerce_theorem`."""
     if not isinstance(theorem, TheoremId):
         theorem = _coerce_theorem(theorem)
     wiring = THEOREMS[theorem]
     missing = [name for name in wiring.params + extra if name not in params]
     if missing:
         raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
-    if "f" in wiring.params and not isinstance(params["f"], IntPolynomial):
+    params = {name: params[name] for name in wiring.params}
+    if "f" in params and not isinstance(params["f"], IntPolynomial):
         raise ParameterError("parameter f must be an IntPolynomial")
-    return theorem, wiring
+    check_prime(params["p"])
+    for name, low in PARAM_MINIMUM.items():
+        if name in params and params[name] < low:
+            raise ParameterError(f"{name} must be >= {low}, got {params[name]}")
+    return theorem, wiring, params
 
 
 @dataclass(frozen=True)
@@ -163,22 +168,12 @@ class ClaimRecord:
         return out
 
 
-_PARAM_ORDER = ("n", "p", "alpha", "beta", "l", "m", "a", "d", "r", "f")
-
-
-def _record_params(
-    theorem: TheoremId, params: Mapping[str, Any], cls: ResidueClass
-) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    merged = dict(params)
-    merged["d"] = cls.modulus
-    merged["r"] = cls.residue
-    for key in _PARAM_ORDER:
-        if key in merged:
-            value = merged[key]
-            if isinstance(value, IntPolynomial):
-                value = value.coeff_string()
-            out[key] = value
+def _record_params(params: dict[str, Any], cls: ResidueClass) -> dict[str, Any]:
+    """A record's params: the tuple's (in canonical order), d and r, and f
+    last, as its coefficient string."""
+    out = {**params, "d": cls.modulus, "r": cls.residue}
+    if "f" in out:
+        out["f"] = out.pop("f").coeff_string()
     return out
 
 
@@ -196,21 +191,19 @@ def check_claim(
     are still computed for inspection (the verdict stays NOT-APPLICABLE).  A
     SUN tuple with beta > alpha has no FLOOR sum, so it gets only the bound.
     """
-    theorem, wiring = _checked_theorem(theorem, params, ("r",))
+    theorem, wiring, checked = _checked_theorem(theorem, params, ("r",))
+    cls = ResidueClass(wiring.modulus(**checked), params["r"])
+    params = checked
+    record_params = _record_params(params, cls)
 
-    cls = ResidueClass(wiring.modulus(**params), params["r"])
-    record_params = _record_params(theorem, params, cls)
-
-    spec = BoundSpec(theorem=theorem, **{k: params[k] for k in wiring.params if k != "f"})
-
-    if not spec.hypotheses_hold():
+    if not (wiring.hypotheses is None or wiring.hypotheses(**params)):
         total = order = bound = None
         if probe_inapplicable:
             total = wiring.sum(cls, **params)
             if total is not None:
                 order = ord_p(total, params["p"])
             if wiring.bound is not None:
-                bound = bound_exponent(spec)
+                bound = wiring.bound(**params)
         return ClaimRecord(
             theorem, record_params, total, order, bound, Verdict.NOT_APPLICABLE, None
         )
@@ -230,7 +223,7 @@ def check_claim(
             order = ord_p(total, params["p"])
         return ClaimRecord(theorem, record_params, total, order, None, verdict, None, comparison)
 
-    bound = bound_exponent(spec)
+    bound = wiring.bound(**params)
     if total == 0:
         return ClaimRecord(
             theorem, record_params, total, INFINITY, bound, Verdict.HOLDS_VACUOUS, None
@@ -302,19 +295,16 @@ def evaluate_tuple(
     d, sorted and deduplicated.  ``params`` holds the theorem's parameters;
     any ``r`` in it is ignored.
 
-    The bound spec, the hypotheses and the bound are evaluated once for the
-    tuple, a theorem with a one-pass ``sums`` computes all d sums at once,
+    The parameter check, the hypotheses and the bound are evaluated once for
+    the tuple, a theorem with a one-pass ``sums`` computes all d sums at once,
     and SC2's l, C(n, l) and p**ord_p(n!) are worked out once.
     """
-    theorem, wiring = _checked_theorem(theorem, params)
-    params = {name: params[name] for name in wiring.params}
-
+    theorem, wiring, params = _checked_theorem(theorem, params)
     p = params["p"]
     d = wiring.modulus(**params)
     rs = _residues(residues, d)
-    base = _record_params(theorem, params, ResidueClass(d, 0))
-    spec = BoundSpec(theorem=theorem, **{k: v for k, v in params.items() if k != "f"})
-    applicable = spec.hypotheses_hold()
+    base = _record_params(params, ResidueClass(d, 0))
+    applicable = wiring.hypotheses is None or wiring.hypotheses(**params)
     if not (applicable or probe_inapplicable):
         nones = [None] * len(rs)
         return TupleResult(theorem, base, None, rs, nones, nones,
@@ -325,7 +315,7 @@ def evaluate_tuple(
         totals = [every[r] for r in rs]
     else:
         totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
-    bound = None if wiring.bound is None else bound_exponent(spec)
+    bound = None if wiring.bound is None else wiring.bound(**params)
     if applicable and bound is None:  # SC2: decided by the exact integer comparison
         l, comb, rhs = sc2_constants(params["n"], p, params["f"])
 
@@ -335,7 +325,7 @@ def evaluate_tuple(
         if total == 0:
             order = "inf"
         elif total is not None:  # None: probed sun with beta > alpha, the bound only
-            order = ord_p_nonzero(total, p)  # spec checked p
+            order = ord_p_nonzero(total, p)  # _checked_theorem checked p
         if not applicable:  # probed: sums, orders and the raw bound, for inspection
             verdict = Verdict.NOT_APPLICABLE
         elif bound is None:

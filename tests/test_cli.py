@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import itertools
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_lab import cli, identities, triangles, verifier
-from congruence_lab.bounds import TheoremId
+from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import INFINITY, IntPolynomial, PAdicOrder
@@ -275,20 +276,21 @@ class TestVerifyCommand:
         # first one of its tuple with a nonzero sum; an unreachable bound for
         # the tuple turns it into a VIOLATION.  The pause on that tuple gives
         # any concurrent evaluator time to run ahead of it.
-        real_bound, real_evaluate = verifier.bound_exponent, verifier.evaluate_tuple
+        wiring, real_evaluate = THEOREMS[TheoremId.WAN_STRONG], verifier.evaluate_tuple
         calls = []
 
-        def forced_bound(spec):
-            if (spec.n, spec.p, spec.alpha, spec.l) == (12, 3, 1, 1):
+        def forced_bound(**params):
+            if tuple(params.values()) == (12, 3, 1, 1):
                 time.sleep(0.2)
                 return 10**6
-            return real_bound(spec)
+            return wiring.bound(**params)
 
         def counted_evaluate(theorem, params, *args):
             calls.append(tuple(params.values()))
             return real_evaluate(theorem, params, *args)
 
-        monkeypatch.setattr(verifier, "bound_exponent", forced_bound)
+        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG,
+                            dataclasses.replace(wiring, bound=forced_bound))
         monkeypatch.setattr(verifier, "evaluate_tuple", counted_evaluate)
         out = tmp_path / "report.json"
         code = main(["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
@@ -370,14 +372,15 @@ class TestStreamedReport:
 
     def test_json_fail_fast_truncation(self, monkeypatch):
         # the forced violation is claim 616, in the second chunk
-        real_bound = verifier.bound_exponent
+        wiring = THEOREMS[TheoremId.WAN_STRONG]
 
-        def forced_bound(spec):
-            if (spec.n, spec.p, spec.alpha, spec.l) == (12, 3, 1, 1):
+        def forced_bound(**params):
+            if tuple(params.values()) == (12, 3, 1, 1):
                 return 10**6
-            return real_bound(spec)
+            return wiring.bound(**params)
 
-        monkeypatch.setattr(verifier, "bound_exponent", forced_bound)
+        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG,
+                            dataclasses.replace(wiring, bound=forced_bound))
         grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 21), primes=(2, 3), alphas=(1, 2),
                         ls=(0, 1, 2))
         records = [check_claim(grid.theorem, params) for params in grid_params(grid)]

@@ -8,6 +8,7 @@ one was reaped.
 """
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import io
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from congruence_lab import cli, verifier
-from congruence_lab.bounds import TheoremId
+from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.cli import main
 from congruence_lab.verifier import GridSpec
 from test_golden_reports import DIGESTS, GRIDS
@@ -99,13 +100,13 @@ def test_violations_in_late_chunks_merge_as_serial(pool, monkeypatch, tmp_path, 
     # 1080 claims in 60 chunks; two tuples get unreachable bounds: the first
     # violation comes from chunk 32 (worker 0), the smallest margin from
     # chunk 48 (worker 0 too), and worker 1's chunks between them have none
-    real_bound = verifier.bound_exponent
+    wiring = THEOREMS[TheoremId.WAN_STRONG]
     forced = {(11, 3, 2, 1): 1000, (17, 2, 2, 2): 10**6}
 
-    def bound(spec):
-        return forced.get((spec.n, spec.p, spec.alpha, spec.l)) or real_bound(spec)
+    def bound(**params):
+        return forced.get(tuple(params.values())) or wiring.bound(**params)
 
-    monkeypatch.setattr(verifier, "bound_exponent", bound)
+    monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, dataclasses.replace(wiring, bound=bound))
     argv = ["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
             "--l", "0..2"]
     serial = run(argv, 1, tmp_path / "w1.json")

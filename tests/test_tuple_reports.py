@@ -10,6 +10,7 @@ stop at.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -66,16 +67,20 @@ def _bounds_raised(ns):
     """Bounds out of reach for the tuples with n in ``ns``: each integer
     bound goes up by 50, and SC2's p**ord_p(n!) is multiplied by p**50, on
     the per-claim and the per-tuple path alike."""
-    real_bound, real_constants = verifier.bound_exponent, bounds.sc2_constants
+    real_constants = bounds.sc2_constants
 
-    def bound(spec):
-        return real_bound(spec) + (50 if spec.n in ns else 0)
+    def raised(real_bound):
+        def bound(**params):
+            return real_bound(**params) + (50 if params["n"] in ns else 0)
+        return bound
 
     def constants(n, p, f):
         l, comb, rhs = real_constants(n, p, f)
         return l, comb, rhs * p**50 if n in ns else rhs
 
-    with mock.patch.object(verifier, "bound_exponent", bound), \
+    entries = {theorem: dataclasses.replace(wiring, bound=raised(wiring.bound))
+               for theorem, wiring in THEOREMS.items() if wiring.bound is not None}
+    with mock.patch.dict(THEOREMS, entries), \
             mock.patch.object(bounds, "sc2_constants", constants), \
             mock.patch.object(verifier, "sc2_constants", constants):
         yield

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -279,27 +281,27 @@ class TestCheckTuple:
             evaluate_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
 
     def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
-        # one evaluate_tuple call and one bound per tuple, and no check_claim
-        # and no theorem coercion (a tuple takes the grid's member as it is),
-        # with fail_fast off and on
+        # one evaluate_tuple call and one call of the table's bound per tuple,
+        # and no check_claim and no theorem coercion (a tuple takes the grid's
+        # member as it is), with fail_fast off and on
         grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 11), primes=(2, 3), alphas=(1, 2),
                         ls=(0, 1))
-        calls = {"evaluate_tuple": 0, "check_claim": 0, "bound_exponent": 0,
-                 "_coerce_theorem": 0}
+        calls = {"evaluate_tuple": 0, "check_claim": 0, "_coerce_theorem": 0, "bound": 0}
 
-        def counted(name):
-            real = getattr(verifier, name)
-
+        def counted(name, real):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(verifier, name, counted(name))
+        for name in ("evaluate_tuple", "check_claim", "_coerce_theorem"):
+            monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
+        wiring = THEOREMS[TheoremId.WAN_STRONG]
+        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG,
+                            dataclasses.replace(wiring, bound=counted("bound", wiring.bound)))
         tuples = 10 * 2 * 2 * 2
-        want = {"evaluate_tuple": tuples, "check_claim": 0, "bound_exponent": tuples,
-                "_coerce_theorem": 0}
+        want = {"evaluate_tuple": tuples, "check_claim": 0, "_coerce_theorem": 0,
+                "bound": tuples}
         assert len(run_grid(grid).records) == 10 * 2 * (2 + 4 + 3 + 9)
         assert calls == want
         calls.update(dict.fromkeys(calls, 0))
@@ -307,26 +309,26 @@ class TestCheckTuple:
         assert calls == want
 
     def test_p_is_still_checked(self, monkeypatch):
-        # evaluate_tuple takes each residue's order unchecked, after its bound
-        # spec has checked p once for the tuple
+        # evaluate_tuple takes each residue's order unchecked, after its
+        # parameter check has checked p once for the tuple
         with pytest.raises(ParameterError, match="p must be a prime"):
             evaluate_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
         with pytest.raises(ParameterError, match="p must be a prime"):
             ord_p(8, 4)
         checks = []
-        real = verifier.BoundSpec
+        real = verifier.check_prime
 
-        def counted(*args, **kwargs):
-            checks.append(kwargs["p"])
-            return real(*args, **kwargs)
+        def counted(p):
+            checks.append(p)
+            return real(p)
 
-        monkeypatch.setattr(verifier, "BoundSpec", counted)
+        monkeypatch.setattr(verifier, "check_prime", counted)
         records = evaluate_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0}).records()
         assert len(records) == 9 and checks == [3]
 
     def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
         # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
-        # 270 claims.  Each tuple checks p in its bound spec and in ord_p(n!)
+        # 270 claims.  Each tuple checks p in its parameter check and in ord_p(n!)
         # for p**ord_p(n!), which it works out once with l and C(n, l); the
         # grid checks each prime once.  (A comparison per claim, as
         # check_claim makes, checked p three more times: 988 checks.)
@@ -347,6 +349,56 @@ class TestCheckTuple:
         assert len(results) == 180 and len(checks) == 2 + 2 * 180
         records = [rec for res in results for rec in res.records()]
         assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
+
+
+#: A parameter below its minimum, or a p that is not prime, for each check
+BAD_PARAMS = [
+    ("sun", {"n": 5, "p": 2, "alpha": 1, "beta": -1, "l": 0}),
+    ("weisman", {"n": 5, "p": 2, "alpha": -1}),
+    ("weisman", {"n": 5, "p": 2, "alpha": 0}),
+    ("wan", {"n": 5, "p": 2, "l": -1}),
+    ("sc1", {"n": 5, "p": 2, "m": 0, "a": 1}),
+    ("fleck", {"n": 0, "p": 2}),
+    ("sc3", {"n": 5, "p": 4, "alpha": 1, "m": 1, "a": 1}),
+]
+
+
+class TestParameterCheck:
+    @pytest.mark.parametrize("path", ["check_claim", "evaluate_tuple"])
+    @pytest.mark.parametrize("theorem, params", BAD_PARAMS)
+    def test_bad_parameter_fails_as_in_a_grid(self, theorem, params, path):
+        # before the class modulus reads it (sun's p**beta, weisman's p**alpha)
+        with pytest.raises(ParameterError) as grid_error:
+            GridSpec(TheoremId(theorem), **{AXIS_FIELDS[k]: (v,) for k, v in params.items()})
+        with pytest.raises(ParameterError) as claim_error:
+            if path == "check_claim":
+                check_claim(theorem, {**params, "r": 0})
+            else:
+                evaluate_tuple(theorem, params)
+        assert str(claim_error.value) == str(grid_error.value)
+
+    def test_parameters_the_theorem_does_not_take_are_dropped(self):
+        want = {"n": 5, "p": 2, "d": 2, "r": 0}
+        assert check_claim("fleck", {"n": 5, "p": 2, "r": 0, "alpha": 3}).params == want
+        assert evaluate_tuple("fleck", {"n": 5, "p": 2, "alpha": 3}).records()[0].params == want
+
+    def test_no_claim_path_builds_a_bound_spec(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("a claim path built a BoundSpec")
+
+        monkeypatch.setattr(bounds.BoundSpec, "__post_init__", refused)
+        with pytest.raises(AssertionError):
+            bounds.BoundSpec(TheoremId.FLECK, n=1, p=2)
+        values = {"n": range(1, 7), "p": (2, 3), "alpha": (1, 2), "beta": (0, 1, 2),
+                  "l": (0, 1), "m": (1, 2), "a": (-1, 2), "f": (IntPolynomial((0, 1)),)}
+        grids = [GridSpec(theorem, **{AXIS_FIELDS[name]: values[name]
+                                      for name in THEOREMS[theorem].params})
+                 for theorem in TheoremId]
+        # run_grids evaluates every tuple with evaluate_tuple
+        for probe in (False, True):
+            records = run_grids(grids, probe).records
+            assert records == [check_claim(grid.theorem, params, probe)
+                               for grid in grids for params in grid_params(grid)]
 
 
 class TestChunks:
