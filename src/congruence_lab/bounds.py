@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import filtered_sums
 from .errors import ParameterError
-from .exactmath import IntPolynomial, check_prime, ord_p, ord_p_factorial
+from .exactmath import PARAM_MINIMUM, IntPolynomial, check_params, ord_p, ord_p_factorial
 from .filtered_sums import Variant
 from .triangles import Family
 
@@ -208,13 +208,6 @@ THEOREMS: dict[TheoremId, Theorem] = {
 }
 
 
-#: Smallest allowed value of each integer parameter that has one (p must be
-#: prime; a, r and f may be anything).  GridSpec checks every axis value
-#: against these, the verifier every parameter a claim's theorem takes (once
-#: per tuple on a sweep), and BoundSpec every field it has set.
-PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
-
-
 @dataclass(frozen=True)
 class BoundSpec:
     """Parameter bundle for one bound formula: library API, built on no claim path."""
@@ -230,14 +223,12 @@ class BoundSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theorem", TheoremId(self.theorem))
-        check_prime(self.p)
+        # p, and every other field that is set, whether or not the theorem takes it
+        check_params(p=self.p, **{name: value for name, value in vars(self).items()
+                                  if name != "p" and value is not None})
         for name in THEOREMS[self.theorem].spec_params:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
-        for name, low in PARAM_MINIMUM.items():
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ParameterError(f"{name} must be >= {low}, got {value}")
 
     def hypotheses_hold(self) -> bool:
         """Whether this parameter tuple satisfies the theorem's hypotheses.
@@ -268,9 +259,7 @@ def binom_power_inferred_exponent(n: int, p: int, alpha: int) -> int:
     This is the specialization the Eulerian power-sum proof route relies on;
     it is checked empirically by the test suite rather than cited.
     """
-    check_prime(p)
-    if alpha < 1:
-        raise ParameterError(f"alpha must be >= 1, got {alpha}")
+    check_params(p=p, alpha=alpha)
     q = p ** (alpha - 1)
     return (n - q) // (q * (p - 1))
 
@@ -293,9 +282,7 @@ def sc2_comparison(
     lhs = C(n, l) * p**ord_p(total) >= p**ord_p(n!) = rhs.  A zero sum is
     satisfied with lhs = None (infinite order).
     """
-    check_prime(p)
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    check_params(n=n, p=p)
     l, comb, rhs = sc2_constants(n, p, f)
     if total == 0:
         return l, None, rhs, True

@@ -64,7 +64,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 from . import __version__, identities, triangles, verifier
 from .bounds import THEOREMS, TheoremId
 from .errors import CapacityError, CongruenceLabError, ParameterError
-from .exactmath import IntPolynomial, ord_p
+from .exactmath import IntPolynomial, check_params, ord_p
 from .filtered_sums import (
     ResidueClass,
     Variant,
@@ -220,32 +220,33 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 
 def cmd_sum(args: argparse.Namespace) -> int:
     kind = args.kind
-    if kind in ("fleck", "bpow", "ewan", "epow") and args.p is None:
-        raise ParameterError(f"sum {kind} needs --p")
-    if kind == "fleck" and args.variant == "floor" and args.beta is None:
-        raise ParameterError("floor variant needs --beta")
     p: int | None = args.p
-    if kind == "fleck":
-        variant = Variant(args.variant)
-        modulus = args.p ** (args.beta if variant is Variant.FLOOR else args.alpha)
-        cls = ResidueClass(modulus, args.r)
-        value = fleck_sum(args.n, args.p, args.alpha, cls, args.l, variant, args.beta)
-    elif kind == "bpow":
-        cls = ResidueClass(args.p**args.alpha, args.r)
-        value = binom_power_sum(args.n, args.p, args.alpha, cls, args.a)
-    elif kind == "ewan":
-        cls = ResidueClass(args.p**args.alpha, args.r)
-        value = eulerian_wan_sum(args.n, args.p, args.alpha, cls, args.l)
-    elif kind == "epow":
-        cls = ResidueClass(args.p**args.alpha, args.r)
-        value = eulerian_power_sum(args.n, args.p, args.alpha, cls, args.a)
-    elif kind == "cdr":
+    if kind == "spoly" and args.f is None:
+        raise ParameterError("spoly needs --f")
+    if kind in ("fleck", "bpow", "ewan", "epow"):
+        if p is None:
+            raise ParameterError(f"sum {kind} needs --p")
+        # the class modulus is p**beta for a floor sum, else p**alpha: p and
+        # that exponent are checked before the modulus is built
+        name = "beta" if kind == "fleck" and args.variant == "floor" else "alpha"
+        exponent = getattr(args, name)
+        if exponent is None:
+            raise ParameterError("floor variant needs --beta")
+        check_params(p=p, **{name: exponent})
+        cls = ResidueClass(p**exponent, args.r)
+    else:
         cls = ResidueClass(args.d, args.r)
+    if kind == "fleck":
+        value = fleck_sum(args.n, p, args.alpha, cls, args.l, Variant(args.variant), args.beta)
+    elif kind == "bpow":
+        value = binom_power_sum(args.n, p, args.alpha, cls, args.a)
+    elif kind == "ewan":
+        value = eulerian_wan_sum(args.n, p, args.alpha, cls, args.l)
+    elif kind == "epow":
+        value = eulerian_power_sum(args.n, p, args.alpha, cls, args.a)
+    elif kind == "cdr":
         value = stirling_product_sum(args.n, args.m, cls, args.a)
     elif kind == "spoly":
-        if args.f is None:
-            raise ParameterError("spoly needs --f")
-        cls = ResidueClass(args.d, args.r)
         value = stirling_poly_sum(
             args.n, IntPolynomial.from_coeff_string(args.f), cls, args.a
         )
@@ -777,8 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     ident = sub.add_parser("identity", help="run identity check suites")
     ident.add_argument("identity", type=str.lower,
                        choices=[i.lower() for i in identities.IDENTITY_IDS] + ["all"])
-    ident.add_argument("--n", default=None, help='n range; only the top matters, e.g. "1..12"')
-    ident.add_argument("--n-max", type=int, default=None)
+    top = ident.add_mutually_exclusive_group()
+    top.add_argument("--n", default=None, help='n range; only the top matters, e.g. "1..12"')
+    top.add_argument("--n-max", type=int, default=None)
     ident.add_argument("--l-max", type=int, default=None)
     ident.add_argument("--p", default=None)
     ident.add_argument("--alpha", default=None)

@@ -19,6 +19,7 @@ __all__ = [
     "IntPolynomial",
     "PAdicOrder",
     "binom",
+    "check_params",
     "check_prime",
     "is_prime",
     "ord_p",
@@ -51,6 +52,30 @@ def check_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p):
         raise ParameterError(f"p must be a prime >= 2, got {p!r}")
     return p
+
+
+#: Smallest allowed value of each integer parameter that has one (p must be
+#: prime; a, d, r and f may be anything).  :func:`check_params` is the one
+#: check that applies them, for every claim, grid, bound and sum.
+PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
+
+
+def check_params(**params) -> None:
+    """Raise :class:`ParameterError` unless ``p`` (where given) is prime and
+    every given parameter with a :data:`PARAM_MINIMUM` is at least that;
+    ``p`` is checked first, then the rest in the order given.
+
+    >>> check_params(n=3, p=2, alpha=1, a=-5)
+    >>> check_params(n=0, p=2)
+    Traceback (most recent call last):
+        ...
+    congruence_lab.errors.ParameterError: n must be >= 1, got 0
+    """
+    if "p" in params:
+        check_prime(params["p"])
+    for name, value in params.items():
+        if name in PARAM_MINIMUM and value < PARAM_MINIMUM[name]:
+            raise ParameterError(f"{name} must be >= {PARAM_MINIMUM[name]}, got {value}")
 
 
 @dataclass(frozen=True)

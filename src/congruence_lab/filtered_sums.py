@@ -35,7 +35,7 @@ from enum import Enum
 
 from . import triangles
 from .errors import ParameterError
-from .exactmath import IntPolynomial, check_prime
+from .exactmath import IntPolynomial, check_params
 from .triangles import Family
 
 __all__ = [
@@ -83,10 +83,11 @@ class Variant(Enum):
     FLOOR = "floor"
 
 
-def _check_positive(name: str, value: int, minimum: int = 1) -> int:
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    return value
+def _check_modulus(cls: ResidueClass, p: int, name: str, exponent: int) -> None:
+    """Refuse a class whose modulus is not p**exponent (named ``name``)."""
+    if cls.modulus != p**exponent:
+        raise ParameterError(
+            f"class modulus must be p**{name} = {p**exponent}, got {cls.modulus}")
 
 
 def binomial_row(n: int) -> list:
@@ -141,29 +142,22 @@ def fleck_sum(
     FLOOR variant (class modulus p**beta, alpha >= beta >= 0):
         same, with weight C(floor((k - r) / p**alpha), l).
 
-    With l = 0 and EXACT this is the plain alternating filtered sum.
+    With l = 0 and EXACT this is the plain alternating filtered sum.  The
+    parameters go through :func:`~congruence_lab.exactmath.check_params`
+    (beta too, for FLOOR), and FLOOR also refuses beta > alpha.
     """
-    check_prime(p)
-    _check_positive("n", n)
-    _check_positive("alpha", alpha)
-    if l < 0:
-        raise ParameterError(f"l must be >= 0, got {l}")
+    check_params(n=n, p=p, alpha=alpha, l=l)
     p_alpha = p**alpha
     if variant is Variant.EXACT:
         # beta is ignored here: the class modulus already is p**alpha
-        if cls.modulus != p_alpha:
-            raise ParameterError(
-                f"exact variant needs class modulus p**alpha = {p_alpha}, got {cls.modulus}"
-            )
+        _check_modulus(cls, p, "alpha", alpha)
     elif variant is Variant.FLOOR:
         if beta is None:
             raise ParameterError("floor variant needs beta")
-        if not 0 <= beta <= alpha:
-            raise ParameterError(f"need alpha >= beta >= 0, got alpha={alpha}, beta={beta}")
-        if cls.modulus != p**beta:
-            raise ParameterError(
-                f"floor variant needs class modulus p**beta = {p**beta}, got {cls.modulus}"
-            )
+        check_params(beta=beta)
+        if beta > alpha:
+            raise ParameterError(f"need alpha >= beta, got alpha={alpha}, beta={beta}")
+        _check_modulus(cls, p, "beta", beta)
     else:
         raise ParameterError(f"unknown variant {variant!r}")
     values = _binomial_row(n)[cls.residue :: cls.modulus]
@@ -198,11 +192,7 @@ def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
     another (n, p**alpha), starts again from the signed row.
     """
     global _suffixes
-    check_prime(p)
-    _check_positive("n", n)
-    _check_positive("alpha", alpha)
-    if l < 0:
-        raise ParameterError(f"l must be >= 0, got {l}")
+    check_params(n=n, p=p, alpha=alpha, l=l)
     d = p**alpha
     row = _binomial_row(n)  # also refuses a float n, as math.comb did
     kept, folds, classes = _suffixes
@@ -236,13 +226,10 @@ def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> in
 
     At a = 1 this specializes to the l = 0 exact :func:`fleck_sum`.
     """
-    check_prime(p)
-    _check_positive("n", n, minimum=0)
-    _check_positive("alpha", alpha)
-    if cls.modulus != p**alpha:
-        raise ParameterError(
-            f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
-        )
+    check_params(p=p, alpha=alpha)
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
+    _check_modulus(cls, p, "alpha", alpha)
     return _power_sum(_binomial_row(n)[cls.residue :: cls.modulus], cls, -a)
 
 
@@ -250,16 +237,9 @@ def eulerian_wan_sum(n: int, p: int, alpha: int, cls: ResidueClass, l: int) -> i
     """Filtered Eulerian sum with a binomial-of-quotient weight:
     sum over k = r (mod p**alpha), 0 <= k <= n-1, of A(n, k) C((k - r) / p**alpha, l).
     """
-    check_prime(p)
-    _check_positive("n", n)
-    _check_positive("alpha", alpha)
-    if l < 0:
-        raise ParameterError(f"l must be >= 0, got {l}")
-    if cls.modulus != p**alpha:
-        raise ParameterError(
-            f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
-        )
-    row = triangles.eulerian_row(n)
+    check_params(n=n, p=p, alpha=alpha, l=l)
+    _check_modulus(cls, p, "alpha", alpha)
+    row = triangles.ensure_rows(Family.EULERIAN, n).row(n)  # n is checked above
     return sum(row[k] * math.comb(j, l) for j, k in enumerate(cls.members(n - 1)))
 
 
@@ -267,14 +247,9 @@ def eulerian_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) ->
     """Filtered Eulerian power sum:
     sum over k = r (mod p**alpha), 0 <= k <= n-1, of A(n, k) a**k  (0**0 = 1).
     """
-    check_prime(p)
-    _check_positive("n", n)
-    _check_positive("alpha", alpha)
-    if cls.modulus != p**alpha:
-        raise ParameterError(
-            f"class modulus must be p**alpha = {p**alpha}, got {cls.modulus}"
-        )
-    row = triangles.eulerian_row(n)
+    check_params(n=n, p=p, alpha=alpha)
+    _check_modulus(cls, p, "alpha", alpha)
+    row = triangles.ensure_rows(Family.EULERIAN, n).row(n)  # n is checked above
     return _power_sum((row[k] for k in cls.members(n - 1)), cls, a)
 
 
@@ -284,8 +259,7 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 
     The class modulus d is arbitrary; m > n gives 0 because S(k, m) vanishes.
     """
-    _check_positive("n", n)
-    _check_positive("m", m)
+    check_params(n=n, m=m)
     srow = triangles.stirling1_row(n)
     tri2 = triangles.ensure_rows(Family.STIRLING2, n)
     return _power_sum((srow[k] * tri2.value(k, m) for k in cls.members(n)), cls, a)
@@ -294,9 +268,9 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
     """The :func:`stirling_product_sum` of every residue r = 0..d-1, from one
     pass over k that adds each term to the total of k mod d."""
-    _check_positive("n", n)
-    _check_positive("m", m)
-    _check_positive("d", d)
+    check_params(n=n, m=m)
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d}")
     srow = triangles.stirling1_row(n)
     rows2 = triangles.ensure_rows(Family.STIRLING2, n).rows
     totals = [0] * d
@@ -311,6 +285,6 @@ def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> in
     """Filtered polynomial-weighted Stirling sum:
     sum over k = r (mod d), 0 <= k <= n, of s(n, k) f(k) a**k.
     """
-    _check_positive("n", n)
+    check_params(n=n)
     srow = triangles.stirling1_row(n)
     return _power_sum((srow[k] * f(k) for k in cls.members(n)), cls, a)

@@ -28,7 +28,7 @@ from typing import Any, Iterator
 
 from . import triangles
 from .errors import ParameterError
-from .exactmath import binom, check_prime, is_prime, ord_p, ord_p_factorial
+from .exactmath import binom, check_params, check_prime, is_prime, ord_p, ord_p_factorial
 from .triangles import Family
 
 __all__ = [
@@ -276,8 +276,7 @@ def suite(
     for p in primes or ():
         check_prime(p)
     for alpha in alphas or ():
-        if alpha < 1:
-            raise ParameterError(f"alpha must be >= 1, got {alpha}")
+        check_params(alpha=alpha)
     identity = identity.upper()
     if identity not in IDENTITY_IDS:
         raise ParameterError(f"unknown identity id {identity!r}")

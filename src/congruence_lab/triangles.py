@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import CapacityError, ParameterError, TriangleInvariantError
-from .exactmath import rising_factorial
+from .exactmath import check_params, rising_factorial
 
 FORMAT_VERSION = 1
 
@@ -233,8 +233,7 @@ def stirling2(n: int, k: int) -> int:
 
 def eulerian(n: int, k: int) -> int:
     """Eulerian number (permutations of n with k ascents); requires n >= 1."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    check_params(n=n)
     return ensure_rows(Family.EULERIAN, n).value(n, k)
 
 
@@ -243,6 +242,5 @@ def stirling1_row(n: int) -> tuple[int, ...]:
 
 
 def eulerian_row(n: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    check_params(n=n)
     return ensure_rows(Family.EULERIAN, n).row(n)

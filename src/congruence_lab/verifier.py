@@ -46,16 +46,9 @@ from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import triangles
-from .bounds import (
-    PARAM_MINIMUM,
-    THEOREMS,
-    Theorem,
-    TheoremId,
-    sc2_comparison,
-    sc2_constants,
-)
+from .bounds import THEOREMS, Theorem, TheoremId, sc2_comparison, sc2_constants
 from .errors import ParameterError
-from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_prime, ord_p, ord_p_nonzero
+from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_params, ord_p, ord_p_nonzero
 from .filtered_sums import ResidueClass
 from .triangles import Family
 
@@ -102,10 +95,10 @@ def _checked_theorem(
 ) -> tuple[TheoremId, Theorem, dict[str, Any]]:
     """The theorem id, its wiring and the parameters it takes, in canonical
     order, once ``params`` holds those and the names in ``extra``, ``f``
-    (where the theorem takes it) is an :class:`IntPolynomial`, ``p`` is prime
-    and no parameter is below its :data:`PARAM_MINIMUM`, with the messages of
-    :class:`GridSpec`.  A member is taken as it is; a string goes through
-    :func:`_coerce_theorem`."""
+    (where the theorem takes it) is an :class:`IntPolynomial`, and the
+    parameters pass :func:`~congruence_lab.exactmath.check_params`, as a
+    :class:`GridSpec`'s axes do.  A member is taken as it is; a string goes
+    through :func:`_coerce_theorem`."""
     if not isinstance(theorem, TheoremId):
         theorem = _coerce_theorem(theorem)
     wiring = THEOREMS[theorem]
@@ -115,10 +108,7 @@ def _checked_theorem(
     params = {name: params[name] for name in wiring.params}
     if "f" in params and not isinstance(params["f"], IntPolynomial):
         raise ParameterError("parameter f must be an IntPolynomial")
-    check_prime(params["p"])
-    for name, low in PARAM_MINIMUM.items():
-        if name in params and params[name] < low:
-            raise ParameterError(f"{name} must be >= {low}, got {params[name]}")
+    check_params(**params)
     return theorem, wiring, params
 
 
@@ -385,9 +375,10 @@ class GridSpec:
     ``residues`` is either the string "all" (one full period 0..d-1, with d
     derived from the other parameters) or an explicit collection of residues.
     The axes of the parameters the theorem takes must be nonempty, the others
-    empty.  Every value is checked here (primes, and the minimum of each of n,
-    alpha, beta, l, m), so that a sweep over a constructed grid raises no
-    parameter error.
+    empty.  Every value is checked here with
+    :func:`~congruence_lab.exactmath.check_params` (each prime, and the least
+    value of each other axis), so that a sweep over a constructed grid raises
+    no parameter error.
     """
 
     theorem: TheoremId
@@ -409,6 +400,7 @@ class GridSpec:
         else:
             object.__setattr__(self, "residues", _axis(self.residues))
         taken = THEOREMS[self.theorem].params
+        least = {}
         for name, field in AXIS_FIELDS.items():
             # polynomials keep their first-occurrence order, without repeats
             values = (tuple(dict.fromkeys(getattr(self, field))) if name == "f"
@@ -418,12 +410,11 @@ class GridSpec:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
             if name not in taken and values:
                 raise ParameterError(f"{self.theorem.value} grid does not take a {name} axis")
+            if values and name != "p":
+                least[name] = values[0]  # an axis's least (f has no minimum)
         for p in self.primes:
-            check_prime(p)
-        for name, low in PARAM_MINIMUM.items():
-            values = getattr(self, AXIS_FIELDS[name])
-            if values and values[0] < low:  # axes are sorted
-                raise ParameterError(f"{name} must be >= {low}, got {values[0]}")
+            check_params(p=p)
+        check_params(**least)
 
 
 def _grid_tuples(grid: GridSpec) -> Iterator[dict[str, Any]]:

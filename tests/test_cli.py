@@ -115,6 +115,24 @@ class TestSumCommand:
     def test_missing_prime_is_usage_error(self, capsys):
         assert main(["sum", "fleck", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("argv, error", [
+        (["ewan", "--n", "5", "--p", "0", "--alpha", "-1"], "p must be a prime >= 2, got 0"),
+        (["bpow", "--n", "5", "--p", "2", "--alpha", "-1"], "alpha must be >= 1, got -1"),
+        (["fleck", "--n", "5", "--p", "2", "--variant", "floor", "--beta", "-1"],
+         "beta must be >= 0, got -1"),
+        (["fleck", "--n", "5", "--p", "-2", "--alpha", "-1"], "p must be a prime >= 2, got -2"),
+    ])
+    def test_bad_p_or_exponent_fails_before_the_modulus(self, argv, error, capsys):
+        # p**alpha (p**beta for floor) is the class modulus: a bad p or
+        # exponent gave a ZeroDivisionError or a fractional modulus
+        assert main(["sum", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_n_is_left_to_the_sum(self, capsys):
+        # the binomial power sum is defined at n = 0
+        assert main(["sum", "bpow", "--n", "0", "--p", "2"]) == 0
+        assert capsys.readouterr().out == "1 / ord_2 = 0\n"
+
 
 class TestVerifyCommand:
     def test_fleck_grid_ok(self, capsys):
@@ -487,6 +505,13 @@ class TestIdentityCommand:
     def test_n_range_spelling(self, capsys):
         assert main(["identity", "e2", "--n", "1..12"]) == 0
         assert "E2: 12 checks, all passed" in capsys.readouterr().out
+
+    def test_n_and_n_max_are_exclusive(self, capsys):
+        # --n-max used to win silently
+        assert main(["identity", "s3", "--n", "1..5", "--n-max", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --n-max: not allowed with argument --n\n")
 
     def test_failed_checks_exit_1(self, capsys, monkeypatch):
         real = triangles.stirling1

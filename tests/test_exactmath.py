@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_lab import bounds, filtered_sums, identities, triangles, verifier
+from congruence_lab.bounds import TheoremId
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import (
     INFINITY,
+    PARAM_MINIMUM,
     IntPolynomial,
     PAdicOrder,
     _digit_power,
     binom,
+    check_params,
     is_prime,
     ord_p,
     ord_p_factorial,
@@ -235,3 +239,108 @@ def test_is_prime_small():
     primes = [p for p in range(100) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                       53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+
+class TestCheckParams:
+    def test_p_first_then_the_order_given(self):
+        with pytest.raises(ParameterError, match="^p must be a prime >= 2, got 4$"):
+            check_params(n=0, p=4)
+        with pytest.raises(ParameterError, match="^l must be >= 0, got -1$"):
+            check_params(l=-1, n=0, p=2)
+
+    def test_names_without_a_minimum_are_skipped(self):
+        check_params(n=1, p=2, alpha=1, beta=0, l=0, m=1, a=-7, d=-1, r=-3, f=None)
+        assert bounds.PARAM_MINIMUM is PARAM_MINIMUM
+
+
+#: A good value of each parameter, and a bad one with the message every entry
+#: point that takes the parameter gives for it
+GOOD = {"n": 5, "p": 2, "alpha": 1, "beta": 0, "l": 0, "m": 1, "a": 1}
+BAD = {
+    "n": (0, "n must be >= 1, got 0"),
+    "alpha": (0, "alpha must be >= 1, got 0"),
+    "beta": (-1, "beta must be >= 0, got -1"),
+    "l": (-1, "l must be >= 0, got -1"),
+    "m": (0, "m must be >= 1, got 0"),
+    "p": (4, "p must be a prime >= 2, got 4"),
+}
+
+
+def _theorem_taking(name):
+    return next(t for t in TheoremId if name in bounds.THEOREMS[t].params)
+
+
+def _claim(name, v):
+    theorem = _theorem_taking(name)
+    return theorem, {k: v[k] for k in bounds.THEOREMS[theorem].params}
+
+
+def _grid(name, v):
+    theorem, params = _claim(name, v)
+    verifier.GridSpec(theorem, **{verifier.AXIS_FIELDS[k]: (x,) for k, x in params.items()})
+
+
+def _check_claim(name, v):
+    theorem, params = _claim(name, v)
+    verifier.check_claim(theorem, {**params, "r": 0})
+
+
+def _evaluate_tuple(name, v):
+    verifier.evaluate_tuple(*_claim(name, v))
+
+
+def _bound_spec(name, v):
+    theorem, params = _claim(name, v)
+    bounds.BoundSpec(theorem, **params)
+
+
+# each entry point with the parameters it checks; a class built for the
+# good values (modulus 2 = p**alpha, 1 = p**beta) reaches the check unbuilt
+# from the bad ones
+EXACT, FLOOR = filtered_sums.ResidueClass(2, 0), filtered_sums.ResidueClass(1, 0)
+ENTRY_POINTS = {
+    "GridSpec": ("n p alpha beta l m", _grid),
+    "check_claim": ("n p alpha beta l m", _check_claim),
+    "evaluate_tuple": ("n p alpha beta l m", _evaluate_tuple),
+    "BoundSpec": ("n p alpha beta l m", _bound_spec),
+    "fleck_sum": ("n p alpha l", lambda _, v: filtered_sums.fleck_sum(
+        v["n"], v["p"], v["alpha"], EXACT, v["l"])),
+    "fleck_sum FLOOR": ("n p alpha beta l", lambda _, v: filtered_sums.fleck_sum(
+        v["n"], v["p"], v["alpha"], FLOOR, v["l"], filtered_sums.Variant.FLOOR, v["beta"])),
+    "fleck_sums": ("n p alpha l", lambda _, v: filtered_sums.fleck_sums(
+        v["n"], v["p"], v["alpha"], v["l"])),
+    # n >= 0 is binom_power_sum's own rule
+    "binom_power_sum": ("p alpha", lambda _, v: filtered_sums.binom_power_sum(
+        v["n"], v["p"], v["alpha"], EXACT, v["a"])),
+    "eulerian_wan_sum": ("n p alpha l", lambda _, v: filtered_sums.eulerian_wan_sum(
+        v["n"], v["p"], v["alpha"], EXACT, v["l"])),
+    "eulerian_power_sum": ("n p alpha", lambda _, v: filtered_sums.eulerian_power_sum(
+        v["n"], v["p"], v["alpha"], EXACT, v["a"])),
+    "stirling_product_sum": ("n m", lambda _, v: filtered_sums.stirling_product_sum(
+        v["n"], v["m"], EXACT, v["a"])),
+    "stirling_product_sums": ("n m", lambda _, v: filtered_sums.stirling_product_sums(
+        v["n"], v["m"], 2, v["a"])),
+    "stirling_poly_sum": ("n", lambda _, v: filtered_sums.stirling_poly_sum(
+        v["n"], IntPolynomial((0, 1)), EXACT, v["a"])),
+    "sc2_comparison": ("n p", lambda _, v: bounds.sc2_comparison(
+        v["n"], v["p"], IntPolynomial((0, 1)), 6)),
+    "binom_power_inferred_exponent": ("p alpha", lambda _, v: (
+        bounds.binom_power_inferred_exponent(v["n"], v["p"], v["alpha"]))),
+    "eulerian_row": ("n", lambda _, v: triangles.eulerian_row(v["n"])),
+    "eulerian": ("n", lambda _, v: triangles.eulerian(v["n"], 0)),
+    "identities.suite": ("p alpha", lambda _, v: identities.suite(
+        "S4", primes=(v["p"],), alphas=(v["alpha"],))),
+}
+
+
+@pytest.mark.parametrize("entry, name", [
+    pytest.param(entry, name, id=f"{entry}-{name}")
+    for entry, (names, _) in ENTRY_POINTS.items() for name in names.split()
+])
+def test_a_bad_value_gets_one_message_at_every_entry_point(entry, name):
+    call = ENTRY_POINTS[entry][1]
+    call(name, GOOD)  # the good values pass
+    value, message = BAD[name]
+    with pytest.raises(ParameterError) as error:
+        call(name, {**GOOD, name: value})
+    assert str(error.value) == message

@@ -315,23 +315,31 @@ class TestCheckTuple:
             evaluate_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
         with pytest.raises(ParameterError, match="p must be a prime"):
             ord_p(8, 4)
+        # the parameter check checks p, and so does fleck_sums, the tuple's one
+        # sum; none of the nine orders does
         checks = []
-        real = verifier.check_prime
+        real_params, real_prime = verifier.check_params, exactmath.check_prime
 
-        def counted(p):
+        def counted_params(**params):
+            checks.append("check_params")
+            return real_params(**params)
+
+        def counted_prime(p):
             checks.append(p)
-            return real(p)
+            return real_prime(p)
 
-        monkeypatch.setattr(verifier, "check_prime", counted)
+        monkeypatch.setattr(verifier, "check_params", counted_params)
+        monkeypatch.setattr(exactmath, "check_prime", counted_prime)
         records = evaluate_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0}).records()
-        assert len(records) == 9 and checks == [3]
+        assert len(records) == 9 and checks == ["check_params", 3, 3]
 
     def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
         # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
         # 270 claims.  Each tuple checks p in its parameter check and in ord_p(n!)
         # for p**ord_p(n!), which it works out once with l and C(n, l); the
         # grid checks each prime once.  (A comparison per claim, as
-        # check_claim makes, checked p three more times: 988 checks.)
+        # check_claim makes, checked p three more times: 988 checks.)  Every
+        # check of p, check_params' included, is exactmath.check_prime.
         checks = []
         real = exactmath.check_prime
 
@@ -339,8 +347,7 @@ class TestCheckTuple:
             checks.append(p)
             return real(p)
 
-        for module in (exactmath, bounds, verifier):
-            monkeypatch.setattr(module, "check_prime", counted)
+        monkeypatch.setattr(exactmath, "check_prime", counted)
         grid = GridSpec(TheoremId.SC2, ns=range(1, 31), primes=(2, 3), a_values=(-1, 1, 2),
                         polys=(IntPolynomial((0, 0, 1)),))
         verifier.ensure_tables([grid])
