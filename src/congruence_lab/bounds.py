@@ -78,8 +78,8 @@ class Theorem:
 
     ``sums``, where a theorem has it, returns the sums of all d residue
     classes in residue order, each equal to what ``sum`` gives for that
-    class; the verifier's per-tuple path uses it, and falls back to one
-    ``sum`` per residue without it.
+    class; the verifier's per-tuple path uses it when every residue is asked
+    for, and calls one ``sum`` per residue without it or for a subset.
     """
 
     params: tuple[str, ...]  # besides the residue r, in the order of verifier.AXIS_FIELDS

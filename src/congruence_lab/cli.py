@@ -235,6 +235,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
         check_params(p=p, **{name: exponent})
         cls = ResidueClass(p**exponent, args.r)
     else:
+        if p is not None:  # its order is printed after the sum: check it first
+            check_params(p=p)
         cls = ResidueClass(args.d, args.r)
     if kind == "fleck":
         value = fleck_sum(args.n, p, args.alpha, cls, args.l, Variant(args.variant), args.beta)
@@ -399,7 +401,7 @@ def _write_report(
     is one or more :func:`_result_json` texts, joined as in the report, or
     CSV rows.  Sorted keys put the JSON "records" first, so the run and the
     summary follow the last chunk."""
-    summary = verifier.RunningSummary()
+    summary = GridSummary()
     if fmt == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
     started = False
@@ -409,12 +411,11 @@ def _write_report(
             text = (",\n" if started else _RECORDS_OPEN + "\n") + text
         out.write(text)
         started = True
-    result = summary.summary()
     if fmt == "json":
         # the report with no records, from the "]" that closes them on
-        rest = _json_text({"records": [], "run": run, "summary": result.to_json_dict()})
+        rest = _json_text({"records": [], "run": run, "summary": summary.to_json_dict()})
         out.write(("\n  " if started else _RECORDS_OPEN) + rest[len(_RECORDS_OPEN):])
-    return result
+    return summary
 
 
 def _usable_cpus() -> int:
@@ -457,7 +458,7 @@ def _rendered_chunks(
     text, as :func:`_write_report` takes them."""
     for _, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step,
                                            fail_fast):
-        summary = verifier.RunningSummary()
+        summary = GridSummary()
         for res in results:
             summary.add(res)
         if fmt == "json":
@@ -467,7 +468,7 @@ def _rendered_chunks(
             rows = itertools.chain.from_iterable(map(_result_csv, results))
             csv.writer(buf, lineterminator="\n").writerows(rows)
             text = buf.getvalue()
-        yield summary.summary(), text
+        yield summary, text
 
 
 class _Pool:

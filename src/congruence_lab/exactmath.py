@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import ParameterError
 
@@ -78,6 +78,7 @@ def check_params(**params) -> None:
             raise ParameterError(f"{name} must be >= {PARAM_MINIMUM[name]}, got {value}")
 
 
+@total_ordering
 @dataclass(frozen=True)
 class PAdicOrder:
     """A p-adic valuation: either a natural number or the infinite order.
@@ -126,24 +127,6 @@ class PAdicOrder:
         if key is None:
             return NotImplemented
         return self._key() < key
-
-    def __le__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() <= key
-
-    def __gt__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() > key
-
-    def __ge__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() >= key
 
     def __hash__(self) -> int:
         # finite orders hash like their int value so mixed containers behave

@@ -16,9 +16,10 @@ fields.
 
 Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
 the reference evaluation and the library call.  :func:`evaluate_tuple`
-evaluates all residue classes of one parameter tuple into one
-:class:`TupleResult`, with one hypotheses check and one bound, and with one
-pass for all d sums where the theorem has a ``sums``; its records
+evaluates the residue classes of one parameter tuple into one
+:class:`TupleResult`, with one hypotheses check and one bound, and, when
+every residue is asked for, with one pass for all d sums where the theorem
+has a ``sums``; its records
 (:meth:`TupleResult.records`) are the same as one :func:`check_claim` per
 residue.  Both check a claim's parameters once, in :func:`_checked_theorem`,
 before anything reads them, and both call the ``hypotheses`` and ``bound`` of
@@ -32,16 +33,16 @@ deterministic.  :func:`iter_chunks` drives every sweep: it cuts the tuple
 results into numbered chunks and evaluates only every ``step``-th chunk, so
 that several processes can share a sweep (``verify --workers``), and with
 ``fail_fast`` it stops right after the first VIOLATION.  It holds one chunk
-at a time and :class:`RunningSummary` tallies each tuple result as it
+at a time and :meth:`GridSummary.add` tallies each tuple result as it
 passes, so a sweep's memory does not depend on its size; :func:`run_grids`
 collects the records into a list.  The summaries of the chunks merge in
-chunk order (:meth:`RunningSummary.merge`) into the sweep's.
+chunk order (:meth:`GridSummary.merge`) into the sweep's.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -58,7 +59,6 @@ __all__ = [
     "GridResult",
     "GridSpec",
     "GridSummary",
-    "RunningSummary",
     "Sc2Comparison",
     "TupleResult",
     "Verdict",
@@ -286,7 +286,8 @@ def evaluate_tuple(
     any ``r`` in it is ignored.
 
     The parameter check, the hypotheses and the bound are evaluated once for
-    the tuple, a theorem with a one-pass ``sums`` computes all d sums at once,
+    the tuple, a theorem with a one-pass ``sums`` computes all d sums at once
+    when every residue is asked for (a subset gets one ``sum`` per residue),
     and SC2's l, C(n, l) and p**ord_p(n!) are worked out once.
     """
     theorem, wiring, params = _checked_theorem(theorem, params)
@@ -300,9 +301,8 @@ def evaluate_tuple(
         return TupleResult(theorem, base, None, rs, nones, nones,
                            [Verdict.NOT_APPLICABLE] * len(rs), nones, nones)
 
-    if wiring.sums is not None:
-        every = wiring.sums(d=d, **params)
-        totals = [every[r] for r in rs]
+    if wiring.sums is not None and len(rs) == d:  # every residue, so rs is range(d)
+        totals = wiring.sums(d=d, **params)
     else:
         totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
     bound = None if wiring.bound is None else wiring.bound(**params)
@@ -401,11 +401,11 @@ class GridSpec:
             object.__setattr__(self, "residues", _axis(self.residues))
         taken = THEOREMS[self.theorem].params
         least = {}
-        for name, field in AXIS_FIELDS.items():
+        for name, attr in AXIS_FIELDS.items():
             # polynomials keep their first-occurrence order, without repeats
-            values = (tuple(dict.fromkeys(getattr(self, field))) if name == "f"
-                      else _axis(getattr(self, field)))
-            object.__setattr__(self, field, values)
+            values = (tuple(dict.fromkeys(getattr(self, attr))) if name == "f"
+                      else _axis(getattr(self, attr)))
+            object.__setattr__(self, attr, values)
             if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
             if name not in taken and values:
@@ -443,41 +443,16 @@ def required_tables(grids: Iterable[GridSpec]) -> dict[Family, int]:
     return needs
 
 
-@dataclass(frozen=True)
+@dataclass
 class GridSummary:
-    total: int
-    verdicts: dict[str, int]
-    min_margin: int | None
-    first_violation: dict[str, Any] | None
+    """The tally of a sweep's records: those of the tuple results passed to
+    :meth:`add` and the summaries passed to :meth:`merge`, in record order.
+    A new one is the tally of no records."""
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "verdicts": dict(self.verdicts),
-            "min_margin": self.min_margin,
-            "first_violation": self.first_violation,
-        }
-
-
-@dataclass(frozen=True)
-class GridResult:
-    records: list[ClaimRecord]
-    summary: GridSummary
-
-    @property
-    def violations(self) -> int:
-        return self.summary.verdicts[Verdict.VIOLATION.value]
-
-
-class RunningSummary:
-    """The :class:`GridSummary` of the records of the tuple results passed to
-    :meth:`add` so far."""
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.verdicts = {v.value: 0 for v in Verdict}
-        self.min_margin: int | None = None
-        self.first_violation: dict[str, Any] | None = None
+    total: int = 0
+    verdicts: dict[str, int] = field(default_factory=lambda: {v.value: 0 for v in Verdict})
+    min_margin: int | None = None
+    first_violation: dict[str, Any] | None = None
 
     def add(self, res: TupleResult) -> None:
         verdicts = res.verdicts
@@ -504,8 +479,23 @@ class RunningSummary:
         if self.first_violation is None:
             self.first_violation = part.first_violation
 
-    def summary(self) -> GridSummary:
-        return GridSummary(self.total, dict(self.verdicts), self.min_margin, self.first_violation)
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "total": self.total,
+            "verdicts": dict(self.verdicts),
+            "min_margin": self.min_margin,
+            "first_violation": self.first_violation,
+        }
+
+
+@dataclass(frozen=True)
+class GridResult:
+    records: list[ClaimRecord]
+    summary: GridSummary
+
+    @property
+    def violations(self) -> int:
+        return self.summary.verdicts[Verdict.VIOLATION.value]
 
 
 def ensure_tables(grids: Iterable[GridSpec]) -> None:
@@ -592,13 +582,13 @@ def run_grids(
     """
     grids = list(grids)
     ensure_tables(grids)
-    summary = RunningSummary()
+    summary = GridSummary()
     records = []
     for _, chunk in iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast):
         for res in chunk:
             summary.add(res)
             records += res.records()
-    return GridResult(records, summary.summary())
+    return GridResult(records, summary)
 
 
 def run_grid(

@@ -128,6 +128,19 @@ class TestSumCommand:
         assert main(["sum", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["cdr", "--n", "4", "--m", "2", "--d", "2", "--p", "4"],
+        ["spoly", "--n", "3", "--f", "0,1", "--d", "2", "--p", "4"],
+    ])
+    def test_a_bad_p_fails_before_the_stirling_sums(self, argv, monkeypatch, capsys):
+        # the order of the sum is printed after it: p was checked only then
+        calls = []
+        for name in ("stirling_product_sum", "stirling_poly_sum"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        assert main(["sum", *argv]) == 2
+        assert capsys.readouterr() == ("", "error: p must be a prime >= 2, got 4\n")
+        assert calls == []
+
     def test_n_is_left_to_the_sum(self, capsys):
         # the binomial power sum is defined at n = 0
         assert main(["sum", "bpow", "--n", "0", "--p", "2"]) == 0

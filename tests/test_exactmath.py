@@ -1,4 +1,5 @@
 import math
+import operator
 import sys
 
 import pytest
@@ -125,6 +126,28 @@ class TestPAdicOrder:
     def test_str(self):
         assert str(INFINITY) == "inf"
         assert str(PAdicOrder(4)) == "4"
+
+    @given(st.lists(st.one_of(st.integers(-20, 20), st.integers(0, 20).map(PAdicOrder),
+                              st.just(INFINITY)), min_size=2, max_size=2))
+    def test_all_six_operators_follow_the_key_both_ways_round(self, pair):
+        # an int, or a PAdicOrder on either side, compares as (is_infinite, value)
+        def key(x):
+            if isinstance(x, PAdicOrder):
+                return (x.is_infinite, 0 if x.is_infinite else x.value)
+            return (False, x)
+
+        a, b = pair
+        for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+            assert op(a, b) is op(key(a), key(b)), (op, a, b)
+            assert op(b, a) is op(key(b), key(a)), (op, b, a)
+
+    def test_other_types_do_not_order_and_finite_orders_hash_as_ints(self):
+        with pytest.raises(TypeError):
+            PAdicOrder(1) < "a"
+        with pytest.raises(TypeError):
+            "a" >= INFINITY
+        assert PAdicOrder(1) != "a"
+        assert hash(PAdicOrder(3)) == hash(3)
 
 
 class TestOrdPFactorial:

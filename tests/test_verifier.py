@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,6 @@ from congruence_lab.verifier import (
     ClaimRecord,
     GridSpec,
     GridSummary,
-    RunningSummary,
     Verdict,
     check_claim,
     count_chunks,
@@ -280,6 +280,19 @@ class TestCheckTuple:
         with pytest.raises(ParameterError):
             evaluate_tuple("sc2", {"n": 9, "p": 3, "a": 1, "f": "0,1"})
 
+    def test_a_residue_subset_builds_no_other_class(self):
+        # weisman's class modulus 2**16 has 65,536 classes: the one-pass
+        # sums would build them all for the two residues asked for
+        params = {"n": 3, "p": 2, "alpha": 16}
+        tracemalloc.start()
+        try:
+            records = evaluate_tuple("weisman", params, residues=[0, 5]).records()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert records == [check_claim("weisman", {**params, "r": r}) for r in (0, 5)]
+
     def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
         # one evaluate_tuple call and one call of the table's bound per tuple,
         # and no check_claim and no theorem coercion (a tuple takes the grid's
@@ -451,11 +464,11 @@ def record_lists(draw):
             for i, (verdict, margin) in enumerate(rows)]
 
 
-class TestRunningSummary:
+class TestGridSummary:
     @given(record_lists(), st.lists(st.integers(0, 30), max_size=5))
     def test_merged_parts_equal_one_summary(self, records, cuts):
         cuts = sorted({min(c, len(records)) for c in cuts} | {0, len(records)})
-        merged = RunningSummary()
+        merged = GridSummary()
         for lo, hi in zip(cuts, cuts[1:]):
             merged.merge(GridSummary(**report_summary(records[lo:hi])))
-        assert merged.summary().to_json_dict() == report_summary(records)
+        assert merged.to_json_dict() == report_summary(records)

@@ -1,0 +1,73 @@
+"""Check every recorded benchmark window's report against perfbench/baseline.json.
+
+Run from the root of the repository:
+
+    PYTHONPATH=src python tools/report_digest.py
+
+Every window runs both serially (--workers 1) and on the worker pool
+(--workers 2), and once with --fail-fast, which finds no violation and so
+must give the same bytes; perfbench/check.py checks each report.  The JSON
+windows are also written as CSV with --workers 1 and 2, which must give the
+same bytes.  The exit status is 1 if any check fails, else 0.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, "perfbench")
+from workloads import WORKLOADS
+
+
+def with_flag(argv, flag, value):
+    at = argv.index(flag)
+    return argv[:at] + [flag, value] + argv[at + 2:]
+
+
+def verify(argv, report):
+    return subprocess.call([sys.executable, "-m", "congruence_lab.cli", *argv,
+                            "--out", report])
+
+
+with open("perfbench/baseline.json") as f:
+    digests = json.load(f)["digests"]
+failed = False
+with tempfile.TemporaryDirectory() as tmp:
+    for name, seeds in digests.items():
+        workload = WORKLOADS[name]
+        for seed in sorted(seeds, key=int):
+            argv = workload.argv(int(seed))
+            # a chunk the worker pool reorders or drops, or one the
+            # serial writer or --fail-fast gets wrong, fails here
+            runs = [(with_flag(argv, "--workers", "1"), "--workers 1"),
+                    (with_flag(argv, "--workers", "2"), "--workers 2"),
+                    (argv + ["--fail-fast"], "--fail-fast")]
+            for run, how in runs:
+                report = os.path.join(tmp,
+                                      f"{name}-{seed}-{how[2:].replace(' ', '')}"
+                                      f".{workload.fmt}")
+                code = verify(run, report)
+                problems = subprocess.run(
+                    [sys.executable, "perfbench/check.py", name, seed, str(code), report],
+                    capture_output=True, text=True, check=True,
+                ).stdout.strip()
+                print(f"{name} seed {seed} {how}: exit {code}, problems {problems}")
+                failed |= problems != "[]"
+            if workload.fmt == "json":
+                # no digest covers these windows as CSV: the two worker
+                # counts must agree byte for byte
+                reports = []
+                for workers in ("1", "2"):
+                    report = os.path.join(tmp, f"{name}-{seed}-w{workers}.csv")
+                    run = with_flag(with_flag(argv, "--format", "csv"), "--workers", workers)
+                    code = verify(run, report)
+                    with open(report, "rb") as f:
+                        reports.append((code, f.read()))
+                same = reports[0] == reports[1] and reports[0][0] == 0
+                print(f"{name} seed {seed} CSV --workers 1 and 2: exit "
+                      f"{reports[0][0]} and {reports[1][0]}, "
+                      f"{'identical' if same else 'DIFFERENT'}")
+                failed |= not same
+sys.exit(failed)
