@@ -10,16 +10,12 @@ grids to classify each claim as holding, tight, vacuous or violated.
 from .bounds import (
     BoundSpec,
     TheoremId,
-    binom_power_inferred_exponent,
-    bound_exponent,
     sc2_comparison,
-    sc2_holds,
 )
 from .errors import (
     CapacityError,
     CongruenceLabError,
     ParameterError,
-    TriangleInvariantError,
 )
 from .exactmath import (
     INFINITY,
@@ -29,8 +25,6 @@ from .exactmath import (
     is_prime,
     ord_p,
     ord_p_factorial,
-    poly_eval,
-    rising_factorial,
 )
 from .filtered_sums import (
     ResidueClass,
@@ -74,13 +68,10 @@ __all__ = [
     "ResidueClass",
     "TheoremId",
     "Triangle",
-    "TriangleInvariantError",
     "Variant",
     "Verdict",
     "binom",
-    "binom_power_inferred_exponent",
     "binom_power_sum",
-    "bound_exponent",
     "build",
     "check_claim",
     "eulerian_power_sum",
@@ -89,12 +80,9 @@ __all__ = [
     "is_prime",
     "ord_p",
     "ord_p_factorial",
-    "poly_eval",
-    "rising_factorial",
     "run_grid",
     "run_grids",
     "sc2_comparison",
-    "sc2_holds",
     "stirling_poly_sum",
     "stirling_product_sum",
     "__version__",

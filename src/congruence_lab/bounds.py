@@ -12,7 +12,7 @@ triangle families the sum reads.  Adding a theorem means adding one entry.
 SC2 has a real-valued bound, ord_p(n!) - log_p C(n, l) with
 l = min(deg f, floor(n / p)); its entry has no exponent, and the claim is
 decided exactly through the equivalent integer comparison in
-:func:`sc2_holds`, never through floating point.
+:func:`sc2_comparison`, never through floating point.
 
 Exponents may be negative and are returned as-is; interpreting a negative
 bound as trivially satisfied is the verifier's business.
@@ -28,21 +28,17 @@ from typing import Callable
 
 from . import filtered_sums
 from .errors import ParameterError
-from .exactmath import PARAM_MINIMUM, IntPolynomial, check_params, ord_p, ord_p_factorial
+from .exactmath import IntPolynomial, check_params, ord_p, ord_p_factorial
 from .filtered_sums import Variant
 from .triangles import Family
 
 __all__ = [
     "BoundSpec",
-    "PARAM_MINIMUM",
     "THEOREMS",
     "Theorem",
     "TheoremId",
-    "bound_exponent",
-    "binom_power_inferred_exponent",
     "sc2_comparison",
     "sc2_constants",
-    "sc2_holds",
 ]
 
 
@@ -210,7 +206,13 @@ THEOREMS: dict[TheoremId, Theorem] = {
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """Parameter bundle for one bound formula: library API, built on no claim path."""
+    """Parameter bundle for one theorem's hypotheses: built on no claim path.
+
+    It stays only because ``perfbench/tracer.py`` patches
+    ``BoundSpec.hypotheses_hold`` without a guard; once the benchmark stops
+    tracing it, this class, :meth:`hypotheses_hold` and
+    :attr:`Theorem.spec_params` go.
+    """
 
     theorem: TheoremId
     n: int
@@ -231,37 +233,10 @@ class BoundSpec:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
 
     def hypotheses_hold(self) -> bool:
-        """Whether this parameter tuple satisfies the theorem's hypotheses.
-
-        A failing tuple is NOT-APPLICABLE for verification purposes, while the
-        raw formula of :func:`bound_exponent` stays evaluable for probing.
-        """
+        """Whether this parameter tuple satisfies the theorem's hypotheses
+        (a failing tuple is NOT-APPLICABLE)."""
         hypotheses = THEOREMS[self.theorem].hypotheses
         return hypotheses is None or hypotheses(**vars(self))
-
-
-def bound_exponent(spec: BoundSpec) -> int:
-    """The exact integer exponent for ``spec`` (possibly negative).
-
-    SC2 is the one formula without an integer exponent; asking for it here is
-    a parameter error (use :func:`sc2_holds`).
-    """
-    bound = THEOREMS[spec.theorem].bound
-    if bound is None:
-        raise ParameterError(f"{spec.theorem.value} has no single integer exponent")
-    return bound(**vars(spec))
-
-
-def binom_power_inferred_exponent(n: int, p: int, alpha: int) -> int:
-    """Working exponent for the filtered (-a)**k binomial sum when
-    a = 1 (mod p): floor((n - q) / (q (p - 1))) with q = p**(alpha-1).
-
-    This is the specialization the Eulerian power-sum proof route relies on;
-    it is checked empirically by the test suite rather than cited.
-    """
-    check_params(p=p, alpha=alpha)
-    q = p ** (alpha - 1)
-    return (n - q) // (q * (p - 1))
 
 
 def sc2_constants(n: int, p: int, f: IntPolynomial) -> tuple[int, int, int]:
@@ -289,7 +264,3 @@ def sc2_comparison(
     lhs = comb * p ** ord_p(total, p).value
     return l, lhs, rhs, lhs >= rhs
 
-
-def sc2_holds(n: int, p: int, f: IntPolynomial, total: int) -> bool:
-    """TRUE iff ord_p(total) >= ord_p(n!) - log_p C(n, l), decided exactly."""
-    return sc2_comparison(n, p, f, total)[3]

@@ -10,7 +10,9 @@ Subcommands
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
 error or an --out file that cannot be written, 3 capacity (triangle row
 limit) error, 130 interrupted (Ctrl-C), 141 stdout closed by its reader
-(broken pipe).
+(broken pipe), 143 terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and
+SIGHUP end a run as Ctrl-C does: the same clean-up, the same ``interrupted``
+line.
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
@@ -54,6 +56,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import sys
 import threading
 from datetime import datetime, timezone
@@ -84,6 +87,11 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+#: the signals that end a run as Ctrl-C does, with exit code 128 + the signal
+#: number (Windows has no SIGHUP)
+_STOP_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP")
+                      if hasattr(signal, name))
 
 # the least number of claims in a report chunk, in JSON and CSV alike: the unit
 # of a write and of the --workers pool
@@ -479,7 +487,7 @@ class _Pool:
     length of its text, then the text.  A full pipe blocks the worker until
     the parent reads, so it holds at most one rendered chunk.  On failure it
     sends one line instead, ``{"error": message}`` or
-    ``{"interrupted": true}``, and exits 1.  A worker ends with
+    ``{"interrupted": exit code}``, and exits 1.  A worker ends with
     ``os._exit``, so it never flushes the output buffers it inherited or
     runs the parent's clean-up.
 
@@ -538,8 +546,8 @@ class _Pool:
                     pipe.write(body)
                     pipe.flush()
                 return 0
-            except KeyboardInterrupt:
-                failure: dict[str, Any] = {"interrupted": True}
+            except KeyboardInterrupt as exc:
+                failure: dict[str, Any] = {"interrupted": getattr(exc, "code", EXIT_INTERRUPTED)}
             except Exception as exc:
                 failure = {"error": f"{type(exc).__name__}: {exc}".replace("\n", " ")}
             pipe.write(json.dumps(failure).encode() + b"\n")
@@ -570,7 +578,7 @@ class _Pool:
         if "error" in head:
             raise CongruenceLabError(f"a verify worker failed: {head['error']}")
         if "interrupted" in head:
-            raise KeyboardInterrupt
+            raise _Interrupted(head["interrupted"])
         body = pipe.read(head["bytes"])
         if len(body) < head["bytes"]:
             self._reap(i)
@@ -592,9 +600,7 @@ class _Pool:
     def _close(self) -> None:
         for pipe in self._pipes:
             pipe.close()
-        if self._running:  # left early: an error, Ctrl-C or a closed output
-            import signal  # only here, so that a run that ends normally never loads it
-
+        if self._running:  # left early: an error, an interrupt or a closed output
             for pid in self._running:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
@@ -809,6 +815,20 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
+class _Interrupted(KeyboardInterrupt):
+    """An interrupt that exits ``code``: raised where a stop signal arrives
+    (:func:`_stop`), or for a pool worker's ``interrupted`` line, so that the
+    run cleans up as after Ctrl-C."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
+def _stop(signum: int, frame: object) -> None:
+    raise _Interrupted(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -816,13 +836,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    previous: dict[int, Any] = {}
     try:
+        # only the main thread may set handlers; a library caller gets its own back
+        if threading.current_thread() is threading.main_thread():
+            for sig in _STOP_SIGNALS:
+                previous[sig] = signal.signal(sig, _stop)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as exc:
         print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return getattr(exc, "code", EXIT_INTERRUPTED)
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
@@ -835,6 +860,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CongruenceLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 def entry() -> None:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's exception types.  The CLI exits 3 on a :class:`CapacityError`
+and 2 on any other :class:`CongruenceLabError`."""
 
 
 class CongruenceLabError(Exception):
@@ -12,7 +13,3 @@ class ParameterError(CongruenceLabError, ValueError):
 
 class CapacityError(CongruenceLabError):
     """A triangle row above ``triangles.ROW_LIMIT`` was requested."""
-
-
-class TriangleInvariantError(CongruenceLabError):
-    """A triangle fails its invariant checks (row sums, generating identity)."""

@@ -1,5 +1,5 @@
 """Exact integer primitives: p-adic valuations, generalized binomial
-coefficients, rising factorials and integer polynomials.
+coefficients and integer polynomials.
 
 Everything operates on Python's built-in arbitrary-precision integers, so all
 results are exact regardless of magnitude.
@@ -25,8 +25,6 @@ __all__ = [
     "ord_p",
     "ord_p_factorial",
     "ord_p_nonzero",
-    "poly_eval",
-    "rising_factorial",
 ]
 
 
@@ -228,15 +226,6 @@ def binom(x: int, k: int) -> int:
     return -c if k % 2 else c
 
 
-def rising_factorial(x: int, n: int) -> int:
-    """Product x(x+1)...(x+n-1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    if x <= 0 <= x + n - 1:
-        return 0
-    return math.prod(range(x, x + n))
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer-coefficient polynomial; ``coeffs[i]`` multiplies x**i.
@@ -263,14 +252,6 @@ class IntPolynomial:
         except ValueError as exc:
             raise ParameterError(f"bad polynomial coefficient list {text!r}") from exc
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else 0
@@ -283,29 +264,3 @@ class IntPolynomial:
 
     def coeff_string(self) -> str:
         return ",".join(str(c) for c in (self.coeffs or (0,)))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                body = xpow if abs(c) == 1 else f"{abs(c)}*{xpow}"
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
-
-
-def poly_eval(f: IntPolynomial, x: int) -> int:
-    """Exact value of f(x)."""
-    return f(x)

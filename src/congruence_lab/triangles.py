@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .errors import CapacityError, ParameterError, TriangleInvariantError
-from .exactmath import check_params, rising_factorial
+from .errors import CapacityError, ParameterError
+from .exactmath import check_params
 
 FORMAT_VERSION = 1
 
@@ -127,20 +127,6 @@ class Triangle:
             return row[k]
         return 0
 
-    def verify_invariants(self, sample_points: tuple[int, ...] = (1, 2, 3)) -> None:
-        """Debug verification: row sums, plus the generating identity for the
-        Stirling-1 family at a few sample points per row.  Raises on failure."""
-        _check_row_sums(self)
-        if self.family is Family.STIRLING1:
-            for n in range(self.max_n + 1):
-                row = self.rows[n]
-                for x in sample_points:
-                    value = sum(c * x**k for k, c in enumerate(row))
-                    if value != rising_factorial(x, n):
-                        raise TriangleInvariantError(
-                            f"stirling1 row {n} violates the rising-factorial identity at x={x}"
-                        )
-
 
 def build(family: Family, max_n: int) -> Triangle:
     """Construct a triangle of rows 0..max_n from the recurrences."""
@@ -161,39 +147,6 @@ def format_lines(tri: Triangle) -> Iterator[str]:
     yield json.dumps(header, sort_keys=True) + "\n"
     for row in tri.rows:
         yield " ".join(str(v) for v in row) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Row-sum validation helpers
-# ---------------------------------------------------------------------------
-
-
-def _bell_numbers(count: int) -> list[int]:
-    """B_0..B_count via the Bell triangle (additions only)."""
-    out = [1]
-    row = [1]
-    for _ in range(count):
-        new_row = [row[-1]]
-        for v in row:
-            new_row.append(new_row[-1] + v)
-        row = new_row
-        out.append(row[0])
-    return out
-
-
-def _check_row_sums(tri: Triangle) -> None:
-    if tri.family is Family.STIRLING2:
-        bells = _bell_numbers(tri.max_n)
-        for n, row in enumerate(tri.rows):
-            if sum(row) != bells[n]:
-                raise TriangleInvariantError(f"stirling2 row {n} fails the Bell-number row sum")
-        return
-    factorial = 1
-    for n, row in enumerate(tri.rows):
-        if n >= 1:
-            factorial *= n
-        if sum(row) != factorial:
-            raise TriangleInvariantError(f"{tri.family.value} row {n} fails the factorial row sum")
 
 
 # ---------------------------------------------------------------------------

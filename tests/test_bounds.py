@@ -1,23 +1,14 @@
 import pytest
 
-from congruence_lab.bounds import (
-    THEOREMS,
-    BoundSpec,
-    TheoremId,
-    _named,
-    binom_power_inferred_exponent,
-    bound_exponent,
-    sc2_comparison,
-    sc2_holds,
-)
+from congruence_lab.bounds import THEOREMS, BoundSpec, TheoremId, _named, sc2_comparison
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import IntPolynomial, ord_p, ord_p_factorial
 from congruence_lab.filtered_sums import ResidueClass, binom_power_sum, stirling_poly_sum
 from congruence_lab.verifier import AXIS_FIELDS
 
 
-def exponent(theorem, **kwargs):
-    return bound_exponent(BoundSpec(theorem=theorem, **kwargs))
+def exponent(theorem, **params):
+    return THEOREMS[theorem].bound(**params)
 
 
 class TestTable:
@@ -128,20 +119,18 @@ class TestHypotheses:
         for fields in (dict(alpha=0), dict(beta=-1), dict(l=-1)):
             with pytest.raises(ParameterError):
                 BoundSpec(TheoremId.FLECK, n=5, p=2, **fields)
-        with pytest.raises(ParameterError):
-            bound_exponent(BoundSpec(TheoremId.SC2, n=5, p=2, a=1))
+        assert THEOREMS[TheoremId.SC2].bound is None
 
 
 class TestSc2:
     def test_zero_sum_holds(self):
-        assert sc2_holds(3, 2, IntPolynomial((1,)), 0)
         l, lhs, rhs, ok = sc2_comparison(3, 2, IntPolynomial((1,)), 0)
         assert (l, lhs, ok) == (0, None, True)
 
     def test_spec_examples(self):
         # constant weight: reduces to ord >= ord_p(n!)
-        assert sc2_holds(3, 2, IntPolynomial((1,)), 6)
-        assert not sc2_holds(3, 2, IntPolynomial((1,)), 3)
+        assert sc2_comparison(3, 2, IntPolynomial((1,)), 6)[3]
+        assert not sc2_comparison(3, 2, IntPolynomial((1,)), 3)[3]
         # quadratic weight at n = 4: C(4,2) * 2**1 = 12 >= 2**3 = 8
         l, lhs, rhs, ok = sc2_comparison(4, 2, IntPolynomial((0, 0, 1)), 2)
         assert (l, lhs, rhs, ok) == (2, 12, 8, True)
@@ -154,7 +143,7 @@ class TestSc2:
             for n in range(1, 25):
                 for total in (1, 2, 6, 24, 120, 720, -48, 3**7):
                     direct = ord_p(total, p) >= ord_p_factorial(n, p)
-                    assert sc2_holds(n, p, f, total) == direct
+                    assert sc2_comparison(n, p, f, total)[3] == direct
 
     def test_degree_caps_at_n_over_p(self):
         f = IntPolynomial((0, 0, 0, 0, 0, 1))  # degree 5
@@ -168,14 +157,22 @@ class TestSc2:
                 for n in range(1, 30):
                     for r in range(d):
                         total = stirling_poly_sum(n, f, ResidueClass(d, r), 2)
-                        assert sc2_holds(n, p, f, total)
+                        assert sc2_comparison(n, p, f, total)[3]
+
+
+def inferred_power_exponent(n, p, alpha):
+    """floor((n - q) / (q (p - 1))) with q = p**(alpha-1): the working exponent
+    of the filtered (-a)**k binomial sum for a = 1 (mod p), which the Eulerian
+    power-sum proof route relies on; checked here, not cited."""
+    q = p ** (alpha - 1)
+    return (n - q) // (q * (p - 1))
 
 
 class TestInferredPowerBound:
     def test_formula(self):
-        assert binom_power_inferred_exponent(10, 2, 1) == 9
-        assert binom_power_inferred_exponent(10, 2, 3) == 1
-        assert binom_power_inferred_exponent(1, 3, 2) == -1
+        assert inferred_power_exponent(10, 2, 1) == 9
+        assert inferred_power_exponent(10, 2, 3) == 1
+        assert inferred_power_exponent(1, 3, 2) == -1
 
     def test_holds_for_unit_congruent_a(self):
         for p in (2, 3):
@@ -187,5 +184,5 @@ class TestInferredPowerBound:
                         for r in range(d):
                             total = binom_power_sum(n, p, alpha, ResidueClass(d, r), a)
                             if total:
-                                bound = binom_power_inferred_exponent(n, p, alpha)
+                                bound = inferred_power_exponent(n, p, alpha)
                                 assert ord_p(total, p) >= bound

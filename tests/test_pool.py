@@ -207,6 +207,39 @@ def test_sigint_to_the_process_group(tmp_path):
         os.killpg(proc.pid, 0)
 
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kill", [os.kill, os.killpg], ids=["parent", "group"])
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_termination_signals_clean_up_as_ctrl_c(sig, kill, workers, tmp_path):
+    # SIGTERM or SIGHUP, sent to the parent alone or to its whole group, ends
+    # the run as Ctrl-C does: it exits 128 + the signal number, leaves no file,
+    # and no process of its group outlives it
+    src = Path(cli.__file__).resolve().parents[1]
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", "1..60",
+         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--workers", str(workers),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not any(p.stat().st_size for p in tmp_path.iterdir()):  # the first chunk is written
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        kill(proc.pid, sig)
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, stdout, stderr) == (128 + sig, b"", b"interrupted\n")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
 def grid_of(chunks):
     """A fleck grid of 2 claims per tuple in ``chunks`` chunks of 16 claims."""
     return [GridSpec(TheoremId.FLECK, ns=range(1, 8 * chunks + 1), primes=(2,))]

@@ -1,11 +1,15 @@
 """The package's public surface: the README's library example gives the
 results its comments show, its CLI examples exit 0 with the output it shows,
-and every name a module exports exists."""
+every name a module exports exists, and the benchmark's tracer finds every
+name it reads."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,16 @@ def test_every_exported_name_resolves():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
     assert len([m for m in modules if hasattr(m, "__all__")]) > 1
+
+
+def test_the_benchmark_tracer_installs(tmp_path):
+    # perfbench/tracer.py patches the program by name: a missing function only
+    # prints "not traced", but an attribute it reads without a guard (such as
+    # bounds.BoundSpec) fails the traced run
+    root = README.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(tmp_path), "verify", "fleck",
+         "--n", "1..3", "--p", "2", "--no-timestamp", "--out", str(tmp_path / "r.json")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from congruence_lab import triangles
-from congruence_lab.errors import CapacityError, ParameterError, TriangleInvariantError
+from congruence_lab.errors import CapacityError, ParameterError
 from congruence_lab.exactmath import binom
-from congruence_lab.triangles import Family, Triangle, build
+from congruence_lab.triangles import Family, build
 
 from oracles import (
     eulerian_by_enumeration,
@@ -140,15 +140,3 @@ class TestTriangleObject:
         with pytest.raises(ValueError):
             triangles.ensure_rows("stirling3", 7)
         assert triangles.ensure_rows(Family.STIRLING2, 20) is tri
-
-    def test_verify_invariants_accepts_built(self):
-        for family in Family:
-            build(family, 12).verify_invariants()
-
-    def test_verify_invariants_rejects_tampered(self):
-        good = build(Family.STIRLING1, 6)
-        rows = [list(r) for r in good.rows]
-        rows[4][2] += 1
-        bad = Triangle(Family.STIRLING1, 6, tuple(tuple(r) for r in rows))
-        with pytest.raises(TriangleInvariantError):
-            bad.verify_invariants()
