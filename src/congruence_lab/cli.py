@@ -12,7 +12,7 @@ error or an --out file that cannot be written, 3 capacity (triangle row
 limit) error, 130 interrupted (Ctrl-C), 141 stdout closed by its reader
 (broken pipe), 143 terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and
 SIGHUP end a run as Ctrl-C does: the same clean-up, the same ``interrupted``
-line.
+line.  A signal ignored at start (``nohup``, ``trap '' TERM``) stays ignored.
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
@@ -838,10 +838,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     previous: dict[int, Any] = {}
     try:
-        # only the main thread may set handlers; a library caller gets its own back
+        # only the main thread may set handlers; a library caller gets its own
+        # back, and an ignored signal (nohup, trap '') stays ignored
         if threading.current_thread() is threading.main_thread():
             for sig in _STOP_SIGNALS:
-                previous[sig] = signal.signal(sig, _stop)
+                if signal.getsignal(sig) is not signal.SIG_IGN:
+                    previous[sig] = signal.signal(sig, _stop)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -119,7 +119,6 @@ class TestHypotheses:
         for fields in (dict(alpha=0), dict(beta=-1), dict(l=-1)):
             with pytest.raises(ParameterError):
                 BoundSpec(TheoremId.FLECK, n=5, p=2, **fields)
-        assert THEOREMS[TheoremId.SC2].bound is None
 
 
 class TestSc2:

@@ -207,7 +207,6 @@ def test_sigint_to_the_process_group(tmp_path):
         os.killpg(proc.pid, 0)
 
 
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kill", [os.kill, os.killpg], ids=["parent", "group"])
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
@@ -239,6 +238,38 @@ def test_termination_signals_clean_up_as_ctrl_c(sig, kill, workers, tmp_path):
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_an_ignored_termination_signal_stays_ignored(sig, tmp_path):
+    # started with the signal ignored (nohup, trap '' TERM), the run and its
+    # workers let it pass: the run finishes and renames its report into place
+    src = Path(cli.__file__).resolve().parents[1]
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", "1..40",
+         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--workers", "2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
+        preexec_fn=lambda: signal.signal(sig, signal.SIG_IGN),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not any(p.stat().st_size for p in tmp_path.iterdir()):  # the first chunk is written
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, sig)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, stderr) == (0, b"")
+    assert stdout.startswith(b"sc3: ")
+    assert list(tmp_path.iterdir()) == [out]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
 
 def grid_of(chunks):
     """A fleck grid of 2 claims per tuple in ``chunks`` chunks of 16 claims."""
