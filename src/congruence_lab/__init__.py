@@ -28,7 +28,6 @@ from .exactmath import (
 )
 from .filtered_sums import (
     ResidueClass,
-    Variant,
     binom_power_sum,
     eulerian_power_sum,
     eulerian_wan_sum,
@@ -68,7 +67,6 @@ __all__ = [
     "ResidueClass",
     "TheoremId",
     "Triangle",
-    "Variant",
     "Verdict",
     "binom",
     "binom_power_sum",

@@ -29,7 +29,6 @@ from typing import Callable
 from . import filtered_sums
 from .errors import ParameterError
 from .exactmath import IntPolynomial, check_params, ord_p, ord_p_factorial
-from .filtered_sums import Variant
 from .triangles import Family
 
 __all__ = [
@@ -70,7 +69,9 @@ class Theorem:
     reads and takes the rest with ``**_``; ``sum`` also takes the residue
     class first, and ``sums`` may name the modulus ``d``.  A sum calls its
     kernel through the :mod:`filtered_sums` module, so the kernel is looked
-    up at call time.
+    up at call time.  The kernel takes n, the class (or d) and its weight's
+    parameters, never p or alpha: those are checked once per claim, where
+    the class is built.
 
     ``sums``, where a theorem has it, returns the sums of all d residue
     classes in residue order, each equal to what ``sum`` gives for that
@@ -105,31 +106,31 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.FLECK: Theorem(
         params=("n", "p"),
         modulus=lambda p, **_: p,
-        sum=lambda cls, n, p, **_: filtered_sums.fleck_sum(n, p, 1, cls, 0),
+        sum=lambda cls, n, **_: filtered_sums.fleck_sum(n, cls),
         bound=lambda n, p, **_: (n - 1) // (p - 1),
-        sums=lambda n, p, **_: filtered_sums.fleck_sums(n, p, 1, 0),
+        sums=lambda n, d, **_: filtered_sums.fleck_sums(n, d),
     ),
     TheoremId.WEISMAN: Theorem(
         params=("n", "p", "alpha"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, p, alpha, **_: filtered_sums.fleck_sum(n, p, alpha, cls, 0),
+        sum=lambda cls, n, **_: filtered_sums.fleck_sum(n, cls),
         bound=lambda n, p, alpha, **_: (n - _q(p, alpha)) // (_q(p, alpha) * (p - 1)),
-        sums=lambda n, p, alpha, **_: filtered_sums.fleck_sums(n, p, alpha, 0),
+        sums=lambda n, d, **_: filtered_sums.fleck_sums(n, d),
     ),
     TheoremId.WAN: Theorem(
         params=("n", "p", "l"),
         modulus=lambda p, **_: p,
-        sum=lambda cls, n, p, l, **_: filtered_sums.fleck_sum(n, p, 1, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
         bound=lambda n, p, l, **_: (n - l * p - 1) // (p - 1),
         hypotheses=lambda n, p, l, **_: n > l * p,
-        sums=lambda n, p, l, **_: filtered_sums.fleck_sums(n, p, 1, l),
+        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
     ),
     TheoremId.SUN: Theorem(
         params=("n", "p", "alpha", "beta", "l"),
         modulus=lambda p, beta, **_: p**beta,
-        # the FLOOR sum needs beta <= alpha; beyond it a probe gets only the bound
-        sum=lambda cls, n, p, alpha, beta, l, **_: None if beta > alpha else (
-            filtered_sums.fleck_sum(n, p, alpha, cls, l, Variant.FLOOR, beta)),
+        # the floor sum needs beta <= alpha; beyond it a probe gets only the bound
+        sum=lambda cls, n, p, alpha, beta, l, **_: (
+            None if beta > alpha else filtered_sums.fleck_sum(n, cls, l, p**alpha)),
         bound=lambda n, p, alpha, beta, l, **_: (
             (n - _q(p, alpha) - l) // (_q(p, alpha) * (p - 1)) - (l - 1) * alpha - beta),
         hypotheses=lambda n, p, alpha, beta, **_: beta <= alpha and n >= _q(p, alpha),
@@ -137,33 +138,33 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.WAN_STRONG: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             (n - _q(p, alpha) - l * p**alpha) // (_q(p, alpha) * (p - 1))),
-        sums=lambda n, p, alpha, l, **_: filtered_sums.fleck_sums(n, p, alpha, l),
+        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
     ),
     # the ord_p(l!) correction is required: without it the claim fails
     # already at n=4, p=2, alpha=1, l=2, r=0 (sum 1, claimed order 1)
     TheoremId.DAVIS_SUN_A: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // p**alpha, p) - ord_p_factorial(l, p)),
-        sums=lambda n, p, alpha, l, **_: filtered_sums.fleck_sums(n, p, alpha, l),
+        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
     ),
     TheoremId.DAVIS_SUN_B: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.fleck_sum(n, p, alpha, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // _q(p, alpha), p) - l - ord_p_factorial(l, p)),
-        sums=lambda n, p, alpha, l, **_: filtered_sums.fleck_sums(n, p, alpha, l),
+        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
     ),
     TheoremId.EC1: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, p, alpha, l, **_: filtered_sums.eulerian_wan_sum(n, p, alpha, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums.eulerian_wan_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: ord_p_factorial(n // _q(p, alpha), p) - _ceil_div(
             _q(p, alpha) + l * p**alpha, _q(p, alpha) * (p - 1)),
         tables=(Family.EULERIAN,),
@@ -171,8 +172,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.EC2: Theorem(
         params=("n", "p", "alpha", "a"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, p, alpha, a, **_: (
-            filtered_sums.eulerian_power_sum(n, p, alpha, cls, a)),
+        sum=lambda cls, n, a, **_: filtered_sums.eulerian_power_sum(n, cls, a),
         bound=lambda n, p, alpha, **_: ord_p_factorial(n // _q(p, alpha), p) - 1,
         hypotheses=lambda n, p, alpha, a, **_: n >= p**alpha and (a - 1) % p == 0,
         tables=(Family.EULERIAN,),

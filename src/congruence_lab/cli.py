@@ -70,7 +70,6 @@ from .errors import CapacityError, CongruenceLabError, ParameterError
 from .exactmath import IntPolynomial, check_params, ord_p
 from .filtered_sums import (
     ResidueClass,
-    Variant,
     binom_power_sum,
     eulerian_power_sum,
     eulerian_wan_sum,
@@ -246,14 +245,21 @@ def cmd_sum(args: argparse.Namespace) -> int:
         if p is not None:  # its order is printed after the sum: check it first
             check_params(p=p)
         cls = ResidueClass(args.d, args.r)
-    if kind == "fleck":
-        value = fleck_sum(args.n, p, args.alpha, cls, args.l, Variant(args.variant), args.beta)
+    if kind == "fleck" and args.variant == "floor":
+        # the floor sum divides by p**alpha: alpha is checked in its place
+        # between n and l, as the sum checks them, and must not be below beta
+        check_params(n=args.n, alpha=args.alpha, l=args.l)
+        if args.beta > args.alpha:
+            raise ParameterError(f"need alpha >= beta, got alpha={args.alpha}, beta={args.beta}")
+        value = fleck_sum(args.n, cls, args.l, p**args.alpha)
+    elif kind == "fleck":
+        value = fleck_sum(args.n, cls, args.l)
     elif kind == "bpow":
-        value = binom_power_sum(args.n, p, args.alpha, cls, args.a)
+        value = binom_power_sum(args.n, cls, args.a)
     elif kind == "ewan":
-        value = eulerian_wan_sum(args.n, p, args.alpha, cls, args.l)
+        value = eulerian_wan_sum(args.n, cls, args.l)
     elif kind == "epow":
-        value = eulerian_power_sum(args.n, p, args.alpha, cls, args.a)
+        value = eulerian_power_sum(args.n, cls, args.a)
     elif kind == "cdr":
         value = stirling_product_sum(args.n, args.m, cls, args.a)
     elif kind == "spoly":
@@ -853,9 +859,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

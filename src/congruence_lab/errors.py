@@ -7,8 +7,8 @@ class CongruenceLabError(Exception):
 
 
 class ParameterError(CongruenceLabError, ValueError):
-    """A parameter is malformed or inconsistent (composite prime, modulus
-    mismatch, missing grid axis, ...)."""
+    """A parameter is malformed or inconsistent (composite prime, missing
+    grid axis, ...)."""
 
 
 class CapacityError(CongruenceLabError):

@@ -5,6 +5,11 @@ exact integer weight.  No roots-of-unity arithmetic is involved anywhere: the
 classical unity-filter representation is an identity about these sums, not an
 implementation requirement.
 
+Each sum is a function of n, its residue class (for a one-pass sum, the
+modulus d) and the parameters of its weight, and checks only those.  Which
+class a theorem sums over, p**alpha or p**beta, is the caller's business: the
+verifier builds it from the checked claim, the CLI from its flags.
+
 The binomial values C(n, k) come from one memoized row per n, built by
 :func:`binomial_row`, not from ``math.comb`` per claim: a grid runs n
 outermost, so one row serves every (p, alpha, l) tuple and residue of that n.
@@ -17,11 +22,11 @@ one-pass sums (``sun``, ``ec1``, ``ec2`` and ``sc2``).
 
 :func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
 residue class of one modulus at once, in residue order, equal to one call of
-:func:`fleck_sum` (EXACT) or :func:`stirling_product_sum` per residue: the
-verifier evaluates a parameter tuple's d claims with one of them.
+:func:`fleck_sum` (no divisor) or :func:`stirling_product_sum` per residue:
+the verifier evaluates a parameter tuple's d claims with one of them.
 :func:`fleck_sums` reads the signed row (-1)**k C(n, k) and builds its sums
 from repeated suffix sums of each class, by additions only, keeping those of
-the last (n, p**alpha) for the next l; :func:`fleck_sum` keeps its
+the last (n, d) for the next l; :func:`fleck_sum` keeps its
 multiply-accumulate over ``math.comb`` weights and is the reference for it.
 """
 
@@ -31,7 +36,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import triangles
 from .errors import ParameterError
@@ -40,7 +44,6 @@ from .triangles import Family
 
 __all__ = [
     "ResidueClass",
-    "Variant",
     "binom_power_sum",
     "eulerian_power_sum",
     "eulerian_wan_sum",
@@ -68,26 +71,9 @@ class ResidueClass:
             raise ParameterError(f"modulus must be >= 1, got {self.modulus}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
-    def contains(self, k: int) -> bool:
-        return (k - self.residue) % self.modulus == 0
-
     def members(self, upper: int) -> range:
         """Members in [0, upper], ascending (empty when residue > upper)."""
         return range(self.residue, upper + 1, self.modulus)
-
-
-class Variant(Enum):
-    """Quotient rule inside the binomial weight of :func:`fleck_sum`."""
-
-    EXACT = "exact"
-    FLOOR = "floor"
-
-
-def _check_modulus(cls: ResidueClass, p: int, name: str, exponent: int) -> None:
-    """Refuse a class whose modulus is not p**exponent (named ``name``)."""
-    if cls.modulus != p**exponent:
-        raise ParameterError(
-            f"class modulus must be p**{name} = {p**exponent}, got {cls.modulus}")
 
 
 def binomial_row(n: int) -> list:
@@ -125,86 +111,64 @@ def _alternating_weights(cls: ResidueClass, quotients, l: int) -> list:
     return out
 
 
-def fleck_sum(
-    n: int,
-    p: int,
-    alpha: int,
-    cls: ResidueClass,
-    l: int = 0,
-    variant: Variant = Variant.EXACT,
-    beta: int | None = None,
-) -> int:
-    """Alternating filtered binomial sum with a binomial-of-quotient weight.
+def fleck_sum(n: int, cls: ResidueClass, l: int = 0, divisor: int | None = None) -> int:
+    """Alternating filtered binomial sum with a binomial-of-quotient weight:
+    sum over k = r (mod d), 0 <= k <= n, of C(n, k) (-1)**k C(floor((k - r) / q), l)
 
-    EXACT variant (class modulus p**alpha):
-        sum over k = r (mod p**alpha), 0 <= k <= n, of
-        C(n, k) (-1)**k C((k - r) / p**alpha, l).
-    FLOOR variant (class modulus p**beta, alpha >= beta >= 0):
-        same, with weight C(floor((k - r) / p**alpha), l).
-
-    With l = 0 and EXACT this is the plain alternating filtered sum.  The
-    parameters go through :func:`~congruence_lab.exactmath.check_params`
-    (beta too, for FLOOR), and FLOOR also refuses beta > alpha.
+    with d the class modulus and q the ``divisor``, or d when none is given.
+    At q = d the quotient is exact, and the l = 0 sum is the plain
+    alternating filtered sum.  The ``sun`` claim sums over a class modulo
+    p**beta with q = p**alpha.
     """
-    check_params(n=n, p=p, alpha=alpha, l=l)
-    p_alpha = p**alpha
-    if variant is Variant.EXACT:
-        # beta is ignored here: the class modulus already is p**alpha
-        _check_modulus(cls, p, "alpha", alpha)
-    elif variant is Variant.FLOOR:
-        if beta is None:
-            raise ParameterError("floor variant needs beta")
-        check_params(beta=beta)
-        if beta > alpha:
-            raise ParameterError(f"need alpha >= beta, got alpha={alpha}, beta={beta}")
-        _check_modulus(cls, p, "beta", beta)
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
+    check_params(n=n, l=l)
+    q = cls.modulus if divisor is None else divisor
+    if q < 1:
+        raise ParameterError(f"divisor must be >= 1, got {q}")
     values = _binomial_row(n)[cls.residue :: cls.modulus]
-    if variant is Variant.EXACT:
-        # k = r + j * p**alpha, so the exact quotient is the stride index j
-        quotients: list | range = range(len(values))
-    else:
-        quotients = [(k - cls.residue) // p_alpha for k in cls.members(n)]
+    quotients = [(k - cls.residue) // q for k in cls.members(n)]
     weights = _alternating_weights(cls, quotients, l)
     return sum(v * w for v, w in zip(values, weights))
 
 
 # The suffix sums of the last (n, d) that fleck_sums was asked for:
-# ((n, d), folds, classes), where classes[r] holds the folds-fold suffix sums
-# of class r's signed terms, highest k first.  Replaced whole, never changed
-# in place, so a call interrupted part-way leaves the last whole state.
+# ((n, d), folds, classes), where classes[r] (r <= n) holds the folds-fold
+# suffix sums of class r's signed terms, highest k first.  Replaced whole,
+# never changed in place, so a call interrupted part-way leaves the last
+# whole state.
 _suffixes: tuple = (None, 0, ())
 
 
-def fleck_sums(n: int, p: int, alpha: int, l: int = 0) -> list[int]:
-    """The EXACT :func:`fleck_sum` of every residue r = 0..p**alpha - 1.
+def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
+    """The :func:`fleck_sum` of every residue r = 0..d - 1, with no divisor.
 
-    Member j of class r is k = r + j * p**alpha, with weight
-    (-1)**k C(j, l).  With v_k = (-1)**k C(n, k), the sum over j of
-    v_(r + j p**alpha) C(j, l) is entry l of the (l + 1)-fold suffix sums of
-    the class's terms, since t-fold suffix sums put weight C(j - i + t - 1,
-    t - 1) on term j at entry i.  So the sums take additions only (no
-    multiplications) and a class of at most l members sums to 0.
+    Member j of class r is k = r + j * d, with weight (-1)**k C(j, l).  With
+    v_k = (-1)**k C(n, k), the sum over j of v_(r + j d) C(j, l) is entry l
+    of the (l + 1)-fold suffix sums of the class's terms, since t-fold suffix
+    sums put weight C(j - i + t - 1, t - 1) on term j at entry i.  So the
+    sums take additions only (no multiplications) and a class of at most l
+    members sums to 0.
 
-    A grid runs l innermost, so the suffix sums of the last (n, p**alpha)
-    are kept and extended by one pass per fold asked for; a smaller l, or
-    another (n, p**alpha), starts again from the signed row.
+    A grid runs l innermost, so the suffix sums of the last (n, d) are kept
+    and extended by one pass per fold asked for; a smaller l, or another
+    (n, d), starts again from the signed row.  Only the classes r <= n are
+    kept: the sums of the empty ones above n are zeros.
     """
     global _suffixes
-    check_params(n=n, p=p, alpha=alpha, l=l)
-    d = p**alpha
+    check_params(n=n, l=l)
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d}")
     row = _binomial_row(n)  # also refuses a float n, as math.comb did
     kept, folds, classes = _suffixes
     if kept != (n, d) or folds > l + 1:
         signed = list(row)
         signed[1::2] = [-c for c in signed[1::2]]
-        folds, classes = 0, [signed[r::d][::-1] for r in range(d)]
+        folds, classes = 0, [signed[r::d][::-1] for r in range(min(d, n + 1))]
     while folds <= l:
         classes = [list(itertools.accumulate(c)) for c in classes]
         folds += 1
     _suffixes = ((n, d), folds, classes)
-    return [c[-1 - l] if len(c) > l else 0 for c in classes]
+    sums = [c[-1 - l] if len(c) > l else 0 for c in classes]
+    return sums + [0] * (d - len(sums))
 
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:
@@ -220,35 +184,31 @@ def _power_sum(terms, cls: ResidueClass, base: int) -> int:
     return total
 
 
-def binom_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> int:
+def binom_power_sum(n: int, cls: ResidueClass, a: int) -> int:
     """Filtered binomial power sum:
-    sum over k = r (mod p**alpha), 0 <= k <= n, of C(n, k) (-a)**k.
+    sum over k = r (mod d), 0 <= k <= n, of C(n, k) (-a)**k.
 
-    At a = 1 this specializes to the l = 0 exact :func:`fleck_sum`.
+    At a = 1 this specializes to the l = 0 :func:`fleck_sum`.
     """
-    check_params(p=p, alpha=alpha)
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    _check_modulus(cls, p, "alpha", alpha)
     return _power_sum(_binomial_row(n)[cls.residue :: cls.modulus], cls, -a)
 
 
-def eulerian_wan_sum(n: int, p: int, alpha: int, cls: ResidueClass, l: int) -> int:
+def eulerian_wan_sum(n: int, cls: ResidueClass, l: int) -> int:
     """Filtered Eulerian sum with a binomial-of-quotient weight:
-    sum over k = r (mod p**alpha), 0 <= k <= n-1, of A(n, k) C((k - r) / p**alpha, l).
+    sum over k = r (mod d), 0 <= k <= n-1, of A(n, k) C((k - r) / d, l).
     """
-    check_params(n=n, p=p, alpha=alpha, l=l)
-    _check_modulus(cls, p, "alpha", alpha)
+    check_params(n=n, l=l)
     row = triangles.ensure_rows(Family.EULERIAN, n).row(n)  # n is checked above
     return sum(row[k] * math.comb(j, l) for j, k in enumerate(cls.members(n - 1)))
 
 
-def eulerian_power_sum(n: int, p: int, alpha: int, cls: ResidueClass, a: int) -> int:
+def eulerian_power_sum(n: int, cls: ResidueClass, a: int) -> int:
     """Filtered Eulerian power sum:
-    sum over k = r (mod p**alpha), 0 <= k <= n-1, of A(n, k) a**k  (0**0 = 1).
+    sum over k = r (mod d), 0 <= k <= n-1, of A(n, k) a**k  (0**0 = 1).
     """
-    check_params(n=n, p=p, alpha=alpha)
-    _check_modulus(cls, p, "alpha", alpha)
+    check_params(n=n)
     row = triangles.ensure_rows(Family.EULERIAN, n).row(n)  # n is checked above
     return _power_sum((row[k] for k in cls.members(n - 1)), cls, a)
 

@@ -192,8 +192,3 @@ def eulerian(n: int, k: int) -> int:
 
 def stirling1_row(n: int) -> tuple[int, ...]:
     return ensure_rows(Family.STIRLING1, n).row(n)
-
-
-def eulerian_row(n: int) -> tuple[int, ...]:
-    check_params(n=n)
-    return ensure_rows(Family.EULERIAN, n).row(n)

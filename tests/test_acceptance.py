@@ -14,7 +14,6 @@ from congruence_lab.cli import main
 from congruence_lab.exactmath import IntPolynomial, ord_p
 from congruence_lab.filtered_sums import (
     ResidueClass,
-    Variant,
     binom_power_sum,
     eulerian_power_sum,
     eulerian_wan_sum,
@@ -166,10 +165,10 @@ def test_criterion_6_spot_tightness():
     rec = check_claim(TheoremId.SC1, {"n": 4, "p": 3, "m": 2, "a": 1, "r": 0})
     sc1_ok = (rec.total, rec.margin, rec.verdict) == (18, 1, Verdict.HOLDS)
     spot_sums_ok = (
-        fleck_sum(5, 2, 1, ResidueClass(2, 0), 1) == 20
-        and eulerian_wan_sum(3, 2, 1, ResidueClass(2, 0), 0) == 2
-        and eulerian_wan_sum(3, 2, 1, ResidueClass(2, 0), 1) == 1
-        and binom_power_sum(2, 2, 1, ResidueClass(2, 1), 3) == -6
+        fleck_sum(5, ResidueClass(2, 0), 1) == 20
+        and eulerian_wan_sum(3, ResidueClass(2, 0), 0) == 2
+        and eulerian_wan_sum(3, ResidueClass(2, 0), 1) == 1
+        and binom_power_sum(2, ResidueClass(2, 1), 3) == -6
         and stirling_product_sum(4, 1, ResidueClass(2, 0), 1) == 12
         and stirling_poly_sum(3, IntPolynomial((0, 1)), ResidueClass(2, 1), 1) == 5
     )
@@ -195,7 +194,7 @@ def test_criterion_7_oracle_equivalence():
         cls = ResidueClass(d, r)
         rc = cls.residue
         if family == "fleck":
-            got = fleck_sum(n, p, alpha, cls, l)
+            got = fleck_sum(n, cls, l)
             want = naive_filtered_sum(
                 n, d, rc, lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - rc) // d, l)
             )
@@ -203,22 +202,22 @@ def test_criterion_7_oracle_equivalence():
             beta = rng.randint(0, alpha)
             cls_b = ResidueClass(p**beta, r)
             rb = cls_b.residue
-            got = fleck_sum(n, p, alpha, cls_b, l, Variant.FLOOR, beta)
+            got = fleck_sum(n, cls_b, l, d)
             want = naive_filtered_sum(
                 n, p**beta, rb,
                 lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - rb) // d, l),
             )
         elif family == "bpow":
-            got = binom_power_sum(n, p, alpha, cls, a)
+            got = binom_power_sum(n, cls, a)
             want = naive_filtered_sum(n, d, rc, lambda k: math.comb(n, k) * (-a) ** k)
         elif family == "ewan":
-            got = eulerian_wan_sum(n, p, alpha, cls, l)
+            got = eulerian_wan_sum(n, cls, l)
             want = naive_filtered_sum(
                 n - 1, d, rc,
                 lambda k: triangles.eulerian(n, k) * math.comb((k - rc) // d, l),
             )
         elif family == "epow":
-            got = eulerian_power_sum(n, p, alpha, cls, a)
+            got = eulerian_power_sum(n, cls, a)
             want = naive_filtered_sum(n - 1, d, rc, lambda k: triangles.eulerian(n, k) * a**k)
         elif family == "cdr":
             m = rng.randint(1, 12)

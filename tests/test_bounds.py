@@ -181,7 +181,7 @@ class TestInferredPowerBound:
                     for t in (-2, 0, 1, 3):
                         a = 1 + t * p
                         for r in range(d):
-                            total = binom_power_sum(n, p, alpha, ResidueClass(d, r), a)
+                            total = binom_power_sum(n, ResidueClass(d, r), a)
                             if total:
                                 bound = inferred_power_exponent(n, p, alpha)
                                 assert ord_p(total, p) >= bound

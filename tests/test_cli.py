@@ -112,6 +112,12 @@ class TestSumCommand:
     def test_floor_variant_needs_beta(self, capsys):
         assert main(["sum", "fleck", "--n", "5", "--p", "2", "--variant", "floor"]) == 2
 
+    def test_floor_variant_needs_alpha_at_least_beta(self, capsys):
+        argv = ["sum", "fleck", "--n", "6", "--p", "2", "--alpha", "1", "--variant", "floor",
+                "--beta", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: need alpha >= beta, got alpha=1, beta=2\n")
+
     def test_missing_prime_is_usage_error(self, capsys):
         assert main(["sum", "fleck", "--n", "3"]) == 2
 

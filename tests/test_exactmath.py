@@ -287,28 +287,25 @@ def _bound_spec(name, v):
     bounds.BoundSpec(theorem, **params)
 
 
-# each entry point with the parameters it checks; a class built for the
-# good values (modulus 2 = p**alpha, 1 = p**beta) reaches the check unbuilt
-# from the bad ones
+# each entry point with the parameters it checks; a sum takes its class (or
+# d), built for the good values (modulus 2 = p**alpha, 1 = p**beta), and only
+# the parameters of its weight
 EXACT, FLOOR = filtered_sums.ResidueClass(2, 0), filtered_sums.ResidueClass(1, 0)
 ENTRY_POINTS = {
     "GridSpec": ("n p alpha beta l m", _grid),
     "check_claim": ("n p alpha beta l m", _check_claim),
     "evaluate_tuple": ("n p alpha beta l m", _evaluate_tuple),
     "BoundSpec": ("n p alpha beta l m", _bound_spec),
-    "fleck_sum": ("n p alpha l", lambda _, v: filtered_sums.fleck_sum(
-        v["n"], v["p"], v["alpha"], EXACT, v["l"])),
-    "fleck_sum FLOOR": ("n p alpha beta l", lambda _, v: filtered_sums.fleck_sum(
-        v["n"], v["p"], v["alpha"], FLOOR, v["l"], filtered_sums.Variant.FLOOR, v["beta"])),
-    "fleck_sums": ("n p alpha l", lambda _, v: filtered_sums.fleck_sums(
-        v["n"], v["p"], v["alpha"], v["l"])),
-    # n >= 0 is binom_power_sum's own rule
-    "binom_power_sum": ("p alpha", lambda _, v: filtered_sums.binom_power_sum(
-        v["n"], v["p"], v["alpha"], EXACT, v["a"])),
-    "eulerian_wan_sum": ("n p alpha l", lambda _, v: filtered_sums.eulerian_wan_sum(
-        v["n"], v["p"], v["alpha"], EXACT, v["l"])),
-    "eulerian_power_sum": ("n p alpha", lambda _, v: filtered_sums.eulerian_power_sum(
-        v["n"], v["p"], v["alpha"], EXACT, v["a"])),
+    "fleck_sum": ("n l", lambda _, v: filtered_sums.fleck_sum(v["n"], EXACT, v["l"])),
+    "fleck_sum FLOOR": ("n l", lambda _, v: filtered_sums.fleck_sum(
+        v["n"], FLOOR, v["l"], v["p"] ** v["alpha"])),
+    "fleck_sums": ("n l", lambda _, v: filtered_sums.fleck_sums(v["n"], 2, v["l"])),
+    # binom_power_sum has no entry: n >= 0 is its own rule, and it takes no other
+    # checked parameter
+    "eulerian_wan_sum": ("n l", lambda _, v: filtered_sums.eulerian_wan_sum(
+        v["n"], EXACT, v["l"])),
+    "eulerian_power_sum": ("n", lambda _, v: filtered_sums.eulerian_power_sum(
+        v["n"], EXACT, v["a"])),
     "stirling_product_sum": ("n m", lambda _, v: filtered_sums.stirling_product_sum(
         v["n"], v["m"], EXACT, v["a"])),
     "stirling_product_sums": ("n m", lambda _, v: filtered_sums.stirling_product_sums(
@@ -317,7 +314,6 @@ ENTRY_POINTS = {
         v["n"], IntPolynomial((0, 1)), EXACT, v["a"])),
     "sc2_comparison": ("n p", lambda _, v: bounds.sc2_comparison(
         v["n"], v["p"], IntPolynomial((0, 1)), 6)),
-    "eulerian_row": ("n", lambda _, v: triangles.eulerian_row(v["n"])),
     "eulerian": ("n", lambda _, v: triangles.eulerian(v["n"], 0)),
     "identities.suite": ("p alpha", lambda _, v: identities.suite(
         "S4", primes=(v["p"],), alphas=(v["alpha"],))),

@@ -88,14 +88,28 @@ def test_every_exported_name_resolves():
     assert len([m for m in modules if hasattr(m, "__all__")]) > 1
 
 
+def _traced_run(tmp_path, argv: str) -> None:
+    root = README.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(tmp_path), *argv.split(),
+         "--no-timestamp", "--out", str(tmp_path / "r.json")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_the_benchmark_tracer_installs(tmp_path):
     # perfbench/tracer.py patches the program by name: a missing function only
     # prints "not traced", but an attribute it reads without a guard (such as
     # bounds.BoundSpec) fails the traced run
-    root = README.parent
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(tmp_path), "verify", "fleck",
-         "--n", "1..3", "--p", "2", "--no-timestamp", "--out", str(tmp_path / "r.json")],
-        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+    _traced_run(tmp_path, "verify fleck --n 1..3 --p 2")
+
+
+@pytest.mark.parametrize("argv", [
+    "verify sun --n 1..5 --p 2 --alpha 1 --beta 0 --l 0",
+    "verify wan --n 1..6 --p 3 --l 0,1 --r 1",
+])
+def test_the_benchmark_tracer_counts_a_per_residue_sum(argv, tmp_path):
+    # no benchmark workload calls a per-residue sum; the tracer counts the
+    # members of the ResidueClass it finds among such a sum's arguments
+    _traced_run(tmp_path, argv)

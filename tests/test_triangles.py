@@ -75,7 +75,7 @@ class TestEulerian:
 
     def test_row_sums_are_factorials(self):
         for n in range(1, 61):
-            assert sum(triangles.eulerian_row(n)) == math.factorial(n)
+            assert sum(triangles.ensure_rows(Family.EULERIAN, n).row(n)) == math.factorial(n)
 
     def test_outside_support(self):
         assert triangles.eulerian(3, 3) == 0

@@ -328,8 +328,8 @@ class TestCheckTuple:
             evaluate_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
         with pytest.raises(ParameterError, match="p must be a prime"):
             ord_p(8, 4)
-        # the parameter check checks p, and so does fleck_sums, the tuple's one
-        # sum; none of the nine orders does
+        # the parameter check checks p; fleck_sums, the tuple's one sum, takes
+        # no p, and none of the nine orders checks it
         checks = []
         real_params, real_prime = verifier.check_params, exactmath.check_prime
 
@@ -344,7 +344,7 @@ class TestCheckTuple:
         monkeypatch.setattr(verifier, "check_params", counted_params)
         monkeypatch.setattr(exactmath, "check_prime", counted_prime)
         records = evaluate_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0}).records()
-        assert len(records) == 9 and checks == ["check_params", 3, 3]
+        assert len(records) == 9 and checks == ["check_params", 3]
 
     def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
         # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
