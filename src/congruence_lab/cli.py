@@ -37,12 +37,14 @@ of a serial run.  The pool is capped at the CPUs the process may use and at
 the number of chunks; the run is serial when that leaves fewer than two
 workers, with --fail-fast, where ``os.fork`` is missing, or when another
 thread is running.  A worker that fails or dies makes the run exit 2.
-Every grid value is checked, and a grid flag the theorem does not take is refused,
-before the first byte is written.  Every --out file is written under a temporary name in its
+Every grid value is checked before the first byte is written.  No flag is
+dropped silently: ``_flag_values`` refuses a flag that the theorem, sum kind
+or selected identity suites do not take, and the identity report's flags
+without --out.  Every --out file is written under a temporary name in its
 directory and renamed into place when complete, so an interrupted run never
 leaves a truncated file; an interrupted run to stdout may leave a partial
-report there.  An existing directory at --out is refused before any
-claim or identity check runs.
+report there.  An existing directory at --out is refused before any claim or
+identity check runs.
 """
 
 from __future__ import annotations
@@ -208,6 +210,46 @@ def _json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+#: the default of a flag that must be given
+_NEEDED = object()
+
+
+def _flag_values(what: str, args: argparse.Namespace, table: dict[str, dict[str, Any]],
+                 taken: dict[str, Any]) -> dict[str, Any]:
+    """The value of each flag of ``table`` (a subcommand's entries, each
+    mapping the flags it takes to their defaults) that ``what`` takes, the
+    default from ``taken`` where it is not given.  A flag ``what`` does not
+    take, and a missing flag whose default is ``_NEEDED``, are errors, so
+    that no flag is silently dropped."""
+    values: dict[str, Any] = {}
+    for name in dict.fromkeys(name for flags in table.values() for name in flags):
+        value = getattr(args, name)
+        flag = "--" + name.replace("_", "-")
+        if name not in taken:
+            if value is not None:
+                raise ParameterError(f"{what} does not take {flag}")
+        elif value is None and taken[name] is _NEEDED:
+            raise ParameterError(f"{what} needs {flag}")
+        else:
+            values[name] = taken[name] if value is None else value
+    return values
+
+
+def _flag_help(table: dict[str, dict[str, Any]], name: str) -> str:
+    """Which entries of ``table`` take the flag ``name``, and its default in
+    each, for the flag's help text."""
+    groups: dict[str, list[str]] = {}
+    for entry, taken in table.items():
+        if name in taken:
+            default = taken[name]
+            if isinstance(default, tuple):  # a set of values, as the flag spells it
+                default = ",".join(map(str, default))
+            text = ("needed" if default is _NEEDED else "optional" if default is None
+                    else f"default {default}")
+            groups.setdefault(text, []).append(entry)
+    return "; ".join(f"{', '.join(entries)}: {text}" for text, entries in groups.items())
+
+
 # ---------------------------------------------------------------------------
 # triangle
 # ---------------------------------------------------------------------------
@@ -225,53 +267,52 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _floor_fleck_sum(n: int, cls: ResidueClass, v: dict[str, Any]) -> int:
+    # the floor sum divides by p**alpha: alpha is checked in its place between
+    # n and l, as the sum checks them, and must not be below beta
+    check_params(n=n, alpha=v["alpha"], l=v["l"])
+    if v["beta"] > v["alpha"]:
+        raise ParameterError(f"need alpha >= beta, got alpha={v['alpha']}, beta={v['beta']}")
+    return fleck_sum(n, cls, v["l"], v["p"] ** v["alpha"])
+
+
+#: Each sum, by its kind and --variant (a kind alone for "exact"): the flags
+#: it takes besides --n and --r, with their defaults; the exponent e of its
+#: class modulus p**e, or None for the modulus --d; and its kernel, called
+#: with n, the class and the flag values (it looks its sum up when called).
+_SUM_KINDS: dict[str, tuple[dict[str, Any], str | None, Callable[..., int]]] = {
+    "fleck": ({"p": _NEEDED, "alpha": 1, "l": 0}, "alpha",
+              lambda n, cls, v: fleck_sum(n, cls, v["l"])),
+    "fleck --variant floor": ({"p": _NEEDED, "alpha": 1, "beta": _NEEDED, "l": 0}, "beta",
+                              _floor_fleck_sum),
+    "bpow": ({"p": _NEEDED, "alpha": 1, "a": 1}, "alpha",
+             lambda n, cls, v: binom_power_sum(n, cls, v["a"])),
+    "ewan": ({"p": _NEEDED, "alpha": 1, "l": 0}, "alpha",
+             lambda n, cls, v: eulerian_wan_sum(n, cls, v["l"])),
+    "epow": ({"p": _NEEDED, "alpha": 1, "a": 1}, "alpha",
+             lambda n, cls, v: eulerian_power_sum(n, cls, v["a"])),
+    "cdr": ({"p": None, "d": 1, "m": 1, "a": 1}, None,
+            lambda n, cls, v: stirling_product_sum(n, v["m"], cls, v["a"])),
+    "spoly": ({"p": None, "d": 1, "f": _NEEDED, "a": 1}, None,
+              lambda n, cls, v: stirling_poly_sum(
+                  n, IntPolynomial.from_coeff_string(v["f"]), cls, v["a"])),
+}
+_SUM_FLAGS = {entry: taken for entry, (taken, _, _) in _SUM_KINDS.items()}
+
+
 def cmd_sum(args: argparse.Namespace) -> int:
-    kind = args.kind
-    p: int | None = args.p
-    if kind == "spoly" and args.f is None:
-        raise ParameterError("spoly needs --f")
-    if kind in ("fleck", "bpow", "ewan", "epow"):
-        if p is None:
-            raise ParameterError(f"sum {kind} needs --p")
-        # the class modulus is p**beta for a floor sum, else p**alpha: p and
-        # that exponent are checked before the modulus is built
-        name = "beta" if kind == "fleck" and args.variant == "floor" else "alpha"
-        exponent = getattr(args, name)
-        if exponent is None:
-            raise ParameterError("floor variant needs --beta")
-        check_params(p=p, **{name: exponent})
-        cls = ResidueClass(p**exponent, args.r)
-    else:
-        if p is not None:  # its order is printed after the sum: check it first
-            check_params(p=p)
-        cls = ResidueClass(args.d, args.r)
-    if kind == "fleck" and args.variant == "floor":
-        # the floor sum divides by p**alpha: alpha is checked in its place
-        # between n and l, as the sum checks them, and must not be below beta
-        check_params(n=args.n, alpha=args.alpha, l=args.l)
-        if args.beta > args.alpha:
-            raise ParameterError(f"need alpha >= beta, got alpha={args.alpha}, beta={args.beta}")
-        value = fleck_sum(args.n, cls, args.l, p**args.alpha)
-    elif kind == "fleck":
-        value = fleck_sum(args.n, cls, args.l)
-    elif kind == "bpow":
-        value = binom_power_sum(args.n, cls, args.a)
-    elif kind == "ewan":
-        value = eulerian_wan_sum(args.n, cls, args.l)
-    elif kind == "epow":
-        value = eulerian_power_sum(args.n, cls, args.a)
-    elif kind == "cdr":
-        value = stirling_product_sum(args.n, args.m, cls, args.a)
-    elif kind == "spoly":
-        value = stirling_poly_sum(
-            args.n, IntPolynomial.from_coeff_string(args.f), cls, args.a
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown sum kind {kind!r}")
-    if p is not None:
-        print(f"{value} / ord_{p} = {ord_p(value, p)}")
-    else:
-        print(value)
+    entry = args.kind if args.variant == "exact" else f"{args.kind} --variant {args.variant}"
+    if entry not in _SUM_KINDS:
+        raise ParameterError(f"sum {args.kind} does not take --variant {args.variant}")
+    taken, exponent, kernel = _SUM_KINDS[entry]
+    v = _flag_values(f"sum {entry}", args, _SUM_FLAGS, taken)
+    p = v["p"]
+    if p is not None:  # before the modulus, and before the sum whose order is printed
+        check_params(p=p)
+    if exponent:  # before p**exponent is built
+        check_params(**{exponent: v[exponent]})
+    value = kernel(args.n, ResidueClass(p ** v[exponent] if exponent else v["d"], args.r), v)
+    print(value if p is None else f"{value} / ord_{p} = {ord_p(value, p)}")
     return EXIT_OK
 
 
@@ -280,29 +321,13 @@ def cmd_sum(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: The verify flags that give a parameter's axis, and the value a theorem that
-#: takes the parameter gets when its flag is not given (None: it must be).
-_GRID_FLAGS: dict[str, str | None] = {
-    "alpha": "1", "beta": None, "l": "0", "m": "1..n", "a": "1", "f": None,
+#: The flags that give a parameter's axis that each theorem takes (besides
+#: --n and --p), and the value each gets when it is not given.
+_VERIFY_FLAGS = {
+    t.value: {name: default for name, default in (
+        ("alpha", "1"), ("beta", _NEEDED), ("l", "0"), ("m", "1..n"), ("a", "1"), ("f", _NEEDED),
+    ) if name in THEOREMS[t].params} for t in TheoremId
 }
-
-
-def _grid_flags(theorem: TheoremId, args: argparse.Namespace) -> dict[str, Any]:
-    """The grid flag text of each parameter the theorem takes (besides n and
-    p), defaults filled in.  A flag for a parameter it does not take is an
-    error, so that no flag is silently dropped."""
-    taken = THEOREMS[theorem].params
-    flags: dict[str, Any] = {}
-    for name, default in _GRID_FLAGS.items():
-        value = getattr(args, name)
-        if name not in taken:
-            if value is not None:
-                raise ParameterError(f"{theorem.value} does not take --{name}")
-        elif value is None and default is None:
-            raise ParameterError(f"{theorem.value} needs --{name}")
-        else:
-            flags[name] = default if value is None else value
-    return flags
 
 
 def _build_grids(
@@ -618,7 +643,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     theorem = TheoremId(args.theorem)
-    flags = _grid_flags(theorem, args)
+    flags = _flag_values(theorem.value, args, _VERIFY_FLAGS, _VERIFY_FLAGS[theorem.value])
     grids = _build_grids(theorem, args, flags)
     size = 0 if args.fail_fast else _pool_size(args.workers, grids)
     # the triangles, before the first byte and before any fork: every worker shares them
@@ -654,55 +679,59 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _identity_report(args: argparse.Namespace, ids: Sequence[str], aggregates: list) -> str:
-    run: dict[str, Any] = {
-        "command": "identity",
-        "ids": list(ids),
-        "tool_version": __version__,
-    }
-    if not args.no_timestamp:
+#: each identity flag: the suite option it gives, and how its value is read
+#: (only the top of the --n range matters)
+_IDENTITY_OPTIONS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "n": ("n_max", lambda text: max(parse_int_set(text))), "n_max": ("n_max", int),
+    "l_max": ("l_max", int), "p": ("primes", parse_int_set), "alpha": ("alphas", parse_int_set),
+    "count": ("count", int), "seed": ("seed", int), "scl3e_limit": ("scl3e_limit", int),
+}
+
+#: the identity flags each suite reads, with the suite's defaults
+_IDENTITY_FLAGS = {
+    identity: {flag: defaults[option] for flag, (option, _) in _IDENTITY_OPTIONS.items()
+               if option in defaults}
+    for identity, defaults in identities.SUITE_OPTIONS.items()
+}
+
+#: the identity report's flags, with their defaults: taken only with --out
+_REPORT_FLAGS = {"with --out": {"format": "json", "no_timestamp": None}}
+
+
+def _identity_report(report: dict[str, Any], ids: Sequence[str], aggregates: list) -> str:
+    run: dict[str, Any] = {"command": "identity", "ids": list(ids), "tool_version": __version__}
+    if not report["no_timestamp"]:
         run["timestamp"] = _now_stamp()
-    if args.format == "json":
+    if report["format"] == "json":
         return _json_text({"run": run, "checks": aggregates})
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=("identity", "total", "passed", "failed", "first_failure"),
-        lineterminator="\n",
-    )
+    writer = csv.DictWriter(buf, ("identity", "total", "passed", "failed", "first_failure"),
+                            lineterminator="\n")
     writer.writeheader()
     for agg in aggregates:
-        row = dict(agg)
-        row["first_failure"] = (
-            "" if row["first_failure"] is None else json.dumps(row["first_failure"], sort_keys=True)
-        )
-        writer.writerow(row)
+        failure = agg["first_failure"]
+        writer.writerow({**agg, "first_failure":
+                         "" if failure is None else json.dumps(failure, sort_keys=True)})
     return buf.getvalue()
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
     ids = identities.IDENTITY_IDS if args.identity == "all" else (args.identity.upper(),)
-    kwargs: dict[str, Any] = {}
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
-    elif args.n is not None:
-        kwargs["n_max"] = max(parse_int_set(args.n))
-    if args.l_max is not None:
-        kwargs["l_max"] = args.l_max
-    if args.p is not None:
-        kwargs["primes"] = parse_int_set(args.p)
-    if args.alpha is not None:
-        kwargs["alphas"] = parse_int_set(args.alpha)
-    kwargs["count"] = args.count
-    kwargs["seed"] = args.seed
-    kwargs["scl3e_limit"] = args.scl3e_limit
+    # a flag is refused unless a selected suite reads it; each suite gets those it reads
+    read = {flag: None for identity in ids for flag in _IDENTITY_FLAGS[identity]}
+    given = _flag_values(args.identity.upper(), args, _IDENTITY_FLAGS, read)
+    options = {_IDENTITY_OPTIONS[flag][0]: _IDENTITY_OPTIONS[flag][1](value)
+               for flag, value in given.items() if value is not None}
+    report = _flag_values("identity without --out", args, _REPORT_FLAGS,
+                          _REPORT_FLAGS["with --out"] if args.out else {})
 
     # the --out file is opened first, so an unwritable path fails before any suite runs;
     # then every suite checks its parameters and builds its triangle rows before any check
     with _output(args.out) if args.out else contextlib.nullcontext() as out:
-        suites = [identities.suite(identity_id, **kwargs) for identity_id in ids]
+        suites = [identities.suite(identity_id, **{
+            option: value for option, value in options.items()
+            if option in identities.SUITE_OPTIONS[identity_id]}) for identity_id in ids]
         aggregates = []
-        failed_total = 0
         for identity_id, checks in zip(ids, suites):
             total = passed = 0
             first_failure: dict[str, Any] | None = None
@@ -713,22 +742,14 @@ def cmd_identity(args: argparse.Namespace) -> int:
                 elif first_failure is None:
                     first_failure = {"params": result.params, "witness": result.witness}
             failed = total - passed
-            failed_total += failed
-            aggregates.append(
-                {
-                    "identity": identity_id,
-                    "total": total,
-                    "passed": passed,
-                    "failed": failed,
-                    "first_failure": first_failure,
-                }
-            )
+            aggregates.append({"identity": identity_id, "total": total, "passed": passed,
+                               "failed": failed, "first_failure": first_failure})
             status = "all passed" if failed == 0 else f"{failed} FAILED"
             print(f"{identity_id}: {total} checks, {status}")
 
         if out is not None:
-            out.write(_identity_report(args, ids, aggregates))
-    return EXIT_VIOLATION if failed_total else EXIT_OK
+            out.write(_identity_report(report, ids, aggregates))
+    return EXIT_VIOLATION if any(agg["failed"] for agg in aggregates) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -752,32 +773,30 @@ def build_parser() -> argparse.ArgumentParser:
     tri.set_defaults(func=cmd_triangle)
 
     sm = sub.add_parser("sum", help="evaluate one filtered sum")
-    sm.add_argument("kind", choices=["fleck", "bpow", "ewan", "epow", "cdr", "spoly"])
+    sm.add_argument("kind", choices=list(dict.fromkeys(e.split()[0] for e in _SUM_KINDS)))
     sm.add_argument("--n", type=int, required=True)
-    sm.add_argument("--p", type=int, default=None, help="prime (required except cdr/spoly)")
-    sm.add_argument("--alpha", type=int, default=1)
-    sm.add_argument("--beta", type=int, default=None)
     sm.add_argument("--r", type=int, default=0)
-    sm.add_argument("--l", type=int, default=0)
-    sm.add_argument("--a", type=int, default=1)
-    sm.add_argument("--m", type=int, default=1)
-    sm.add_argument("--d", type=int, default=1, help="class modulus for cdr/spoly")
-    sm.add_argument("--f", default=None, help="polynomial coefficients, low to high")
     sm.add_argument("--variant", choices=["exact", "floor"], default="exact")
+    # the flags each kind takes, and their defaults, are in _SUM_KINDS
+    for name in ("p", "alpha", "beta", "l", "a", "m"):
+        sm.add_argument(f"--{name}", type=int, help=_flag_help(_SUM_FLAGS, name))
+    sm.add_argument("--d", type=int, help="class modulus; " + _flag_help(_SUM_FLAGS, "d"))
+    sm.add_argument("--f", help="polynomial coefficients, low to high; "
+                    + _flag_help(_SUM_FLAGS, "f"))
     sm.set_defaults(func=cmd_sum)
 
     ver = sub.add_parser("verify", help="sweep a parameter grid for one theorem")
     ver.add_argument("theorem", choices=[t.value for t in TheoremId])
     ver.add_argument("--n", required=True, help='n range, e.g. "1..80"')
     ver.add_argument("--p", required=True, help='prime set, e.g. "2,3,5"')
-    # the defaults of the axis flags are in _GRID_FLAGS
-    ver.add_argument("--alpha", help='default "1"')
-    ver.add_argument("--beta")
-    ver.add_argument("--l", help='default "0"')
-    ver.add_argument("--m", help='m range, default "1..n"; "1..n" couples the top to n')
-    ver.add_argument("--a", help='default "1"')
+    # the theorems that take each axis flag, and its default, are in _VERIFY_FLAGS
+    for name in ("alpha", "beta", "l", "a"):
+        ver.add_argument(f"--{name}", help=_flag_help(_VERIFY_FLAGS, name))
+    ver.add_argument("--m", help='m range; "1..n" couples the top to n; '
+                     + _flag_help(_VERIFY_FLAGS, "m"))
     ver.add_argument("--r", default="all", help='residues: "all" or a range/list')
-    ver.add_argument("--f", action="append", default=None, help="SC2 polynomial (repeatable)")
+    ver.add_argument("--f", action="append", help="SC2 polynomial (repeatable); "
+                     + _flag_help(_VERIFY_FLAGS, "f"))
     ver.add_argument("--out", default=None, help="report file (default: stdout)")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--workers", type=int, default=1,
@@ -791,18 +810,21 @@ def build_parser() -> argparse.ArgumentParser:
     ident = sub.add_parser("identity", help="run identity check suites")
     ident.add_argument("identity", type=str.lower,
                        choices=[i.lower() for i in identities.IDENTITY_IDS] + ["all"])
+    # the suites that read each flag, and its default, are in identities.SUITE_OPTIONS
     top = ident.add_mutually_exclusive_group()
-    top.add_argument("--n", default=None, help='n range; only the top matters, e.g. "1..12"')
-    top.add_argument("--n-max", type=int, default=None)
-    ident.add_argument("--l-max", type=int, default=None)
-    ident.add_argument("--p", default=None)
-    ident.add_argument("--alpha", default=None)
-    ident.add_argument("--count", type=int, default=200, help="random tuples for L31")
-    ident.add_argument("--seed", type=int, default=20210)
-    ident.add_argument("--scl3e-limit", type=int, default=100)
+    top.add_argument("--n", help='n range; only the top matters, e.g. "1..12"; '
+                     + _flag_help(_IDENTITY_FLAGS, "n"))
+    top.add_argument("--n-max", type=int, help=_flag_help(_IDENTITY_FLAGS, "n_max"))
+    for name in ("p", "alpha"):
+        ident.add_argument(f"--{name}", help=_flag_help(_IDENTITY_FLAGS, name))
+    for name in ("l_max", "count", "seed", "scl3e_limit"):
+        ident.add_argument("--" + name.replace("_", "-"), type=int,
+                           help=_flag_help(_IDENTITY_FLAGS, name))
     ident.add_argument("--out", default=None)
-    ident.add_argument("--format", choices=["json", "csv"], default="json")
-    ident.add_argument("--no-timestamp", action="store_true")
+    ident.add_argument("--format", choices=["json", "csv"],
+                       help=_flag_help(_REPORT_FLAGS, "format"))
+    ident.add_argument("--no-timestamp", action="store_true", default=None,
+                       help="leave the run timestamp out of the report (with --out)")
     ident.set_defaults(func=cmd_identity)
 
     return parser

@@ -34,6 +34,7 @@ from .triangles import Family
 __all__ = [
     "IDENTITY_IDS",
     "IdentityCheckResult",
+    "SUITE_OPTIONS",
     "check_e1",
     "check_e2",
     "check_l31",
@@ -45,8 +46,6 @@ __all__ = [
     "random_l31_tuple",
     "suite",
 ]
-
-IDENTITY_IDS = ("E1", "E2", "S3", "SS3", "S4", "SCL3E", "L31", "L32")
 
 
 @dataclass(frozen=True)
@@ -65,22 +64,10 @@ def _result(identity: str, params: dict[str, int], witness: dict[str, Any] | Non
     return IdentityCheckResult(identity, params, witness is None, witness)
 
 
-def _eulerian_value(n: int, k: int) -> int:
-    if k < 0:
-        return 0
-    return triangles.eulerian(n, k)
-
-
 def _rhs_coefficient(n: int, i: int, l: int) -> int:
     """Coefficient of x**i on the ordered-partition side, weight x**l at i."""
-    acc = 0
-    for m in range(0, n - i + 1):
-        acc += (
-            math.factorial(m)
-            * triangles.stirling2(n, m)
-            * math.comb(n - m, i)
-            * (-1) ** (n - m - i)
-        )
+    acc = sum(math.factorial(m) * triangles.stirling2(n, m) * math.comb(n - m, i)
+              * (-1) ** (n - m - i) for m in range(n - i + 1))
     return acc * i**l
 
 
@@ -90,7 +77,7 @@ def check_e1(n: int, l: int) -> IdentityCheckResult:
         raise ParameterError("need n >= 1 and l >= 0")
     params = {"n": n, "l": l}
     for i in range(n + 1):
-        lhs = _eulerian_value(n, i) * i**l if i <= n - 1 else 0
+        lhs = triangles.eulerian(n, i) * i**l
         rhs = _rhs_coefficient(n, i, l)
         if lhs != rhs:
             return _result("E1", params, {"i": i, "lhs": str(lhs), "rhs": str(rhs)})
@@ -103,7 +90,7 @@ def check_e2(n: int) -> IdentityCheckResult:
         raise ParameterError("need n >= 1")
     params = {"n": n}
     for i in range(n + 1):
-        lhs = _eulerian_value(n, i) if i <= n - 1 else 0
+        lhs = triangles.eulerian(n, i)
         rhs = _rhs_coefficient(n, i, 0)
         if lhs != rhs:
             return _result("E2", params, {"i": i, "lhs": str(lhs), "rhs": str(rhs)})
@@ -219,7 +206,7 @@ def random_l31_tuple(rng: random.Random, n_max: int = 12, primes=(2, 3, 5)) -> t
 # ---------------------------------------------------------------------------
 
 
-def scl3e_cases(limit: int = 100) -> list[tuple[int, int]]:
+def scl3e_cases(limit: int) -> list[tuple[int, int]]:
     """All (p, alpha) with p**alpha (p-1) <= limit, sorted."""
     out = []
     for p in range(2, limit + 2):
@@ -232,12 +219,21 @@ def scl3e_cases(limit: int = 100) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _given(value, default):
-    return default if value is None else value
+#: the options each suite reads, with their defaults.  n_max bounds n; SCL3E
+#: reads scl3e_limit instead, and every prime and alpha up to it when its
+#: primes or alphas are None.
+SUITE_OPTIONS: dict[str, dict[str, Any]] = {
+    "E1": {"n_max": 12, "l_max": 4},
+    "E2": {"n_max": 12},
+    "S3": {"n_max": 20},
+    "SS3": {"n_max": 20},
+    "S4": {"n_max": 40, "primes": (2, 3, 5), "alphas": (1, 2)},
+    "SCL3E": {"scl3e_limit": 100, "primes": None, "alphas": None},
+    "L31": {"n_max": 12, "primes": (2, 3, 5), "count": 200, "seed": 20210},
+    "L32": {"n_max": 60},
+}
 
-
-# the n_max of each suite when none is given; SCL3E reads scl3e_limit instead
-_N_MAX = {"E1": 12, "E2": 12, "S3": 20, "SS3": 20, "S4": 40, "L31": 12, "L32": 60}
+IDENTITY_IDS = tuple(SUITE_OPTIONS)
 
 # the triangles whose rows 0..n_max each suite reads; L31 and L32 read none
 _READS = {
@@ -249,80 +245,59 @@ _READS = {
 }
 
 
-def suite(
-    identity: str,
-    *,
-    n_max: int | None = None,
-    l_max: int | None = None,
-    primes: tuple[int, ...] | None = None,
-    alphas: tuple[int, ...] | None = None,
-    scl3e_limit: int = 100,
-    count: int = 200,
-    seed: int = 20210,
-) -> Iterator[IdentityCheckResult]:
-    """The named identity's checks over its default (or overridden) grid.
+def suite(identity: str, **options: Any) -> Iterator[IdentityCheckResult]:
+    """The named identity's checks over its grid: the given
+    :data:`SUITE_OPTIONS` of the suite, and the defaults of the rest.
 
-    A negative bound or count, a prime that is not one and an alpha below 1
-    are parameter errors, whether or not the identity reads them.  This call
+    An option the suite does not read, a negative bound or count, a prime
+    that is not one and an alpha below 1 are parameter errors.  This call
     raises them before the first check.  It then builds every triangle row
     the checks read, in the order they read them, so a row past
     :data:`triangles.ROW_LIMIT` raises :class:`CapacityError` before the
     first check too.
     """
-    for name, value in (("n_max", n_max), ("l_max", l_max),
-                        ("scl3e_limit", scl3e_limit), ("count", count)):
-        if value is not None and value < 0:
-            raise ParameterError(f"{name} must be >= 0, got {value}")
-    for p in primes or ():
-        check_prime(p)
-    for alpha in alphas or ():
-        check_params(alpha=alpha)
     identity = identity.upper()
-    if identity not in IDENTITY_IDS:
+    if identity not in SUITE_OPTIONS:
         raise ParameterError(f"unknown identity id {identity!r}")
+    for name in options:
+        if name not in SUITE_OPTIONS[identity]:
+            raise ParameterError(f"{identity} does not read {name}")
+    opts = {**SUITE_OPTIONS[identity], **options}
+    for name in ("n_max", "l_max", "scl3e_limit", "count"):
+        if opts.get(name, 0) < 0:
+            raise ParameterError(f"{name} must be >= 0, got {opts[name]}")
+    for p in opts.get("primes") or ():
+        check_prime(p)
+    for alpha in opts.get("alphas") or ():
+        check_params(alpha=alpha)
     if identity == "SCL3E":
-        cases = [(p, alpha) for p, alpha in scl3e_cases(scl3e_limit)
+        primes, alphas = opts["primes"], opts["alphas"]
+        cases = [(p, alpha) for p, alpha in scl3e_cases(opts["scl3e_limit"])
                  if (primes is None or p in primes) and (alphas is None or alpha in alphas)]
         for p, alpha in cases:
             triangles.ensure_rows(Family.STIRLING1, p**alpha * (p - 1))
         return (check_scl3e(p, alpha) for p, alpha in cases)
-    n_max = _given(n_max, _N_MAX[identity])
     for family in _READS.get(identity, ()):
-        triangles.ensure_rows(family, min(n_max, triangles.ROW_LIMIT + 1))
-    return _checks(identity, n_max, _given(l_max, 4), _given(primes, (2, 3, 5)),
-                   _given(alphas, (1, 2)), count, seed)
+        triangles.ensure_rows(family, min(opts["n_max"], triangles.ROW_LIMIT + 1))
+    return _checks(identity, opts)
 
 
-def _checks(identity: str, n_max: int, l_max: int, primes: tuple[int, ...],
-            alphas: tuple[int, ...], count: int, seed: int) -> Iterator[IdentityCheckResult]:
+def _checks(identity: str, opts: dict[str, Any]) -> Iterator[IdentityCheckResult]:
+    ns = range(1, opts["n_max"] + 1)
     if identity == "E1":
-        for n in range(1, n_max + 1):
-            for l in range(0, l_max + 1):
-                yield check_e1(n, l)
-    elif identity == "E2":
-        for n in range(1, n_max + 1):
-            yield check_e2(n)
-    elif identity == "S3":
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                yield check_s3(n, k)
-    elif identity == "SS3":
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                yield check_ss3(n, k)
-    elif identity == "S4":
-        for n in range(0, n_max + 1):
-            for k in range(0, n + 1):
-                for p in primes:
-                    for alpha in alphas:
-                        yield check_s4(n, k, p, alpha)
-    elif identity == "L31":
-        rng = random.Random(seed)
-        for _ in range(count):
-            n, p, x, x_prime = random_l31_tuple(rng, n_max, primes)
-            yield check_l31(n, p, x, x_prime)
-    else:  # L32
-        for n in range(0, n_max + 1):
-            for l in range(0, n + 1):
-                for i in range(0, n + 1):
-                    yield check_l32(n, l, i)
+        return (check_e1(n, l) for n in ns for l in range(opts["l_max"] + 1))
+    if identity == "E2":
+        return (check_e2(n) for n in ns)
+    if identity in ("S3", "SS3"):
+        check = check_s3 if identity == "S3" else check_ss3
+        return (check(n, k) for n in ns for k in range(1, n + 1))
+    if identity == "S4":
+        return (check_s4(n, k, p, alpha) for n in range(opts["n_max"] + 1) for k in range(n + 1)
+                for p in opts["primes"] for alpha in opts["alphas"])
+    if identity == "L31":
+        rng = random.Random(opts["seed"])
+        return (check_l31(*random_l31_tuple(rng, opts["n_max"], opts["primes"]))
+                for _ in range(opts["count"]))
+    # L32
+    return (check_l32(n, l, i) for n in range(opts["n_max"] + 1) for l in range(n + 1)
+            for i in range(n + 1))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -82,6 +83,24 @@ class TestTriangleCommand:
         assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
+# each sum kind (and the floor variant of fleck): the flags it takes besides
+# --n, --r and --variant, and an argv that gives every flag it needs
+SUM_TAKES = {
+    "fleck": ("p alpha l", ["--n", "5", "--p", "2"]),
+    "fleck --variant floor": ("p alpha beta l", ["--n", "5", "--p", "2", "--beta", "1"]),
+    "bpow": ("p alpha a", ["--n", "5", "--p", "2"]),
+    "ewan": ("p alpha l", ["--n", "5", "--p", "2"]),
+    "epow": ("p alpha a", ["--n", "5", "--p", "2"]),
+    "cdr": ("p d m a", ["--n", "4"]),
+    "spoly": ("p d f a", ["--n", "3", "--f", "0,1"]),
+}
+# a good value of each sum flag
+SUM_VALUES = {"p": "3", "alpha": "1", "beta": "0", "l": "1", "a": "2", "m": "2", "d": "2",
+              "f": "1,1"}
+SUM_KERNELS = ("fleck_sum", "binom_power_sum", "eulerian_wan_sum", "eulerian_power_sum",
+               "stirling_product_sum", "stirling_poly_sum")
+
+
 class TestSumCommand:
     def test_fleck_line(self, capsys):
         assert main(["sum", "fleck", "--n", "3", "--p", "2", "--alpha", "1", "--r", "0", "--l", "0"]) == 0
@@ -151,6 +170,45 @@ class TestSumCommand:
         # the binomial power sum is defined at n = 0
         assert main(["sum", "bpow", "--n", "0", "--p", "2"]) == 0
         assert capsys.readouterr().out == "1 / ord_2 = 0\n"
+
+    @pytest.mark.parametrize("entry", sorted(SUM_TAKES))
+    def test_every_flag_a_kind_takes_is_read(self, entry, capsys):
+        taken, argv = SUM_TAKES[entry]
+        given = [f"--{name}={SUM_VALUES[name]}" for name in taken.split()]
+        assert main(["sum", *entry.split(), *argv, *given]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+
+    @pytest.mark.parametrize("entry, flag", [
+        pytest.param(entry, name, id=f"{entry}-{name}")
+        for entry, (taken, _) in SUM_TAKES.items()
+        for name in SUM_VALUES if name not in taken.split()
+    ])
+    def test_a_flag_the_kind_does_not_take_is_refused(self, entry, flag, monkeypatch, capsys):
+        calls = []
+        for name in SUM_KERNELS:
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        argv = ["sum", *entry.split(), *SUM_TAKES[entry][1], f"--{flag}={SUM_VALUES[flag]}"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: sum {entry} does not take --{flag}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["bpow", "ewan", "epow", "cdr", "spoly"])
+    def test_only_fleck_has_a_floor_variant(self, kind, capsys):
+        assert main(["sum", kind, *SUM_TAKES[kind][1], "--variant", "floor"]) == 2
+        assert capsys.readouterr() == ("", f"error: sum {kind} does not take --variant floor\n")
+
+    @pytest.mark.parametrize("argv, error", [
+        ("fleck --n 5 --p 3 --alpha 2 --r 7 --l 2 --beta 9", "sum fleck does not take --beta"),
+        ("bpow --n 5 --p 2 --l 3", "sum bpow does not take --l"),
+        ("cdr --n 4 --m 2 --d 2 --alpha 3", "sum cdr does not take --alpha"),
+        ("fleck --n 5 --p 2 --variant floor", "sum fleck --variant floor needs --beta"),
+        ("spoly --n 3 --d 2", "sum spoly needs --f"),
+        ("ewan --n 3", "sum ewan needs --p"),
+    ])
+    def test_refused_and_missing_flags(self, argv, error, capsys):
+        assert main(["sum", *argv.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestVerifyCommand:
@@ -516,6 +574,29 @@ class TestRecordLayout:
         assert got.getvalue() == dictwriter_csv([rec], cli.CSV_COLUMNS)
 
 
+# the flags each identity suite reads, and a good value of each flag
+IDENTITY_READS = {
+    "e1": "n n-max l-max", "e2": "n n-max", "s3": "n n-max", "ss3": "n n-max",
+    "s4": "n n-max p alpha", "scl3e": "p alpha scl3e-limit", "l31": "n n-max p count seed",
+    "l32": "n n-max",
+}
+IDENTITY_VALUES = {"n": "1..3", "n-max": "3", "l-max": "1", "p": "2", "alpha": "1",
+                   "count": "2", "seed": "7", "scl3e-limit": "5"}
+
+
+@pytest.fixture
+def suite_calls(monkeypatch):
+    """The name and sorted option names of each identities.suite call."""
+    calls, real = [], identities.suite
+
+    def recorded(name, **options):
+        calls.append((name, sorted(options)))
+        return real(name, **options)
+
+    monkeypatch.setattr(identities, "suite", recorded)
+    return calls
+
+
 class TestIdentityCommand:
     def test_single_identity(self, capsys):
         assert main(["identity", "e2", "--n-max", "12"]) == 0
@@ -621,6 +702,61 @@ class TestIdentityCommand:
         assert main(argv + flag + ["--out", str(report)]) == 2
         assert capsys.readouterr() == ("", error)
         assert not report.exists()
+
+    @pytest.mark.parametrize("identity, flag", [
+        pytest.param(identity, name, id=f"{identity}-{name}")
+        for identity, reads in IDENTITY_READS.items()
+        for name in IDENTITY_VALUES if name not in reads.split()
+    ])
+    def test_a_flag_the_suite_does_not_read_is_refused(self, identity, flag, monkeypatch,
+                                                       capsys):
+        calls = []
+        monkeypatch.setattr(identities, "suite", lambda *args, **kwargs: calls.append(args))
+        assert main(["identity", identity, f"--{flag}={IDENTITY_VALUES[flag]}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {identity.upper()} does not take --{flag}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("identity", sorted(IDENTITY_READS))
+    def test_each_suite_gets_the_flags_it_reads(self, identity, suite_calls, capsys):
+        # --n and --n-max are exclusive: --n-max is given
+        given = [name for name in IDENTITY_READS[identity].split() if name != "n"]
+        assert main(["identity", identity,
+                     *(f"--{name}={IDENTITY_VALUES[name]}" for name in given)]) == 0
+        assert capsys.readouterr().out.endswith(" checks, all passed\n")
+        option = {"n-max": "n_max", "l-max": "l_max", "p": "primes", "alpha": "alphas",
+                  "count": "count", "seed": "seed", "scl3e-limit": "scl3e_limit"}
+        assert suite_calls == [(identity.upper(), sorted(option[flag] for flag in given))]
+
+    def test_all_takes_every_flag_and_gives_each_suite_its_own(self, tmp_path, suite_calls,
+                                                               capsys):
+        report = tmp_path / "ident.csv"
+        argv = ["identity", "all", *(f"--{name}={value}" for name, value in
+                                     IDENTITY_VALUES.items() if name != "n"),
+                "--out", str(report), "--format", "csv", "--no-timestamp"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert report.read_text().startswith("identity,total,passed,failed,first_failure\n")
+        assert suite_calls == [
+            ("E1", ["l_max", "n_max"]), ("E2", ["n_max"]), ("S3", ["n_max"]),
+            ("SS3", ["n_max"]), ("S4", ["alphas", "n_max", "primes"]),
+            ("SCL3E", ["alphas", "primes", "scl3e_limit"]),
+            ("L31", ["count", "n_max", "primes", "seed"]), ("L32", ["n_max"]),
+        ]
+        argv[argv.index("--n-max=3")] = "--n=1..3"
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv, error", [
+        ("e2 --l-max 3 --count 5 --p 7", "E2 does not take --l-max"),
+        ("e2 --format csv", "identity without --out does not take --format"),
+        ("e2 --no-timestamp", "identity without --out does not take --no-timestamp"),
+        ("all --format json", "identity without --out does not take --format"),
+        ("scl3e --n-max 5", "SCL3E does not take --n-max"),
+    ])
+    def test_refused_flags(self, argv, error, capsys):
+        # without --out no report is written, so --format and --no-timestamp
+        # would change nothing
+        assert main(["identity", *argv.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "ident.csv"
@@ -731,6 +867,31 @@ class TestExitCodes:
             cli._stdout_to_devnull()
             print("written after the reader left")
         assert path.read_text(encoding="utf-8") == ""
+
+
+# the flags each subcommand takes whatever its theorem, sum kind or suites;
+# every other flag is in the subcommand's table, where the one flag rule
+# (cli._flag_values) refuses it unless the entry takes it
+ALWAYS_TAKEN = {
+    "sum": ({"kind", "n", "r", "variant"}, ["_SUM_FLAGS"]),
+    "verify": ({"theorem", "n", "p", "r", "out", "format", "workers", "no_timestamp",
+                "probe_inapplicable", "fail_fast"}, ["_VERIFY_FLAGS"]),
+    "identity": ({"identity", "out"}, ["_IDENTITY_FLAGS", "_REPORT_FLAGS"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALWAYS_TAKEN))
+def test_every_other_flag_is_in_the_table(command):
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    actions = {action.dest: action for action in subparsers.choices[command]._actions
+               if action.dest != "help"}
+    always, tables = ALWAYS_TAKEN[command]
+    table = {name for t in tables for flags in getattr(cli, t).values() for name in flags}
+    assert not always & table
+    assert set(actions) == always | table
+    # a table flag is None unless given: a default would read as given
+    assert all(actions[name].default is None for name in table)
 
 
 def test_version_flag(capsys):

@@ -141,7 +141,7 @@ class TestResultType:
         assert list(suite("E1", n_max=2, l_max=0)) == [check_e1(1, 0), check_e1(2, 0)]
         assert list(suite("S4", n_max=3, primes=())) == []
         for kwargs in (dict(n_max=-1), dict(l_max=-1), dict(count=-1), dict(scl3e_limit=-1),
-                       # E2 reads no prime or alpha, but they are checked as well
+                       # E2 reads none of these but n_max: each is refused
                        dict(primes=(2, 4)), dict(alphas=(0, 1))):
             with pytest.raises(ParameterError):
                 next(suite("E2", **kwargs))  # raised before the first check
@@ -170,6 +170,22 @@ class TestResultType:
         monkeypatch.setattr(triangles, "build", no_build)
         results = list(itertools.islice(checks, 30))
         assert len(results) == 30 and all(r.passed for r in results)
+
+    @pytest.mark.parametrize("identity, option", [
+        pytest.param(identity, option, id=f"{identity}-{option}")
+        for identity, reads in {
+            "E1": "n_max l_max", "E2": "n_max", "S3": "n_max", "SS3": "n_max",
+            "S4": "n_max primes alphas", "SCL3E": "scl3e_limit primes alphas",
+            "L31": "n_max primes count seed", "L32": "n_max",
+        }.items()
+        for option in ("n_max", "l_max", "primes", "alphas", "count", "seed", "scl3e_limit")
+        if option not in reads.split()
+    ])
+    def test_suite_refuses_an_option_it_does_not_read(self, identity, option):
+        # a good value, so that only the refusal can raise
+        value = {"primes": (2,), "alphas": (1,)}.get(option, 3)
+        with pytest.raises(ParameterError, match=f"^{identity} does not read {option}$"):
+            suite(identity, **{option: value})
 
     def test_suite_unknown_id(self):
         with pytest.raises(ParameterError):

@@ -5,8 +5,10 @@ name it reads."""
 
 import ast
 import importlib
+import itertools
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -75,6 +77,38 @@ def test_readme_cli_examples_are_found():
     examples = _cli_examples()
     assert len(examples) == 9
     assert [shown for _, shown in examples if shown] == [["4 / ord_2 = 2"], ["18 / ord_3 = 2"]]
+
+
+def _readme_flag_table(header: str) -> dict[str, dict[str, str]]:
+    """The README table whose header row starts with ``header``: the flags
+    of each entry, with the default text each shows."""
+    lines = README.read_text(encoding="utf-8").split(f"\n{header} |", 1)[1].splitlines()
+    table = {}
+    for row in itertools.takewhile(lambda line: line.startswith("|"), lines[2:]):
+        entries, flags = row.strip("| ").split(" | ")
+        for entry in entries.split(", "):
+            table[entry.strip("`")] = {
+                name.strip("`").removeprefix("--").replace("-", "_"): default
+                for names, default in re.findall(r"(\S+) \(([^)]*)\)", flags)
+                for name in names.split("/")
+            }
+    return table
+
+
+def _shown(default) -> str:
+    if default is None:
+        return "optional"
+    if isinstance(default, tuple):
+        return ",".join(map(str, default))
+    return "needed" if default is cli._NEEDED else str(default)
+
+
+@pytest.mark.parametrize("header, table", [("| kind", "_SUM_FLAGS"),
+                                           ("| suite", "_IDENTITY_FLAGS")])
+def test_the_readme_flag_tables_are_the_cli_tables(header, table):
+    expected = {entry.lower(): {name: _shown(default) for name, default in flags.items()}
+                for entry, flags in getattr(cli, table).items()}
+    assert _readme_flag_table(header) == expected
 
 
 def test_every_exported_name_resolves():

@@ -58,7 +58,9 @@ def verify_argv(draw):
 def _reference_records(argv, probe):
     args = cli.build_parser().parse_args(argv)
     theorem = TheoremId(args.theorem)
-    grids = cli._build_grids(theorem, args, cli._grid_flags(theorem, args))
+    flags = cli._flag_values(theorem.value, args, cli._VERIFY_FLAGS,
+                             cli._VERIFY_FLAGS[theorem.value])
+    grids = cli._build_grids(theorem, args, flags)
     return [check_claim(theorem, params, probe) for grid in grids for params in grid_params(grid)]
 
 
