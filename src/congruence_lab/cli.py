@@ -720,8 +720,14 @@ def cmd_identity(args: argparse.Namespace) -> int:
     # a flag is refused unless a selected suite reads it; each suite gets those it reads
     read = {flag: None for identity in ids for flag in _IDENTITY_FLAGS[identity]}
     given = _flag_values(args.identity.upper(), args, _IDENTITY_FLAGS, read)
-    options = {_IDENTITY_OPTIONS[flag][0]: _IDENTITY_OPTIONS[flag][1](value)
-               for flag, value in given.items() if value is not None}
+    options = {}
+    for flag, value in given.items():
+        if value is not None:
+            option, parse = _IDENTITY_OPTIONS[flag]
+            options[option] = value = parse(value)
+            # the suite refuses it too, but under its option's name
+            if option in identities.NONNEGATIVE_OPTIONS and value < 0:
+                raise ParameterError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     report = _flag_values("identity without --out", args, _REPORT_FLAGS,
                           _REPORT_FLAGS["with --out"] if args.out else {})
 

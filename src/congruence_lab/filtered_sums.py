@@ -12,7 +12,8 @@ verifier builds it from the checked claim, the CLI from its flags.
 
 The binomial values C(n, k) come from one memoized row per n, built by
 :func:`binomial_row`, not from ``math.comb`` per claim: a grid runs n
-outermost, so one row serves every (p, alpha, l) tuple and residue of that n.
+outermost, so one row serves every (p, alpha, l) tuple and residue of that n
+(:func:`fleck_sums` reads it only when it cannot step from n - 1).
 
 The per-residue sums (:func:`fleck_sum`, :func:`binom_power_sum`, the
 Eulerian and the Stirling sums) multiply each term by its weight in place,
@@ -24,9 +25,19 @@ one-pass sums (``sun``, ``ec1``, ``ec2`` and ``sc2``).
 residue class of one modulus at once, in residue order, equal to one call of
 :func:`fleck_sum` (no divisor) or :func:`stirling_product_sum` per residue:
 the verifier evaluates a parameter tuple's d claims with one of them.
-:func:`fleck_sums` reads the signed row (-1)**k C(n, k) and builds its sums
-from repeated suffix sums of each class, by additions only, keeping those of
-the last (n, d) for the next l; :func:`fleck_sum` keeps its
+:func:`fleck_sums` builds F(n, r, l), the sum over k = r (mod d) of
+(-1)**k C(n, k) C((k - r) / d, l), by additions only.  For each modulus
+d <= n it keeps the sums of the last n for l = 0..L, at most (L + 1) d
+sums, and Pascal's rule steps all of them to n + 1:
+
+    F(n, r, l) = F(n-1, r, l) - F(n-1, r-1, l)                  for r >= 1,
+    F(n, 0, l) = F(n-1, 0, l) - F(n-1, d-1, l) - F(n-1, d-1, l-1),
+
+with F(., ., -1) = 0.  The first n, a gap in the n axis, the first tuple of
+a pool worker's chunk and a larger l than is kept fall back to repeated
+suffix sums of each class of the signed row (-1)**k C(n, k), kept for one
+(n, d) so that a larger l there extends them; a modulus d > n keeps nothing,
+since the row gives its sums.  :func:`fleck_sum` keeps its
 multiply-accumulate over ``math.comb`` weights and is the reference for it.
 """
 
@@ -35,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import triangles
@@ -130,45 +142,77 @@ def fleck_sum(n: int, cls: ResidueClass, l: int = 0, divisor: int | None = None)
     return sum(v * w for v, w in zip(values, weights))
 
 
-# The suffix sums of the last (n, d) that fleck_sums was asked for:
-# ((n, d), folds, classes), where classes[r] (r <= n) holds the folds-fold
-# suffix sums of class r's signed terms, highest k first.  Replaced whole,
-# never changed in place, so a call interrupted part-way leaves the last
-# whole state.
-_suffixes: tuple = (None, 0, ())
+# What fleck_sums keeps between calls.  For each modulus d, _kept[d] is
+# (n, levels) for the last n asked with d <= n: levels[l][r] = F(n, r, l) for
+# r < d and l = 0..L (see fleck_sums).  _kept[None] is
+# ((n, d), levels, classes), the suffix sums that the last fallback folded
+# from the row, for one (n, d), with the levels read from them so far.
+# Entries are replaced whole, never changed in place, so a call interrupted
+# part-way leaves whole entries.
+_kept: dict = {None: (None, (), ())}
+
+
+def _pascal_step(levels: tuple) -> tuple:
+    """The levels of n from the levels of n - 1, by Pascal's rule."""
+    stepped, below = [], None  # below: level l - 1 of n - 1
+    for sums in levels:
+        carry = sums[-1] + below[-1] if below else sums[-1]
+        stepped.append([sums[0] - carry, *map(operator.sub, sums[1:], sums)])
+        below = sums
+    return tuple(stepped)
 
 
 def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
     """The :func:`fleck_sum` of every residue r = 0..d - 1, with no divisor.
 
-    Member j of class r is k = r + j * d, with weight (-1)**k C(j, l).  With
-    v_k = (-1)**k C(n, k), the sum over j of v_(r + j d) C(j, l) is entry l
-    of the (l + 1)-fold suffix sums of the class's terms, since t-fold suffix
-    sums put weight C(j - i + t - 1, t - 1) on term j at entry i.  So the
-    sums take additions only (no multiplications) and a class of at most l
-    members sums to 0.
+    Member j of class r is k = r + j * d, with weight (-1)**k C(j, l), so
+    with v_k = (-1)**k C(n, k) the sum for r is F(n, r, l), the sum over j
+    of v_(r + j d) C(j, l).  Pascal's rule, v(n)_k = v(n-1)_k - v(n-1)_(k-1),
+    gives every F of n from those of n - 1 with 2d + 1 additions per l:
 
-    A grid runs l innermost, so the suffix sums of the last (n, d) are kept
-    and extended by one pass per fold asked for; a smaller l, or another
-    (n, d), starts again from the signed row.  Only the classes r <= n are
-    kept: the sums of the empty ones above n are zeros.
+        F(n, r, l) = F(n-1, r, l) - F(n-1, r-1, l)                  for r >= 1,
+        F(n, 0, l) = F(n-1, 0, l) - F(n-1, d-1, l) - F(n-1, d-1, l-1),
+
+    with F(., ., -1) = 0.  A grid runs n outermost and l innermost, so for
+    each modulus d <= n the sums of the last n are kept for l = 0..L, and a
+    step carries every kept level, since stepping level l needs level l - 1.
+    L is the largest l asked of d since its sums last came from the row, so
+    a modulus keeps at most (L + 1) d sums.  A modulus d > n keeps nothing:
+    each class then has at most one member, and the row gives the sums.
+
+    With no usable n - 1 (the first n, a gap in the n axis, the first tuple
+    of a pool worker's chunk) or a larger l than is kept, the sums come from
+    the signed row instead: F(n, r, l) is entry l of the (l + 1)-fold suffix
+    sums of class r's terms, highest k first, since t-fold suffix sums put
+    weight C(j - i + t - 1, t - 1) on term j at entry i.  A class of at most
+    l members sums to 0.  These suffix sums are kept for one (n, d), so a
+    larger l there extends them by one pass per fold.
     """
-    global _suffixes
     check_params(n=n, l=l)
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    row = _binomial_row(n)  # also refuses a float n, as math.comb did
-    kept, folds, classes = _suffixes
-    if kept != (n, d) or folds > l + 1:
-        signed = list(row)
-        signed[1::2] = [-c for c in signed[1::2]]
-        folds, classes = 0, [signed[r::d][::-1] for r in range(min(d, n + 1))]
-    while folds <= l:
-        classes = [list(itertools.accumulate(c)) for c in classes]
-        folds += 1
-    _suffixes = ((n, d), folds, classes)
-    sums = [c[-1 - l] if len(c) > l else 0 for c in classes]
-    return sums + [0] * (d - len(sums))
+    n = operator.index(n)  # a float n fails, as math.comb does
+    kept_n, levels = _kept.get(d, (None, ()))
+    if kept_n == n - 1 and len(levels) > l:
+        levels = _pascal_step(levels)
+    elif kept_n != n or len(levels) <= l:
+        if d > n:  # class r has at most one member, k = r, with weight C(0, l)
+            if l:
+                return [0] * d
+            row = _binomial_row(n)
+            return [c if k % 2 == 0 else -c for k, c in enumerate(row)] + [0] * (d - n - 1)
+        key, levels, classes = _kept[None]
+        if key != (n, d):
+            signed = list(_binomial_row(n))
+            signed[1::2] = [-c for c in signed[1::2]]
+            levels, classes = (), [signed[r::d][::-1] for r in range(d)]
+        while len(levels) <= l:
+            classes = [list(itertools.accumulate(c)) for c in classes]
+            depth = len(levels)
+            levels += ([c[-1 - depth] if len(c) > depth else 0 for c in classes],)
+        _kept[None] = ((n, d), levels, classes)
+    _kept[d] = (n, levels)
+    return list(levels[l])
 
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:

@@ -34,6 +34,7 @@ from .triangles import Family
 __all__ = [
     "IDENTITY_IDS",
     "IdentityCheckResult",
+    "NONNEGATIVE_OPTIONS",
     "SUITE_OPTIONS",
     "check_e1",
     "check_e2",
@@ -191,8 +192,9 @@ def check_l32(n: int, l: int, i: int) -> IdentityCheckResult:
     return _result("L32", params, None)
 
 
-def random_l31_tuple(rng: random.Random, n_max: int = 12, primes=(2, 3, 5)) -> tuple[int, int, int, int]:
-    """One random tuple satisfying the L31 precondition."""
+def random_l31_tuple(rng: random.Random, n_max: int, primes) -> tuple[int, int, int, int]:
+    """One random tuple satisfying the L31 precondition, with n <= n_max and p
+    from ``primes``."""
     n = rng.randint(0, n_max)
     p = rng.choice(list(primes))
     x = rng.randint(-(10**6), 10**6)
@@ -235,6 +237,9 @@ SUITE_OPTIONS: dict[str, dict[str, Any]] = {
 
 IDENTITY_IDS = tuple(SUITE_OPTIONS)
 
+#: the options that are bounds or counts, each at least 0
+NONNEGATIVE_OPTIONS = ("n_max", "l_max", "scl3e_limit", "count")
+
 # the triangles whose rows 0..n_max each suite reads; L31 and L32 read none
 _READS = {
     "E1": (Family.EULERIAN, Family.STIRLING2),
@@ -263,7 +268,7 @@ def suite(identity: str, **options: Any) -> Iterator[IdentityCheckResult]:
         if name not in SUITE_OPTIONS[identity]:
             raise ParameterError(f"{identity} does not read {name}")
     opts = {**SUITE_OPTIONS[identity], **options}
-    for name in ("n_max", "l_max", "scl3e_limit", "count"):
+    for name in NONNEGATIVE_OPTIONS:
         if opts.get(name, 0) < 0:
             raise ParameterError(f"{name} must be >= 0, got {opts[name]}")
     for p in opts.get("primes") or ():

@@ -101,6 +101,48 @@ def naive_filtered_sum(upper: int, d: int, r: int, term) -> int:
     return total
 
 
+def _ring_times(a: list, b: list, big_d: int) -> list:
+    """The product of two elements of Z[t]/(t**(L+1)) [x]/(x**D - 1 - t),
+    each a list of D coefficient lists [c_0, ..., c_L] of x**rho."""
+    top = len(a[0])
+    out = [[0] * top for _ in range(big_d)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod = [sum(ai[u] * bj[s - u] for u in range(s + 1)) for s in range(top)]
+            k = i + j
+            if k >= big_d:  # x**(rho + D) = x**rho (1 + t)
+                k -= big_d
+                prod = [c + (prod[s - 1] if s else 0) for s, c in enumerate(prod)]
+            out[k] = [o + c for o, c in zip(out[k], prod)]
+    return out
+
+
+def fleck_sums_by_ring(n: int, big_d: int, l_max: int) -> list[list[int]]:
+    """F(n, rho, l) for l = 0..l_max (outer) and rho = 0..D-1 (inner): the
+    sum over k = rho (mod D) of (-1)**k C(n, k) C((k - rho) / D, l).
+
+    In Z[t]/(t**(L+1)) [x]/(x**D - 1 - t), x**(rho + jD) = x**rho (1 + t)**j,
+    so (1 - x)**n is the sum of F(n, rho, l) x**rho t**l.  The power is taken
+    by squaring: no binomial row and no ``math.comb``.
+    """
+    top = l_max + 1
+    power = [[1 if rho == 0 and s == 0 else 0 for s in range(top)] for rho in range(big_d)]
+    base = [row[:] for row in power]
+    if big_d == 1:  # x = 1 + t, so 1 - x = -t
+        base[0][0] = 0
+        if top > 1:
+            base[0][1] = -1
+    else:
+        base[1][0] = -1
+    e = n
+    while e:
+        if e & 1:
+            power = _ring_times(power, base, big_d)
+        base = _ring_times(base, base, big_d)
+        e >>= 1
+    return [[power[rho][l] for rho in range(big_d)] for l in range(top)]
+
+
 def report_summary(records) -> dict:
     """A report's summary object, tallied claim by claim from ``records``
     (``ClaimRecord``s): the verdict counts, the least margin and the params

@@ -666,6 +666,21 @@ class TestIdentityCommand:
         assert out == "" and not report.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["e2", "--n-max", "-1"], "--n-max"),
+        (["e2", "--n=-3..-1"], "--n"),
+        (["e1", "--l-max=-1"], "--l-max"),
+        (["l31", "--count", "-1"], "--count"),
+        (["scl3e", "--scl3e-limit", "-1"], "--scl3e-limit"),
+        (["all", "--n-max", "-1"], "--n-max"),
+    ])
+    def test_a_negative_bound_names_its_flag(self, argv, flag, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(identities, "suite", lambda *args, **kwargs: calls.append(args))
+        assert main(["identity", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= 0, got -1\n")
+        assert calls == []
+
     @pytest.mark.parametrize("argv, error", [
         (["all", "--n-max", "3", "--count", "2", "--scl3e-limit", "300"],
          "error: row 256 exceeds the row limit 200\n"),  # SCL3E's case (2, 8)

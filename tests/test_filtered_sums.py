@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -21,7 +23,7 @@ from congruence_lab.filtered_sums import (
     stirling_product_sums,
 )
 
-from oracles import naive_filtered_sum
+from oracles import fleck_sums_by_ring, naive_filtered_sum
 
 
 class TestResidueClass:
@@ -304,6 +306,19 @@ class TestNaiveOracle:
                 want = naive_filtered_sum(n, d, r, lambda k: math.comb(n, k) * (2 - l) ** k)
                 assert got == want, ("power", n, p, alpha, r, l)
 
+    def test_floor_sums_by_ring(self):
+        # sun's sum for r mod p**beta, with quotients by p**alpha, is the sum
+        # of the exact sums F(n, rho, l) over rho = r (mod p**beta), rho < p**alpha
+        for n in range(1, 40):
+            for p, alpha in ((2, 1), (2, 2), (3, 1), (3, 2)):
+                d = p**alpha
+                ring = fleck_sums_by_ring(n, d, 3)
+                for beta in range(alpha + 1):
+                    for r in range(p**beta):
+                        for l in range(4):
+                            got = fleck_sum(n, ResidueClass(p**beta, r), l, d)
+                            assert got == sum(ring[l][r::p**beta]), (n, p, alpha, beta, r, l)
+
 
 class TestOnePassSums:
     """Every residue's sum at once equals one per-residue sum per residue."""
@@ -321,9 +336,25 @@ class TestOnePassSums:
         assert fleck_sums(n, d, l) == want
 
     @staticmethod
-    def _check_calls(calls):
+    def _check_kept():
+        """What fleck_sums keeps holds only the classes r <= n: each modulus's
+        sums are of an n >= d, d of them per level, and the fallback's suffix
+        sums are of one (n, d) with d <= n, n + 1 terms in d classes."""
+        for d, entry in filtered_sums._kept.items():
+            if d is None:
+                key, levels, classes = entry
+                if key is not None:
+                    n, d = key
+                    assert len(classes) == d <= n and sum(map(len, classes)) == n + 1
+                    assert levels and all(len(sums) == d for sums in levels)
+            else:
+                n, levels = entry
+                assert d <= n and levels and all(len(sums) == d for sums in levels)
+
+    @classmethod
+    def _check_calls(cls, calls):
         """Each fleck_sums call of the sequence equals one fleck_sum and one
-        naive sum per residue, and the kept suffix sums hold one (n, d)."""
+        naive sum per residue, and leaves kept only classes r <= n."""
         for n, p, alpha, l in calls:
             d = p**alpha
             got = fleck_sums(n, d, l)
@@ -331,8 +362,8 @@ class TestOnePassSums:
             assert got == [naive_filtered_sum(
                 n, d, r, lambda k: (-1) ** k * math.comb(n, k) * math.comb((k - r) // d, l))
                 for r in range(d)], (n, p, alpha, l)
-            classes = filtered_sums._suffixes[2]
-            assert len(classes) == min(d, n + 1) and sum(map(len, classes)) == n + 1
+            cls._check_kept()
+            assert (filtered_sums._kept.get(d, (None,))[0] == n) == (d <= n), (n, d)
 
     def test_fleck_sums_sequence(self):
         # l ascending, repeated and descending, (n, d) interleaved, and
@@ -354,17 +385,69 @@ class TestOnePassSums:
         and repeats, and the (n, d) interleave."""
         self._check_calls([(*keys[i % len(keys)], l) for i, l in picks])
 
-    def test_no_empty_class_is_kept(self):
-        # weisman at n = 3, p**alpha = 2**16: only the 4 classes r <= n have a
-        # member, and only they may stay in _suffixes once the tuple is done
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=30),  # where the window starts
+        st.lists(st.sampled_from([1, 1, 1, 2, 3]), max_size=6),  # its n steps: 2 and 3 are gaps
+        st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 27]), min_size=1, max_size=3,
+                 unique=True),  # its moduli, some above n
+        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),  # its l axis
+        st.integers(min_value=0, max_value=6),  # calls a pool chunk start skips
+    ), min_size=1, max_size=4))
+    def test_fleck_sums_over_sweeps(self, windows):
+        """Sweeps as a grid makes them, n outermost and l innermost: n
+        windows with gaps, restarts at an earlier or a later n, l axes that
+        skip values or run down, interleaved moduli (some above n), and
+        windows that start part-way into an n, as a pool chunk does.  Every
+        sum equals fleck_sum and the ring oracle, which reads no row."""
+        ring = {}
+        for start, steps, moduli, ls, skip in windows:
+            ns = itertools.accumulate(steps, initial=start)
+            calls = [(n, d, l) for n in ns for d in moduli for l in ls][skip:]
+            for n, d, l in calls:
+                got = fleck_sums(n, d, l)
+                if (n, d) not in ring:
+                    ring[n, d] = fleck_sums_by_ring(n, d, 4)
+                assert got == ring[n, d][l], (n, d, l)
+                assert got == [fleck_sum(n, ResidueClass(d, r), l) for r in range(d)]
+                self._check_kept()
+
+    def test_no_empty_class_is_kept(self, monkeypatch):
+        # weisman at n = 3, p**alpha = 2**16: each class has at most one
+        # member, so the row gives the sums and nothing is kept for the tuple
+        monkeypatch.setattr(filtered_sums, "_kept", {None: (None, (), ())})
         tracemalloc.start()
         try:
             verifier.evaluate_tuple("weisman", {"n": 3, "p": 2, "alpha": 16})  # result dropped
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(filtered_sums._suffixes[2]) == 4
+        assert filtered_sums._kept == {None: (None, (), ())}
         assert held < 2**18
+
+    def test_kept_state_after_a_sweep(self, monkeypatch):
+        # binom-deep's moduli and l axis, and a modulus above n, over n =
+        # 600..620: what stays is at most (L + 1) d sums per modulus d <= n,
+        # the suffix sums of one (n, d) and the one cached row
+        monkeypatch.setattr(filtered_sums, "_kept", {None: (None, (), ())})
+        ns, moduli, ls = range(600, 621), (2, 4, 3, 9, 2**10), range(4)
+        tracemalloc.start()
+        try:
+            for n in ns:
+                for d in moduli:
+                    for l in ls:
+                        fleck_sums(n, d, l)  # result dropped
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        self._check_kept()
+        bound = sum(len(ls) * d for d in moduli if d <= ns[-1])
+        kept = [s for d, entry in filtered_sums._kept.items() if d is not None
+                for sums in entry[1] for s in sums]
+        assert len(kept) <= bound
+        # each int held is at most one of n + 64 bits, and a list holds it by one pointer
+        per_int = sys.getsizeof(1 << (ns[-1] + 64)) + 8
+        assert held < (bound + 2 * (ns[-1] + 1)) * per_int + 2**14
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -108,8 +108,9 @@ class TestBinomialShift:
 
     def test_random_tuples_conform(self):
         rng = random.Random(5)
+        options = identities.SUITE_OPTIONS["L31"]
         for _ in range(50):
-            n, p, x, x_prime = random_l31_tuple(rng)
+            n, p, x, x_prime = random_l31_tuple(rng, options["n_max"], options["primes"])
             assert check_l31(n, p, x, x_prime).passed
 
 
