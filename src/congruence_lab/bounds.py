@@ -20,13 +20,12 @@ bound as trivially satisfied is the verifier's business.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from . import filtered_sums
+from ._slots import Frozen
 from .errors import ParameterError
 from .exactmath import IntPolynomial, check_params, ord_p, ord_p_factorial
 from .triangles import Family
@@ -61,17 +60,19 @@ def _named(fn: Callable | None) -> tuple[str, ...]:
     return fn.__code__.co_varnames[: fn.__code__.co_argcount] if fn else ()
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Frozen):
     """What one theorem id means.
 
     Every function takes the claim's parameters as keywords, names those it
-    reads and takes the rest with ``**_``; ``sum`` also takes the residue
-    class first, and ``sums`` may name the modulus ``d``.  A sum calls its
-    kernel through the :mod:`filtered_sums` module, so the kernel is looked
-    up at call time.  The kernel takes n, the class (or d) and its weight's
-    parameters, never p or alpha: those are checked once per claim, where
-    the class is built.
+    reads and takes the rest with ``**_``; a function that names none reads
+    them all.  ``sum`` also takes the residue class first, and ``sums`` may
+    name the modulus ``d``.  A sum calls its kernel through the
+    :mod:`filtered_sums` module, so the kernel is looked up at call time.
+    The kernel takes n, the class (or d) and its weight's parameters, never
+    p or alpha: those are checked once per claim, where the class is built.
+    ``sum`` calls a private per-residue kernel that checks nothing, since
+    every claim path has checked the claim's parameters; ``sums`` calls a
+    public one-pass sum, which checks its n and l once per tuple.
 
     ``sums``, where a theorem has it, returns the sums of all d residue
     classes in residue order, each equal to what ``sum`` gives for that
@@ -79,15 +80,25 @@ class Theorem:
     for, and calls one ``sum`` per residue without it or for a subset.
     """
 
-    params: tuple[str, ...]  # besides the residue r, in the order of verifier.AXIS_FIELDS
-    modulus: Callable[..., int]  # the class modulus d
-    sum: Callable[..., int | None]  # None where the sum is undefined
-    bound: Callable[..., int] | None  # the exponent E; None for SC2
-    hypotheses: Callable[..., bool] | None = None  # None: they always hold
-    tables: tuple[Family, ...] = ()  # the triangle families the sum reads
-    sums: Callable[..., list[int]] | None = None  # every residue's sum at once
+    __slots__ = ("params", "modulus", "sum", "bound", "hypotheses", "tables", "sums")
 
-    @functools.cached_property
+    def __init__(
+        self,
+        params: tuple[str, ...],  # besides the residue r, in the order of verifier.AXIS_FIELDS
+        modulus: Callable[..., int],  # the class modulus d
+        sum: Callable[..., int | None],  # None where the sum is undefined
+        bound: Callable[..., int] | None,  # the exponent E; None for SC2
+        hypotheses: Callable[..., bool] | None = None,  # None: they always hold
+        tables: tuple[Family, ...] = (),  # the triangle families the sum reads
+        sums: Callable[..., list[int]] | None = None,  # every residue's sum at once
+    ) -> None:
+        self._set(params, modulus, sum, bound, hypotheses, tables, sums)
+
+    def _replace(self, **changes: object) -> "Theorem":
+        """A copy with the given fields changed."""
+        return Theorem(**{name: getattr(self, name) for name in self.__slots__} | changes)
+
+    @property
     def spec_params(self) -> tuple[str, ...]:
         """The parameters the bound and the hypotheses read, which a
         :class:`BoundSpec` must hold."""
@@ -106,21 +117,21 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.FLECK: Theorem(
         params=("n", "p"),
         modulus=lambda p, **_: p,
-        sum=lambda cls, n, **_: filtered_sums.fleck_sum(n, cls),
+        sum=lambda cls, n, **_: filtered_sums._fleck_sum(n, cls),
         bound=lambda n, p, **_: (n - 1) // (p - 1),
         sums=lambda n, d, **_: filtered_sums.fleck_sums(n, d),
     ),
     TheoremId.WEISMAN: Theorem(
         params=("n", "p", "alpha"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, **_: filtered_sums.fleck_sum(n, cls),
+        sum=lambda cls, n, **_: filtered_sums._fleck_sum(n, cls),
         bound=lambda n, p, alpha, **_: (n - _q(p, alpha)) // (_q(p, alpha) * (p - 1)),
         sums=lambda n, d, **_: filtered_sums.fleck_sums(n, d),
     ),
     TheoremId.WAN: Theorem(
         params=("n", "p", "l"),
         modulus=lambda p, **_: p,
-        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, l, **_: (n - l * p - 1) // (p - 1),
         hypotheses=lambda n, p, l, **_: n > l * p,
         sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
@@ -130,7 +141,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, beta, **_: p**beta,
         # the floor sum needs beta <= alpha; beyond it a probe gets only the bound
         sum=lambda cls, n, p, alpha, beta, l, **_: (
-            None if beta > alpha else filtered_sums.fleck_sum(n, cls, l, p**alpha)),
+            None if beta > alpha else filtered_sums._fleck_sum(n, cls, l, p**alpha)),
         bound=lambda n, p, alpha, beta, l, **_: (
             (n - _q(p, alpha) - l) // (_q(p, alpha) * (p - 1)) - (l - 1) * alpha - beta),
         hypotheses=lambda n, p, alpha, beta, **_: beta <= alpha and n >= _q(p, alpha),
@@ -138,7 +149,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.WAN_STRONG: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             (n - _q(p, alpha) - l * p**alpha) // (_q(p, alpha) * (p - 1))),
         sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
@@ -148,7 +159,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.DAVIS_SUN_A: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // p**alpha, p) - ord_p_factorial(l, p)),
         sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
@@ -156,7 +167,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.DAVIS_SUN_B: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, l, **_: filtered_sums.fleck_sum(n, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // _q(p, alpha), p) - l - ord_p_factorial(l, p)),
         sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
@@ -164,7 +175,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.EC1: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, l, **_: filtered_sums.eulerian_wan_sum(n, cls, l),
+        sum=lambda cls, n, l, **_: filtered_sums._eulerian_wan_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: ord_p_factorial(n // _q(p, alpha), p) - _ceil_div(
             _q(p, alpha) + l * p**alpha, _q(p, alpha) * (p - 1)),
         tables=(Family.EULERIAN,),
@@ -172,7 +183,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.EC2: Theorem(
         params=("n", "p", "alpha", "a"),
         modulus=lambda p, alpha, **_: p**alpha,
-        sum=lambda cls, n, a, **_: filtered_sums.eulerian_power_sum(n, cls, a),
+        sum=lambda cls, n, a, **_: filtered_sums._eulerian_power_sum(n, cls, a),
         bound=lambda n, p, alpha, **_: ord_p_factorial(n // _q(p, alpha), p) - 1,
         hypotheses=lambda n, p, alpha, a, **_: n >= p**alpha and (a - 1) % p == 0,
         tables=(Family.EULERIAN,),
@@ -180,7 +191,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.SC1: Theorem(
         params=("n", "p", "m", "a"),
         modulus=lambda p, **_: p - 1,
-        sum=lambda cls, n, m, a, **_: filtered_sums.stirling_product_sum(n, m, cls, a),
+        sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, m, **_: ord_p_factorial(n, p) - ord_p_factorial(m, p),
         tables=(Family.STIRLING1, Family.STIRLING2),
         sums=lambda n, m, a, d, **_: filtered_sums.stirling_product_sums(n, m, d, a),
@@ -188,14 +199,14 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.SC2: Theorem(
         params=("n", "p", "a", "f"),
         modulus=lambda p, **_: p - 1,
-        sum=lambda cls, n, a, f, **_: filtered_sums.stirling_poly_sum(n, f, cls, a),
+        sum=lambda cls, n, a, f, **_: filtered_sums._stirling_poly_sum(n, f, cls, a),
         bound=None,
         tables=(Family.STIRLING1,),
     ),
     TheoremId.SC3: Theorem(
         params=("n", "p", "alpha", "m", "a"),
         modulus=lambda p, alpha, **_: p**alpha * (p - 1),
-        sum=lambda cls, n, m, a, **_: filtered_sums.stirling_product_sum(n, m, cls, a),
+        sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, alpha, m, **_: (
             (n - p**alpha) // (p**alpha * (p - 1)) - ord_p_factorial(m, p)),
         tables=(Family.STIRLING1, Family.STIRLING2),
@@ -204,8 +215,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
 }
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(Frozen):
     """Parameter bundle for one theorem's hypotheses: built on no claim path.
 
     It stays only because ``perfbench/tracer.py`` patches
@@ -214,29 +224,30 @@ class BoundSpec:
     :attr:`Theorem.spec_params` go.
     """
 
-    theorem: TheoremId
-    n: int
-    p: int
-    alpha: int | None = None
-    beta: int | None = None
-    l: int | None = None
-    m: int | None = None
-    a: int | None = None
+    __slots__ = ("theorem", "n", "p", "alpha", "beta", "l", "m", "a")
+
+    def __init__(self, theorem: TheoremId, n: int, p: int, alpha: int | None = None,
+                 beta: int | None = None, l: int | None = None, m: int | None = None,
+                 a: int | None = None) -> None:
+        self._set(TheoremId(theorem), n, p, alpha, beta, l, m, a)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theorem", TheoremId(self.theorem))
         # p, and every other field that is set, whether or not the theorem takes it
-        check_params(p=self.p, **{name: value for name, value in vars(self).items()
+        check_params(p=self.p, **{name: value for name, value in self._params().items()
                                   if name != "p" and value is not None})
         for name in THEOREMS[self.theorem].spec_params:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.theorem.value} needs parameter {name}")
 
+    def _params(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__[1:]}
+
     def hypotheses_hold(self) -> bool:
         """Whether this parameter tuple satisfies the theorem's hypotheses
         (a failing tuple is NOT-APPLICABLE)."""
         hypotheses = THEOREMS[self.theorem].hypotheses
-        return hypotheses is None or hypotheses(**vars(self))
+        return hypotheses is None or hypotheses(theorem=self.theorem, **self._params())
 
 
 def sc2_constants(n: int, p: int, f: IntPolynomial) -> tuple[int, int, int]:

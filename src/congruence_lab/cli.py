@@ -20,18 +20,20 @@ accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
 Claims are evaluated one parameter tuple (all its residue classes) at a
-time through ``verifier.evaluate_tuple``, in chunks of at least
-``JSON_CHUNK`` claims cut at tuple boundaries (``verifier.iter_chunks``);
-with --fail-fast the chunks stop right after the first VIOLATION, cutting
-its tuple's records there.  Each chunk's tuple results are tallied whole and
-rendered from a fixed layout (``_result_json``, ``csv.writer`` rows from
-``_result_csv``) that formats what a tuple's records share once and gives
-the bytes ``json.dumps`` with indent=2 and sorted keys, and
-``csv.DictWriter``, gave.  Every run streams its report through
-``_write_report``, one write per chunk and the JSON summary last, so memory
-does not depend on the grid size.  `verify --workers N` (N >= 2) forks a
-pool of worker processes (:class:`_Pool`): worker i evaluates and renders
-chunks i, i + W, i + 2W, ... of the W workers, and the parent writes the
+time, through one plan per grid, in chunks of at least ``JSON_CHUNK`` claims
+cut at tuple boundaries (``verifier.iter_chunks``); with --fail-fast the
+chunks stop right after the first VIOLATION, cutting its tuple's records
+there.  Each chunk's tuple results are tallied whole and rendered from a
+fixed layout (``_result_json``, and the CSV text of ``_result_csv``) that
+formats what a tuple's records share once and gives the bytes
+``json.dumps`` with indent=2 and sorted keys, and ``csv.DictWriter``, gave.
+A ``verify`` run imports neither the identity suites nor ``csv`` (only the
+identity CSV report does), and ``datetime`` only for a timestamp.  Every run
+streams its report through ``_write_report``, one write per chunk and the
+JSON summary last, so memory does not depend on the grid size.
+`verify --workers N` (N >= 2) forks a pool of worker processes
+(:class:`_Pool`): worker i evaluates and renders chunks i, i + W,
+i + 2W, ... of the W workers, and the parent writes the
 chunks in order and merges their summaries, so the report's bytes are those
 of a serial run.  The pool is capped at the CPUs the process may use and at
 the number of chunks; the run is serial when that leaves fewer than two
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import functools
 import io
@@ -61,12 +62,12 @@ import os
 import signal
 import sys
 import threading
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from . import __version__, identities, triangles, verifier
+from . import __version__, triangles, verifier
+from ._suites import IDENTITY_IDS, NONNEGATIVE_OPTIONS, SUITE_OPTIONS
 from .bounds import THEOREMS, TheoremId
 from .errors import CapacityError, CongruenceLabError, ParameterError
 from .exactmath import IntPolynomial, check_params, ord_p
@@ -170,6 +171,8 @@ def parse_m_axis(text: str) -> tuple[str, Any]:
 
 
 def _now_stamp() -> str:
+    from datetime import datetime, timezone  # only a report with a timestamp needs it
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -413,22 +416,47 @@ def _result_json(res: TupleResult) -> str:
     return ",\n".join(texts)
 
 
-_NO_SC2 = (None,) * 4
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a row that ``csv.writer`` (QUOTE_MINIMAL,
+    line terminator "\n") writes: quoted, with its quotes doubled, if it
+    holds a comma, a quote or a line feed.  Whether a lone carriage return
+    is quoted differs between Python versions, so that text is left to the
+    csv module."""
+    if "\r" in text:
+        import csv
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, None])
+        return buf.getvalue()[:-2]
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _result_csv(res: TupleResult) -> list[list[Any]]:
-    """The CSV rows of the records, in ``CSV_COLUMNS`` order (csv writes
-    None as an empty field); they share the columns before "r"."""
+def _result_csv(res: TupleResult) -> str:
+    """The CSV rows of the records, in ``CSV_COLUMNS`` order, each ended by
+    a line feed: the bytes that ``csv.writer`` writes for them, from a fixed
+    layout.  None is an empty field; the only field that can need quotes is
+    SC2's coefficient string ``f``.  The columns before "r", "f" and the
+    bound are formatted once for the tuple."""
     params = res.params
-    head = [res.theorem._value_, *map(params.get, CSV_COLUMNS[1:9])]
+    head = "".join(f"{'' if value is None else value},"
+                   for value in (res.theorem._value_, *map(params.get, CSV_COLUMNS[1:9])))
     f = params.get("f")
-    bound = "sc2" if res.theorem is TheoremId.SC2 else res.bound
-    return [
-        head + [r, f, total, order, bound, verdict._value_, margin,
-                *(_NO_SC2 if sc2 is None else (sc2.l, sc2.lhs, sc2.rhs, sc2.satisfied))]
-        for r, total, order, verdict, margin, sc2 in zip(
-            res.residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2)
-    ]
+    f = "" if f is None else _csv_field(f)
+    if res.theorem is TheoremId.SC2:
+        bound = "sc2"
+    else:
+        bound = "" if res.bound is None else res.bound
+    texts = []
+    for r, total, order, verdict, margin, sc2 in zip(
+            res.residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2):
+        texts.append(
+            f"{head}{r},{f},{'' if total is None else total},{'' if order is None else order},"
+            f"{bound},{verdict._value_},{'' if margin is None else margin},"
+            + (",,,\n" if sc2 is None else
+               f"{sc2.l},{'' if sc2.lhs is None else sc2.lhs},{sc2.rhs},{sc2.satisfied}\n"))
+    return "".join(texts)
 
 
 def _write_report(
@@ -503,10 +531,7 @@ def _rendered_chunks(
         if fmt == "json":
             text = ",\n".join(map(_result_json, results))
         else:
-            buf = io.StringIO()
-            rows = itertools.chain.from_iterable(map(_result_csv, results))
-            csv.writer(buf, lineterminator="\n").writerows(rows)
-            text = buf.getvalue()
+            text = "".join(map(_result_csv, results))
         yield summary, text
 
 
@@ -691,7 +716,7 @@ _IDENTITY_OPTIONS: dict[str, tuple[str, Callable[[Any], Any]]] = {
 _IDENTITY_FLAGS = {
     identity: {flag: defaults[option] for flag, (option, _) in _IDENTITY_OPTIONS.items()
                if option in defaults}
-    for identity, defaults in identities.SUITE_OPTIONS.items()
+    for identity, defaults in SUITE_OPTIONS.items()
 }
 
 #: the identity report's flags, with their defaults: taken only with --out
@@ -704,6 +729,8 @@ def _identity_report(report: dict[str, Any], ids: Sequence[str], aggregates: lis
         run["timestamp"] = _now_stamp()
     if report["format"] == "json":
         return _json_text({"run": run, "checks": aggregates})
+    import csv  # only this report needs it
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, ("identity", "total", "passed", "failed", "first_failure"),
                             lineterminator="\n")
@@ -716,7 +743,9 @@ def _identity_report(report: dict[str, Any], ids: Sequence[str], aggregates: lis
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
-    ids = identities.IDENTITY_IDS if args.identity == "all" else (args.identity.upper(),)
+    from . import identities  # the suites load only for this subcommand
+
+    ids = IDENTITY_IDS if args.identity == "all" else (args.identity.upper(),)
     # a flag is refused unless a selected suite reads it; each suite gets those it reads
     read = {flag: None for identity in ids for flag in _IDENTITY_FLAGS[identity]}
     given = _flag_values(args.identity.upper(), args, _IDENTITY_FLAGS, read)
@@ -726,7 +755,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
             option, parse = _IDENTITY_OPTIONS[flag]
             options[option] = value = parse(value)
             # the suite refuses it too, but under its option's name
-            if option in identities.NONNEGATIVE_OPTIONS and value < 0:
+            if option in NONNEGATIVE_OPTIONS and value < 0:
                 raise ParameterError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     report = _flag_values("identity without --out", args, _REPORT_FLAGS,
                           _REPORT_FLAGS["with --out"] if args.out else {})
@@ -736,7 +765,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
     with _output(args.out) if args.out else contextlib.nullcontext() as out:
         suites = [identities.suite(identity_id, **{
             option: value for option, value in options.items()
-            if option in identities.SUITE_OPTIONS[identity_id]}) for identity_id in ids]
+            if option in SUITE_OPTIONS[identity_id]}) for identity_id in ids]
         aggregates = []
         for identity_id, checks in zip(ids, suites):
             total = passed = 0
@@ -815,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ident = sub.add_parser("identity", help="run identity check suites")
     ident.add_argument("identity", type=str.lower,
-                       choices=[i.lower() for i in identities.IDENTITY_IDS] + ["all"])
-    # the suites that read each flag, and its default, are in identities.SUITE_OPTIONS
+                       choices=[i.lower() for i in IDENTITY_IDS] + ["all"])
+    # the suites that read each flag, and its default, are in SUITE_OPTIONS
     top = ident.add_mutually_exclusive_group()
     top.add_argument("--n", help='n range; only the top matters, e.g. "1..12"; '
                      + _flag_help(_IDENTITY_FLAGS, "n"))

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 
+from ._slots import Frozen
 from .errors import ParameterError
 
 __all__ = [
@@ -77,8 +77,7 @@ def check_params(**params) -> None:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class PAdicOrder:
+class PAdicOrder(Frozen):
     """A p-adic valuation: either a natural number or the infinite order.
 
     The infinite order (valuation of zero) compares greater than every finite
@@ -86,11 +85,12 @@ class PAdicOrder:
     are supported, including negative ints (lower bounds may be negative).
     """
 
-    _finite: int | None
+    __slots__ = ("_finite",)
 
-    def __post_init__(self) -> None:
-        if self._finite is not None and self._finite < 0:
+    def __init__(self, _finite: int | None) -> None:
+        if _finite is not None and _finite < 0:
             raise ValueError("a finite p-adic order must be >= 0")
+        self._set(_finite)
 
     @property
     def is_infinite(self) -> bool:
@@ -226,8 +226,7 @@ def binom(x: int, k: int) -> int:
     return -c if k % 2 else c
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Integer-coefficient polynomial; ``coeffs[i]`` multiplies x**i.
 
     Trailing zero coefficients are stripped, so the zero polynomial is the
@@ -235,13 +234,13 @@ class IntPolynomial:
     weight, and it keeps ``degree`` total).
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = tuple(int(v) for v in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        c = tuple(int(v) for v in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self._set(c)
 
     @classmethod
     def from_coeff_string(cls, text: str) -> "IntPolynomial":

@@ -17,9 +17,13 @@ outermost, so one row serves every (p, alpha, l) tuple and residue of that n
 
 The per-residue sums (:func:`fleck_sum`, :func:`binom_power_sum`, the
 Eulerian and the Stirling sums) multiply each term by its weight in place,
-with exact ``math.comb`` weights or one running power of the base.  They are
-``check_claim``'s reference, and the sweep path of the theorems that have no
-one-pass sums (``sun``, ``ec1``, ``ec2`` and ``sc2``).
+with exact ``math.comb`` weights or one running power of the base.  Each
+public one checks its arguments and calls a private kernel
+(``_fleck_sum``, ...) that checks nothing.  The theorem table's ``sum``
+calls the kernels, since every claim path has checked the claim's
+parameters: they are ``check_claim``'s reference, and the sweep path of the
+theorems that have no one-pass sums (``sun``, ``ec1``, ``ec2`` and ``sc2``)
+and of a residue subset.
 
 :func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
 residue class of one modulus at once, in residue order, equal to one call of
@@ -47,9 +51,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import triangles
+from ._slots import Frozen
 from .errors import ParameterError
 from .exactmath import IntPolynomial, check_params
 from .triangles import Family
@@ -67,21 +71,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(Frozen):
     """The integers congruent to ``residue`` modulo ``modulus``.
 
     The stored residue is canonical (0 <= residue < modulus), so two classes
     are equal iff they contain the same integers.
     """
 
-    modulus: int
-    residue: int
+    __slots__ = ("modulus", "residue")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ParameterError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, modulus: int, residue: int) -> None:
+        if modulus < 1:
+            raise ParameterError(f"modulus must be >= 1, got {modulus}")
+        self._set(modulus, residue % modulus)
 
     def members(self, upper: int) -> range:
         """Members in [0, upper], ascending (empty when residue > upper)."""
@@ -136,6 +138,12 @@ def fleck_sum(n: int, cls: ResidueClass, l: int = 0, divisor: int | None = None)
     q = cls.modulus if divisor is None else divisor
     if q < 1:
         raise ParameterError(f"divisor must be >= 1, got {q}")
+    return _fleck_sum(n, cls, l, q)
+
+
+def _fleck_sum(n: int, cls: ResidueClass, l: int = 0, q: int | None = None) -> int:
+    """:func:`fleck_sum` of checked arguments, with the divisor ``q``."""
+    q = cls.modulus if q is None else q
     values = _binomial_row(n)[cls.residue :: cls.modulus]
     quotients = [(k - cls.residue) // q for k in cls.members(n)]
     weights = _alternating_weights(cls, quotients, l)
@@ -244,7 +252,11 @@ def eulerian_wan_sum(n: int, cls: ResidueClass, l: int) -> int:
     sum over k = r (mod d), 0 <= k <= n-1, of A(n, k) C((k - r) / d, l).
     """
     check_params(n=n, l=l)
-    row = triangles.ensure_rows(Family.EULERIAN, n).row(n)  # n is checked above
+    return _eulerian_wan_sum(n, cls, l)
+
+
+def _eulerian_wan_sum(n: int, cls: ResidueClass, l: int) -> int:
+    row = triangles.ensure_rows(Family.EULERIAN, n).row(n)
     return sum(row[k] * math.comb(j, l) for j, k in enumerate(cls.members(n - 1)))
 
 
@@ -253,7 +265,11 @@ def eulerian_power_sum(n: int, cls: ResidueClass, a: int) -> int:
     sum over k = r (mod d), 0 <= k <= n-1, of A(n, k) a**k  (0**0 = 1).
     """
     check_params(n=n)
-    row = triangles.ensure_rows(Family.EULERIAN, n).row(n)  # n is checked above
+    return _eulerian_power_sum(n, cls, a)
+
+
+def _eulerian_power_sum(n: int, cls: ResidueClass, a: int) -> int:
+    row = triangles.ensure_rows(Family.EULERIAN, n).row(n)
     return _power_sum((row[k] for k in cls.members(n - 1)), cls, a)
 
 
@@ -264,6 +280,10 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
     The class modulus d is arbitrary; m > n gives 0 because S(k, m) vanishes.
     """
     check_params(n=n, m=m)
+    return _stirling_product_sum(n, m, cls, a)
+
+
+def _stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
     srow = triangles.stirling1_row(n)
     tri2 = triangles.ensure_rows(Family.STIRLING2, n)
     return _power_sum((srow[k] * tri2.value(k, m) for k in cls.members(n)), cls, a)
@@ -290,5 +310,9 @@ def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> in
     sum over k = r (mod d), 0 <= k <= n, of s(n, k) f(k) a**k.
     """
     check_params(n=n)
+    return _stirling_poly_sum(n, f, cls, a)
+
+
+def _stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> int:
     srow = triangles.stirling1_row(n)
     return _power_sum((srow[k] * f(k) for k in cls.members(n)), cls, a)

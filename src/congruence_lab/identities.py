@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 from . import triangles
+from ._slots import Frozen
+from ._suites import IDENTITY_IDS, NONNEGATIVE_OPTIONS, SUITE_OPTIONS
 from .errors import ParameterError
 from .exactmath import binom, check_params, check_prime, is_prime, ord_p, ord_p_factorial
 from .triangles import Family
@@ -49,16 +50,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityCheckResult:
-    identity: str
-    params: dict[str, int]
-    passed: bool
-    witness: dict[str, Any] | None = None
+class IdentityCheckResult(Frozen):
+    __slots__ = ("identity", "params", "passed", "witness")
 
-    def __post_init__(self) -> None:
-        if self.passed and self.witness is not None:
+    def __init__(self, identity: str, params: dict[str, int], passed: bool,
+                 witness: dict[str, Any] | None = None) -> None:
+        if passed and witness is not None:
             raise ValueError("a passing check cannot carry a witness")
+        self._set(identity, params, passed, witness)
 
 
 def _result(identity: str, params: dict[str, int], witness: dict[str, Any] | None):
@@ -204,7 +203,7 @@ def random_l31_tuple(rng: random.Random, n_max: int, primes) -> tuple[int, int, 
 
 
 # ---------------------------------------------------------------------------
-# Suites (default ranges match the acceptance grids)
+# Suites (their options and defaults, in _suites, match the acceptance grids)
 # ---------------------------------------------------------------------------
 
 
@@ -220,25 +219,6 @@ def scl3e_cases(limit: int) -> list[tuple[int, int]]:
             alpha += 1
     return sorted(out)
 
-
-#: the options each suite reads, with their defaults.  n_max bounds n; SCL3E
-#: reads scl3e_limit instead, and every prime and alpha up to it when its
-#: primes or alphas are None.
-SUITE_OPTIONS: dict[str, dict[str, Any]] = {
-    "E1": {"n_max": 12, "l_max": 4},
-    "E2": {"n_max": 12},
-    "S3": {"n_max": 20},
-    "SS3": {"n_max": 20},
-    "S4": {"n_max": 40, "primes": (2, 3, 5), "alphas": (1, 2)},
-    "SCL3E": {"scl3e_limit": 100, "primes": None, "alphas": None},
-    "L31": {"n_max": 12, "primes": (2, 3, 5), "count": 200, "seed": 20210},
-    "L32": {"n_max": 60},
-}
-
-IDENTITY_IDS = tuple(SUITE_OPTIONS)
-
-#: the options that are bounds or counts, each at least 0
-NONNEGATIVE_OPTIONS = ("n_max", "l_max", "scl3e_limit", "count")
 
 # the triangles whose rows 0..n_max each suite reads; L31 and L32 read none
 _READS = {

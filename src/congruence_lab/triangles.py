@@ -20,10 +20,10 @@ is one row, entries space-separated decimal strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+from ._slots import Frozen
 from .errors import CapacityError, ParameterError
 from .exactmath import check_params
 
@@ -103,13 +103,13 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """One number family tabulated up to row ``max_n``."""
 
-    family: Family
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("family", "max_n", "rows")
+
+    def __init__(self, family: Family, max_n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        self._set(family, max_n, rows)
 
     def row(self, n: int) -> tuple[int, ...]:
         if n < 0:

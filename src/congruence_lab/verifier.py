@@ -15,17 +15,30 @@ holds no per-theorem code except SC2's exact comparison and its record
 fields.
 
 Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
-the reference evaluation and the library call.  :func:`evaluate_tuple`
+the reference evaluation and the library call.  :meth:`_Plan.evaluate`
 evaluates the residue classes of one parameter tuple into one
 :class:`TupleResult`, with one hypotheses check and one bound, and, when
 every residue is asked for, with one pass for all d sums where the theorem
-has a ``sums``; its records
-(:meth:`TupleResult.records`) are the same as one :func:`check_claim` per
-residue.  Both check a claim's parameters once, in :func:`_checked_theorem`,
-before anything reads them, and both call the ``hypotheses`` and ``bound`` of
-the theorem's :data:`THEOREMS` entry, so that a patched entry reaches either
-path; ``evaluate_tuple`` takes orders of the checked ``p`` with
-``ord_p_nonzero``.
+has a ``sums``; its records (:meth:`TupleResult.records`) are the same as
+one :func:`check_claim` per residue.  It builds its columns of orders,
+margins and verdicts one column at a time, and takes orders of the checked
+``p`` with ``ord_p_nonzero``.
+
+Who checks what: :func:`check_claim` and :func:`evaluate_tuple`, the
+library call for one tuple, check a claim's parameters once, in
+:func:`_checked_theorem`, before anything reads them.  A :class:`GridSpec`
+checks every value of its axes when it is built, so a sweep's tuples skip
+that check.  The one-pass ``sums`` check their n and l once per tuple, and on
+the per-residue branch the plan checks the tuple once for the per-residue
+kernels, which check nothing.  Both paths call the ``sum``, ``hypotheses``
+and ``bound`` of the theorem's :data:`THEOREMS` entry, so that a patched
+entry reaches either path.
+
+A :class:`_Plan` holds what the tuples of one grid share: the theorem's
+entry, and its class modulus, hypotheses and bound, each worked out once
+per distinct value of the parameters it names (a one-entry memo,
+:func:`_memo`).  A sweep plans each grid once; :func:`evaluate_tuple` plans
+its one tuple, so both run the same evaluation body.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -42,12 +55,13 @@ chunk order (:meth:`GridSummary.merge`) into the sweep's.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import triangles
-from .bounds import THEOREMS, Theorem, TheoremId, sc2_comparison, sc2_constants
+from ._slots import Frozen, Slotted
+from .bounds import THEOREMS, Theorem, TheoremId, _named, sc2_comparison, sc2_constants
 from .errors import ParameterError
 from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_params, ord_p, ord_p_nonzero
 from .filtered_sums import ResidueClass
@@ -83,6 +97,11 @@ class Verdict(str, Enum):
     NOT_APPLICABLE = "NOT-APPLICABLE"
 
 
+# the members, as module globals for the per-tuple columns and tallies
+_VERDICTS = tuple(Verdict)
+_HOLDS, _VACUOUS, _TRIVIAL, _TIGHT, _VIOLATION, _NOT_APPLICABLE = _VERDICTS
+
+
 def _coerce_theorem(theorem: TheoremId | str) -> TheoremId:
     try:
         return TheoremId(theorem)
@@ -112,28 +131,30 @@ def _checked_theorem(
     return theorem, wiring, params
 
 
-@dataclass(frozen=True)
-class Sc2Comparison:
+class Sc2Comparison(Frozen):
     """Exact comparison operands replacing the integer margin for SC2 records."""
 
-    l: int
-    lhs: int | None  # C(n,l) * p**ord(sum); None when the sum is zero
-    rhs: int  # p**ord_p(n!)
-    satisfied: bool
+    __slots__ = ("l", "lhs", "rhs", "satisfied")
+
+    def __init__(
+        self,
+        l: int,
+        lhs: int | None,  # C(n,l) * p**ord(sum); None when the sum is zero
+        rhs: int,  # p**ord_p(n!)
+        satisfied: bool,
+    ) -> None:
+        self._set(l, lhs, rhs, satisfied)
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(Frozen):
     """One verification outcome."""
 
-    theorem: TheoremId
-    params: dict[str, Any]
-    total: int | None
-    order: PAdicOrder | None
-    bound: int | None
-    verdict: Verdict
-    margin: int | None
-    sc2: Sc2Comparison | None = None
+    __slots__ = ("theorem", "params", "total", "order", "bound", "verdict", "margin", "sc2")
+
+    def __init__(self, theorem: TheoremId, params: dict[str, Any], total: int | None,
+                 order: PAdicOrder | None, bound: int | None, verdict: Verdict,
+                 margin: int | None, sc2: Sc2Comparison | None = None) -> None:
+        self._set(theorem, params, total, order, bound, verdict, margin, sc2)
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-safe rendering: big integers as decimal strings."""
@@ -237,22 +258,28 @@ def _residues(residues: str | Iterable[int], d: int) -> range | list[int]:
     return range(d) if residues == "all" else sorted({r % d for r in residues})
 
 
-@dataclass(slots=True)
-class TupleResult:
+class TupleResult(Slotted):
     """The records of one parameter tuple: what they share, and a column per
     field that differs, in residue order.  The record of ``residues[i]`` has
     the params ``{**params, "r": residues[i]}``; ``orders`` are as a report
     writes them: an int, "inf" for a zero sum, None without a sum."""
 
-    theorem: TheoremId
-    params: dict[str, Any]
-    bound: int | None
-    residues: Sequence[int | None]
-    totals: Sequence[int | None]
-    orders: Sequence[int | str | None]
-    verdicts: Sequence[Verdict]
-    margins: Sequence[int | None]
-    sc2: Sequence[Sc2Comparison | None]
+    __slots__ = ("theorem", "params", "bound", "residues", "totals", "orders", "verdicts",
+                 "margins", "sc2")
+
+    def __init__(self, theorem: TheoremId, params: dict[str, Any], bound: int | None,
+                 residues: Sequence[int | None], totals: Sequence[int | None],
+                 orders: Sequence[int | str | None], verdicts: Sequence[Verdict],
+                 margins: Sequence[int | None], sc2: Sequence[Sc2Comparison | None]) -> None:
+        self.theorem = theorem
+        self.params = params
+        self.bound = bound
+        self.residues = residues
+        self.totals = totals
+        self.orders = orders
+        self.verdicts = verdicts
+        self.margins = margins
+        self.sc2 = sc2
 
     def head(self, count: int) -> "TupleResult":
         """The result of the first ``count`` residues."""
@@ -272,6 +299,119 @@ class TupleResult:
         ]
 
 
+_UNSET = object()
+
+
+def _memo(fn: Callable[..., Any], params: tuple[str, ...]) -> Callable[[dict[str, Any]], Any]:
+    """``fn`` of a tuple's parameters, worked out again only when the value
+    of a parameter that ``fn`` names differs from the last tuple's (a
+    one-entry memo: a grid's axes run in canonical order, so the parameters
+    a function does not read are mostly innermost).  A function that names
+    none of ``params`` takes them all through its ``**``, so it is keyed on
+    them all."""
+    key_of = operator.itemgetter(*(_named(fn) or params))
+    key, value = _UNSET, None
+
+    def memo(values: dict[str, Any]) -> Any:
+        nonlocal key, value
+        new = key_of(values)
+        if new != key:
+            value = fn(**values)
+            key = new
+        return value
+
+    return memo
+
+
+class _Plan:
+    """What the tuples of one theorem's sweep share, worked out once: its
+    :data:`THEOREMS` entry; its class modulus, hypotheses and bound, each
+    through a :func:`_memo`; and the residues to evaluate for the last
+    modulus.  :meth:`evaluate` is the one evaluation body: a sweep calls it
+    for each tuple of its grid, whose values the :class:`GridSpec` has
+    checked, and :func:`evaluate_tuple` for one tuple that
+    :func:`_checked_theorem` has checked."""
+
+    __slots__ = ("theorem", "wiring", "probe", "modulus", "hypotheses", "bound", "asked",
+                 "_last")
+
+    def __init__(self, theorem: TheoremId, residues: str | Iterable[int],
+                 probe_inapplicable: bool) -> None:
+        self.theorem = theorem
+        self.wiring = wiring = THEOREMS[theorem]
+        self.probe = probe_inapplicable
+        self.modulus = _memo(wiring.modulus, wiring.params)
+        self.hypotheses = wiring.hypotheses and _memo(wiring.hypotheses, wiring.params)
+        self.bound = wiring.bound and _memo(wiring.bound, wiring.params)
+        self.asked = residues if isinstance(residues, str) else tuple(residues)
+        self._last: tuple = (None, None, ())  # the last modulus, its class 0 and residues
+
+    def classes(self, params: dict[str, Any]) -> tuple[ResidueClass, Sequence[int]]:
+        """The class of residue 0 modulo the tuple's class modulus d, and the
+        residues to evaluate: every residue modulo d ("all"), or the asked
+        ones reduced modulo d, sorted and deduplicated."""
+        d = self.modulus(params)
+        if d != self._last[0]:
+            self._last = (d, ResidueClass(d, 0), _residues(self.asked, d))
+        return self._last[1:]
+
+    def evaluate(self, params: dict[str, Any]) -> TupleResult:
+        """The result of the tuple with these parameters, which must be
+        checked and in canonical order."""
+        wiring = self.wiring
+        zero, rs = self.classes(params)
+        d, count = zero.modulus, len(rs)
+        base = _record_params(params, zero)
+        applicable = self.hypotheses is None or self.hypotheses(params)
+        if not (applicable or self.probe):
+            nones = [None] * count
+            return TupleResult(self.theorem, base, None, rs, nones, nones,
+                               [_NOT_APPLICABLE] * count, nones, nones)
+
+        if wiring.sums is not None and count == d:  # every residue, so rs is range(d)
+            totals = wiring.sums(d=d, **params)  # checks its n and l
+        else:  # the per-residue kernels check nothing: one check serves them all
+            check_params(**params)
+            totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
+        p = params["p"]
+        # None: probed sun with beta > alpha, the bound only
+        orders = [ord_p_nonzero(total, p) if total else None if total is None else "inf"
+                  for total in totals]
+        bound = self.bound(params) if self.bound else None
+        if not applicable:  # probed: sums, orders and the raw bound, for inspection
+            nones = [None] * count
+            return TupleResult(self.theorem, base, bound, rs, totals, orders,
+                               [_NOT_APPLICABLE] * count, nones, nones)
+        if bound is None:  # SC2: decided by the exact integer comparison
+            return self._sc2(params, base, rs, totals, orders)
+        margins = [order - bound if total else None for total, order in zip(totals, orders)]
+        if bound < 0:
+            verdicts = [_VACUOUS if margin is None else _TRIVIAL for margin in margins]
+        else:
+            verdicts = [_VACUOUS if margin is None else _TIGHT if margin == 0
+                        else _HOLDS if margin > 0 else _VIOLATION for margin in margins]
+        return TupleResult(self.theorem, base, bound, rs, totals, orders, verdicts, margins,
+                           [None] * count)
+
+    def _sc2(self, params: dict[str, Any], base: dict[str, Any], rs: Sequence[int],
+             totals: list[int], orders: list[int | str]) -> TupleResult:
+        """An applicable SC2 tuple: l, C(n, l) and p**ord_p(n!) are worked
+        out once, and each residue's comparison from them."""
+        p = params["p"]
+        l, comb, rhs = sc2_constants(params["n"], p, params["f"])
+        verdicts, comparisons = [], []
+        for total, order in zip(totals, orders):
+            if total == 0:
+                comparisons.append(Sc2Comparison(l, None, rhs, True))
+                verdicts.append(_VACUOUS)
+            else:
+                lhs = comb * p**order
+                comparisons.append(Sc2Comparison(l, lhs, rhs, lhs >= rhs))
+                verdicts.append(_HOLDS if lhs >= rhs else _VIOLATION)
+        return TupleResult(self.theorem, base, None, rs, totals, orders, verdicts,
+                           [None] * len(rs), comparisons)
+
+
 def evaluate_tuple(
     theorem: TheoremId | str,
     params: Mapping[str, Any],
@@ -285,63 +425,15 @@ def evaluate_tuple(
     d, sorted and deduplicated.  ``params`` holds the theorem's parameters;
     any ``r`` in it is ignored.
 
-    The parameter check, the hypotheses and the bound are evaluated once for
-    the tuple, a theorem with a one-pass ``sums`` computes all d sums at once
-    when every residue is asked for (a subset gets one ``sum`` per residue),
-    and SC2's l, C(n, l) and p**ord_p(n!) are worked out once.
+    The parameters are checked first (:func:`_checked_theorem`); then the
+    tuple runs through :meth:`_Plan.evaluate`, as a sweep's tuples do.  The
+    hypotheses and the bound are evaluated once for the tuple, a theorem
+    with a one-pass ``sums`` computes all d sums at once when every residue
+    is asked for (a subset gets one ``sum`` per residue), and SC2's l,
+    C(n, l) and p**ord_p(n!) are worked out once.
     """
-    theorem, wiring, params = _checked_theorem(theorem, params)
-    p = params["p"]
-    d = wiring.modulus(**params)
-    rs = _residues(residues, d)
-    base = _record_params(params, ResidueClass(d, 0))
-    applicable = wiring.hypotheses is None or wiring.hypotheses(**params)
-    if not (applicable or probe_inapplicable):
-        nones = [None] * len(rs)
-        return TupleResult(theorem, base, None, rs, nones, nones,
-                           [Verdict.NOT_APPLICABLE] * len(rs), nones, nones)
-
-    if wiring.sums is not None and len(rs) == d:  # every residue, so rs is range(d)
-        totals = wiring.sums(d=d, **params)
-    else:
-        totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
-    bound = None if wiring.bound is None else wiring.bound(**params)
-    if applicable and bound is None:  # SC2: decided by the exact integer comparison
-        l, comb, rhs = sc2_constants(params["n"], p, params["f"])
-
-    orders, verdicts, margins, comparisons = [], [], [], []
-    for total in totals:
-        order = margin = comparison = None
-        if total == 0:
-            order = "inf"
-        elif total is not None:  # None: probed sun with beta > alpha, the bound only
-            order = ord_p_nonzero(total, p)  # _checked_theorem checked p
-        if not applicable:  # probed: sums, orders and the raw bound, for inspection
-            verdict = Verdict.NOT_APPLICABLE
-        elif bound is None:
-            lhs = None if total == 0 else comb * p**order
-            comparison = Sc2Comparison(l, lhs, rhs, lhs is None or lhs >= rhs)
-            if total == 0:
-                verdict = Verdict.HOLDS_VACUOUS
-            else:
-                verdict = Verdict.HOLDS if comparison.satisfied else Verdict.VIOLATION
-        elif total == 0:
-            verdict = Verdict.HOLDS_VACUOUS
-        else:
-            margin = order - bound
-            if bound < 0:
-                verdict = Verdict.HOLDS_TRIVIAL_BOUND
-            elif margin == 0:
-                verdict = Verdict.TIGHT
-            elif margin > 0:
-                verdict = Verdict.HOLDS
-            else:
-                verdict = Verdict.VIOLATION
-        orders.append(order)
-        verdicts.append(verdict)
-        margins.append(margin)
-        comparisons.append(comparison)
-    return TupleResult(theorem, base, bound, rs, totals, orders, verdicts, margins, comparisons)
+    theorem, _, params = _checked_theorem(theorem, params)
+    return _Plan(theorem, residues, probe_inapplicable).evaluate(params)
 
 
 # --------------------------------------------------------------------------
@@ -368,8 +460,7 @@ AXIS_FIELDS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Frozen):
     """A finite parameter product for one theorem.
 
     ``residues`` is either the string "all" (one full period 0..d-1, with d
@@ -381,30 +472,35 @@ class GridSpec:
     no parameter error.
     """
 
-    theorem: TheoremId
-    ns: tuple[int, ...]
-    primes: tuple[int, ...]
-    alphas: tuple[int, ...] = ()
-    betas: tuple[int, ...] = ()
-    ls: tuple[int, ...] = ()
-    ms: tuple[int, ...] = ()
-    a_values: tuple[int, ...] = ()
-    residues: tuple[int, ...] | str = "all"
-    polys: tuple[IntPolynomial, ...] = ()
+    __slots__ = ("theorem", "ns", "primes", "alphas", "betas", "ls", "ms", "a_values",
+                 "residues", "polys")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theorem", _coerce_theorem(self.theorem))
-        if isinstance(self.residues, str):
-            if self.residues != "all":
-                raise ParameterError(f"residues must be 'all' or a collection, got {self.residues!r}")
+    def __init__(
+        self,
+        theorem: TheoremId | str,
+        ns: Iterable[int],
+        primes: Iterable[int],
+        alphas: Iterable[int] = (),
+        betas: Iterable[int] = (),
+        ls: Iterable[int] = (),
+        ms: Iterable[int] = (),
+        a_values: Iterable[int] = (),
+        residues: Iterable[int] | str = "all",
+        polys: Iterable[IntPolynomial] = (),
+    ) -> None:
+        object.__setattr__(self, "theorem", _coerce_theorem(theorem))
+        if isinstance(residues, str):
+            if residues != "all":
+                raise ParameterError(f"residues must be 'all' or a collection, got {residues!r}")
         else:
-            object.__setattr__(self, "residues", _axis(self.residues))
+            residues = _axis(residues)
+        object.__setattr__(self, "residues", residues)
+        given = dict(zip(AXIS_FIELDS, (ns, primes, alphas, betas, ls, ms, a_values, polys)))
         taken = THEOREMS[self.theorem].params
         least = {}
         for name, attr in AXIS_FIELDS.items():
             # polynomials keep their first-occurrence order, without repeats
-            values = (tuple(dict.fromkeys(getattr(self, attr))) if name == "f"
-                      else _axis(getattr(self, attr)))
+            values = tuple(dict.fromkeys(given[name])) if name == "f" else _axis(given[name])
             object.__setattr__(self, attr, values)
             if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
@@ -443,29 +539,37 @@ def required_tables(grids: Iterable[GridSpec]) -> dict[Family, int]:
     return needs
 
 
-@dataclass
-class GridSummary:
+class GridSummary(Slotted):
     """The tally of a sweep's records: those of the tuple results passed to
     :meth:`add` and the summaries passed to :meth:`merge`, in record order.
-    A new one is the tally of no records."""
+    A new one is the tally of no records (``verdicts`` None: every verdict
+    counted 0)."""
 
-    total: int = 0
-    verdicts: dict[str, int] = field(default_factory=lambda: {v.value: 0 for v in Verdict})
-    min_margin: int | None = None
-    first_violation: dict[str, Any] | None = None
+    __slots__ = ("total", "verdicts", "min_margin", "first_violation")
+
+    def __init__(self, total: int = 0, verdicts: dict[str, int] | None = None,
+                 min_margin: int | None = None,
+                 first_violation: dict[str, Any] | None = None) -> None:
+        self.total = total
+        self.verdicts = {v.value: 0 for v in Verdict} if verdicts is None else verdicts
+        self.min_margin = min_margin
+        self.first_violation = first_violation
 
     def add(self, res: TupleResult) -> None:
         verdicts = res.verdicts
         self.total += len(verdicts)
         counts = self.verdicts
-        for verdict in verdicts:
-            counts[verdict._value_] += 1  # .value is a slower descriptor
-        low = min((margin for margin in res.margins if margin is not None), default=None)
-        if low is not None and (self.min_margin is None or low < self.min_margin):
-            self.min_margin = low
-        if self.first_violation is None and Verdict.VIOLATION in verdicts:
-            self.first_violation = {
-                **res.params, "r": res.residues[verdicts.index(Verdict.VIOLATION)]}
+        for verdict in _VERDICTS:
+            count = verdicts.count(verdict)
+            if count:
+                counts[verdict._value_] += count  # .value is a slower descriptor
+        margins = [margin for margin in res.margins if margin is not None]
+        if margins:
+            low = min(margins)
+            if self.min_margin is None or low < self.min_margin:
+                self.min_margin = low
+        if self.first_violation is None and _VIOLATION in verdicts:
+            self.first_violation = {**res.params, "r": res.residues[verdicts.index(_VIOLATION)]}
 
     def merge(self, part: GridSummary) -> None:
         """Add the summary of records that came after those added so far."""
@@ -488,10 +592,11 @@ class GridSummary:
         }
 
 
-@dataclass(frozen=True)
-class GridResult:
-    records: list[ClaimRecord]
-    summary: GridSummary
+class GridResult(Frozen):
+    __slots__ = ("records", "summary")
+
+    def __init__(self, records: list[ClaimRecord], summary: GridSummary) -> None:
+        self._set(records, summary)
 
     @property
     def violations(self) -> int:
@@ -505,20 +610,21 @@ def ensure_tables(grids: Iterable[GridSpec]) -> None:
 
 
 def _numbered_tuples(
-    grids: Iterable[GridSpec], size: int
-) -> Iterator[tuple[int, GridSpec, dict[str, Any]]]:
+    grids: Iterable[GridSpec], size: int, probe_inapplicable: bool = False
+) -> Iterator[tuple[int, _Plan, dict[str, Any]]]:
     """Every tuple of the grids, in record order, with the number of its
-    chunk: the records are cut into chunks of at least ``size`` claims, at
-    tuple boundaries, numbered from 0.  Only each tuple's residue count is
-    worked out, not its records."""
+    chunk and its grid's plan: the records are cut into chunks of at least
+    ``size`` claims, at tuple boundaries, numbered from 0.  Only each tuple's
+    residue count is worked out (through the plan's modulus memo), not its
+    records."""
     number = claims = 0
     for grid in grids:
-        modulus = THEOREMS[grid.theorem].modulus
+        plan = _Plan(grid.theorem, grid.residues, probe_inapplicable)
         for params in _grid_tuples(grid):
             if claims >= size:
                 number, claims = number + 1, 0
-            yield number, grid, params
-            claims += len(_residues(grid.residues, modulus(**params)))
+            yield number, plan, params
+            claims += len(plan.classes(params)[1])
 
 
 def count_chunks(grids: Iterable[GridSpec], size: int, at_most: int) -> int:
@@ -543,8 +649,9 @@ def iter_chunks(
     """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
     the grids' tuple results, as (number, results), one chunk held at a time.
 
-    Each tuple is evaluated whole by :func:`evaluate_tuple`, and the results
-    are cut into chunks of at least ``size`` claims, at tuple boundaries,
+    Each grid gets one :class:`_Plan`, and each tuple is evaluated whole by
+    its :meth:`_Plan.evaluate`, with no parameter check: the grid has
+    checked every value.  The results are cut into chunks of at least ``size`` claims, at tuple boundaries,
     numbered from 0.  Only the tuples of these chunks are evaluated, so
     ``step`` callers with ``first`` = 0 .. step-1 share the work of one
     sweep.  With ``fail_fast`` the results stop at the first VIOLATION: its
@@ -553,16 +660,16 @@ def iter_chunks(
     """
     chunk: list[TupleResult] = []
     current = first
-    for number, grid, params in _numbered_tuples(grids, size):
+    for number, plan, params in _numbered_tuples(grids, size, probe_inapplicable):
         if number % step != first:
             continue
         if number != current:
             if chunk:
                 yield current, chunk
             chunk, current = [], number
-        res = evaluate_tuple(grid.theorem, params, grid.residues, probe_inapplicable)
-        if fail_fast and Verdict.VIOLATION in res.verdicts:
-            chunk.append(res.head(res.verdicts.index(Verdict.VIOLATION) + 1))
+        res = plan.evaluate(params)
+        if fail_fast and _VIOLATION in res.verdicts:
+            chunk.append(res.head(res.verdicts.index(_VIOLATION) + 1))
             break
         chunk.append(res)
     if chunk:

@@ -1,16 +1,18 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import errno
 import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congruence_lab import cli, identities, triangles, verifier
@@ -371,7 +373,7 @@ class TestVerifyCommand:
         # first one of its tuple with a nonzero sum; an unreachable bound for
         # the tuple turns it into a VIOLATION.  The pause on that tuple gives
         # any concurrent evaluator time to run ahead of it.
-        wiring, real_evaluate = THEOREMS[TheoremId.WAN_STRONG], verifier.evaluate_tuple
+        wiring, real_evaluate = THEOREMS[TheoremId.WAN_STRONG], verifier._Plan.evaluate
         calls = []
 
         def forced_bound(**params):
@@ -380,13 +382,12 @@ class TestVerifyCommand:
                 return 10**6
             return wiring.bound(**params)
 
-        def counted_evaluate(theorem, params, *args):
+        def counted_evaluate(plan, params):  # the sweep's per-tuple entry
             calls.append(tuple(params.values()))
-            return real_evaluate(theorem, params, *args)
+            return real_evaluate(plan, params)
 
-        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG,
-                            dataclasses.replace(wiring, bound=forced_bound))
-        monkeypatch.setattr(verifier, "evaluate_tuple", counted_evaluate)
+        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, wiring._replace(bound=forced_bound))
+        monkeypatch.setattr(verifier._Plan, "evaluate", counted_evaluate)
         out = tmp_path / "report.json"
         code = main(["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
                      "--l", "0..2", "--workers", "2", "--fail-fast", "--no-timestamp",
@@ -474,8 +475,7 @@ class TestStreamedReport:
                 return 10**6
             return wiring.bound(**params)
 
-        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG,
-                            dataclasses.replace(wiring, bound=forced_bound))
+        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, wiring._replace(bound=forced_bound))
         grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 21), primes=(2, 3), alphas=(1, 2),
                         ls=(0, 1, 2))
         records = [check_claim(grid.theorem, params) for params in grid_params(grid)]
@@ -510,15 +510,15 @@ class TestStreamedReport:
                 self.records += text.count("wan-strong")
 
         out = Out()
-        real_evaluate = verifier.evaluate_tuple
+        real_evaluate = verifier._Plan.evaluate  # the sweep's per-tuple entry
         evaluated = []
 
-        def watched(*args):
+        def watched(plan, params):
             seen.append((sum(len(res.residues) for res in evaluated), out.records))
-            evaluated.append(real_evaluate(*args))
+            evaluated.append(real_evaluate(plan, params))
             return evaluated[-1]
 
-        monkeypatch.setattr(verifier, "evaluate_tuple", watched)
+        monkeypatch.setattr(verifier._Plan, "evaluate", watched)
         cli._write_report(out, RUN, fmt, _serial_chunks("several chunks", fmt))
         if fmt == "json":
             assert "".join(out.parts) == _reference_json(RUN, _case_records("several chunks"))
@@ -567,11 +567,29 @@ class TestRecordLayout:
 
     @settings(max_examples=200, deadline=None)
     @given(records())
+    @example(check_claim("sc2", {"n": 7, "p": 3, "a": 2, "f": IntPolynomial((0, -1, 0, 3)),
+                                 "r": 1}))  # a quoted f, and the sc2 columns
+    @example(check_claim("sc2", {"n": 5, "p": 2, "a": 1, "f": IntPolynomial((1,)), "r": 0}))
+    @example(ClaimRecord(TheoremId.SC2, {"n": 4, "p": 2, "a": 1, "d": 1, "r": 0,
+                                         "f": 'a "quoted", \n\r text'}, 5, PAdicOrder(0),
+                         None, Verdict.VIOLATION, None, Sc2Comparison(2, 6, 8, False)))
+    @example(ClaimRecord(TheoremId.SC2, {"n": 4, "p": 2, "d": 1, "r": 0, "f": "line\nfeed"}, 1,
+                         PAdicOrder(0), None, Verdict.HOLDS, None, None))
+    @example(ClaimRecord(TheoremId.SC2, {"n": 4, "p": 2, "d": 1, "r": 0, "f": "carriage\rreturn"},
+                         1, PAdicOrder(0), None, Verdict.HOLDS, None, None))
+    @example(check_claim("sun", {"n": 5, "p": 2, "alpha": 1, "beta": 2, "l": 0, "r": 3},
+                         probe_inapplicable=True))  # no sum and no order
+    @example(check_claim("fleck", {"n": 1, "p": 3, "r": 2}))  # a zero sum: "inf"
+    @example(check_claim("sc3", {"n": 3, "p": 2, "alpha": 2, "m": 2, "a": 1, "r": 3}))
+    @example(ClaimRecord(TheoremId.SUN, {"n": 2, "p": 2, "alpha": 1, "beta": 0, "l": 3,
+                                         "d": 1, "r": 0}, -8, PAdicOrder(3), -4,
+                         Verdict.HOLDS_TRIVIAL_BOUND, 7))  # a negative bound
+    @example(ClaimRecord(TheoremId.WAN, {"n": 9, "p": 3, "l": 1, "d": 3, "r": 2}, 3,
+                         PAdicOrder(1), 4, Verdict.VIOLATION, -3))  # a negative margin
     def test_csv_row_equals_dictwriter(self, rec):
-        got = io.StringIO()
-        got.write(",".join(cli.CSV_COLUMNS) + "\n")
-        csv.writer(got, lineterminator="\n").writerows(cli._result_csv(_one_residue(rec)))
-        assert got.getvalue() == dictwriter_csv([rec], cli.CSV_COLUMNS)
+        # the fixed layout's text, byte for byte, against csv.DictWriter
+        text = ",".join(cli.CSV_COLUMNS) + "\n" + cli._result_csv(_one_residue(rec))
+        assert text == dictwriter_csv([rec], cli.CSV_COLUMNS)
 
 
 # the flags each identity suite reads, and a good value of each flag
@@ -783,6 +801,39 @@ class TestIdentityCommand:
         assert rows[0]["failed"] == "0"
 
 
+# run by `python -S` (no site module, so no .pth file of the host preloads a
+# module): two verify runs, the modules they left out of sys.modules, then an
+# identity CSV report, which loads the suites and csv when it needs them
+START_UP = """
+import sys
+from congruence_lab.cli import main
+out = sys.argv[1]
+for fmt in ("json", "csv"):
+    assert main(["verify", "sun", "--n", "1..8", "--p", "2,3", "--alpha", "1,2", "--beta", "0,1",
+                 "--format", fmt, "--no-timestamp", "--out", out + "." + fmt]) == 0
+print(sorted(name for name in ("dataclasses", "inspect", "csv", "datetime",
+                               "congruence_lab.identities") if name in sys.modules))
+sys.exit(main(["identity", "s3", "--n-max", "6", "--format", "csv", "--out", out + ".ident"]))
+"""
+
+
+def test_a_verify_run_imports_only_what_it_runs(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "report"
+    proc = subprocess.run([sys.executable, "-S", "-c", START_UP, str(out)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "sun: 112 claims (HOLDS=22, HOLDS-VACUOUS=36, NOT-APPLICABLE=11, TIGHT=43)",
+        "sun: 112 claims (HOLDS=22, HOLDS-VACUOUS=36, NOT-APPLICABLE=11, TIGHT=43)",
+        "[]", "S3: 21 checks, all passed"]
+    assert (out.parent / "report.csv").read_text(encoding="utf-8").startswith("theorem,n,p,")
+    with open(out.parent / "report.ident", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["identity"], row["failed"]) for row in rows] == [("S3", "0")]
+
+
 OUT_COMMANDS = {
     "triangle": ["triangle", "eulerian", "--n-max", "5"],
     "verify": ["verify", "fleck", "--p", "2", "--n", "1..5", "--no-timestamp"],
@@ -830,7 +881,7 @@ def test_directory_as_out_fails_before_any_work(command, tmp_path, monkeypatch, 
     # the final rename after all of them
     argv, module, attr = {
         "verify": (["verify", "wan-strong", "--n", "1..60", "--p", "2,3", "--alpha", "1,2",
-                    "--l", "0..3"], verifier, "evaluate_tuple"),
+                    "--l", "0..3"], verifier._Plan, "evaluate"),  # the per-tuple entry
         "identity": (["identity", "all"], identities, "suite"),
     }[command]
     real, calls = getattr(module, attr), []
@@ -863,7 +914,7 @@ class TestExitCodes:
             raise KeyboardInterrupt
 
         # the streamed report: interrupted while evaluating its first chunk
-        monkeypatch.setattr(verifier, "evaluate_tuple", interrupted)
+        monkeypatch.setattr(verifier._Plan, "evaluate", interrupted)
         assert main(["verify", "fleck", "--p", "2", "--n", "1..5"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 

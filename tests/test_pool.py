@@ -8,7 +8,6 @@ one was reaped.
 """
 
 import contextlib
-import dataclasses
 import errno
 import hashlib
 import io
@@ -106,7 +105,7 @@ def test_violations_in_late_chunks_merge_as_serial(pool, monkeypatch, tmp_path, 
     def bound(**params):
         return forced.get(tuple(params.values())) or wiring.bound(**params)
 
-    monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, dataclasses.replace(wiring, bound=bound))
+    monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, wiring._replace(bound=bound))
     argv = ["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
             "--l", "0..2"]
     serial = run(argv, 1, tmp_path / "w1.json")
@@ -126,14 +125,14 @@ FAILING_GRID = ["verify", "fleck", "--p", "2", "--n", "1..20", "--no-timestamp",
 
 def fail_in_the_second_chunk(monkeypatch, failure):
     # chunks of 16 claims: n = 1..8, 9..16 and 17..20; n = 10 is the second's
-    real_evaluate = verifier.evaluate_tuple
+    real_evaluate = verifier._Plan.evaluate  # the sweep's per-tuple entry
 
-    def evaluate(theorem, params, *args):
+    def evaluate(plan, params):
         if params["n"] == 10:
             failure()
-        return real_evaluate(theorem, params, *args)
+        return real_evaluate(plan, params)
 
-    monkeypatch.setattr(verifier, "evaluate_tuple", evaluate)
+    monkeypatch.setattr(verifier._Plan, "evaluate", evaluate)
 
 
 def boom():
@@ -161,7 +160,7 @@ def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(verifier, "evaluate_tuple", interrupted)
+    monkeypatch.setattr(verifier._Plan, "evaluate", interrupted)
     monkeypatch.setattr(cli, "JSON_CHUNK", 2)
     assert main(["verify", "fleck", "--p", "2", "--n", "1..5", "--workers", "2"]) == 130
     assert capsys.readouterr() == ("", "interrupted\n")

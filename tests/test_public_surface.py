@@ -4,9 +4,11 @@ every name a module exports exists, and the benchmark's tracer finds every
 name it reads."""
 
 import ast
+import copy
 import importlib
 import itertools
 import os
+import pickle
 import pkgutil
 import re
 import shlex
@@ -147,3 +149,26 @@ def test_the_benchmark_tracer_counts_a_per_residue_sum(argv, tmp_path):
     # no benchmark workload calls a per-residue sum; the tracer counts the
     # members of the ResidueClass it finds among such a sum's arguments
     _traced_run(tmp_path, argv)
+
+
+def test_value_classes_behave_as_frozen_records():
+    from congruence_lab import ResidueClass
+    from congruence_lab.verifier import GridSpec, GridSummary
+
+    cls = ResidueClass(3, 4)
+    assert repr(cls) == "ResidueClass(modulus=3, residue=1)"
+    assert cls == ResidueClass(3, 1) and cls != ResidueClass(3, 2) and cls != (3, 1)
+    assert hash(cls) == hash(ResidueClass(3, -2))
+    with pytest.raises(AttributeError):
+        cls.residue = 2
+    grid = GridSpec("fleck", ns=(3, 1), primes=(2,))
+    assert repr(grid) == ("GridSpec(theorem=<TheoremId.FLECK: 'fleck'>, ns=(1, 3), primes=(2,), "
+                          "alphas=(), betas=(), ls=(), ms=(), a_values=(), residues='all', "
+                          "polys=())")
+    for value in (cls, grid, congruence_lab.PAdicOrder(2), congruence_lab.IntPolynomial((1, 0))):
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+    summary = GridSummary()
+    summary.total = 2  # a tally is mutable, and so not hashable
+    assert summary == GridSummary(2)
+    with pytest.raises(TypeError):
+        hash(summary)

@@ -10,7 +10,6 @@ stop at.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -80,7 +79,7 @@ def _bounds_raised(ns):
         l, comb, rhs = real_constants(n, p, f)
         return l, comb, rhs * p**50 if n in ns else rhs
 
-    entries = {theorem: dataclasses.replace(wiring, bound=raised(wiring.bound))
+    entries = {theorem: wiring._replace(bound=raised(wiring.bound))
                for theorem, wiring in THEOREMS.items() if wiring.bound is not None}
     with mock.patch.dict(THEOREMS, entries), \
             mock.patch.object(bounds, "sc2_constants", constants), \

@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import tracemalloc
 
 import pytest
@@ -104,7 +104,8 @@ class TestCheckClaim:
             GridSpec("nonsense", ns=(1,), primes=(2,))
 
     def test_sums_are_looked_up_at_call_time(self, monkeypatch):
-        # tracing patches the filtered_sums functions; every theorem must see it
+        # a patched filtered_sums kernel reaches every theorem; a claim's sum
+        # calls the unchecked per-residue kernel, since its parameters are checked
         called = []
 
         def counted(name, real):
@@ -113,8 +114,8 @@ class TestCheckClaim:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("fleck_sum", "eulerian_wan_sum", "eulerian_power_sum",
-                     "stirling_product_sum", "stirling_poly_sum"):
+        for name in ("_fleck_sum", "_eulerian_wan_sum", "_eulerian_power_sum",
+                     "_stirling_product_sum", "_stirling_poly_sum"):
             monkeypatch.setattr(filtered_sums, name, counted(name, getattr(filtered_sums, name)))
         params = {"n": 6, "p": 2, "alpha": 1, "beta": 1, "l": 1, "m": 2, "a": 1,
                   "f": IntPolynomial((0, 1)), "r": 0}
@@ -294,12 +295,16 @@ class TestCheckTuple:
         assert records == [check_claim("weisman", {**params, "r": r}) for r in (0, 5)]
 
     def test_sweeps_evaluate_once_per_tuple(self, monkeypatch):
-        # one evaluate_tuple call and one call of the table's bound per tuple,
-        # and no check_claim and no theorem coercion (a tuple takes the grid's
-        # member as it is), with fail_fast off and on
+        # one call of the sweep's per-tuple entry (_Plan.evaluate) and one call
+        # of the table's bound per tuple (the counting wrapper takes only
+        # **params, so it reads every parameter), and no check_claim, no
+        # evaluate_tuple, no parameter check and no theorem coercion (the
+        # grid has checked its values and holds the member), with fail_fast
+        # off and on
         grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 11), primes=(2, 3), alphas=(1, 2),
                         ls=(0, 1))
-        calls = {"evaluate_tuple": 0, "check_claim": 0, "_coerce_theorem": 0, "bound": 0}
+        calls = {"evaluate": 0, "evaluate_tuple": 0, "check_claim": 0, "_checked_theorem": 0,
+                 "_coerce_theorem": 0, "bound": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -307,19 +312,68 @@ class TestCheckTuple:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("evaluate_tuple", "check_claim", "_coerce_theorem"):
+        for name in ("evaluate_tuple", "check_claim", "_checked_theorem", "_coerce_theorem"):
             monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
+        monkeypatch.setattr(verifier._Plan, "evaluate",
+                            counted("evaluate", verifier._Plan.evaluate))
         wiring = THEOREMS[TheoremId.WAN_STRONG]
         monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG,
-                            dataclasses.replace(wiring, bound=counted("bound", wiring.bound)))
+                            wiring._replace(bound=counted("bound", wiring.bound)))
         tuples = 10 * 2 * 2 * 2
-        want = {"evaluate_tuple": tuples, "check_claim": 0, "_coerce_theorem": 0,
-                "bound": tuples}
+        want = {"evaluate": tuples, "evaluate_tuple": 0, "check_claim": 0, "_checked_theorem": 0,
+                "_coerce_theorem": 0, "bound": tuples}
         assert len(run_grid(grid).records) == 10 * 2 * (2 + 4 + 3 + 9)
         assert calls == want
         calls.update(dict.fromkeys(calls, 0))
         assert len(run_grid(grid, fail_fast=True).records) == 10 * 2 * (2 + 4 + 3 + 9)
         assert calls == want
+
+    def test_the_bound_is_worked_out_once_per_value_of_what_it_reads(self, monkeypatch):
+        # sc3's bound names (n, p, alpha, m) and not a: with a innermost, a
+        # sweep works it out once per six tuples.  A bound that takes only
+        # **params reads every parameter, a too: it is worked out for every
+        # tuple, and a stale one would not match check_claim's
+        grid = GridSpec(TheoremId.SC3, ns=(5, 6), primes=(2, 3), alphas=(1,), ms=(1, 2),
+                        a_values=range(-2, 4))
+        wiring = THEOREMS[TheoremId.SC3]
+        seen = []
+
+        def named(n, p, alpha, m, **_):
+            seen.append((n, p, alpha, m))
+            return wiring.bound(n=n, p=p, alpha=alpha, m=m)
+
+        def every(**params):
+            seen.append(tuple(params.values()))
+            return wiring.bound(**params) + params["a"]
+
+        for bound, want in ((named, itertools.product((5, 6), (2, 3), (1,), (1, 2))),
+                            (every, itertools.product((5, 6), (2, 3), (1,), (1, 2),
+                                                      range(-2, 4)))):
+            monkeypatch.setitem(THEOREMS, TheoremId.SC3, wiring._replace(bound=bound))
+            del seen[:]
+            records = run_grid(grid).records
+            assert seen == list(want)
+            assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
+
+    def test_a_per_residue_sweep_checks_each_tuple_once(self, monkeypatch):
+        # sun has no one-pass sums: its per-residue kernels check nothing, and
+        # the sweep checks each tuple's parameters once for them, where every
+        # residue's sum used to check them again
+        grid = GridSpec(TheoremId.SUN, ns=range(3, 9), primes=(2, 3), alphas=(1, 2),
+                        betas=(0, 1), ls=(0, 1))
+        checks = []
+        for module in (verifier, filtered_sums, bounds, triangles):
+            def counted(real=module.check_params, **params):
+                checks.append(params)
+                return real(**params)
+            monkeypatch.setattr(module, "check_params", counted)
+        records = run_grid(grid).records
+        tuples = list(verifier._grid_tuples(grid))
+        assert len(tuples) == 6 * 2 * 2 * 2 * 2
+        assert all(THEOREMS[TheoremId.SUN].hypotheses(**params) for params in tuples)
+        assert checks == tuples
+        monkeypatch.undo()
+        assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
 
     def test_p_is_still_checked(self, monkeypatch):
         # evaluate_tuple takes each residue's order unchecked, after its
@@ -348,8 +402,9 @@ class TestCheckTuple:
 
     def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
         # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
-        # 270 claims.  Each tuple checks p in its parameter check and in ord_p(n!)
-        # for p**ord_p(n!), which it works out once with l and C(n, l); the
+        # 270 claims.  Each tuple checks p in the one check of its per-residue
+        # sums' parameters and in ord_p(n!) for p**ord_p(n!), which it works
+        # out once with l and C(n, l); the
         # grid checks each prime once.  (A comparison per claim, as
         # check_claim makes, checked p three more times: 988 checks.)  Every
         # check of p, check_params' included, is exactmath.check_prime.
