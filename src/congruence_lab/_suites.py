@@ -4,8 +4,6 @@ re-exports these names)."""
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = ["IDENTITY_IDS", "NONNEGATIVE_OPTIONS", "SUITE_OPTIONS"]
 
 

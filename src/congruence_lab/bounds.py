@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable
 
 from . import filtered_sums
 from ._slots import Frozen
@@ -66,13 +65,13 @@ class Theorem(Frozen):
     Every function takes the claim's parameters as keywords, names those it
     reads and takes the rest with ``**_``; a function that names none reads
     them all.  ``sum`` also takes the residue class first, and ``sums`` may
-    name the modulus ``d``.  A sum calls its kernel through the
-    :mod:`filtered_sums` module, so the kernel is looked up at call time.
-    The kernel takes n, the class (or d) and its weight's parameters, never
-    p or alpha: those are checked once per claim, where the class is built.
-    ``sum`` calls a private per-residue kernel that checks nothing, since
-    every claim path has checked the claim's parameters; ``sums`` calls a
-    public one-pass sum, which checks its n and l once per tuple.
+    name the modulus ``d`` and the sweep's ``state`` (the
+    :class:`filtered_sums._SweepState` its plan owns).  A sum calls its
+    kernel through the :mod:`filtered_sums` module or the state, so the
+    kernel is looked up at call time.  The kernel takes n, the class (or d)
+    and its weight's parameters, never p or alpha: those are checked where
+    the class is built.  No function here checks anything, since every
+    claim path has checked the claim's parameters.
 
     ``sums``, where a theorem has it, returns the sums of all d residue
     classes in residue order, each equal to what ``sum`` gives for that
@@ -119,14 +118,14 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, **_: p,
         sum=lambda cls, n, **_: filtered_sums._fleck_sum(n, cls),
         bound=lambda n, p, **_: (n - 1) // (p - 1),
-        sums=lambda n, d, **_: filtered_sums.fleck_sums(n, d),
+        sums=lambda n, d, state, **_: state.fleck_sums(n, d, 0),
     ),
     TheoremId.WEISMAN: Theorem(
         params=("n", "p", "alpha"),
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, **_: filtered_sums._fleck_sum(n, cls),
         bound=lambda n, p, alpha, **_: (n - _q(p, alpha)) // (_q(p, alpha) * (p - 1)),
-        sums=lambda n, d, **_: filtered_sums.fleck_sums(n, d),
+        sums=lambda n, d, state, **_: state.fleck_sums(n, d, 0),
     ),
     TheoremId.WAN: Theorem(
         params=("n", "p", "l"),
@@ -134,7 +133,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, l, **_: (n - l * p - 1) // (p - 1),
         hypotheses=lambda n, p, l, **_: n > l * p,
-        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
+        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
     ),
     TheoremId.SUN: Theorem(
         params=("n", "p", "alpha", "beta", "l"),
@@ -152,7 +151,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             (n - _q(p, alpha) - l * p**alpha) // (_q(p, alpha) * (p - 1))),
-        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
+        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
     ),
     # the ord_p(l!) correction is required: without it the claim fails
     # already at n=4, p=2, alpha=1, l=2, r=0 (sum 1, claimed order 1)
@@ -162,7 +161,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // p**alpha, p) - ord_p_factorial(l, p)),
-        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
+        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
     ),
     TheoremId.DAVIS_SUN_B: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -170,7 +169,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             ord_p_factorial(n // _q(p, alpha), p) - l - ord_p_factorial(l, p)),
-        sums=lambda n, d, l, **_: filtered_sums.fleck_sums(n, d, l),
+        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
     ),
     TheoremId.EC1: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -194,7 +193,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, m, **_: ord_p_factorial(n, p) - ord_p_factorial(m, p),
         tables=(Family.STIRLING1, Family.STIRLING2),
-        sums=lambda n, m, a, d, **_: filtered_sums.stirling_product_sums(n, m, d, a),
+        sums=lambda n, m, a, d, **_: filtered_sums._stirling_product_sums(n, m, d, a),
     ),
     TheoremId.SC2: Theorem(
         params=("n", "p", "a", "f"),
@@ -210,7 +209,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         bound=lambda n, p, alpha, m, **_: (
             (n - p**alpha) // (p**alpha * (p - 1)) - ord_p_factorial(m, p)),
         tables=(Family.STIRLING1, Family.STIRLING2),
-        sums=lambda n, m, a, d, **_: filtered_sums.stirling_product_sums(n, m, d, a),
+        sums=lambda n, m, a, d, **_: filtered_sums._stirling_product_sums(n, m, d, a),
     ),
 }
 

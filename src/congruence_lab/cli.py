@@ -62,9 +62,9 @@ import os
 import signal
 import sys
 import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, triangles, verifier
 from ._suites import IDENTITY_IDS, NONNEGATIVE_OPTIONS, SUITE_OPTIONS

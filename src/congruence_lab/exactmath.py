@@ -8,6 +8,7 @@ results are exact regardless of magnitude.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import lru_cache, total_ordering
 
@@ -19,6 +20,7 @@ __all__ = [
     "IntPolynomial",
     "PAdicOrder",
     "binom",
+    "check_integer",
     "check_params",
     "check_prime",
     "is_prime",
@@ -45,23 +47,32 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_integer(name: str, value: object) -> int:
+    """``value`` as an int (by ``operator.index``), else :class:`ParameterError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_prime(p: int) -> int:
     """Return ``p`` unchanged if it is prime, else raise :class:`ParameterError`."""
-    if not isinstance(p, int) or not is_prime(p):
+    if not is_prime(check_integer("p", p)):
         raise ParameterError(f"p must be a prime >= 2, got {p!r}")
     return p
 
 
 #: Smallest allowed value of each integer parameter that has one (p must be
-#: prime; a, d, r and f may be anything).  :func:`check_params` is the one
+#: prime; a, d and r may be any integer).  :func:`check_params` is the one
 #: check that applies them, for every claim, grid, bound and sum.
 PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
 
 
 def check_params(**params) -> None:
-    """Raise :class:`ParameterError` unless ``p`` (where given) is prime and
-    every given parameter with a :data:`PARAM_MINIMUM` is at least that;
-    ``p`` is checked first, then the rest in the order given.
+    """Raise :class:`ParameterError` unless ``p`` (where given) is prime,
+    every given parameter but the polynomial ``f`` is an integer, and each
+    with a :data:`PARAM_MINIMUM` is at least that; ``p`` is checked first,
+    then the rest in the order given.
 
     >>> check_params(n=3, p=2, alpha=1, a=-5)
     >>> check_params(n=0, p=2)
@@ -72,6 +83,8 @@ def check_params(**params) -> None:
     if "p" in params:
         check_prime(params["p"])
     for name, value in params.items():
+        if name != "f":
+            check_integer(name, value)
         if name in PARAM_MINIMUM and value < PARAM_MINIMUM[name]:
             raise ParameterError(f"{name} must be >= {PARAM_MINIMUM[name]}, got {value}")
 

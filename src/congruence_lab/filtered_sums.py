@@ -6,43 +6,31 @@ classical unity-filter representation is an identity about these sums, not an
 implementation requirement.
 
 Each sum is a function of n, its residue class (for a one-pass sum, the
-modulus d) and the parameters of its weight, and checks only those.  Which
-class a theorem sums over, p**alpha or p**beta, is the caller's business: the
-verifier builds it from the checked claim, the CLI from its flags.
+modulus d) and the parameters of its weight.  Which class a theorem sums
+over, p**alpha or p**beta, is the caller's business: the verifier builds it
+from the checked claim, the CLI from its flags.  Each public sum checks its
+arguments and calls a private kernel that checks nothing (``_fleck_sum``,
+..., ``_stirling_product_sums``, :meth:`_SweepState.fleck_sums`); the
+theorem table calls only the kernels, since every claim path has checked
+the claim's parameters.
 
 The binomial values C(n, k) come from one memoized row per n, built by
 :func:`binomial_row`, not from ``math.comb`` per claim: a grid runs n
-outermost, so one row serves every (p, alpha, l) tuple and residue of that n
-(:func:`fleck_sums` reads it only when it cannot step from n - 1).
-
-The per-residue sums (:func:`fleck_sum`, :func:`binom_power_sum`, the
-Eulerian and the Stirling sums) multiply each term by its weight in place,
-with exact ``math.comb`` weights or one running power of the base.  Each
-public one checks its arguments and calls a private kernel
-(``_fleck_sum``, ...) that checks nothing.  The theorem table's ``sum``
-calls the kernels, since every claim path has checked the claim's
-parameters: they are ``check_claim``'s reference, and the sweep path of the
-theorems that have no one-pass sums (``sun``, ``ec1``, ``ec2`` and ``sc2``)
-and of a residue subset.
+outermost, so one row serves every tuple and residue of that n.  That
+one-row cache is the module's only state.  The per-residue sums
+(:func:`fleck_sum`, :func:`binom_power_sum`, the Eulerian and the Stirling
+sums) multiply each term by its weight in place, with exact ``math.comb``
+weights or one running power of the base.  They are ``check_claim``'s
+reference, and the sweep path of ``sun``, ``ec1``, ``ec2``, ``sc2`` (no
+one-pass sums) and of a residue subset.
 
 :func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
-residue class of one modulus at once, in residue order, equal to one call of
-:func:`fleck_sum` (no divisor) or :func:`stirling_product_sum` per residue:
-the verifier evaluates a parameter tuple's d claims with one of them.
-:func:`fleck_sums` builds F(n, r, l), the sum over k = r (mod d) of
-(-1)**k C(n, k) C((k - r) / d, l), by additions only.  For each modulus
-d <= n it keeps the sums of the last n for l = 0..L, at most (L + 1) d
-sums, and Pascal's rule steps all of them to n + 1:
-
-    F(n, r, l) = F(n-1, r, l) - F(n-1, r-1, l)                  for r >= 1,
-    F(n, 0, l) = F(n-1, 0, l) - F(n-1, d-1, l) - F(n-1, d-1, l-1),
-
-with F(., ., -1) = 0.  The first n, a gap in the n axis, the first tuple of
-a pool worker's chunk and a larger l than is kept fall back to repeated
-suffix sums of each class of the signed row (-1)**k C(n, k), kept for one
-(n, d) so that a larger l there extends them; a modulus d > n keeps nothing,
-since the row gives its sums.  :func:`fleck_sum` keeps its
-multiply-accumulate over ``math.comb`` weights and is the reference for it.
+residue class of one modulus at once, in residue order, equal to one
+per-residue sum each: the verifier evaluates a parameter tuple's d claims
+with one of them.  :func:`fleck_sums` adds only, and steps the sums of n
+from those of n - 1 (Pascal's rule) where a :class:`_SweepState` keeps
+them.  A sweep's plan owns that state; the public :func:`fleck_sums` runs
+on a fresh one, so it keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -150,77 +138,75 @@ def _fleck_sum(n: int, cls: ResidueClass, l: int = 0, q: int | None = None) -> i
     return sum(v * w for v, w in zip(values, weights))
 
 
-# What fleck_sums keeps between calls.  For each modulus d, _kept[d] is
-# (n, levels) for the last n asked with d <= n: levels[l][r] = F(n, r, l) for
-# r < d and l = 0..L (see fleck_sums).  _kept[None] is
-# ((n, d), levels, classes), the suffix sums that the last fallback folded
-# from the row, for one (n, d), with the levels read from them so far.
-# Entries are replaced whole, never changed in place, so a call interrupted
-# part-way leaves whole entries.
-_kept: dict = {None: (None, (), ())}
-
-
-def _pascal_step(levels: tuple) -> tuple:
-    """The levels of n from the levels of n - 1, by Pascal's rule."""
-    stepped, below = [], None  # below: level l - 1 of n - 1
-    for sums in levels:
-        carry = sums[-1] + below[-1] if below else sums[-1]
-        stepped.append([sums[0] - carry, *map(operator.sub, sums[1:], sums)])
-        below = sums
-    return tuple(stepped)
-
-
 def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
-    """The :func:`fleck_sum` of every residue r = 0..d - 1, with no divisor.
+    """The :func:`fleck_sum` of every residue r = 0..d - 1, with no divisor,
+    worked out on a fresh :class:`_SweepState`, so from the row."""
+    check_params(n=n, l=l)
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d}")
+    return _SweepState().fleck_sums(n, d, l)
 
-    Member j of class r is k = r + j * d, with weight (-1)**k C(j, l), so
-    with v_k = (-1)**k C(n, k) the sum for r is F(n, r, l), the sum over j
-    of v_(r + j d) C(j, l).  Pascal's rule, v(n)_k = v(n-1)_k - v(n-1)_(k-1),
-    gives every F of n from those of n - 1 with 2d + 1 additions per l:
+
+class _SweepState:
+    """What the one-pass sums of one sweep keep between its tuples; a
+    sweep's plan holds one, so it goes when the sweep ends, and a pool
+    worker starts with none.
+
+    With v_k = (-1)**k C(n, k), the sum for class r is F(n, r, l), the sum
+    over j of v_(r + j d) C(j, l).  Pascal's rule, v(n)_k = v(n-1)_k -
+    v(n-1)_(k-1), gives every F of n from those of n - 1 with 2d + 1
+    additions per l:
 
         F(n, r, l) = F(n-1, r, l) - F(n-1, r-1, l)                  for r >= 1,
         F(n, 0, l) = F(n-1, 0, l) - F(n-1, d-1, l) - F(n-1, d-1, l-1),
 
-    with F(., ., -1) = 0.  A grid runs n outermost and l innermost, so for
-    each modulus d <= n the sums of the last n are kept for l = 0..L, and a
-    step carries every kept level, since stepping level l needs level l - 1.
-    L is the largest l asked of d since its sums last came from the row, so
-    a modulus keeps at most (L + 1) d sums.  A modulus d > n keeps nothing:
-    each class then has at most one member, and the row gives the sums.
+    with F(., ., -1) = 0.  So ``kept[d]`` is (n, levels) for the last n
+    asked of a modulus d <= n, levels[l][r] = F(n, r, l) for l = 0..L, with
+    ``top`` = L the largest l the state has been asked: a step carries every
+    level, since level l needs level l - 1, so a modulus keeps at most
+    (L + 1) d sums.  A modulus d > n keeps nothing: each class has at most
+    one member, and the row gives the sums.
 
-    With no usable n - 1 (the first n, a gap in the n axis, the first tuple
-    of a pool worker's chunk) or a larger l than is kept, the sums come from
-    the signed row instead: F(n, r, l) is entry l of the (l + 1)-fold suffix
+    With no usable n - 1 (the first n, a gap in the n axis, a pool worker's
+    first tuple) or a larger l than is kept, levels 0..L come from the
+    signed row at once: F(n, r, l) is entry l of the (l + 1)-fold suffix
     sums of class r's terms, highest k first, since t-fold suffix sums put
     weight C(j - i + t - 1, t - 1) on term j at entry i.  A class of at most
-    l members sums to 0.  These suffix sums are kept for one (n, d), so a
-    larger l there extends them by one pass per fold.
+    l members sums to 0.
     """
-    check_params(n=n, l=l)
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
-    n = operator.index(n)  # a float n fails, as math.comb does
-    kept_n, levels = _kept.get(d, (None, ()))
-    if kept_n == n - 1 and len(levels) > l:
-        levels = _pascal_step(levels)
-    elif kept_n != n or len(levels) <= l:
+
+    __slots__ = ("kept", "top")
+
+    def __init__(self) -> None:
+        self.kept: dict[int, tuple[int, list]] = {}
+        self.top = 0
+
+    def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
+        """:func:`fleck_sums` of checked arguments, stepped where it can be."""
+        if l > self.top:
+            self.top = l
         if d > n:  # class r has at most one member, k = r, with weight C(0, l)
             if l:
                 return [0] * d
             row = _binomial_row(n)
             return [c if k % 2 == 0 else -c for k, c in enumerate(row)] + [0] * (d - n - 1)
-        key, levels, classes = _kept[None]
-        if key != (n, d):
+        kept_n, levels = self.kept.get(d, (None, ()))
+        if kept_n == n - 1 and len(levels) > l:  # Pascal's rule
+            stepped, below = [], None  # below: level l - 1 of n - 1
+            for sums in levels:
+                carry = sums[-1] + below[-1] if below else sums[-1]
+                stepped.append([sums[0] - carry, *map(operator.sub, sums[1:], sums)])
+                below = sums
+            levels = stepped
+        elif kept_n != n or len(levels) <= l:
             signed = list(_binomial_row(n))
             signed[1::2] = [-c for c in signed[1::2]]
-            levels, classes = (), [signed[r::d][::-1] for r in range(d)]
-        while len(levels) <= l:
-            classes = [list(itertools.accumulate(c)) for c in classes]
-            depth = len(levels)
-            levels += ([c[-1 - depth] if len(c) > depth else 0 for c in classes],)
-        _kept[None] = ((n, d), levels, classes)
-    _kept[d] = (n, levels)
-    return list(levels[l])
+            classes, levels = [signed[r::d][::-1] for r in range(d)], []
+            for depth in range(self.top + 1):
+                classes = [list(itertools.accumulate(c)) for c in classes]
+                levels.append([c[-1 - depth] if len(c) > depth else 0 for c in classes])
+        self.kept[d] = (n, levels)
+        return list(levels[l])
 
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:
@@ -264,7 +250,7 @@ def eulerian_power_sum(n: int, cls: ResidueClass, a: int) -> int:
     """Filtered Eulerian power sum:
     sum over k = r (mod d), 0 <= k <= n-1, of A(n, k) a**k  (0**0 = 1).
     """
-    check_params(n=n)
+    check_params(n=n, a=a)
     return _eulerian_power_sum(n, cls, a)
 
 
@@ -279,7 +265,7 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 
     The class modulus d is arbitrary; m > n gives 0 because S(k, m) vanishes.
     """
-    check_params(n=n, m=m)
+    check_params(n=n, m=m, a=a)
     return _stirling_product_sum(n, m, cls, a)
 
 
@@ -292,9 +278,13 @@ def _stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
     """The :func:`stirling_product_sum` of every residue r = 0..d-1, from one
     pass over k that adds each term to the total of k mod d."""
-    check_params(n=n, m=m)
+    check_params(n=n, m=m, a=a)
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
+    return _stirling_product_sums(n, m, d, a)
+
+
+def _stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
     srow = triangles.stirling1_row(n)
     rows2 = triangles.ensure_rows(Family.STIRLING2, n).rows
     totals = [0] * d
@@ -309,7 +299,7 @@ def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> in
     """Filtered polynomial-weighted Stirling sum:
     sum over k = r (mod d), 0 <= k <= n, of s(n, k) f(k) a**k.
     """
-    check_params(n=n)
+    check_params(n=n, a=a)
     return _stirling_poly_sum(n, f, cls, a)
 
 

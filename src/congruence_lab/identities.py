@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Iterator
 
 from . import triangles
 from ._slots import Frozen

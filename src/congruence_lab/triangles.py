@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Iterator
 
 from ._slots import Frozen
 from .errors import CapacityError, ParameterError

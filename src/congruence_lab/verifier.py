@@ -28,17 +28,16 @@ Who checks what: :func:`check_claim` and :func:`evaluate_tuple`, the
 library call for one tuple, check a claim's parameters once, in
 :func:`_checked_theorem`, before anything reads them.  A :class:`GridSpec`
 checks every value of its axes when it is built, so a sweep's tuples skip
-that check.  The one-pass ``sums`` check their n and l once per tuple, and on
-the per-residue branch the plan checks the tuple once for the per-residue
-kernels, which check nothing.  Both paths call the ``sum``, ``hypotheses``
-and ``bound`` of the theorem's :data:`THEOREMS` entry, so that a patched
-entry reaches either path.
+that check.  So no function of a :data:`THEOREMS` entry checks anything
+(the per-residue branch checks the tuple once), and both paths call the
+entry's functions, so that a patched entry reaches either path.
 
 A :class:`_Plan` holds what the tuples of one grid share: the theorem's
-entry, and its class modulus, hypotheses and bound, each worked out once
-per distinct value of the parameters it names (a one-entry memo,
-:func:`_memo`).  A sweep plans each grid once; :func:`evaluate_tuple` plans
-its one tuple, so both run the same evaluation body.
+entry, the state its ``sums`` keep between tuples, and its class modulus,
+hypotheses and bound, each worked out once per distinct value of the
+parameters it names (a one-entry memo, :func:`_memo`).  A sweep plans each
+grid once; :func:`evaluate_tuple` plans its one tuple, so both run the same
+evaluation body.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -57,14 +56,14 @@ from __future__ import annotations
 import itertools
 import operator
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import triangles
 from ._slots import Frozen, Slotted
 from .bounds import THEOREMS, Theorem, TheoremId, _named, sc2_comparison, sc2_constants
 from .errors import ParameterError
-from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_params, ord_p, ord_p_nonzero
-from .filtered_sums import ResidueClass
+from .exactmath import (INFINITY, IntPolynomial, PAdicOrder, check_integer, check_params, ord_p,
+                        ord_p_nonzero)
+from .filtered_sums import ResidueClass, _SweepState
 from .triangles import Family
 
 __all__ = [
@@ -326,14 +325,15 @@ def _memo(fn: Callable[..., Any], params: tuple[str, ...]) -> Callable[[dict[str
 class _Plan:
     """What the tuples of one theorem's sweep share, worked out once: its
     :data:`THEOREMS` entry; its class modulus, hypotheses and bound, each
-    through a :func:`_memo`; and the residues to evaluate for the last
-    modulus.  :meth:`evaluate` is the one evaluation body: a sweep calls it
-    for each tuple of its grid, whose values the :class:`GridSpec` has
-    checked, and :func:`evaluate_tuple` for one tuple that
-    :func:`_checked_theorem` has checked."""
+    through a :func:`_memo`; the residues to evaluate for the last modulus;
+    and the :class:`~filtered_sums._SweepState` its ``sums`` keep.
+    :meth:`evaluate` is the one evaluation body: a sweep calls it for each
+    tuple of its grid, whose values the :class:`GridSpec` has checked, and
+    :func:`evaluate_tuple` for one tuple that :func:`_checked_theorem` has
+    checked."""
 
     __slots__ = ("theorem", "wiring", "probe", "modulus", "hypotheses", "bound", "asked",
-                 "_last")
+                 "state", "_last")
 
     def __init__(self, theorem: TheoremId, residues: str | Iterable[int],
                  probe_inapplicable: bool) -> None:
@@ -344,6 +344,7 @@ class _Plan:
         self.hypotheses = wiring.hypotheses and _memo(wiring.hypotheses, wiring.params)
         self.bound = wiring.bound and _memo(wiring.bound, wiring.params)
         self.asked = residues if isinstance(residues, str) else tuple(residues)
+        self.state = _SweepState()
         self._last: tuple = (None, None, ())  # the last modulus, its class 0 and residues
 
     def classes(self, params: dict[str, Any]) -> tuple[ResidueClass, Sequence[int]]:
@@ -369,7 +370,7 @@ class _Plan:
                                [_NOT_APPLICABLE] * count, nones, nones)
 
         if wiring.sums is not None and count == d:  # every residue, so rs is range(d)
-            totals = wiring.sums(d=d, **params)  # checks its n and l
+            totals = wiring.sums(d=d, state=self.state, **params)
         else:  # the per-residue kernels check nothing: one check serves them all
             check_params(**params)
             totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
@@ -441,8 +442,8 @@ def evaluate_tuple(
 # --------------------------------------------------------------------------
 
 
-def _axis(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(int(v) for v in values)))
+def _axis(name: str, values: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted({check_integer(name, v) for v in values}))
 
 
 #: The :class:`GridSpec` field that holds each parameter's axis.  The keys are
@@ -493,14 +494,14 @@ class GridSpec(Frozen):
             if residues != "all":
                 raise ParameterError(f"residues must be 'all' or a collection, got {residues!r}")
         else:
-            residues = _axis(residues)
+            residues = _axis("r", residues)
         object.__setattr__(self, "residues", residues)
         given = dict(zip(AXIS_FIELDS, (ns, primes, alphas, betas, ls, ms, a_values, polys)))
         taken = THEOREMS[self.theorem].params
         least = {}
         for name, attr in AXIS_FIELDS.items():
             # polynomials keep their first-occurrence order, without repeats
-            values = tuple(dict.fromkeys(given[name])) if name == "f" else _axis(given[name])
+            values = tuple(dict.fromkeys(given[name])) if name == "f" else _axis(name, given[name])
             object.__setattr__(self, attr, values)
             if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
@@ -651,10 +652,10 @@ def iter_chunks(
 
     Each grid gets one :class:`_Plan`, and each tuple is evaluated whole by
     its :meth:`_Plan.evaluate`, with no parameter check: the grid has
-    checked every value.  The results are cut into chunks of at least ``size`` claims, at tuple boundaries,
-    numbered from 0.  Only the tuples of these chunks are evaluated, so
-    ``step`` callers with ``first`` = 0 .. step-1 share the work of one
-    sweep.  With ``fail_fast`` the results stop at the first VIOLATION: its
+    checked every value.  The results are cut into chunks of at least
+    ``size`` claims, at tuple boundaries, numbered from 0.  Only the tuples
+    of these chunks are evaluated, so ``step`` callers with ``first`` = 0 ..
+    step-1 share the work of one sweep.  With ``fail_fast`` the results stop at the first VIOLATION: its
     tuple's result is cut right after it, and no later tuple is evaluated.
     The triangles must have been built (:func:`ensure_tables`).
     """

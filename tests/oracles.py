@@ -79,6 +79,23 @@ def rising_poly_coeffs(n: int) -> list[int]:
     return coeffs
 
 
+def eulerian_row_by_series(n: int) -> list[int]:
+    """Row n of the Eulerian triangle, A(n, k) for k = 0..n-1 (row 0 is [1]):
+    the coefficients of A_n(x) = (1 - x)**(n + 1) times the sum over j of
+    (j + 1)**n x**j, truncated to degree n - 1 (no recurrence and no
+    ascent count)."""
+    top = max(n, 1)
+    powers = [(j + 1) ** n for j in range(top)]
+    signs = [(-1) ** i * math.comb(n + 1, i) for i in range(top)]
+    return [sum(signs[i] * powers[k - i] for i in range(k + 1)) for k in range(top)]
+
+
+def stirling2_row_explicit(n: int) -> list[int]:
+    """Row n of the second-kind Stirling triangle, S(n, m) for m = 0..n, each
+    entry from :func:`stirling2_explicit`."""
+    return [stirling2_explicit(n, m) for m in range(n + 1)]
+
+
 def ord_by_division(x: int, p: int) -> int | None:
     """p-adic order by repeated division; None stands for the order of 0."""
     if x == 0:

@@ -31,7 +31,8 @@ class TestTable:
             params = set(entry.params)
             assert set(_named(entry.modulus)) <= params, theorem
             assert set(_named(entry.sum)) <= params | {"cls"}, theorem
-            assert set(_named(entry.sums)) <= params | {"d"}, theorem
+            # the plan passes the modulus and its sweep's state to sums
+            assert set(_named(entry.sums)) <= params | {"d", "state"}, theorem
             assert set(entry.spec_params) <= params - {"f"}, theorem
 
     def test_one_pass_sums(self):

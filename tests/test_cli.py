@@ -811,7 +811,7 @@ out = sys.argv[1]
 for fmt in ("json", "csv"):
     assert main(["verify", "sun", "--n", "1..8", "--p", "2,3", "--alpha", "1,2", "--beta", "0,1",
                  "--format", fmt, "--no-timestamp", "--out", out + "." + fmt]) == 0
-print(sorted(name for name in ("dataclasses", "inspect", "csv", "datetime",
+print(sorted(name for name in ("dataclasses", "inspect", "csv", "datetime", "typing",
                                "congruence_lab.identities") if name in sys.modules))
 sys.exit(main(["identity", "s3", "--n-max", "6", "--format", "csv", "--out", out + ".ident"]))
 """

@@ -246,16 +246,18 @@ class TestCheckParams:
         check_params(n=1, p=2, alpha=1, beta=0, l=0, m=1, a=-7, d=-1, r=-3, f=None)
 
 
-#: A good value of each parameter, and a bad one with the message every entry
-#: point that takes the parameter gives for it
+#: A good value of each parameter, and bad ones, each with the message every
+#: entry point that takes the parameter gives for it: one out of range, and
+#: one that is not an integer
 GOOD = {"n": 5, "p": 2, "alpha": 1, "beta": 0, "l": 0, "m": 1, "a": 1}
 BAD = {
-    "n": (0, "n must be >= 1, got 0"),
-    "alpha": (0, "alpha must be >= 1, got 0"),
-    "beta": (-1, "beta must be >= 0, got -1"),
-    "l": (-1, "l must be >= 0, got -1"),
-    "m": (0, "m must be >= 1, got 0"),
-    "p": (4, "p must be a prime >= 2, got 4"),
+    "n": ((0, "n must be >= 1, got 0"), (2.7, "n must be an integer, got 2.7")),
+    "alpha": ((0, "alpha must be >= 1, got 0"), (1.5, "alpha must be an integer, got 1.5")),
+    "beta": ((-1, "beta must be >= 0, got -1"), ("0", "beta must be an integer, got '0'")),
+    "l": ((-1, "l must be >= 0, got -1"), (2.0, "l must be an integer, got 2.0")),
+    "m": ((0, "m must be >= 1, got 0"), (1.5, "m must be an integer, got 1.5")),
+    "p": ((4, "p must be a prime >= 2, got 4"), (2.9, "p must be an integer, got 2.9")),
+    "a": ((1.5, "a must be an integer, got 1.5"),),  # any integer will do
 }
 
 
@@ -292,10 +294,10 @@ def _bound_spec(name, v):
 # the parameters of its weight
 EXACT, FLOOR = filtered_sums.ResidueClass(2, 0), filtered_sums.ResidueClass(1, 0)
 ENTRY_POINTS = {
-    "GridSpec": ("n p alpha beta l m", _grid),
-    "check_claim": ("n p alpha beta l m", _check_claim),
-    "evaluate_tuple": ("n p alpha beta l m", _evaluate_tuple),
-    "BoundSpec": ("n p alpha beta l m", _bound_spec),
+    "GridSpec": ("n p alpha beta l m a", _grid),
+    "check_claim": ("n p alpha beta l m a", _check_claim),
+    "evaluate_tuple": ("n p alpha beta l m a", _evaluate_tuple),
+    "BoundSpec": ("n p alpha beta l m a", _bound_spec),
     "fleck_sum": ("n l", lambda _, v: filtered_sums.fleck_sum(v["n"], EXACT, v["l"])),
     "fleck_sum FLOOR": ("n l", lambda _, v: filtered_sums.fleck_sum(
         v["n"], FLOOR, v["l"], v["p"] ** v["alpha"])),
@@ -304,13 +306,13 @@ ENTRY_POINTS = {
     # checked parameter
     "eulerian_wan_sum": ("n l", lambda _, v: filtered_sums.eulerian_wan_sum(
         v["n"], EXACT, v["l"])),
-    "eulerian_power_sum": ("n", lambda _, v: filtered_sums.eulerian_power_sum(
+    "eulerian_power_sum": ("n a", lambda _, v: filtered_sums.eulerian_power_sum(
         v["n"], EXACT, v["a"])),
-    "stirling_product_sum": ("n m", lambda _, v: filtered_sums.stirling_product_sum(
+    "stirling_product_sum": ("n m a", lambda _, v: filtered_sums.stirling_product_sum(
         v["n"], v["m"], EXACT, v["a"])),
-    "stirling_product_sums": ("n m", lambda _, v: filtered_sums.stirling_product_sums(
+    "stirling_product_sums": ("n m a", lambda _, v: filtered_sums.stirling_product_sums(
         v["n"], v["m"], 2, v["a"])),
-    "stirling_poly_sum": ("n", lambda _, v: filtered_sums.stirling_poly_sum(
+    "stirling_poly_sum": ("n a", lambda _, v: filtered_sums.stirling_poly_sum(
         v["n"], IntPolynomial((0, 1)), EXACT, v["a"])),
     "sc2_comparison": ("n p", lambda _, v: bounds.sc2_comparison(
         v["n"], v["p"], IntPolynomial((0, 1)), 6)),
@@ -327,7 +329,7 @@ ENTRY_POINTS = {
 def test_a_bad_value_gets_one_message_at_every_entry_point(entry, name):
     call = ENTRY_POINTS[entry][1]
     call(name, GOOD)  # the good values pass
-    value, message = BAD[name]
-    with pytest.raises(ParameterError) as error:
-        call(name, {**GOOD, name: value})
-    assert str(error.value) == message
+    for value, message in BAD[name]:
+        with pytest.raises(ParameterError) as error:
+            call(name, {**GOOD, name: value})
+        assert str(error.value) == message

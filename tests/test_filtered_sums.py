@@ -23,7 +23,13 @@ from congruence_lab.filtered_sums import (
     stirling_product_sums,
 )
 
-from oracles import fleck_sums_by_ring, naive_filtered_sum
+from oracles import (
+    eulerian_row_by_series,
+    fleck_sums_by_ring,
+    naive_filtered_sum,
+    rising_poly_coeffs,
+    stirling2_explicit,
+)
 
 
 class TestResidueClass:
@@ -319,6 +325,25 @@ class TestNaiveOracle:
                             got = fleck_sum(n, ResidueClass(p**beta, r), l, d)
                             assert got == sum(ring[l][r::p**beta]), (n, p, alpha, beta, r, l)
 
+    def test_triangle_sums_by_closed_forms(self):
+        # the Eulerian and Stirling sums up to the row limit, against naive
+        # sums weighted by the closed-form rows, which share no row with them
+        f = IntPolynomial((3, -1, 0, 2))
+        for n in (57, 120, triangles.ROW_LIMIT):
+            eulerian, stirling1 = eulerian_row_by_series(n), rising_poly_coeffs(n)
+            for d, a, m in ((2, -2, 1), (6, 3, 5), (9, 1, 2)):
+                stirling2 = [stirling2_explicit(k, m) for k in range(n + 1)]
+                assert stirling_product_sums(n, m, d, a) == [naive_filtered_sum(
+                    n, d, r, lambda k: stirling1[k] * stirling2[k] * a**k) for r in range(d)]
+                for r in range(d):
+                    cls = ResidueClass(d, r)
+                    assert stirling_poly_sum(n, f, cls, a) == naive_filtered_sum(
+                        n, d, r, lambda k: stirling1[k] * f(k) * a**k), (n, d, r, a)
+                    assert eulerian_power_sum(n, cls, a) == naive_filtered_sum(
+                        n - 1, d, r, lambda k: eulerian[k] * a**k), (n, d, r, a)
+                    assert eulerian_wan_sum(n, cls, m) == naive_filtered_sum(
+                        n - 1, d, r, lambda k: eulerian[k] * math.comb((k - r) // d, m))
+
 
 class TestOnePassSums:
     """Every residue's sum at once equals one per-residue sum per residue."""
@@ -336,42 +361,41 @@ class TestOnePassSums:
         assert fleck_sums(n, d, l) == want
 
     @staticmethod
-    def _check_kept():
-        """What fleck_sums keeps holds only the classes r <= n: each modulus's
-        sums are of an n >= d, d of them per level, and the fallback's suffix
-        sums are of one (n, d) with d <= n, n + 1 terms in d classes."""
-        for d, entry in filtered_sums._kept.items():
-            if d is None:
-                key, levels, classes = entry
-                if key is not None:
-                    n, d = key
-                    assert len(classes) == d <= n and sum(map(len, classes)) == n + 1
-                    assert levels and all(len(sums) == d for sums in levels)
-            else:
-                n, levels = entry
-                assert d <= n and levels and all(len(sums) == d for sums in levels)
+    def _check_kept(state):
+        """What a state keeps holds only the classes r <= n: it has one kind
+        of entry, the sums of one n >= d for each modulus d, d of them per
+        level, for the levels 0..L of the largest l it was asked."""
+        for d, (n, levels) in state.kept.items():
+            assert d <= n and levels and all(len(sums) == d for sums in levels)
+            assert len(levels) <= state.top + 1
 
     @classmethod
     def _check_calls(cls, calls):
-        """Each fleck_sums call of the sequence equals one fleck_sum and one
-        naive sum per residue, and leaves kept only classes r <= n."""
+        """Each call of the sequence on one state equals one fleck_sum and one
+        naive sum per residue, and leaves kept only classes r <= n.  Returns
+        the state."""
+        state = filtered_sums._SweepState()
         for n, p, alpha, l in calls:
             d = p**alpha
-            got = fleck_sums(n, d, l)
+            got = state.fleck_sums(n, d, l)
             assert got == [fleck_sum(n, ResidueClass(d, r), l) for r in range(d)]
             assert got == [naive_filtered_sum(
                 n, d, r, lambda k: (-1) ** k * math.comb(n, k) * math.comb((k - r) // d, l))
                 for r in range(d)], (n, p, alpha, l)
-            cls._check_kept()
-            assert (filtered_sums._kept.get(d, (None,))[0] == n) == (d <= n), (n, d)
+            cls._check_kept(state)
+            assert (state.kept.get(d, (None,))[0] == n) == (d <= n), (n, d)
+        return state
 
     def test_fleck_sums_sequence(self):
         # l ascending, repeated and descending, (n, d) interleaved, and
         # classes with at most l members (n = 2, d = 2, l = 3 gives 0)
-        self._check_calls([(9, 3, 1, 0), (9, 3, 1, 1), (9, 3, 1, 1), (9, 3, 1, 3),
-                           (9, 3, 2, 1), (9, 3, 1, 2), (10, 3, 1, 2), (9, 3, 1, 0),
-                           (2, 2, 1, 3), (2, 2, 1, 0), (2, 2, 1, 3), (7, 2, 2, 2)])
+        state = self._check_calls([(9, 3, 1, 0), (9, 3, 1, 1), (9, 3, 1, 1), (9, 3, 1, 3),
+                                   (9, 3, 2, 1), (9, 3, 1, 2), (10, 3, 1, 2), (9, 3, 1, 0),
+                                   (2, 2, 1, 3), (2, 2, 1, 0), (2, 2, 1, 3), (7, 2, 2, 2)])
         assert fleck_sums(2, 2, 3) == [0, 0]
+        # a fallback folds every level up to the largest l the state was
+        # asked (3), though (7, 4) asked only l = 2
+        assert state.top == 3 and len(state.kept[4][1]) == 4
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -395,59 +419,96 @@ class TestOnePassSums:
         st.integers(min_value=0, max_value=6),  # calls a pool chunk start skips
     ), min_size=1, max_size=4))
     def test_fleck_sums_over_sweeps(self, windows):
-        """Sweeps as a grid makes them, n outermost and l innermost: n
-        windows with gaps, restarts at an earlier or a later n, l axes that
-        skip values or run down, interleaved moduli (some above n), and
-        windows that start part-way into an n, as a pool chunk does.  Every
-        sum equals fleck_sum and the ring oracle, which reads no row."""
+        """Sweeps as a grid makes them, n outermost and l innermost, on one
+        state per drawn sweep: n windows with gaps, restarts at an earlier
+        or a later n, l axes that skip values or run down, interleaved
+        moduli (some above n), and windows that start part-way into an n,
+        as a pool chunk does.  Every sum equals fleck_sum and the ring
+        oracle, which reads no row."""
         ring = {}
+        state = filtered_sums._SweepState()
         for start, steps, moduli, ls, skip in windows:
             ns = itertools.accumulate(steps, initial=start)
             calls = [(n, d, l) for n in ns for d in moduli for l in ls][skip:]
             for n, d, l in calls:
-                got = fleck_sums(n, d, l)
+                got = state.fleck_sums(n, d, l)
                 if (n, d) not in ring:
                     ring[n, d] = fleck_sums_by_ring(n, d, 4)
                 assert got == ring[n, d][l], (n, d, l)
                 assert got == [fleck_sum(n, ResidueClass(d, r), l) for r in range(d)]
-                self._check_kept()
+                self._check_kept(state)
 
-    def test_no_empty_class_is_kept(self, monkeypatch):
+    def test_no_empty_class_is_kept(self):
         # weisman at n = 3, p**alpha = 2**16: each class has at most one
-        # member, so the row gives the sums and nothing is kept for the tuple
-        monkeypatch.setattr(filtered_sums, "_kept", {None: (None, (), ())})
+        # member, so the row gives the sums and the plan's state keeps nothing
+        plan = verifier._Plan(verifier.TheoremId.WEISMAN, "all", False)
         tracemalloc.start()
         try:
-            verifier.evaluate_tuple("weisman", {"n": 3, "p": 2, "alpha": 16})  # result dropped
+            plan.evaluate({"n": 3, "p": 2, "alpha": 16})  # result dropped
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert filtered_sums._kept == {None: (None, (), ())}
+        assert plan.state.kept == {}
         assert held < 2**18
 
-    def test_kept_state_after_a_sweep(self, monkeypatch):
+    def test_kept_state_after_a_sweep(self):
         # binom-deep's moduli and l axis, and a modulus above n, over n =
-        # 600..620: what stays is at most (L + 1) d sums per modulus d <= n,
-        # the suffix sums of one (n, d) and the one cached row
-        monkeypatch.setattr(filtered_sums, "_kept", {None: (None, (), ())})
+        # 600..620 on one state: what stays is at most (L + 1) d sums per
+        # modulus d <= n and the one cached row
+        state = filtered_sums._SweepState()
         ns, moduli, ls = range(600, 621), (2, 4, 3, 9, 2**10), range(4)
         tracemalloc.start()
         try:
             for n in ns:
                 for d in moduli:
                     for l in ls:
-                        fleck_sums(n, d, l)  # result dropped
+                        state.fleck_sums(n, d, l)  # result dropped
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        self._check_kept()
+        self._check_kept(state)
         bound = sum(len(ls) * d for d in moduli if d <= ns[-1])
-        kept = [s for d, entry in filtered_sums._kept.items() if d is not None
-                for sums in entry[1] for s in sums]
+        kept = [s for _, levels in state.kept.values() for sums in levels for s in sums]
         assert len(kept) <= bound
         # each int held is at most one of n + 64 bits, and a list holds it by one pointer
         per_int = sys.getsizeof(1 << (ns[-1] + 64)) + 8
         assert held < (bound + 2 * (ns[-1] + 1)) * per_int + 2**14
+
+    @staticmethod
+    def _held_after(run):
+        """The bytes that ``run()`` allocates and leaves allocated."""
+        tracemalloc.start()
+        try:
+            run()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return held
+
+    # what may stay after the sums of n <= 620: the one cached binomial row,
+    # 621 ints of at most 620 bits, each held by one pointer
+    ONE_ROW = 621 * (sys.getsizeof(1 << 620) + 8)
+
+    def test_the_public_sums_keep_nothing(self):
+        # fleck_sums runs on a fresh state, so over n = 600..620 nothing but
+        # the row stays, where every modulus's sums of the last n used to
+        def calls():
+            for n in range(600, 621):
+                for d in (2, 4, 3, 9, 2**10):
+                    for l in range(4):
+                        fleck_sums(n, d, l)  # result dropped
+
+        assert self._held_after(calls) < self.ONE_ROW + 2**14
+
+    def test_a_sweep_keeps_nothing_once_it_is_dropped(self):
+        # binom-deep's theorem, moduli and l axis over n = 600..620: the
+        # sweep's plan owns the state its sums keep, so the state goes with it
+        grid = verifier.GridSpec("wan-strong", ns=range(600, 621), primes=(2, 3),
+                                 alphas=(1, 2), ls=range(4))
+        records = []
+        assert self._held_after(lambda: records.append(len(verifier.run_grids([grid]).records))) \
+            < self.ONE_ROW + 2**14
+        assert records == [21 * 4 * (2 + 4 + 3 + 9)]
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,10 +10,12 @@ from congruence_lab.triangles import Family, build
 
 from oracles import (
     eulerian_by_enumeration,
+    eulerian_row_by_series,
     rising_poly_coeffs,
     stirling1_by_enumeration,
     stirling2_by_enumeration,
     stirling2_explicit,
+    stirling2_row_explicit,
 )
 
 
@@ -99,6 +102,35 @@ class TestBruteForce:
         for n in range(1, 7):
             for k in range(n + 1):
                 assert triangles.eulerian(n, k) == eulerian_by_enumeration(n, k)
+
+
+def _sampled_rows(count: int) -> list[int]:
+    """Every row up to 40, ``count`` rows drawn from 41..ROW_LIMIT - 1, and
+    the last row."""
+    rng = random.Random(20261019)
+    return [*range(41), *sorted(rng.sample(range(41, triangles.ROW_LIMIT), count)),
+            triangles.ROW_LIMIT]
+
+
+class TestClosedForms:
+    """Every row the tables hold, against a closed form that shares no row
+    and no recurrence with them: each row of the first kind, and sampled
+    rows of the others, where the closed form is slow."""
+
+    def test_eulerian_rows_by_series(self):
+        tri = triangles.ensure_rows(Family.EULERIAN, triangles.ROW_LIMIT)
+        for n in _sampled_rows(12):
+            assert list(tri.row(n)) == eulerian_row_by_series(n), n
+
+    def test_stirling1_rows_by_rising_factorial(self):
+        tri = triangles.ensure_rows(Family.STIRLING1, triangles.ROW_LIMIT)
+        for n in range(triangles.ROW_LIMIT + 1):
+            assert list(tri.row(n)) == rising_poly_coeffs(n), n
+
+    def test_stirling2_rows_explicit(self):
+        tri = triangles.ensure_rows(Family.STIRLING2, triangles.ROW_LIMIT)
+        for n in _sampled_rows(6):
+            assert list(tri.row(n)) == stirling2_row_explicit(n), n
 
 
 class TestTriangleObject:

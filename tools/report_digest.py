@@ -8,9 +8,12 @@ Every window runs both serially (--workers 1) and on the worker pool
 (--workers 2), and once with --fail-fast, which finds no violation and so
 must give the same bytes; perfbench/check.py checks each report.  The JSON
 windows are also written as CSV with --workers 1 and 2, which must give the
-same bytes.  The exit status is 1 if any check fails, else 0.
+same bytes.  The windows in PINNED have no benchmark workload: each must
+exit 0 and give the report whose sha256 is pinned here, at --workers 1 and
+2 and with --fail-fast.  The exit status is 1 if any check fails, else 0.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +22,16 @@ import tempfile
 
 sys.path.insert(0, "perfbench")
 from workloads import WORKLOADS
+
+
+#: (arguments, sha256 of the report) of each window pinned here
+PINNED = [
+    # 93,600 claims: moduli above n at small n, an l axis that skips values,
+    # and pool chunks that start part-way into an n
+    (["verify", "davis-sun-b", "--n", "1..150", "--p", "2,3,5", "--alpha", "1..3",
+      "--l", "0,2,5", "--format", "csv", "--no-timestamp"],
+     "0360b3b4ebc7442833cb28acbc04a0f2d321f0947815f70440e78eed69a9d17a"),
+]
 
 
 def with_flag(argv, flag, value):
@@ -70,4 +83,16 @@ with tempfile.TemporaryDirectory() as tmp:
                       f"{reports[0][0]} and {reports[1][0]}, "
                       f"{'identical' if same else 'DIFFERENT'}")
                 failed |= not same
+    for argv, want in PINNED:
+        for how in (["--workers", "1"], ["--workers", "2"], ["--fail-fast"]):
+            report = os.path.join(tmp, "pinned" + how[-1])
+            code = verify(argv + how, report)
+            digest = "(no report)"
+            if os.path.exists(report):
+                with open(report, "rb") as f:
+                    digest = hashlib.sha256(f.read()).hexdigest()
+            ok = code == 0 and digest == want
+            print(f"{' '.join(argv[:2])} {' '.join(how)}: exit {code}, "
+                  f"{'digest matches' if ok else 'DIFFERENT digest ' + digest}")
+            failed |= not ok
 sys.exit(failed)
