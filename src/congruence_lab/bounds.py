@@ -267,7 +267,7 @@ def sc2_comparison(
     lhs = C(n, l) * p**ord_p(total) >= p**ord_p(n!) = rhs.  A zero sum is
     satisfied with lhs = None (infinite order).
     """
-    check_params(n=n, p=p)
+    check_params(n=n, p=p, f=f)
     l, comb, rhs = sc2_constants(n, p, f)
     if total == 0:
         return l, None, rhs, True

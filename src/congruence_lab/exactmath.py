@@ -62,19 +62,22 @@ def check_prime(p: int) -> int:
     return p
 
 
-#: Smallest allowed value of each integer parameter that has one (p must be
-#: prime; a, d and r may be any integer).  :func:`check_params` is the one
-#: check that applies them, for every claim, grid, bound and sum.
-PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1}
+#: Smallest allowed value of each integer parameter that has one: p must be
+#: prime, a and r may be any integer, and d (a class modulus) and the divisor
+#: of a floor quotient are at least 1.  :func:`check_params` is the one check
+#: that applies them, for every claim, grid, residue class, bound and sum.
+PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1, "d": 1,
+                                 "divisor": 1}
 
 
 def check_params(**params) -> None:
     """Raise :class:`ParameterError` unless ``p`` (where given) is prime,
-    every given parameter but the polynomial ``f`` is an integer, and each
-    with a :data:`PARAM_MINIMUM` is at least that; ``p`` is checked first,
-    then the rest in the order given.
+    the polynomial ``f`` (where given) is an :class:`IntPolynomial`, every
+    other given parameter is an integer, and each with a
+    :data:`PARAM_MINIMUM` is at least that; ``p`` is checked first, then the
+    rest in the order given.
 
-    >>> check_params(n=3, p=2, alpha=1, a=-5)
+    >>> check_params(n=3, p=2, alpha=1, a=-5, d=4, r=-1)
     >>> check_params(n=0, p=2)
     Traceback (most recent call last):
         ...
@@ -83,10 +86,13 @@ def check_params(**params) -> None:
     if "p" in params:
         check_prime(params["p"])
     for name, value in params.items():
-        if name != "f":
+        if name == "f":
+            if not isinstance(value, IntPolynomial):
+                raise ParameterError(f"f must be an IntPolynomial, got {value!r}")
+        else:
             check_integer(name, value)
-        if name in PARAM_MINIMUM and value < PARAM_MINIMUM[name]:
-            raise ParameterError(f"{name} must be >= {PARAM_MINIMUM[name]}, got {value}")
+            if name in PARAM_MINIMUM and value < PARAM_MINIMUM[name]:
+                raise ParameterError(f"{name} must be >= {PARAM_MINIMUM[name]}, got {value}")
 
 
 @total_ordering
@@ -250,7 +256,7 @@ class IntPolynomial(Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
-        c = tuple(int(v) for v in coeffs)
+        c = tuple(check_integer("coefficient", v) for v in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         self._set(c)

@@ -43,7 +43,7 @@ import operator
 from . import triangles
 from ._slots import Frozen
 from .errors import ParameterError
-from .exactmath import IntPolynomial, check_params
+from .exactmath import IntPolynomial, check_integer, check_params
 from .triangles import Family
 
 __all__ = [
@@ -69,8 +69,7 @@ class ResidueClass(Frozen):
     __slots__ = ("modulus", "residue")
 
     def __init__(self, modulus: int, residue: int) -> None:
-        if modulus < 1:
-            raise ParameterError(f"modulus must be >= 1, got {modulus}")
+        check_params(d=modulus, r=residue)
         self._set(modulus, residue % modulus)
 
     def members(self, upper: int) -> range:
@@ -94,8 +93,7 @@ def binomial_row(n: int) -> list:
     return row
 
 
-# typed: a float n gets no row from the cache, so it still fails as math.comb did
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _binomial_row(n: int) -> tuple:
     """Row n of Pascal's triangle, kept until a sum asks for another n."""
     return tuple(binomial_row(n))
@@ -123,10 +121,9 @@ def fleck_sum(n: int, cls: ResidueClass, l: int = 0, divisor: int | None = None)
     p**beta with q = p**alpha.
     """
     check_params(n=n, l=l)
-    q = cls.modulus if divisor is None else divisor
-    if q < 1:
-        raise ParameterError(f"divisor must be >= 1, got {q}")
-    return _fleck_sum(n, cls, l, q)
+    if divisor is not None:
+        check_params(divisor=divisor)
+    return _fleck_sum(n, cls, l, divisor)
 
 
 def _fleck_sum(n: int, cls: ResidueClass, l: int = 0, q: int | None = None) -> int:
@@ -141,9 +138,7 @@ def _fleck_sum(n: int, cls: ResidueClass, l: int = 0, q: int | None = None) -> i
 def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
     """The :func:`fleck_sum` of every residue r = 0..d - 1, with no divisor,
     worked out on a fresh :class:`_SweepState`, so from the row."""
-    check_params(n=n, l=l)
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    check_params(n=n, d=d, l=l)
     return _SweepState().fleck_sums(n, d, l)
 
 
@@ -228,8 +223,9 @@ def binom_power_sum(n: int, cls: ResidueClass, a: int) -> int:
 
     At a = 1 this specializes to the l = 0 :func:`fleck_sum`.
     """
-    if n < 0:
+    if check_integer("n", n) < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
+    check_params(a=a)
     return _power_sum(_binomial_row(n)[cls.residue :: cls.modulus], cls, -a)
 
 
@@ -278,9 +274,7 @@ def _stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
     """The :func:`stirling_product_sum` of every residue r = 0..d-1, from one
     pass over k that adds each term to the total of k mod d."""
-    check_params(n=n, m=m, a=a)
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    check_params(n=n, m=m, d=d, a=a)
     return _stirling_product_sums(n, m, d, a)
 
 
@@ -299,7 +293,7 @@ def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> in
     """Filtered polynomial-weighted Stirling sum:
     sum over k = r (mod d), 0 <= k <= n, of s(n, k) f(k) a**k.
     """
-    check_params(n=n, a=a)
+    check_params(n=n, f=f, a=a)
     return _stirling_poly_sum(n, f, cls, a)
 
 

@@ -74,26 +74,25 @@ def check_e1(n: int, l: int) -> IdentityCheckResult:
     """Both sides of the Eulerian expansion with weight k**l, coefficientwise."""
     if n < 1 or l < 0:
         raise ParameterError("need n >= 1 and l >= 0")
-    params = {"n": n, "l": l}
-    for i in range(n + 1):
-        lhs = triangles.eulerian(n, i) * i**l
-        rhs = _rhs_coefficient(n, i, l)
-        if lhs != rhs:
-            return _result("E1", params, {"i": i, "lhs": str(lhs), "rhs": str(rhs)})
-    return _result("E1", params, None)
+    return _check_expansion("E1", {"n": n, "l": l})
 
 
 def check_e2(n: int) -> IdentityCheckResult:
     """Eulerian row against sum(m! S(n,m) (x-1)**(n-m)), coefficientwise."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    params = {"n": n}
+    return _check_expansion("E2", {"n": n})
+
+
+def _check_expansion(identity: str, params: dict[str, int]) -> IdentityCheckResult:
+    """E1 for the params, or E2 for an n alone (its l = 0 case)."""
+    n, l = params["n"], params.get("l", 0)
     for i in range(n + 1):
-        lhs = triangles.eulerian(n, i)
-        rhs = _rhs_coefficient(n, i, 0)
+        lhs = triangles.eulerian(n, i) * i**l
+        rhs = _rhs_coefficient(n, i, l)
         if lhs != rhs:
-            return _result("E2", params, {"i": i, "lhs": str(lhs), "rhs": str(rhs)})
-    return _result("E2", params, None)
+            return _result(identity, params, {"i": i, "lhs": str(lhs), "rhs": str(rhs)})
+    return _result(identity, params, None)
 
 
 def check_s3(n: int, k: int) -> IdentityCheckResult:

@@ -27,10 +27,11 @@ margins and verdicts one column at a time, and takes orders of the checked
 Who checks what: :func:`check_claim` and :func:`evaluate_tuple`, the
 library call for one tuple, check a claim's parameters once, in
 :func:`_checked_theorem`, before anything reads them.  A :class:`GridSpec`
-checks every value of its axes when it is built, so a sweep's tuples skip
-that check.  So no function of a :data:`THEOREMS` entry checks anything
-(the per-residue branch checks the tuple once), and both paths call the
-entry's functions, so that a patched entry reaches either path.
+checks every value of its axes and residues when it is built, so a
+sweep's tuples skip that check.  So no function of a :data:`THEOREMS`
+entry checks anything (only each :class:`ResidueClass` checks its own d
+and r), and both paths call the entry's functions, so that a patched entry
+reaches either path.
 
 A :class:`_Plan` holds what the tuples of one grid share: the theorem's
 entry, the state its ``sums`` keep between tuples, and its class modulus,
@@ -61,8 +62,7 @@ from . import triangles
 from ._slots import Frozen, Slotted
 from .bounds import THEOREMS, Theorem, TheoremId, _named, sc2_comparison, sc2_constants
 from .errors import ParameterError
-from .exactmath import (INFINITY, IntPolynomial, PAdicOrder, check_integer, check_params, ord_p,
-                        ord_p_nonzero)
+from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_params, ord_p, ord_p_nonzero
 from .filtered_sums import ResidueClass, _SweepState
 from .triangles import Family
 
@@ -112,8 +112,7 @@ def _checked_theorem(
     theorem: TheoremId | str, params: Mapping[str, Any], extra: tuple[str, ...] = ()
 ) -> tuple[TheoremId, Theorem, dict[str, Any]]:
     """The theorem id, its wiring and the parameters it takes, in canonical
-    order, once ``params`` holds those and the names in ``extra``, ``f``
-    (where the theorem takes it) is an :class:`IntPolynomial`, and the
+    order, once ``params`` holds those and the names in ``extra``, and the
     parameters pass :func:`~congruence_lab.exactmath.check_params`, as a
     :class:`GridSpec`'s axes do.  A member is taken as it is; a string goes
     through :func:`_coerce_theorem`."""
@@ -124,8 +123,6 @@ def _checked_theorem(
     if missing:
         raise ParameterError(f"{theorem.value} needs parameters {', '.join(missing)}")
     params = {name: params[name] for name in wiring.params}
-    if "f" in params and not isinstance(params["f"], IntPolynomial):
-        raise ParameterError("parameter f must be an IntPolynomial")
     check_params(**params)
     return theorem, wiring, params
 
@@ -325,7 +322,8 @@ def _memo(fn: Callable[..., Any], params: tuple[str, ...]) -> Callable[[dict[str
 class _Plan:
     """What the tuples of one theorem's sweep share, worked out once: its
     :data:`THEOREMS` entry; its class modulus, hypotheses and bound, each
-    through a :func:`_memo`; the residues to evaluate for the last modulus;
+    through a :func:`_memo`; the asked residues, checked ("all" or an
+    :func:`_axis`), and those to evaluate for the last modulus;
     and the :class:`~filtered_sums._SweepState` its ``sums`` keep.
     :meth:`evaluate` is the one evaluation body: a sweep calls it for each
     tuple of its grid, whose values the :class:`GridSpec` has checked, and
@@ -335,7 +333,7 @@ class _Plan:
     __slots__ = ("theorem", "wiring", "probe", "modulus", "hypotheses", "bound", "asked",
                  "state", "_last")
 
-    def __init__(self, theorem: TheoremId, residues: str | Iterable[int],
+    def __init__(self, theorem: TheoremId, residues: str | tuple[int, ...],
                  probe_inapplicable: bool) -> None:
         self.theorem = theorem
         self.wiring = wiring = THEOREMS[theorem]
@@ -343,7 +341,7 @@ class _Plan:
         self.modulus = _memo(wiring.modulus, wiring.params)
         self.hypotheses = wiring.hypotheses and _memo(wiring.hypotheses, wiring.params)
         self.bound = wiring.bound and _memo(wiring.bound, wiring.params)
-        self.asked = residues if isinstance(residues, str) else tuple(residues)
+        self.asked = residues
         self.state = _SweepState()
         self._last: tuple = (None, None, ())  # the last modulus, its class 0 and residues
 
@@ -371,8 +369,7 @@ class _Plan:
 
         if wiring.sums is not None and count == d:  # every residue, so rs is range(d)
             totals = wiring.sums(d=d, state=self.state, **params)
-        else:  # the per-residue kernels check nothing: one check serves them all
-            check_params(**params)
+        else:
             totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
         p = params["p"]
         # None: probed sun with beta > alpha, the bound only
@@ -426,15 +423,15 @@ def evaluate_tuple(
     d, sorted and deduplicated.  ``params`` holds the theorem's parameters;
     any ``r`` in it is ignored.
 
-    The parameters are checked first (:func:`_checked_theorem`); then the
-    tuple runs through :meth:`_Plan.evaluate`, as a sweep's tuples do.  The
-    hypotheses and the bound are evaluated once for the tuple, a theorem
-    with a one-pass ``sums`` computes all d sums at once when every residue
-    is asked for (a subset gets one ``sum`` per residue), and SC2's l,
-    C(n, l) and p**ord_p(n!) are worked out once.
+    Its parameters and residues are checked first (:func:`_checked_theorem`,
+    :func:`_checked_residues`); then it runs through :meth:`_Plan.evaluate`
+    as a sweep's tuples do: the hypotheses and the bound once for the
+    tuple, all d sums at once where the theorem has a one-pass ``sums`` and
+    every residue is asked for (a subset gets one ``sum`` per residue), and
+    SC2's l, C(n, l) and p**ord_p(n!) once.
     """
     theorem, _, params = _checked_theorem(theorem, params)
-    return _Plan(theorem, residues, probe_inapplicable).evaluate(params)
+    return _Plan(theorem, _checked_residues(residues), probe_inapplicable).evaluate(params)
 
 
 # --------------------------------------------------------------------------
@@ -442,8 +439,25 @@ def evaluate_tuple(
 # --------------------------------------------------------------------------
 
 
-def _axis(name: str, values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted({check_integer(name, v) for v in values}))
+def _axis(name: str, values: Iterable[Any]) -> tuple[Any, ...]:
+    """An axis's distinct values, each passed by
+    :func:`~congruence_lab.exactmath.check_params`: sorted, or polynomials
+    in first-occurrence order."""
+    values = tuple(values)
+    for value in values:
+        check_params(**{name: value})
+    if name == "f":
+        return tuple(dict.fromkeys(values))
+    return tuple(sorted({operator.index(v) for v in values}))
+
+
+def _checked_residues(residues: Iterable[int] | str) -> tuple[int, ...] | str:
+    """The string "all", or the given residues as an :func:`_axis`."""
+    if not isinstance(residues, str):
+        return _axis("r", residues)
+    if residues != "all":
+        raise ParameterError(f"residues must be 'all' or a collection, got {residues!r}")
+    return residues
 
 
 #: The :class:`GridSpec` field that holds each parameter's axis.  The keys are
@@ -467,10 +481,9 @@ class GridSpec(Frozen):
     ``residues`` is either the string "all" (one full period 0..d-1, with d
     derived from the other parameters) or an explicit collection of residues.
     The axes of the parameters the theorem takes must be nonempty, the others
-    empty.  Every value is checked here with
-    :func:`~congruence_lab.exactmath.check_params` (each prime, and the least
-    value of each other axis), so that a sweep over a constructed grid raises
-    no parameter error.
+    empty.  Every value, residues included, is checked here with
+    :func:`~congruence_lab.exactmath.check_params`, so that a sweep over a
+    constructed grid raises no parameter error.
     """
 
     __slots__ = ("theorem", "ns", "primes", "alphas", "betas", "ls", "ms", "a_values",
@@ -490,28 +503,16 @@ class GridSpec(Frozen):
         polys: Iterable[IntPolynomial] = (),
     ) -> None:
         object.__setattr__(self, "theorem", _coerce_theorem(theorem))
-        if isinstance(residues, str):
-            if residues != "all":
-                raise ParameterError(f"residues must be 'all' or a collection, got {residues!r}")
-        else:
-            residues = _axis("r", residues)
-        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "residues", _checked_residues(residues))
         given = dict(zip(AXIS_FIELDS, (ns, primes, alphas, betas, ls, ms, a_values, polys)))
         taken = THEOREMS[self.theorem].params
-        least = {}
         for name, attr in AXIS_FIELDS.items():
-            # polynomials keep their first-occurrence order, without repeats
-            values = tuple(dict.fromkeys(given[name])) if name == "f" else _axis(name, given[name])
+            values = _axis(name, given[name])
             object.__setattr__(self, attr, values)
             if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
             if name not in taken and values:
                 raise ParameterError(f"{self.theorem.value} grid does not take a {name} axis")
-            if values and name != "p":
-                least[name] = values[0]  # an axis's least (f has no minimum)
-        for p in self.primes:
-            check_params(p=p)
-        check_params(**least)
 
 
 def _grid_tuples(grid: GridSpec) -> Iterator[dict[str, Any]]:

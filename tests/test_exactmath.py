@@ -243,13 +243,20 @@ class TestCheckParams:
             check_params(l=-1, n=0, p=2)
 
     def test_names_without_a_minimum_are_skipped(self):
-        check_params(n=1, p=2, alpha=1, beta=0, l=0, m=1, a=-7, d=-1, r=-3, f=None)
+        # a and r may be any integer; d has a minimum, and f must be a polynomial
+        check_params(n=1, p=2, alpha=1, beta=0, l=0, m=1, a=-7, d=1, r=-3,
+                     f=IntPolynomial((0, 1)))
+        with pytest.raises(ParameterError, match="^d must be >= 1, got -1$"):
+            check_params(d=-1)
+        with pytest.raises(ParameterError, match="^f must be an IntPolynomial, got None$"):
+            check_params(f=None)
 
 
 #: A good value of each parameter, and bad ones, each with the message every
 #: entry point that takes the parameter gives for it: one out of range, and
-#: one that is not an integer
-GOOD = {"n": 5, "p": 2, "alpha": 1, "beta": 0, "l": 0, "m": 1, "a": 1}
+#: one that is not an integer (or, for f, not a polynomial)
+GOOD = {"n": 5, "p": 2, "alpha": 1, "beta": 0, "l": 0, "m": 1, "a": 1, "d": 2, "r": 0,
+        "f": IntPolynomial((0, 1)), "divisor": 2, "coefficient": 0}
 BAD = {
     "n": ((0, "n must be >= 1, got 0"), (2.7, "n must be an integer, got 2.7")),
     "alpha": ((0, "alpha must be >= 1, got 0"), (1.5, "alpha must be an integer, got 1.5")),
@@ -258,11 +265,17 @@ BAD = {
     "m": ((0, "m must be >= 1, got 0"), (1.5, "m must be an integer, got 1.5")),
     "p": ((4, "p must be a prime >= 2, got 4"), (2.9, "p must be an integer, got 2.9")),
     "a": ((1.5, "a must be an integer, got 1.5"),),  # any integer will do
+    "d": ((0, "d must be >= 1, got 0"), (2.0, "d must be an integer, got 2.0")),
+    "r": ((0.5, "r must be an integer, got 0.5"),),  # any integer will do
+    "f": (("0,1", "f must be an IntPolynomial, got '0,1'"),),
+    "divisor": ((0, "divisor must be >= 1, got 0"), (1.5, "divisor must be an integer, got 1.5")),
+    "coefficient": ((0.9, "coefficient must be an integer, got 0.9"),),
 }
 
 
 def _theorem_taking(name):
-    return next(t for t in TheoremId if name in bounds.THEOREMS[t].params)
+    # every theorem takes a residue r
+    return next(t for t in TheoremId if name in bounds.THEOREMS[t].params + ("r",))
 
 
 def _claim(name, v):
@@ -272,16 +285,17 @@ def _claim(name, v):
 
 def _grid(name, v):
     theorem, params = _claim(name, v)
-    verifier.GridSpec(theorem, **{verifier.AXIS_FIELDS[k]: (x,) for k, x in params.items()})
+    verifier.GridSpec(theorem, residues=(v["r"],),
+                      **{verifier.AXIS_FIELDS[k]: (x,) for k, x in params.items()})
 
 
 def _check_claim(name, v):
     theorem, params = _claim(name, v)
-    verifier.check_claim(theorem, {**params, "r": 0})
+    verifier.check_claim(theorem, {**params, "r": v["r"]})
 
 
 def _evaluate_tuple(name, v):
-    verifier.evaluate_tuple(*_claim(name, v))
+    verifier.evaluate_tuple(*_claim(name, v), residues=(v["r"],))
 
 
 def _bound_spec(name, v):
@@ -290,32 +304,34 @@ def _bound_spec(name, v):
 
 
 # each entry point with the parameters it checks; a sum takes its class (or
-# d), built for the good values (modulus 2 = p**alpha, 1 = p**beta), and only
-# the parameters of its weight
+# d), built for the good values (modulus 2 = p**alpha, 1 = p**beta, with the
+# divisor p**alpha), and only the parameters of its weight
 EXACT, FLOOR = filtered_sums.ResidueClass(2, 0), filtered_sums.ResidueClass(1, 0)
 ENTRY_POINTS = {
-    "GridSpec": ("n p alpha beta l m a", _grid),
-    "check_claim": ("n p alpha beta l m a", _check_claim),
-    "evaluate_tuple": ("n p alpha beta l m a", _evaluate_tuple),
+    "GridSpec": ("n p alpha beta l m a r f", _grid),
+    "check_claim": ("n p alpha beta l m a r f", _check_claim),
+    "evaluate_tuple": ("n p alpha beta l m a r f", _evaluate_tuple),
     "BoundSpec": ("n p alpha beta l m a", _bound_spec),
+    "ResidueClass": ("d r", lambda _, v: filtered_sums.ResidueClass(v["d"], v["r"])),
+    "IntPolynomial": ("coefficient", lambda _, v: IntPolynomial((v["coefficient"], 1))),
     "fleck_sum": ("n l", lambda _, v: filtered_sums.fleck_sum(v["n"], EXACT, v["l"])),
-    "fleck_sum FLOOR": ("n l", lambda _, v: filtered_sums.fleck_sum(
-        v["n"], FLOOR, v["l"], v["p"] ** v["alpha"])),
-    "fleck_sums": ("n l", lambda _, v: filtered_sums.fleck_sums(v["n"], 2, v["l"])),
-    # binom_power_sum has no entry: n >= 0 is its own rule, and it takes no other
-    # checked parameter
+    "fleck_sum FLOOR": ("n l divisor", lambda _, v: filtered_sums.fleck_sum(
+        v["n"], FLOOR, v["l"], v["divisor"])),
+    "fleck_sums": ("n d l", lambda _, v: filtered_sums.fleck_sums(v["n"], v["d"], v["l"])),
+    # binom_power_sum's n is not here: n >= 0 is its own rule
+    "binom_power_sum": ("a", lambda _, v: filtered_sums.binom_power_sum(v["n"], EXACT, v["a"])),
     "eulerian_wan_sum": ("n l", lambda _, v: filtered_sums.eulerian_wan_sum(
         v["n"], EXACT, v["l"])),
     "eulerian_power_sum": ("n a", lambda _, v: filtered_sums.eulerian_power_sum(
         v["n"], EXACT, v["a"])),
     "stirling_product_sum": ("n m a", lambda _, v: filtered_sums.stirling_product_sum(
         v["n"], v["m"], EXACT, v["a"])),
-    "stirling_product_sums": ("n m a", lambda _, v: filtered_sums.stirling_product_sums(
-        v["n"], v["m"], 2, v["a"])),
-    "stirling_poly_sum": ("n a", lambda _, v: filtered_sums.stirling_poly_sum(
-        v["n"], IntPolynomial((0, 1)), EXACT, v["a"])),
-    "sc2_comparison": ("n p", lambda _, v: bounds.sc2_comparison(
-        v["n"], v["p"], IntPolynomial((0, 1)), 6)),
+    "stirling_product_sums": ("n m d a", lambda _, v: filtered_sums.stirling_product_sums(
+        v["n"], v["m"], v["d"], v["a"])),
+    "stirling_poly_sum": ("n f a", lambda _, v: filtered_sums.stirling_poly_sum(
+        v["n"], v["f"], EXACT, v["a"])),
+    "sc2_comparison": ("n p f", lambda _, v: bounds.sc2_comparison(
+        v["n"], v["p"], v["f"], 6)),
     "eulerian": ("n", lambda _, v: triangles.eulerian(v["n"], 0)),
     "identities.suite": ("p alpha", lambda _, v: identities.suite(
         "S4", primes=(v["p"],), alphas=(v["alpha"],))),

@@ -526,6 +526,9 @@ class TestOnePassSums:
                     lambda: fleck_sums(4, 2, -1), lambda: fleck_sum(4, ResidueClass(2, 0), 0, 0),
                     lambda: stirling_product_sums(0, 1, 2, 1),
                     lambda: stirling_product_sums(3, 0, 2, 1),
-                    lambda: stirling_product_sums(3, 1, 0, 1)):
+                    lambda: stirling_product_sums(3, 1, 0, 1),
+                    # not a one-pass sum, but its n >= 0 is its own rule
+                    lambda: binom_power_sum(-1, ResidueClass(2, 0), 1),
+                    lambda: binom_power_sum(2.5, ResidueClass(2, 0), 1)):
             with pytest.raises(ParameterError):
                 bad()

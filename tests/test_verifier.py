@@ -355,10 +355,11 @@ class TestCheckTuple:
             assert seen == list(want)
             assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
 
-    def test_a_per_residue_sweep_checks_each_tuple_once(self, monkeypatch):
-        # sun has no one-pass sums: its per-residue kernels check nothing, and
-        # the sweep checks each tuple's parameters once for them, where every
-        # residue's sum used to check them again
+    def test_a_per_residue_sweep_checks_only_its_classes(self, monkeypatch):
+        # sun has no one-pass sums, and its per-residue kernels check nothing;
+        # the grid has checked every value, so the sweep checks no tuple's
+        # parameters: what is left is each ResidueClass checking its own d and
+        # r (the plan's class 0 of each new modulus, then one per residue)
         grid = GridSpec(TheoremId.SUN, ns=range(3, 9), primes=(2, 3), alphas=(1, 2),
                         betas=(0, 1), ls=(0, 1))
         checks = []
@@ -371,7 +372,14 @@ class TestCheckTuple:
         tuples = list(verifier._grid_tuples(grid))
         assert len(tuples) == 6 * 2 * 2 * 2 * 2
         assert all(THEOREMS[TheoremId.SUN].hypotheses(**params) for params in tuples)
-        assert checks == tuples
+        expected, last = [], None
+        for params in tuples:
+            d = THEOREMS[TheoremId.SUN].modulus(**params)
+            if d != last:
+                expected.append({"d": d, "r": 0})
+                last = d
+            expected += [{"d": d, "r": r} for r in range(d)]
+        assert checks == expected
         monkeypatch.undo()
         assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
 
@@ -402,12 +410,12 @@ class TestCheckTuple:
 
     def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
         # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
-        # 270 claims.  Each tuple checks p in the one check of its per-residue
-        # sums' parameters and in ord_p(n!) for p**ord_p(n!), which it works
-        # out once with l and C(n, l); the
-        # grid checks each prime once.  (A comparison per claim, as
-        # check_claim makes, checked p three more times: 988 checks.)  Every
-        # check of p, check_params' included, is exactmath.check_prime.
+        # 270 claims.  Each tuple checks p once, in ord_p(n!) for
+        # p**ord_p(n!), which it works out once with l and C(n, l); its
+        # per-residue sums check nothing, and the grid checks each prime
+        # once.  (A comparison per claim, as check_claim makes, checks p
+        # three more times a claim.)  Every check of p, check_params'
+        # included, is exactmath.check_prime.
         checks = []
         real = exactmath.check_prime
 
@@ -421,7 +429,7 @@ class TestCheckTuple:
         verifier.ensure_tables([grid])
         results = [res for _, chunk in iter_chunks([grid], 1) for res in chunk]
         assert sum(len(res.residues) for res in results) == 270
-        assert len(results) == 180 and len(checks) == 2 + 2 * 180
+        assert len(results) == 180 and len(checks) == 2 + 180
         records = [rec for res in results for rec in res.records()]
         assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
 

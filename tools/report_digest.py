@@ -31,6 +31,16 @@ PINNED = [
     (["verify", "davis-sun-b", "--n", "1..150", "--p", "2,3,5", "--alpha", "1..3",
       "--l", "0,2,5", "--format", "csv", "--no-timestamp"],
      "0360b3b4ebc7442833cb28acbc04a0f2d321f0947815f70440e78eed69a9d17a"),
+    # 26,400 claims on the per-residue path (sun has no one-pass sums), with
+    # probed inapplicable tuples, beta > alpha among them
+    (["verify", "sun", "--n", "1..60", "--p", "2,3", "--alpha", "1,2", "--beta", "0..3",
+      "--l", "0..3", "--probe-inapplicable", "--format", "csv", "--no-timestamp"],
+     "594cca001819a67a7e1230af7dc77d25d957cd46f133d16eae9db5e361294fd9"),
+    # 18,600 claims of a residue subset, so per-residue sums where every
+    # residue would take the one-pass sums, with an m axis that grows with n
+    (["verify", "sc3", "--n", "1..30", "--p", "2,3", "--alpha", "1,2", "--m", "1..n",
+      "--a=-1..2", "--r", "0,1,5", "--format", "csv", "--no-timestamp"],
+     "e96213ba77c8bb0e378c954a21c2622f254a85682e3c5f8ed50001736a688ea2"),
 ]
 
 
