@@ -20,7 +20,7 @@ accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
 Claims are evaluated one parameter tuple (all its residue classes) at a
-time, through one plan per grid, in chunks of at least ``JSON_CHUNK`` claims
+time, through one plan per sweep, in chunks of at least ``JSON_CHUNK`` claims
 cut at tuple boundaries (``verifier.iter_chunks``); with --fail-fast the
 chunks stop right after the first VIOLATION, cutting its tuple's records
 there.  Each chunk's tuple results are tallied whole and rendered from a

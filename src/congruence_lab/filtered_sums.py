@@ -143,9 +143,9 @@ def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
 
 
 class _SweepState:
-    """What the one-pass sums of one sweep keep between its tuples; a
-    sweep's plan holds one, so it goes when the sweep ends, and a pool
-    worker starts with none.
+    """What the one-pass sums of one sweep keep between its tuples, across
+    its grids; a sweep's plan holds one, so it goes when the sweep ends,
+    and a pool worker starts with none.
 
     With v_k = (-1)**k C(n, k), the sum for class r is F(n, r, l), the sum
     over j of v_(r + j d) C(j, l).  Pascal's rule, v(n)_k = v(n-1)_k -

@@ -33,12 +33,12 @@ entry checks anything (only each :class:`ResidueClass` checks its own d
 and r), and both paths call the entry's functions, so that a patched entry
 reaches either path.
 
-A :class:`_Plan` holds what the tuples of one grid share: the theorem's
+A :class:`_Plan` holds what the tuples of one sweep share: the theorem's
 entry, the state its ``sums`` keep between tuples, and its class modulus,
 hypotheses and bound, each worked out once per distinct value of the
 parameters it names (a one-entry memo, :func:`_memo`).  A sweep plans each
-grid once; :func:`evaluate_tuple` plans its one tuple, so both run the same
-evaluation body.
+theorem and residue set once, for all its grids; :func:`evaluate_tuple`
+plans its one tuple, so both run the same evaluation body.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -175,10 +175,10 @@ class ClaimRecord(Frozen):
         return out
 
 
-def _record_params(params: dict[str, Any], cls: ResidueClass) -> dict[str, Any]:
+def _record_params(params: dict[str, Any], d: int, r: int) -> dict[str, Any]:
     """A record's params: the tuple's (in canonical order), d and r, and f
     last, as its coefficient string."""
-    out = {**params, "d": cls.modulus, "r": cls.residue}
+    out = {**params, "d": d, "r": r}
     if "f" in out:
         out["f"] = out.pop("f").coeff_string()
     return out
@@ -201,7 +201,7 @@ def check_claim(
     theorem, wiring, checked = _checked_theorem(theorem, params, ("r",))
     cls = ResidueClass(wiring.modulus(**checked), params["r"])
     params = checked
-    record_params = _record_params(params, cls)
+    record_params = _record_params(params, cls.modulus, cls.residue)
 
     if not (wiring.hypotheses is None or wiring.hypotheses(**params)):
         total = order = bound = None
@@ -320,18 +320,18 @@ def _memo(fn: Callable[..., Any], params: tuple[str, ...]) -> Callable[[dict[str
 
 
 class _Plan:
-    """What the tuples of one theorem's sweep share, worked out once: its
-    :data:`THEOREMS` entry; its class modulus, hypotheses and bound, each
-    through a :func:`_memo`; the asked residues, checked ("all" or an
-    :func:`_axis`), and those to evaluate for the last modulus;
-    and the :class:`~filtered_sums._SweepState` its ``sums`` keep.
-    :meth:`evaluate` is the one evaluation body: a sweep calls it for each
-    tuple of its grid, whose values the :class:`GridSpec` has checked, and
-    :func:`evaluate_tuple` for one tuple that :func:`_checked_theorem` has
-    checked."""
+    """What the tuples of one theorem and residue set share across a sweep's
+    grids, worked out once: its :data:`THEOREMS` entry; its class modulus,
+    hypotheses and bound, each through a :func:`_memo` keyed on the values
+    it reads; the asked residues, checked ("all" or an :func:`_axis`); and
+    the :class:`~filtered_sums._SweepState` its ``sums`` keep, keyed on n
+    and d.  :meth:`evaluate` is the one evaluation body: a sweep calls it
+    for each tuple of its grids, whose values the :class:`GridSpec` has
+    checked, and :func:`evaluate_tuple` for one that :func:`_checked_theorem`
+    has checked."""
 
     __slots__ = ("theorem", "wiring", "probe", "modulus", "hypotheses", "bound", "asked",
-                 "state", "_last")
+                 "state")
 
     def __init__(self, theorem: TheoremId, residues: str | tuple[int, ...],
                  probe_inapplicable: bool) -> None:
@@ -343,24 +343,15 @@ class _Plan:
         self.bound = wiring.bound and _memo(wiring.bound, wiring.params)
         self.asked = residues
         self.state = _SweepState()
-        self._last: tuple = (None, None, ())  # the last modulus, its class 0 and residues
-
-    def classes(self, params: dict[str, Any]) -> tuple[ResidueClass, Sequence[int]]:
-        """The class of residue 0 modulo the tuple's class modulus d, and the
-        residues to evaluate: every residue modulo d ("all"), or the asked
-        ones reduced modulo d, sorted and deduplicated."""
-        d = self.modulus(params)
-        if d != self._last[0]:
-            self._last = (d, ResidueClass(d, 0), _residues(self.asked, d))
-        return self._last[1:]
 
     def evaluate(self, params: dict[str, Any]) -> TupleResult:
         """The result of the tuple with these parameters, which must be
         checked and in canonical order."""
         wiring = self.wiring
-        zero, rs = self.classes(params)
-        d, count = zero.modulus, len(rs)
-        base = _record_params(params, zero)
+        d = self.modulus(params)
+        rs = _residues(self.asked, d)
+        count = len(rs)
+        base = _record_params(params, d, 0)
         applicable = self.hypotheses is None or self.hypotheses(params)
         if not (applicable or self.probe):
             nones = [None] * count
@@ -439,10 +430,15 @@ def evaluate_tuple(
 # --------------------------------------------------------------------------
 
 
-def _axis(name: str, values: Iterable[Any]) -> tuple[Any, ...]:
+def _axis(name: str, values: Iterable[Any], field: str) -> tuple[Any, ...]:
     """An axis's distinct values, each passed by
     :func:`~congruence_lab.exactmath.check_params`: sorted, or polynomials
-    in first-occurrence order."""
+    in first-occurrence order.  ``field`` names the argument in the error
+    for values that are not a collection."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ParameterError(f"{field} must be a collection, got {values!r}") from None
     values = tuple(values)
     for value in values:
         check_params(**{name: value})
@@ -454,7 +450,7 @@ def _axis(name: str, values: Iterable[Any]) -> tuple[Any, ...]:
 def _checked_residues(residues: Iterable[int] | str) -> tuple[int, ...] | str:
     """The string "all", or the given residues as an :func:`_axis`."""
     if not isinstance(residues, str):
-        return _axis("r", residues)
+        return _axis("r", residues, "residues")
     if residues != "all":
         raise ParameterError(f"residues must be 'all' or a collection, got {residues!r}")
     return residues
@@ -507,7 +503,7 @@ class GridSpec(Frozen):
         given = dict(zip(AXIS_FIELDS, (ns, primes, alphas, betas, ls, ms, a_values, polys)))
         taken = THEOREMS[self.theorem].params
         for name, attr in AXIS_FIELDS.items():
-            values = _axis(name, given[name])
+            values = _axis(name, given[name], attr)
             object.__setattr__(self, attr, values)
             if name in taken and not values:
                 raise ParameterError(f"{self.theorem.value} grid needs the {name} axis")
@@ -615,18 +611,20 @@ def _numbered_tuples(
     grids: Iterable[GridSpec], size: int, probe_inapplicable: bool = False
 ) -> Iterator[tuple[int, _Plan, dict[str, Any]]]:
     """Every tuple of the grids, in record order, with the number of its
-    chunk and its grid's plan: the records are cut into chunks of at least
-    ``size`` claims, at tuple boundaries, numbered from 0.  Only each tuple's
-    residue count is worked out (through the plan's modulus memo), not its
-    records."""
+    chunk and its plan, one per theorem and residue set of the sweep: the
+    records are cut into chunks of at least ``size`` claims, at tuple
+    boundaries, numbered from 0.  Only each tuple's residue count is worked
+    out (through the plan's modulus memo), not its records."""
     number = claims = 0
+    plans: dict[tuple[TheoremId, str | tuple[int, ...]], _Plan] = {}
     for grid in grids:
-        plan = _Plan(grid.theorem, grid.residues, probe_inapplicable)
+        key = (grid.theorem, grid.residues)
+        plan = plans[key] = plans.get(key) or _Plan(*key, probe_inapplicable)
         for params in _grid_tuples(grid):
             if claims >= size:
                 number, claims = number + 1, 0
             yield number, plan, params
-            claims += len(plan.classes(params)[1])
+            claims += len(_residues(plan.asked, plan.modulus(params)))
 
 
 def count_chunks(grids: Iterable[GridSpec], size: int, at_most: int) -> int:
@@ -651,13 +649,14 @@ def iter_chunks(
     """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
     the grids' tuple results, as (number, results), one chunk held at a time.
 
-    Each grid gets one :class:`_Plan`, and each tuple is evaluated whole by
-    its :meth:`_Plan.evaluate`, with no parameter check: the grid has
-    checked every value.  The results are cut into chunks of at least
-    ``size`` claims, at tuple boundaries, numbered from 0.  Only the tuples
-    of these chunks are evaluated, so ``step`` callers with ``first`` = 0 ..
-    step-1 share the work of one sweep.  With ``fail_fast`` the results stop at the first VIOLATION: its
-    tuple's result is cut right after it, and no later tuple is evaluated.
+    Each theorem and residue set gets one :class:`_Plan` for the sweep, and
+    each tuple is evaluated whole by its :meth:`_Plan.evaluate`, with no
+    parameter check: the grid has checked every value.  The results are cut
+    into chunks of at least ``size`` claims, at tuple boundaries, numbered
+    from 0.  Only the tuples of these chunks are evaluated, so ``step``
+    callers with ``first`` = 0 .. step-1 share the work of one sweep.  With
+    ``fail_fast`` the results stop at the first VIOLATION: its tuple's
+    result is cut right after it, and no later tuple is evaluated.
     The triangles must have been built (:func:`ensure_tables`).
     """
     chunk: list[TupleResult] = []

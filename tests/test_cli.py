@@ -368,6 +368,21 @@ class TestVerifyCommand:
         assert (1, 1) in pairs and (6, 6) in pairs
         assert not any(m > n for n, m in pairs)
 
+    def test_the_per_n_grids_share_one_plan(self, tmp_path, monkeypatch):
+        # --m 1..n makes one grid per n; the sweep plans its theorem and
+        # residue set once, so its memos and kept sums span every n
+        real_init, plans = verifier._Plan.__init__, []
+
+        def counted_init(plan, *args):
+            plans.append(args)
+            real_init(plan, *args)
+
+        monkeypatch.setattr(verifier._Plan, "__init__", counted_init)
+        assert main(["verify", "sc3", "--n", "1..8", "--p", "2,3", "--alpha", "1,2",
+                     "--m", "1..n", "--a=-2..3", "--workers", "1", "--no-timestamp",
+                     "--out", str(tmp_path / "sc3.json")]) == 0
+        assert plans == [(TheoremId.SC3, "all", False)]
+
     def test_fail_fast_stops_at_the_first_violation(self, tmp_path, monkeypatch):
         # claim 616 of this grid, (n, p, alpha, l, r) = (12, 3, 1, 1, 0), is the
         # first one of its tuple with a nonzero sum; an unreachable bound for
@@ -436,6 +451,16 @@ GRID_CASES = {
                        polys=(IntPolynomial((1,)), IntPolynomial((0, -1, 0, 3))))], False)],
     "not applicable": [([GridSpec(TheoremId.EC2, ns=range(1, 9), primes=(2, 3), alphas=(1, 2),
                                   a_values=(-5, 1, 3))], probe) for probe in (False, True)],
+    # one theorem, two residue sets and n out of order: the grids of each
+    # residue set share a plan, which must carry no residues and no stale
+    # kept sums from one grid to the next (n = 4 steps from the n = 3 before it)
+    "shared plans": [([GridSpec(TheoremId.WAN_STRONG, ns=ns, primes=(2, 3), alphas=(1, 2),
+                                ls=ls, residues=residues)
+                       for ns, ls, residues in (((5, 6, 7), (0, 2), "all"),
+                                                ((3, 4), (1,), (0, 3)),
+                                                ((2, 3), (0, 1, 2), "all"),
+                                                ((8,), (1,), (1, -1)),
+                                                ((4, 9, 7), (1, 3), "all"))], False)],
 }
 
 

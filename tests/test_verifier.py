@@ -155,6 +155,17 @@ class TestGridSpec:
         ):
             with pytest.raises(ParameterError):
                 GridSpec(**bad)
+        # a bare value where a collection belongs is named, not a bare TypeError
+        for field, build in (
+            ("ns", lambda: GridSpec(TheoremId.FLECK, ns=5, primes=(2,))),
+            ("primes", lambda: GridSpec(TheoremId.FLECK, ns=(3,), primes=2)),
+            ("residues", lambda: GridSpec(TheoremId.FLECK, ns=(3,), primes=(2,), residues=5)),
+            ("polys", lambda: GridSpec(TheoremId.SC2, ns=(3,), primes=(3,), a_values=(1,),
+                                       polys=None)),
+            ("residues", lambda: evaluate_tuple("fleck", {"n": 3, "p": 2}, residues=5)),
+        ):
+            with pytest.raises(ParameterError, match=f"^{field} must be a collection, got "):
+                build()
 
     def test_grid_params_order_and_residues(self):
         grid = GridSpec(TheoremId.WEISMAN, ns=(1, 2), primes=(2,), alphas=(1, 2))
@@ -359,7 +370,7 @@ class TestCheckTuple:
         # sun has no one-pass sums, and its per-residue kernels check nothing;
         # the grid has checked every value, so the sweep checks no tuple's
         # parameters: what is left is each ResidueClass checking its own d and
-        # r (the plan's class 0 of each new modulus, then one per residue)
+        # r, one per residue (the plan builds no class of its own)
         grid = GridSpec(TheoremId.SUN, ns=range(3, 9), primes=(2, 3), alphas=(1, 2),
                         betas=(0, 1), ls=(0, 1))
         checks = []
@@ -372,12 +383,9 @@ class TestCheckTuple:
         tuples = list(verifier._grid_tuples(grid))
         assert len(tuples) == 6 * 2 * 2 * 2 * 2
         assert all(THEOREMS[TheoremId.SUN].hypotheses(**params) for params in tuples)
-        expected, last = [], None
+        expected = []
         for params in tuples:
             d = THEOREMS[TheoremId.SUN].modulus(**params)
-            if d != last:
-                expected.append({"d": d, "r": 0})
-                last = d
             expected += [{"d": d, "r": r} for r in range(d)]
         assert checks == expected
         monkeypatch.undo()

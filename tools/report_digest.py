@@ -41,6 +41,11 @@ PINNED = [
     (["verify", "sc3", "--n", "1..30", "--p", "2,3", "--alpha", "1,2", "--m", "1..n",
       "--a=-1..2", "--r", "0,1,5", "--format", "csv", "--no-timestamp"],
      "e96213ba77c8bb0e378c954a21c2622f254a85682e3c5f8ed50001736a688ea2"),
+    # 74,340 claims of a full-residue Stirling sweep with one grid per n
+    # (n = 1 gets none), whose grids share one plan and its memos
+    (["verify", "sc1", "--n", "1..60", "--p", "2,3,5", "--m", "2..n", "--a=-2..3",
+      "--format", "csv", "--no-timestamp"],
+     "6ec3b1c85c3ef4825e5b6da6f47ae99c3dd37a4fda9dc10afec548f0949fb420"),
 ]
 
 
