@@ -33,7 +33,8 @@ streams its report through ``_write_report``, one write per chunk and the
 JSON summary last, so memory does not depend on the grid size.
 `verify --workers N` (N >= 2) forks a pool of worker processes
 (:class:`_Pool`): worker i evaluates and renders chunks i, i + W,
-i + 2W, ... of the W workers, and the parent writes the
+i + 2W, ... of the W workers and sends each back through a pipe as one
+``marshal`` frame, its summary's fields and its text; the parent writes the
 chunks in order and merges their summaries, so the report's bytes are those
 of a serial run.  The pool is capped at the CPUs the process may use and at
 the number of chunks; the run is serial when that leaves fewer than two
@@ -58,6 +59,7 @@ import functools
 import io
 import itertools
 import json
+import marshal
 import os
 import signal
 import sys
@@ -539,13 +541,13 @@ class _Pool:
     """``size`` forked worker processes that evaluate and render a sweep.
 
     Worker i sends the chunks of ``chunks(i, size)`` through its own pipe,
-    each as one frame: a JSON line with the chunk's summary and the byte
-    length of its text, then the text.  A full pipe blocks the worker until
-    the parent reads, so it holds at most one rendered chunk.  On failure it
-    sends one line instead, ``{"error": message}`` or
-    ``{"interrupted": exit code}``, and exits 1.  A worker ends with
-    ``os._exit``, so it never flushes the output buffers it inherited or
-    runs the parent's clean-up.
+    each as one :mod:`marshal` frame, its summary's fields and its text.  A
+    full pipe blocks the worker until the parent reads, so it holds at most
+    one rendered chunk.  On failure it sends one dict frame instead,
+    ``{"error": message}`` or ``{"interrupted": exit code}``, and exits 1.
+    A frame cut short by a worker's exit ends ``marshal.load`` in EOFError.
+    A worker ends with ``os._exit``, so it never flushes the output buffers
+    it inherited or runs the parent's clean-up.
 
     Leaving the ``with`` block, however it is left, closes the pipes and
     reaps every worker, killing any that has not exited.
@@ -554,9 +556,8 @@ class _Pool:
     def __init__(self, size: int, chunks: _ChunkSource):
         self.size = size
         self._chunks = chunks
-        self._pids: list[int] = []
+        self._pids: list[int | None] = []  # None once reaped
         self._pipes: list[BinaryIO] = []
-        self._running: set[int] = set()
 
     def __enter__(self) -> "_Pool":
         try:
@@ -589,24 +590,20 @@ class _Pool:
                 os._exit(code)
         os.close(w)
         self._pids.append(pid)
-        self._running.add(pid)
         self._pipes.append(open(r, "rb"))
 
     def _work(self, i: int, fd: int) -> int:
         with open(fd, "wb") as pipe:
             try:
                 for summary, text in self._chunks(i, self.size):
-                    body = text.encode()
-                    head = {"bytes": len(body), "summary": summary.to_json_dict()}
-                    pipe.write(json.dumps(head).encode() + b"\n")
-                    pipe.write(body)
+                    marshal.dump((*summary._fields(), text), pipe)
                     pipe.flush()
                 return 0
             except KeyboardInterrupt as exc:
                 failure: dict[str, Any] = {"interrupted": getattr(exc, "code", EXIT_INTERRUPTED)}
             except Exception as exc:
                 failure = {"error": f"{type(exc).__name__}: {exc}".replace("\n", " ")}
-            pipe.write(json.dumps(failure).encode() + b"\n")
+            marshal.dump(failure, pipe)
             return 1
 
     def chunks(self) -> Iterator[tuple[GridSummary, str]]:
@@ -624,31 +621,29 @@ class _Pool:
     def _read(self, i: int) -> tuple[GridSummary, str] | None:
         """Worker i's next chunk, or None once it has exited 0 with no more."""
         pipe = self._pipes[i]
-        line = pipe.readline()
-        if not line.endswith(b"\n"):  # the worker has exited
+        if not pipe.peek(1):  # the worker has exited
             self._reap(i)
-            if line:
-                raise CongruenceLabError("a verify worker exited in the middle of a chunk")
             return None
-        head = json.loads(line)
-        if "error" in head:
-            raise CongruenceLabError(f"a verify worker failed: {head['error']}")
-        if "interrupted" in head:
-            raise _Interrupted(head["interrupted"])
-        body = pipe.read(head["bytes"])
-        if len(body) < head["bytes"]:
+        try:
+            frame = marshal.load(pipe)
+        except EOFError:
             self._reap(i)
-            raise CongruenceLabError("a verify worker exited in the middle of a chunk")
-        return GridSummary(**head["summary"]), body.decode()
+            raise CongruenceLabError("a verify worker exited in the middle of a chunk") from None
+        if isinstance(frame, dict):
+            if "error" in frame:
+                raise CongruenceLabError(f"a verify worker failed: {frame['error']}")
+            raise _Interrupted(frame["interrupted"])
+        *summary, text = frame
+        return GridSummary(*summary), text
 
     def _reap(self, i: int) -> None:
         """Wait for worker i, which has closed its pipe; raise unless it
         exited 0."""
         pid = self._pids[i]
-        if pid not in self._running:
+        if pid is None:
             return
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        self._running.discard(pid)
+        self._pids[i] = None
         if code:
             how = f"exit code {code}" if code > 0 else f"signal {-code}"
             raise CongruenceLabError(f"a verify worker ended early ({how})")
@@ -656,12 +651,10 @@ class _Pool:
     def _close(self) -> None:
         for pipe in self._pipes:
             pipe.close()
-        if self._running:  # left early: an error, an interrupt or a closed output
-            for pid in self._running:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            self._running.clear()
+        for pid in filter(None, self._pids):  # left early: an error, interrupt or closed output
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -30,10 +30,10 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not find the entry of 2
 def is_prime(p: int) -> bool:
     """Trial-division primality test; meant for the small moduli used here."""
-    if p < 2:
+    if check_integer("p", p) < 2:
         return False
     if p < 4:
         return True
@@ -169,14 +169,15 @@ def ord_p(x: int, p: int) -> PAdicOrder:
     True
     """
     check_prime(p)
-    return INFINITY if x == 0 else PAdicOrder(ord_p_nonzero(x, p))
+    return INFINITY if check_integer("x", x) == 0 else PAdicOrder(ord_p_nonzero(x, p))
 
 
 def ord_p_nonzero(x: int, p: int) -> int:
     """The finite :func:`ord_p` of a nonzero ``x``, as an int, without the
     check that ``p`` is prime, for a caller that has already checked it
-    (``verifier.evaluate_tuple`` checks ``p`` once per tuple and takes the
-    order of each of its residue classes' nonzero sums).
+    (``verifier._Plan.evaluate``, whose ``p`` a ``GridSpec`` or
+    ``_checked_theorem`` has checked, takes the order of each of a tuple's
+    nonzero sums).
 
     For odd p, ``x`` is divided by p**k, the largest power of p that fits in
     one int digit (:func:`_digit_power`), so CPython divides by a single
@@ -220,7 +221,7 @@ def _digit_power(p: int) -> tuple[int, int]:
 def ord_p_factorial(n: int, p: int) -> int:
     """Legendre's count sum(floor(n / p**j), j >= 1), the p-order of n!."""
     check_prime(p)
-    if n < 0:
+    if check_integer("n", n) < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     total = 0
     q = p
@@ -237,7 +238,8 @@ def binom(x: int, k: int) -> int:
     x(x-1)...(x-k+1)/k!, which is an integer for every integer x (negative x
     goes through the reflection C(x, k) = (-1)**k C(k - x - 1, k)).
     """
-    if k < 0:
+    check_integer("x", x)
+    if check_integer("k", k) < 0:
         return 0
     if x >= 0:
         return math.comb(x, k)

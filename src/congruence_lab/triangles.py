@@ -24,7 +24,7 @@ from enum import Enum
 
 from ._slots import Frozen
 from .errors import CapacityError, ParameterError
-from .exactmath import check_params
+from .exactmath import check_integer, check_params
 
 FORMAT_VERSION = 1
 
@@ -129,8 +129,10 @@ class Triangle(Frozen):
 
 def build(family: Family, max_n: int) -> Triangle:
     """Construct a triangle of rows 0..max_n from the recurrences."""
+    if family not in list(Family):
+        raise ParameterError(f"family must be one of {', '.join(Family)}, got {family!r}")
     family = Family(family)
-    if max_n < 0:
+    if check_integer("max_n", max_n) < 0:
         raise ParameterError(f"max_n must be >= 0, got {max_n}")
     rows = _BUILDERS[family](max_n)
     return Triangle(family, max_n, tuple(tuple(r) for r in rows))
@@ -175,17 +177,19 @@ def ensure_rows(family: Family, n: int) -> Triangle:
 
 def stirling1(n: int, k: int) -> int:
     """Unsigned first-kind Stirling number (permutations of n with k cycles)."""
-    return ensure_rows(Family.STIRLING1, n).value(n, k)
+    check_integer("k", k)
+    return ensure_rows(Family.STIRLING1, check_integer("n", n)).value(n, k)
 
 
 def stirling2(n: int, k: int) -> int:
     """Second-kind Stirling number (partitions of an n-set into k blocks)."""
-    return ensure_rows(Family.STIRLING2, n).value(n, k)
+    check_integer("k", k)
+    return ensure_rows(Family.STIRLING2, check_integer("n", n)).value(n, k)
 
 
 def eulerian(n: int, k: int) -> int:
     """Eulerian number (permutations of n with k ascents); requires n >= 1."""
-    check_params(n=n)
+    check_params(n=n, k=k)
     return ensure_rows(Family.EULERIAN, n).value(n, k)
 
 

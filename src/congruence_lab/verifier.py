@@ -304,7 +304,8 @@ def _memo(fn: Callable[..., Any], params: tuple[str, ...]) -> Callable[[dict[str
     one-entry memo: a grid's axes run in canonical order, so the parameters
     a function does not read are mostly innermost).  A function that names
     none of ``params`` takes them all through its ``**``, so it is keyed on
-    them all."""
+    them all.  Calling the table directly instead ran sweeps in process at
+    0.84-0.95x the speed in one audit but 0.97-1.11x in a later one."""
     key_of = operator.itemgetter(*(_named(fn) or params))
     key, value = _UNSET, None
 

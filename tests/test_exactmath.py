@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 import sys
 
 import pytest
@@ -35,6 +36,12 @@ class TestOrdP:
         for p in (-3, 0, 1, 4, 6, 9, 15):
             with pytest.raises(ParameterError):
                 ord_p(10, p)
+        with pytest.raises(ParameterError, match=r"^x must be an integer, got 12\.0$"):
+            ord_p(12.0, 2)
+        assert is_prime(2)
+        for p in (2.5, 2.0):  # 2.0 must not find the cached answer for 2
+            with pytest.raises(ParameterError, match=f"^p must be an integer, got {p}$"):
+                is_prime(p)
 
     def test_nonzero_order_is_an_int(self):
         assert [ord_p_nonzero(x, p) for x, p in ((12, 2), (-18, 3), (7, 5))] == [2, 2, 0]
@@ -165,6 +172,8 @@ class TestOrdPFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             ord_p_factorial(-1, 2)
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got 2\.5$"):
+            ord_p_factorial(2.5, 2)  # not the float 1.0
 
 
 class TestBinom:
@@ -172,6 +181,11 @@ class TestBinom:
         assert binom(5, 2) == 10
         assert binom(7, -1) == 0
         assert binom(-3, 2) == 6
+        for args, message in (((2.5, 1), "x must be an integer, got 2.5"),
+                              ((2.5, -1), "x must be an integer, got 2.5"),
+                              ((3, 1.5), "k must be an integer, got 1.5")):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                binom(*args)
 
     def test_small_table(self):
         assert binom(0, 0) == 1

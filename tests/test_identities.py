@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -40,6 +41,12 @@ class TestEulerianExpansion:
     def test_rejects_bad_params(self):
         with pytest.raises(ParameterError):
             check_e1(0, 1)
+        # not integers: l = 1.5 used to be worked out in floats, i**1.5
+        for check, args, message in ((check_e1, (2, 1.5), "l must be an integer, got 1.5"),
+                                     (check_e1, (2.5, 1), "n must be an integer, got 2.5"),
+                                     (check_e2, (2.0,), "n must be an integer, got 2.0")):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                check(*args)
 
 
 class TestConvolutions:
@@ -48,11 +55,15 @@ class TestConvolutions:
         assert check_s3(4, 2).passed
         assert check_s3(7, 3).passed
         assert check_s3(5, 7).passed  # k > n: both sides vanish
+        with pytest.raises(ParameterError, match=r"^k must be an integer, got 1\.5$"):
+            check_s3(3, 1.5)
 
     def test_ss3(self):
         assert check_ss3(4, 4).passed
         assert check_ss3(4, 2).passed  # 2*11 = 8 + 6 + 8
         assert check_ss3(6, 3).passed
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got 3\.0$"):
+            check_ss3(3.0, 1)
 
     def test_failure_witness_on_broken_table(self, monkeypatch):
         real = triangles.stirling1
@@ -72,6 +83,8 @@ class TestValuationLemma:
         assert check_s4(6, 8, 2, 1).passed  # k > n vacuous
         assert check_s4(6, 2, 2, 1).passed
         assert check_s4(10, 4, 3, 2).passed
+        with pytest.raises(ParameterError, match=r"^alpha must be an integer, got 1\.5$"):
+            check_s4(3, 1, 2, 1.5)
 
     def test_s4_dense_corner(self):
         for n in range(0, 15):
@@ -85,6 +98,8 @@ class TestStirlingRowPattern:
         assert check_scl3e(2, 1).passed
         assert check_scl3e(3, 1).passed
         assert check_scl3e(2, 2).passed
+        with pytest.raises(ParameterError, match=r"^alpha must be an integer, got 1\.0$"):
+            check_scl3e(3, 1.0)
 
     def test_case_enumeration(self):
         cases = scl3e_cases(100)
@@ -105,6 +120,10 @@ class TestBinomialShift:
     def test_precondition_enforced(self):
         with pytest.raises(ParameterError):
             check_l31(4, 2, 1, 2)
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got 2\.0$"):
+            check_l31(2.0, 3, 1, 1)
+        with pytest.raises(ParameterError, match=r"^x must be an integer, got 1\.5$"):
+            check_l31(2, 3, 1.5, 1.5)
 
     def test_random_tuples_conform(self):
         rng = random.Random(5)
@@ -124,6 +143,8 @@ class TestBinomialInequality:
     def test_rejects_out_of_range_i(self):
         with pytest.raises(ParameterError):
             check_l32(5, 1, 6)
+        with pytest.raises(ParameterError, match=r"^i must be an integer, got 1\.5$"):
+            check_l32(3, 1, 1.5)
 
 
 class TestResultType:
@@ -146,6 +167,17 @@ class TestResultType:
                        dict(primes=(2, 4)), dict(alphas=(0, 1))):
             with pytest.raises(ParameterError):
                 next(suite("E2", **kwargs))  # raised before the first check
+        for identity, kwargs, message in (
+            ("E1", dict(n_max=2.5), "n_max must be an integer, got 2.5"),
+            ("L31", dict(count=1.5), "count must be an integer, got 1.5"),
+            ("SCL3E", dict(scl3e_limit=None), "scl3e_limit must be an integer, got None"),
+            ("S4", dict(primes=2), "primes must be a collection, got 2"),
+            ("S4", dict(alphas=1), "alphas must be a collection, got 1"),
+            # an unseeded sample, which a second run would not repeat
+            ("L31", dict(seed=None), "seed must be an integer, got None"),
+        ):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                suite(identity, **kwargs)
 
     def test_suite_builds_its_rows_before_the_first_check(self, monkeypatch):
         calls = []

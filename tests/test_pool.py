@@ -12,11 +12,13 @@ import errno
 import hashlib
 import io
 import json
+import marshal
 import os
 import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,35 @@ def boom():
 def test_a_failed_worker_exits_2_and_leaves_nothing(failure, error, fmt, pool, monkeypatch,
                                                     tmp_path, capsys):
     fail_in_the_second_chunk(monkeypatch, failure)
+    out = tmp_path / "report"
+    assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []  # no report and no temp file
+    assert len(pool) == 2
+
+
+@pytest.mark.parametrize("code, error", [
+    (0, "a verify worker exited in the middle of a chunk"),
+    (7, "a verify worker ended early (exit code 7)"),
+], ids=["exits-0", "exits-7"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_frame_cut_short_exits_2_and_leaves_nothing(code, error, fmt, pool, monkeypatch,
+                                                      tmp_path, capsys):
+    # each worker sends its first chunk whole and half the frame of its
+    # second, then exits: worker 0's second is the third and last chunk, so
+    # the first two are written before the run fails
+    sent = []  # the frames of this process: a worker's, since only workers send
+
+    def dump(value, pipe):
+        frame = marshal.dumps(value)
+        sent.append(frame)
+        if len(sent) == 2:
+            pipe.write(frame[: len(frame) // 2])
+            pipe.flush()
+            os._exit(code)
+        pipe.write(frame)
+
+    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(dump=dump, load=marshal.load))
     out = tmp_path / "report"
     assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")

@@ -40,6 +40,8 @@ class TestStirling1:
         assert triangles.stirling1(3, -1) == 0
         assert triangles.stirling1(3, 4) == 0
         assert triangles.stirling1(0, 0) == 1
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got 2\.5$"):
+            triangles.stirling1(2.5, 1)
 
 
 class TestStirling2:
@@ -67,6 +69,8 @@ class TestStirling2:
     def test_outside_support(self):
         assert triangles.stirling2(3, 5) == 0
         assert triangles.stirling2(0, 0) == 1
+        with pytest.raises(ParameterError, match=r"^k must be an integer, got 1\.5$"):
+            triangles.stirling2(3, 1.5)
 
 
 class TestEulerian:
@@ -85,6 +89,8 @@ class TestEulerian:
         assert triangles.eulerian(3, -1) == 0
         with pytest.raises(ParameterError):
             triangles.eulerian(0, 0)
+        with pytest.raises(ParameterError, match=r"^k must be an integer, got 1\.0$"):
+            triangles.eulerian(3, 1.0)
 
 
 class TestBruteForce:
@@ -139,6 +145,11 @@ class TestTriangleObject:
         assert [list(r) for r in tri.rows] == [[1], [1], [1, 1], [1, 4, 1]]
         tri = build(Family.STIRLING2, 0)
         assert [list(r) for r in tri.rows] == [[1]]
+        with pytest.raises(ParameterError, match=r"^max_n must be an integer, got 2\.5$"):
+            build("eulerian", 2.5)
+        with pytest.raises(ParameterError, match="^family must be one of stirling1, stirling2, "
+                                                 "eulerian, got 'nope'$"):
+            build("nope", 3)
 
     def test_triangle_seeds(self):
         assert build(Family.STIRLING1, 2).rows == ((1,), (0, 1), (0, 1, 1))
