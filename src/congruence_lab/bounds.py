@@ -193,7 +193,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, m, **_: ord_p_factorial(n, p) - ord_p_factorial(m, p),
         tables=(Family.STIRLING1, Family.STIRLING2),
-        sums=lambda n, m, a, d, **_: filtered_sums._stirling_product_sums(n, m, d, a),
+        sums=lambda n, m, a, d, state, **_: state.stirling_product_sums(n, m, d, a),
     ),
     TheoremId.SC2: Theorem(
         params=("n", "p", "a", "f"),
@@ -209,7 +209,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         bound=lambda n, p, alpha, m, **_: (
             (n - p**alpha) // (p**alpha * (p - 1)) - ord_p_factorial(m, p)),
         tables=(Family.STIRLING1, Family.STIRLING2),
-        sums=lambda n, m, a, d, **_: filtered_sums._stirling_product_sums(n, m, d, a),
+        sums=lambda n, m, a, d, state, **_: state.stirling_product_sums(n, m, d, a),
     ),
 }
 

@@ -19,14 +19,14 @@ residues also accept "all".  The --m axis of the Stirling sweeps additionally
 accepts an n-coupled upper end, e.g. "1..n".  SC2 polynomials are given as
 comma-separated coefficient lists, low to high: "--f 0,0,1" is x**2.
 
-Claims are evaluated one parameter tuple (all its residue classes) at a
-time, through one plan per sweep, in chunks of at least ``JSON_CHUNK`` claims
-cut at tuple boundaries (``verifier.iter_chunks``); with --fail-fast the
-chunks stop right after the first VIOLATION, cutting its tuple's records
-there.  Each chunk's tuple results are tallied whole and rendered from a
-fixed layout (``_result_json``, and the CSV text of ``_result_csv``) that
-formats what a tuple's records share once and gives the bytes
-``json.dumps`` with indent=2 and sorted keys, and ``csv.DictWriter``, gave.
+A sweep is evaluated a block (the tuples of a grid that share n) at a time,
+through one plan per sweep, in chunks of at least ``JSON_CHUNK`` claims cut
+at tuple boundaries and tallied at once (``verifier.iter_chunks``); with
+--fail-fast the chunks stop right after the first VIOLATION, cutting its
+tuple's records there.  Each tuple's records fill one template that holds
+what they share (``_results_json``, and the CSV text of ``_results_csv``),
+for the bytes ``json.dumps`` with indent=2 and sorted keys, and
+``csv.DictWriter``, gave.
 A ``verify`` run imports neither the identity suites nor ``csv`` (only the
 identity CSV report does), and ``datetime`` only for a timestamp.  Every run
 streams its report through ``_write_report``, one write per chunk and the
@@ -83,7 +83,7 @@ from .filtered_sums import (
     stirling_product_sum,
 )
 from .triangles import Family
-from .verifier import GridSpec, GridSummary, TupleResult, Verdict
+from .verifier import GridSpec, GridSummary, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -363,15 +363,15 @@ _RECORDS_OPEN = '{\n  "records": ['
 
 
 @functools.lru_cache(maxsize=None)
-def _params_layout(keys: tuple[str, ...]) -> tuple[str, str]:
-    """The ``str.format`` template of a params object with these keys
-    (sorted, at report indentation) up to the value of "r", and the text
-    after it: "r" sorts last among the parameter names.  A theorem's records
-    share one key set, so the cache holds at most one entry per theorem."""
-    lines = ",\n".join(f'        "{key}": {{{key}}}' for key in sorted(keys))
-    text = "{{\n" + lines + "\n      }}" if keys else "{{}}"
-    head, _, tail = text.partition("{r}")
-    return head, tail.format()
+def _json_layout(theorem: TheoremId, keys: tuple[str, ...]) -> tuple[str, str]:
+    """A record's text from "params" (``keys``, "d" and "r", sorted) up to
+    the value of "r", which sorts last, as a ``str.format`` template of the
+    values of ``keys`` and d; and its text from after the sum up to the
+    verdict.  The cache holds one entry per theorem."""
+    fields = {key: f"{{{i}}}" for i, key in enumerate((*keys, "d"))}
+    lines = "".join(f'        "{key}": {fields[key]},\n' for key in sorted(fields))
+    return (f',\n      "params": {{{{\n{lines}        "r": ',
+            f',\n      "theorem": "{theorem._value_}",\n      "verdict": "')
 
 
 def _sc2_json(sc2: verifier.Sc2Comparison) -> str:
@@ -381,40 +381,40 @@ def _sc2_json(sc2: verifier.Sc2Comparison) -> str:
             f'        "rhs": "{sc2.rhs}",\n        "satisfied": {satisfied}\n      }},\n')
 
 
-def _result_json(res: TupleResult) -> str:
-    """``_json_text`` of each record's ``to_json_dict()``, as items of the
-    report's records list joined as in the report: the same bytes, from a
-    fixed layout.  The params object is formatted once for the tuple, and
-    only each record's "r" is written into it.  Params are integers except
-    SC2's coefficient string ``f``.  (``_value_`` is an enum member's value
-    without the ``value`` property's descriptor call.)"""
-    params = res.params
-    if "f" in params:
-        params = {**params, "f": encode_basestring_ascii(params["f"])}
-    head, tail = _params_layout(tuple(params))
-    head = head.format_map(params)
-    if res.theorem is TheoremId.SC2:
-        bound = '"sc2"'
-    else:
-        bound = "null" if res.bound is None else res.bound
-    theorem = res.theorem._value_
+def _results_json(results: list[tuple]) -> str:
+    """``_json_text`` of the ``to_json_dict()`` of the records of
+    ``verifier.iter_chunks`` results, joined as in the report's records
+    list, from one template per tuple, with its params and bound, filled
+    with each residue's r, sum, order, margin and verdict.  (``_value_`` is
+    an enum member's value without the ``value`` descriptor call.)"""
     texts = []
-    for r, total, order, verdict, margin, sc2 in zip(
-            res.residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2):
-        if order is None:
-            order = "null"
-        elif order == "inf":
-            order = '"inf"'
-        total = "null" if total is None else f'"{total}"'
-        texts.append(
-            f'    {{\n      "bound": {bound},\n'
-            f'      "margin": {"null" if margin is None else margin},\n'
-            f'      "ord": {order},\n'
-            f'      "params": {head}{r}{tail},\n{"" if sc2 is None else _sc2_json(sc2)}'
-            f'      "sum": {total},\n'
-            f'      "theorem": "{theorem}",\n'
-            f'      "verdict": "{verdict._value_}"\n    }}'
-        )
+    for theorem, params, d, bound, rs, totals, orders, verdicts, margins, sc2s in results:
+        middle, verdict = _json_layout(theorem, tuple(params))
+        if "f" in params:  # SC2's polynomial, as its escaped coefficient string
+            params = {**params, "f": encode_basestring_ascii(params["f"].coeff_string())}
+        middle = middle.format(*params.values(), d)
+        if theorem is TheoremId.SC2:
+            bound = '"sc2"'
+        elif bound is None:
+            bound = "null"
+        start = f'    {{\n      "bound": {bound},\n      "margin": '
+        zero = f'{start}null,\n      "ord": "inf"{middle}'
+        for r, total, order, kind, margin, sc2 in zip(rs, totals, orders, verdicts, margins, sc2s):
+            if margin is not None:  # the common records: a nonzero sum with a margin, ...
+                texts.append(f'{start}{margin},\n      "ord": {order}{middle}{r}\n      }},\n'
+                             f'      "sum": "{total}"{verdict}{kind._value_}"\n    }}')
+            elif total == 0 and sc2 is None:  # ... and a zero sum
+                texts.append(f'{zero}{r}\n      }},\n      "sum": "0"{verdict}{kind._value_}'
+                             '"\n    }')
+            else:
+                if total is not None:
+                    total = f'"{total}"'
+                    if order == "inf":
+                        order = '"inf"'
+                texts.append(
+                    f'{start}null,\n      "ord": {"null" if order is None else order}{middle}{r}'
+                    f'\n      }},\n{"" if sc2 is None else _sc2_json(sc2)}      "sum": '
+                    f'{"null" if total is None else total}{verdict}{kind._value_}"\n    }}')
     return ",\n".join(texts)
 
 
@@ -435,29 +435,29 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _result_csv(res: TupleResult) -> str:
-    """The CSV rows of the records, in ``CSV_COLUMNS`` order, each ended by
-    a line feed: the bytes that ``csv.writer`` writes for them, from a fixed
-    layout.  None is an empty field; the only field that can need quotes is
-    SC2's coefficient string ``f``.  The columns before "r", "f" and the
-    bound are formatted once for the tuple."""
-    params = res.params
-    head = "".join(f"{'' if value is None else value},"
-                   for value in (res.theorem._value_, *map(params.get, CSV_COLUMNS[1:9])))
-    f = params.get("f")
-    f = "" if f is None else _csv_field(f)
-    if res.theorem is TheoremId.SC2:
-        bound = "sc2"
-    else:
-        bound = "" if res.bound is None else res.bound
+def _results_csv(results: list[tuple]) -> str:
+    """The CSV rows of the records of ``verifier.iter_chunks`` results, in
+    ``CSV_COLUMNS`` order, each ended by a line feed: the bytes that
+    ``csv.writer`` writes, with the columns before "r", "f" and the bound
+    formatted once for each tuple.  None is an empty field; only SC2's
+    coefficient string ``f`` can need quotes."""
     texts = []
-    for r, total, order, verdict, margin, sc2 in zip(
-            res.residues, res.totals, res.orders, res.verdicts, res.margins, res.sc2):
-        texts.append(
-            f"{head}{r},{f},{'' if total is None else total},{'' if order is None else order},"
-            f"{bound},{verdict._value_},{'' if margin is None else margin},"
-            + (",,,\n" if sc2 is None else
-               f"{sc2.l},{'' if sc2.lhs is None else sc2.lhs},{sc2.rhs},{sc2.satisfied}\n"))
+    for theorem, params, d, bound, rs, totals, orders, verdicts, margins, sc2s in results:
+        head = "".join(f"{'' if value is None else value},"
+                       for value in (theorem._value_, *map(params.get, CSV_COLUMNS[1:8]), d))
+        f = params.get("f")
+        f = "" if f is None else _csv_field(f.coeff_string())
+        if theorem is TheoremId.SC2:
+            bound = "sc2"
+        elif bound is None:
+            bound = ""
+        for r, total, order, kind, margin, sc2 in zip(rs, totals, orders, verdicts, margins, sc2s):
+            texts.append(
+                f"{head}{r},{f},{'' if total is None else total},"
+                f"{'' if order is None else order},{bound},{kind._value_},"
+                f"{'' if margin is None else margin},"
+                + (",,,\n" if sc2 is None else
+                   f"{sc2.l},{'' if sc2.lhs is None else sc2.lhs},{sc2.rhs},{sc2.satisfied}\n"))
     return "".join(texts)
 
 
@@ -467,9 +467,8 @@ def _write_report(
     """Write the report whose records are the chunks' texts, in order, to
     ``out``, one write per chunk, and return the merge of the chunks'
     summaries once they are written.  A chunk (a :data:`_ChunkSource` item)
-    is one or more :func:`_result_json` texts, joined as in the report, or
-    CSV rows.  Sorted keys put the JSON "records" first, so the run and the
-    summary follow the last chunk."""
+    is :func:`_results_json` text or CSV rows.  Sorted keys put the JSON
+    "records" first, so the run and the summary follow the last chunk."""
     summary = GridSummary()
     if fmt == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
@@ -522,19 +521,13 @@ def _rendered_chunks(
     grids: list[GridSpec], fmt: str, probe_inapplicable: bool, fail_fast: bool,
     first: int, step: int,
 ) -> Iterator[tuple[GridSummary, str]]:
-    """A :data:`_ChunkSource` over :func:`verifier.iter_chunks` (chunks of at
-    least ``JSON_CHUNK`` claims): each chunk's summary and its records'
-    text, as :func:`_write_report` takes them."""
-    for _, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable, first, step,
-                                           fail_fast):
-        summary = GridSummary()
-        for res in results:
-            summary.add(res)
-        if fmt == "json":
-            text = ",\n".join(map(_result_json, results))
-        else:
-            text = "".join(map(_result_csv, results))
-        yield summary, text
+    """A :data:`_ChunkSource` over ``verifier.iter_chunks`` (chunks of at least
+    ``JSON_CHUNK`` claims): each chunk's summary and its records' text, as
+    :func:`_write_report` takes them."""
+    render = _results_json if fmt == "json" else _results_csv
+    for _, summary, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable,
+                                                     first, step, fail_fast):
+        yield summary, render(results)
 
 
 class _Pool:

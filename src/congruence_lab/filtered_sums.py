@@ -10,9 +10,8 @@ modulus d) and the parameters of its weight.  Which class a theorem sums
 over, p**alpha or p**beta, is the caller's business: the verifier builds it
 from the checked claim, the CLI from its flags.  Each public sum checks its
 arguments and calls a private kernel that checks nothing (``_fleck_sum``,
-..., ``_stirling_product_sums``, :meth:`_SweepState.fleck_sums`); the
-theorem table calls only the kernels, since every claim path has checked
-the claim's parameters.
+..., the :class:`_SweepState` methods); the theorem table calls only the
+kernels, since every claim path has checked the claim's parameters.
 
 The binomial values C(n, k) come from one memoized row per n, built by
 :func:`binomial_row`, not from ``math.comb`` per claim: a grid runs n
@@ -28,10 +27,10 @@ running power of the base (:func:`_power_sum`).  They are
 :func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
 residue class of one modulus at once, in residue order, equal to one
 per-residue sum each: the verifier evaluates a parameter tuple's d claims
-with one of them.  :func:`fleck_sums` adds only, and steps the sums of n
-from those of n - 1 (Pascal's rule) where a :class:`_SweepState` keeps
-them.  A sweep's plan owns that state; the public :func:`fleck_sums` runs
-on a fresh one, so it keeps nothing between calls.
+with one of them.  A sweep runs them on the :class:`_SweepState` its plan
+owns: :func:`fleck_sums` steps the sums of n from those of n - 1, and
+:func:`stirling_product_sums` keeps the terms of a block's n, which its
+moduli share.  The public ones keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -157,13 +156,17 @@ class _SweepState:
     l members sums to 0.  Rebuilding from :func:`_fleck_sum` per class
     instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6 and 7 of
     10 pairs).
+
+    ``terms`` maps (m, a) to the terms s(n, k) S(k, m) a**k, k = m..n, of
+    only the last n asked, ``stirling_n``, whose rows it fetched once.
     """
 
-    __slots__ = ("kept", "top")
+    __slots__ = ("kept", "top", "stirling_n", "stirling_rows", "terms")
 
     def __init__(self) -> None:
         self.kept: dict[int, tuple[int, list]] = {}
         self.top = 0
+        self.stirling_n = None  # and no terms
 
     def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
         """:func:`fleck_sums` of checked arguments, stepped where it can be."""
@@ -191,6 +194,26 @@ class _SweepState:
                 levels.append([c[-1 - depth] if len(c) > depth else 0 for c in classes])
         self.kept[d] = (n, levels)
         return list(levels[l])
+
+    def stirling_product_sums(self, n: int, m: int, d: int, a: int) -> list[int]:
+        """:func:`stirling_product_sums` of checked arguments: the terms of
+        (m, a), made in one pass over k once for n, folded into d classes."""
+        if n != self.stirling_n:
+            self.stirling_n, self.terms = n, {}
+            self.stirling_rows = (triangles.stirling1_row(n),
+                                  triangles.ensure_rows(Family.STIRLING2, n).rows)
+        terms = self.terms.get((m, a))
+        if terms is None:  # k = m..n, since S(k, m) = 0 for k < m
+            srow, rows2 = self.stirling_rows
+            terms = self.terms[m, a] = []
+            power = a**m
+            for k in range(m, n + 1):
+                terms.append(srow[k] * rows2[k][m] * power)
+                power *= a
+        sums = ([sum(terms[i::d]) for i in range(d)] if len(terms) > d
+                else terms + [0] * (d - len(terms)))  # else each class has one term at most
+        shift = m % d  # sums[i] is the sum of class (m + i) % d
+        return sums[-shift:] + sums[:-shift]
 
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:
@@ -257,27 +280,15 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 
 
 def _stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
-    srow = triangles.stirling1_row(n)
-    tri2 = triangles.ensure_rows(Family.STIRLING2, n)
-    return _power_sum((srow[k] * tri2.value(k, m) for k in cls.members(n)), cls, a)
+    srow, rows2 = triangles.stirling1_row(n), triangles.ensure_rows(Family.STIRLING2, n).rows
+    return _power_sum((srow[k] * rows2[k][m] if k >= m else 0 for k in cls.members(n)), cls, a)
 
 
 def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
     """The :func:`stirling_product_sum` of every residue r = 0..d-1, from one
-    pass over k that adds each term to the total of k mod d."""
+    pass over k, worked out on a fresh :class:`_SweepState`."""
     check_params(n=n, m=m, d=d, a=a)
-    return _stirling_product_sums(n, m, d, a)
-
-
-def _stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
-    srow = triangles.stirling1_row(n)
-    rows2 = triangles.ensure_rows(Family.STIRLING2, n).rows
-    totals = [0] * d
-    power = a**m  # S(k, m) = 0 for k < m
-    for k in range(m, n + 1):
-        totals[k % d] += srow[k] * rows2[k][m] * power
-        power *= a
-    return totals
+    return _SweepState().stirling_product_sums(n, m, d, a)
 
 
 def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> int:

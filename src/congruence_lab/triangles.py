@@ -111,7 +111,7 @@ class Triangle(Frozen):
         self._set(family, max_n, rows)
 
     def row(self, n: int) -> tuple[int, ...]:
-        if n < 0:
+        if check_integer("n", n) < 0:
             raise ParameterError(f"row index must be >= 0, got {n}")
         if n > self.max_n:
             raise CapacityError(
@@ -122,16 +122,20 @@ class Triangle(Frozen):
     def value(self, n: int, k: int) -> int:
         """Entry (n, k); zero outside the row's support."""
         row = self.row(n)
-        if 0 <= k < len(row):
+        if 0 <= check_integer("k", k) < len(row):
             return row[k]
         return 0
 
 
-def build(family: Family, max_n: int) -> Triangle:
-    """Construct a triangle of rows 0..max_n from the recurrences."""
+def _family(family: Family | str) -> Family:
     if family not in list(Family):
         raise ParameterError(f"family must be one of {', '.join(Family)}, got {family!r}")
-    family = Family(family)
+    return Family(family)
+
+
+def build(family: Family, max_n: int) -> Triangle:
+    """Construct a triangle of rows 0..max_n from the recurrences."""
+    family = _family(family)
     if check_integer("max_n", max_n) < 0:
         raise ParameterError(f"max_n must be >= 0, got {max_n}")
     rows = _BUILDERS[family](max_n)
@@ -160,10 +164,9 @@ _shared: dict[Family, Triangle] = {}
 def ensure_rows(family: Family, n: int) -> Triangle:
     """Shared triangle with row ``n`` available; grows geometrically up to
     :data:`ROW_LIMIT`, then raises :class:`CapacityError`."""
-    # a sweep asks for a row on every tuple: skip the Enum call for a member
-    if not isinstance(family, Family):
-        family = Family(family)
-    if n < 0:
+    if not isinstance(family, Family):  # a member skips the Enum call
+        family = _family(family)
+    if check_integer("n", n) < 0:
         raise ParameterError(f"row index must be >= 0, got {n}")
     if n > ROW_LIMIT:
         raise CapacityError(f"row {n} exceeds the row limit {ROW_LIMIT}")
@@ -177,14 +180,12 @@ def ensure_rows(family: Family, n: int) -> Triangle:
 
 def stirling1(n: int, k: int) -> int:
     """Unsigned first-kind Stirling number (permutations of n with k cycles)."""
-    check_integer("k", k)
-    return ensure_rows(Family.STIRLING1, check_integer("n", n)).value(n, k)
+    return ensure_rows(Family.STIRLING1, n).value(n, k)
 
 
 def stirling2(n: int, k: int) -> int:
     """Second-kind Stirling number (partitions of an n-set into k blocks)."""
-    check_integer("k", k)
-    return ensure_rows(Family.STIRLING2, check_integer("n", n)).value(n, k)
+    return ensure_rows(Family.STIRLING2, n).value(n, k)
 
 
 def eulerian(n: int, k: int) -> int:

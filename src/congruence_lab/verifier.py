@@ -15,14 +15,12 @@ holds no per-theorem code except SC2's exact comparison and its record
 fields.
 
 Two paths evaluate claims.  :func:`check_claim` evaluates one claim; it is
-the reference evaluation and the library call.  :meth:`_Plan.evaluate`
-evaluates the residue classes of one parameter tuple into one
-:class:`TupleResult`, with one hypotheses check and one bound, and, when
-every residue is asked for, with one pass for all d sums where the theorem
-has a ``sums``; its records (:meth:`TupleResult.records`) are the same as
-one :func:`check_claim` per residue.  It builds its columns of orders,
-margins and verdicts one column at a time, and takes orders of the checked
-``p`` with ``ord_p_nonzero``.
+the reference evaluation and the library call.  :meth:`_Plan.evaluate` is
+the one evaluation body of a parameter tuple: its residues' sums, in one
+pass for all d where the theorem has a ``sums`` and every residue is asked
+for, then each sum's order (``ord_p_nonzero`` of the checked ``p``),
+margin and verdict in one pass; the records of its result
+(:meth:`TupleResult.records`) are one :func:`check_claim` per residue.
 
 Who checks what: :func:`check_claim` and :func:`evaluate_tuple`, the
 library call for one tuple, check a claim's parameters once, in
@@ -33,12 +31,13 @@ entry checks anything (only each :class:`ResidueClass` checks its own d
 and r), and both paths call the entry's functions, so that a patched entry
 reaches either path.
 
-A :class:`_Plan` holds what the tuples of one sweep share: the theorem's
-entry, the state its ``sums`` keep between tuples, and its class modulus,
-hypotheses and bound, each worked out once per distinct value of the
-parameters it names (a one-entry memo, :func:`_memo`).  A sweep plans each
-theorem and residue set once, for all its grids; :func:`evaluate_tuple`
-plans its one tuple, so both run the same evaluation body.
+A sweep runs in blocks, the tuples of a grid that share n.  One
+:class:`_Plan` per theorem and residue set of the sweep walks its grids
+(:meth:`_Plan.tuples`), working out the class modulus, hypotheses and
+bound at the innermost axis each reads, so once per distinct value of the
+parameters it names, and owns the :class:`~filtered_sums._SweepState` in
+which the sums of a block share their triangle rows and terms.
+:func:`evaluate_tuple` runs a block of one tuple.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -46,10 +45,10 @@ deterministic.  :func:`iter_chunks` drives every sweep: it cuts the tuple
 results into numbered chunks and evaluates only every ``step``-th chunk, so
 that several processes can share a sweep (``verify --workers``), and with
 ``fail_fast`` it stops right after the first VIOLATION.  It holds one chunk
-at a time and :meth:`GridSummary.add` tallies each tuple result as it
-passes, so a sweep's memory does not depend on its size; :func:`run_grids`
-collects the records into a list.  The summaries of the chunks merge in
-chunk order (:meth:`GridSummary.merge`) into the sweep's.
+at a time and tallies each chunk's records at once
+(:meth:`GridSummary.of`), so a sweep's memory does not depend on its size;
+:func:`run_grids` collects the records into a list.  The summaries of the
+chunks merge in chunk order (:meth:`GridSummary.merge`) into the sweep's.
 """
 
 from __future__ import annotations
@@ -277,12 +276,6 @@ class TupleResult(Slotted):
         self.margins = margins
         self.sc2 = sc2
 
-    def head(self, count: int) -> "TupleResult":
-        """The result of the first ``count`` residues."""
-        return TupleResult(self.theorem, self.params, self.bound, self.residues[:count],
-                           self.totals[:count], self.orders[:count], self.verdicts[:count],
-                           self.margins[:count], self.sc2[:count])
-
     def records(self) -> list[ClaimRecord]:
         return [
             ClaimRecord(self.theorem, {**self.params, "r": r}, total,
@@ -295,98 +288,96 @@ class TupleResult(Slotted):
         ]
 
 
-_UNSET = object()
-
-
-def _memo(fn: Callable[..., Any], params: tuple[str, ...]) -> Callable[[dict[str, Any]], Any]:
-    """``fn`` of a tuple's parameters, worked out again only when the value
-    of a parameter that ``fn`` names differs from the last tuple's (a
-    one-entry memo: a grid's axes run in canonical order, so the parameters
-    a function does not read are mostly innermost).  A function that names
-    none of ``params`` takes them all through its ``**``, so it is keyed on
-    them all.  Calling the table directly instead ran sweeps in process at
-    0.84-0.95x the speed in one audit but 0.97-1.11x in a later one."""
-    key_of = operator.itemgetter(*(_named(fn) or params))
-    key, value = _UNSET, None
-
-    def memo(values: dict[str, Any]) -> Any:
-        nonlocal key, value
-        new = key_of(values)
-        if new != key:
-            value = fn(**values)
-            key = new
-        return value
-
-    return memo
-
-
 class _Plan:
     """What the tuples of one theorem and residue set share across a sweep's
-    grids, worked out once: its :data:`THEOREMS` entry; its class modulus,
-    hypotheses and bound, each through a :func:`_memo` keyed on the values
-    it reads; the asked residues, checked ("all" or an :func:`_axis`); and
-    the :class:`~filtered_sums._SweepState` its ``sums`` keep, keyed on n
-    and d.  :meth:`evaluate` is the one evaluation body: a sweep calls it
-    for each tuple of its grids, whose values the :class:`GridSpec` has
-    checked, and :func:`evaluate_tuple` for one that :func:`_checked_theorem`
-    has checked."""
+    grids: its :data:`THEOREMS` entry; the asked residues, checked ("all" or
+    an :func:`_axis`); for each axis, which of the class modulus, hypotheses
+    and bound :meth:`tuples` works out there (``at``: the innermost axis
+    each names, the last for one that names none); and the
+    :class:`~filtered_sums._SweepState` its ``sums`` keep.  The values must
+    have been checked, by a :class:`GridSpec` or :func:`_checked_theorem`."""
 
-    __slots__ = ("theorem", "wiring", "probe", "modulus", "hypotheses", "bound", "asked",
-                 "state")
+    __slots__ = ("theorem", "wiring", "probe", "asked", "at", "state")
 
     def __init__(self, theorem: TheoremId, residues: str | tuple[int, ...],
                  probe_inapplicable: bool) -> None:
         self.theorem = theorem
         self.wiring = wiring = THEOREMS[theorem]
         self.probe = probe_inapplicable
-        self.modulus = _memo(wiring.modulus, wiring.params)
-        self.hypotheses = wiring.hypotheses and _memo(wiring.hypotheses, wiring.params)
-        self.bound = wiring.bound and _memo(wiring.bound, wiring.params)
         self.asked = residues
+        names = wiring.params
+        fns = (wiring.modulus, wiring.hypotheses, wiring.bound)
+        depths = [fn and max(map(names.index, _named(fn) or names)) for fn in fns]
+        self.at = [[fn if depth == at else None for fn, depth in zip(fns, depths)]
+                   for at in range(len(names))]
         self.state = _SweepState()
 
-    def evaluate(self, params: dict[str, Any]) -> TupleResult:
-        """The result of the tuple with these parameters, which must be
-        checked and in canonical order."""
-        wiring = self.wiring
-        d = self.modulus(params)
-        rs = _residues(self.asked, d)
-        count = len(rs)
-        base = _record_params(params, d, 0)
-        applicable = self.hypotheses is None or self.hypotheses(params)
-        if not (applicable or self.probe):
-            nones = [None] * count
-            return TupleResult(self.theorem, base, None, rs, nones, nones,
-                               [_NOT_APPLICABLE] * count, nones, nones)
+    def tuples(self, axes: Sequence[Sequence[Any]]) -> Iterator[tuple]:
+        """Each tuple of the product of ``axes``, the values of the
+        theorem's parameters in canonical order, in sorted order, as
+        (params, d, residues, applicable, bound)."""
+        rows: Iterable[tuple] = [({}, None, None, True, None)]
+        for name, values, fns in zip(self.wiring.params, axes, self.at):
+            rows = self._extend(rows, name, values, *fns)
+        return iter(rows)
 
+    def _extend(self, rows: Iterable[tuple], name: str, values: Sequence[Any], modulus: Callable,
+                hypotheses: Callable, bound: Callable) -> Iterator[tuple]:
+        """Each row with each value of axis ``name``, and what is worked out there."""
+        for outer, d, rs, applicable, exponent in rows:
+            for value in values:
+                params = {**outer, name: value}
+                if modulus:
+                    d = modulus(**params)
+                    rs = _residues(self.asked, d)
+                if hypotheses:
+                    applicable = hypotheses(**params)
+                if bound:
+                    exponent = bound(**params)
+                yield params, d, rs, applicable, exponent
+
+    def evaluate(self, params: dict[str, Any], d: int, rs: Sequence[int], applicable: bool,
+                 bound: int | None) -> tuple:
+        """The result of one tuple of :meth:`tuples`: (theorem, params, d,
+        bound, residues) and its records' columns, in residue order: sums,
+        orders (an int, "inf" for a zero sum, None without a sum),
+        verdicts, margins and SC2 comparisons."""
+        wiring, count = self.wiring, len(rs)
+        totals = orders = margins = sc2 = [None] * count
+        verdicts = [_NOT_APPLICABLE] * count
+        if not (applicable or self.probe):
+            return self.theorem, params, d, None, rs, totals, orders, verdicts, margins, sc2
         if wiring.sums is not None and count == d:  # every residue, so rs is range(d)
             totals = wiring.sums(d=d, state=self.state, **params)
         else:
             totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
         p = params["p"]
-        # None: probed sun with beta > alpha, the bound only
-        orders = [ord_p_nonzero(total, p) if total else None if total is None else "inf"
-                  for total in totals]
-        bound = self.bound(params) if self.bound else None
-        if not applicable:  # probed: sums, orders and the raw bound, for inspection
-            nones = [None] * count
-            return TupleResult(self.theorem, base, bound, rs, totals, orders,
-                               [_NOT_APPLICABLE] * count, nones, nones)
-        if bound is None:  # SC2: decided by the exact integer comparison
-            return self._sc2(params, base, rs, totals, orders)
-        margins = [order - bound if total else None for total, order in zip(totals, orders)]
-        if bound < 0:
-            verdicts = [_VACUOUS if margin is None else _TRIVIAL for margin in margins]
-        else:
-            verdicts = [_VACUOUS if margin is None else _TIGHT if margin == 0
-                        else _HOLDS if margin > 0 else _VIOLATION for margin in margins]
-        return TupleResult(self.theorem, base, bound, rs, totals, orders, verdicts, margins,
-                           [None] * count)
+        if applicable and bound is not None:  # one pass: each sum's order, margin and verdict
+            orders, margins, verdicts = [], [], []
+            for total in totals:
+                if total:
+                    order = ord_p_nonzero(total, p)
+                    margin = order - bound
+                    verdicts.append(_TRIVIAL if bound < 0 else _TIGHT if margin == 0
+                                    else _HOLDS if margin > 0 else _VIOLATION)
+                else:
+                    order, margin = "inf", None
+                    verdicts.append(_VACUOUS)
+                orders.append(order)
+                margins.append(margin)
+        else:  # probed (sums, orders and the raw bound, for inspection), or SC2
+            # None: probed sun with beta > alpha, the bound only
+            orders = [ord_p_nonzero(total, p) if total else None if total is None else "inf"
+                      for total in totals]
+            if applicable:  # SC2: decided by the exact integer comparison
+                verdicts, sc2 = self._sc2(params, totals, orders)
+        return self.theorem, params, d, bound, rs, totals, orders, verdicts, margins, sc2
 
-    def _sc2(self, params: dict[str, Any], base: dict[str, Any], rs: Sequence[int],
-             totals: list[int], orders: list[int | str]) -> TupleResult:
-        """An applicable SC2 tuple: l, C(n, l) and p**ord_p(n!) are worked
-        out once, and each residue's comparison from them."""
+    def _sc2(self, params: dict[str, Any], totals: list[int],
+             orders: list[int | str]) -> tuple[list, list]:
+        """The verdicts and comparisons of an applicable SC2 tuple: l,
+        C(n, l) and p**ord_p(n!) are worked out once, and each residue's
+        comparison from them."""
         p = params["p"]
         l, comb, rhs = sc2_constants(params["n"], p, params["f"])
         verdicts, comparisons = [], []
@@ -398,8 +389,13 @@ class _Plan:
                 lhs = comb * p**order
                 comparisons.append(Sc2Comparison(l, lhs, rhs, lhs >= rhs))
                 verdicts.append(_HOLDS if lhs >= rhs else _VIOLATION)
-        return TupleResult(self.theorem, base, None, rs, totals, orders, verdicts,
-                           [None] * len(rs), comparisons)
+        return verdicts, comparisons
+
+
+def _tuple_result(res: tuple) -> TupleResult:
+    """A :meth:`_Plan.evaluate` result as a :class:`TupleResult`."""
+    theorem, params, d, bound, rs, *columns = res
+    return TupleResult(theorem, _record_params(params, d, 0), bound, rs, *columns)
 
 
 def evaluate_tuple(
@@ -416,14 +412,16 @@ def evaluate_tuple(
     any ``r`` in it is ignored.
 
     Its parameters and residues are checked first (:func:`_checked_theorem`,
-    :func:`_checked_residues`); then it runs through :meth:`_Plan.evaluate`
-    as a sweep's tuples do: the hypotheses and the bound once for the
-    tuple, all d sums at once where the theorem has a one-pass ``sums`` and
-    every residue is asked for (a subset gets one ``sum`` per residue), and
-    SC2's l, C(n, l) and p**ord_p(n!) once.
+    :func:`_checked_residues`); then it runs through a :class:`_Plan` as a
+    block of one tuple: the hypotheses and the bound once for the tuple,
+    all d sums at once where the theorem has a one-pass ``sums`` and every
+    residue is asked for (a subset gets one ``sum`` per residue), and SC2's
+    l, C(n, l) and p**ord_p(n!) once.
     """
     theorem, _, params = _checked_theorem(theorem, params)
-    return _Plan(theorem, _checked_residues(residues), probe_inapplicable).evaluate(params)
+    plan = _Plan(theorem, _checked_residues(residues), probe_inapplicable)
+    (row,) = plan.tuples([(value,) for value in params.values()])
+    return _tuple_result(plan.evaluate(*row))
 
 
 # --------------------------------------------------------------------------
@@ -539,10 +537,9 @@ def required_tables(grids: Iterable[GridSpec]) -> dict[Family, int]:
 
 
 class GridSummary(Slotted):
-    """The tally of a sweep's records: those of the tuple results passed to
-    :meth:`add` and the summaries passed to :meth:`merge`, in record order.
-    A new one is the tally of no records (``verdicts`` None: every verdict
-    counted 0)."""
+    """The tally of a sweep's records (:meth:`of`, :meth:`merge`, in record
+    order).  A new one is the tally of no records (``verdicts`` None: every
+    verdict counted 0)."""
 
     __slots__ = ("total", "verdicts", "min_margin", "first_violation")
 
@@ -554,21 +551,18 @@ class GridSummary(Slotted):
         self.min_margin = min_margin
         self.first_violation = first_violation
 
-    def add(self, res: TupleResult) -> None:
-        verdicts = res.verdicts
-        self.total += len(verdicts)
-        counts = self.verdicts
-        for verdict in _VERDICTS:
-            count = verdicts.count(verdict)
-            if count:
-                counts[verdict._value_] += count  # .value is a slower descriptor
-        margins = [margin for margin in res.margins if margin is not None]
-        if margins:
-            low = min(margins)
-            if self.min_margin is None or low < self.min_margin:
-                self.min_margin = low
-        if self.first_violation is None and _VIOLATION in verdicts:
-            self.first_violation = {**res.params, "r": res.residues[verdicts.index(_VIOLATION)]}
+    @classmethod
+    def of(cls, results: list[tuple]) -> GridSummary:
+        """The tally of the records of :func:`iter_chunks` results, counted
+        over their columns at once (res[7] holds a tuple's verdicts)."""
+        verdicts = [v for res in results for v in res[7]]
+        margins = [m for res in results for m in res[8] if m is not None]
+        first = next((_record_params(params, d, rs[column.index(_VIOLATION)])
+                      for _, params, d, _, rs, _, _, column, _, _ in results
+                      if _VIOLATION in column), None)
+        # ._value_ is an enum member's value without the .value descriptor
+        return cls(len(verdicts), {v._value_: verdicts.count(v) for v in _VERDICTS},
+                   min(margins, default=None), first)
 
     def merge(self, part: GridSummary) -> None:
         """Add the summary of records that came after those added so far."""
@@ -610,22 +604,21 @@ def ensure_tables(grids: Iterable[GridSpec]) -> None:
 
 def _numbered_tuples(
     grids: Iterable[GridSpec], size: int, probe_inapplicable: bool = False
-) -> Iterator[tuple[int, _Plan, dict[str, Any]]]:
-    """Every tuple of the grids, in record order, with the number of its
-    chunk and its plan, one per theorem and residue set of the sweep: the
-    records are cut into chunks of at least ``size`` claims, at tuple
-    boundaries, numbered from 0.  Only each tuple's residue count is worked
-    out (through the plan's modulus memo), not its records."""
+) -> Iterator[tuple[int, _Plan, tuple]]:
+    """Every tuple of the grids, in record order, as :meth:`_Plan.tuples`
+    gives it, with the number of its chunk and its plan, one per theorem
+    and residue set of the sweep: the records are cut into chunks of at
+    least ``size`` claims, at tuple boundaries, numbered from 0."""
     number = claims = 0
     plans: dict[tuple[TheoremId, str | tuple[int, ...]], _Plan] = {}
     for grid in grids:
         key = (grid.theorem, grid.residues)
         plan = plans[key] = plans.get(key) or _Plan(*key, probe_inapplicable)
-        for params in _grid_tuples(grid):
+        for row in plan.tuples([getattr(grid, AXIS_FIELDS[name]) for name in plan.wiring.params]):
             if claims >= size:
                 number, claims = number + 1, 0
-            yield number, plan, params
-            claims += len(_residues(plan.asked, plan.modulus(params)))
+            yield number, plan, row
+            claims += len(row[2])
 
 
 def count_chunks(grids: Iterable[GridSpec], size: int, at_most: int) -> int:
@@ -646,36 +639,35 @@ def iter_chunks(
     first: int = 0,
     step: int = 1,
     fail_fast: bool = False,
-) -> Iterator[tuple[int, list[TupleResult]]]:
+) -> Iterator[tuple[int, GridSummary, list[tuple]]]:
     """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
-    the grids' tuple results, as (number, results), one chunk held at a time.
-
-    Each theorem and residue set gets one :class:`_Plan` for the sweep, and
-    each tuple is evaluated whole by its :meth:`_Plan.evaluate`, with no
-    parameter check: the grid has checked every value.  The results are cut
-    into chunks of at least ``size`` claims, at tuple boundaries, numbered
-    from 0.  Only the tuples of these chunks are evaluated, so ``step``
-    callers with ``first`` = 0 .. step-1 share the work of one sweep.  With
-    ``fail_fast`` the results stop at the first VIOLATION: its tuple's
-    result is cut right after it, and no later tuple is evaluated.
-    The triangles must have been built (:func:`ensure_tables`).
+    the grids' tuple results (:meth:`_Plan.evaluate`, with no parameter
+    check: the grid has checked every value), as (number, summary,
+    results), one chunk held at a time.  The results are cut into chunks of
+    at least ``size`` claims, at tuple boundaries, numbered from 0.  Only
+    the tuples of these chunks are evaluated, so ``step`` callers with
+    ``first`` = 0 .. step-1 share the work of one sweep.  With ``fail_fast``
+    the results stop at the first VIOLATION: its tuple's columns are cut
+    right after it, and no later tuple is evaluated.  The triangles must
+    have been built (:func:`ensure_tables`).
     """
-    chunk: list[TupleResult] = []
+    results: list[tuple] = []
     current = first
-    for number, plan, params in _numbered_tuples(grids, size, probe_inapplicable):
+    for number, plan, row in _numbered_tuples(grids, size, probe_inapplicable):
         if number % step != first:
             continue
         if number != current:
-            if chunk:
-                yield current, chunk
-            chunk, current = [], number
-        res = plan.evaluate(params)
-        if fail_fast and _VIOLATION in res.verdicts:
-            chunk.append(res.head(res.verdicts.index(_VIOLATION) + 1))
+            if results:
+                yield current, GridSummary.of(results), results
+            results, current = [], number
+        res = plan.evaluate(*row)
+        if fail_fast and _VIOLATION in res[7]:  # its verdicts
+            cut = res[7].index(_VIOLATION) + 1
+            results.append((*res[:4], *(column[:cut] for column in res[4:])))
             break
-        chunk.append(res)
-    if chunk:
-        yield current, chunk
+        results.append(res)
+    if results:
+        yield current, GridSummary.of(results), results
 
 
 def run_grids(
@@ -683,8 +675,8 @@ def run_grids(
     probe_inapplicable: bool = False,
     fail_fast: bool = False,
 ) -> GridResult:
-    """Every record of the grids' sweep (:func:`iter_chunks`), collected in a
-    list, and their summary.
+    """Every record of the grids' sweep (:func:`iter_chunks`), collected in
+    a list, and their summary.
 
     The triangles the grids need are built first, so a
     :class:`CapacityError` is raised before any tuple is evaluated.
@@ -693,10 +685,9 @@ def run_grids(
     ensure_tables(grids)
     summary = GridSummary()
     records = []
-    for _, chunk in iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast):
-        for res in chunk:
-            summary.add(res)
-            records += res.records()
+    for _, part, results in iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast):
+        summary.merge(part)
+        records += [rec for res in results for rec in _tuple_result(res).records()]
     return GridResult(records, summary)
 
 

@@ -24,7 +24,6 @@ from congruence_lab.verifier import (
     ClaimRecord,
     GridSpec,
     Sc2Comparison,
-    TupleResult,
     Verdict,
     check_claim,
     grid_params,
@@ -397,9 +396,9 @@ class TestVerifyCommand:
                 return 10**6
             return wiring.bound(**params)
 
-        def counted_evaluate(plan, params):  # the sweep's per-tuple entry
+        def counted_evaluate(plan, params, *found):  # the sweep's per-tuple entry
             calls.append(tuple(params.values()))
-            return real_evaluate(plan, params)
+            return real_evaluate(plan, params, *found)
 
         monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, wiring._replace(bound=forced_bound))
         monkeypatch.setattr(verifier._Plan, "evaluate", counted_evaluate)
@@ -417,6 +416,43 @@ class TestVerifyCommand:
         assert last["verdict"] == "VIOLATION"
         assert last["params"] == {"n": 12, "p": 3, "alpha": 1, "l": 1, "d": 3, "r": 0}
         assert report["summary"]["first_violation"] == last["params"]
+
+    def test_fail_fast_stops_part_way_through_a_block(self, tmp_path, monkeypatch):
+        # an unreachable bound for (n, p, alpha, m) = (7, 3, 1, 4): the first
+        # of its claims with a nonzero sum is a VIOLATION, part-way through
+        # its tuple and through the block of n = 7, whose tuples share their
+        # Stirling terms; the report stops at that record, as check_claim's
+        # records do, and no later tuple's sums are worked out
+        wiring, calls = THEOREMS[TheoremId.SC3], []
+
+        def forced_bound(n, p, alpha, m, **_):
+            return wiring.bound(n=n, p=p, alpha=alpha, m=m) + (10**6 if (n, p, alpha, m) == (
+                7, 3, 1, 4) else 0)
+
+        def counted_sums(**params):
+            calls.append(tuple(params[name] for name in wiring.params))
+            return wiring.sums(**params)
+
+        monkeypatch.setitem(THEOREMS, TheoremId.SC3,
+                            wiring._replace(bound=forced_bound, sums=counted_sums))
+        argv = ["verify", "sc3", "--n", "1..8", "--p", "2,3", "--alpha", "1,2", "--m", "1..n",
+                "--a=-2..3", "--no-timestamp"]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--fail-fast", "--out", str(out)]) == 1
+        grids = [GridSpec(TheoremId.SC3, ns=(n,), primes=(2, 3), alphas=(1, 2),
+                          ms=range(1, n + 1), a_values=range(-2, 4)) for n in range(1, 9)]
+        records = [check_claim("sc3", params) for grid in grids for params in grid_params(grid)]
+        verdicts = [rec.verdict for rec in records]
+        records = records[:verdicts.index(Verdict.VIOLATION) + 1]
+        violation = records[-1].params
+        assert violation["r"] < violation["d"] - 1  # part-way through its tuple
+        text = out.read_text(encoding="utf-8")
+        assert text == _reference_json(json.loads(text)["run"], records)
+        tuples = [key for n in range(1, 9) for key in itertools.product(
+            (n,), (2, 3), (1, 2), range(1, n + 1), range(-2, 4))]
+        stop = tuples.index(tuple(violation[name] for name in wiring.params))
+        assert tuples[stop + 1][0] == 7  # part-way through its block
+        assert calls == tuples[:stop + 1]
 
 
 def _reference_json(run, records):
@@ -538,9 +574,9 @@ class TestStreamedReport:
         real_evaluate = verifier._Plan.evaluate  # the sweep's per-tuple entry
         evaluated = []
 
-        def watched(plan, params):
-            seen.append((sum(len(res.residues) for res in evaluated), out.records))
-            evaluated.append(real_evaluate(plan, params))
+        def watched(plan, params, *found):
+            seen.append((sum(len(res[4]) for res in evaluated), out.records))  # its residues
+            evaluated.append(real_evaluate(plan, params, *found))
             return evaluated[-1]
 
         monkeypatch.setattr(verifier._Plan, "evaluate", watched)
@@ -559,25 +595,42 @@ def _big(limit=10**90):
 def records(draw):
     """Any record shape the verifier writes, with values beyond any it does."""
     theorem = draw(st.sampled_from(list(TheoremId)))
-    keys = draw(st.lists(st.sampled_from(("n", "p", "alpha", "beta", "l", "m", "a", "d")),
+    keys = draw(st.lists(st.sampled_from(("n", "p", "alpha", "beta", "l", "m", "a")),
                          unique=True))
-    params = {key: draw(_big()) for key in keys + ["r"]}
+    params = {key: draw(_big()) for key in keys + ["d", "r"]}
     if draw(st.booleans()):  # SC2's polynomial; any text must be escaped as json does
         coeffs = st.lists(_big(), max_size=5).map(tuple).map(IntPolynomial)
         params["f"] = draw(coeffs.map(IntPolynomial.coeff_string) | st.text())
-    order = draw(st.none() | st.just(INFINITY) | st.integers(0, 10**30).map(PAdicOrder))
     sc2 = draw(st.none() | st.builds(Sc2Comparison, st.integers(0, 99), st.none() | _big(),
                                      _big(), st.booleans()))
-    return ClaimRecord(theorem, params, draw(st.none() | _big()), order,
-                       draw(st.none() | _big()), draw(st.sampled_from(list(Verdict))),
-                       draw(st.none() | _big()), sc2)
+    # as the verifier pairs them: no order without a sum, "inf" for a zero
+    # sum, and a margin only with a nonzero sum and no SC2 comparison
+    total = draw(st.none() | _big())
+    order = None if total is None else INFINITY if total == 0 else draw(
+        st.integers(0, 10**30).map(PAdicOrder))
+    margin = draw(st.none() | _big()) if total and sc2 is None else None
+    return ClaimRecord(theorem, params, total, order, draw(st.none() | _big()),
+                       draw(st.sampled_from(list(Verdict))), margin, sc2)
+
+
+class _Coefficients:
+    """An ``f`` whose coefficient string is any text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def coeff_string(self):
+        return self.text
 
 
 def _one_residue(rec):
-    """``rec`` as a one-residue tuple result."""
+    """``rec`` as a one-residue tuple result, as ``verifier.iter_chunks`` gives
+    it: the params without d and r, and f as a polynomial."""
+    params = {key: _Coefficients(value) if key == "f" else value
+              for key, value in rec.params.items() if key not in ("d", "r")}
     order = None if rec.order is None else "inf" if rec.order.is_infinite else rec.order.value
-    return TupleResult(rec.theorem, rec.params, rec.bound, (rec.params["r"],), (rec.total,),
-                       (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
+    return (rec.theorem, params, rec.params["d"], rec.bound, (rec.params["r"],), (rec.total,),
+            (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
 
 
 class TestRecordLayout:
@@ -588,7 +641,7 @@ class TestRecordLayout:
     @given(records())
     def test_json_record_equals_dumps(self, rec):
         text = json.dumps(rec.to_json_dict(), indent=2, sort_keys=True)
-        assert cli._result_json(_one_residue(rec)) == "    " + text.replace("\n", "\n    ")
+        assert cli._results_json([_one_residue(rec)]) == "    " + text.replace("\n", "\n    ")
 
     @settings(max_examples=200, deadline=None)
     @given(records())
@@ -613,7 +666,7 @@ class TestRecordLayout:
                          PAdicOrder(1), 4, Verdict.VIOLATION, -3))  # a negative margin
     def test_csv_row_equals_dictwriter(self, rec):
         # the fixed layout's text, byte for byte, against csv.DictWriter
-        text = ",".join(cli.CSV_COLUMNS) + "\n" + cli._result_csv(_one_residue(rec))
+        text = ",".join(cli.CSV_COLUMNS) + "\n" + cli._results_csv([_one_residue(rec)])
         assert text == dictwriter_csv([rec], cli.CSV_COLUMNS)
 
 

@@ -444,7 +444,7 @@ class TestOnePassSums:
         plan = verifier._Plan(verifier.TheoremId.WEISMAN, "all", False)
         tracemalloc.start()
         try:
-            plan.evaluate({"n": 3, "p": 2, "alpha": 16})  # result dropped
+            plan.evaluate(*next(plan.tuples([(3,), (2,), (16,)])))  # result dropped
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -473,6 +473,32 @@ class TestOnePassSums:
         # each int held is at most one of n + 64 bits, and a list holds it by one pointer
         per_int = sys.getsizeof(1 << (ns[-1] + 64)) + 8
         assert held < (bound + 2 * (ns[-1] + 1)) * per_int + 2**14
+
+    def test_one_blocks_stirling_terms_after_a_sweep(self):
+        # sc3-sweep's moduli and a axis over n = 58..60: each block's terms
+        # s(n, k) S(k, m) a**k, kept for its four moduli, go when the next n
+        # starts, so what stays is the 60 * 6 term lists of n = 60 alone
+        grids = [verifier.GridSpec("sc3", ns=(n,), primes=(2, 3), alphas=(1, 2),
+                                   ms=range(1, n + 1), a_values=range(-2, 4))
+                 for n in (58, 59, 60)]
+        verifier.ensure_tables(grids)
+        plan = verifier._Plan(verifier.TheoremId.SC3, "all", False)
+
+        def sweep():
+            for grid in grids:
+                axes = [getattr(grid, verifier.AXIS_FIELDS[name]) for name in plan.wiring.params]
+                for row in plan.tuples(axes):
+                    plan.evaluate(*row)  # result dropped
+
+        held = self._held_after(sweep)
+        state = plan.state
+        assert state.stirling_n == 60 and len(state.terms) == 60 * 6
+        assert all(len(terms) == 61 - m for (m, _), terms in state.terms.items())
+        # the lists and their nonzero ints, with 128 KiB for the dict, its
+        # keys and the rest: a second n's terms would take about as much again
+        one_n = sum(sys.getsizeof(terms) + sum(sys.getsizeof(t) for t in terms if t)
+                    for terms in state.terms.values())
+        assert held < one_n + 2**17
 
     @staticmethod
     def _held_after(run):

@@ -129,10 +129,10 @@ def fail_in_the_second_chunk(monkeypatch, failure):
     # chunks of 16 claims: n = 1..8, 9..16 and 17..20; n = 10 is the second's
     real_evaluate = verifier._Plan.evaluate  # the sweep's per-tuple entry
 
-    def evaluate(plan, params):
+    def evaluate(plan, params, *found):
         if params["n"] == 10:
             failure()
-        return real_evaluate(plan, params)
+        return real_evaluate(plan, params, *found)
 
     monkeypatch.setattr(verifier._Plan, "evaluate", evaluate)
 

@@ -163,6 +163,17 @@ class TestTriangleObject:
         with pytest.raises(ParameterError):
             tri.row(-1)
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: triangles.ensure_rows(Family.STIRLING2, 2.5), "n must be an integer, got 2.5"),
+        (lambda: triangles.stirling1_row(2.5), "n must be an integer, got 2.5"),
+        (lambda: build(Family.STIRLING2, 5).row(2.0), "n must be an integer, got 2.0"),
+        (lambda: build(Family.STIRLING2, 5).value(3, -0.5), "k must be an integer, got -0.5"),
+    ], ids=["ensure_rows", "stirling1_row", "row", "value"])
+    def test_a_row_or_entry_index_must_be_an_integer(self, call, error):
+        with pytest.raises(ParameterError) as raised:
+            call()
+        assert str(raised.value) == error
+
     def test_shared_limit(self):
         with pytest.raises(CapacityError):
             triangles.stirling1(triangles.ROW_LIMIT + 1, 2)
@@ -180,6 +191,7 @@ class TestTriangleObject:
         assert triangles.ensure_rows("stirling2", 7) is tri
         with pytest.raises(ParameterError):
             triangles.ensure_rows(Family.STIRLING2, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="^family must be one of stirling1, stirling2, "
+                                                 "eulerian, got 'stirling3'$"):
             triangles.ensure_rows("stirling3", 7)
         assert triangles.ensure_rows(Family.STIRLING2, 20) is tri

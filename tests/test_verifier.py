@@ -339,6 +339,28 @@ class TestCheckTuple:
         assert len(run_grid(grid, fail_fast=True).records) == 10 * 2 * (2 + 4 + 3 + 9)
         assert calls == want
 
+    def test_a_block_fetches_its_triangle_rows_once(self, monkeypatch):
+        # sc3's sums read the rows s(n, .) and S(k, .), k <= n: a sweep
+        # fetches them once per block of tuples that share n, where it
+        # fetched them twice per tuple (336 tuples here)
+        grids = [GridSpec(TheoremId.SC3, ns=(n,), primes=(2, 3), alphas=(1, 2),
+                          ms=range(1, n + 1), a_values=range(-2, 1)) for n in range(1, 8)]
+        verifier.ensure_tables(grids)
+        real, calls = triangles.ensure_rows, []
+
+        def counted(family, n):
+            calls.append((family, n))
+            return real(family, n)
+
+        monkeypatch.setattr(triangles, "ensure_rows", counted)
+        results = [res for _, _, chunk in iter_chunks(grids, 1) for res in chunk]
+        assert len(results) == 4 * 28 * 3
+        assert calls == [(family, n) for n in range(1, 8)
+                         for family in (triangles.Family.STIRLING1, triangles.Family.STIRLING2)]
+        monkeypatch.undo()
+        assert [rec for res in results for rec in verifier._tuple_result(res).records()] == [
+            check_claim(grid.theorem, params) for grid in grids for params in grid_params(grid)]
+
     def test_the_bound_is_worked_out_once_per_value_of_what_it_reads(self, monkeypatch):
         # sc3's bound names (n, p, alpha, m) and not a: with a innermost, a
         # sweep works it out once per six tuples.  A bound that takes only
@@ -435,7 +457,8 @@ class TestCheckTuple:
         grid = GridSpec(TheoremId.SC2, ns=range(1, 31), primes=(2, 3), a_values=(-1, 1, 2),
                         polys=(IntPolynomial((0, 0, 1)),))
         verifier.ensure_tables([grid])
-        results = [res for _, chunk in iter_chunks([grid], 1) for res in chunk]
+        results = [verifier._tuple_result(res) for _, _, chunk in iter_chunks([grid], 1)
+                   for res in chunk]
         assert sum(len(res.residues) for res in results) == 270
         assert len(results) == 180 and len(checks) == 2 + 180
         records = [rec for res in results for rec in res.records()]
@@ -498,20 +521,26 @@ class TestChunks:
     def test_chunks_cut_the_records_at_tuple_boundaries(self, grid, size, step):
         records = run_grid(grid).records
         chunks = list(iter_chunks([grid], size))
-        assert [rec for _, chunk in chunks for res in chunk for rec in res.records()] == records
-        assert [number for number, _ in chunks] == list(range(len(chunks)))
+        assert [rec for _, _, chunk in chunks for res in chunk
+                for rec in verifier._tuple_result(res).records()] == records
+        assert [number for number, _, _ in chunks] == list(range(len(chunks)))
+        # each chunk's summary is the tally of its records
+        assert [summary.to_json_dict() for _, summary, _ in chunks] == [
+            report_summary([rec for res in chunk for rec in verifier._tuple_result(res).records()])
+            for _, _, chunk in chunks]
         # a chunk takes whole tuples until it holds at least size claims
         want = []
         for params in verifier._grid_tuples(grid):
             if not want or want[-1] >= size:
                 want.append(0)
             want[-1] += len(evaluate_tuple(grid.theorem, params, grid.residues).residues)
-        assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == want
+        assert [sum(len(res[4]) for res in chunk) for _, _, chunk in chunks] == want
         assert count_chunks([grid], size, 10**6) == len(chunks)
         assert count_chunks([grid], size, step) == min(step, len(chunks))
         # step callers, from first = 0 .. step-1, share out the same chunks
-        shared = sorted(item for first in range(step)
-                        for item in iter_chunks([grid], size, False, first, step))
+        shared = sorted((item for first in range(step)
+                         for item in iter_chunks([grid], size, False, first, step)),
+                        key=lambda item: item[0])
         assert shared == chunks
 
     def test_chunks_span_grids(self):
@@ -519,9 +548,9 @@ class TestChunks:
                           a_values=(1,)) for n in range(1, 9)]
         # 2 claims per tuple, n tuples for each n: 72 claims
         chunks = list(iter_chunks(grids, 10))
-        assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == [10] * 7 + [2]
-        assert [rec for _, chunk in chunks for res in chunk
-                for rec in res.records()] == run_grids(grids).records
+        assert [sum(len(res[4]) for res in chunk) for _, _, chunk in chunks] == [10] * 7 + [2]
+        assert [rec for _, _, chunk in chunks for res in chunk
+                for rec in verifier._tuple_result(res).records()] == run_grids(grids).records
 
 
 VERDICTS = list(Verdict)

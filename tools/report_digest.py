@@ -46,6 +46,11 @@ PINNED = [
     (["verify", "sc1", "--n", "1..60", "--p", "2,3,5", "--m", "2..n", "--a=-2..3",
       "--format", "csv", "--no-timestamp"],
      "6ec3b1c85c3ef4825e5b6da6f47ae99c3dd37a4fda9dc10afec548f0949fb420"),
+    # 72,160 claims of a full-residue sc3 sweep whose moduli 2 and 20 share
+    # each n's Stirling terms, with 20 above n for n < 20, and a = 0
+    (["verify", "sc3", "--n", "1..40", "--p", "2,5", "--alpha", "1", "--m", "1..n",
+      "--a=-1..2", "--format", "csv", "--no-timestamp"],
+     "dc3655851fd4bc160a871b63446fa90cb49f2cdfcb7cb27e111a47c65b718588"),
 ]
 
 
