@@ -166,7 +166,7 @@ class _SweepState:
     def __init__(self) -> None:
         self.kept: dict[int, tuple[int, list]] = {}
         self.top = 0
-        self.stirling_n = None  # and no terms
+        self.stirling_n = None  # the terms and rows come with the first n asked
 
     def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
         """:func:`fleck_sums` of checked arguments, stepped where it can be."""
