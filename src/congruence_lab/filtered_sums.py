@@ -157,16 +157,16 @@ class _SweepState:
     instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6 and 7 of
     10 pairs).
 
-    ``terms`` maps (m, a) to the terms s(n, k) S(k, m) a**k, k = m..n, of
-    only the last n asked, ``stirling_n``, whose rows it fetched once.
+    ``terms`` maps (m, a) to the terms s(n, k) S(k, m) a**k (k = m..n) of
+    the last n, ``stirling_n``, kept where a block's moduli ``share`` them.
     """
 
-    __slots__ = ("kept", "top", "stirling_n", "stirling_rows", "terms")
+    __slots__ = ("kept", "top", "stirling_n", "stirling_rows", "terms", "share")
 
     def __init__(self) -> None:
         self.kept: dict[int, tuple[int, list]] = {}
         self.top = 0
-        self.stirling_n = None  # the terms and rows come with the first n asked
+        self.stirling_n, self.share = None, False  # terms and rows come with an n
 
     def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
         """:func:`fleck_sums` of checked arguments, stepped where it can be."""
@@ -205,11 +205,12 @@ class _SweepState:
         terms = self.terms.get((m, a))
         if terms is None:  # k = m..n, since S(k, m) = 0 for k < m
             srow, rows2 = self.stirling_rows
-            terms = self.terms[m, a] = []
-            power = a**m
+            terms, power = [], a**m
             for k in range(m, n + 1):
                 terms.append(srow[k] * rows2[k][m] * power)
                 power *= a
+            if self.share:
+                self.terms[m, a] = terms
         sums = ([sum(terms[i::d]) for i in range(d)] if len(terms) > d
                 else terms + [0] * (d - len(terms)))  # else each class has one term at most
         shift = m % d  # sums[i] is the sum of class (m + i) % d

@@ -500,6 +500,18 @@ class TestOnePassSums:
                     for terms in state.terms.values())
         assert held < one_n + 2**17
 
+    def test_a_block_of_one_modulus_keeps_no_terms(self):
+        # sc1 at p = 2 has the one modulus d = 1, so no second modulus of a
+        # block reads a term again, and the state keeps none; with p = 2, 3
+        # it keeps the 60 * 6 term lists of n = 60
+        verifier.ensure_tables([verifier.GridSpec("sc1", ns=(60,), primes=(2,), ms=(1,),
+                                                  a_values=(1,))])
+        for primes, kept in (((2,), 0), ((2, 3), 60 * 6)):
+            plan = verifier._Plan(verifier.TheoremId.SC1, "all", False)
+            for row in plan.tuples([(60,), primes, range(1, 61), range(-2, 4)]):
+                plan.evaluate(*row)  # result dropped
+            assert plan.state.stirling_n == 60 and len(plan.state.terms) == kept
+
     @staticmethod
     def _held_after(run):
         """The bytes that ``run()`` allocates and leaves allocated."""
