@@ -317,7 +317,7 @@ class _Plan:
         theorem's parameters in canonical order, in sorted order, as
         (params, d, residues, applicable, bound)."""
         # only a block with two or more moduli shares the terms its sums keep
-        depth = next(at for at, fns in enumerate(self.at) if fns[0])  # the modulus's
+        depth = next(at for at, fns in enumerate(self.at) if fns[0])  # the modulus's axis
         self.state.share = any(len(values) > 1 for values in axes[1:depth + 1])
         rows: Iterable[tuple] = [({}, None, None, True, None)]
         for name, values, fns in zip(self.wiring.params, axes, self.at):
