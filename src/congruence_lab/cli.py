@@ -381,7 +381,7 @@ def _sc2_json(sc2: verifier.Sc2Comparison) -> str:
             f'        "rhs": "{sc2.rhs}",\n        "satisfied": {satisfied}\n      }},\n')
 
 
-def _results_json(results: list[tuple]) -> str:
+def _results_json(results: list[verifier.TupleResult]) -> str:
     """``_json_text`` of the ``to_json_dict()`` of the records of
     ``verifier.iter_chunks`` results, joined as in the report's records
     list, from one template per tuple, with its params and bound, filled
@@ -398,23 +398,16 @@ def _results_json(results: list[tuple]) -> str:
         elif bound is None:
             bound = "null"
         start = f'    {{\n      "bound": {bound},\n      "margin": '
-        zero = f'{start}null,\n      "ord": "inf"{middle}'
         for r, total, order, kind, margin, sc2 in zip(rs, totals, orders, verdicts, margins, sc2s):
-            if margin is not None:  # the common records: a nonzero sum with a margin, ...
-                texts.append(f'{start}{margin},\n      "ord": {order}{middle}{r}\n      }},\n'
-                             f'      "sum": "{total}"{verdict}{kind._value_}"\n    }}')
-            elif total == 0 and sc2 is None:  # ... and a zero sum
-                texts.append(f'{zero}{r}\n      }},\n      "sum": "0"{verdict}{kind._value_}'
-                             '"\n    }')
-            else:
-                if total is not None:
-                    total = f'"{total}"'
-                    if order == "inf":
-                        order = '"inf"'
-                texts.append(
-                    f'{start}null,\n      "ord": {"null" if order is None else order}{middle}{r}'
-                    f'\n      }},\n{"" if sc2 is None else _sc2_json(sc2)}      "sum": '
-                    f'{"null" if total is None else total}{verdict}{kind._value_}"\n    }}')
+            if order is None:
+                order = "null"
+            elif order == "inf":
+                order = '"inf"'
+            total = "null" if total is None else f'"{total}"'
+            texts.append(
+                f'{start}{"null" if margin is None else margin},\n      "ord": {order}{middle}{r}'
+                f'\n      }},\n{"" if sc2 is None else _sc2_json(sc2)}      "sum": {total}'
+                f'{verdict}{kind._value_}"\n    }}')
     return ",\n".join(texts)
 
 
@@ -435,7 +428,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _results_csv(results: list[tuple]) -> str:
+def _results_csv(results: list[verifier.TupleResult]) -> str:
     """The CSV rows of the records of ``verifier.iter_chunks`` results, in
     ``CSV_COLUMNS`` order, each ended by a line feed: the bytes that
     ``csv.writer`` writes, with the columns before "r", "f" and the bound

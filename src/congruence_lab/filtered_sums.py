@@ -29,8 +29,8 @@ residue class of one modulus at once, in residue order, equal to one
 per-residue sum each: the verifier evaluates a parameter tuple's d claims
 with one of them.  A sweep runs them on the :class:`_SweepState` its plan
 owns: :func:`fleck_sums` steps the sums of n from those of n - 1, and
-:func:`stirling_product_sums` keeps the terms of a block's n, which its
-moduli share.  The public ones keep nothing between calls.
+:func:`stirling_product_sums` folds the terms of a block's n into each of
+its moduli at once.  The public ones keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -157,16 +157,22 @@ class _SweepState:
     instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6 and 7 of
     10 pairs).
 
-    ``terms`` maps (m, a) to the terms s(n, k) S(k, m) a**k (k = m..n) of
-    the last n, ``stirling_n``, kept where a block's moduli ``share`` them.
+    The Stirling sums of (m, a) at n are made from its terms s(n, k)
+    S(k, m) a**k (k = m..n), in one pass over k.  A block's ``moduli`` (the
+    class moduli of the tuples that share n, set by the plan) read the same
+    terms, so the first of them to meet (m, a) folds the terms into every
+    other modulus e at once, and ``folds`` keeps what it folded for e until
+    e reads it or n, ``stirling_n``, changes: at most e sums, or the terms
+    themselves where there are no more than e.
     """
 
-    __slots__ = ("kept", "top", "stirling_n", "stirling_rows", "terms", "share")
+    __slots__ = ("kept", "top", "moduli", "stirling_n", "stirling_rows", "folds")
 
     def __init__(self) -> None:
         self.kept: dict[int, tuple[int, list]] = {}
         self.top = 0
-        self.stirling_n, self.share = None, False  # terms and rows come with an n
+        self.moduli: tuple[int, ...] = ()
+        self.stirling_n = None  # the folds and rows come with an n
 
     def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
         """:func:`fleck_sums` of checked arguments, stepped where it can be."""
@@ -197,24 +203,32 @@ class _SweepState:
 
     def stirling_product_sums(self, n: int, m: int, d: int, a: int) -> list[int]:
         """:func:`stirling_product_sums` of checked arguments: the terms of
-        (m, a), made in one pass over k once for n, folded into d classes."""
+        (m, a), made in one pass over k, folded into d classes, unless an
+        earlier modulus of the block has folded them for d."""
         if n != self.stirling_n:
-            self.stirling_n, self.terms = n, {}
+            self.stirling_n, self.folds = n, {}
             self.stirling_rows = (triangles.stirling1_row(n),
                                   triangles.ensure_rows(Family.STIRLING2, n).rows)
-        terms = self.terms.get((m, a))
-        if terms is None:  # k = m..n, since S(k, m) = 0 for k < m
+        sums = self.folds.pop((m, a, d), None)
+        if sums is None:  # k = m..n, since S(k, m) = 0 for k < m
             srow, rows2 = self.stirling_rows
             terms, power = [], a**m
             for k in range(m, n + 1):
                 terms.append(srow[k] * rows2[k][m] * power)
                 power *= a
-            if self.share:
-                self.terms[m, a] = terms
-        sums = ([sum(terms[i::d]) for i in range(d)] if len(terms) > d
-                else terms + [0] * (d - len(terms)))  # else each class has one term at most
+            for e in self.moduli:
+                if e != d:
+                    self.folds[m, a, e] = _folded(terms, e)
+            sums = _folded(terms, d)
+        sums = sums + [0] * (d - len(sums))  # the classes past the last term are empty
         shift = m % d  # sums[i] is the sum of class (m + i) % d
         return sums[-shift:] + sums[:-shift]
+
+
+def _folded(terms: list[int], d: int) -> list[int]:
+    """The sums of terms[i::d] for i = 0..d-1, or the terms themselves where
+    there are no more than d: each of those classes has one term at most."""
+    return [sum(terms[i::d]) for i in range(d)] if len(terms) > d else terms
 
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:

@@ -37,7 +37,8 @@ A sweep runs in blocks, the tuples of a grid that share n.  One
 bound at the innermost axis each reads, so once per distinct value of the
 parameters it names, and owns the :class:`~filtered_sums._SweepState` in
 which the sums of a block share their triangle rows and terms.
-:func:`evaluate_tuple` runs a block of one tuple.
+:func:`evaluate_tuple` runs a block of one tuple.  Each tuple's result, in
+a sweep's chunks as from :func:`evaluate_tuple`, is a :class:`TupleResult`.
 
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import namedtuple
 from enum import Enum
 
 from . import triangles
@@ -253,32 +255,24 @@ def _residues(residues: str | Iterable[int], d: int) -> range | list[int]:
     return range(d) if residues == "all" else sorted({r % d for r in residues})
 
 
-class TupleResult(Slotted):
-    """The records of one parameter tuple: what they share, and a column per
-    field that differs, in residue order.  The record of ``residues[i]`` has
-    the params ``{**params, "r": residues[i]}``; ``orders`` are as a report
-    writes them: an int, "inf" for a zero sum, None without a sum."""
+#: The fields of a :class:`TupleResult` that the tuple's records share, and
+#: its columns, a field per record in residue order.
+_SHARED, _COLUMNS = "theorem params d bound", "residues totals orders verdicts margins sc2"
 
-    __slots__ = ("theorem", "params", "bound", "residues", "totals", "orders", "verdicts",
-                 "margins", "sc2")
 
-    def __init__(self, theorem: TheoremId, params: dict[str, Any], bound: int | None,
-                 residues: Sequence[int | None], totals: Sequence[int | None],
-                 orders: Sequence[int | str | None], verdicts: Sequence[Verdict],
-                 margins: Sequence[int | None], sc2: Sequence[Sc2Comparison | None]) -> None:
-        self.theorem = theorem
-        self.params = params
-        self.bound = bound
-        self.residues = residues
-        self.totals = totals
-        self.orders = orders
-        self.verdicts = verdicts
-        self.margins = margins
-        self.sc2 = sc2
+class TupleResult(namedtuple("TupleResult", f"{_SHARED} {_COLUMNS}")):
+    """The records of one parameter tuple, as :meth:`_Plan.evaluate` gives
+    them: what they share, the theorem, the tuple's params (the theorem's
+    parameters in canonical order, ``f`` a polynomial), the class modulus d
+    and the bound; and a column per field that differs, in residue order:
+    residues, sums, orders (an int, "inf" for a zero sum, None without a
+    sum), verdicts, margins and SC2 comparisons."""
+
+    __slots__ = ()
 
     def records(self) -> list[ClaimRecord]:
         return [
-            ClaimRecord(self.theorem, {**self.params, "r": r}, total,
+            ClaimRecord(self.theorem, _record_params(self.params, self.d, r), total,
                         None if order is None else INFINITY if order == "inf"
                         else PAdicOrder(order),
                         self.bound, verdict, margin, comparison)
@@ -286,6 +280,10 @@ class TupleResult(Slotted):
                 self.residues, self.totals, self.orders, self.verdicts, self.margins,
                 self.sc2)
         ]
+
+    def first(self, count: int) -> TupleResult:
+        """The result of its first ``count`` records."""
+        return self._replace(**{name: getattr(self, name)[:count] for name in _COLUMNS.split()})
 
 
 class _Plan:
@@ -316,9 +314,11 @@ class _Plan:
         """Each tuple of the product of ``axes``, the values of the
         theorem's parameters in canonical order, in sorted order, as
         (params, d, residues, applicable, bound)."""
-        # only a block with two or more moduli shares the terms its sums keep
+        # the moduli of a block, which the Stirling sums fold their terms into
         depth = next(at for at, fns in enumerate(self.at) if fns[0])  # the modulus's axis
-        self.state.share = any(len(values) > 1 for values in axes[1:depth + 1])
+        names = self.wiring.params[:depth + 1]
+        self.state.moduli = tuple({self.wiring.modulus(**dict(zip(names, values)))
+                                   for values in itertools.product(*axes[:depth + 1])})
         rows: Iterable[tuple] = [({}, None, None, True, None)]
         for name, values, fns in zip(self.wiring.params, axes, self.at):
             rows = self._extend(rows, name, values, *fns)
@@ -340,16 +340,14 @@ class _Plan:
                 yield params, d, rs, applicable, exponent
 
     def evaluate(self, params: dict[str, Any], d: int, rs: Sequence[int], applicable: bool,
-                 bound: int | None) -> tuple:
-        """The result of one tuple of :meth:`tuples`: (theorem, params, d,
-        bound, residues) and its records' columns, in residue order: sums,
-        orders (an int, "inf" for a zero sum, None without a sum),
-        verdicts, margins and SC2 comparisons."""
+                 bound: int | None) -> TupleResult:
+        """The result of one tuple of :meth:`tuples`."""
         wiring, count = self.wiring, len(rs)
         totals = orders = margins = sc2 = [None] * count
         verdicts = [_NOT_APPLICABLE] * count
         if not (applicable or self.probe):
-            return self.theorem, params, d, None, rs, totals, orders, verdicts, margins, sc2
+            return TupleResult(self.theorem, params, d, None, rs, totals, orders, verdicts,
+                               margins, sc2)
         if wiring.sums is not None and count == d:  # every residue, so rs is range(d)
             totals = wiring.sums(d=d, state=self.state, **params)
         else:
@@ -374,7 +372,8 @@ class _Plan:
                       for total in totals]
             if applicable:  # SC2: decided by the exact integer comparison
                 verdicts, sc2 = self._sc2(params, totals, orders)
-        return self.theorem, params, d, bound, rs, totals, orders, verdicts, margins, sc2
+        return TupleResult(self.theorem, params, d, bound, rs, totals, orders, verdicts, margins,
+                           sc2)
 
     def _sc2(self, params: dict[str, Any], totals: list[int],
              orders: list[int | str]) -> tuple[list, list]:
@@ -393,12 +392,6 @@ class _Plan:
                 comparisons.append(Sc2Comparison(l, lhs, rhs, lhs >= rhs))
                 verdicts.append(_HOLDS if lhs >= rhs else _VIOLATION)
         return verdicts, comparisons
-
-
-def _tuple_result(res: tuple) -> TupleResult:
-    """A :meth:`_Plan.evaluate` result as a :class:`TupleResult`."""
-    theorem, params, d, bound, rs, *columns = res
-    return TupleResult(theorem, _record_params(params, d, 0), bound, rs, *columns)
 
 
 def evaluate_tuple(
@@ -424,7 +417,7 @@ def evaluate_tuple(
     theorem, _, params = _checked_theorem(theorem, params)
     plan = _Plan(theorem, _checked_residues(residues), probe_inapplicable)
     (row,) = plan.tuples([(value,) for value in params.values()])
-    return _tuple_result(plan.evaluate(*row))
+    return plan.evaluate(*row)
 
 
 # --------------------------------------------------------------------------
@@ -555,14 +548,14 @@ class GridSummary(Slotted):
         self.first_violation = first_violation
 
     @classmethod
-    def of(cls, results: list[tuple]) -> GridSummary:
-        """The tally of the records of :func:`iter_chunks` results, counted
-        over their columns at once (res[7] holds a tuple's verdicts)."""
-        verdicts = [v for res in results for v in res[7]]
-        margins = [m for res in results for m in res[8] if m is not None]
-        first = next((_record_params(params, d, rs[column.index(_VIOLATION)])
-                      for _, params, d, _, rs, _, _, column, _, _ in results
-                      if _VIOLATION in column), None)
+    def of(cls, results: list[TupleResult]) -> GridSummary:
+        """The tally of the records of tuple results, counted over their
+        columns at once."""
+        verdicts = [v for res in results for v in res.verdicts]
+        margins = [m for res in results for m in res.margins if m is not None]
+        first = next((_record_params(res.params, res.d,
+                                     res.residues[res.verdicts.index(_VIOLATION)])
+                      for res in results if _VIOLATION in res.verdicts), None)
         # ._value_ is an enum member's value without the .value descriptor
         return cls(len(verdicts), {v._value_: verdicts.count(v) for v in _VERDICTS},
                    min(margins, default=None), first)
@@ -642,7 +635,7 @@ def iter_chunks(
     first: int = 0,
     step: int = 1,
     fail_fast: bool = False,
-) -> Iterator[tuple[int, GridSummary, list[tuple]]]:
+) -> Iterator[tuple[int, GridSummary, list[TupleResult]]]:
     """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
     the grids' tuple results (:meth:`_Plan.evaluate`, with no parameter
     check: the grid has checked every value), as (number, summary,
@@ -654,7 +647,7 @@ def iter_chunks(
     right after it, and no later tuple is evaluated.  The triangles must
     have been built (:func:`ensure_tables`).
     """
-    results: list[tuple] = []
+    results: list[TupleResult] = []
     current = first
     for number, plan, row in _numbered_tuples(grids, size, probe_inapplicable):
         if number % step != first:
@@ -664,9 +657,8 @@ def iter_chunks(
                 yield current, GridSummary.of(results), results
             results, current = [], number
         res = plan.evaluate(*row)
-        if fail_fast and _VIOLATION in res[7]:  # its verdicts
-            cut = res[7].index(_VIOLATION) + 1
-            results.append((*res[:4], *(column[:cut] for column in res[4:])))
+        if fail_fast and _VIOLATION in res.verdicts:
+            results.append(res.first(res.verdicts.index(_VIOLATION) + 1))
             break
         results.append(res)
     if results:
@@ -690,7 +682,7 @@ def run_grids(
     records = []
     for _, part, results in iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast):
         summary.merge(part)
-        records += [rec for res in results for rec in _tuple_result(res).records()]
+        records += [rec for res in results for rec in res.records()]
     return GridResult(records, summary)
 
 

@@ -24,6 +24,7 @@ from congruence_lab.verifier import (
     ClaimRecord,
     GridSpec,
     Sc2Comparison,
+    TupleResult,
     Verdict,
     check_claim,
     grid_params,
@@ -575,7 +576,7 @@ class TestStreamedReport:
         evaluated = []
 
         def watched(plan, params, *found):
-            seen.append((sum(len(res[4]) for res in evaluated), out.records))  # its residues
+            seen.append((sum(len(res.residues) for res in evaluated), out.records))
             evaluated.append(real_evaluate(plan, params, *found))
             return evaluated[-1]
 
@@ -597,20 +598,16 @@ def records(draw):
     theorem = draw(st.sampled_from(list(TheoremId)))
     keys = draw(st.lists(st.sampled_from(("n", "p", "alpha", "beta", "l", "m", "a")),
                          unique=True))
-    params = {key: draw(_big()) for key in keys + ["d", "r"]}
+    params = {key: draw(_big()) for key in keys + ["d", "r"]}  # every record has a class
     if draw(st.booleans()):  # SC2's polynomial; any text must be escaped as json does
         coeffs = st.lists(_big(), max_size=5).map(tuple).map(IntPolynomial)
         params["f"] = draw(coeffs.map(IntPolynomial.coeff_string) | st.text())
+    order = draw(st.none() | st.just(INFINITY) | st.integers(0, 10**30).map(PAdicOrder))
     sc2 = draw(st.none() | st.builds(Sc2Comparison, st.integers(0, 99), st.none() | _big(),
                                      _big(), st.booleans()))
-    # as the verifier pairs them: no order without a sum, "inf" for a zero
-    # sum, and a margin only with a nonzero sum and no SC2 comparison
-    total = draw(st.none() | _big())
-    order = None if total is None else INFINITY if total == 0 else draw(
-        st.integers(0, 10**30).map(PAdicOrder))
-    margin = draw(st.none() | _big()) if total and sc2 is None else None
-    return ClaimRecord(theorem, params, total, order, draw(st.none() | _big()),
-                       draw(st.sampled_from(list(Verdict))), margin, sc2)
+    return ClaimRecord(theorem, params, draw(st.none() | _big()), order,
+                       draw(st.none() | _big()), draw(st.sampled_from(list(Verdict))),
+                       draw(st.none() | _big()), sc2)
 
 
 class _Coefficients:
@@ -629,8 +626,8 @@ def _one_residue(rec):
     params = {key: _Coefficients(value) if key == "f" else value
               for key, value in rec.params.items() if key not in ("d", "r")}
     order = None if rec.order is None else "inf" if rec.order.is_infinite else rec.order.value
-    return (rec.theorem, params, rec.params["d"], rec.bound, (rec.params["r"],), (rec.total,),
-            (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
+    return TupleResult(rec.theorem, params, rec.params["d"], rec.bound, (rec.params["r"],),
+                       (rec.total,), (order,), (rec.verdict,), (rec.margin,), (rec.sc2,))
 
 
 class TestRecordLayout:

@@ -474,10 +474,10 @@ class TestOnePassSums:
         per_int = sys.getsizeof(1 << (ns[-1] + 64)) + 8
         assert held < (bound + 2 * (ns[-1] + 1)) * per_int + 2**14
 
-    def test_one_blocks_stirling_terms_after_a_sweep(self):
-        # sc3-sweep's moduli and a axis over n = 58..60: each block's terms
-        # s(n, k) S(k, m) a**k, kept for its four moduli, go when the next n
-        # starts, so what stays is the 60 * 6 term lists of n = 60 alone
+    def test_a_blocks_stirling_folds_are_read_by_its_end(self):
+        # sc3-sweep's moduli and a axis over n = 58..60: the first modulus of
+        # a block to meet (m, a) folds its terms for the three others, each
+        # of which reads its fold once, so nothing of a block stays after it
         grids = [verifier.GridSpec("sc3", ns=(n,), primes=(2, 3), alphas=(1, 2),
                                    ms=range(1, n + 1), a_values=range(-2, 4))
                  for n in (58, 59, 60)]
@@ -491,26 +491,46 @@ class TestOnePassSums:
                     plan.evaluate(*row)  # result dropped
 
         held = self._held_after(sweep)
-        state = plan.state
-        assert state.stirling_n == 60 and len(state.terms) == 60 * 6
-        assert all(len(terms) == 61 - m for (m, _), terms in state.terms.items())
-        # the lists and their nonzero ints, with 128 KiB for the dict, its
-        # keys and the rest: a second n's terms would take about as much again
-        one_n = sum(sys.getsizeof(terms) + sum(sys.getsizeof(t) for t in terms if t)
-                    for terms in state.terms.values())
-        assert held < one_n + 2**17
+        assert sorted(plan.state.moduli) == [2, 4, 6, 18]
+        assert plan.state.stirling_n == 60 and plan.state.folds == {}
+        assert held < 2**17
 
-    def test_a_block_of_one_modulus_keeps_no_terms(self):
+    def test_a_blocks_stirling_folds_stay_small_at_large_n(self):
+        # one block at n = 150 with a long a axis and the moduli 2 and 6: at
+        # its peak it holds the 6 sums of each (m, a) folded for d = 6, not
+        # its terms s(n, k) S(k, m) a**k, about n - m of them, which took
+        # about ten times as much here
+        n, primes, a_values = 150, (2, 3), range(-5, 6)
+        axes = [(n,), primes, (1,), range(1, n + 1), a_values]
+        verifier.ensure_tables([verifier.GridSpec("sc3", *axes[:3], ms=axes[3],
+                                                  a_values=a_values)])
+        plan = verifier._Plan(verifier.TheoremId.SC3, "all", False)
+        rows = list(plan.tuples(axes))
+        plan.evaluate(*rows[0])  # the block's rows are fetched before the count
+        tracemalloc.start()
+        try:
+            for row in rows[1:]:
+                plan.evaluate(*row)  # result dropped
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each sum is below n! 2**(n log2 n) 5**n n, in at most 2,600 bits
+        big = sys.getsizeof(1 << 2600) + 8
+        folds = n * len(a_values) * (6 * big + 2**8)  # and a list, a key and a dict slot
+        assert peak < folds + (n + 1) * big + 2**17
+
+    def test_a_block_of_one_modulus_folds_nothing(self):
         # sc1 at p = 2 has the one modulus d = 1, so no second modulus of a
-        # block reads a term again, and the state keeps none; with p = 2, 3
-        # it keeps the 60 * 6 term lists of n = 60
+        # block reads a term again, and the state folds none; with p = 2, 3
+        # the 60 * 6 pairs (m, a) are folded for d = 2 and read there
         verifier.ensure_tables([verifier.GridSpec("sc1", ns=(60,), primes=(2,), ms=(1,),
                                                   a_values=(1,))])
-        for primes, kept in (((2,), 0), ((2, 3), 60 * 6)):
-            plan = verifier._Plan(verifier.TheoremId.SC1, "all", False)
+        for primes, most in (((2,), 0), ((2, 3), 60 * 6)):
+            plan, sizes = verifier._Plan(verifier.TheoremId.SC1, "all", False), []
             for row in plan.tuples([(60,), primes, range(1, 61), range(-2, 4)]):
                 plan.evaluate(*row)  # result dropped
-            assert plan.state.stirling_n == 60 and len(plan.state.terms) == kept
+                sizes.append(len(plan.state.folds))
+            assert plan.state.stirling_n == 60 and max(sizes) == most and sizes[-1] == 0
 
     @staticmethod
     def _held_after(run):

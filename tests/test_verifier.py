@@ -358,7 +358,7 @@ class TestCheckTuple:
         assert calls == [(family, n) for n in range(1, 8)
                          for family in (triangles.Family.STIRLING1, triangles.Family.STIRLING2)]
         monkeypatch.undo()
-        assert [rec for res in results for rec in verifier._tuple_result(res).records()] == [
+        assert [rec for res in results for rec in res.records()] == [
             check_claim(grid.theorem, params) for grid in grids for params in grid_params(grid)]
 
     def test_the_bound_is_worked_out_once_per_value_of_what_it_reads(self, monkeypatch):
@@ -457,8 +457,7 @@ class TestCheckTuple:
         grid = GridSpec(TheoremId.SC2, ns=range(1, 31), primes=(2, 3), a_values=(-1, 1, 2),
                         polys=(IntPolynomial((0, 0, 1)),))
         verifier.ensure_tables([grid])
-        results = [verifier._tuple_result(res) for _, _, chunk in iter_chunks([grid], 1)
-                   for res in chunk]
+        results = [res for _, _, chunk in iter_chunks([grid], 1) for res in chunk]
         assert sum(len(res.residues) for res in results) == 270
         assert len(results) == 180 and len(checks) == 2 + 180
         records = [rec for res in results for rec in res.records()]
@@ -522,11 +521,11 @@ class TestChunks:
         records = run_grid(grid).records
         chunks = list(iter_chunks([grid], size))
         assert [rec for _, _, chunk in chunks for res in chunk
-                for rec in verifier._tuple_result(res).records()] == records
+                for rec in res.records()] == records
         assert [number for number, _, _ in chunks] == list(range(len(chunks)))
         # each chunk's summary is the tally of its records
         assert [summary.to_json_dict() for _, summary, _ in chunks] == [
-            report_summary([rec for res in chunk for rec in verifier._tuple_result(res).records()])
+            report_summary([rec for res in chunk for rec in res.records()])
             for _, _, chunk in chunks]
         # a chunk takes whole tuples until it holds at least size claims
         want = []
@@ -534,7 +533,7 @@ class TestChunks:
             if not want or want[-1] >= size:
                 want.append(0)
             want[-1] += len(evaluate_tuple(grid.theorem, params, grid.residues).residues)
-        assert [sum(len(res[4]) for res in chunk) for _, _, chunk in chunks] == want
+        assert [sum(len(res.residues) for res in chunk) for _, _, chunk in chunks] == want
         assert count_chunks([grid], size, 10**6) == len(chunks)
         assert count_chunks([grid], size, step) == min(step, len(chunks))
         # step callers, from first = 0 .. step-1, share out the same chunks
@@ -548,9 +547,9 @@ class TestChunks:
                           a_values=(1,)) for n in range(1, 9)]
         # 2 claims per tuple, n tuples for each n: 72 claims
         chunks = list(iter_chunks(grids, 10))
-        assert [sum(len(res[4]) for res in chunk) for _, _, chunk in chunks] == [10] * 7 + [2]
+        assert [sum(len(res.residues) for res in chunk) for _, _, chunk in chunks] == [10] * 7 + [2]
         assert [rec for _, _, chunk in chunks for res in chunk
-                for rec in verifier._tuple_result(res).records()] == run_grids(grids).records
+                for rec in res.records()] == run_grids(grids).records
 
 
 VERDICTS = list(Verdict)
