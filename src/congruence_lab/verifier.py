@@ -614,7 +614,7 @@ def _numbered_tuples(
             if claims >= size:
                 number, claims = number + 1, 0
             yield number, plan, row
-            claims += len(row[2])
+            claims += len(row[2])  # its residues
 
 
 def count_chunks(grids: Iterable[GridSpec], size: int, at_most: int) -> int:
