@@ -13,7 +13,7 @@ import importlib
 #: is first read (PEP 562), so that ``python -m congruence_lab.cli`` loads no
 #: module that its run does not use
 _EXPORTS = {
-    "bounds": ("BoundSpec", "TheoremId", "sc2_comparison"),
+    "bounds": ("TheoremId", "sc2_comparison"),
     "errors": ("CapacityError", "CongruenceLabError", "ParameterError"),
     "exactmath": ("INFINITY", "IntPolynomial", "PAdicOrder", "binom", "is_prime", "ord_p",
                   "ord_p_factorial"),

@@ -8,6 +8,7 @@ Its entry in :data:`THEOREMS` holds everything the verifier needs: the
 parameters the theorem takes, the class modulus d, the filtered sum, the
 exponent E, the hypotheses (a tuple outside them is NOT-APPLICABLE) and the
 triangle families the sum reads.  Adding a theorem means adding one entry.
+Every claim path drops the parameters a theorem does not take first.
 
 SC2 has a real-valued bound, ord_p(n!) - log_p C(n, l) with
 l = min(deg f, floor(n / p)); its entry has no exponent, and the claim is
@@ -25,12 +26,10 @@ from enum import Enum
 
 from . import filtered_sums
 from ._slots import Frozen
-from .errors import ParameterError
 from .exactmath import IntPolynomial, check_params, ord_p, ord_p_factorial
 from .triangles import Family
 
 __all__ = [
-    "BoundSpec",
     "THEOREMS",
     "Theorem",
     "TheoremId",
@@ -96,12 +95,6 @@ class Theorem(Frozen):
     def _replace(self, **changes: object) -> "Theorem":
         """A copy with the given fields changed."""
         return Theorem(**{name: getattr(self, name) for name in self.__slots__} | changes)
-
-    @property
-    def spec_params(self) -> tuple[str, ...]:
-        """The parameters the bound and the hypotheses read, which a
-        :class:`BoundSpec` must hold."""
-        return tuple(dict.fromkeys(_named(self.bound) + _named(self.hypotheses)))
 
 
 def _q(p: int, alpha: int) -> int:
@@ -214,39 +207,9 @@ THEOREMS: dict[TheoremId, Theorem] = {
 }
 
 
-class BoundSpec(Frozen):
-    """Parameter bundle for one theorem's hypotheses: built on no claim path.
-
-    It stays only because ``perfbench/tracer.py`` patches
-    ``BoundSpec.hypotheses_hold`` without a guard; once the benchmark stops
-    tracing it, this class, :meth:`hypotheses_hold` and
-    :attr:`Theorem.spec_params` go.
-    """
-
-    __slots__ = ("theorem", "n", "p", "alpha", "beta", "l", "m", "a")
-
-    def __init__(self, theorem: TheoremId, n: int, p: int, alpha: int | None = None,
-                 beta: int | None = None, l: int | None = None, m: int | None = None,
-                 a: int | None = None) -> None:
-        self._set(TheoremId(theorem), n, p, alpha, beta, l, m, a)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # p, and every other field that is set, whether or not the theorem takes it
-        check_params(p=self.p, **{name: value for name, value in self._params().items()
-                                  if name != "p" and value is not None})
-        for name in THEOREMS[self.theorem].spec_params:
-            if getattr(self, name) is None:
-                raise ParameterError(f"{self.theorem.value} needs parameter {name}")
-
-    def _params(self) -> dict[str, object]:
-        return {name: getattr(self, name) for name in self.__slots__[1:]}
-
-    def hypotheses_hold(self) -> bool:
-        """Whether this parameter tuple satisfies the theorem's hypotheses
-        (a failing tuple is NOT-APPLICABLE)."""
-        hypotheses = THEOREMS[self.theorem].hypotheses
-        return hypotheses is None or hypotheses(theorem=self.theorem, **self._params())
+class BoundSpec:
+    """Unused: ``perfbench/tracer.py`` reads this name without a guard, so it
+    goes with that tracer (ROADMAP item 14)."""
 
 
 def sc2_constants(n: int, p: int, f: IntPolynomial) -> tuple[int, int, int]:

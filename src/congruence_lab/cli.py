@@ -28,9 +28,9 @@ what they share (``_results_json``, and the CSV text of ``_results_csv``),
 for the bytes ``json.dumps`` with indent=2 and sorted keys, and
 ``csv.DictWriter``, gave.
 A ``verify`` run imports neither the identity suites nor ``csv`` (only the
-identity CSV report does), and ``datetime`` only for a timestamp.  Every run
-streams its report through ``_write_report``, one write per chunk and the
-JSON summary last, so memory does not depend on the grid size.
+identity and SC2 CSV reports do), and ``datetime`` only for a timestamp.
+Every run streams its report through ``_write_report``, one write per chunk
+and the JSON summary last, so memory does not depend on the grid size.
 `verify --workers N` (N >= 2) forks a pool of worker processes
 (:class:`_Pool`): worker i evaluates and renders chunks i, i + W,
 i + 2W, ... of the W workers and sends each back through a pipe as one
@@ -151,8 +151,6 @@ def parse_int_set(text: str) -> tuple[int, ...]:
                 values.add(int(token))
             except ValueError as exc:
                 raise ParameterError(f"bad integer {token!r}") from exc
-    if not values:
-        raise ParameterError(f"empty range {text!r}")
     return tuple(sorted(values))
 
 
@@ -367,7 +365,8 @@ def _json_layout(theorem: TheoremId, keys: tuple[str, ...]) -> tuple[str, str]:
     """A record's text from "params" (``keys``, "d" and "r", sorted) up to
     the value of "r", which sorts last, as a ``str.format`` template of the
     values of ``keys`` and d; and its text from after the sum up to the
-    verdict.  The cache holds one entry per theorem."""
+    verdict.  The cache holds one entry per theorem (without it
+    ``sc3-sweep`` ran 1.20x slower)."""
     fields = {key: f"{{{i}}}" for i, key in enumerate((*keys, "d"))}
     lines = "".join(f'        "{key}": {fields[key]},\n' for key in sorted(fields))
     return (f',\n      "params": {{{{\n{lines}        "r": ',
@@ -413,19 +412,13 @@ def _results_json(results: list[verifier.TupleResult]) -> str:
 
 def _csv_field(text: str) -> str:
     """``text`` as one field of a row that ``csv.writer`` (QUOTE_MINIMAL,
-    line terminator "\n") writes: quoted, with its quotes doubled, if it
-    holds a comma, a quote or a line feed.  Whether a lone carriage return
-    is quoted differs between Python versions, so that text is left to the
-    csv module."""
-    if "\r" in text:
-        import csv
+    line terminator "\n") writes: cut from a row with an empty second field,
+    since a row of an empty field alone is quoted."""
+    import csv  # only an SC2 CSV report needs it
 
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text, None])
-        return buf.getvalue()[:-2]
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, None])
+    return buf.getvalue()[:-2]
 
 
 def _results_csv(results: list[verifier.TupleResult]) -> str:

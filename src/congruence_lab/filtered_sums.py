@@ -150,12 +150,13 @@ class _SweepState:
 
     With no usable n - 1 (the first n, a gap in the n axis, a pool worker's
     first tuple) or a larger l than is kept, levels 0..L come from the
-    signed row at once: F(n, r, l) is entry l of the (l + 1)-fold suffix
-    sums of class r's terms, highest k first, since t-fold suffix sums put
-    weight C(j - i + t - 1, t - 1) on term j at entry i.  A class of at most
-    l members sums to 0.  Rebuilding from :func:`_fleck_sum` per class
-    instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6 and 7 of
-    10 pairs).
+    signed row at once (levels 0..l alone ran a pool worker's share of
+    ``pool-csv`` 1.37x slower): F(n, r, l) is entry l of the (l + 1)-fold
+    suffix sums of class r's terms, highest k first, since t-fold suffix
+    sums put weight C(j - i + t - 1, t - 1) on term j at entry i.  A class
+    of at most l members sums to 0.  Rebuilding from :func:`_fleck_sum` per
+    class instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6
+    and 7 of 10 pairs).
 
     The Stirling sums of (m, a) at n are made from its terms s(n, k)
     S(k, m) a**k (k = m..n), in one pass over k.  A block's ``moduli`` (the
@@ -163,7 +164,9 @@ class _SweepState:
     terms, so the first of them to meet (m, a) folds the terms into every
     other modulus e at once, and ``folds`` keeps what it folded for e until
     e reads it or n, ``stirling_n``, changes: at most e sums, or the terms
-    themselves where there are no more than e.
+    themselves where there are no more than e.  Terms made for each modulus
+    ran ``sc3-sweep`` 1.02x and 1.10x slower in two in-process rounds (faster
+    in 5 of 14 and 2 of 16).
     """
 
     __slots__ = ("kept", "top", "moduli", "stirling_n", "stirling_rows", "folds")
@@ -227,7 +230,9 @@ class _SweepState:
 
 def _folded(terms: list[int], d: int) -> list[int]:
     """The sums of terms[i::d] for i = 0..d-1, or the terms themselves where
-    there are no more than d: each of those classes has one term at most."""
+    there are no more than d: each of those classes has one term at most.
+    Always making d sums ran ``sc3 --p 2,5`` 1.07-1.14x slower in process
+    (faster in 2 and 1 of 14 rounds)."""
     return [sum(terms[i::d]) for i in range(d)] if len(terms) > d else terms
 
 

@@ -1,7 +1,4 @@
-import pytest
-
-from congruence_lab.bounds import THEOREMS, BoundSpec, TheoremId, _named, sc2_comparison
-from congruence_lab.errors import ParameterError
+from congruence_lab.bounds import THEOREMS, TheoremId, _named, sc2_comparison
 from congruence_lab.exactmath import IntPolynomial, ord_p, ord_p_factorial
 from congruence_lab.filtered_sums import ResidueClass, binom_power_sum, stirling_poly_sum
 from congruence_lab.verifier import AXIS_FIELDS
@@ -9,6 +6,10 @@ from congruence_lab.verifier import AXIS_FIELDS
 
 def exponent(theorem, **params):
     return THEOREMS[theorem].bound(**params)
+
+
+def hypotheses_hold(theorem, **params):
+    return THEOREMS[theorem].hypotheses(**params)
 
 
 class TestTable:
@@ -33,7 +34,8 @@ class TestTable:
             assert set(_named(entry.sum)) <= params | {"cls"}, theorem
             # the plan passes the modulus and its sweep's state to sums
             assert set(_named(entry.sums)) <= params | {"d", "state"}, theorem
-            assert set(entry.spec_params) <= params - {"f"}, theorem
+            read = set(_named(entry.bound)) | set(_named(entry.hypotheses))
+            assert read <= params - {"f"}, theorem  # no polynomial
 
     def test_one_pass_sums(self):
         # the binomial EXACT sums and the Stirling product sums; the rest
@@ -92,34 +94,18 @@ class TestFormulas:
 
 class TestHypotheses:
     def test_wan_needs_n_above_lp(self):
-        assert not BoundSpec(TheoremId.WAN, n=6, p=3, l=2).hypotheses_hold()
-        assert BoundSpec(TheoremId.WAN, n=7, p=3, l=2).hypotheses_hold()
+        assert not hypotheses_hold(TheoremId.WAN, n=6, p=3, l=2)
+        assert hypotheses_hold(TheoremId.WAN, n=7, p=3, l=2)
 
     def test_sun_needs_beta_below_alpha_and_n_floor(self):
-        assert not BoundSpec(TheoremId.SUN, n=10, p=2, alpha=1, beta=2, l=0).hypotheses_hold()
-        assert not BoundSpec(TheoremId.SUN, n=3, p=2, alpha=3, beta=0, l=0).hypotheses_hold()
-        assert BoundSpec(TheoremId.SUN, n=4, p=2, alpha=3, beta=3, l=0).hypotheses_hold()
+        assert not hypotheses_hold(TheoremId.SUN, n=10, p=2, alpha=1, beta=2, l=0)
+        assert not hypotheses_hold(TheoremId.SUN, n=3, p=2, alpha=3, beta=0, l=0)
+        assert hypotheses_hold(TheoremId.SUN, n=4, p=2, alpha=3, beta=3, l=0)
 
     def test_ec2_needs_unit_congruent_a_and_large_n(self):
-        assert not BoundSpec(TheoremId.EC2, n=3, p=2, alpha=2, a=3).hypotheses_hold()
-        assert not BoundSpec(TheoremId.EC2, n=9, p=3, alpha=1, a=2).hypotheses_hold()
-        assert BoundSpec(TheoremId.EC2, n=4, p=2, alpha=2, a=3).hypotheses_hold()
-
-    def test_validation_errors(self):
-        with pytest.raises(ParameterError):
-            BoundSpec(TheoremId.WEISMAN, n=5, p=4, alpha=1)  # composite p
-        with pytest.raises(ParameterError):
-            BoundSpec(TheoremId.WEISMAN, n=5, p=2)  # missing alpha
-        with pytest.raises(ParameterError):
-            BoundSpec(TheoremId.WEISMAN, n=5, p=2, alpha=0)
-        with pytest.raises(ParameterError):
-            BoundSpec(TheoremId.SC1, n=0, p=2, m=1, a=1)
-        with pytest.raises(ParameterError):
-            BoundSpec(TheoremId.SC1, n=5, p=2, m=0, a=1)
-        # every field that is set, whether or not the theorem takes it
-        for fields in (dict(alpha=0), dict(beta=-1), dict(l=-1)):
-            with pytest.raises(ParameterError):
-                BoundSpec(TheoremId.FLECK, n=5, p=2, **fields)
+        assert not hypotheses_hold(TheoremId.EC2, n=3, p=2, alpha=2, a=3)
+        assert not hypotheses_hold(TheoremId.EC2, n=9, p=3, alpha=1, a=2)
+        assert hypotheses_hold(TheoremId.EC2, n=4, p=2, alpha=2, a=3)
 
 
 class TestSc2:

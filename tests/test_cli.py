@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -367,6 +368,14 @@ class TestVerifyCommand:
         pairs = {(r["params"]["n"], r["params"]["m"]) for r in report["records"]}
         assert (1, 1) in pairs and (6, 6) in pairs
         assert not any(m > n for n, m in pairs)
+
+    @pytest.mark.parametrize("m, error", [
+        ("5..n", "--m '5..n' matches no n in '1..3'"),
+        ("x..n", "bad m range 'x..n'"),
+    ])
+    def test_an_n_coupled_m_axis_without_a_grid_exits_2(self, m, error, capsys):
+        assert main(["verify", "sc1", "--n", "1..3", "--p", "2", "--m", m]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_the_per_n_grids_share_one_plan(self, tmp_path, monkeypatch):
         # --m 1..n makes one grid per n; the sweep plans its theorem and
@@ -865,6 +874,13 @@ class TestIdentityCommand:
         # would change nothing
         assert main(["identity", *argv.split()]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_a_report_without_no_timestamp_is_stamped(self, tmp_path, capsys):
+        out = tmp_path / "ident.json"
+        assert main(["identity", "s3", "--n-max", "3", "--out", str(out)]) == 0
+        run = json.loads(out.read_text(encoding="utf-8"))["run"]
+        # ISO 8601 in UTC, to the second
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", run["timestamp"])
 
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "ident.csv"

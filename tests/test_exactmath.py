@@ -312,11 +312,6 @@ def _evaluate_tuple(name, v):
     verifier.evaluate_tuple(*_claim(name, v), residues=(v["r"],))
 
 
-def _bound_spec(name, v):
-    theorem, params = _claim(name, v)
-    bounds.BoundSpec(theorem, **params)
-
-
 # each entry point with the parameters it checks; a sum takes its class (or
 # d), built for the good values (modulus 2 = p**alpha, 1 = p**beta, with the
 # divisor p**alpha), and only the parameters of its weight
@@ -325,7 +320,6 @@ ENTRY_POINTS = {
     "GridSpec": ("n p alpha beta l m a r f", _grid),
     "check_claim": ("n p alpha beta l m a r f", _check_claim),
     "evaluate_tuple": ("n p alpha beta l m a r f", _evaluate_tuple),
-    "BoundSpec": ("n p alpha beta l m a", _bound_spec),
     "ResidueClass": ("d r", lambda _, v: filtered_sums.ResidueClass(v["d"], v["r"])),
     "IntPolynomial": ("coefficient", lambda _, v: IntPolynomial((v["coefficient"], 1))),
     "fleck_sum": ("n l", lambda _, v: filtered_sums.fleck_sum(v["n"], EXACT, v["l"])),

@@ -74,8 +74,7 @@ class TestConvolutions:
 
         monkeypatch.setattr(triangles, "stirling1", broken)
         result = check_ss3(4, 2)
-        assert not result.passed
-        assert result.witness is not None and "rhs" in result.witness
+        assert result.passed is False and sorted(result.witness) == ["lhs", "rhs"]
 
 
 class TestValuationLemma:
@@ -145,6 +144,55 @@ class TestBinomialInequality:
             check_l32(5, 1, 6)
         with pytest.raises(ParameterError, match=r"^i must be an integer, got 1\.5$"):
             check_l32(3, 1, 1.5)
+
+
+# each check made to fail by one value it reads, one too large: the owner and
+# name of what gives the value, its arguments there, and the witness's keys
+# (SS3's is test_failure_witness_on_broken_table)
+BROKEN = {
+    "E1": (lambda: check_e1(3, 1), triangles, "eulerian", (3, 1), "i lhs rhs"),
+    "E2": (lambda: check_e2(3), triangles, "eulerian", (3, 1), "i lhs rhs"),
+    "S3": (lambda: check_s3(4, 2), triangles, "stirling2", (4, 2), "lhs rhs"),
+    # 5! S(6, 5) = 1800 has 3-adic order 2, its bound; 5! * 16 has order 1
+    "S4": (lambda: check_s4(6, 5, 3, 1), triangles, "stirling2", (6, 5), "ord bound value"),
+    # row 2 of the first kind read as (0, 2, 1): s(2, 1) = 0 mod 2 where 1 is expected
+    "SCL3E": (lambda: check_scl3e(2, 1), triangles, "stirling1_row", (2,), "k got expected"),
+    "L31": (lambda: check_l31(4, 2, 1, 17), identities, "binom", (17, 4),
+            "lhs_mod_p rhs_mod_p"),
+    # (5 - 0) C(0, 0) = C(5, 1) is the equality case
+    "L32": (lambda: check_l32(5, 1, 0), identities, "binom", (0, 0), "lhs rhs"),
+}
+
+
+class TestFailures:
+    @pytest.mark.parametrize("identity", sorted(BROKEN))
+    def test_a_wrong_value_fails_with_a_witness(self, identity, monkeypatch):
+        check, owner, name, at, keys = BROKEN[identity]
+        assert check().passed
+        real = getattr(owner, name)
+
+        def broken(*args):
+            value = real(*args)
+            if args != at:
+                return value
+            return [value[0], value[1] + 1, *value[2:]] if name.endswith("_row") else value + 1
+
+        monkeypatch.setattr(owner, name, broken)
+        result = check()
+        assert result.identity == identity and result.passed is False
+        assert sorted(result.witness) == sorted(keys.split())
+
+    @pytest.mark.parametrize("check, args, message", [
+        (check_e2, (0,), "need n >= 1"),
+        (check_s3, (3, 0), "need n >= 1 and k >= 1"),
+        (check_ss3, (0, 1), "need n >= 1 and k >= 1"),
+        (check_s4, (3, 1, 2, 0), "need n, k >= 0 and alpha >= 1"),
+        (check_scl3e, (3, 0), "need alpha >= 1"),
+        (check_l31, (-1, 2, 0, 0), "need n >= 0"),
+    ])
+    def test_a_value_out_of_range_is_refused(self, check, args, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            check(*args)
 
 
 class TestResultType:

@@ -186,6 +186,25 @@ def test_a_frame_cut_short_exits_2_and_leaves_nothing(code, error, fmt, pool, mo
     assert len(pool) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_chunk_past_the_last_exits_2_and_leaves_nothing(fmt, pool, monkeypatch, tmp_path,
+                                                         capsys):
+    # worker 0 of 2 sends chunks 0 and 2 of the three, then its last again:
+    # the parent finds it after worker 1 has run out
+    real_chunks = cli._rendered_chunks
+
+    def one_too_many(*args):
+        chunks = list(real_chunks(*args))
+        return iter(chunks + chunks[-1:] if args[-2:] == (0, 2) else chunks)
+
+    monkeypatch.setattr(cli, "_rendered_chunks", one_too_many)
+    out = tmp_path / "report"
+    assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: a verify worker sent a chunk past the last\n")
+    assert list(tmp_path.iterdir()) == []  # no report and no temp file
+    assert len(pool) == 2
+
+
 def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
     # the twin of test_cli.py's TestExitCodes.test_ctrl_c_exits_130 on the pool
     def interrupted(*args, **kwargs):

@@ -113,7 +113,11 @@ def test_the_readme_flag_tables_are_the_cli_tables(header, table):
     assert _readme_flag_table(header) == expected
 
 
-def test_every_exported_name_resolves():
+def test_every_exported_name_resolves(monkeypatch):
+    # dir() lists the exports before they are first read and imported
+    for name in congruence_lab._MODULE_OF:
+        monkeypatch.delitem(vars(congruence_lab), name, raising=False)
+    assert set(congruence_lab.__all__) <= set(dir(congruence_lab))
     modules = [congruence_lab] + [
         importlib.import_module(f"congruence_lab.{info.name}")
         for info in pkgutil.iter_modules(congruence_lab.__path__)
@@ -137,7 +141,7 @@ def _traced_run(tmp_path, argv: str) -> None:
 def test_the_benchmark_tracer_installs(tmp_path):
     # perfbench/tracer.py patches the program by name: a missing function only
     # prints "not traced", but an attribute it reads without a guard (such as
-    # bounds.BoundSpec) fails the traced run
+    # bounds.BoundSpec, a bare name kept for that read) fails the traced run
     _traced_run(tmp_path, "verify fleck --n 1..3 --p 2")
 
 
@@ -161,6 +165,8 @@ def test_value_classes_behave_as_frozen_records():
     assert hash(cls) == hash(ResidueClass(3, -2))
     with pytest.raises(AttributeError):
         cls.residue = 2
+    with pytest.raises(AttributeError, match="^cannot delete field 'residue'$"):
+        del cls.residue
     grid = GridSpec("fleck", ns=(3, 1), primes=(2,))
     assert repr(grid) == ("GridSpec(theorem=<TheoremId.FLECK: 'fleck'>, ns=(1, 3), primes=(2,), "
                           "alphas=(), betas=(), ls=(), ms=(), a_values=(), residues='all', "

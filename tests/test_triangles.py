@@ -147,6 +147,8 @@ class TestTriangleObject:
         assert [list(r) for r in tri.rows] == [[1]]
         with pytest.raises(ParameterError, match=r"^max_n must be an integer, got 2\.5$"):
             build("eulerian", 2.5)
+        with pytest.raises(ParameterError, match="^max_n must be >= 0, got -1$"):
+            build("eulerian", -1)
         with pytest.raises(ParameterError, match="^family must be one of stirling1, stirling2, "
                                                  "eulerian, got 'nope'$"):
             build("nope", 3)

@@ -495,24 +495,6 @@ class TestParameterCheck:
         assert check_claim("fleck", {"n": 5, "p": 2, "r": 0, "alpha": 3}).params == want
         assert evaluate_tuple("fleck", {"n": 5, "p": 2, "alpha": 3}).records()[0].params == want
 
-    def test_no_claim_path_builds_a_bound_spec(self, monkeypatch):
-        def refused(self):
-            raise AssertionError("a claim path built a BoundSpec")
-
-        monkeypatch.setattr(bounds.BoundSpec, "__post_init__", refused)
-        with pytest.raises(AssertionError):
-            bounds.BoundSpec(TheoremId.FLECK, n=1, p=2)
-        values = {"n": range(1, 7), "p": (2, 3), "alpha": (1, 2), "beta": (0, 1, 2),
-                  "l": (0, 1), "m": (1, 2), "a": (-1, 2), "f": (IntPolynomial((0, 1)),)}
-        grids = [GridSpec(theorem, **{AXIS_FIELDS[name]: values[name]
-                                      for name in THEOREMS[theorem].params})
-                 for theorem in TheoremId]
-        # run_grids evaluates every tuple with evaluate_tuple
-        for probe in (False, True):
-            records = run_grids(grids, probe).records
-            assert records == [check_claim(grid.theorem, params, probe)
-                               for grid in grids for params in grid_params(grid)]
-
 
 class TestChunks:
     @settings(max_examples=200, deadline=None)
