@@ -8,11 +8,12 @@ Subcommands
     identity   run identity/lemma check suites
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
-error or an --out file that cannot be written, 3 capacity (triangle row
-limit) error, 130 interrupted (Ctrl-C), 141 stdout closed by its reader
-(broken pipe), 143 terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and
-SIGHUP end a run as Ctrl-C does: the same clean-up, the same ``interrupted``
-line.  A signal ignored at start (``nohup``, ``trap '' TERM``) stays ignored.
+error, an --out file or stdout that cannot be written, or a verify worker
+that cannot be started, 3 capacity (triangle row limit) error, 130
+interrupted (Ctrl-C), 141 stdout closed by its reader (broken pipe), 143
+terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and SIGHUP end a run as
+Ctrl-C does: the same clean-up, the same ``interrupted`` line.  A signal
+ignored at start (``nohup``, ``trap '' TERM``) stays ignored.
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
@@ -30,7 +31,8 @@ for the bytes ``json.dumps`` with indent=2 and sorted keys, and
 A ``verify`` run imports neither the identity suites nor ``csv`` (only the
 identity and SC2 CSV reports do), and ``datetime`` only for a timestamp.
 Every run streams its report through ``_write_report``, one write per chunk
-and the JSON summary last, so memory does not depend on the grid size.
+(and its JSON separator) and the JSON summary last, so memory does not
+depend on the grid size.
 `verify --workers N` (N >= 2) forks a pool of worker processes
 (:class:`_Pool`): worker i evaluates and renders chunks i, i + W,
 i + 2W, ... of the W workers and sends each back through a pipe as one
@@ -72,7 +74,7 @@ from . import __version__, triangles, verifier
 from ._suites import IDENTITY_IDS, NONNEGATIVE_OPTIONS, SUITE_OPTIONS
 from .bounds import THEOREMS, TheoremId
 from .errors import CapacityError, CongruenceLabError, ParameterError
-from .exactmath import IntPolynomial, check_params, ord_p
+from .exactmath import IntPolynomial, check_at_least, check_params, ord_p
 from .filtered_sums import (
     ResidueClass,
     binom_power_sum,
@@ -451,18 +453,19 @@ def _write_report(
     out: TextIO, run: dict[str, Any], fmt: str, chunks: Iterable[tuple[GridSummary, str]]
 ) -> GridSummary:
     """Write the report whose records are the chunks' texts, in order, to
-    ``out``, one write per chunk, and return the merge of the chunks'
-    summaries once they are written.  A chunk (a :data:`_ChunkSource` item)
-    is :func:`_results_json` text or CSV rows.  Sorted keys put the JSON
-    "records" first, so the run and the summary follow the last chunk."""
+    ``out``, one write per chunk (and one for its JSON separator), and
+    return the merge of the chunks' summaries once they are written.  A
+    chunk (a :data:`_ChunkSource` item) is :func:`_results_json` text or CSV
+    rows.  Sorted keys put the JSON "records" first, so the run and the
+    summary follow the last chunk."""
     summary = GridSummary()
     if fmt == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
     started = False
     for part, text in chunks:
         summary.merge(part)
-        if fmt == "json":
-            text = (",\n" if started else _RECORDS_OPEN + "\n") + text
+        if fmt == "json":  # a write of its own, so that the chunk is not copied
+            out.write(",\n" if started else _RECORDS_OPEN + "\n")
         out.write(text)
         started = True
     if fmt == "json":
@@ -542,8 +545,11 @@ class _Pool:
         try:
             for i in range(self.size):
                 self._fork(i)
-        except BaseException:
+        except BaseException as exc:
             self._close()
+            if isinstance(exc, OSError):  # from os.pipe or os.fork
+                raise CongruenceLabError(
+                    f"cannot start a verify worker: {exc.strerror or exc}") from exc
             raise
         return self
 
@@ -637,8 +643,7 @@ class _Pool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ParameterError(f"--workers must be >= 1, got {args.workers}")
+    check_at_least("--workers", args.workers, 1)
     theorem = TheoremId(args.theorem)
     flags = _flag_values(theorem.value, args, _VERIFY_FLAGS, _VERIFY_FLAGS[theorem.value])
     grids = _build_grids(theorem, args, flags)
@@ -726,9 +731,8 @@ def cmd_identity(args: argparse.Namespace) -> int:
         if value is not None:
             option, parse = _IDENTITY_OPTIONS[flag]
             options[option] = value = parse(value)
-            # the suite refuses it too, but under its option's name
-            if option in NONNEGATIVE_OPTIONS and value < 0:
-                raise ParameterError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+            if option in NONNEGATIVE_OPTIONS:  # the suite refuses it too, under its option's name
+                check_at_least(f"--{flag.replace('_', '-')}", value, 0)
     report = _flag_values("identity without --out", args, _REPORT_FLAGS,
                           _REPORT_FLAGS["with --out"] if args.out else {})
 
@@ -839,8 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _stdout_to_devnull() -> None:
     """Point the stdout file descriptor at devnull, so that flushing what is
-    still buffered at interpreter exit cannot raise BrokenPipeError again (the
-    recipe in the Python ``signal`` module docs)."""
+    still buffered at interpreter exit cannot raise the write's error again
+    (the recipe for BrokenPipeError in the Python ``signal`` module docs)."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
@@ -888,6 +892,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # _output and _Pool convert theirs, so only stdout's is left
+        _stdout_to_devnull()
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,5 +1,7 @@
 """Exact integer primitives: p-adic valuations, generalized binomial
-coefficients and integer polynomials.
+coefficients and integer polynomials; and the package's parameter checks,
+among them its one range rule (:func:`check_at_least`) and its one "must be
+a collection" rule (:func:`check_collection`).
 
 Everything operates on Python's built-in arbitrary-precision integers, so all
 results are exact regardless of magnitude.
@@ -20,6 +22,8 @@ __all__ = [
     "IntPolynomial",
     "PAdicOrder",
     "binom",
+    "check_at_least",
+    "check_collection",
     "check_integer",
     "check_params",
     "check_prime",
@@ -55,6 +59,23 @@ def check_integer(name: str, value: object) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_at_least(name: str, value: object, low: int) -> int:
+    """``value`` as an int (:func:`check_integer`), refused if it is below ``low``."""
+    value = check_integer(name, value)
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_collection(name: str, values: object) -> tuple:
+    """``values`` as a tuple, else :class:`ParameterError` if it is not iterable."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ParameterError(f"{name} must be a collection, got {values!r}") from None
+    return tuple(values)
+
+
 def check_prime(p: int) -> int:
     """Return ``p`` unchanged if it is prime, else raise :class:`ParameterError`."""
     if not is_prime(check_integer("p", p)):
@@ -64,8 +85,8 @@ def check_prime(p: int) -> int:
 
 #: Smallest allowed value of each integer parameter that has one: p must be
 #: prime, a and r may be any integer, and d (a class modulus) and the divisor
-#: of a floor quotient are at least 1.  :func:`check_params` is the one check
-#: that applies them, for every claim, grid, residue class, bound and sum.
+#: of a floor quotient are at least 1.  :func:`check_params` applies them (by
+#: :func:`check_at_least`) for every claim, grid, residue class, bound and sum.
 PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1, "d": 1,
                                  "divisor": 1}
 
@@ -89,10 +110,10 @@ def check_params(**params) -> None:
         if name == "f":
             if not isinstance(value, IntPolynomial):
                 raise ParameterError(f"f must be an IntPolynomial, got {value!r}")
+        elif name in PARAM_MINIMUM:
+            check_at_least(name, value, PARAM_MINIMUM[name])
         else:
             check_integer(name, value)
-            if name in PARAM_MINIMUM and value < PARAM_MINIMUM[name]:
-                raise ParameterError(f"{name} must be >= {PARAM_MINIMUM[name]}, got {value}")
 
 
 @total_ordering
@@ -221,8 +242,7 @@ def _digit_power(p: int) -> tuple[int, int]:
 def ord_p_factorial(n: int, p: int) -> int:
     """Legendre's count sum(floor(n / p**j), j >= 1), the p-order of n!."""
     check_prime(p)
-    if check_integer("n", n) < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    check_at_least("n", n, 0)
     total = 0
     q = p
     while q <= n:

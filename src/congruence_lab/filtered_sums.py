@@ -42,8 +42,7 @@ import operator
 
 from . import triangles
 from ._slots import Frozen
-from .errors import ParameterError
-from .exactmath import IntPolynomial, check_integer, check_params
+from .exactmath import IntPolynomial, check_at_least, check_params
 from .triangles import Family
 
 __all__ = [
@@ -83,8 +82,7 @@ def binomial_row(n: int) -> list:
     Built from C(n, k+1) = C(n, k) * (n-k) // (k+1); the division is exact,
     because C(n, k) * (n-k) = C(n, k+1) * (k+1).
     """
-    if n < 0:
-        raise ValueError("binomial_row: n must be nonnegative")
+    check_at_least("n", n, 0)
     row = [1]
     c = 1
     for k in range(n):
@@ -257,8 +255,7 @@ def binom_power_sum(n: int, cls: ResidueClass, a: int) -> int:
 
     At a = 1 this specializes to the l = 0 :func:`fleck_sum`.
     """
-    if check_integer("n", n) < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    check_at_least("n", n, 0)
     check_params(a=a)
     return _power_sum(_binomial_row(n)[cls.residue :: cls.modulus], cls, -a)
 

@@ -16,7 +16,9 @@ Identity ids
 
 Each check evaluates one parameter tuple exactly and reports a witness dict
 when it fails.  Any failure is a defect in the triangle or integer layers,
-so the suites treat failures as build-stopping.
+so the suites treat failures as build-stopping.  A value out of range is
+refused first, by ``exactmath.check_at_least`` (``check_params`` for n, l, p
+and alpha), naming the parameter, its bound and the value; L32 needs i <= n.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from . import triangles
 from ._slots import Frozen
 from ._suites import IDENTITY_IDS, NONNEGATIVE_OPTIONS, SUITE_OPTIONS
 from .errors import ParameterError
-from .exactmath import binom, check_integer, check_params, is_prime, ord_p, ord_p_factorial
+from .exactmath import (binom, check_at_least, check_collection, check_integer, check_params,
+                        is_prime, ord_p, ord_p_factorial)
 from .triangles import Family
 
 __all__ = [
@@ -72,15 +75,13 @@ def _rhs_coefficient(n: int, i: int, l: int) -> int:
 
 def check_e1(n: int, l: int) -> IdentityCheckResult:
     """Both sides of the Eulerian expansion with weight k**l, coefficientwise."""
-    if check_integer("n", n) < 1 or check_integer("l", l) < 0:
-        raise ParameterError("need n >= 1 and l >= 0")
+    check_params(n=n, l=l)
     return _check_expansion("E1", {"n": n, "l": l})
 
 
 def check_e2(n: int) -> IdentityCheckResult:
     """Eulerian row against sum(m! S(n,m) (x-1)**(n-m)), coefficientwise."""
-    if check_integer("n", n) < 1:
-        raise ParameterError("need n >= 1")
+    check_params(n=n)
     return _check_expansion("E2", {"n": n})
 
 
@@ -97,8 +98,8 @@ def _check_expansion(identity: str, params: dict[str, int]) -> IdentityCheckResu
 
 def check_s3(n: int, k: int) -> IdentityCheckResult:
     """k! S(n,k) = sum(C(n,i) (k-1)! S(i,k-1), i = k-1..n-1)."""
-    if check_integer("n", n) < 1 or check_integer("k", k) < 1:
-        raise ParameterError("need n >= 1 and k >= 1")
+    check_params(n=n)
+    check_at_least("k", k, 1)
     params = {"n": n, "k": k}
     lhs = math.factorial(k) * triangles.stirling2(n, k)
     rhs = 0
@@ -111,8 +112,8 @@ def check_s3(n: int, k: int) -> IdentityCheckResult:
 
 def check_ss3(n: int, k: int) -> IdentityCheckResult:
     """k s(n,k) = sum(C(n,i) (n-i-1)! s(i,k-1), i = k-1..n-1), unsigned s."""
-    if check_integer("n", n) < 1 or check_integer("k", k) < 1:
-        raise ParameterError("need n >= 1 and k >= 1")
+    check_params(n=n)
+    check_at_least("k", k, 1)
     params = {"n": n, "k": k}
     lhs = k * triangles.stirling1(n, k)
     rhs = 0
@@ -125,9 +126,9 @@ def check_ss3(n: int, k: int) -> IdentityCheckResult:
 
 def check_s4(n: int, k: int, p: int, alpha: int) -> IdentityCheckResult:
     """ord_p(k! S(n,k)) >= ord_p(floor(n/p**(alpha-1))!) - floor((n-k)/(p**(alpha-1)(p-1)))."""
-    check_params(p=p)
-    if check_integer("n", n) < 0 or check_integer("k", k) < 0 or check_integer("alpha", alpha) < 1:
-        raise ParameterError("need n, k >= 0 and alpha >= 1")
+    check_params(p=p, alpha=alpha)
+    check_at_least("n", n, 0)
+    check_at_least("k", k, 0)
     params = {"n": n, "k": k, "p": p, "alpha": alpha}
     value = math.factorial(k) * triangles.stirling2(n, k)
     if value == 0:
@@ -144,9 +145,7 @@ def check_s4(n: int, k: int, p: int, alpha: int) -> IdentityCheckResult:
 
 def check_scl3e(p: int, alpha: int) -> IdentityCheckResult:
     """s(N,k) mod p for N = p**alpha (p-1): 1 when p**(alpha-1)(p-1) | k, else 0."""
-    check_params(p=p)
-    if check_integer("alpha", alpha) < 1:
-        raise ParameterError("need alpha >= 1")
+    check_params(p=p, alpha=alpha)
     params = {"p": p, "alpha": alpha}
     big_n = p**alpha * (p - 1)
     period = p ** (alpha - 1) * (p - 1)
@@ -161,10 +160,7 @@ def check_scl3e(p: int, alpha: int) -> IdentityCheckResult:
 
 def check_l31(n: int, p: int, x: int, x_prime: int) -> IdentityCheckResult:
     """x = x' (mod p**(ord_p(n!)+1)) implies C(x,n) = C(x',n) (mod p)."""
-    check_params(p=p)
-    if check_integer("n", n) < 0:
-        raise ParameterError("need n >= 0")
-    modulus = p ** (ord_p_factorial(n, p) + 1)
+    modulus = p ** (ord_p_factorial(n, p) + 1)  # which checks p, then n >= 0
     if (check_integer("x", x) - check_integer("x_prime", x_prime)) % modulus != 0:
         raise ParameterError(
             f"precondition fails: {x} and {x_prime} differ mod {modulus}"
@@ -179,9 +175,10 @@ def check_l31(n: int, p: int, x: int, x_prime: int) -> IdentityCheckResult:
 
 def check_l32(n: int, l: int, i: int) -> IdentityCheckResult:
     """(n - i) C(i, l-1) <= C(n, l) for 0 <= i <= n."""
-    if (check_integer("n", n) < 0 or check_integer("l", l) < 0
-            or not 0 <= check_integer("i", i) <= n):
-        raise ParameterError("need n, l >= 0 and 0 <= i <= n")
+    check_at_least("n", n, 0)
+    check_params(l=l)
+    if check_at_least("i", i, 0) > n:
+        raise ParameterError(f"need i <= n, got i={i}, n={n}")
     params = {"n": n, "l": l, "i": i}
     lhs = (n - i) * binom(i, l - 1)
     rhs = binom(n, l)
@@ -233,7 +230,8 @@ def suite(identity: str, **options: Any) -> Iterator[IdentityCheckResult]:
     """The named identity's checks over its grid: the given
     :data:`SUITE_OPTIONS` of the suite, and the defaults of the rest.
 
-    An option the suite does not read, a negative bound or count, a prime
+    An option the suite does not read, a negative bound or count, primes or
+    alphas that are not a collection (None is SCL3E's every value), a prime
     that is not one and an alpha below 1 are parameter errors.  This call
     raises them before the first check.  It then builds every triangle row
     the checks read, in the order they read them, so a row past
@@ -248,16 +246,14 @@ def suite(identity: str, **options: Any) -> Iterator[IdentityCheckResult]:
             raise ParameterError(f"{identity} does not read {name}")
     opts = {**SUITE_OPTIONS[identity], **options}
     for name in NONNEGATIVE_OPTIONS:
-        if check_integer(name, opts.get(name, 0)) < 0:
-            raise ParameterError(f"{name} must be >= 0, got {opts[name]}")
+        check_at_least(name, opts.get(name, 0), 0)
     check_integer("seed", opts.get("seed", 0))
     for name, param in (("primes", "p"), ("alphas", "alpha")):
-        try:  # None: not read, or SCL3E's every value
-            values = () if opts.get(name) is None else tuple(opts[name])
-        except TypeError:
-            raise ParameterError(f"{name} must be a collection, got {opts[name]!r}") from None
-        for value in values:
-            check_params(**{param: value})
+        # kept as a tuple, which the checks read more than once
+        if name in opts and (opts[name] is not None or SUITE_OPTIONS[identity][name] is not None):
+            opts[name] = check_collection(name, opts[name])
+            for value in opts[name]:
+                check_params(**{param: value})
     if identity == "SCL3E":
         primes, alphas = opts["primes"], opts["alphas"]
         cases = [(p, alpha) for p, alpha in scl3e_cases(opts["scl3e_limit"])

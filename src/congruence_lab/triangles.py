@@ -24,7 +24,7 @@ from enum import Enum
 
 from ._slots import Frozen
 from .errors import CapacityError, ParameterError
-from .exactmath import check_integer, check_params
+from .exactmath import check_at_least, check_integer, check_params
 
 FORMAT_VERSION = 1
 
@@ -111,9 +111,7 @@ class Triangle(Frozen):
         self._set(family, max_n, rows)
 
     def row(self, n: int) -> tuple[int, ...]:
-        if check_integer("n", n) < 0:
-            raise ParameterError(f"row index must be >= 0, got {n}")
-        if n > self.max_n:
+        if check_at_least("n", n, 0) > self.max_n:
             raise CapacityError(
                 f"row {n} exceeds this {self.family.value} triangle (max_n={self.max_n})"
             )
@@ -136,8 +134,7 @@ def _family(family: Family | str) -> Family:
 def build(family: Family, max_n: int) -> Triangle:
     """Construct a triangle of rows 0..max_n from the recurrences."""
     family = _family(family)
-    if check_integer("max_n", max_n) < 0:
-        raise ParameterError(f"max_n must be >= 0, got {max_n}")
+    check_at_least("max_n", max_n, 0)
     rows = _BUILDERS[family](max_n)
     return Triangle(family, max_n, tuple(tuple(r) for r in rows))
 
@@ -166,9 +163,7 @@ def ensure_rows(family: Family, n: int) -> Triangle:
     :data:`ROW_LIMIT`, then raises :class:`CapacityError`."""
     if not isinstance(family, Family):  # a member skips the Enum call
         family = _family(family)
-    if check_integer("n", n) < 0:
-        raise ParameterError(f"row index must be >= 0, got {n}")
-    if n > ROW_LIMIT:
+    if check_at_least("n", n, 0) > ROW_LIMIT:
         raise CapacityError(f"row {n} exceeds the row limit {ROW_LIMIT}")
     tri = _shared.get(family)
     if tri is None or tri.max_n < n:

@@ -63,7 +63,8 @@ from . import triangles
 from ._slots import Frozen, Slotted
 from .bounds import THEOREMS, Theorem, TheoremId, _named, sc2_comparison, sc2_constants
 from .errors import ParameterError
-from .exactmath import INFINITY, IntPolynomial, PAdicOrder, check_params, ord_p, ord_p_nonzero
+from .exactmath import (INFINITY, IntPolynomial, PAdicOrder, check_collection, check_params, ord_p,
+                        ord_p_nonzero)
 from .filtered_sums import ResidueClass, _SweepState
 from .triangles import Family
 
@@ -431,11 +432,7 @@ def _axis(name: str, values: Iterable[Any], field: str) -> tuple[Any, ...]:
     :func:`~congruence_lab.exactmath.check_params`: sorted, or polynomials
     in first-occurrence order.  ``field`` names the argument in the error
     for values that are not a collection."""
-    try:
-        values = iter(values)
-    except TypeError:
-        raise ParameterError(f"{field} must be a collection, got {values!r}") from None
-    values = tuple(values)
+    values = check_collection(field, values)
     for value in values:
         check_params(**{name: value})
     if name == "f":

@@ -262,6 +262,10 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_a_worker_count_below_1_is_named(self, capsys):
+        assert main(["verify", "fleck", "--n", "1..3", "--p", "2", "--workers", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --workers must be >= 1, got 0\n")
+
     def test_repeated_polynomials_are_one_axis_value(self, capsys):
         # one claim per distinct polynomial (trailing zeros stripped), in the
         # order the --f flags first give them
@@ -1017,6 +1021,35 @@ class TestExitCodes:
         with contextlib.redirect_stdout(ClosedPipe()):
             assert main(["triangle", "stirling1", "--n-max", "200"]) == 141
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "stirling1", "--n-max", "200"],
+        ["verify", "fleck", "--p", "2,3", "--n", "1..40"],
+    ], ids=["triangle", "verify"])
+    def test_a_full_stdout_exits_2(self, argv, monkeypatch, capsys):
+        moved = []
+        monkeypatch.setattr(cli, "_stdout_to_devnull", lambda: moved.append(True))
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with contextlib.redirect_stdout(Full()):
+            assert main(argv) == 2
+        error = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert capsys.readouterr() == ("", error)
+        assert moved == [True]  # so that the flush at exit cannot raise again
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_dev_full_exits_2(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "congruence_lab.cli", "verify", "fleck", "--n", "1..40",
+                 "--p", "2,3"], stdout=full, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
     def test_closed_stdout_descriptor_moves_to_devnull(self, tmp_path):
         path = tmp_path / "stdout"

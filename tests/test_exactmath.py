@@ -16,6 +16,8 @@ from congruence_lab.exactmath import (
     PAdicOrder,
     _digit_power,
     binom,
+    check_at_least,
+    check_collection,
     check_params,
     is_prime,
     ord_p,
@@ -256,6 +258,14 @@ class TestCheckParams:
         with pytest.raises(ParameterError, match="^l must be >= 0, got -1$"):
             check_params(l=-1, n=0, p=2)
 
+    def test_check_at_least_returns_the_int(self):
+        assert check_at_least("k", 3, 3) == 3
+        assert type(check_at_least("k", True, 0)) is int
+        with pytest.raises(ParameterError, match="^k must be >= 1, got 0$"):
+            check_at_least("k", 0, 1)
+        with pytest.raises(ParameterError, match=r"^k must be an integer, got 1\.0$"):
+            check_at_least("k", 1.0, 0)
+
     def test_names_without_a_minimum_are_skipped(self):
         # a and r may be any integer; d has a minimum, and f must be a polynomial
         check_params(n=1, p=2, alpha=1, beta=0, l=0, m=1, a=-7, d=1, r=-3,
@@ -357,3 +367,44 @@ def test_a_bad_value_gets_one_message_at_every_entry_point(entry, name):
         with pytest.raises(ParameterError) as error:
             call(name, {**GOOD, name: value})
         assert str(error.value) == message
+
+
+# the entry points whose n may be 0 (a triangle row, Legendre's count, a
+# binomial row and its power sum) have their own rule, n >= 0, with the same
+# wording as the claim parameters' rules
+N_FROM_ZERO = {
+    "binomial_row": filtered_sums.binomial_row,
+    "Triangle.row": lambda n: triangles.build(triangles.Family.STIRLING2, 3).row(n),
+    "ensure_rows": lambda n: triangles.ensure_rows(triangles.Family.EULERIAN, n),
+    "ord_p_factorial": lambda n: ord_p_factorial(n, 2),
+    "binom_power_sum": lambda n: filtered_sums.binom_power_sum(n, EXACT, 1),
+}
+
+
+@pytest.mark.parametrize("entry", N_FROM_ZERO)
+def test_n_below_zero_gets_one_message_at_every_entry_point(entry):
+    call = N_FROM_ZERO[entry]
+    call(0)
+    for value, message in ((-1, "n must be >= 0, got -1"), (2.5, "n must be an integer, got 2.5")):
+        with pytest.raises(ParameterError) as error:
+            call(value)
+        assert str(error.value) == message
+
+
+# a bare value where a collection of values belongs
+NOT_A_COLLECTION = {
+    "check_collection": lambda v: check_collection("primes", v),
+    "GridSpec": lambda v: verifier.GridSpec(TheoremId.FLECK, ns=(3,), primes=v),
+    # None means every prime only to SCL3E, whose default it is
+    "identities.suite": lambda v: identities.suite("S4", primes=v),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_A_COLLECTION)
+def test_a_bare_value_gets_one_message_at_every_entry_point(entry):
+    call = NOT_A_COLLECTION[entry]
+    call(iter([2, 3]))  # any iterable will do
+    for value in (2, None):
+        with pytest.raises(ParameterError) as error:
+            call(value)
+        assert str(error.value) == f"primes must be a collection, got {value!r}"

@@ -182,13 +182,18 @@ class TestFailures:
         assert result.identity == identity and result.passed is False
         assert sorted(result.witness) == sorted(keys.split())
 
+    # each names the parameter, its bound and the value (exactmath.check_at_least)
     @pytest.mark.parametrize("check, args, message", [
-        (check_e2, (0,), "need n >= 1"),
-        (check_s3, (3, 0), "need n >= 1 and k >= 1"),
-        (check_ss3, (0, 1), "need n >= 1 and k >= 1"),
-        (check_s4, (3, 1, 2, 0), "need n, k >= 0 and alpha >= 1"),
-        (check_scl3e, (3, 0), "need alpha >= 1"),
-        (check_l31, (-1, 2, 0, 0), "need n >= 0"),
+        (check_e2, (0,), "n must be >= 1, got 0"),
+        (check_s3, (3, 0), "k must be >= 1, got 0"),
+        (check_ss3, (0, 1), "n must be >= 1, got 0"),
+        (check_s4, (3, 1, 2, 0), "alpha must be >= 1, got 0"),
+        (check_scl3e, (3, 0), "alpha must be >= 1, got 0"),
+        (check_l31, (-1, 2, 0, 0), "n must be >= 0, got -1"),
+        (check_e1, (2, -1), "l must be >= 0, got -1"),
+        (check_s4, (3, -1, 2, 1), "k must be >= 0, got -1"),
+        (check_l32, (3, 1, -1), "i must be >= 0, got -1"),
+        (check_l32, (5, 1, 6), "need i <= n, got i=6, n=5"),
     ])
     def test_a_value_out_of_range_is_refused(self, check, args, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -226,6 +231,12 @@ class TestResultType:
         ):
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
                 suite(identity, **kwargs)
+
+    def test_suite_reads_primes_and_alphas_given_once(self):
+        # each is kept as the tuple that was checked, so an iterator is read once
+        for identity, kwargs in (("S4", dict(n_max=3)), ("SCL3E", {})):
+            once = list(suite(identity, primes=iter([2, 3]), alphas=iter([1]), **kwargs))
+            assert once and once == list(suite(identity, primes=(2, 3), alphas=(1,), **kwargs))
 
     def test_suite_builds_its_rows_before_the_first_check(self, monkeypatch):
         calls = []

@@ -205,6 +205,32 @@ def test_a_chunk_past_the_last_exits_2_and_leaves_nothing(fmt, pool, monkeypatch
     assert len(pool) == 2
 
 
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_a_worker_that_cannot_start_exits_2_and_leaves_nothing(call, code, to, pool, monkeypatch,
+                                                               tmp_path, capsys):
+    # the second call fails, so one worker has started when the pool gives up
+    real = getattr(os, call)
+    calls = []
+
+    def second_fails():
+        calls.append(call)
+        if len(calls) == 2:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    monkeypatch.setattr(os, call, second_fails)
+    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--workers", "2"]
+    if to == "out":
+        argv += ["--out", str(tmp_path / "report")]
+    assert main(argv) == 2
+    error = f"error: cannot start a verify worker: {os.strerror(code)}\n"
+    assert capsys.readouterr() == ("", error)
+    assert list(tmp_path.iterdir()) == []  # no report and no temp file
+    assert len(pool) == 1  # and the fixture finds it reaped
+
+
 def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
     # the twin of test_cli.py's TestExitCodes.test_ctrl_c_exits_130 on the pool
     def interrupted(*args, **kwargs):
