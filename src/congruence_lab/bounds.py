@@ -26,7 +26,7 @@ from enum import Enum
 
 from . import filtered_sums
 from ._slots import Frozen
-from .exactmath import IntPolynomial, check_params, ord_p, ord_p_factorial
+from .exactmath import IntPolynomial, check_params, legendre_count, ord_p
 from .triangles import Family
 
 __all__ = [
@@ -153,7 +153,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
-            ord_p_factorial(n // p**alpha, p) - ord_p_factorial(l, p)),
+            legendre_count(n // p**alpha, p) - legendre_count(l, p)),
         sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
     ),
     TheoremId.DAVIS_SUN_B: Theorem(
@@ -161,14 +161,14 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
-            ord_p_factorial(n // _q(p, alpha), p) - l - ord_p_factorial(l, p)),
+            legendre_count(n // _q(p, alpha), p) - l - legendre_count(l, p)),
         sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
     ),
     TheoremId.EC1: Theorem(
         params=("n", "p", "alpha", "l"),
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, l, **_: filtered_sums._eulerian_wan_sum(n, cls, l),
-        bound=lambda n, p, alpha, l, **_: ord_p_factorial(n // _q(p, alpha), p) - _ceil_div(
+        bound=lambda n, p, alpha, l, **_: legendre_count(n // _q(p, alpha), p) - _ceil_div(
             _q(p, alpha) + l * p**alpha, _q(p, alpha) * (p - 1)),
         tables=(Family.EULERIAN,),
     ),
@@ -176,7 +176,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         params=("n", "p", "alpha", "a"),
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, a, **_: filtered_sums._eulerian_power_sum(n, cls, a),
-        bound=lambda n, p, alpha, **_: ord_p_factorial(n // _q(p, alpha), p) - 1,
+        bound=lambda n, p, alpha, **_: legendre_count(n // _q(p, alpha), p) - 1,
         hypotheses=lambda n, p, alpha, a, **_: n >= p**alpha and (a - 1) % p == 0,
         tables=(Family.EULERIAN,),
     ),
@@ -184,7 +184,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         params=("n", "p", "m", "a"),
         modulus=lambda p, **_: p - 1,
         sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
-        bound=lambda n, p, m, **_: ord_p_factorial(n, p) - ord_p_factorial(m, p),
+        bound=lambda n, p, m, **_: legendre_count(n, p) - legendre_count(m, p),
         tables=(Family.STIRLING1, Family.STIRLING2),
         sums=lambda n, m, a, d, state, **_: state.stirling_product_sums(n, m, d, a),
     ),
@@ -200,7 +200,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, alpha, **_: p**alpha * (p - 1),
         sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, alpha, m, **_: (
-            (n - p**alpha) // (p**alpha * (p - 1)) - ord_p_factorial(m, p)),
+            (n - p**alpha) // (p**alpha * (p - 1)) - legendre_count(m, p)),
         tables=(Family.STIRLING1, Family.STIRLING2),
         sums=lambda n, m, a, d, state, **_: state.stirling_product_sums(n, m, d, a),
     ),
@@ -217,7 +217,7 @@ def sc2_constants(n: int, p: int, f: IntPolynomial) -> tuple[int, int, int]:
     (l, C(n, l), rhs) with l = min(deg f, floor(n / p)) and rhs =
     p**ord_p(n!)."""
     l = min(f.degree, n // p)
-    return l, math.comb(n, l), p ** ord_p_factorial(n, p)
+    return l, math.comb(n, l), p ** legendre_count(n, p)
 
 
 def sc2_comparison(

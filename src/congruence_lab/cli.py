@@ -9,7 +9,8 @@ Subcommands
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
 error, an --out file or stdout that cannot be written, or a verify worker
-that cannot be started, 3 capacity (triangle row limit) error, 130
+that cannot be started or fails (out of memory included), 3 capacity error
+(a triangle row above the limit, or a serial run out of memory), 130
 interrupted (Ctrl-C), 141 stdout closed by its reader (broken pipe), 143
 terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and SIGHUP end a run as
 Ctrl-C does: the same clean-up, the same ``interrupted`` line.  A signal
@@ -898,6 +899,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:  # e.g. verify weisman --p 2 --alpha 30: 2**30 residues a tuple
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except CongruenceLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ __all__ = [
     "check_params",
     "check_prime",
     "is_prime",
+    "legendre_count",
     "ord_p",
     "ord_p_factorial",
     "ord_p_nonzero",
@@ -128,9 +129,7 @@ class PAdicOrder(Frozen):
     __slots__ = ("_finite",)
 
     def __init__(self, _finite: int | None) -> None:
-        if _finite is not None and _finite < 0:
-            raise ValueError("a finite p-adic order must be >= 0")
-        self._set(_finite)
+        self._set(None if _finite is None else check_at_least("order", _finite, 0))
 
     @property
     def is_infinite(self) -> bool:
@@ -242,7 +241,14 @@ def _digit_power(p: int) -> tuple[int, int]:
 def ord_p_factorial(n: int, p: int) -> int:
     """Legendre's count sum(floor(n / p**j), j >= 1), the p-order of n!."""
     check_prime(p)
-    check_at_least("n", n, 0)
+    return legendre_count(check_at_least("n", n, 0), p)
+
+
+def legendre_count(n: int, p: int) -> int:
+    """:func:`ord_p_factorial` without its checks that ``p`` is prime and
+    ``n >= 0``, for a caller that has checked them (the bounds of
+    ``bounds.THEOREMS`` and ``bounds.sc2_constants``, whose parameters every
+    claim path has checked)."""
     total = 0
     q = p
     while q <= n:

@@ -38,67 +38,17 @@ class Family(str, Enum):
     EULERIAN = "eulerian"
 
 
-def _stirling1_rows(max_n: int) -> list:
-    """Rows 0..max_n of the unsigned first-kind Stirling triangle.
-
-    Row n holds s(n, k) for k = 0..n, built from
-    s(n, k) = s(n-1, k-1) + (n-1) * s(n-1, k).
-    """
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        prev = rows[n - 1]
-        nm1 = n - 1
-        row = [nm1 * prev[0]]
-        for k in range(1, n):
-            row.append(prev[k - 1] + nm1 * prev[k])
-        row.append(prev[n - 1])
-        rows.append(row)
-    return rows
-
-
-def _stirling2_rows(max_n: int) -> list:
-    """Rows 0..max_n of the second-kind Stirling triangle.
-
-    Row n holds S(n, k) for k = 0..n, built from
-    S(n, k) = S(n-1, k-1) + k * S(n-1, k).
-    """
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        prev = rows[n - 1]
-        row = [0]
-        for k in range(1, n):
-            row.append(prev[k - 1] + k * prev[k])
-        row.append(prev[n - 1])
-        rows.append(row)
-    return rows
-
-
-def _eulerian_rows(max_n: int) -> list:
-    """Rows 0..max_n of the Eulerian triangle.
-
-    Row 0 is the seed [1]; row n (n >= 1) holds the ascent counts for
-    k = 0..n-1, built from A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
-    """
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        prev = rows[n - 1]
-        plen = len(prev)
-        row = []
-        for k in range(n):
-            acc = 0
-            if k < plen:
-                acc += (k + 1) * prev[k]
-            if 0 <= k - 1 < plen:
-                acc += (n - k) * prev[k - 1]
-            row.append(acc)
-        rows.append(row)
-    return rows
-
-
-_BUILDERS = {
-    Family.STIRLING1: _stirling1_rows,
-    Family.STIRLING2: _stirling2_rows,
-    Family.EULERIAN: _eulerian_rows,
+#: Each family's recurrence T(n, k) = a T(n-1, k-1) + b T(n-1, k), as the
+#: step that makes row n from row n-1 padded with a zero on each side, so
+#: that ``prev[k]`` is T(n-1, k-1) and ``prev[k + 1]`` is T(n-1, k).
+_RECURRENCES = {
+    # a = 1, b = n - 1, k = 0..n
+    Family.STIRLING1: lambda n, prev: [prev[k] + (n - 1) * prev[k + 1] for k in range(n + 1)],
+    # a = 1, b = k, k = 0..n
+    Family.STIRLING2: lambda n, prev: [prev[k] + k * prev[k + 1] for k in range(n + 1)],
+    # a = n - k, b = k + 1, k = 0..n-1 (row 0's seed is A(0, 0))
+    Family.EULERIAN: lambda n, prev: [(n - k) * prev[k] + (k + 1) * prev[k + 1]
+                                      for k in range(n)],
 }
 
 
@@ -132,11 +82,13 @@ def _family(family: Family | str) -> Family:
 
 
 def build(family: Family, max_n: int) -> Triangle:
-    """Construct a triangle of rows 0..max_n from the recurrences."""
+    """Construct a triangle of rows 0..max_n from its recurrence."""
     family = _family(family)
-    check_at_least("max_n", max_n, 0)
-    rows = _BUILDERS[family](max_n)
-    return Triangle(family, max_n, tuple(tuple(r) for r in rows))
+    step = _RECURRENCES[family]
+    rows = [(1,)]
+    for n in range(1, check_at_least("max_n", max_n, 0) + 1):
+        rows.append(tuple(step(n, (0, *rows[-1], 0))))
+    return Triangle(family, max_n, tuple(rows))
 
 
 def format_lines(tri: Triangle) -> Iterator[str]:

@@ -1013,6 +1013,18 @@ class TestExitCodes:
         assert main(["verify", "fleck", "--p", "2", "--n", "1..5"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
+        # verify weisman --p 2 --alpha 30 asks for 2**30 residues a tuple
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(verifier, "iter_chunks", out_of_memory)
+        out = tmp_path / "report.json"
+        assert main(["verify", "weisman", "--n", "1..3", "--p", "2", "--alpha", "30",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_stdout_exits_141(self, capsys):
         class ClosedPipe(io.StringIO):
             def write(self, text):

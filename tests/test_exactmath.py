@@ -391,6 +391,17 @@ def test_n_below_zero_gets_one_message_at_every_entry_point(entry):
         assert str(error.value) == message
 
 
+@pytest.mark.parametrize("value, message", [
+    (-1, "order must be >= 0, got -1"),
+    (2.5, "order must be an integer, got 2.5"),
+])
+def test_a_p_adic_order_out_of_range_gets_the_same_message(value, message):
+    assert PAdicOrder(0).value == 0 and PAdicOrder(None).is_infinite
+    with pytest.raises(ParameterError) as error:
+        PAdicOrder(value)
+    assert str(error.value) == message
+
+
 # a bare value where a collection of values belongs
 NOT_A_COLLECTION = {
     "check_collection": lambda v: check_collection("primes", v),

@@ -438,14 +438,13 @@ class TestCheckTuple:
         records = evaluate_tuple("wan-strong", {"n": 9, "p": 3, "alpha": 2, "l": 0}).records()
         assert len(records) == 9 and checks == ["check_params", 3]
 
-    def test_sc2_checks_p_once_per_tuple(self, monkeypatch):
+    def test_sc2_checks_p_only_in_its_grid(self, monkeypatch):
         # `verify sc2 --n 1..30 --p 2,3 --a=-1,1,2 --f 0,0,1`: 180 tuples and
-        # 270 claims.  Each tuple checks p once, in ord_p(n!) for
-        # p**ord_p(n!), which it works out once with l and C(n, l); its
-        # per-residue sums check nothing, and the grid checks each prime
-        # once.  (A comparison per claim, as check_claim makes, checks p
-        # three more times a claim.)  Every check of p, check_params'
-        # included, is exactmath.check_prime.
+        # 270 claims.  The grid checks each prime once; each tuple works out
+        # p**ord_p(n!) once with l and C(n, l), by the unchecked Legendre
+        # count, and its per-residue sums check nothing.  (A comparison per
+        # claim, as check_claim makes, checks p three more times a claim.)
+        # Every check of p, check_params' included, is exactmath.check_prime.
         checks = []
         real = exactmath.check_prime
 
@@ -459,7 +458,26 @@ class TestCheckTuple:
         verifier.ensure_tables([grid])
         results = [res for _, _, chunk in iter_chunks([grid], 1) for res in chunk]
         assert sum(len(res.residues) for res in results) == 270
-        assert len(results) == 180 and len(checks) == 2 + 180
+        assert len(results) == 180 and checks == [2, 3]
+        records = [rec for res in results for rec in res.records()]
+        assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
+
+    @pytest.mark.parametrize("theorem, axes", [
+        (TheoremId.SC3, {"alphas": (1, 2), "ms": (1, 2, 5), "a_values": (-1, 2)}),
+        (TheoremId.SC1, {"ms": (1, 2, 5), "a_values": (-1, 2)}),
+        (TheoremId.DAVIS_SUN_B, {"alphas": (1, 2), "ls": (0, 3)}),
+        (TheoremId.EC2, {"alphas": (1, 2), "a_values": (1, 3)}),
+    ])
+    def test_a_sweeps_bounds_check_nothing(self, theorem, axes, monkeypatch):
+        # the grid checks each prime when it is built, so the bounds
+        # (ord_p(m!) and ord_p(n!) among them) and the orders check p no more
+        grid = GridSpec(theorem, ns=range(1, 25), primes=(2, 3), **axes)
+        verifier.ensure_tables([grid])
+        checks = []
+        monkeypatch.setattr(exactmath, "check_prime", checks.append)
+        results = [res for _, _, chunk in iter_chunks([grid], 1) for res in chunk]
+        assert checks == []
+        monkeypatch.undo()
         records = [rec for res in results for rec in res.records()]
         assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
 

@@ -51,6 +51,14 @@ PINNED = [
     (["verify", "sc3", "--n", "1..40", "--p", "2,5", "--alpha", "1", "--m", "1..n",
       "--a=-1..2", "--format", "csv", "--no-timestamp"],
      "dc3655851fd4bc160a871b63446fa90cb49f2cdfcb7cb27e111a47c65b718588"),
+    # 2,754 claims that read the Eulerian rows 150..200, up to the row limit
+    (["verify", "ec1", "--n", "150..200", "--p", "2,3", "--alpha", "1,2", "--l", "0..2",
+      "--format", "csv", "--no-timestamp"],
+     "f24cfba1f64b558678247b8a6e1bd41d75ab822e89bee965ceee3c6d8f046531"),
+    # 18,960 claims that read both Stirling triangles up to the row limit
+    (["verify", "sc3", "--n", "195..200", "--p", "2,3", "--alpha", "1", "--m", "1..n",
+      "--a=0..1", "--format", "csv", "--no-timestamp"],
+     "12f9444aca6c5ce524dc7772d073129a266f9513b0820d92cec8fa19b816ca08"),
 ]
 
 
