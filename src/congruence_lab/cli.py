@@ -8,13 +8,17 @@ Subcommands
     identity   run identity/lemma check suites
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
-error, an --out file or stdout that cannot be written, or a verify worker
-that cannot be started or fails (out of memory included), 3 capacity error
-(a triangle row above the limit, or a serial run out of memory), 130
-interrupted (Ctrl-C), 141 stdout closed by its reader (broken pipe), 143
-terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and SIGHUP end a run as
-Ctrl-C does: the same clean-up, the same ``interrupted`` line.  A signal
-ignored at start (``nohup``, ``trap '' TERM``) stays ignored.
+error, an --out file or stdout that cannot be written, a verify worker that
+cannot be started or that dies, or an unexpected error (its traceback follows
+the ``error:`` line), 3 capacity error (a triangle row above the limit, or a
+run out of memory), 130 interrupted (Ctrl-C), 141 stdout closed by its reader
+(broken pipe), 143 terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and
+SIGHUP end a run as Ctrl-C does: the same clean-up, the same ``interrupted``
+line.  A signal ignored at start (``nohup``, ``trap '' TERM``) stays ignored.
+One rule (``_failure``) gives a failed run's exit code and stderr text, in
+the parent and in a pool worker alike, so a run fails the same way at any
+--workers.  A run lifts the interpreter's limit on int-to-text digits, so no
+exact sum is too long to write.
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
@@ -34,15 +38,15 @@ identity and SC2 CSV reports do), and ``datetime`` only for a timestamp.
 Every run streams its report through ``_write_report``, one write per chunk
 (and its JSON separator) and the JSON summary last, so memory does not
 depend on the grid size.
-`verify --workers N` (N >= 2) forks a pool of worker processes
-(:class:`_Pool`): worker i evaluates and renders chunks i, i + W,
-i + 2W, ... of the W workers and sends each back through a pipe as one
-``marshal`` frame, its summary's fields and its text; the parent writes the
-chunks in order and merges their summaries, so the report's bytes are those
-of a serial run.  The pool is capped at the CPUs the process may use and at
-the number of chunks; the run is serial when that leaves fewer than two
-workers, with --fail-fast, where ``os.fork`` is missing, or when another
-thread is running.  A worker that fails or dies makes the run exit 2.
+`verify --workers N` cuts the chunks into W shares (:class:`_Pool`), share i
+being chunks i, i + W, i + 2W, ...: the parent evaluates and renders share
+0 itself, between reads of the W - 1 worker processes it forks, each of
+which sends its chunks back through a pipe, each as one ``marshal`` frame,
+its summary's fields and its text; the parent writes the chunks in order and
+merges their summaries, so the report's bytes are those of a serial run.
+W is capped at the CPUs the process may use and at the number of chunks,
+and is 1, a serial run that forks nothing, with --fail-fast, where
+``os.fork`` is missing, or when another thread is running.
 Every grid value is checked before the first byte is written.  No flag is
 dropped silently: ``_flag_values`` refuses a flag that the theorem, sum kind
 or selected identity suites do not take, and the identity report's flags
@@ -485,25 +489,24 @@ def _usable_cpus() -> int:
 
 
 def _pool_size(workers: int, grids: list[GridSpec]) -> int:
-    """How many worker processes ``verify --workers workers`` forks for the
-    grids; 0 means the run is serial.
+    """How many shares ``verify --workers workers`` cuts the grids' chunks
+    into: the parent evaluates share 0 and forks a worker for each other
+    share, so 1 means the run is serial.
 
     The pool is capped at the usable CPUs and at the number of chunks of
-    the grids' records, and a pool of fewer than two is not started, so
-    that more workers never make a run slower.  Without ``os.fork``, or
-    with another thread running (which a fork would not copy), the run is
-    serial too.
+    the grids' records, so that more workers never make a run slower.
+    Without ``os.fork``, or with another thread running (which a fork would
+    not copy), the run is serial.
     """
     cap = min(workers, _usable_cpus())
     if cap < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    size = verifier.count_chunks(grids, JSON_CHUNK, cap)
-    return size if size >= 2 else 0
+        return 1
+    return verifier.count_chunks(grids, JSON_CHUNK, cap)
 
 
 #: A share of a sweep: ``chunks(first, step)`` gives the summary and text of
-#: chunks ``first``, ``first + step``, ``first + 2 step``, ...; a worker of the
-#: pool takes ``chunks(i, size)``, a serial run ``chunks(0, 1)``.
+#: chunks ``first``, ``first + step``, ``first + 2 step``, ...; share i of a
+#: pool of W is ``chunks(i, W)``, and a serial run is ``chunks(0, 1)``.
 _ChunkSource = Callable[[int, int], Iterator[tuple[GridSummary, str]]]
 
 
@@ -521,16 +524,19 @@ def _rendered_chunks(
 
 
 class _Pool:
-    """``size`` forked worker processes that evaluate and render a sweep.
+    """A sweep in ``size`` shares: this process evaluates and renders share
+    0, ``chunks(0, size)``, and forks a worker process for each other share
+    i, ``chunks(i, size)``.  A pool of size 1 forks nothing: the run is
+    serial.
 
-    Worker i sends the chunks of ``chunks(i, size)`` through its own pipe,
-    each as one :mod:`marshal` frame, its summary's fields and its text.  A
-    full pipe blocks the worker until the parent reads, so it holds at most
-    one rendered chunk.  On failure it sends one dict frame instead,
-    ``{"error": message}`` or ``{"interrupted": exit code}``, and exits 1.
-    A frame cut short by a worker's exit ends ``marshal.load`` in EOFError.
-    A worker ends with ``os._exit``, so it never flushes the output buffers
-    it inherited or runs the parent's clean-up.
+    Worker i sends its chunks through its own pipe, each as one
+    :mod:`marshal` frame, its summary's fields and its text.  A full pipe
+    blocks the worker until the parent reads, so it holds at most one
+    rendered chunk.  On failure it sends one dict frame instead, the exit
+    code and stderr text that :func:`_failure` gives, and exits 1.  A frame
+    cut short by a worker's exit ends ``marshal.load`` in EOFError.  A
+    worker ends with ``os._exit``, so it never flushes the output buffers it
+    inherited or runs the parent's clean-up.
 
     Leaving the ``with`` block, however it is left, closes the pipes and
     reaps every worker, killing any that has not exited.
@@ -539,12 +545,12 @@ class _Pool:
     def __init__(self, size: int, chunks: _ChunkSource):
         self.size = size
         self._chunks = chunks
-        self._pids: list[int | None] = []  # None once reaped
+        self._pids: list[int | None] = []  # worker i's at i - 1, None once reaped
         self._pipes: list[BinaryIO] = []
 
     def __enter__(self) -> "_Pool":
         try:
-            for i in range(self.size):
+            for i in range(1, self.size):
                 self._fork(i)
         except BaseException as exc:
             self._close()
@@ -585,51 +591,48 @@ class _Pool:
                     marshal.dump((*summary._fields(), text), pipe)
                     pipe.flush()
                 return 0
-            except KeyboardInterrupt as exc:
-                failure: dict[str, Any] = {"interrupted": getattr(exc, "code", EXIT_INTERRUPTED)}
-            except Exception as exc:
-                failure = {"error": f"{type(exc).__name__}: {exc}".replace("\n", " ")}
-            marshal.dump(failure, pipe)
+            except (KeyboardInterrupt, Exception) as exc:
+                code, text = _failure(exc)
+            marshal.dump({"exit": code, "stderr": text}, pipe)
             return 1
 
     def chunks(self) -> Iterator[tuple[GridSummary, str]]:
-        """Every chunk's summary and text, in chunk order.  A failed worker
-        raises :class:`CongruenceLabError`, or :class:`KeyboardInterrupt` if
-        it was interrupted."""
+        """Every chunk's summary and text, in chunk order, share 0's
+        evaluated here between reads of the workers' frames.  A share fails
+        as a serial run would, and a worker's failure raises :class:`_Failed`
+        with what :func:`_failure` gave there."""
+        shares = [self._chunks(0, self.size), *map(self._received, range(1, self.size))]
         for number in itertools.count():
-            chunk = self._read(number % self.size)
+            chunk = next(shares[number % self.size], None)
             if chunk is None:  # there is no chunk `number`
-                if any(self._read(i) is not None for i in range(self.size)):
+                if any(next(share, None) is not None for share in shares):
                     raise CongruenceLabError("a verify worker sent a chunk past the last")
                 return
             yield chunk
 
-    def _read(self, i: int) -> tuple[GridSummary, str] | None:
-        """Worker i's next chunk, or None once it has exited 0 with no more."""
-        pipe = self._pipes[i]
-        if not pipe.peek(1):  # the worker has exited
-            self._reap(i)
-            return None
-        try:
-            frame = marshal.load(pipe)
-        except EOFError:
-            self._reap(i)
-            raise CongruenceLabError("a verify worker exited in the middle of a chunk") from None
-        if isinstance(frame, dict):
-            if "error" in frame:
-                raise CongruenceLabError(f"a verify worker failed: {frame['error']}")
-            raise _Interrupted(frame["interrupted"])
-        *summary, text = frame
-        return GridSummary(*summary), text
+    def _received(self, i: int) -> Iterator[tuple[GridSummary, str]]:
+        """Worker i's chunks, read from its pipe until it has exited 0."""
+        pipe = self._pipes[i - 1]
+        while pipe.peek(1):  # empty once the worker has exited
+            try:
+                frame = marshal.load(pipe)
+            except EOFError:
+                self._reap(i)
+                raise CongruenceLabError("a verify worker exited in the middle of a chunk") from None
+            if isinstance(frame, dict):
+                raise _Failed(frame["exit"], frame["stderr"])
+            *summary, text = frame
+            yield GridSummary(*summary), text
+        self._reap(i)
 
     def _reap(self, i: int) -> None:
         """Wait for worker i, which has closed its pipe; raise unless it
         exited 0."""
-        pid = self._pids[i]
+        pid = self._pids[i - 1]
         if pid is None:
             return
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        self._pids[i] = None
+        self._pids[i - 1] = None
         if code:
             how = f"exit code {code}" if code > 0 else f"signal {-code}"
             raise CongruenceLabError(f"a verify worker ended early ({how})")
@@ -648,7 +651,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     theorem = TheoremId(args.theorem)
     flags = _flag_values(theorem.value, args, _VERIFY_FLAGS, _VERIFY_FLAGS[theorem.value])
     grids = _build_grids(theorem, args, flags)
-    size = 0 if args.fail_fast else _pool_size(args.workers, grids)
+    size = 1 if args.fail_fast else _pool_size(args.workers, grids)
     # the triangles, before the first byte and before any fork: every worker shares them
     verifier.ensure_tables(grids)
     chunks = functools.partial(_rendered_chunks, grids, args.format, args.probe_inapplicable,
@@ -663,12 +666,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.no_timestamp:
         run["timestamp"] = _now_stamp()
 
-    with _output(args.out) as out:
-        if size:
-            with _Pool(size, chunks) as pool:
-                summary = _write_report(out, run, args.format, pool.chunks())
-        else:
-            summary = _write_report(out, run, args.format, chunks(0, 1))
+    with _output(args.out) as out, _Pool(size, chunks) as pool:
+        summary = _write_report(out, run, args.format, pool.chunks())
 
     if args.out:
         counts = summary.verdicts
@@ -856,9 +855,8 @@ def _stdout_to_devnull() -> None:
 
 
 class _Interrupted(KeyboardInterrupt):
-    """An interrupt that exits ``code``: raised where a stop signal arrives
-    (:func:`_stop`), or for a pool worker's ``interrupted`` line, so that the
-    run cleans up as after Ctrl-C."""
+    """An interrupt that exits ``code``, raised where a stop signal arrives
+    (:func:`_stop`), so that the run cleans up as after Ctrl-C."""
 
     def __init__(self, code: int):
         super().__init__(code)
@@ -869,6 +867,32 @@ def _stop(signum: int, frame: object) -> None:
     raise _Interrupted(128 + signum)
 
 
+class _Failed(Exception):
+    """A pool worker's failure, raised in the parent with the exit code and
+    stderr text that :func:`_failure` gave in the worker."""
+
+
+def _failure(exc: BaseException) -> tuple[int, str]:
+    """The exit code and stderr text of a run that ``exc`` ended, the same
+    whether it was raised in the parent or in a pool worker:
+    "interrupted" and 130, or 128 + the stop signal; one ``error:`` line and
+    3 for a capacity error or a run out of memory, and 2 for any other error
+    of the package; and 2 for an unexpected exception, whose type and
+    message make the ``error:`` line, followed by its traceback."""
+    if isinstance(exc, KeyboardInterrupt):
+        return getattr(exc, "code", EXIT_INTERRUPTED), "interrupted\n"
+    if isinstance(exc, _Failed):
+        return exc.args
+    if isinstance(exc, MemoryError):  # e.g. verify weisman --p 2 --alpha 30: 2**30 residues a tuple
+        return EXIT_CAPACITY, "error: out of memory\n"
+    if isinstance(exc, CongruenceLabError):
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE, f"error: {exc}\n"
+    import traceback  # only an unexpected exception needs it
+
+    return EXIT_USAGE, f"error: {type(exc).__name__}: {exc}\n" + "".join(
+        traceback.format_exception(exc))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -877,7 +901,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     previous: dict[int, Any] = {}
+    # no exact sum is too long to write: the run lifts the limit on int-to-text
+    # digits (Python 3.10.7 and later), and a library caller gets its own back
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         # only the main thread may set handlers; a library caller gets its own
         # back, and an ignored signal (nohup, trap '') stays ignored
         if threading.current_thread() is threading.main_thread():
@@ -887,9 +916,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except KeyboardInterrupt as exc:
-        print("interrupted", file=sys.stderr)
-        return getattr(exc, "code", EXIT_INTERRUPTED)
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
@@ -897,16 +923,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         _stdout_to_devnull()
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except MemoryError:  # e.g. verify weisman --p 2 --alpha 30: 2**30 residues a tuple
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_CAPACITY
-    except CongruenceLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (KeyboardInterrupt, Exception) as exc:
+        code, text = _failure(exc)
+        sys.stderr.write(text)
+        return code
     finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
         for sig, handler in previous.items():
             signal.signal(sig, handler)
 

@@ -1071,6 +1071,55 @@ class TestExitCodes:
         assert path.read_text(encoding="utf-8") == ""
 
 
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """The interpreter's limit on int-to-text digits set to ``digits`` (0: no
+    limit) for the block."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-text digits before Python 3.10.7")
+class TestLongSums:
+    """A run writes every exact sum, however long, under the interpreter's
+    default limit of 4,300 digits, and gives the caller its limit back."""
+
+    # the class sums of (-1)**k C(15000, k): by the binomial theorem the even
+    # and the odd terms of (1 - 1)**n cancel and those of (1 + 1)**n are equal,
+    # so they are 2**14999 and -2**14999, 4,516 digits (the math.comb sums,
+    # 15,001 calls, take half a minute)
+    SUMS = [2**14999, -2**14999]
+
+    def test_verify_writes_sums_past_the_limit(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["verify", "fleck", "--n", "15000", "--p", "2", "--format", "csv",
+                     "--out", str(out)]) == 0
+        with int_digit_limit(0):
+            rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+            assert [row["sum"] for row in rows] == [str(total) for total in self.SUMS]
+        assert [row["ord"] for row in rows] == ["14999", "14999"]
+
+    def test_sum_prints_a_sum_past_the_limit(self, capsys):
+        assert main(["sum", "fleck", "--n", "15000", "--p", "2", "--r", "0"]) == 0
+        with int_digit_limit(0):
+            assert capsys.readouterr() == (f"{self.SUMS[0]} / ord_2 = 14999\n", "")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sum", "fleck", "--n", "30", "--p", "2"], 0),
+        (["sum", "fleck", "--n", "30", "--p", "4"], 2),
+        (["verify", "sc1", "--p", "2", "--n", "201", "--a", "1", "--m", "1"], 3),
+    ], ids=["ok", "usage", "capacity"])
+    def test_the_callers_limit_is_back_after_the_run(self, argv, code, capsys):
+        with int_digit_limit(5000):
+            assert main(argv) == code
+            assert sys.get_int_max_str_digits() == 5000
+
+
 # the flags each subcommand takes whatever its theorem, sum kind or suites;
 # every other flag is in the subcommand's table, where the one flag rule
 # (cli._flag_values) refuses it unless the entry takes it

@@ -3,8 +3,9 @@
 
 Most tests shrink ``cli.JSON_CHUNK`` so that small grids span several
 chunks, and claim two usable CPUs, so that the pool runs on any host; the
-``pool`` fixture counts the workers forked and checks afterwards that every
-one was reaped.
+``pool`` fixture counts the workers forked (the parent evaluates share 0, so
+``--workers W`` forks W - 1) and checks afterwards that every one was
+reaped.
 """
 
 import contextlib
@@ -26,6 +27,7 @@ import pytest
 from congruence_lab import cli, verifier
 from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.cli import main
+from congruence_lab.errors import CapacityError, CongruenceLabError
 from congruence_lab.verifier import GridSpec
 from test_golden_reports import DIGESTS, GRIDS
 
@@ -70,17 +72,17 @@ def test_golden_reports_with_two_workers(theorem, fmt, probe, pool, tmp_path, ca
     code, data = run(argv, 2, tmp_path / f"report.{fmt}")
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == DIGESTS[theorem, fmt, probe]
-    assert len(pool) == 2
+    assert len(pool) == 1
 
 
 # fleck with p = 2 has 2 claims per tuple (one per n); JSON_CHUNK is 6 here
 BOUNDARIES = {
     "less than one chunk": (["fleck", "--p", "2", "--n", "1..2"], 0),
     "exactly one chunk": (["fleck", "--p", "2", "--n", "1..3"], 0),
-    "one chunk and one tuple": (["fleck", "--p", "2", "--n", "1..4"], 2),
-    "three chunks, five workers": (["fleck", "--p", "2", "--n", "1..9"], 3),
+    "one chunk and one tuple": (["fleck", "--p", "2", "--n", "1..4"], 1),
+    "three chunks, five workers": (["fleck", "--p", "2", "--n", "1..9"], 2),
     "a residue subset": (["wan-strong", "--p", "2,3", "--alpha", "1,2", "--l", "0,1",
-                          "--n", "1..6", "--r", "7,1,-2"], 5),
+                          "--n", "1..6", "--r", "7,1,-2"], 4),
 }
 
 
@@ -97,10 +99,19 @@ def test_chunk_boundaries(case, fmt, pool, monkeypatch, tmp_path, capsys):
     assert len(pool) == forks
 
 
+def test_three_workers_on_three_cpus_fork_two(pool, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--format", "csv"]  # three chunks
+    serial = run(argv, 1, tmp_path / "w1")
+    assert run(argv, 3, tmp_path / "w3") == serial
+    assert len(pool) == 2
+
+
 def test_violations_in_late_chunks_merge_as_serial(pool, monkeypatch, tmp_path, capsys):
     # 1080 claims in 60 chunks; two tuples get unreachable bounds: the first
-    # violation comes from chunk 32 (worker 0), the smallest margin from
-    # chunk 48 (worker 0 too), and worker 1's chunks between them have none
+    # violation comes from chunk 32 (share 0), the smallest margin from
+    # chunk 48 (share 0 too, the parent's), and worker 1's chunks between them
+    # have none
     wiring = THEOREMS[TheoremId.WAN_STRONG]
     forced = {(11, 3, 2, 1): 1000, (17, 2, 2, 2): 10**6}
 
@@ -112,7 +123,7 @@ def test_violations_in_late_chunks_merge_as_serial(pool, monkeypatch, tmp_path, 
             "--l", "0..2"]
     serial = run(argv, 1, tmp_path / "w1.json")
     assert run(argv, 2, tmp_path / "w2.json") == serial
-    assert len(pool) == 2
+    assert len(pool) == 1
     summary = json.loads(serial[1])["summary"]
     assert serial[0] == 1
     assert summary["first_violation"] == {"n": 11, "p": 3, "alpha": 2, "l": 1, "d": 9, "r": 0}
@@ -125,12 +136,12 @@ FAILING_GRID = ["verify", "fleck", "--p", "2", "--n", "1..20", "--no-timestamp",
                 "--workers", "2"]
 
 
-def fail_in_the_second_chunk(monkeypatch, failure):
+def fail_at(monkeypatch, failure, n=10):
     # chunks of 16 claims: n = 1..8, 9..16 and 17..20; n = 10 is the second's
     real_evaluate = verifier._Plan.evaluate  # the sweep's per-tuple entry
 
     def evaluate(plan, params, *found):
-        if params["n"] == 10:
+        if params["n"] == n:
             failure()
         return real_evaluate(plan, params, *found)
 
@@ -141,20 +152,55 @@ def boom():
     raise RuntimeError("boom")
 
 
+def assert_failed_with(capsys, line, unexpected):
+    """Nothing on stdout, and ``error: line`` on stderr, followed by the
+    traceback of an unexpected exception, as a serial run prints it."""
+    stdout, stderr = capsys.readouterr()
+    first, trace = stderr.split("\n", 1)
+    assert (stdout, first) == ("", f"error: {line}")
+    if unexpected:
+        assert trace.startswith("Traceback (most recent call last):\n")
+        assert trace.endswith(f"\n{line}\n")
+    else:
+        assert trace == ""
+
+
 @pytest.mark.parametrize("failure, error", [
-    (boom, "a verify worker failed: RuntimeError: boom"),
+    (boom, "RuntimeError: boom"),
     (lambda: os._exit(7), "a verify worker ended early (exit code 7)"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "a verify worker ended early (signal 9)"),
 ], ids=["raises", "exits", "killed"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_failed_worker_exits_2_and_leaves_nothing(failure, error, fmt, pool, monkeypatch,
                                                     tmp_path, capsys):
-    fail_in_the_second_chunk(monkeypatch, failure)
+    fail_at(monkeypatch, failure)
     out = tmp_path / "report"
     assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert_failed_with(capsys, error, unexpected=failure is boom)
     assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 2
+    assert len(pool) == 1
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (MemoryError(), 3, "out of memory"),
+    (CapacityError("row 201 is above the row limit 200"), 3, "row 201 is above the row limit 200"),
+    (CongruenceLabError("cannot go on"), 2, "cannot go on"),
+    (RuntimeError("boom"), 2, "RuntimeError: boom"),
+], ids=["MemoryError", "CapacityError", "CongruenceLabError", "RuntimeError"])
+@pytest.mark.parametrize("n", [2, 10], ids=["share-0", "worker"])
+def test_a_failure_exits_as_at_one_worker(n, exc, code, line, pool, monkeypatch, tmp_path,
+                                          capsys):
+    # raised for n = 2, in the first chunk, which the parent evaluates, or for
+    # n = 10, in the second, which worker 1 evaluates; --workers 1 fails the same
+    def failure():
+        raise exc
+
+    fail_at(monkeypatch, failure, n)
+    for workers in ("1", "2"):
+        assert main(FAILING_GRID[:-1] + [workers, "--out", str(tmp_path / "report")]) == code
+        assert_failed_with(capsys, line, unexpected=isinstance(exc, RuntimeError))
+        assert list(tmp_path.iterdir()) == []  # no report and no temp file
+    assert len(pool) == 1
 
 
 @pytest.mark.parametrize("code, error", [
@@ -164,42 +210,37 @@ def test_a_failed_worker_exits_2_and_leaves_nothing(failure, error, fmt, pool, m
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_frame_cut_short_exits_2_and_leaves_nothing(code, error, fmt, pool, monkeypatch,
                                                       tmp_path, capsys):
-    # each worker sends its first chunk whole and half the frame of its
-    # second, then exits: worker 0's second is the third and last chunk, so
-    # the first two are written before the run fails
-    sent = []  # the frames of this process: a worker's, since only workers send
-
-    def dump(value, pipe):
+    # worker 1 sends half the frame of its one chunk, the second of three,
+    # then exits: the first, the parent's own, is written before the run fails
+    def dump(value, pipe):  # only a worker sends frames
         frame = marshal.dumps(value)
-        sent.append(frame)
-        if len(sent) == 2:
-            pipe.write(frame[: len(frame) // 2])
-            pipe.flush()
-            os._exit(code)
-        pipe.write(frame)
+        pipe.write(frame[: len(frame) // 2])
+        pipe.flush()
+        os._exit(code)
 
     monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(dump=dump, load=marshal.load))
     out = tmp_path / "report"
     assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 2
+    assert len(pool) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_chunk_past_the_last_exits_2_and_leaves_nothing(fmt, pool, monkeypatch, tmp_path,
                                                          capsys):
-    # worker 0 of 2 sends chunks 0 and 2 of the three, then its last again:
-    # the parent finds it after worker 1 has run out
+    # worker 2 of 3 sends chunk 2, the last of the three, then it again: the
+    # parent finds it after its own share, chunk 0, has run out
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     real_chunks = cli._rendered_chunks
 
     def one_too_many(*args):
         chunks = list(real_chunks(*args))
-        return iter(chunks + chunks[-1:] if args[-2:] == (0, 2) else chunks)
+        return iter(chunks + chunks[-1:] if args[-2:] == (2, 3) else chunks)
 
     monkeypatch.setattr(cli, "_rendered_chunks", one_too_many)
     out = tmp_path / "report"
-    assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
+    assert main(FAILING_GRID[:-1] + ["3", "--format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: a verify worker sent a chunk past the last\n")
     assert list(tmp_path.iterdir()) == []  # no report and no temp file
     assert len(pool) == 2
@@ -210,7 +251,9 @@ def test_a_chunk_past_the_last_exits_2_and_leaves_nothing(fmt, pool, monkeypatch
 @pytest.mark.parametrize("to", ["out", "stdout"])
 def test_a_worker_that_cannot_start_exits_2_and_leaves_nothing(call, code, to, pool, monkeypatch,
                                                                tmp_path, capsys):
-    # the second call fails, so one worker has started when the pool gives up
+    # the second call fails, so one worker has started when the pool gives up:
+    # --workers 3 on three CPUs forks two
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     real = getattr(os, call)
     calls = []
 
@@ -221,7 +264,7 @@ def test_a_worker_that_cannot_start_exits_2_and_leaves_nothing(call, code, to, p
         return real()
 
     monkeypatch.setattr(os, call, second_fails)
-    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--workers", "2"]
+    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--workers", "3"]
     if to == "out":
         argv += ["--out", str(tmp_path / "report")]
     assert main(argv) == 2
@@ -240,7 +283,7 @@ def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
     monkeypatch.setattr(cli, "JSON_CHUNK", 2)
     assert main(["verify", "fleck", "--p", "2", "--n", "1..5", "--workers", "2"]) == 130
     assert capsys.readouterr() == ("", "interrupted\n")
-    assert len(pool) == 2
+    assert len(pool) == 1
 
 
 def test_closed_stdout_exits_141(pool, capsys):
@@ -251,7 +294,7 @@ def test_closed_stdout_exits_141(pool, capsys):
     with contextlib.redirect_stdout(ClosedPipe()):
         assert main(["verify", "fleck", "--p", "2", "--n", "1..20", "--workers", "2"]) == 141
     assert capsys.readouterr() == ("", "")
-    assert len(pool) == 2
+    assert len(pool) == 1
 
 
 def test_sigint_to_the_process_group(tmp_path):
@@ -368,9 +411,9 @@ class TestPoolSize:
         (10**9, 4, 10, 4),
         (5, 8, 3, 3),  # capped at the chunks
         (5, 8, 2, 2),
-        (2, 8, 1, 0),  # a single chunk: serial
-        (1, 8, 10, 0),
-        (4, 1, 10, 0),  # one CPU: serial
+        (2, 8, 1, 1),  # a single chunk: serial
+        (1, 8, 10, 1),
+        (4, 1, 10, 1),  # one CPU: serial
     ])
     def test_capped_at_cpus_and_chunks(self, workers, cpus, chunks, size, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -382,15 +425,15 @@ class TestPoolSize:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert cli._pool_size(8, grid_of(10)) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._pool_size(8, grid_of(10)) == 0
+        assert cli._pool_size(8, grid_of(10)) == 1
 
     def test_serial_with_a_second_thread(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         assert cli._pool_size(4, grid_of(10)) == 4
         monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
-        assert cli._pool_size(4, grid_of(10)) == 0
+        assert cli._pool_size(4, grid_of(10)) == 1
 
     def test_serial_without_fork(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
-        assert cli._pool_size(4, grid_of(10)) == 0
+        assert cli._pool_size(4, grid_of(10)) == 1

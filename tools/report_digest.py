@@ -59,6 +59,11 @@ PINNED = [
     (["verify", "sc3", "--n", "195..200", "--p", "2,3", "--alpha", "1", "--m", "1..n",
       "--a=0..1", "--format", "csv", "--no-timestamp"],
      "12f9444aca6c5ce524dc7772d073129a266f9513b0820d92cec8fa19b816ca08"),
+    # 44 claims whose sums reach 4,342 digits, past the interpreter's default
+    # limit of 4,300 on int-to-text digits, which a run lifts
+    (["verify", "wan-strong", "--n", "14400..14410", "--p", "2", "--alpha", "1", "--l", "0..1",
+      "--format", "csv", "--no-timestamp"],
+     "d90c098a19ee4dcad1b74e38da59eb9e227e8de83a7b1398a0b9b4f78c533ac8"),
 ]
 
 
