@@ -50,11 +50,11 @@ and is 1, a serial run that forks nothing, with --fail-fast, where
 Every grid value is checked before the first byte is written.  No flag is
 dropped silently: ``_flag_values`` refuses a flag that the theorem, sum kind
 or selected identity suites do not take, and the identity report's flags
-without --out.  Every --out file is written under a temporary name in its
-directory and renamed into place when complete, so an interrupted run never
-leaves a truncated file; an interrupted run to stdout may leave a partial
-report there.  An existing directory at --out is refused before any claim or
-identity check runs.
+without --out.  Every regular --out file is written under a temporary name
+in its directory and renamed into place when complete, so an interrupted
+run never leaves a truncated file; an interrupted run to stdout, a FIFO or
+a device may leave a partial report there.  An existing directory at --out
+is refused before any claim or identity check runs.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ def _output(path: str | None) -> Iterator[TextIO]:
     it was.  An OSError from creating, writing or renaming the file becomes a
     :class:`CongruenceLabError` naming ``path``.  An existing directory at
     ``path``, which the rename could not replace, is refused before the block
-    runs, so no work is wasted on a report that cannot be written.
+    runs, so no work is wasted on a report that cannot be written.  A FIFO
+    or a device at ``path`` is written in place: a rename would replace it.
     """
     if not path:
         yield sys.stdout
@@ -205,7 +206,12 @@ def _output(path: str | None) -> Iterator[TextIO]:
         # os.replace would refuse a directory only after the block has run
         if target.is_dir() and not target.is_symlink():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        target.parent.mkdir(parents=True, exist_ok=True)
+        if target.exists() and not (target.is_file() or target.is_dir()):
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                yield fh
+            return
+        if not target.parent.exists():  # under a regular file, open says "Not a directory"
+            target.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, target)

@@ -28,9 +28,9 @@ running power of the base (:func:`_power_sum`).  They are
 residue class of one modulus at once, in residue order, equal to one
 per-residue sum each: the verifier evaluates a parameter tuple's d claims
 with one of them.  A sweep runs them on the :class:`_SweepState` its plan
-owns: :func:`fleck_sums` steps the sums of n from those of n - 1, and
-:func:`stirling_product_sums` folds the terms of a block's n into each of
-its moduli at once.  The public ones keep nothing between calls.
+owns, which steps the sums of n from those of n - 1: by Pascal's rule,
+and by the two Stirling recurrences.  The public ones keep nothing between
+calls.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
 class _SweepState:
     """What the one-pass sums of one sweep keep between its tuples, across
     its grids; a sweep's plan holds one, so it goes when the sweep ends,
-    and a pool worker starts with none.
+    and a pool worker starts with none.  A plan serves one theorem, so its
+    state keeps Fleck-type or Stirling sums, never both.
 
     With v_k = (-1)**k C(n, k), the sum for class r is F(n, r, l), the sum
     over j of v_(r + j d) C(j, l).  Pascal's rule, v(n)_k = v(n-1)_k -
@@ -156,24 +157,33 @@ class _SweepState:
     class instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6
     and 7 of 10 pairs).
 
-    The Stirling sums of (m, a) at n are made from its terms s(n, k)
-    S(k, m) a**k (k = m..n), in one pass over k.  A block's ``moduli`` (the
-    class moduli of the tuples that share n, set by the plan) read the same
-    terms, so the first of them to meet (m, a) folds the terms into every
-    other modulus e at once, and ``folds`` keeps what it folded for e until
-    e reads it or n, ``stirling_n``, changes: at most e sums, or the terms
-    themselves where there are no more than e.  Terms made for each modulus
-    ran ``sc3-sweep`` 1.02x and 1.10x slower in two in-process rounds (faster
-    in 5 of 14 and 2 of 16).
+    The Stirling sum for class r is T(n, r, m), the sum over k = r (mod d)
+    of s(n, k) S(k, m) a**k, and the recurrences of s and S step it:
+
+        T(n, r, m) = a m T(n-1, r-1, m) + a T(n-1, r-1, m-1) + (n-1) T(n-1, r, m),
+
+    with T(n, r, 0) = 0 for n >= 1.  So ``kept[d, a]`` is (n, levels) for
+    the last n asked of d <= n, levels[m - 1] the d sums of level m = 1..M.
+    A step carries every level, and level n of n - 1 is zero, so a step
+    from every level of n - 1 adds level n while n - 1 <= ``top``, the
+    largest m asked: M <= ``top`` + 1.  A level not stepped (the first n, a
+    gap, a pool worker's first tuple, a larger m) comes from its terms
+    u_k S(k, m), k >= m, with u_k = s(n, k) a**k, and is kept only as the
+    next level up: an m axis of 1..n steps every level, and an m past the
+    next costs its own terms, not those of every level below it.  The sums
+    of d > n or m > n come from the terms too, and keep nothing; ``rows``
+    holds one n's rows and each a's u.  In process, remaking every level
+    for each larger m ran ``sc3 --n 195..200`` 40x slower, and terms without
+    u ran ``--n 150,200`` 1.6-1.75x slower.  Making every level below an m
+    past the next ran ``sc1 --n 150,200 --m 100,150`` 4x slower end to end.
     """
 
-    __slots__ = ("kept", "top", "moduli", "stirling_n", "stirling_rows", "folds")
+    __slots__ = ("kept", "top", "rows")
 
     def __init__(self) -> None:
-        self.kept: dict[int, tuple[int, list]] = {}
+        self.kept: dict[int | tuple[int, int], tuple[int, list]] = {}
         self.top = 0
-        self.moduli: tuple[int, ...] = ()
-        self.stirling_n = None  # the folds and rows come with an n
+        self.rows = None
 
     def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
         """:func:`fleck_sums` of checked arguments, stepped where it can be."""
@@ -203,35 +213,42 @@ class _SweepState:
         return list(levels[l])
 
     def stirling_product_sums(self, n: int, m: int, d: int, a: int) -> list[int]:
-        """:func:`stirling_product_sums` of checked arguments: the terms of
-        (m, a), made in one pass over k, folded into d classes, unless an
-        earlier modulus of the block has folded them for d."""
-        if n != self.stirling_n:
-            self.stirling_n, self.folds = n, {}
-            self.stirling_rows = (triangles.stirling1_row(n),
-                                  triangles.ensure_rows(Family.STIRLING2, n).rows)
-        sums = self.folds.pop((m, a, d), None)
-        if sums is None:  # k = m..n, since S(k, m) = 0 for k < m
-            srow, rows2 = self.stirling_rows
-            terms, power = [], a**m
-            for k in range(m, n + 1):
-                terms.append(srow[k] * rows2[k][m] * power)
-                power *= a
-            for e in self.moduli:
-                if e != d:
-                    self.folds[m, a, e] = _folded(terms, e)
-            sums = _folded(terms, d)
-        sums = sums + [0] * (d - len(sums))  # the classes past the last term are empty
+        """:func:`stirling_product_sums` of checked arguments, stepped where it can be."""
+        if m > self.top:
+            self.top = m
+        if d > n or m > n:  # nothing is kept
+            return self._stirling_level(n, m, d, a)
+        kept_n, levels = self.kept.get((d, a), (None, []))
+        if kept_n == n - 1:
+            if len(levels) == n - 1 <= self.top:  # level n of n - 1 is zero
+                levels = [*levels, [0] * d]
+            stepped, below = [], [0] * d  # below: level m - 1 of n - 1, rotated
+            for level, sums in enumerate(levels, 1):
+                rotated = [sums[-1], *sums[:-1]]  # rotated[r] = T(n - 1, r - 1, level)
+                stepped.append([a * (level * x + y) + (n - 1) * z
+                                for x, y, z in zip(rotated, below, sums)])
+                below = rotated
+            levels = stepped
+        elif kept_n != n:
+            levels = []
+        if m == len(levels) + 1:  # the next level up, so the next n steps it too
+            levels.append(self._stirling_level(n, m, d, a))
+        self.kept[d, a] = (n, levels)
+        return list(levels[m - 1]) if m <= len(levels) else self._stirling_level(n, m, d, a)
+
+    def _stirling_level(self, n: int, m: int, d: int, a: int) -> list[int]:
+        """The sums T(n, r, m), r = 0..d-1, from their terms u_k S(k, m)."""
+        if self.rows is None or self.rows[0] != n:
+            self.rows = (n, triangles.stirling1_row(n),
+                         triangles.ensure_rows(Family.STIRLING2, n).rows, {})
+        _, srow, rows2, weighted = self.rows
+        u = weighted.get(a)
+        if u is None:
+            u = weighted[a] = [c * a**k for k, c in enumerate(srow)]
+        terms = [u[k] * rows2[k][m] for k in range(m, n + 1)]
+        sums = [sum(terms[i::d]) for i in range(min(d, len(terms)))] + [0] * (d - len(terms))
         shift = m % d  # sums[i] is the sum of class (m + i) % d
         return sums[-shift:] + sums[:-shift]
-
-
-def _folded(terms: list[int], d: int) -> list[int]:
-    """The sums of terms[i::d] for i = 0..d-1, or the terms themselves where
-    there are no more than d: each of those classes has one term at most.
-    Always making d sums ran ``sc3 --p 2,5`` 1.07-1.14x slower in process
-    (faster in 2 and 1 of 14 rounds)."""
-    return [sum(terms[i::d]) for i in range(d)] if len(terms) > d else terms
 
 
 def _power_sum(terms, cls: ResidueClass, base: int) -> int:

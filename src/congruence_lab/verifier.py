@@ -35,8 +35,9 @@ A sweep runs in blocks, the tuples of a grid that share n.  One
 :class:`_Plan` per theorem and residue set of the sweep walks its grids
 (:meth:`_Plan.tuples`), working out the class modulus, hypotheses and
 bound at the innermost axis each reads, so once per distinct value of the
-parameters it names, and owns the :class:`~filtered_sums._SweepState` in
-which the sums of a block share their triangle rows and terms.
+parameters it names, and owns the :class:`~filtered_sums._SweepState` that
+steps each modulus's sums from one n to the next and fetches a block's
+triangle rows at most once.
 :func:`evaluate_tuple` runs a block of one tuple.  Each tuple's result, in
 a sweep's chunks as from :func:`evaluate_tuple`, is a :class:`TupleResult`.
 
@@ -316,11 +317,6 @@ class _Plan:
         theorem's parameters in canonical order, in sorted order, as
         (params, d, residues, applicable, bound).  A walk of the product
         that works out all three per tuple ran ``sc3-sweep`` 1.11x slower."""
-        # the moduli of a block, which the Stirling sums fold their terms into
-        depth = next(at for at, fns in enumerate(self.at) if fns[0])  # the modulus's axis
-        names = self.wiring.params[:depth + 1]
-        self.state.moduli = tuple({self.wiring.modulus(**dict(zip(names, values)))
-                                   for values in itertools.product(*axes[:depth + 1])})
         rows: Iterable[tuple] = [({}, None, None, True, None)]
         for name, values, fns in zip(self.wiring.params, axes, self.at):
             rows = self._extend(rows, name, values, *fns)

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -1013,9 +1015,40 @@ def test_directory_as_out_fails_before_any_work(command, tmp_path, monkeypatch, 
 
 def test_out_below_a_file_exits_2(tmp_path, capsys):
     (tmp_path / "file").write_text("")
-    assert main(OUT_COMMANDS["verify"] + ["--out", str(tmp_path / "file" / "r.json")]) == 2
+    target = tmp_path / "file" / "r.json"
+    assert main(OUT_COMMANDS["verify"] + ["--out", str(target)]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
-    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert capsys.readouterr() == ("", f"error: cannot write {target}: "
+                                       f"{os.strerror(errno.ENOTDIR)}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_a_fifo_as_out_is_written_in_place(command, tmp_path):
+    # a rename would put a regular file where the FIFO was, as it once did
+    # to a device node; the reader gets the bytes a regular file gets
+    fifo, regular = tmp_path / "fifo", tmp_path / "regular"
+    assert main(OUT_COMMANDS[command] + ["--out", str(regular)]) == 0
+    os.mkfifo(fifo)
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    held = os.open(fifo, os.O_WRONLY)  # so that the reader sees no end before the run's
+    os.set_blocking(read_end, True)
+    got = []
+
+    def read():
+        with open(read_end, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        assert main(OUT_COMMANDS[command] + ["--out", str(fifo)]) == 0
+    finally:
+        os.close(held)
+        reader.join()
+    assert got == [regular.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular"]  # no *.tmp
 
 
 class TestExitCodes:

@@ -474,32 +474,12 @@ class TestOnePassSums:
         per_int = sys.getsizeof(1 << (ns[-1] + 64)) + 8
         assert held < (bound + 2 * (ns[-1] + 1)) * per_int + 2**14
 
-    def test_a_blocks_stirling_folds_are_read_by_its_end(self):
-        # sc3-sweep's moduli and a axis over n = 58..60: the first modulus of
-        # a block to meet (m, a) folds its terms for the three others, each
-        # of which reads its fold once, so nothing of a block stays after it
-        grids = [verifier.GridSpec("sc3", ns=(n,), primes=(2, 3), alphas=(1, 2),
-                                   ms=range(1, n + 1), a_values=range(-2, 4))
-                 for n in (58, 59, 60)]
-        verifier.ensure_tables(grids)
-        plan = verifier._Plan(verifier.TheoremId.SC3, "all", False)
-
-        def sweep():
-            for grid in grids:
-                axes = [getattr(grid, verifier.AXIS_FIELDS[name]) for name in plan.wiring.params]
-                for row in plan.tuples(axes):
-                    plan.evaluate(*row)  # result dropped
-
-        held = self._held_after(sweep)
-        assert sorted(plan.state.moduli) == [2, 4, 6, 18]
-        assert plan.state.stirling_n == 60 and plan.state.folds == {}
-        assert held < 2**17
-
     def test_a_blocks_stirling_folds_stay_small_at_large_n(self):
         # one block at n = 150 with a long a axis and the moduli 2 and 6: at
-        # its peak it holds the 6 sums of each (m, a) folded for d = 6, not
-        # its terms s(n, k) S(k, m) a**k, about n - m of them, which took
-        # about ten times as much here
+        # its peak the state holds the levels of each (d, a), 2 + 6 sums per
+        # (m, a), and not the terms s(n, k) S(k, m) a**k of any level, about
+        # n - m of them, which took about ten times as much here.  The bound
+        # is the one the fold-ahead it replaced was held to, 6 sums per (m, a)
         n, primes, a_values = 150, (2, 3), range(-5, 6)
         axes = [(n,), primes, (1,), range(1, n + 1), a_values]
         verifier.ensure_tables([verifier.GridSpec("sc3", *axes[:3], ms=axes[3],
@@ -519,18 +499,94 @@ class TestOnePassSums:
         folds = n * len(a_values) * (6 * big + 2**8)  # and a list, a key and a dict slot
         assert peak < folds + (n + 1) * big + 2**17
 
-    def test_a_block_of_one_modulus_folds_nothing(self):
-        # sc1 at p = 2 has the one modulus d = 1, so no second modulus of a
-        # block reads a term again, and the state folds none; with p = 2, 3
-        # the 60 * 6 pairs (m, a) are folded for d = 2 and read there
-        verifier.ensure_tables([verifier.GridSpec("sc1", ns=(60,), primes=(2,), ms=(1,),
-                                                  a_values=(1,))])
-        for primes, most in (((2,), 0), ((2, 3), 60 * 6)):
-            plan, sizes = verifier._Plan(verifier.TheoremId.SC1, "all", False), []
-            for row in plan.tuples([(60,), primes, range(1, 61), range(-2, 4)]):
-                plan.evaluate(*row)  # result dropped
-                sizes.append(len(plan.state.folds))
-            assert plan.state.stirling_n == 60 and max(sizes) == most and sizes[-1] == 0
+    @staticmethod
+    def _check_stirling_kept(state):
+        """What a Stirling state keeps: for each (d, a) with d <= n, the
+        levels m = 1..M of one n, d sums each, with M at most one past the
+        largest m it was asked and at most n (level 0 is zero for n >= 1)."""
+        for (d, a), (n, levels) in state.kept.items():
+            assert d <= n and all(len(sums) == d for sums in levels)
+            assert len(levels) <= min(state.top + 1, n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=16),  # where the window starts
+        st.lists(st.sampled_from([1, 1, 1, 2, 3]), max_size=5),  # its n steps: 2 and 3 are gaps
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 12, 20]), min_size=1, max_size=3,
+                 unique=True),  # its moduli, d = 1 and d on both sides of n
+        st.one_of(st.none(), st.lists(st.integers(min_value=1, max_value=24), min_size=1,
+                                      max_size=4, unique=True).map(sorted)),  # 1..n or static
+        st.lists(st.integers(min_value=-3, max_value=4), min_size=1, max_size=3,
+                 unique=True),  # its a axis, a = 0 among the values
+        st.integers(min_value=0, max_value=12),  # calls a pool chunk start skips
+    ), min_size=1, max_size=4))
+    def test_stirling_levels_over_sweeps(self, windows):
+        """Sweeps as a grid makes them, n outermost and a innermost, on one
+        state per drawn sweep: n windows with gaps, restarts at an earlier or
+        a later n, m axes that grow with n or stay static (with m > n), the
+        (d, a) interleaved, and windows that start part-way into an n, as a
+        pool chunk does.  Every sum equals the per-residue kernel and a naive
+        sum of the closed-form rows, which read no triangle."""
+        state = filtered_sums._SweepState()
+        terms = {}  # (n, m, a): the terms s(n, k) S(k, m) a**k, k = 0..n, of the closed forms
+        for start, steps, moduli, ms, a_values, skip in windows:
+            ns = itertools.accumulate(steps, initial=start)
+            calls = [(n, m, d, a) for n in ns for d in moduli for m in ms or range(1, n + 1)
+                     for a in a_values][skip:]
+            for n, m, d, a in calls:
+                got = state.stirling_product_sums(n, m, d, a)
+                assert got == [filtered_sums._stirling_product_sum(n, m, ResidueClass(d, r), a)
+                               for r in range(d)], (n, m, d, a)
+                if (n, m, a) not in terms:
+                    terms[n, m, a] = [s * stirling2_explicit(k, m) * a**k
+                                      for k, s in enumerate(rising_poly_coeffs(n))]
+                assert got == [naive_filtered_sum(n, d, r, terms[n, m, a].__getitem__)
+                               for r in range(d)], (n, m, d, a)
+                self._check_stirling_kept(state)
+                kept_n = state.kept.get((d, a), (None,))[0]
+                if d > n:  # nothing is kept
+                    assert kept_n != n
+                elif m <= n:
+                    assert kept_n == n
+
+    @pytest.mark.parametrize("moduli, ms", [
+        # sc3-sweep's moduli 2, 4, 6 and 18, then 8, and 54 above every n,
+        # with m = 1..n
+        ((2, 4, 6, 8, 18, 54), lambda n: range(1, n + 1)),
+        # sc1's moduli up to p = 7, and a static m axis, with m > n at small n
+        ((1, 2, 4, 6), lambda n: (1, 3, 4)),
+    ], ids=["n-coupled", "static"])
+    def test_kept_stirling_levels_after_a_sweep(self, moduli, ms):
+        # what stays after n = 1..30 is at most (M + 1) d sums per (d, a),
+        # d <= n, with M the largest m asked (a step may add level M + 1),
+        # and the rows of the last n with one weighted row per a: no level
+        # past M + 1, and nothing for d > n
+        last, a_values = 30, range(-2, 4)
+        state = filtered_sums._SweepState()
+        triangles.ensure_rows(triangles.Family.STIRLING1, last)
+        triangles.ensure_rows(triangles.Family.STIRLING2, last)
+
+        def sweep():
+            for n in range(1, last + 1):
+                for d in moduli:
+                    for m in ms(n):
+                        for a in a_values:
+                            state.stirling_product_sums(n, m, d, a)  # result dropped
+
+        held = self._held_after(sweep)
+        self._check_stirling_kept(state)
+        top = max(ms(last))
+        assert state.top == top
+        assert set(state.kept) == {(d, a) for d in moduli if d <= last for a in a_values}
+        kept = sum(len(sums) for _, levels in state.kept.values() for sums in levels)
+        assert kept <= sum((top + 1) * d for d, _ in state.kept)
+        # each sum is below n! n**n 3**n in absolute value, and so is each
+        # weighted row entry s(n, k) a**k; a list holds each by one pointer,
+        # and each level is one list
+        bits = (math.factorial(last) * last**last * 3**last).bit_length()
+        per_int = sys.getsizeof(1 << bits) + 8
+        levels = sum(len(levels) for _, levels in state.kept.values())
+        assert held < (kept + len(a_values) * (last + 1)) * per_int + levels * 64 + 2**15
 
     @staticmethod
     def _held_after(run):

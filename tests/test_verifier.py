@@ -340,11 +340,19 @@ class TestCheckTuple:
         assert calls == want
 
     def test_a_block_fetches_its_triangle_rows_once(self, monkeypatch):
-        # sc3's sums read the rows s(n, .) and S(k, .), k <= n: a sweep
-        # fetches them once per block of tuples that share n, where it
-        # fetched them twice per tuple (336 tuples here)
+        # sc1's and sc3's sums read the rows s(n, .) and S(k, .), k <= n, only
+        # for what they do not step from n - 1: a sweep fetches each family's
+        # row at most once per block of tuples that share n, where it fetched
+        # both twice per tuple.  The first n of a window fetches, and so does
+        # a block with a modulus above n; an m axis of 1..n, or a static one
+        # that skips no level, then steps every level, so the window's later
+        # blocks fetch nothing
         grids = [GridSpec(TheoremId.SC3, ns=(n,), primes=(2, 3), alphas=(1, 2),
                           ms=range(1, n + 1), a_values=range(-2, 1)) for n in range(1, 8)]
+        grids += [GridSpec(TheoremId.SC3, ns=(n,), primes=(2, 3), alphas=(1,),
+                           ms=range(1, n + 1), a_values=range(-2, 1)) for n in range(20, 24)]
+        grids.append(GridSpec(TheoremId.SC1, ns=(*range(30, 36), 38, 39), primes=(2, 3),
+                              ms=(1, 2), a_values=range(-2, 1)))
         verifier.ensure_tables(grids)
         real, calls = triangles.ensure_rows, []
 
@@ -354,9 +362,9 @@ class TestCheckTuple:
 
         monkeypatch.setattr(triangles, "ensure_rows", counted)
         results = [res for _, _, chunk in iter_chunks(grids, 1) for res in chunk]
-        assert len(results) == 4 * 28 * 3
-        assert calls == [(family, n) for n in range(1, 8)
-                         for family in (triangles.Family.STIRLING1, triangles.Family.STIRLING2)]
+        assert len(results) == 4 * 28 * 3 + 2 * 86 * 3 + 8 * 2 * 2 * 3
+        assert len(calls) == len(set(calls))
+        assert {n for _, n in calls} == {*range(1, 8), 20, 30, 38}  # 38 follows a gap
         monkeypatch.undo()
         assert [rec for res in results for rec in res.records()] == [
             check_claim(grid.theorem, params) for grid in grids for params in grid_params(grid)]

@@ -61,6 +61,11 @@ PINNED = [
     (["verify", "sc3", "--n", "195..200", "--p", "2,3", "--alpha", "1", "--m", "1..n",
       "--a=0..1", "--format", "csv", "--no-timestamp"],
      "12f9444aca6c5ce524dc7772d073129a266f9513b0820d92cec8fa19b816ca08"),
+    # 10,140 claims of a full-residue sc1 sweep with a static m axis, gaps in
+    # n, m > n at small n, and the moduli 1, 2, 4 and 6 on both sides of n
+    (["verify", "sc1", "--n", "1..30,41,50..70", "--p", "2,3,5,7", "--m", "1,3,4",
+      "--a=-2..2", "--format", "csv", "--no-timestamp"],
+     "f4b0b27f3eb9623775fc6cb413e7dc84faff5edde87084e611e59ff4fdaeea54"),
     # 44 claims whose sums reach 4,342 digits, past the interpreter's default
     # limit of 4,300 on int-to-text digits, which a run lifts
     (["verify", "wan-strong", "--n", "14400..14410", "--p", "2", "--alpha", "1", "--l", "0..1",
