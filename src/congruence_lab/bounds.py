@@ -137,6 +137,8 @@ THEOREMS: dict[TheoremId, Theorem] = {
         bound=lambda n, p, alpha, beta, l, **_: (
             (n - _q(p, alpha) - l) // (_q(p, alpha) * (p - 1)) - (l - 1) * alpha - beta),
         hypotheses=lambda n, p, alpha, beta, **_: beta <= alpha and n >= _q(p, alpha),
+        sums=lambda n, p, alpha, beta, l, d, state, **_: (
+            [None] * d if beta > alpha else state.fleck_sums(n, d, l, p**alpha)),
     ),
     TheoremId.WAN_STRONG: Theorem(
         params=("n", "p", "alpha", "l"),

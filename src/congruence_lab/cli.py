@@ -292,7 +292,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 _SUM_KINDS: dict[str, tuple[dict[str, Any], str | None, Callable[..., int | None]]] = {
     "fleck": ({"p": _NEEDED, "alpha": 1, "l": 0}, "alpha",
               lambda n, cls, v: fleck_sum(n, cls, v["l"])),
-    # the sun claim's sum checks nothing: n, alpha and l are checked first, as fleck_sum does
+    # the sun claim's sum checks nothing, so n, alpha and l are checked here first
     "fleck --variant floor": ({"p": _NEEDED, "alpha": 1, "beta": _NEEDED, "l": 0}, "beta",
                               lambda n, cls, v: check_params(n=n, alpha=v["alpha"], l=v["l"])
                               or THEOREMS[TheoremId.SUN].sum(cls, n=n, **v)),

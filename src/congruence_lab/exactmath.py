@@ -85,11 +85,10 @@ def check_prime(p: int) -> int:
 
 
 #: Smallest allowed value of each integer parameter that has one: p must be
-#: prime, a and r may be any integer, and d (a class modulus) and the divisor
-#: of a floor quotient are at least 1.  :func:`check_params` applies them (by
-#: :func:`check_at_least`) for every claim, grid, residue class, bound and sum.
-PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1, "d": 1,
-                                 "divisor": 1}
+#: prime, a and r may be any integer, and d (a class modulus) is at least 1.
+#: :func:`check_params` applies them (by :func:`check_at_least`) for every
+#: claim, grid, residue class, bound and sum.
+PARAM_MINIMUM: dict[str, int] = {"n": 1, "alpha": 1, "beta": 0, "l": 0, "m": 1, "d": 1}
 
 
 def check_params(**params) -> None:

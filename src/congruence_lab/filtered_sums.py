@@ -13,24 +13,27 @@ arguments and calls a private kernel that checks nothing (``_fleck_sum``,
 ..., the :class:`_SweepState` methods); the theorem table calls only the
 kernels, since every claim path has checked the claim's parameters.
 
-The binomial values C(n, k) come from one memoized row per n, built by
-:func:`binomial_row`, not from ``math.comb`` per claim: a grid runs n
-outermost, so one row serves every tuple and residue of that n.  That
-one-row cache is the module's only state.  The per-residue sums
-(:func:`fleck_sum`, :func:`binom_power_sum`, the Eulerian and the Stirling
-sums) are their formulas, one term per member of the class: the Fleck and
-Eulerian sums weigh each term by ``math.comb``, and the power sums keep one
-running power of the base (:func:`_power_sum`).  They are
-``check_claim``'s reference, and the sweep path of ``sun``, ``ec1``,
-``ec2``, ``sc2`` (no one-pass sums) and of a residue subset.
+The binomial values come from one memoized signed row (-1)**k C(n, k) per
+n, built from :func:`binomial_row`, not from ``math.comb`` per claim: a grid
+runs n outermost, so one row serves every tuple and residue of that n.  That
+one-row cache is the module's only state, and the only place a binomial
+entry is negated.  The per-residue sums (:func:`fleck_sum`,
+:func:`binom_power_sum`, the Eulerian and the Stirling sums) are their
+formulas, one term per member of the class: the Fleck and Eulerian sums
+weigh each term by ``math.comb`` (``sun``'s floor sum is ``_fleck_sum``
+with quotients by p**alpha), and the power sums keep one running power of
+the base (:func:`_power_sum`).  They are ``check_claim``'s reference, and
+the sweep path of ``ec1``, ``ec2``, ``sc2`` (no one-pass sums) and of a
+residue subset.
 
 :func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
 residue class of one modulus at once, in residue order, equal to one
 per-residue sum each: the verifier evaluates a parameter tuple's d claims
-with one of them.  A sweep runs them on the :class:`_SweepState` its plan
-owns, which steps the sums of n from those of n - 1: by Pascal's rule,
-and by the two Stirling recurrences.  The public ones keep nothing between
-calls.
+with one of them, and those of all seven binomial theorems, ``sun``'s
+floor sums included, with the Fleck-type one.  A sweep runs them on the
+:class:`_SweepState` its plan owns, which steps the sums of n from those
+of n - 1: by Pascal's rule, and by the two Stirling recurrences.  The
+public ones keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -92,36 +95,34 @@ def binomial_row(n: int) -> list:
 
 
 @functools.lru_cache(maxsize=1)
-def _binomial_row(n: int) -> tuple:
-    """Row n of Pascal's triangle, kept until a sum asks for another n."""
-    return tuple(binomial_row(n))
+def _signed_row(n: int) -> tuple:
+    """The signed row v_k = (-1)**k C(n, k), k = 0..n, kept until a sum asks
+    for another n: the one place a binomial entry is negated."""
+    return tuple(-c if k & 1 else c for k, c in enumerate(binomial_row(n)))
 
 
-def fleck_sum(n: int, cls: ResidueClass, l: int = 0, divisor: int | None = None) -> int:
+def fleck_sum(n: int, cls: ResidueClass, l: int = 0) -> int:
     """Alternating filtered binomial sum with a binomial-of-quotient weight:
-    sum over k = r (mod d), 0 <= k <= n, of C(n, k) (-1)**k C(floor((k - r) / q), l)
+    sum over k = r (mod d), 0 <= k <= n, of C(n, k) (-1)**k C((k - r) / d, l)
 
-    with d the class modulus and q the ``divisor``, or d when none is given.
-    At q = d the quotient is exact, and the l = 0 sum is the plain
-    alternating filtered sum.  The ``sun`` claim sums over a class modulo
-    p**beta with q = p**alpha.
+    with d the class modulus.  The l = 0 sum is the plain alternating
+    filtered sum.
     """
     check_params(n=n, l=l)
-    if divisor is not None:
-        check_params(divisor=divisor)
-    return _fleck_sum(n, cls, l, divisor)
+    return _fleck_sum(n, cls, l)
 
 
 def _fleck_sum(n: int, cls: ResidueClass, l: int = 0, q: int | None = None) -> int:
-    """:func:`fleck_sum` of checked arguments, with the divisor ``q``."""
-    row, r, q = _binomial_row(n), cls.residue, q or cls.modulus
-    return sum((-row[k] if k & 1 else row[k]) * math.comb((k - r) // q, l)
-               for k in cls.members(n))
+    """:func:`fleck_sum` of checked arguments, with the quotients floor((k -
+    r) / q) by ``q`` (d when none is given): the ``sun`` claim sums over a
+    class modulo p**beta with q = p**alpha."""
+    row, r, q = _signed_row(n), cls.residue, q or cls.modulus
+    return sum(row[k] * math.comb((k - r) // q, l) for k in cls.members(n))
 
 
 def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
-    """The :func:`fleck_sum` of every residue r = 0..d - 1, with no divisor,
-    worked out on a fresh :class:`_SweepState`, so from the row."""
+    """The :func:`fleck_sum` of every residue r = 0..d - 1, worked out on a
+    fresh :class:`_SweepState`, so from the row."""
     check_params(n=n, d=d, l=l)
     return _SweepState().fleck_sums(n, d, l)
 
@@ -132,26 +133,31 @@ class _SweepState:
     and a pool worker starts with none.  A plan serves one theorem, so its
     state keeps Fleck-type or Stirling sums, never both.
 
-    With v_k = (-1)**k C(n, k), the sum for class r is F(n, r, l), the sum
-    over j of v_(r + j d) C(j, l).  Pascal's rule, v(n)_k = v(n-1)_k -
-    v(n-1)_(k-1), gives every F of n from those of n - 1 with 2d + 1
+    With v_k = (-1)**k C(n, k), the signed row, and quotients by a modulus
+    q, F(n, rho, l) is the sum over j of v_(rho + j q) C(j, l), rho < q.
+    The sum for class r modulo d, a divisor of q, is the sum of F(n, rho,
+    l) over rho = r (mod d): its members k = rho + j q have floor((k - r) /
+    q) = j.  At q = d that is F(n, r, l), the Fleck-type sums; ``sun``
+    takes d = p**beta and q = p**alpha.  Pascal's rule, v(n)_k = v(n-1)_k -
+    v(n-1)_(k-1), gives every F of n from those of n - 1 with 2q + 1
     additions per l:
 
-        F(n, r, l) = F(n-1, r, l) - F(n-1, r-1, l)                  for r >= 1,
-        F(n, 0, l) = F(n-1, 0, l) - F(n-1, d-1, l) - F(n-1, d-1, l-1),
+        F(n, rho, l) = F(n-1, rho, l) - F(n-1, rho-1, l)            for rho >= 1,
+        F(n, 0, l) = F(n-1, 0, l) - F(n-1, q-1, l) - F(n-1, q-1, l-1),
 
-    with F(., ., -1) = 0.  So ``kept[d]`` is (n, levels) for the last n
-    asked of a modulus d <= n, levels[l][r] = F(n, r, l) for l = 0..L, with
-    ``top`` = L the largest l the state has been asked: a step carries every
-    level, since level l needs level l - 1, so a modulus keeps at most
-    (L + 1) d sums.  A modulus d > n keeps nothing: each class has at most
-    one member, and the row gives the sums.
+    with F(., ., -1) = 0.  So ``kept[q]`` is (n, levels) for the last n
+    asked of a modulus q <= n, levels[l][rho] = F(n, rho, l) for l = 0..L,
+    with ``top`` = L the largest l the state has been asked: a step carries
+    every level, since level l needs level l - 1, so a modulus keeps at
+    most (L + 1) q sums.  A modulus q > n keeps nothing: each class modulo
+    q has at most one member, k = rho, with weight C(0, l), so l > 0 gives
+    zeros and l = 0 folds the signed row.
 
     With no usable n - 1 (the first n, a gap in the n axis, a pool worker's
     first tuple) or a larger l than is kept, levels 0..L come from the
     signed row at once (levels 0..l alone ran a pool worker's share of
-    ``pool-csv`` 1.37x slower): F(n, r, l) is entry l of the (l + 1)-fold
-    suffix sums of class r's terms, highest k first, since t-fold suffix
+    ``pool-csv`` 1.37x slower): F(n, rho, l) is entry l of the (l + 1)-fold
+    suffix sums of class rho's terms, highest k first, since t-fold suffix
     sums put weight C(j - i + t - 1, t - 1) on term j at entry i.  A class
     of at most l members sums to 0.  Rebuilding from :func:`_fleck_sum` per
     class instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6
@@ -185,16 +191,18 @@ class _SweepState:
         self.top = 0
         self.rows = None
 
-    def fleck_sums(self, n: int, d: int, l: int) -> list[int]:
-        """:func:`fleck_sums` of checked arguments, stepped where it can be."""
+    def fleck_sums(self, n: int, d: int, l: int, q: int | None = None) -> list[int]:
+        """:func:`fleck_sums` of checked arguments, with the quotients by
+        ``q``, a multiple of d (d when none is given), stepped where it can be."""
+        q = q or d
         if l > self.top:
             self.top = l
-        if d > n:  # class r has at most one member, k = r, with weight C(0, l)
+        if q > n:  # each class mod q has at most one member, k = rho, with weight C(0, l)
             if l:
                 return [0] * d
-            row = _binomial_row(n)
-            return [c if k % 2 == 0 else -c for k, c in enumerate(row)] + [0] * (d - n - 1)
-        kept_n, levels = self.kept.get(d, (None, ()))
+            signed = _signed_row(n)
+            return [sum(signed[r::d]) for r in range(min(d, n + 1))] + [0] * (d - n - 1)
+        kept_n, levels = self.kept.get(q, (None, ()))
         if kept_n == n - 1 and len(levels) > l:  # Pascal's rule
             stepped, below = [], None  # below: level l - 1 of n - 1
             for sums in levels:
@@ -203,14 +211,14 @@ class _SweepState:
                 below = sums
             levels = stepped
         elif kept_n != n or len(levels) <= l:
-            signed = list(_binomial_row(n))
-            signed[1::2] = [-c for c in signed[1::2]]
-            classes, levels = [signed[r::d][::-1] for r in range(d)], []
+            signed = _signed_row(n)
+            classes, levels = [signed[rho::q][::-1] for rho in range(q)], []
             for depth in range(self.top + 1):
                 classes = [list(itertools.accumulate(c)) for c in classes]
                 levels.append([c[-1 - depth] if len(c) > depth else 0 for c in classes])
-        self.kept[d] = (n, levels)
-        return list(levels[l])
+        self.kept[q] = (n, levels)
+        sums = levels[l]
+        return list(sums) if q == d else [sum(sums[r::d]) for r in range(d)]
 
     def stirling_product_sums(self, n: int, m: int, d: int, a: int) -> list[int]:
         """:func:`stirling_product_sums` of checked arguments, stepped where it can be."""
@@ -268,13 +276,14 @@ def _power_sum(terms, cls: ResidueClass, base: int) -> int:
 
 def binom_power_sum(n: int, cls: ResidueClass, a: int) -> int:
     """Filtered binomial power sum:
-    sum over k = r (mod d), 0 <= k <= n, of C(n, k) (-a)**k.
+    sum over k = r (mod d), 0 <= k <= n, of C(n, k) (-a)**k,
+    the signed row's terms times a**k.
 
     At a = 1 this specializes to the l = 0 :func:`fleck_sum`.
     """
     check_at_least("n", n, 0)
     check_params(a=a)
-    return _power_sum(_binomial_row(n)[cls.residue :: cls.modulus], cls, -a)
+    return _power_sum(_signed_row(n)[cls.residue :: cls.modulus], cls, a)
 
 
 def eulerian_wan_sum(n: int, cls: ResidueClass, l: int) -> int:

@@ -9,7 +9,7 @@ import random
 import time
 
 from congruence_lab import identities, triangles, verifier
-from congruence_lab.bounds import TheoremId
+from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.cli import main
 from congruence_lab.exactmath import IntPolynomial, ord_p
 from congruence_lab.filtered_sums import (
@@ -202,7 +202,7 @@ def test_criterion_7_oracle_equivalence():
             beta = rng.randint(0, alpha)
             cls_b = ResidueClass(p**beta, r)
             rb = cls_b.residue
-            got = fleck_sum(n, cls_b, l, d)
+            got = THEOREMS[TheoremId.SUN].sum(cls_b, n=n, p=p, alpha=alpha, beta=beta, l=l)
             want = naive_filtered_sum(
                 n, p**beta, rb,
                 lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - rb) // d, l),

@@ -38,10 +38,11 @@ class TestTable:
             assert read <= params - {"f"}, theorem  # no polynomial
 
     def test_one_pass_sums(self):
-        # the binomial EXACT sums and the Stirling product sums; the rest
-        # fall back to one sum per residue
+        # the seven binomial sums, sun's floor sums among them, and the
+        # Stirling product sums; the rest fall back to one sum per residue
         assert {t.value for t, entry in THEOREMS.items() if entry.sums is not None} == {
-            "fleck", "weisman", "wan", "wan-strong", "davis-sun-a", "davis-sun-b", "sc1", "sc3",
+            "fleck", "weisman", "wan", "sun", "wan-strong", "davis-sun-a", "davis-sun-b",
+            "sc1", "sc3",
         }
 
     def test_only_sc2_has_no_exponent(self):

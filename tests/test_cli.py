@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,27 @@ class TestVerifyCommand:
             assert rec["verdict"] == "NOT-APPLICABLE"
             assert rec["sum"] is None and rec["ord"] is None
             assert isinstance(rec["bound"], int)
+
+    def test_a_quotient_modulus_above_n_builds_no_list_of_its_length(self, tmp_path):
+        # q = p**alpha = 2**20 > n: each class modulo q has at most one
+        # member, so sun's one-pass sums fold the signed row, and nothing of
+        # length q is made (a list of q pointers alone takes 8 MiB)
+        out = tmp_path / "report.json"
+        args = ["verify", "sun", "--n", "1..3", "--p", "2", "--alpha", "20", "--beta", "0",
+                "--l", "0..1", "--probe-inapplicable", "--no-timestamp", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        assert len(records) == 6
+        assert records == [check_claim("sun", params, probe_inapplicable=True).to_json_dict()
+                           for params in grid_params(GridSpec(
+                               TheoremId.SUN, ns=range(1, 4), primes=(2,), alphas=(20,),
+                               betas=(0,), ls=(0, 1)))]
 
     def test_capacity_exits_3(self, capsys):
         n = str(triangles.ROW_LIMIT + 1)

@@ -280,7 +280,7 @@ class TestCheckParams:
 #: entry point that takes the parameter gives for it: one out of range, and
 #: one that is not an integer (or, for f, not a polynomial)
 GOOD = {"n": 5, "p": 2, "alpha": 1, "beta": 0, "l": 0, "m": 1, "a": 1, "d": 2, "r": 0,
-        "f": IntPolynomial((0, 1)), "divisor": 2, "coefficient": 0}
+        "f": IntPolynomial((0, 1)), "coefficient": 0}
 BAD = {
     "n": ((0, "n must be >= 1, got 0"), (2.7, "n must be an integer, got 2.7")),
     "alpha": ((0, "alpha must be >= 1, got 0"), (1.5, "alpha must be an integer, got 1.5")),
@@ -292,7 +292,6 @@ BAD = {
     "d": ((0, "d must be >= 1, got 0"), (2.0, "d must be an integer, got 2.0")),
     "r": ((0.5, "r must be an integer, got 0.5"),),  # any integer will do
     "f": (("0,1", "f must be an IntPolynomial, got '0,1'"),),
-    "divisor": ((0, "divisor must be >= 1, got 0"), (1.5, "divisor must be an integer, got 1.5")),
     "coefficient": ((0.9, "coefficient must be an integer, got 0.9"),),
 }
 
@@ -323,9 +322,9 @@ def _evaluate_tuple(name, v):
 
 
 # each entry point with the parameters it checks; a sum takes its class (or
-# d), built for the good values (modulus 2 = p**alpha, 1 = p**beta, with the
-# divisor p**alpha), and only the parameters of its weight
-EXACT, FLOOR = filtered_sums.ResidueClass(2, 0), filtered_sums.ResidueClass(1, 0)
+# d), built for the good values (modulus 2 = p**alpha), and only the
+# parameters of its weight
+EXACT = filtered_sums.ResidueClass(2, 0)
 ENTRY_POINTS = {
     "GridSpec": ("n p alpha beta l m a r f", _grid),
     "check_claim": ("n p alpha beta l m a r f", _check_claim),
@@ -333,8 +332,6 @@ ENTRY_POINTS = {
     "ResidueClass": ("d r", lambda _, v: filtered_sums.ResidueClass(v["d"], v["r"])),
     "IntPolynomial": ("coefficient", lambda _, v: IntPolynomial((v["coefficient"], 1))),
     "fleck_sum": ("n l", lambda _, v: filtered_sums.fleck_sum(v["n"], EXACT, v["l"])),
-    "fleck_sum FLOOR": ("n l divisor", lambda _, v: filtered_sums.fleck_sum(
-        v["n"], FLOOR, v["l"], v["divisor"])),
     "fleck_sums": ("n d l", lambda _, v: filtered_sums.fleck_sums(v["n"], v["d"], v["l"])),
     # binom_power_sum's n is not here: n >= 0 is its own rule
     "binom_power_sum": ("a", lambda _, v: filtered_sums.binom_power_sum(v["n"], EXACT, v["a"])),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_lab import filtered_sums, triangles, verifier
+from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import IntPolynomial, ord_p
 from congruence_lab.filtered_sums import (
@@ -64,14 +65,14 @@ class TestFleckSum:
 
     def test_floor_variant(self):
         # beta = 1, alpha = 2: modulus 2, quotient floor(k/4)
-        value = fleck_sum(6, ResidueClass(2, 0), 1, 4)
+        value = filtered_sums._fleck_sum(6, ResidueClass(2, 0), 1, 4)
         expected = sum(
             math.comb(6, k) * (-1) ** k * math.comb(k // 4, 1) for k in range(0, 7, 2)
         )
         assert value == expected
 
     def test_floor_beta_zero_is_unfiltered(self):
-        value = fleck_sum(7, ResidueClass(1, 0), 2, 3)
+        value = filtered_sums._fleck_sum(7, ResidueClass(1, 0), 2, 3)
         expected = sum(
             math.comb(7, k) * (-1) ** k * math.comb(k // 3, 2) for k in range(8)
         )
@@ -204,7 +205,7 @@ class TestNaiveOracle:
                 beta = rng.randint(0, alpha)
                 cls_b = ResidueClass(p**beta, r)
                 rb = cls_b.residue
-                got = fleck_sum(n, cls_b, l, d)
+                got = filtered_sums._fleck_sum(n, cls_b, l, d)
                 want = naive_filtered_sum(
                     n,
                     p**beta,
@@ -302,7 +303,7 @@ class TestNaiveOracle:
                 assert got == want, ("exact", n, p, alpha, r, l)
                 beta = alpha - 1
                 rb = r % p**beta
-                got = fleck_sum(n, ResidueClass(p**beta, rb), l, d)
+                got = filtered_sums._fleck_sum(n, ResidueClass(p**beta, rb), l, d)
                 want = naive_filtered_sum(
                     n, p**beta, rb,
                     lambda k: math.comb(n, k) * (-1) ** k * math.comb((k - rb) // d, l),
@@ -322,7 +323,7 @@ class TestNaiveOracle:
                 for beta in range(alpha + 1):
                     for r in range(p**beta):
                         for l in range(4):
-                            got = fleck_sum(n, ResidueClass(p**beta, r), l, d)
+                            got = filtered_sums._fleck_sum(n, ResidueClass(p**beta, r), l, d)
                             assert got == sum(ring[l][r::p**beta]), (n, p, alpha, beta, r, l)
 
     def test_triangle_sums_by_closed_forms(self):
@@ -436,6 +437,41 @@ class TestOnePassSums:
                     ring[n, d] = fleck_sums_by_ring(n, d, 4)
                 assert got == ring[n, d][l], (n, d, l)
                 assert got == [fleck_sum(n, ResidueClass(d, r), l) for r in range(d)]
+                self._check_kept(state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=30),  # where the window starts
+        st.lists(st.sampled_from([1, 1, 1, 2, 3]), max_size=6),  # its n steps: 2 and 3 are gaps
+        st.lists(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (5, 1)]),
+                 min_size=1, max_size=3, unique=True),  # its (p, alpha), some q above n
+        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),  # its l axis
+        st.integers(min_value=0, max_value=12),  # calls a pool chunk start skips
+    ), min_size=1, max_size=4))
+    def test_floor_sums_over_sweeps(self, windows):
+        """sun's sums as a grid makes them, n outermost, then (p, alpha),
+        beta = 0..alpha + 1 and l, on one state per drawn sweep: n windows
+        with gaps, restarts at an earlier or a later n, l axes that skip
+        values or run down, the betas of each q = p**alpha interleaved, and
+        windows that start part-way into an n, as a pool chunk does.  Every
+        sum equals sun's per-residue sum and the folded ring oracle, which
+        reads no row; beta > alpha has no sum."""
+        sun, ring = THEOREMS[TheoremId.SUN], {}
+        state = filtered_sums._SweepState()
+        for start, steps, pairs, ls, skip in windows:
+            ns = itertools.accumulate(steps, initial=start)
+            calls = [(n, p, alpha, beta, l) for n in ns for p, alpha in pairs
+                     for beta in range(alpha + 2) for l in ls][skip:]
+            for n, p, alpha, beta, l in calls:
+                params = {"n": n, "p": p, "alpha": alpha, "beta": beta, "l": l}
+                d, q = p**beta, p**alpha
+                got = sun.sums(d=d, state=state, **params)
+                assert got == [sun.sum(ResidueClass(d, r), **params) for r in range(d)], params
+                if beta <= alpha:
+                    if (n, q) not in ring:
+                        ring[n, q] = fleck_sums_by_ring(n, q, 4)
+                    assert got == [sum(ring[n, q][l][r::d]) for r in range(d)], params
+                    assert got == state.fleck_sums(n, d, l, q)
                 self._check_kept(state)
 
     def test_no_empty_class_is_kept(self):
@@ -637,7 +673,7 @@ class TestOnePassSums:
 
     def test_bad_arguments(self):
         for bad in (lambda: fleck_sums(0, 2), lambda: fleck_sums(4, 0),
-                    lambda: fleck_sums(4, 2, -1), lambda: fleck_sum(4, ResidueClass(2, 0), 0, 0),
+                    lambda: fleck_sums(4, 2, -1),
                     lambda: stirling_product_sums(0, 1, 2, 1),
                     lambda: stirling_product_sums(3, 0, 2, 1),
                     lambda: stirling_product_sums(3, 1, 0, 1),

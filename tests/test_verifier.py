@@ -397,12 +397,12 @@ class TestCheckTuple:
             assert records == [check_claim(grid.theorem, params) for params in grid_params(grid)]
 
     def test_a_per_residue_sweep_checks_only_its_classes(self, monkeypatch):
-        # sun has no one-pass sums, and its per-residue kernels check nothing;
+        # ec1 has no one-pass sums, and its per-residue kernels check nothing;
         # the grid has checked every value, so the sweep checks no tuple's
         # parameters: what is left is each ResidueClass checking its own d and
         # r, one per residue (the plan builds no class of its own)
-        grid = GridSpec(TheoremId.SUN, ns=range(3, 9), primes=(2, 3), alphas=(1, 2),
-                        betas=(0, 1), ls=(0, 1))
+        grid = GridSpec(TheoremId.EC1, ns=range(3, 9), primes=(2, 3), alphas=(1, 2),
+                        ls=(0, 1))
         checks = []
         for module in (verifier, filtered_sums, bounds, triangles):
             def counted(real=module.check_params, **params):
@@ -411,11 +411,11 @@ class TestCheckTuple:
             monkeypatch.setattr(module, "check_params", counted)
         records = run_grid(grid).records
         tuples = list(verifier._grid_tuples(grid))
-        assert len(tuples) == 6 * 2 * 2 * 2 * 2
-        assert all(THEOREMS[TheoremId.SUN].hypotheses(**params) for params in tuples)
+        assert len(tuples) == 6 * 2 * 2 * 2
+        assert THEOREMS[TheoremId.EC1].sums is None
         expected = []
         for params in tuples:
-            d = THEOREMS[TheoremId.SUN].modulus(**params)
+            d = THEOREMS[TheoremId.EC1].modulus(**params)
             expected += [{"d": d, "r": r} for r in range(d)]
         assert checks == expected
         monkeypatch.undo()

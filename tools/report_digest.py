@@ -33,11 +33,19 @@ PINNED = [
     (["verify", "davis-sun-b", "--n", "1..150", "--p", "2,3,5", "--alpha", "1..3",
       "--l", "0,2,5", "--format", "csv", "--no-timestamp"],
      "0360b3b4ebc7442833cb28acbc04a0f2d321f0947815f70440e78eed69a9d17a"),
-    # 26,400 claims on the per-residue path (sun has no one-pass sums), with
-    # probed inapplicable tuples, beta > alpha among them
+    # 26,400 claims of sun's one-pass floor sums, folded from the stepped
+    # sums modulo p**alpha, with probed inapplicable tuples, beta > alpha
+    # among them, and moduli p**alpha above n at small n
     (["verify", "sun", "--n", "1..60", "--p", "2,3", "--alpha", "1,2", "--beta", "0..3",
       "--l", "0..3", "--probe-inapplicable", "--format", "csv", "--no-timestamp"],
      "594cca001819a67a7e1230af7dc77d25d957cd46f133d16eae9db5e361294fd9"),
+    # 10,800 claims of a sun residue subset, so the per-residue floor sums
+    # for d = 2, 3, 4 and 9, the one-pass sums for d = 1, and beta > alpha
+    # probed
+    (["verify", "sun", "--n", "1..150", "--p", "2,3", "--alpha", "1,2", "--beta", "0..2",
+      "--l", "0..3", "--r", "0,2", "--probe-inapplicable", "--format", "csv",
+      "--no-timestamp"],
+     "a3ba5cde57c9bdcaa3cbcdb02bdaefc1626d4e535d2f79ce35ecb0e8e9d7ddc0"),
     # 18,600 claims of a residue subset, so per-residue sums where every
     # residue would take the one-pass sums, with an m axis that grows with n
     (["verify", "sc3", "--n", "1..30", "--p", "2,3", "--alpha", "1,2", "--m", "1..n",
@@ -135,7 +143,7 @@ with tempfile.TemporaryDirectory() as tmp:
                 with open(report, "rb") as f:
                     digest = hashlib.sha256(f.read()).hexdigest()
             ok = code == 0 and digest == want
-            print(f"{' '.join(argv[:2])} {' '.join(how)}: exit {code}, "
+            print(f"{' '.join(argv)} {' '.join(how)}: exit {code}, "
                   f"{'digest matches' if ok else 'DIFFERENT digest ' + digest}")
             failed |= not ok
 sys.exit(failed)
