@@ -8,17 +8,16 @@ Subcommands
     identity   run identity/lemma check suites
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or parameter
-error, an --out file or stdout that cannot be written, a verify worker that
-cannot be started or that dies, or an unexpected error (its traceback follows
-the ``error:`` line), 3 capacity error (a triangle row above the limit, or a
-run out of memory), 130 interrupted (Ctrl-C), 141 stdout closed by its reader
-(broken pipe), 143 terminated (SIGTERM), 129 hung up (SIGHUP).  SIGTERM and
-SIGHUP end a run as Ctrl-C does: the same clean-up, the same ``interrupted``
-line.  A signal ignored at start (``nohup``, ``trap '' TERM``) stays ignored.
-One rule (``_failure``) gives a failed run's exit code and stderr text, in
-the parent and in a pool worker alike, so a run fails the same way at any
---workers.  A run lifts the interpreter's limit on int-to-text digits, so no
-exact sum is too long to write.
+error, an --out file or stdout that cannot be written, or an unexpected
+error (its traceback follows the ``error:`` line), 3 capacity error (a
+triangle row above the limit, or a run out of memory), 130 interrupted
+(Ctrl-C), 141 stdout closed by its reader (broken pipe), 143 terminated
+(SIGTERM), 129 hung up (SIGHUP).  SIGTERM and SIGHUP end a run as Ctrl-C
+does: the same clean-up, the same ``interrupted`` line.  A signal ignored at
+start (``nohup``, ``trap '' TERM``) stays ignored.  One rule (``_failure``)
+gives a failed run's exit code and stderr text.  A run lifts the
+interpreter's limit on int-to-text digits, so no exact sum is too long to
+write.
 
 Range flags accept "a..b" (inclusive), comma lists "x,y,z", or a mix of both;
 residues also accept "all".  The --m axis of the Stirling sweeps additionally
@@ -37,16 +36,8 @@ A ``verify`` run imports neither the identity suites nor ``csv`` (only the
 identity and SC2 CSV reports do), and ``datetime`` only for a timestamp.
 Every run streams its report through ``_write_report``, one write per chunk
 (and its JSON separator) and the JSON summary last, so memory does not
-depend on the grid size.
-`verify --workers N` cuts the chunks into W shares (:class:`_Pool`), share i
-being chunks i, i + W, i + 2W, ...: the parent evaluates and renders share
-0 itself, between reads of the W - 1 worker processes it forks, each of
-which sends its chunks back through a pipe, each as one ``marshal`` frame,
-its number, summary fields and text; the parent merges the shares by that
-number, refusing a chunk out of turn, so the report is a serial run's.
-W is capped at the CPUs the process may use and at the number of chunks,
-and is 1, a serial run that forks nothing, with --fail-fast, where
-``os.fork`` is missing, or when another thread is running.
+depend on the grid size.  Every run is serial, in one process: ``--workers
+N`` is accepted (N >= 1) for the scripts that pass it, and changes nothing.
 Every grid value is checked before the first byte is written.  No flag is
 dropped silently: ``_flag_values`` refuses a flag that the theorem, sum kind
 or selected identity suites do not take, and the identity report's flags
@@ -63,11 +54,8 @@ import argparse
 import contextlib
 import errno
 import functools
-import heapq
 import io
 import json
-import marshal
-import operator
 import os
 import signal
 import sys
@@ -106,7 +94,7 @@ _STOP_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP")
                       if hasattr(signal, name))
 
 # the least number of claims in a report chunk, in JSON and CSV alike: the unit
-# of a write and of the --workers pool
+# of a write
 JSON_CHUNK = 512
 
 CSV_COLUMNS = (
@@ -458,19 +446,19 @@ def _results_csv(results: list[verifier.TupleResult]) -> str:
 
 
 def _write_report(
-    out: TextIO, run: dict[str, Any], fmt: str, chunks: Iterable[tuple[int, GridSummary, str]]
+    out: TextIO, run: dict[str, Any], fmt: str, chunks: Iterable[tuple[GridSummary, str]]
 ) -> GridSummary:
     """Write the report whose records are the chunks' texts, in order, to
     ``out``, one write per chunk (and one for its JSON separator), and
     return the merge of the chunks' summaries once they are written.  A
-    chunk (a :data:`_ChunkSource` item) is its number, its summary and its
+    chunk (a :func:`_rendered_chunks` item) is its summary and its
     :func:`_results_json` text or CSV rows.  Sorted keys put the JSON
     "records" first, so the run and the summary follow the last chunk."""
     summary = GridSummary()
     if fmt == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
     started = False
-    for _, part, text in chunks:
+    for part, text in chunks:
         summary.merge(part)
         if fmt == "json":  # a write of its own, so that the chunk is not copied
             out.write(",\n" if started else _RECORDS_OPEN + "\n")
@@ -483,171 +471,16 @@ def _write_report(
     return summary
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _pool_size(workers: int, grids: list[GridSpec]) -> int:
-    """How many shares ``verify --workers workers`` cuts the grids' chunks
-    into: the parent evaluates share 0 and forks a worker for each other
-    share, so 1 means the run is serial.
-
-    The pool is capped at the usable CPUs and at the number of chunks of
-    the grids' records, since no more shares than that can run at once.  The
-    cap cannot see a host whose CPUs give no parallel throughput: there a
-    pool runs slower than a serial run.  Without ``os.fork``, or with
-    another thread running (which a fork would not copy), the run is serial.
-    """
-    cap = min(workers, _usable_cpus())
-    if cap < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return verifier.count_chunks(grids, JSON_CHUNK, cap)
-
-
-#: A share of a sweep: ``chunks(first, step)`` gives the number, summary and
-#: text of chunks ``first``, ``first + step``, ``first + 2 step``, ...; share
-#: i of a pool of W is ``chunks(i, W)``, and a serial run is ``chunks(0, 1)``.
-_ChunkSource = Callable[[int, int], Iterator[tuple[int, GridSummary, str]]]
-
-
 def _rendered_chunks(
-    grids: list[GridSpec], fmt: str, probe_inapplicable: bool, fail_fast: bool,
-    first: int, step: int,
-) -> Iterator[tuple[int, GridSummary, str]]:
-    """A :data:`_ChunkSource` over ``verifier.iter_chunks``, in chunks of at
-    least ``JSON_CHUNK`` claims, as :func:`_write_report` takes them."""
+    grids: list[GridSpec], fmt: str, probe_inapplicable: bool, fail_fast: bool
+) -> Iterator[tuple[GridSummary, str]]:
+    """The summary and text of each chunk of ``verifier.iter_chunks``, in
+    chunks of at least ``JSON_CHUNK`` claims, as :func:`_write_report`
+    takes them."""
     render = _results_json if fmt == "json" else _results_csv
-    for number, summary, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable,
-                                                          first, step, fail_fast):
-        yield number, summary, render(results)
-
-
-class _Pool:
-    """A sweep in ``size`` shares: this process evaluates and renders share
-    0, ``chunks(0, size)``, and forks a worker process for each other share
-    i, ``chunks(i, size)``; a pool of size 1 forks nothing.
-
-    Worker i sends its chunks through its own pipe, each as one
-    :mod:`marshal` frame, its number, summary fields and text.  A full pipe
-    blocks the worker until the parent reads, so it holds at most one
-    rendered chunk.  On failure it sends one dict frame instead, the exit
-    code and stderr text that :func:`_failure` gives, and exits 1.  A frame
-    cut short by a worker's exit ends ``marshal.load`` in EOFError.  A
-    worker ends with ``os._exit``, so it never flushes the output buffers it
-    inherited or runs the parent's clean-up.
-
-    Leaving the ``with`` block, however it is left, closes the pipes and
-    reaps every worker, killing any that has not exited.
-    """
-
-    def __init__(self, size: int, chunks: _ChunkSource):
-        self.size = size
-        self._chunks = chunks
-        self._pids: list[int | None] = []  # worker i's at i - 1, None once reaped
-        self._pipes: list[BinaryIO] = []
-
-    def __enter__(self) -> "_Pool":
-        try:
-            for i in range(1, self.size):
-                self._fork(i)
-        except BaseException as exc:
-            self._close()
-            if isinstance(exc, OSError):  # from os.pipe or os.fork
-                raise CongruenceLabError(
-                    f"cannot start a verify worker: {exc.strerror or exc}") from exc
-            raise
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._close()
-
-    def _fork(self, i: int) -> None:
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:  # the worker: leaves only through os._exit
-            code = 1
-            try:
-                os.close(r)
-                for pipe in self._pipes:  # so that a dead parent's pipes break
-                    pipe.close()
-                code = self._work(i, w)
-            finally:
-                os._exit(code)
-        os.close(w)
-        self._pids.append(pid)
-        self._pipes.append(open(r, "rb"))
-
-    def _work(self, i: int, fd: int) -> int:
-        with open(fd, "wb") as pipe:
-            try:
-                for number, summary, text in self._chunks(i, self.size):
-                    marshal.dump((number, *summary._fields(), text), pipe)
-                    pipe.flush()
-                return 0
-            except (KeyboardInterrupt, Exception) as exc:
-                code, text = _failure(exc)
-            marshal.dump({"exit": code, "stderr": text}, pipe)
-            return 1
-
-    def chunks(self) -> Iterator[tuple[int, GridSummary, str]]:
-        """Every chunk, in number order: the shares merged by chunk number,
-        share 0's evaluated here between reads of the workers' frames, and at
-        most one unread chunk of each share held here.  A chunk that is not
-        the next (a repeat, a gap or a reordering) fails the run, though a
-        share that stops short after its last chunk looks like the end of
-        the sweep.  A share fails as a serial run would, and a worker's
-        failure raises :class:`_Failed` with what :func:`_failure` gave."""
-        shares = [self._chunks(0, self.size), *map(self._received, range(1, self.size))]
-        merged = heapq.merge(*shares, key=operator.itemgetter(0))
-        for expected, chunk in enumerate(merged):
-            if chunk[0] != expected:
-                raise CongruenceLabError(f"a verify worker's chunks are out of order: "
-                                         f"chunk {chunk[0]} came where chunk {expected} was due")
-            yield chunk
-
-    def _received(self, i: int) -> Iterator[tuple[int, GridSummary, str]]:
-        """Worker i's chunks, read from its pipe until it has exited 0."""
-        pipe = self._pipes[i - 1]
-        while pipe.peek(1):  # empty once the worker has exited
-            try:
-                frame = marshal.load(pipe)
-            except EOFError:
-                self._reap(i)
-                raise CongruenceLabError("a verify worker exited in the middle of a chunk") from None
-            if isinstance(frame, dict):
-                raise _Failed(frame["exit"], frame["stderr"])
-            number, *summary, text = frame
-            yield number, GridSummary(*summary), text
-        self._reap(i)
-
-    def _reap(self, i: int) -> None:
-        """Wait for worker i, which has closed its pipe; raise unless it
-        exited 0."""
-        pid = self._pids[i - 1]
-        if pid is None:
-            return
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        self._pids[i - 1] = None
-        if code:
-            how = f"exit code {code}" if code > 0 else f"signal {-code}"
-            raise CongruenceLabError(f"a verify worker ended early ({how})")
-
-    def _close(self) -> None:
-        for pipe in self._pipes:
-            pipe.close()
-        for pid in filter(None, self._pids):  # left early: an error, interrupt or closed output
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    for summary, results in verifier.iter_chunks(grids, JSON_CHUNK, probe_inapplicable,
+                                                 fail_fast):
+        yield summary, render(results)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -655,11 +488,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     theorem = TheoremId(args.theorem)
     flags = _flag_values(theorem.value, args, _VERIFY_FLAGS, _VERIFY_FLAGS[theorem.value])
     grids = _build_grids(theorem, args, flags)
-    size = 1 if args.fail_fast else _pool_size(args.workers, grids)
-    # the triangles, before the first byte and before any fork: every worker shares them
-    verifier.ensure_tables(grids)
-    chunks = functools.partial(_rendered_chunks, grids, args.format, args.probe_inapplicable,
-                               args.fail_fast)
+    verifier.ensure_tables(grids)  # before the first byte
 
     run: dict[str, Any] = {
         "command": "verify",
@@ -670,8 +499,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.no_timestamp:
         run["timestamp"] = _now_stamp()
 
-    with _output(args.out) as out, _Pool(size, chunks) as pool:
-        summary = _write_report(out, run, args.format, pool.chunks())
+    with _output(args.out) as out:
+        summary = _write_report(out, run, args.format, _rendered_chunks(
+            grids, args.format, args.probe_inapplicable, args.fail_fast))
 
     if args.out:
         counts = summary.verdicts
@@ -815,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None, help="report file (default: stdout)")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--workers", type=int, default=1,
-                     help="worker processes, at most one per usable CPU (default 1: serial)")
+                     help="accepted (at least 1); every run is serial")
     ver.add_argument("--no-timestamp", action="store_true")
     ver.add_argument("--probe-inapplicable", action="store_true",
                      help="compute sums and orders even for NOT-APPLICABLE tuples")
@@ -871,22 +701,14 @@ def _stop(signum: int, frame: object) -> None:
     raise _Interrupted(128 + signum)
 
 
-class _Failed(Exception):
-    """A pool worker's failure, raised in the parent with the exit code and
-    stderr text that :func:`_failure` gave in the worker."""
-
-
 def _failure(exc: BaseException) -> tuple[int, str]:
-    """The exit code and stderr text of a run that ``exc`` ended, the same
-    whether it was raised in the parent or in a pool worker:
+    """The exit code and stderr text of a run that ``exc`` ended:
     "interrupted" and 130, or 128 + the stop signal; one ``error:`` line and
     3 for a capacity error or a run out of memory, and 2 for any other error
     of the package; and 2 for an unexpected exception, whose type and
     message make the ``error:`` line, followed by its traceback."""
     if isinstance(exc, KeyboardInterrupt):
         return getattr(exc, "code", EXIT_INTERRUPTED), "interrupted\n"
-    if isinstance(exc, _Failed):
-        return exc.args
     if isinstance(exc, MemoryError):  # e.g. verify weisman --p 2 --alpha 30: 2**30 residues a tuple
         return EXIT_CAPACITY, "error: out of memory\n"
     if isinstance(exc, CongruenceLabError):
@@ -923,7 +745,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
-    except OSError as exc:  # _output and _Pool convert theirs, so only stdout's is left
+    except OSError as exc:  # _output converts its own, so only stdout's is left
         _stdout_to_devnull()
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE

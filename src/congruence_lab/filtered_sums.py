@@ -129,9 +129,9 @@ def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
 
 class _SweepState:
     """What the one-pass sums of one sweep keep between its tuples, across
-    its grids; a sweep's plan holds one, so it goes when the sweep ends,
-    and a pool worker starts with none.  A plan serves one theorem, so its
-    state keeps Fleck-type or Stirling sums, never both.
+    its grids; a sweep's plan holds one, so it goes when the sweep ends.
+    A plan serves one theorem, so its state keeps Fleck-type or Stirling
+    sums, never both.
 
     With v_k = (-1)**k C(n, k), the signed row, and quotients by a modulus
     q, F(n, rho, l) is the sum over j of v_(rho + j q) C(j, l), rho < q.
@@ -153,12 +153,13 @@ class _SweepState:
     q has at most one member, k = rho, with weight C(0, l), so l > 0 gives
     zeros and l = 0 folds the signed row.
 
-    With no usable n - 1 (the first n, a gap in the n axis, a pool worker's
-    first tuple) or a larger l than is kept, levels 0..L come from the
-    signed row at once (levels 0..l alone ran a pool worker's share of
-    ``pool-csv`` 1.37x slower): F(n, rho, l) is entry l of the (l + 1)-fold
-    suffix sums of class rho's terms, highest k first, since t-fold suffix
-    sums put weight C(j - i + t - 1, t - 1) on term j at entry i.  A class
+    With no usable n - 1 (the first n, a gap in the n axis) or a larger l
+    than is kept, levels 0..L come from the signed row at once (levels 0..l
+    alone ran a since-deleted pool worker's share of ``pool-csv``, which met
+    a gap at every chunk, 1.37x slower): F(n, rho, l) is entry l of the
+    (l + 1)-fold suffix sums of class rho's terms, highest k first, since
+    t-fold suffix sums put weight C(j - i + t - 1, t - 1) on term j at entry
+    i.  A class
     of at most l members sums to 0.  Rebuilding from :func:`_fleck_sum` per
     class instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6
     and 7 of 10 pairs).
@@ -173,7 +174,7 @@ class _SweepState:
     A step carries every level, and level n of n - 1 is zero, so a step
     from every level of n - 1 adds level n while n - 1 <= ``top``, the
     largest m asked: M <= ``top`` + 1.  A level not stepped (the first n, a
-    gap, a pool worker's first tuple, a larger m) comes from its terms
+    gap, a larger m) comes from its terms
     u_k S(k, m), k >= m, with u_k = s(n, k) a**k, and is kept only as the
     next level up: an m axis of 1..n steps every level, and an m past the
     next costs its own terms, not those of every level below it.  The sums

@@ -44,13 +44,11 @@ a sweep's chunks as from :func:`evaluate_tuple`, is a :class:`TupleResult`.
 Grid sweeps evaluate every tuple of a finite parameter product serially, in
 sorted order, so the record sequence (and hence any rendered report) is
 deterministic.  :func:`iter_chunks` drives every sweep: it cuts the tuple
-results into numbered chunks and evaluates only every ``step``-th chunk, so
-that several processes can share a sweep (``verify --workers``), and with
-``fail_fast`` it stops right after the first VIOLATION.  It holds one chunk
-at a time and tallies each chunk's records at once
-(:meth:`GridSummary.of`), so a sweep's memory does not depend on its size;
-:func:`run_grids` collects the records into a list.  The summaries of the
-chunks merge in chunk order (:meth:`GridSummary.merge`) into the sweep's.
+results into chunks, and with ``fail_fast`` it stops right after the first
+VIOLATION.  It holds one chunk at a time and tallies each chunk's records at
+once (:meth:`GridSummary.of`), so a sweep's memory does not depend on its
+size; :func:`run_grids` collects the records into a list.  The summaries of
+the chunks merge in order (:meth:`GridSummary.merge`) into the sweep's.
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ __all__ = [
     "TupleResult",
     "Verdict",
     "check_claim",
-    "count_chunks",
     "ensure_tables",
     "evaluate_tuple",
     "grid_params",
@@ -592,71 +589,40 @@ def ensure_tables(grids: Iterable[GridSpec]) -> None:
         triangles.ensure_rows(family, top)
 
 
-def _numbered_tuples(
-    grids: Iterable[GridSpec], size: int, probe_inapplicable: bool = False
-) -> Iterator[tuple[int, _Plan, tuple]]:
-    """Every tuple of the grids, in record order, as :meth:`_Plan.tuples`
-    gives it, with the number of its chunk and its plan, one per theorem
-    and residue set of the sweep: the records are cut into chunks of at
-    least ``size`` claims, at tuple boundaries, numbered from 0."""
-    number = claims = 0
+def iter_chunks(
+    grids: Iterable[GridSpec],
+    size: int,
+    probe_inapplicable: bool = False,
+    fail_fast: bool = False,
+) -> Iterator[tuple[GridSummary, list[TupleResult]]]:
+    """The grids' tuple results (:meth:`_Plan.evaluate`, with no parameter
+    check: the grid has checked every value), in record order, cut into
+    chunks of at least ``size`` claims at tuple boundaries, as (summary,
+    results), one chunk held at a time.  The tuples of one theorem and
+    residue set share one plan across the grids.  With ``fail_fast`` the
+    results stop at the first VIOLATION: its tuple's columns are cut right
+    after it, and no later tuple is evaluated.  The triangles must have
+    been built (:func:`ensure_tables`).
+    """
+    results: list[TupleResult] = []
+    claims = 0
     plans: dict[tuple[TheoremId, str | tuple[int, ...]], _Plan] = {}
     for grid in grids:
         key = (grid.theorem, grid.residues)
         plan = plans[key] = plans.get(key) or _Plan(*key, probe_inapplicable)
         for row in plan.tuples([getattr(grid, AXIS_FIELDS[name]) for name in plan.wiring.params]):
             if claims >= size:
-                number, claims = number + 1, 0
-            yield number, plan, row
+                yield GridSummary.of(results), results
+                results, claims = [], 0
+            res = plan.evaluate(*row)
+            if fail_fast and _VIOLATION in res.verdicts:
+                results.append(res.first(res.verdicts.index(_VIOLATION) + 1))
+                yield GridSummary.of(results), results
+                return
+            results.append(res)
             claims += len(row[2])  # its residues
-
-
-def count_chunks(grids: Iterable[GridSpec], size: int, at_most: int) -> int:
-    """The number of chunks of :func:`iter_chunks`, or ``at_most`` if there
-    are more; only the tuples up to the first of chunk ``at_most`` are read."""
-    count = 0
-    for number, _, _ in _numbered_tuples(grids, size):
-        if number == at_most:
-            break
-        count = number + 1
-    return count
-
-
-def iter_chunks(
-    grids: Iterable[GridSpec],
-    size: int,
-    probe_inapplicable: bool = False,
-    first: int = 0,
-    step: int = 1,
-    fail_fast: bool = False,
-) -> Iterator[tuple[int, GridSummary, list[TupleResult]]]:
-    """Chunks number ``first``, ``first + step``, ``first + 2 step``, ... of
-    the grids' tuple results (:meth:`_Plan.evaluate`, with no parameter
-    check: the grid has checked every value), as (number, summary,
-    results), one chunk held at a time.  The results are cut into chunks of
-    at least ``size`` claims, at tuple boundaries, numbered from 0.  Only
-    the tuples of these chunks are evaluated, so ``step`` callers with
-    ``first`` = 0 .. step-1 share the work of one sweep.  With ``fail_fast``
-    the results stop at the first VIOLATION: its tuple's columns are cut
-    right after it, and no later tuple is evaluated.  The triangles must
-    have been built (:func:`ensure_tables`).
-    """
-    results: list[TupleResult] = []
-    current = first
-    for number, plan, row in _numbered_tuples(grids, size, probe_inapplicable):
-        if number % step != first:
-            continue
-        if number != current:
-            if results:
-                yield current, GridSummary.of(results), results
-            results, current = [], number
-        res = plan.evaluate(*row)
-        if fail_fast and _VIOLATION in res.verdicts:
-            results.append(res.first(res.verdicts.index(_VIOLATION) + 1))
-            break
-        results.append(res)
     if results:
-        yield current, GridSummary.of(results), results
+        yield GridSummary.of(results), results
 
 
 def run_grids(
@@ -674,7 +640,7 @@ def run_grids(
     ensure_tables(grids)
     summary = GridSummary()
     records = []
-    for _, part, results in iter_chunks(grids, 1, probe_inapplicable, fail_fast=fail_fast):
+    for part, results in iter_chunks(grids, 1, probe_inapplicable, fail_fast):
         summary.merge(part)
         records += [rec for res in results for rec in res.records()]
     return GridResult(records, summary)

@@ -16,7 +16,6 @@ from congruence_lab.verifier import (
     GridSummary,
     Verdict,
     check_claim,
-    count_chunks,
     evaluate_tuple,
     grid_params,
     iter_chunks,
@@ -361,7 +360,7 @@ class TestCheckTuple:
             return real(family, n)
 
         monkeypatch.setattr(triangles, "ensure_rows", counted)
-        results = [res for _, _, chunk in iter_chunks(grids, 1) for res in chunk]
+        results = [res for _, chunk in iter_chunks(grids, 1) for res in chunk]
         assert len(results) == 4 * 28 * 3 + 2 * 86 * 3 + 8 * 2 * 2 * 3
         assert len(calls) == len(set(calls))
         assert {n for _, n in calls} == {*range(1, 8), 20, 30, 38}  # 38 follows a gap
@@ -464,7 +463,7 @@ class TestCheckTuple:
         grid = GridSpec(TheoremId.SC2, ns=range(1, 31), primes=(2, 3), a_values=(-1, 1, 2),
                         polys=(IntPolynomial((0, 0, 1)),))
         verifier.ensure_tables([grid])
-        results = [res for _, _, chunk in iter_chunks([grid], 1) for res in chunk]
+        results = [res for _, chunk in iter_chunks([grid], 1) for res in chunk]
         assert sum(len(res.residues) for res in results) == 270
         assert len(results) == 180 and checks == [2, 3]
         records = [rec for res in results for rec in res.records()]
@@ -483,7 +482,7 @@ class TestCheckTuple:
         verifier.ensure_tables([grid])
         checks = []
         monkeypatch.setattr(exactmath, "check_prime", checks.append)
-        results = [res for _, _, chunk in iter_chunks([grid], 1) for res in chunk]
+        results = [res for _, chunk in iter_chunks([grid], 1) for res in chunk]
         assert checks == []
         monkeypatch.undo()
         records = [rec for res in results for rec in res.records()]
@@ -524,39 +523,66 @@ class TestParameterCheck:
 
 class TestChunks:
     @settings(max_examples=200, deadline=None)
-    @given(grids(), st.integers(1, 40), st.integers(1, 4))
-    def test_chunks_cut_the_records_at_tuple_boundaries(self, grid, size, step):
+    @given(grids(), st.integers(1, 40))
+    def test_chunks_cut_the_records_at_tuple_boundaries(self, grid, size):
         records = run_grid(grid).records
         chunks = list(iter_chunks([grid], size))
-        assert [rec for _, _, chunk in chunks for res in chunk
-                for rec in res.records()] == records
-        assert [number for number, _, _ in chunks] == list(range(len(chunks)))
+        assert [rec for _, chunk in chunks for res in chunk for rec in res.records()] == records
         # each chunk's summary is the tally of its records
-        assert [summary.to_json_dict() for _, summary, _ in chunks] == [
+        assert [summary.to_json_dict() for summary, _ in chunks] == [
             report_summary([rec for res in chunk for rec in res.records()])
-            for _, _, chunk in chunks]
+            for _, chunk in chunks]
         # a chunk takes whole tuples until it holds at least size claims
         want = []
         for params in verifier._grid_tuples(grid):
             if not want or want[-1] >= size:
                 want.append(0)
             want[-1] += len(evaluate_tuple(grid.theorem, params, grid.residues).residues)
-        assert [sum(len(res.residues) for res in chunk) for _, _, chunk in chunks] == want
-        assert count_chunks([grid], size, 10**6) == len(chunks)
-        assert count_chunks([grid], size, step) == min(step, len(chunks))
-        # step callers, from first = 0 .. step-1, share out the same chunks
-        shared = sorted((item for first in range(step)
-                         for item in iter_chunks([grid], size, False, first, step)),
-                        key=lambda item: item[0])
-        assert shared == chunks
+        assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == want
+
+    def test_fail_fast_cuts_the_chunk_after_the_first_violation(self, monkeypatch):
+        # one tuple of the fourth chunk gets an unreachable bound: with
+        # fail_fast the chunks before it are kept whole, its tuple's columns
+        # are cut right after its first VIOLATION, and no later tuple is
+        # evaluated
+        wiring = THEOREMS[TheoremId.WAN_STRONG]
+
+        def bound(**params):
+            return 10**6 if tuple(params.values()) == (2, 3, 2, 0) else wiring.bound(**params)
+
+        monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, wiring._replace(bound=bound))
+        grid = GridSpec(TheoremId.WAN_STRONG, ns=range(1, 11), primes=(2, 3), alphas=(1, 2),
+                        ls=(0, 1))
+        full = list(iter_chunks([grid], 16))
+        evaluated = []
+        real_evaluate = verifier._Plan.evaluate
+
+        def counted(plan, params, *found):
+            evaluated.append(tuple(params.values()))
+            return real_evaluate(plan, params, *found)
+
+        monkeypatch.setattr(verifier._Plan, "evaluate", counted)
+        cut = list(iter_chunks([grid], 16, fail_fast=True))
+        records = [rec for _, chunk in full for res in chunk for rec in res.records()]
+        verdicts = [rec.verdict for rec in records]
+        want = records[:verdicts.index(Verdict.VIOLATION) + 1]
+        assert [rec for _, chunk in cut for res in chunk for rec in res.records()] == want
+        assert len(cut) == 4
+        assert cut[:-1] == full[:3]
+        summary, last = cut[-1]
+        assert summary.to_json_dict() == report_summary(
+            [rec for res in last for rec in res.records()])
+        assert last[-1].verdicts == last[-1].verdicts[:-1] + [Verdict.VIOLATION]
+        assert len(last[-1].residues) < 9  # part-way through the tuple's residues
+        assert evaluated[-1] == (2, 3, 2, 0)
 
     def test_chunks_span_grids(self):
         grids = [GridSpec(TheoremId.SC3, ns=(n,), primes=(2,), alphas=(1,), ms=range(1, n + 1),
                           a_values=(1,)) for n in range(1, 9)]
         # 2 claims per tuple, n tuples for each n: 72 claims
         chunks = list(iter_chunks(grids, 10))
-        assert [sum(len(res.residues) for res in chunk) for _, _, chunk in chunks] == [10] * 7 + [2]
-        assert [rec for _, _, chunk in chunks for res in chunk
+        assert [sum(len(res.residues) for res in chunk) for _, chunk in chunks] == [10] * 7 + [2]
+        assert [rec for _, chunk in chunks for res in chunk
                 for rec in res.records()] == run_grids(grids).records
 
 

@@ -4,15 +4,14 @@ Run from the root of the repository:
 
     PYTHONPATH=src python tools/report_digest.py
 
-Every window runs serially (--workers 1), on the worker pool (--workers 2
-and --workers 3, each capped at the CPUs the process may use, so a
-three-share merge runs only on 3 or more CPUs), and once with --fail-fast,
-which finds no violation and so must give the same bytes;
-perfbench/check.py checks each report.  The JSON windows are also written
-as CSV with --workers 1, 2 and 3, which must give the same bytes.  The
-windows in PINNED have no benchmark workload: each must exit 0 and give the
-report whose sha256 is pinned here, at --workers 1, 2 and 3 and with
---fail-fast.  The exit status is 1 if any check fails, else 0.
+Every run is serial.  Every window runs with --workers 1, with --workers 2
+(which the pool-csv workload passes; the flag is accepted and changes
+nothing), and once with --fail-fast, which finds no violation and so must
+give the same bytes; perfbench/check.py checks each report.  The JSON
+windows are also written as CSV with --workers 1 and 2, which must give the
+same bytes.  The windows in PINNED have no benchmark workload: each must
+exit 0 and give the report whose sha256 is pinned here, at --workers 1 and
+2 and with --fail-fast.  The exit status is 1 if any check fails, else 0.
 """
 
 import hashlib
@@ -29,7 +28,7 @@ from workloads import WORKLOADS
 #: (arguments, sha256 of the report) of each window pinned here
 PINNED = [
     # 93,600 claims: moduli above n at small n, an l axis that skips values,
-    # and pool chunks that start part-way into an n
+    # and chunks that start part-way into an n
     (["verify", "davis-sun-b", "--n", "1..150", "--p", "2,3,5", "--alpha", "1..3",
       "--l", "0,2,5", "--format", "csv", "--no-timestamp"],
      "0360b3b4ebc7442833cb28acbc04a0f2d321f0947815f70440e78eed69a9d17a"),
@@ -83,7 +82,7 @@ PINNED = [
 
 
 #: the --workers of every run, besides the --fail-fast run
-WORKERS = ("1", "2", "3")
+WORKERS = ("1", "2")
 
 
 def with_flag(argv, flag, value):
@@ -104,8 +103,7 @@ with tempfile.TemporaryDirectory() as tmp:
         workload = WORKLOADS[name]
         for seed in sorted(seeds, key=int):
             argv = workload.argv(int(seed))
-            # a chunk the worker pool reorders or drops, or one the
-            # serial writer or --fail-fast gets wrong, fails here
+            # a chunk the writer or --fail-fast gets wrong fails here
             runs = [*((with_flag(argv, "--workers", w), f"--workers {w}") for w in WORKERS),
                     (argv + ["--fail-fast"], "--fail-fast")]
             for run, how in runs:
@@ -120,8 +118,8 @@ with tempfile.TemporaryDirectory() as tmp:
                 print(f"{name} seed {seed} {how}: exit {code}, problems {problems}")
                 failed |= problems != "[]"
             if workload.fmt == "json":
-                # no digest covers these windows as CSV: the worker
-                # counts must agree byte for byte
+                # no digest covers these windows as CSV: the --workers
+                # values must agree byte for byte
                 reports = []
                 for workers in WORKERS:
                     report = os.path.join(tmp, f"{name}-{seed}-w{workers}.csv")
