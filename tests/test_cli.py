@@ -8,7 +8,6 @@ import json
 import math
 import os
 import re
-import signal
 import stat
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 from congruence_lab import cli, identities, triangles, verifier
 from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.cli import main, parse_int_set, parse_m_axis, parse_residues
-from congruence_lab.errors import CapacityError, CongruenceLabError, ParameterError
+from congruence_lab.errors import ParameterError
 from congruence_lab.exactmath import INFINITY, IntPolynomial, PAdicOrder
 from congruence_lab.verifier import (
     ClaimRecord,
@@ -1105,16 +1104,6 @@ class TestExitCodes:
             assert main(["triangle", "stirling1", "--n-max", "200"]) == 141
         assert capsys.readouterr() == ("", "")
 
-    def test_closed_stdout_during_a_sweep_exits_141(self, monkeypatch, capsys):
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-
-        monkeypatch.setattr(cli, "JSON_CHUNK", 16)  # three chunks
-        with contextlib.redirect_stdout(ClosedPipe()):
-            assert main(["verify", "fleck", "--p", "2", "--n", "1..20"]) == 141
-        assert capsys.readouterr() == ("", "")
-
     @pytest.mark.parametrize("argv", [
         ["triangle", "stirling1", "--n-max", "200"],
         ["verify", "fleck", "--p", "2,3", "--n", "1..40"],
@@ -1150,156 +1139,6 @@ class TestExitCodes:
             cli._stdout_to_devnull()
             print("written after the reader left")
         assert path.read_text(encoding="utf-8") == ""
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_verify_starts_no_process(fmt, monkeypatch, tmp_path, capsys):
-    # --workers N is accepted and changes nothing: a multi-chunk sweep at
-    # --workers 8, on a host of eight CPUs, runs in this process, where a
-    # fork or a pipe would fail the run
-    monkeypatch.setattr(cli, "JSON_CHUNK", 16)
-    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--format", fmt, "--no-timestamp"]
-    assert main(argv + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
-
-    def forbidden(*args):
-        raise AssertionError("verify started a process")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "fork", forbidden)
-    monkeypatch.setattr(os, "pipe", forbidden)
-    assert main(argv + ["--workers", "8", "--out", str(tmp_path / "w8")]) == 0
-    assert (tmp_path / "w8").read_bytes() == (tmp_path / "w1").read_bytes()
-    assert capsys.readouterr().err == ""
-    assert_no_children()
-
-
-def test_violations_in_late_chunks_reach_the_summary(monkeypatch, tmp_path, capsys):
-    # 1080 claims in 60 chunks; two tuples get unreachable bounds: the first
-    # violation comes from chunk 32 and the smallest margin from chunk 48
-    wiring = THEOREMS[TheoremId.WAN_STRONG]
-    forced = {(11, 3, 2, 1): 1000, (17, 2, 2, 2): 10**6}
-
-    def bound(**params):
-        return forced.get(tuple(params.values())) or wiring.bound(**params)
-
-    monkeypatch.setitem(THEOREMS, TheoremId.WAN_STRONG, wiring._replace(bound=bound))
-    monkeypatch.setattr(cli, "JSON_CHUNK", 16)
-    argv = ["verify", "wan-strong", "--n", "1..20", "--p", "2,3", "--alpha", "1,2",
-            "--l", "0..2", "--no-timestamp"]
-    out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 1
-    summary = json.loads(out.read_bytes())["summary"]
-    assert summary["first_violation"] == {"n": 11, "p": 3, "alpha": 2, "l": 1, "d": 9, "r": 0}
-    assert summary["min_margin"] < -999_000
-    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "report.csv")]) == 1
-    rows = list(csv.DictReader(io.StringIO((tmp_path / "report.csv").read_text())))
-    assert [row["verdict"] for row in rows] == [rec["verdict"] for rec in
-                                                json.loads(out.read_bytes())["records"]]
-
-
-def fail_at(monkeypatch, failure, n):
-    # chunks of 16 claims: n = 1..8, 9..16 and 17..20
-    real_evaluate = verifier._Plan.evaluate  # the sweep's per-tuple entry
-
-    def evaluate(plan, params, *found):
-        if params["n"] == n:
-            failure()
-        return real_evaluate(plan, params, *found)
-
-    monkeypatch.setattr(cli, "JSON_CHUNK", 16)
-    monkeypatch.setattr(verifier._Plan, "evaluate", evaluate)
-
-
-@pytest.mark.parametrize("exc, code, line", [
-    (MemoryError(), 3, "out of memory"),
-    (CapacityError("row 201 is above the row limit 200"), 3, "row 201 is above the row limit 200"),
-    (CongruenceLabError("cannot go on"), 2, "cannot go on"),
-    (RuntimeError("boom"), 2, "RuntimeError: boom"),
-], ids=["MemoryError", "CapacityError", "CongruenceLabError", "RuntimeError"])
-@pytest.mark.parametrize("n", [2, 10], ids=["first-chunk", "second-chunk"])
-def test_a_failure_mid_sweep_exits_and_leaves_nothing(n, exc, code, line, monkeypatch, tmp_path,
-                                                      capsys):
-    # raised for n = 2, in the first chunk, or for n = 10, in the second,
-    # once the first has been written: one error: line, followed by the
-    # traceback of an unexpected exception, and no report or temp file
-    def failure():
-        raise exc
-
-    fail_at(monkeypatch, failure, n)
-    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--no-timestamp"]
-    assert main(argv + ["--out", str(tmp_path / "report")]) == code
-    stdout, stderr = capsys.readouterr()
-    first, trace = stderr.split("\n", 1)
-    assert (stdout, first) == ("", f"error: {line}")
-    if isinstance(exc, RuntimeError):
-        assert trace.startswith("Traceback (most recent call last):\n")
-        assert trace.endswith(f"\n{line}\n")
-    else:
-        assert trace == ""
-    assert list(tmp_path.iterdir()) == []
-
-
-def _signalled_run(tmp_path, send, n_top=40, preexec_fn=None, timeout=30):
-    """Start a ``verify sc3`` sweep to a report file in a session of its own,
-    call ``send(pid)`` once its first chunk is written, and return its exit
-    code, stdout and stderr; no process of its group may outlive it."""
-    src = Path(cli.__file__).resolve().parents[1]
-    out = tmp_path / "report.json"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", f"1..{n_top}",
-         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
-        preexec_fn=preexec_fn, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        deadline = time.monotonic() + 30
-        while not any(p.stat().st_size for p in tmp_path.iterdir()):  # the first chunk is written
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        send(proc.pid)
-        stdout, stderr = proc.communicate(timeout=timeout)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
-    return proc.returncode, stdout, stderr
-
-
-def test_sigint_to_the_process_group(tmp_path):
-    # a real Ctrl-C exits 130 and leaves no file
-    code, stdout, stderr = _signalled_run(tmp_path, lambda pid: os.killpg(pid, signal.SIGINT))
-    assert (code, stdout, stderr) == (130, b"", b"interrupted\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("kill", [os.kill, os.killpg], ids=["parent", "group"])
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
-def test_termination_signals_clean_up_as_ctrl_c(sig, kill, tmp_path):
-    # SIGTERM or SIGHUP, sent to the run alone or to its whole group, ends
-    # it as Ctrl-C does: it exits 128 + the signal number and leaves no file
-    code, stdout, stderr = _signalled_run(tmp_path, lambda pid: kill(pid, sig), n_top=60)
-    assert (code, stdout, stderr) == (128 + sig, b"", b"interrupted\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
-def test_an_ignored_termination_signal_stays_ignored(sig, tmp_path):
-    # started with the signal ignored (nohup, trap '' TERM), the run lets it
-    # pass: it finishes and renames its report into place
-    code, stdout, stderr = _signalled_run(
-        tmp_path, lambda pid: os.killpg(pid, sig),
-        preexec_fn=lambda: signal.signal(sig, signal.SIG_IGN), timeout=60)
-    assert (code, stderr) == (0, b"")
-    assert stdout.startswith(b"sc3: ")
-    assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
 
 
 @contextlib.contextmanager

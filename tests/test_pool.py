@@ -1,25 +1,23 @@
-"""`verify --workers N` on the fork pool: the bytes, summary and exit code of
-``--workers 1``, and honest failures.
+"""`verify --workers N`: the flag is accepted and every run is serial, so
+any N gives the bytes, summary and exit code of ``--workers 1`` and starts
+no process.
 
 Most tests shrink ``cli.JSON_CHUNK`` so that small grids span several
-chunks, and claim two usable CPUs, so that the pool runs on any host; the
-``pool`` fixture counts the workers forked (the parent evaluates share 0, so
-``--workers W`` forks W - 1) and checks afterwards that every one was
-reaped.
+chunks; the ``pool`` fixture makes ``os.fork`` and ``os.pipe`` fail the
+test, and checks afterwards that no child is left to reap.
 """
 
 import contextlib
+import csv
 import errno
 import hashlib
 import io
 import json
-import marshal
 import os
 import signal
 import subprocess
 import sys
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -28,7 +26,6 @@ from congruence_lab import cli, verifier
 from congruence_lab.bounds import THEOREMS, TheoremId
 from congruence_lab.cli import main
 from congruence_lab.errors import CapacityError, CongruenceLabError
-from congruence_lab.verifier import GridSpec
 from test_golden_reports import DIGESTS, GRIDS
 
 
@@ -37,29 +34,43 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def no_process(monkeypatch):
+    """Eight usable CPUs, and an ``os.fork`` or ``os.pipe`` that fails the test."""
+    def forbidden(*args):
+        raise AssertionError("verify started a process")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(os, "pipe", forbidden)
+
+
 @pytest.fixture
 def pool(monkeypatch):
-    """Chunks of 16 claims, two usable CPUs, and the pids of the workers
-    forked (in the parent; a worker sees its own copy)."""
+    """Chunks of 16 claims, and no process to start."""
     monkeypatch.setattr(cli, "JSON_CHUNK", 16)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    forked = []
-    real_fork = os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    yield forked
+    no_process(monkeypatch)
+    yield
     assert_no_children()
 
 
 def run(argv, workers, path):
     code = main([*argv, "--no-timestamp", "--workers", str(workers), "--out", str(path)])
     return code, path.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_starts_no_process(fmt, monkeypatch, tmp_path, capsys):
+    # a multi-chunk sweep at --workers 8, on a host of eight CPUs, runs in
+    # this process, where a fork or a pipe would fail the run
+    monkeypatch.setattr(cli, "JSON_CHUNK", 16)
+    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--format", fmt]
+    serial = run(argv, 1, tmp_path / "w1")
+    no_process(monkeypatch)
+    assert run(argv, 8, tmp_path / "w8") == serial
+    assert serial[0] == 0
+    assert capsys.readouterr().err == ""
+    assert_no_children()
 
 
 @pytest.mark.parametrize("probe", [False, True], ids=["plain", "probe"])
@@ -72,34 +83,31 @@ def test_golden_reports_with_two_workers(theorem, fmt, probe, pool, tmp_path, ca
     code, data = run(argv, 2, tmp_path / f"report.{fmt}")
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == DIGESTS[theorem, fmt, probe]
-    assert len(pool) == 1
 
 
 @pytest.mark.parametrize("fail_fast", [False, True], ids=["three-workers", "fail-fast"])
 @pytest.mark.parametrize("probe", [False, True], ids=["plain", "probe"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("theorem", sorted(GRIDS))
-def test_golden_reports_with_three_workers(theorem, fmt, probe, fail_fast, pool, monkeypatch,
-                                          tmp_path, capsys):
-    # every grid has three chunks or more: a three-share merge on three CPUs,
-    # and with --fail-fast (the grids have no violation) a serial run
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+def test_golden_reports_with_three_workers(theorem, fmt, probe, fail_fast, pool, tmp_path,
+                                          capsys):
+    # every grid has three chunks or more (the grids have no violation, so
+    # --fail-fast changes nothing)
     argv = ["verify", theorem, *GRIDS[theorem], "--format", fmt]
     argv += ["--probe-inapplicable"] * probe + ["--fail-fast"] * fail_fast
     code, data = run(argv, 3, tmp_path / f"report.{fmt}")
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == DIGESTS[theorem, fmt, probe]
-    assert len(pool) == (0 if fail_fast else 2)
 
 
 # fleck with p = 2 has 2 claims per tuple (one per n); JSON_CHUNK is 6 here
 BOUNDARIES = {
-    "less than one chunk": (["fleck", "--p", "2", "--n", "1..2"], 0),
-    "exactly one chunk": (["fleck", "--p", "2", "--n", "1..3"], 0),
-    "one chunk and one tuple": (["fleck", "--p", "2", "--n", "1..4"], 1),
-    "three chunks, five workers": (["fleck", "--p", "2", "--n", "1..9"], 2),
-    "a residue subset": (["wan-strong", "--p", "2,3", "--alpha", "1,2", "--l", "0,1",
-                          "--n", "1..6", "--r", "7,1,-2"], 4),
+    "less than one chunk": ["fleck", "--p", "2", "--n", "1..2"],
+    "exactly one chunk": ["fleck", "--p", "2", "--n", "1..3"],
+    "one chunk and one tuple": ["fleck", "--p", "2", "--n", "1..4"],
+    "three chunks, five workers": ["fleck", "--p", "2", "--n", "1..9"],
+    "a residue subset": ["wan-strong", "--p", "2,3", "--alpha", "1,2", "--l", "0,1",
+                         "--n", "1..6", "--r", "7,1,-2"],
 }
 
 
@@ -107,28 +115,13 @@ BOUNDARIES = {
 @pytest.mark.parametrize("case", sorted(BOUNDARIES))
 def test_chunk_boundaries(case, fmt, pool, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "JSON_CHUNK", 6)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-    grid, forks = BOUNDARIES[case]
-    argv = ["verify", *grid, "--format", fmt]
-    serial = run(argv, 1, tmp_path / "w1")
-    assert pool == []
-    assert run(argv, 5, tmp_path / "w5") == serial
-    assert len(pool) == forks
-
-
-def test_three_workers_on_three_cpus_fork_two(pool, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--format", "csv"]  # three chunks
-    serial = run(argv, 1, tmp_path / "w1")
-    assert run(argv, 3, tmp_path / "w3") == serial
-    assert len(pool) == 2
+    argv = ["verify", *BOUNDARIES[case], "--format", fmt]
+    assert run(argv, 5, tmp_path / "w5") == run(argv, 1, tmp_path / "w1")
 
 
 def test_violations_in_late_chunks_merge_as_serial(pool, monkeypatch, tmp_path, capsys):
     # 1080 claims in 60 chunks; two tuples get unreachable bounds: the first
-    # violation comes from chunk 32 (share 0), the smallest margin from
-    # chunk 48 (share 0 too, the parent's), and worker 1's chunks between them
-    # have none
+    # violation comes from chunk 32 and the smallest margin from chunk 48
     wiring = THEOREMS[TheoremId.WAN_STRONG]
     forced = {(11, 3, 2, 1): 1000, (17, 2, 2, 2): 10**6}
 
@@ -140,13 +133,16 @@ def test_violations_in_late_chunks_merge_as_serial(pool, monkeypatch, tmp_path, 
             "--l", "0..2"]
     serial = run(argv, 1, tmp_path / "w1.json")
     assert run(argv, 2, tmp_path / "w2.json") == serial
-    assert len(pool) == 1
     summary = json.loads(serial[1])["summary"]
     assert serial[0] == 1
     assert summary["first_violation"] == {"n": 11, "p": 3, "alpha": 2, "l": 1, "d": 9, "r": 0}
     assert summary["min_margin"] < -999_000
     csv_argv = argv + ["--format", "csv"]
-    assert run(csv_argv, 2, tmp_path / "w2.csv") == run(csv_argv, 1, tmp_path / "w1.csv")
+    csv_serial = run(csv_argv, 1, tmp_path / "w1.csv")
+    assert run(csv_argv, 2, tmp_path / "w2.csv") == csv_serial
+    rows = csv.DictReader(io.StringIO(csv_serial[1].decode()))
+    assert [row["verdict"] for row in rows] == [rec["verdict"] for rec in
+                                                json.loads(serial[1])["records"]]
 
 
 FAILING_GRID = ["verify", "fleck", "--p", "2", "--n", "1..20", "--no-timestamp",
@@ -165,13 +161,9 @@ def fail_at(monkeypatch, failure, n=10):
     monkeypatch.setattr(verifier._Plan, "evaluate", evaluate)
 
 
-def boom():
-    raise RuntimeError("boom")
-
-
 def assert_failed_with(capsys, line, unexpected):
     """Nothing on stdout, and ``error: line`` on stderr, followed by the
-    traceback of an unexpected exception, as a serial run prints it."""
+    traceback of an unexpected exception."""
     stdout, stderr = capsys.readouterr()
     first, trace = stderr.split("\n", 1)
     assert (stdout, first) == ("", f"error: {line}")
@@ -180,22 +172,6 @@ def assert_failed_with(capsys, line, unexpected):
         assert trace.endswith(f"\n{line}\n")
     else:
         assert trace == ""
-
-
-@pytest.mark.parametrize("failure, error", [
-    (boom, "RuntimeError: boom"),
-    (lambda: os._exit(7), "a verify worker ended early (exit code 7)"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "a verify worker ended early (signal 9)"),
-], ids=["raises", "exits", "killed"])
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_failed_worker_exits_2_and_leaves_nothing(failure, error, fmt, pool, monkeypatch,
-                                                    tmp_path, capsys):
-    fail_at(monkeypatch, failure)
-    out = tmp_path / "report"
-    assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
-    assert_failed_with(capsys, error, unexpected=failure is boom)
-    assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 1
 
 
 @pytest.mark.parametrize("exc, code, line", [
@@ -207,8 +183,9 @@ def test_a_failed_worker_exits_2_and_leaves_nothing(failure, error, fmt, pool, m
 @pytest.mark.parametrize("n", [2, 10], ids=["share-0", "worker"])
 def test_a_failure_exits_as_at_one_worker(n, exc, code, line, pool, monkeypatch, tmp_path,
                                           capsys):
-    # raised for n = 2, in the first chunk, which the parent evaluates, or for
-    # n = 10, in the second, which worker 1 evaluates; --workers 1 fails the same
+    # raised for n = 2, in the first chunk, or for n = 10, in the second, once
+    # the first has been written; --workers 1 and 2 fail the same, and leave
+    # no report and no temp file
     def failure():
         raise exc
 
@@ -216,114 +193,11 @@ def test_a_failure_exits_as_at_one_worker(n, exc, code, line, pool, monkeypatch,
     for workers in ("1", "2"):
         assert main(FAILING_GRID[:-1] + [workers, "--out", str(tmp_path / "report")]) == code
         assert_failed_with(capsys, line, unexpected=isinstance(exc, RuntimeError))
-        assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 1
-
-
-@pytest.mark.parametrize("code, error", [
-    (0, "a verify worker exited in the middle of a chunk"),
-    (7, "a verify worker ended early (exit code 7)"),
-], ids=["exits-0", "exits-7"])
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_frame_cut_short_exits_2_and_leaves_nothing(code, error, fmt, pool, monkeypatch,
-                                                      tmp_path, capsys):
-    # worker 1 sends half the frame of its one chunk, the second of three,
-    # then exits: the first, the parent's own, is written before the run fails
-    def dump(value, pipe):  # only a worker sends frames
-        frame = marshal.dumps(value)
-        pipe.write(frame[: len(frame) // 2])
-        pipe.flush()
-        os._exit(code)
-
-    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(dump=dump, load=marshal.load))
-    out = tmp_path / "report"
-    assert main(FAILING_GRID + ["--format", fmt, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 1
-
-
-OUT_OF_ORDER = ("error: a verify worker's chunks are out of order: "
-                "chunk {} came where chunk {} was due\n")
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_chunk_past_the_last_exits_2_and_leaves_nothing(fmt, pool, monkeypatch, tmp_path,
-                                                         capsys):
-    # worker 2 of 3 sends chunk 2, the last of the three, then it again: the
-    # parent finds the copy where chunk 3 would be
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    real_chunks = cli._rendered_chunks
-
-    def one_too_many(*args):
-        chunks = list(real_chunks(*args))
-        return iter(chunks + chunks[-1:] if args[-2:] == (2, 3) else chunks)
-
-    monkeypatch.setattr(cli, "_rendered_chunks", one_too_many)
-    out = tmp_path / "report"
-    assert main(FAILING_GRID[:-1] + ["3", "--format", fmt, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", OUT_OF_ORDER.format(2, 3))
-    assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 2
-
-
-def repeat_frame(value, pipe):
-    marshal.dump(value, pipe)
-    marshal.dump(value, pipe)
-
-
-def skip_frame(value, pipe):
-    pass
-
-
-@pytest.mark.parametrize("dump, error", [
-    (repeat_frame, OUT_OF_ORDER.format(1, 2)),  # chunks 0, 1, 1, 2
-    (skip_frame, OUT_OF_ORDER.format(2, 1)),  # chunks 0, 2
-], ids=["repeat", "skip"])
-def test_a_worker_that_repeats_or_skips_a_frame_exits_2(dump, error, pool, monkeypatch, tmp_path,
-                                                        capsys):
-    # three chunks, of which worker 1 sends the second, as a frame that it
-    # sends twice or not at all; frames carry their chunk's number, so the
-    # parent refuses the copy (it used to write it as a fourth chunk: 56 rows
-    # where --workers 1 writes 40, and exit 0)
-    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(dump=dump, load=marshal.load))
-    out = tmp_path / "report.csv"
-    assert main(FAILING_GRID + ["--format", "csv", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", error)
-    assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 1  # and the fixture finds it reaped
-
-
-@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
-                         ids=["fork", "pipe"])
-@pytest.mark.parametrize("to", ["out", "stdout"])
-def test_a_worker_that_cannot_start_exits_2_and_leaves_nothing(call, code, to, pool, monkeypatch,
-                                                               tmp_path, capsys):
-    # the second call fails, so one worker has started when the pool gives up:
-    # --workers 3 on three CPUs forks two
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    real = getattr(os, call)
-    calls = []
-
-    def second_fails():
-        calls.append(call)
-        if len(calls) == 2:
-            raise OSError(code, os.strerror(code))
-        return real()
-
-    monkeypatch.setattr(os, call, second_fails)
-    argv = ["verify", "fleck", "--p", "2", "--n", "1..20", "--workers", "3"]
-    if to == "out":
-        argv += ["--out", str(tmp_path / "report")]
-    assert main(argv) == 2
-    error = f"error: cannot start a verify worker: {os.strerror(code)}\n"
-    assert capsys.readouterr() == ("", error)
-    assert list(tmp_path.iterdir()) == []  # no report and no temp file
-    assert len(pool) == 1  # and the fixture finds it reaped
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
-    # the twin of test_cli.py's TestExitCodes.test_ctrl_c_exits_130 on the pool
+    # the twin of test_cli.py's TestExitCodes.test_ctrl_c_exits_130 at --workers 2
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
@@ -331,10 +205,10 @@ def test_ctrl_c_exits_130(pool, monkeypatch, capsys):
     monkeypatch.setattr(cli, "JSON_CHUNK", 2)
     assert main(["verify", "fleck", "--p", "2", "--n", "1..5", "--workers", "2"]) == 130
     assert capsys.readouterr() == ("", "interrupted\n")
-    assert len(pool) == 1
 
 
 def test_closed_stdout_exits_141(pool, capsys):
+    # a reader that leaves during a three-chunk sweep
     class ClosedPipe(io.StringIO):
         def write(self, text):
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
@@ -342,214 +216,63 @@ def test_closed_stdout_exits_141(pool, capsys):
     with contextlib.redirect_stdout(ClosedPipe()):
         assert main(["verify", "fleck", "--p", "2", "--n", "1..20", "--workers", "2"]) == 141
     assert capsys.readouterr() == ("", "")
-    assert len(pool) == 1
 
 
-def test_sigint_to_the_process_group(tmp_path):
-    # a real Ctrl-C reaches the parent and its workers: the run exits 130,
-    # leaves no file, and no process of its group outlives it
+def _signalled_run(tmp_path, send, n_top=40, workers=2, preexec_fn=None, timeout=30):
+    """Start a ``verify sc3`` sweep to a report file in a session of its own,
+    call ``send(pid)`` once its first chunk is written, and return its exit
+    code, stdout and stderr; no process of its group may outlive it."""
     src = Path(cli.__file__).resolve().parents[1]
     out = tmp_path / "report.json"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", "1..40",
-         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--workers", "2", "--out", str(out)],
+        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", f"1..{n_top}",
+         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--workers", str(workers),
+         "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=preexec_fn, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
         deadline = time.monotonic() + 30
         while not any(p.stat().st_size for p in tmp_path.iterdir()):  # the first chunk is written
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        os.killpg(proc.pid, signal.SIGINT)
-        stdout, stderr = proc.communicate(timeout=30)
+        send(proc.pid)
+        stdout, stderr = proc.communicate(timeout=timeout)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert (proc.returncode, stdout, stderr) == (130, b"", b"interrupted\n")
-    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+    return proc.returncode, stdout, stderr
+
+
+def test_sigint_to_the_process_group(tmp_path):
+    # a real Ctrl-C exits 130 and leaves no file
+    code, stdout, stderr = _signalled_run(tmp_path, lambda pid: os.killpg(pid, signal.SIGINT))
+    assert (code, stdout, stderr) == (130, b"", b"interrupted\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kill", [os.kill, os.killpg], ids=["parent", "group"])
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
 def test_termination_signals_clean_up_as_ctrl_c(sig, kill, workers, tmp_path):
-    # SIGTERM or SIGHUP, sent to the parent alone or to its whole group, ends
-    # the run as Ctrl-C does: it exits 128 + the signal number, leaves no file,
-    # and no process of its group outlives it
-    src = Path(cli.__file__).resolve().parents[1]
-    out = tmp_path / "report.json"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", "1..60",
-         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--workers", str(workers),
-         "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        deadline = time.monotonic() + 30
-        while not any(p.stat().st_size for p in tmp_path.iterdir()):  # the first chunk is written
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        kill(proc.pid, sig)
-        stdout, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-    assert (proc.returncode, stdout, stderr) == (128 + sig, b"", b"interrupted\n")
+    # SIGTERM or SIGHUP, sent to the run alone or to its whole group, ends
+    # it as Ctrl-C does: it exits 128 + the signal number and leaves no file
+    code, stdout, stderr = _signalled_run(tmp_path, lambda pid: kill(pid, sig), n_top=60,
+                                          workers=workers)
+    assert (code, stdout, stderr) == (128 + sig, b"", b"interrupted\n")
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
 
 
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
 def test_an_ignored_termination_signal_stays_ignored(sig, tmp_path):
-    # started with the signal ignored (nohup, trap '' TERM), the run and its
-    # workers let it pass: the run finishes and renames its report into place
-    src = Path(cli.__file__).resolve().parents[1]
-    out = tmp_path / "report.json"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "congruence_lab.cli", "verify", "sc3", "--n", "1..40",
-         "--p", "2,3", "--alpha", "1,2", "--a=-2..3", "--workers", "2", "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
-        preexec_fn=lambda: signal.signal(sig, signal.SIG_IGN),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        deadline = time.monotonic() + 30
-        while not any(p.stat().st_size for p in tmp_path.iterdir()):  # the first chunk is written
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        os.killpg(proc.pid, sig)
-        stdout, stderr = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-    assert (proc.returncode, stderr) == (0, b"")
+    # started with the signal ignored (nohup, trap '' TERM), the run lets it
+    # pass: it finishes and renames its report into place
+    code, stdout, stderr = _signalled_run(
+        tmp_path, lambda pid: os.killpg(pid, sig),
+        preexec_fn=lambda: signal.signal(sig, signal.SIG_IGN), timeout=60)
+    assert (code, stderr) == (0, b"")
     assert stdout.startswith(b"sc3: ")
-    assert list(tmp_path.iterdir()) == [out]
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
-
-
-#: a change to the numbers of one share, at its ``i``-th chunk
-CHANGES = {
-    "repeat": lambda numbers, i: numbers[:i + 1] + numbers[i:],
-    "skip": lambda numbers, i: numbers[:i] + numbers[i + 1:],
-    "swap": lambda numbers, i: numbers[:i] + numbers[i + 1:i + 2] + numbers[i:i + 1]
-    + numbers[i + 2:],
-}
-
-
-class TestMerge:
-    """``_Pool.chunks`` over fake shares, with no fork: ``chunks(first,
-    step)`` deals chunks 0..count-1 as ``verifier.iter_chunks`` does, and
-    stands in for the workers' pipes too."""
-
-    @pytest.fixture(autouse=True)
-    def no_fork(self, monkeypatch):
-        def forbidden():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", forbidden)
-
-    @staticmethod
-    def merged(size, count, change=None, k=0):
-        """The chunk numbers that a pool of ``size`` yields, until it ends or
-        fails, with ``CHANGES[change]`` made at chunk ``k`` in its share.
-        The parent must hold at most one unread chunk of each share: a
-        share's next chunk is made only once its last has been yielded."""
-        unread = [0] * size
-        got = []
-
-        def chunks(first, step):
-            numbers = list(range(first, count, step))
-            if change and first == k % size:
-                numbers = CHANGES[change](numbers, k // size)
-            for number in numbers:
-                assert unread[first] == 0
-                unread[first] += 1
-                yield number, verifier.GridSummary(), f"{first} {number}"
-
-        pool = cli._Pool(size, chunks)
-        pool._received = lambda i: chunks(i, size)
-        try:
-            for _, _, text in pool.chunks():
-                first, number = map(int, text.split())
-                unread[first] -= 1
-                got.append(number)
-        finally:
-            assert got == list(range(len(got)))  # nothing out of place was yielded
-        return got
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_the_chunks_come_out_in_order(self, size):
-        for count in range(41):
-            assert self.merged(size, count) == list(range(count))
-
-    @pytest.mark.parametrize("change", sorted(CHANGES))
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_a_chunk_out_of_place_fails(self, size, change):
-        for count in range(41):
-            for k in range(count):
-                if change == "skip" and k == count - 1:
-                    # a share that stops short after its last chunk is the end of the sweep
-                    assert self.merged(size, count, change, k) == list(range(count - 1))
-                elif change != "swap" or k + size < count:  # a swap needs a later chunk
-                    with pytest.raises(CongruenceLabError, match="out of order"):
-                        self.merged(size, count, change, k)
-
-
-def grid_of(chunks):
-    """A fleck grid of 2 claims per tuple in ``chunks`` chunks of 16 claims."""
-    return [GridSpec(TheoremId.FLECK, ns=range(1, 8 * chunks + 1), primes=(2,))]
-
-
-class TestPoolSize:
-    """No test here forks: the pool size is worked out, never started."""
-
-    @pytest.fixture(autouse=True)
-    def no_fork(self, monkeypatch):
-        def forbidden():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", forbidden)
-        monkeypatch.setattr(cli, "JSON_CHUNK", 16)
-
-    @pytest.mark.parametrize("workers, cpus, chunks, size", [
-        (2, 2, 10, 2),
-        (5, 2, 10, 2),  # capped at the CPUs
-        (10**9, 4, 10, 4),
-        (5, 8, 3, 3),  # capped at the chunks
-        (5, 8, 2, 2),
-        (2, 8, 1, 1),  # a single chunk: serial
-        (1, 8, 10, 1),
-        (4, 1, 10, 1),  # one CPU: serial
-    ])
-    def test_capped_at_cpus_and_chunks(self, workers, cpus, chunks, size, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        assert cli._pool_size(workers, grid_of(chunks)) == size
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli._pool_size(8, grid_of(10)) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._pool_size(8, grid_of(10)) == 1
-
-    def test_serial_with_a_second_thread(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        assert cli._pool_size(4, grid_of(10)) == 4
-        monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
-        assert cli._pool_size(4, grid_of(10)) == 1
-
-    def test_serial_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        monkeypatch.delattr(os, "fork")
-        assert cli._pool_size(4, grid_of(10)) == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
