@@ -63,10 +63,11 @@ class Theorem(Frozen):
 
     Every function takes the claim's parameters as keywords, names those it
     reads and takes the rest with ``**_``; a function that names none reads
-    them all.  ``sum`` also takes the residue class first, and ``sums`` may
-    name the modulus ``d`` and the sweep's ``state`` (the
-    :class:`filtered_sums._SweepState` its plan owns).  A sum calls its
-    kernel through the :mod:`filtered_sums` module or the state, so the
+    them all.  ``sum`` also takes the residue class first, and ``sums``
+    names the modulus ``d`` and the levels it reads, ``fleck`` or
+    ``stirling`` (the :class:`filtered_sums._FleckLevels` or
+    :class:`filtered_sums._StirlingLevels` its plan holds).  A sum calls its
+    kernel through the :mod:`filtered_sums` module or its levels, so the
     kernel is looked up at call time.  The kernel takes n, the class (or d)
     and its weight's parameters, never p or alpha: those are checked where
     the class is built.  No function here checks anything, since every
@@ -111,14 +112,14 @@ THEOREMS: dict[TheoremId, Theorem] = {
         modulus=lambda p, **_: p,
         sum=lambda cls, n, **_: filtered_sums._fleck_sum(n, cls),
         bound=lambda n, p, **_: (n - 1) // (p - 1),
-        sums=lambda n, d, state, **_: state.fleck_sums(n, d, 0),
+        sums=lambda n, d, fleck, **_: fleck.sums(n, d, 0),
     ),
     TheoremId.WEISMAN: Theorem(
         params=("n", "p", "alpha"),
         modulus=lambda p, alpha, **_: p**alpha,
         sum=lambda cls, n, **_: filtered_sums._fleck_sum(n, cls),
         bound=lambda n, p, alpha, **_: (n - _q(p, alpha)) // (_q(p, alpha) * (p - 1)),
-        sums=lambda n, d, state, **_: state.fleck_sums(n, d, 0),
+        sums=lambda n, d, fleck, **_: fleck.sums(n, d, 0),
     ),
     TheoremId.WAN: Theorem(
         params=("n", "p", "l"),
@@ -126,7 +127,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, l, **_: (n - l * p - 1) // (p - 1),
         hypotheses=lambda n, p, l, **_: n > l * p,
-        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
+        sums=lambda n, d, l, fleck, **_: fleck.sums(n, d, l),
     ),
     TheoremId.SUN: Theorem(
         params=("n", "p", "alpha", "beta", "l"),
@@ -137,8 +138,8 @@ THEOREMS: dict[TheoremId, Theorem] = {
         bound=lambda n, p, alpha, beta, l, **_: (
             (n - _q(p, alpha) - l) // (_q(p, alpha) * (p - 1)) - (l - 1) * alpha - beta),
         hypotheses=lambda n, p, alpha, beta, **_: beta <= alpha and n >= _q(p, alpha),
-        sums=lambda n, p, alpha, beta, l, d, state, **_: (
-            [None] * d if beta > alpha else state.fleck_sums(n, d, l, p**alpha)),
+        sums=lambda n, p, alpha, beta, l, d, fleck, **_: (
+            [None] * d if beta > alpha else fleck.sums(n, d, l, p**alpha)),
     ),
     TheoremId.WAN_STRONG: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -146,7 +147,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             (n - _q(p, alpha) - l * p**alpha) // (_q(p, alpha) * (p - 1))),
-        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
+        sums=lambda n, d, l, fleck, **_: fleck.sums(n, d, l),
     ),
     # the ord_p(l!) correction is required: without it the claim fails
     # already at n=4, p=2, alpha=1, l=2, r=0 (sum 1, claimed order 1)
@@ -156,7 +157,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             legendre_count(n // p**alpha, p) - legendre_count(l, p)),
-        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
+        sums=lambda n, d, l, fleck, **_: fleck.sums(n, d, l),
     ),
     TheoremId.DAVIS_SUN_B: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -164,7 +165,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, l, **_: filtered_sums._fleck_sum(n, cls, l),
         bound=lambda n, p, alpha, l, **_: (
             legendre_count(n // _q(p, alpha), p) - l - legendre_count(l, p)),
-        sums=lambda n, d, l, state, **_: state.fleck_sums(n, d, l),
+        sums=lambda n, d, l, fleck, **_: fleck.sums(n, d, l),
     ),
     TheoremId.EC1: Theorem(
         params=("n", "p", "alpha", "l"),
@@ -188,7 +189,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         sum=lambda cls, n, m, a, **_: filtered_sums._stirling_product_sum(n, m, cls, a),
         bound=lambda n, p, m, **_: legendre_count(n, p) - legendre_count(m, p),
         tables=(Family.STIRLING1, Family.STIRLING2),
-        sums=lambda n, m, a, d, state, **_: state.stirling_product_sums(n, m, d, a),
+        sums=lambda n, m, a, d, stirling, **_: stirling.sums(n, m, d, a),
     ),
     TheoremId.SC2: Theorem(
         params=("n", "p", "a", "f"),
@@ -204,7 +205,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
         bound=lambda n, p, alpha, m, **_: (
             (n - p**alpha) // (p**alpha * (p - 1)) - legendre_count(m, p)),
         tables=(Family.STIRLING1, Family.STIRLING2),
-        sums=lambda n, m, a, d, state, **_: state.stirling_product_sums(n, m, d, a),
+        sums=lambda n, m, a, d, stirling, **_: stirling.sums(n, m, d, a),
     ),
 }
 

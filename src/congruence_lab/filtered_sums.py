@@ -10,8 +10,8 @@ modulus d) and the parameters of its weight.  Which class a theorem sums
 over, p**alpha or p**beta, is the caller's business: the verifier builds it
 from the checked claim, the CLI from its flags.  Each public sum checks its
 arguments and calls a private kernel that checks nothing (``_fleck_sum``,
-..., the :class:`_SweepState` methods); the theorem table calls only the
-kernels, since every claim path has checked the claim's parameters.
+...); the theorem table calls only the kernels and a sweep's levels, since
+every claim path has checked the claim's parameters.
 
 The binomial values come from one memoized signed row (-1)**k C(n, k) per
 n, built from :func:`binomial_row`, not from ``math.comb`` per claim: a grid
@@ -26,14 +26,15 @@ the base (:func:`_power_sum`).  They are ``check_claim``'s reference, and
 the sweep path of ``ec1``, ``ec2``, ``sc2`` (no one-pass sums) and of a
 residue subset.
 
-:func:`fleck_sums` and :func:`stirling_product_sums` return the sums of every
-residue class of one modulus at once, in residue order, equal to one
-per-residue sum each: the verifier evaluates a parameter tuple's d claims
-with one of them, and those of all seven binomial theorems, ``sun``'s
-floor sums included, with the Fleck-type one.  A sweep runs them on the
-:class:`_SweepState` its plan owns, which steps the sums of n from those
-of n - 1: by Pascal's rule, and by the two Stirling recurrences.  The
-public ones keep nothing between calls.
+:class:`_FleckLevels` and :class:`_StirlingLevels` are the one level state
+of each family that steps in n; a sweep's plan holds one of each and drops
+them with the plan.  Each one's ``sums`` returns the sums of every residue
+class of one modulus at once, in residue order, equal to one per-residue sum
+each: the Fleck-type ones, ``sun``'s floor sums among them, stepped from
+those of n - 1 by Pascal's rule, and the Stirling product ones by the two
+Stirling recurrences.  The verifier evaluates a parameter tuple's d claims
+with one of them; :func:`verifier.evaluate_tuple` is the checked library
+call that gives every residue of a tuple.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ __all__ = [
     "eulerian_power_sum",
     "eulerian_wan_sum",
     "fleck_sum",
-    "fleck_sums",
     "stirling_poly_sum",
     "stirling_product_sum",
-    "stirling_product_sums",
 ]
 
 
@@ -120,18 +119,10 @@ def _fleck_sum(n: int, cls: ResidueClass, l: int = 0, q: int | None = None) -> i
     return sum(row[k] * math.comb((k - r) // q, l) for k in cls.members(n))
 
 
-def fleck_sums(n: int, d: int, l: int = 0) -> list[int]:
-    """The :func:`fleck_sum` of every residue r = 0..d - 1, worked out on a
-    fresh :class:`_SweepState`, so from the row."""
-    check_params(n=n, d=d, l=l)
-    return _SweepState().fleck_sums(n, d, l)
-
-
-class _SweepState:
-    """What the one-pass sums of one sweep keep between its tuples, across
-    its grids; a sweep's plan holds one, so it goes when the sweep ends.
-    A plan serves one theorem, so its state keeps Fleck-type or Stirling
-    sums, never both.
+class _FleckLevels:
+    """The Fleck-type sums of one sweep, ``sun``'s floor sums among them,
+    kept between its tuples, across its grids, and stepped in n by Pascal's
+    rule; a sweep's plan holds one, so they go when the sweep ends.
 
     With v_k = (-1)**k C(n, k), the signed row, and quotients by a modulus
     q, F(n, rho, l) is the sum over j of v_(rho + j q) C(j, l), rho < q.
@@ -147,54 +138,35 @@ class _SweepState:
 
     with F(., ., -1) = 0.  So ``kept[q]`` is (n, levels) for the last n
     asked of a modulus q <= n, levels[l][rho] = F(n, rho, l) for l = 0..L,
-    with ``top`` = L the largest l the state has been asked: a step carries
-    every level, since level l needs level l - 1, so a modulus keeps at
-    most (L + 1) q sums.  A modulus q > n keeps nothing: each class modulo
-    q has at most one member, k = rho, with weight C(0, l), so l > 0 gives
-    zeros and l = 0 folds the signed row.
+    with ``top`` = L the largest l asked: a step carries every level, since
+    level l needs level l - 1, so a modulus keeps at most (L + 1) q sums.
+    A modulus q > n keeps nothing: each class modulo q has at most one
+    member, k = rho, with weight C(0, l), so l > 0 gives zeros and l = 0
+    folds the signed row.
 
     With no usable n - 1 (the first n, a gap in the n axis) or a larger l
     than is kept, levels 0..L come from the signed row at once (levels 0..l
-    alone ran a since-deleted pool worker's share of ``pool-csv``, which met
-    a gap at every chunk, 1.37x slower): F(n, rho, l) is entry l of the
-    (l + 1)-fold suffix sums of class rho's terms, highest k first, since
-    t-fold suffix sums put weight C(j - i + t - 1, t - 1) on term j at entry
-    i.  A class
-    of at most l members sums to 0.  Rebuilding from :func:`_fleck_sum` per
-    class instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6
-    and 7 of 10 pairs).
-
-    The Stirling sum for class r is T(n, r, m), the sum over k = r (mod d)
-    of s(n, k) S(k, m) a**k, and the recurrences of s and S step it:
-
-        T(n, r, m) = a m T(n-1, r-1, m) + a T(n-1, r-1, m-1) + (n-1) T(n-1, r, m),
-
-    with T(n, r, 0) = 0 for n >= 1.  So ``kept[d, a]`` is (n, levels) for
-    the last n asked of d <= n, levels[m - 1] the d sums of level m = 1..M.
-    A step carries every level, and level n of n - 1 is zero, so a step
-    from every level of n - 1 adds level n while n - 1 <= ``top``, the
-    largest m asked: M <= ``top`` + 1.  A level not stepped (the first n, a
-    gap, a larger m) comes from its terms
-    u_k S(k, m), k >= m, with u_k = s(n, k) a**k, and is kept only as the
-    next level up: an m axis of 1..n steps every level, and an m past the
-    next costs its own terms, not those of every level below it.  The sums
-    of d > n or m > n come from the terms too, and keep nothing; ``rows``
-    holds one n's rows and each a's u.  In process, remaking every level
-    for each larger m ran ``sc3 --n 195..200`` 40x slower, and terms without
-    u ran ``--n 150,200`` 1.6-1.75x slower.  Making every level below an m
-    past the next ran ``sc1 --n 150,200 --m 100,150`` 4x slower end to end.
+    alone ran the sweep of ``binom-deep``'s grid 1.08x slower, in 10 of 12
+    alternating subprocess pairs, ``pool-csv``'s 1.01x, in 9 of 12, and
+    ``wan-strong --n 600..700,800..900 --p 2,3 --alpha 1,2 --l 0,3``
+    1.00x, in 7 of 12): F(n, rho, l) is entry l of the (l + 1)-fold suffix
+    sums of class rho's terms, highest k first, since t-fold suffix sums
+    put weight C(j - i + t - 1, t - 1) on term j at entry i.  A class of at
+    most l members sums to 0.  Rebuilding from :func:`_fleck_sum` per class
+    instead ran ``pool-csv`` 1.03x and ``binom-deep`` 1.11x slower (6 and 7
+    of 10 pairs).
     """
 
-    __slots__ = ("kept", "top", "rows")
+    __slots__ = ("kept", "top")
 
     def __init__(self) -> None:
-        self.kept: dict[int | tuple[int, int], tuple[int, list]] = {}
+        self.kept: dict[int, tuple[int, list]] = {}
         self.top = 0
-        self.rows = None
 
-    def fleck_sums(self, n: int, d: int, l: int, q: int | None = None) -> list[int]:
-        """:func:`fleck_sums` of checked arguments, with the quotients by
-        ``q``, a multiple of d (d when none is given), stepped where it can be."""
+    def sums(self, n: int, d: int, l: int, q: int | None = None) -> list[int]:
+        """The :func:`fleck_sum` of every residue r = 0..d - 1, of checked
+        arguments, with the quotients by ``q``, a multiple of d (d when none
+        is given), stepped where it can be."""
         q = q or d
         if l > self.top:
             self.top = l
@@ -221,12 +193,48 @@ class _SweepState:
         sums = levels[l]
         return list(sums) if q == d else [sum(sums[r::d]) for r in range(d)]
 
-    def stirling_product_sums(self, n: int, m: int, d: int, a: int) -> list[int]:
-        """:func:`stirling_product_sums` of checked arguments, stepped where it can be."""
+
+class _StirlingLevels:
+    """The Stirling product sums of one sweep, kept between its tuples,
+    across its grids, and stepped in n by the recurrences of s and S; a
+    sweep's plan holds one, so they go when the sweep ends.
+
+    The sum for class r modulo d is T(n, r, m), the sum over k = r (mod d)
+    of s(n, k) S(k, m) a**k, and the recurrences of s and S step it:
+
+        T(n, r, m) = a m T(n-1, r-1, m) + a T(n-1, r-1, m-1) + (n-1) T(n-1, r, m),
+
+    with T(n, r, 0) = 0 for n >= 1.  So ``kept[d, a]`` is (n, levels) for
+    the last n asked of d <= n, levels[m - 1] the d sums of level m = 1..M.
+    A step carries every level, and level n of n - 1 is zero, so a step
+    from every level of n - 1 adds level n while n - 1 <= ``top``, the
+    largest m asked: M <= ``top`` + 1.  A level not stepped (the first n, a
+    gap, a larger m) comes from its terms u_k S(k, m), k >= m, with u_k =
+    s(n, k) a**k, and is kept only as the next level up: an m axis of 1..n
+    steps every level, and an m past the next costs its own terms, not
+    those of every level below it.  The sums of d > n or m > n come from
+    the terms too, and keep nothing; ``rows`` holds one n's rows and each
+    a's u, so a block fetches its triangle rows once.  In process, remaking
+    every level for each larger m ran ``sc3 --n 195..200`` 40x slower, and
+    terms without u ran ``--n 150,200`` 1.6-1.75x slower.  Making every
+    level below an m past the next ran ``sc1 --n 150,200 --m 100,150`` 4x
+    slower end to end.
+    """
+
+    __slots__ = ("kept", "top", "rows")
+
+    def __init__(self) -> None:
+        self.kept: dict[tuple[int, int], tuple[int, list]] = {}
+        self.top = 0
+        self.rows = None
+
+    def sums(self, n: int, m: int, d: int, a: int) -> list[int]:
+        """The :func:`stirling_product_sum` of every residue r = 0..d - 1,
+        of checked arguments, stepped where it can be."""
         if m > self.top:
             self.top = m
         if d > n or m > n:  # nothing is kept
-            return self._stirling_level(n, m, d, a)
+            return self._level(n, m, d, a)
         kept_n, levels = self.kept.get((d, a), (None, []))
         if kept_n == n - 1:
             if len(levels) == n - 1 <= self.top:  # level n of n - 1 is zero
@@ -241,11 +249,11 @@ class _SweepState:
         elif kept_n != n:
             levels = []
         if m == len(levels) + 1:  # the next level up, so the next n steps it too
-            levels.append(self._stirling_level(n, m, d, a))
+            levels.append(self._level(n, m, d, a))
         self.kept[d, a] = (n, levels)
-        return list(levels[m - 1]) if m <= len(levels) else self._stirling_level(n, m, d, a)
+        return list(levels[m - 1]) if m <= len(levels) else self._level(n, m, d, a)
 
-    def _stirling_level(self, n: int, m: int, d: int, a: int) -> list[int]:
+    def _level(self, n: int, m: int, d: int, a: int) -> list[int]:
         """The sums T(n, r, m), r = 0..d-1, from their terms u_k S(k, m)."""
         if self.rows is None or self.rows[0] != n:
             self.rows = (n, triangles.stirling1_row(n),
@@ -326,13 +334,6 @@ def stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
 def _stirling_product_sum(n: int, m: int, cls: ResidueClass, a: int) -> int:
     srow, rows2 = triangles.stirling1_row(n), triangles.ensure_rows(Family.STIRLING2, n).rows
     return _power_sum((srow[k] * rows2[k][m] if k >= m else 0 for k in cls.members(n)), cls, a)
-
-
-def stirling_product_sums(n: int, m: int, d: int, a: int) -> list[int]:
-    """The :func:`stirling_product_sum` of every residue r = 0..d-1, from one
-    pass over k, worked out on a fresh :class:`_SweepState`."""
-    check_params(n=n, m=m, d=d, a=a)
-    return _SweepState().stirling_product_sums(n, m, d, a)
 
 
 def stirling_poly_sum(n: int, f: IntPolynomial, cls: ResidueClass, a: int) -> int:

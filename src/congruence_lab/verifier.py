@@ -35,9 +35,10 @@ A sweep runs in blocks, the tuples of a grid that share n.  One
 :class:`_Plan` per theorem and residue set of the sweep walks its grids
 (:meth:`_Plan.tuples`), working out the class modulus, hypotheses and
 bound at the innermost axis each reads, so once per distinct value of the
-parameters it names, and owns the :class:`~filtered_sums._SweepState` that
-steps each modulus's sums from one n to the next and fetches a block's
-triangle rows at most once.
+parameters it names, and holds one level state per stepped family
+(:class:`~filtered_sums._FleckLevels`, :class:`~filtered_sums._StirlingLevels`)
+that steps each modulus's sums from one n to the next; the Stirling one
+fetches a block's triangle rows at most once.
 :func:`evaluate_tuple` runs a block of one tuple.  Each tuple's result, in
 a sweep's chunks as from :func:`evaluate_tuple`, is a :class:`TupleResult`.
 
@@ -64,7 +65,7 @@ from .bounds import THEOREMS, Theorem, TheoremId, _named, sc2_comparison, sc2_co
 from .errors import ParameterError
 from .exactmath import (INFINITY, IntPolynomial, PAdicOrder, check_collection, check_params, ord_p,
                         ord_p_nonzero)
-from .filtered_sums import ResidueClass, _SweepState
+from .filtered_sums import ResidueClass, _FleckLevels, _StirlingLevels
 from .triangles import Family
 
 __all__ = [
@@ -290,11 +291,14 @@ class _Plan:
     grids: its :data:`THEOREMS` entry; the asked residues, checked ("all" or
     an :func:`_axis`); for each axis, which of the class modulus, hypotheses
     and bound :meth:`tuples` works out there (``at``: the innermost axis
-    each names, the last for one that names none); and the
-    :class:`~filtered_sums._SweepState` its ``sums`` keep.  The values must
+    each names, the last for one that names none); and ``levels``, the
+    :class:`~filtered_sums._FleckLevels` and
+    :class:`~filtered_sums._StirlingLevels` that its ``sums`` reads by name
+    (``fleck``, ``stirling``) and keeps; the one it does not read stays
+    empty.  The values must
     have been checked, by a :class:`GridSpec` or :func:`_checked_theorem`."""
 
-    __slots__ = ("theorem", "wiring", "probe", "asked", "at", "state")
+    __slots__ = ("theorem", "wiring", "probe", "asked", "at", "levels")
 
     def __init__(self, theorem: TheoremId, residues: str | tuple[int, ...],
                  probe_inapplicable: bool) -> None:
@@ -307,7 +311,7 @@ class _Plan:
         depths = [fn and max(map(names.index, _named(fn) or names)) for fn in fns]
         self.at = [[fn if depth == at else None for fn, depth in zip(fns, depths)]
                    for at in range(len(names))]
-        self.state = _SweepState()
+        self.levels = {"fleck": _FleckLevels(), "stirling": _StirlingLevels()}
 
     def tuples(self, axes: Sequence[Sequence[Any]]) -> Iterator[tuple]:
         """Each tuple of the product of ``axes``, the values of the
@@ -344,7 +348,7 @@ class _Plan:
             return TupleResult(self.theorem, params, d, None, rs, totals, orders, verdicts,
                                margins, sc2)
         if wiring.sums is not None and count == d:  # every residue, so rs is range(d)
-            totals = wiring.sums(d=d, state=self.state, **params)
+            totals = wiring.sums(d=d, **self.levels, **params)
         else:
             totals = [wiring.sum(ResidueClass(d, r), **params) for r in rs]
         p = params["p"]

@@ -32,8 +32,12 @@ class TestTable:
             params = set(entry.params)
             assert set(_named(entry.modulus)) <= params, theorem
             assert set(_named(entry.sum)) <= params | {"cls"}, theorem
-            # the plan passes the modulus and its sweep's state to sums
-            assert set(_named(entry.sums)) <= params | {"d", "state"}, theorem
+            # the plan passes the modulus and its sweep's levels to sums,
+            # which names d and the one family of levels it reads
+            if entry.sums is not None:
+                named = set(_named(entry.sums))
+                assert "d" in named and len(named & {"fleck", "stirling"}) == 1, theorem
+                assert named <= params | {"d", "fleck", "stirling"}, theorem
             read = set(_named(entry.bound)) | set(_named(entry.hypotheses))
             assert read <= params - {"f"}, theorem  # no polynomial
 

@@ -332,7 +332,6 @@ ENTRY_POINTS = {
     "ResidueClass": ("d r", lambda _, v: filtered_sums.ResidueClass(v["d"], v["r"])),
     "IntPolynomial": ("coefficient", lambda _, v: IntPolynomial((v["coefficient"], 1))),
     "fleck_sum": ("n l", lambda _, v: filtered_sums.fleck_sum(v["n"], EXACT, v["l"])),
-    "fleck_sums": ("n d l", lambda _, v: filtered_sums.fleck_sums(v["n"], v["d"], v["l"])),
     # binom_power_sum's n is not here: n >= 0 is its own rule
     "binom_power_sum": ("a", lambda _, v: filtered_sums.binom_power_sum(v["n"], EXACT, v["a"])),
     "eulerian_wan_sum": ("n l", lambda _, v: filtered_sums.eulerian_wan_sum(
@@ -341,8 +340,6 @@ ENTRY_POINTS = {
         v["n"], EXACT, v["a"])),
     "stirling_product_sum": ("n m a", lambda _, v: filtered_sums.stirling_product_sum(
         v["n"], v["m"], EXACT, v["a"])),
-    "stirling_product_sums": ("n m d a", lambda _, v: filtered_sums.stirling_product_sums(
-        v["n"], v["m"], v["d"], v["a"])),
     "stirling_poly_sum": ("n f a", lambda _, v: filtered_sums.stirling_poly_sum(
         v["n"], v["f"], EXACT, v["a"])),
     "sc2_comparison": ("n p f", lambda _, v: bounds.sc2_comparison(

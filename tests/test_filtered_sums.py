@@ -17,11 +17,11 @@ from congruence_lab.filtered_sums import (
     binom_power_sum,
     eulerian_power_sum,
     eulerian_wan_sum,
+    _FleckLevels,
+    _StirlingLevels,
     fleck_sum,
-    fleck_sums,
     stirling_poly_sum,
     stirling_product_sum,
-    stirling_product_sums,
 )
 
 from oracles import (
@@ -334,7 +334,7 @@ class TestNaiveOracle:
             eulerian, stirling1 = eulerian_row_by_series(n), rising_poly_coeffs(n)
             for d, a, m in ((2, -2, 1), (6, 3, 5), (9, 1, 2)):
                 stirling2 = [stirling2_explicit(k, m) for k in range(n + 1)]
-                assert stirling_product_sums(n, m, d, a) == [naive_filtered_sum(
+                assert _StirlingLevels().sums(n, m, d, a) == [naive_filtered_sum(
                     n, d, r, lambda k: stirling1[k] * stirling2[k] * a**k) for r in range(d)]
                 for r in range(d):
                     cls = ResidueClass(d, r)
@@ -359,7 +359,7 @@ class TestOnePassSums:
     def test_fleck_sums(self, n, p, alpha, l):
         d = p**alpha
         want = [fleck_sum(n, ResidueClass(d, r), l) for r in range(d)]
-        assert fleck_sums(n, d, l) == want
+        assert _FleckLevels().sums(n, d, l) == want
 
     @staticmethod
     def _check_kept(state):
@@ -375,10 +375,10 @@ class TestOnePassSums:
         """Each call of the sequence on one state equals one fleck_sum and one
         naive sum per residue, and leaves kept only classes r <= n.  Returns
         the state."""
-        state = filtered_sums._SweepState()
+        state = _FleckLevels()
         for n, p, alpha, l in calls:
             d = p**alpha
-            got = state.fleck_sums(n, d, l)
+            got = state.sums(n, d, l)
             assert got == [fleck_sum(n, ResidueClass(d, r), l) for r in range(d)]
             assert got == [naive_filtered_sum(
                 n, d, r, lambda k: (-1) ** k * math.comb(n, k) * math.comb((k - r) // d, l))
@@ -393,7 +393,7 @@ class TestOnePassSums:
         state = self._check_calls([(9, 3, 1, 0), (9, 3, 1, 1), (9, 3, 1, 1), (9, 3, 1, 3),
                                    (9, 3, 2, 1), (9, 3, 1, 2), (10, 3, 1, 2), (9, 3, 1, 0),
                                    (2, 2, 1, 3), (2, 2, 1, 0), (2, 2, 1, 3), (7, 2, 2, 2)])
-        assert fleck_sums(2, 2, 3) == [0, 0]
+        assert _FleckLevels().sums(2, 2, 3) == [0, 0]
         # a fallback folds every level up to the largest l the state was
         # asked (3), though (7, 4) asked only l = 2
         assert state.top == 3 and len(state.kept[4][1]) == 4
@@ -427,12 +427,12 @@ class TestOnePassSums:
         as a pool chunk does.  Every sum equals fleck_sum and the ring
         oracle, which reads no row."""
         ring = {}
-        state = filtered_sums._SweepState()
+        state = _FleckLevels()
         for start, steps, moduli, ls, skip in windows:
             ns = itertools.accumulate(steps, initial=start)
             calls = [(n, d, l) for n in ns for d in moduli for l in ls][skip:]
             for n, d, l in calls:
-                got = state.fleck_sums(n, d, l)
+                got = state.sums(n, d, l)
                 if (n, d) not in ring:
                     ring[n, d] = fleck_sums_by_ring(n, d, 4)
                 assert got == ring[n, d][l], (n, d, l)
@@ -457,7 +457,7 @@ class TestOnePassSums:
         sum equals sun's per-residue sum and the folded ring oracle, which
         reads no row; beta > alpha has no sum."""
         sun, ring = THEOREMS[TheoremId.SUN], {}
-        state = filtered_sums._SweepState()
+        state = _FleckLevels()
         for start, steps, pairs, ls, skip in windows:
             ns = itertools.accumulate(steps, initial=start)
             calls = [(n, p, alpha, beta, l) for n in ns for p, alpha in pairs
@@ -465,13 +465,13 @@ class TestOnePassSums:
             for n, p, alpha, beta, l in calls:
                 params = {"n": n, "p": p, "alpha": alpha, "beta": beta, "l": l}
                 d, q = p**beta, p**alpha
-                got = sun.sums(d=d, state=state, **params)
+                got = sun.sums(d=d, fleck=state, **params)
                 assert got == [sun.sum(ResidueClass(d, r), **params) for r in range(d)], params
                 if beta <= alpha:
                     if (n, q) not in ring:
                         ring[n, q] = fleck_sums_by_ring(n, q, 4)
                     assert got == [sum(ring[n, q][l][r::d]) for r in range(d)], params
-                    assert got == state.fleck_sums(n, d, l, q)
+                    assert got == state.sums(n, d, l, q)
                 self._check_kept(state)
 
     def test_no_empty_class_is_kept(self):
@@ -484,21 +484,21 @@ class TestOnePassSums:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert plan.state.kept == {}
+        assert plan.levels["fleck"].kept == {}
         assert held < 2**18
 
     def test_kept_state_after_a_sweep(self):
         # binom-deep's moduli and l axis, and a modulus above n, over n =
         # 600..620 on one state: what stays is at most (L + 1) d sums per
         # modulus d <= n and the one cached row
-        state = filtered_sums._SweepState()
+        state = _FleckLevels()
         ns, moduli, ls = range(600, 621), (2, 4, 3, 9, 2**10), range(4)
         tracemalloc.start()
         try:
             for n in ns:
                 for d in moduli:
                     for l in ls:
-                        state.fleck_sums(n, d, l)  # result dropped
+                        state.sums(n, d, l)  # result dropped
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -563,14 +563,14 @@ class TestOnePassSums:
         (d, a) interleaved, and windows that start part-way into an n, as a
         pool chunk does.  Every sum equals the per-residue kernel and a naive
         sum of the closed-form rows, which read no triangle."""
-        state = filtered_sums._SweepState()
+        state = _StirlingLevels()
         terms = {}  # (n, m, a): the terms s(n, k) S(k, m) a**k, k = 0..n, of the closed forms
         for start, steps, moduli, ms, a_values, skip in windows:
             ns = itertools.accumulate(steps, initial=start)
             calls = [(n, m, d, a) for n in ns for d in moduli for m in ms or range(1, n + 1)
                      for a in a_values][skip:]
             for n, m, d, a in calls:
-                got = state.stirling_product_sums(n, m, d, a)
+                got = state.sums(n, m, d, a)
                 assert got == [filtered_sums._stirling_product_sum(n, m, ResidueClass(d, r), a)
                                for r in range(d)], (n, m, d, a)
                 if (n, m, a) not in terms:
@@ -598,7 +598,7 @@ class TestOnePassSums:
         # and the rows of the last n with one weighted row per a: no level
         # past M + 1, and nothing for d > n
         last, a_values = 30, range(-2, 4)
-        state = filtered_sums._SweepState()
+        state = _StirlingLevels()
         triangles.ensure_rows(triangles.Family.STIRLING1, last)
         triangles.ensure_rows(triangles.Family.STIRLING2, last)
 
@@ -607,7 +607,7 @@ class TestOnePassSums:
                 for d in moduli:
                     for m in ms(n):
                         for a in a_values:
-                            state.stirling_product_sums(n, m, d, a)  # result dropped
+                            state.sums(n, m, d, a)  # result dropped
 
         held = self._held_after(sweep)
         self._check_stirling_kept(state)
@@ -639,17 +639,6 @@ class TestOnePassSums:
     # 621 ints of at most 620 bits, each held by one pointer
     ONE_ROW = 621 * (sys.getsizeof(1 << 620) + 8)
 
-    def test_the_public_sums_keep_nothing(self):
-        # fleck_sums runs on a fresh state, so over n = 600..620 nothing but
-        # the row stays, where every modulus's sums of the last n used to
-        def calls():
-            for n in range(600, 621):
-                for d in (2, 4, 3, 9, 2**10):
-                    for l in range(4):
-                        fleck_sums(n, d, l)  # result dropped
-
-        assert self._held_after(calls) < self.ONE_ROW + 2**14
-
     def test_a_sweep_keeps_nothing_once_it_is_dropped(self):
         # binom-deep's theorem, moduli and l axis over n = 600..620: the
         # sweep's plan owns the state its sums keep, so the state goes with it
@@ -669,16 +658,15 @@ class TestOnePassSums:
     )
     def test_stirling_product_sums(self, n, m, d, a):
         want = [stirling_product_sum(n, m, ResidueClass(d, r), a) for r in range(d)]
-        assert stirling_product_sums(n, m, d, a) == want
+        assert _StirlingLevels().sums(n, m, d, a) == want
 
     def test_bad_arguments(self):
-        for bad in (lambda: fleck_sums(0, 2), lambda: fleck_sums(4, 0),
-                    lambda: fleck_sums(4, 2, -1),
-                    lambda: stirling_product_sums(0, 1, 2, 1),
-                    lambda: stirling_product_sums(3, 0, 2, 1),
-                    lambda: stirling_product_sums(3, 1, 0, 1),
-                    # not a one-pass sum, but its n >= 0 is its own rule
-                    lambda: binom_power_sum(-1, ResidueClass(2, 0), 1),
-                    lambda: binom_power_sum(2.5, ResidueClass(2, 0), 1)):
+        cls = ResidueClass(2, 0)
+        for bad in (lambda: fleck_sum(0, cls), lambda: ResidueClass(0, 0),
+                    lambda: fleck_sum(4, cls, -1),
+                    lambda: stirling_product_sum(0, 1, cls, 1),
+                    lambda: stirling_product_sum(3, 0, cls, 1),
+                    # binom_power_sum's n >= 0 is its own rule
+                    lambda: binom_power_sum(-1, cls, 1), lambda: binom_power_sum(2.5, cls, 1)):
             with pytest.raises(ParameterError):
                 bad()

@@ -262,18 +262,28 @@ def grids(draw):
 
 class TestCheckTuple:
     @settings(max_examples=300, deadline=None)
-    @given(grids(), st.booleans())
-    @example(GridSpec(TheoremId.SUN, ns=(1, 5, 9), primes=(2, 3), alphas=(1,), betas=(0, 1, 2),
-                      ls=(0, 1)), True)
-    @example(GridSpec(TheoremId.EC2, ns=(2, 8), primes=(2, 3), alphas=(1, 2), a_values=(-5, 0, 4)),
-             True)
-    @example(GridSpec(TheoremId.SC3, ns=(4, 9), primes=(3,), alphas=(1, 2), ms=(2, 12),
-                      a_values=(-2, 0), residues=(17, -1, 5, 5)), False)
-    @example(GridSpec(TheoremId.SC2, ns=(3, 6), primes=(2, 5), a_values=(-1, 2),
-                      polys=(IntPolynomial(()), IntPolynomial((0, -1, 0, 3)))), False)
-    def test_equals_check_claim_per_residue(self, grid, probe):
-        got = run_grid(grid, probe).records
-        want = [check_claim(grid.theorem, params, probe) for params in grid_params(grid)]
+    @given(st.lists(grids(), min_size=1, max_size=3), st.booleans())
+    @example([GridSpec(TheoremId.SUN, ns=(1, 5, 9), primes=(2, 3), alphas=(1,),
+                       betas=(0, 1, 2), ls=(0, 1))], True)
+    @example([GridSpec(TheoremId.EC2, ns=(2, 8), primes=(2, 3), alphas=(1, 2),
+                       a_values=(-5, 0, 4))], True)
+    @example([GridSpec(TheoremId.SC3, ns=(4, 9), primes=(3,), alphas=(1, 2), ms=(2, 12),
+                       a_values=(-2, 0), residues=(17, -1, 5, 5))], False)
+    @example([GridSpec(TheoremId.SC2, ns=(3, 6), primes=(2, 5), a_values=(-1, 2),
+                       polys=(IntPolynomial(()), IntPolynomial((0, -1, 0, 3))))], False)
+    # both stepped families in one sweep, and wan-strong's plan shared by two
+    # grids whose n restarts lower
+    @example([GridSpec(TheoremId.WAN_STRONG, ns=(6, 7, 9), primes=(2, 3), alphas=(1, 2),
+                       ls=(0, 2)),
+              GridSpec(TheoremId.SC1, ns=(3, 4, 5), primes=(2, 3), ms=(1, 2), a_values=(-1, 2)),
+              GridSpec(TheoremId.WAN_STRONG, ns=(2, 3), primes=(2,), alphas=(2,), ls=(1, 3))],
+             False)
+    def test_equals_check_claim_per_residue(self, grids, probe):
+        """One sweep of the drawn grids, both stepped families and the same
+        theorem twice among them, against check_claim claim for claim."""
+        got = run_grids(grids, probe).records
+        want = [check_claim(grid.theorem, params, probe) for grid in grids
+                for params in grid_params(grid)]
         assert got == want
         # the parameter order too, although no report depends on it
         assert [list(rec.params.items()) for rec in got] == [
@@ -427,8 +437,8 @@ class TestCheckTuple:
             evaluate_tuple("wan-strong", {"n": 9, "p": 4, "alpha": 1, "l": 0})
         with pytest.raises(ParameterError, match="p must be a prime"):
             ord_p(8, 4)
-        # the parameter check checks p; fleck_sums, the tuple's one sum, takes
-        # no p, and none of the nine orders checks it
+        # the parameter check checks p; _FleckLevels.sums, the tuple's one
+        # sum, takes no p, and none of the nine orders checks it
         checks = []
         real_params, real_prime = verifier.check_params, exactmath.check_prime
 
